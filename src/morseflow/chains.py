@@ -117,10 +117,20 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], in
     return tuple(diag), len(diag)
 
 
-def matrix_rank(mat: IntMatrix) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return smith_normal_form(mat)[1]
+def int_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by cofactor expansion."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        minor = [[m[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
+        total += (-1) ** j * m[0][j] * int_det(minor)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ class IntegerChainComplex:
         betti = []
         torsion = []
         for k in range(self.top_dim + 1):
-            out_rank = matrix_rank(self.matrix(k))
+            _, out_rank = smith_normal_form(self.matrix(k))
             incoming = self.matrix(k - self.step)
             in_diag, in_rank = smith_normal_form(incoming)
             betti.append(self.rank(k) - out_rank - in_rank)

@@ -23,7 +23,10 @@ def _parse_tolerances(pairs: list[str]) -> Tolerances:
     mapping: dict[str, float] = {}
     env = os.environ.get(ENV_OVERRIDES)
     if env:
-        mapping.update(json.loads(env))
+        parsed = json.loads(env)
+        if not isinstance(parsed, dict):
+            raise ValueError(f"{ENV_OVERRIDES} must hold a JSON object")
+        mapping.update(parsed)
     for item in pairs or []:
         if "=" not in item:
             raise ValueError(f"expected NAME=VALUE, got {item!r}")

@@ -2,10 +2,11 @@
 
 Integration uses an embedded Dormand-Prince 5(4) pair with a boundary guard:
 steps that would leave the manifold are shortened by bisection to land on the
-wall, where only tangent or inward field directions are tolerated.  Orbit
-counting is dimension specific: one-dimensional unstable manifolds are
-followed branch by branch; two-dimensional ones are swept by launch angle
-with bisection on a level-set cross-section coordinate.
+wall, where only tangent or inward field directions are tolerated.  Every
+connecting orbit between generators of adjacent grading on a surface is a
+branch of a one-dimensional invariant manifold, so each count follows one: the
+unstable manifold of a grading-one source forward, or the stable manifold of a
+grading-one target backward.
 """
 from __future__ import annotations
 
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import BOUNDARY_N, INTERIOR, CriticalPoint
+from .critical import BOUNDARY_N, INTERIOR, CriticalPoint, sign_fix
 from .errors import (CertificateViolation, DimensionMismatch, FlowTimeout,
                      NonTransverse)
 from .geometry import (QuotientChart, RegionChart, chart_distance, deck_apply,
-                       deck_match, deck_sign)
+                       deck_sign)
 from .params import DEFAULT, Tolerances
 from .pseudogradient import PseudoGradientField, _project_to_boundary
 
@@ -41,7 +42,6 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 CONVERGED = "converged"
 LEFT_DOMAIN = "left_domain"
 TIMEOUT = "timeout"
-LEVEL = "level"
 
 
 @dataclass(eq=False)
@@ -60,19 +60,6 @@ class Trajectory:
     @property
     def end(self) -> Array:
         return self.end_point if self.end_point is not None else self.points[-1]
-
-    def seam_sign(self, chart) -> int:
-        """Net deck-flip sign accumulated between first and last sample."""
-        if isinstance(chart, RegionChart):
-            return 1
-        d = (int(math.floor(self.end[0] / chart.period))
-             - int(math.floor(self.start[0] / chart.period)))
-        return deck_sign(chart, d)
-
-    def end_floor(self, chart) -> int:
-        if isinstance(chart, RegionChart):
-            return 0
-        return int(math.floor(self.end[0] / chart.period))
 
 
 def _rk_step(deriv, x: Array, h: float, k1: Array | None = None):
@@ -143,13 +130,12 @@ def _pull_inside(chart, x: Array) -> Array:
 
 
 def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
-              reverse: bool = False, allow_exit: bool = False,
-              stop_level: float | None = None) -> Trajectory:
+              reverse: bool = False, allow_exit: bool = False) -> Trajectory:
     """Flow a trajectory of the field (or of its time reversal).
 
     Terminates on convergence to a critical point of the build, on leaving the
-    manifold (LEFT_DOMAIN when allow_exit, CertificateViolation otherwise), on
-    crossing a target objective level, or on timeout.
+    manifold (LEFT_DOMAIN when allow_exit, CertificateViolation otherwise), or
+    on timeout.
     """
     chart = field.chart
     sgn = -1.0 if reverse else 1.0
@@ -225,33 +211,12 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
             h = max(h * 0.5, 1e-10)
             continue
 
-        # level crossing
-        v_new = value(x_new)
-        if stop_level is not None and v_new <= stop_level:
-            lo, hi = 0.0, 1.0
-            x_cross = x_new
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                x_mid, _, _ = _rk_step(deriv, x, h * mid)
-                if value(x_mid) <= stop_level:
-                    hi = mid
-                    x_cross = x_mid
-                else:
-                    lo = mid
-                if abs(value(x_cross) - stop_level) < 1e-12:
-                    break
-            times.append(t + h * hi)
-            points.append(x_cross.copy())
-            values.append(value(x_cross))
-            return Trajectory(np.array(times), np.array(points), np.array(values),
-                              LEVEL, end_point=x_cross)
-
         t += h
         x = x_new
         k1 = k_last
         times.append(t)
         points.append(x.copy())
-        values.append(v_new)
+        values.append(value(x))
 
         hit = near_critical(x, float(np.linalg.norm(k_last)))
         if hit is not None:
@@ -294,7 +259,6 @@ def stable_launches(field: PseudoGradientField, cp: CriticalPoint,
         if len(stable) != 1:
             raise DimensionMismatch(f"generator {cp.id} has stable dimension "
                                     f"{len(stable)}, expected 1")
-        from .critical import sign_fix
         e_s = sign_fix(stable[0])
         return [(1, cp.coords + tol.r_launch * e_s),
                 (-1, cp.coords - tol.r_launch * e_s)]
@@ -332,151 +296,75 @@ class IncidenceCount:
         return self.count if coefficients == "untwisted" else self.count_twisted
 
 
+def _deck_index(chart, raw: Array, cp: CriticalPoint) -> int:
+    """Deck power j with raw coordinates near T^j of cp (0 on a region chart)."""
+    if isinstance(chart, RegionChart):
+        return 0
+    return round((raw[0] - cp.coords[0]) / chart.period)
+
+
 def _orbit_twist(field: PseudoGradientField, traj: Trajectory,
                  source: CriticalPoint, sink: CriticalPoint) -> int:
     """Orientation twist of the orbit loop closed through canonical positions."""
+    j = _deck_index(field.chart, traj.end, sink)
+    return deck_sign(field.chart, j) * source.reference_sign * sink.reference_sign
+
+
+def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
+                    q: CriticalPoint, launch: Array,
+                    traj: Trajectory) -> tuple[int, Trajectory]:
+    """Sign and source-to-sink trajectory of a backward branch from q to p.
+
+    The branch starts at q's canonical position and reaches a deck image T^k
+    of p; it is stored reversed and moved by T^-k so that it runs from p's
+    canonical position to q with increasing times.
+    """
     chart = field.chart
-    if isinstance(chart, RegionChart):
-        return source.reference_sign * sink.reference_sign
-    j = traj.end_floor(chart)
-    return deck_sign(chart, j) * source.reference_sign * sink.reference_sign
+    k = _deck_index(chart, traj.end, p)
+    points = traj.points[::-1]
+    if k:
+        points = np.array([deck_apply(chart, -k, x) for x in points])
+    forward = Trajectory(traj.times[-1] - traj.times[::-1], points,
+                         traj.values[::-1], CONVERGED, target=q.id)
+    # orientation of (flow direction, q's unstable frame vector, which
+    # co-orients q's stable manifold) against p's unstable frame carried to T^k p
+    vel = field.evaluate(launch)
+    det = float(np.linalg.det(np.stack([vel, q.frame_arrays()[0]], axis=1)))
+    or_source = 1 if np.linalg.det(np.stack(p.frame_arrays(), axis=1)) > 0 else -1
+    sign = or_source * deck_sign(chart, k) * (1 if det > 0 else -1)
+    return sign, forward
 
 
-def _count_branches(field: PseudoGradientField, p: CriticalPoint,
-                    q: CriticalPoint, tol: Tolerances) -> IncidenceCount:
+def _follow_branches(field: PseudoGradientField, p: CriticalPoint,
+                     q: CriticalPoint, tol: Tolerances) -> list[ConnectingOrbit]:
+    """Orbits from p to q along the one-dimensional manifold that carries them.
+
+    A grading-one source's unstable manifold is followed forward; otherwise,
+    on a surface, the grading-one target's stable manifold is followed
+    backward, dropping branches that leave the domain.
+    """
+    reverse = p.grading > 1
+    anchor, far = (q, p) if reverse else (p, q)
+    launches = stable_launches if reverse else unstable_launches
     orbits = []
-    for label, x0 in unstable_launches(field, p, tol):
-        traj = integrate(field, x0, tol)
+    for label, x0 in launches(field, anchor, tol):
+        traj = integrate(field, x0, tol, reverse=reverse, allow_exit=reverse)
         if traj.termination == TIMEOUT:
-            raise FlowTimeout(f"branch from generator {p.id} timed out")
-        if traj.termination != CONVERGED:
-            raise CertificateViolation(
-                f"branch from generator {p.id} ended with {traj.termination}")
+            raise FlowTimeout(f"branch from generator {anchor.id} timed out")
+        if traj.termination == LEFT_DOMAIN:
+            continue
         hit = field.crit.by_id(traj.target)
-        if hit.grading == p.grading:
+        if hit.grading == anchor.grading:
             raise NonTransverse(
-                f"orbit between equal gradings {p.id} -> {hit.id}")
-        if hit.id != q.id:
+                f"orbit between equal gradings {anchor.id} -> {hit.id}")
+        if hit.id != far.id:
             continue
-        orbits.append(ConnectingOrbit(
-            source=p.id, sink=q.id, sign=label,
-            twist=_orbit_twist(field, traj, p, q), trajectory=traj))
-    total = sum(o.sign for o in orbits)
-    twisted = sum(o.twisted_sign for o in orbits)
-    return IncidenceCount(p.id, q.id, total, twisted, tuple(orbits))
-
-
-def _section_frame(field: PseudoGradientField, q: CriticalPoint):
-    """Stable direction and co-orientation vector of the local stable manifold."""
-    if q.kind == INTERIOR:
-        hess = np.asarray(field.objective.hessian(q.coords), dtype=float)
-        eigvals, eigvecs = np.linalg.eigh(hess)
-        stab = [eigvecs[:, i] for i in range(len(eigvals)) if eigvals[i] > 0]
-        e_s = stab[0]
-    else:
-        e_s = -np.asarray(q.normal, dtype=float)
-    e_u = q.frame_arrays()[0]
-    co = np.array([-e_s[1], e_s[0]])
-    if float(co @ e_u) < 0:
-        co = -co
-    return e_s, co
-
-
-def _sweep_side(field: PseudoGradientField, q: CriticalPoint, co: Array,
-                traj: Trajectory) -> tuple[float, float, int]:
-    """Signed section coordinate, distance to q, and deck index of a crossing."""
-    chart = field.chart
-    y = traj.end
-    if isinstance(chart, QuotientChart):
-        j = deck_match(chart, q.coords, y)
-        q_img = deck_apply(chart, j, q.coords)
-        co_img = co.copy()
-        co_img[1] *= deck_sign(chart, j)
-        delta = y - q_img
-        return float(delta @ co_img), float(np.linalg.norm(delta)), j
-    delta = y - q.coords
-    return float(delta @ co), float(np.linalg.norm(delta)), 0
-
-
-def _count_sweep(field: PseudoGradientField, p: CriticalPoint,
-                 q: CriticalPoint, tol: Tolerances) -> IncidenceCount:
-    """Orbits from a two-dimensional source to a grading-one target."""
-    frame = p.frame_arrays()
-    w1v, w2v = frame
-    level = q.value + tol.eps_lvl
-    _, co = _section_frame(field, q)
-    or_source = 1 if np.linalg.det(np.stack([w1v, w2v], axis=1)) > 0 else -1
-
-    def launch(theta: float) -> Trajectory:
-        x0 = p.coords + tol.r_launch * (math.cos(theta) * w1v + math.sin(theta) * w2v)
-        return integrate(field, x0, tol, stop_level=level)
-
-    def side_of(theta: float):
-        traj = launch(theta)
-        if traj.termination == TIMEOUT:
-            raise FlowTimeout(f"sweep from generator {p.id} timed out")
-        if traj.termination != LEVEL:
-            return None, traj
-        s, _, _ = _sweep_side(field, q, co, traj)
-        return s, traj
-
-    n0 = tol.sweep_samples
-    thetas = [2.0 * math.pi * i / n0 for i in range(n0)]
-    sides = []
-    for th in thetas:
-        s, _ = side_of(th)
-        sides.append(s)
-
-    orbits = []
-    seen_angles: list[float] = []
-    for i in range(n0):
-        jn = (i + 1) % n0
-        a, b = sides[i], sides[jn]
-        if a is None or b is None or a * b > 0.0:
-            continue
-        lo, hi = thetas[i], thetas[i] + 2.0 * math.pi / n0
-        s_lo = a
-        while hi - lo > tol.theta_bisect_tol:
-            mid = 0.5 * (lo + hi)
-            s_mid, _ = side_of(mid)
-            if s_mid is None:
-                break
-            if s_mid == 0.0 or (s_lo < 0) == (s_mid < 0):
-                lo, s_lo = mid, s_mid
-            else:
-                hi = mid
-        theta_star = 0.5 * (lo + hi)
-        if any(abs(theta_star - t0) < 10 * tol.theta_bisect_tol
-               or abs(abs(theta_star - t0) - 2 * math.pi) < 10 * tol.theta_bisect_tol
-               for t0 in seen_angles):
-            continue
-        s_star, traj = side_of(theta_star)
-        if s_star is None:
-            continue
-        _, dist, j = _sweep_side(field, q, co, traj)
-        if dist > 10.0 * tol.eps_lvl:
-            continue  # separatrix toward some other limit set
-        seen_angles.append(theta_star)
-        # sign: compare (flow direction, section co-orientation) with the
-        # transported source orientation
-        y = traj.end
-        vel = field.evaluate(y)
-        vel = vel / np.linalg.norm(vel)
-        co_img = co.copy()
-        if isinstance(field.chart, QuotientChart):
-            co_img[1] *= deck_sign(field.chart, j)
-        det = float(np.linalg.det(np.stack([vel, co_img], axis=1)))
-        if abs(det) < 1e-10:
-            raise NonTransverse(
-                f"tangential section crossing between {p.id} and {q.id}")
-        sign = or_source * (1 if det > 0 else -1)
-        twist = (deck_sign(field.chart, j) if isinstance(field.chart, QuotientChart)
-                 else 1) * p.reference_sign * q.reference_sign
-        orbits.append(ConnectingOrbit(p.id, q.id, sign, twist, traj))
-    orbits.sort(key=lambda o: o.trajectory.times[-1])
-    total = sum(o.sign for o in orbits)
-    twisted = sum(o.twisted_sign for o in orbits)
-    return IncidenceCount(p.id, q.id, total, twisted, tuple(orbits))
+        sign = label
+        if reverse:
+            sign, traj = _reversed_orbit(field, p, q, x0, traj)
+        orbits.append(ConnectingOrbit(p.id, q.id, sign,
+                                      _orbit_twist(field, traj, p, q), traj))
+    return orbits
 
 
 def count_connecting_orbits(field: PseudoGradientField, p: CriticalPoint,
@@ -487,12 +375,10 @@ def count_connecting_orbits(field: PseudoGradientField, p: CriticalPoint,
         raise DimensionMismatch("orbit counting needs a grading gap of one")
     if p.value <= q.value:
         return IncidenceCount(p.id, q.id, 0, 0, ())
-    if p.grading == 1:
-        return _count_branches(field, p, q, tol)
-    if p.grading == 2 and field.chart.dim == 2:
-        return _count_sweep(field, p, q, tol)
-    raise DimensionMismatch(
-        f"unsupported source grading {p.grading} in dimension {field.chart.dim}")
+    orbits = _follow_branches(field, p, q, tol)
+    total = sum(o.sign for o in orbits)
+    twisted = sum(o.twisted_sign for o in orbits)
+    return IncidenceCount(p.id, q.id, total, twisted, tuple(orbits))
 
 
 # ---------------------------------------------------------------------------

@@ -156,14 +156,6 @@ def normalize_point(chart: ChartModel, raw: Sequence[float],
     return Point((float(canon[0]), float(canon[1]))), sign
 
 
-def contains(chart: ChartModel, raw: Sequence[float], tol: Tolerances = DEFAULT) -> bool:
-    try:
-        normalize_point(chart, raw, tol)
-        return True
-    except PointOutsideManifold:
-        return False
-
-
 def chart_distance(chart: ChartModel, a: Sequence[float], b: Sequence[float]) -> float:
     """Distance between two raw coordinate tuples, minimized over deck images."""
     xa = np.asarray(a, dtype=float)
@@ -177,19 +169,6 @@ def chart_distance(chart: ChartModel, a: Sequence[float], b: Sequence[float]) ->
         d = deck_apply(chart, k, xa) - xb
         best = min(best, math.sqrt(float(d @ d)))
     return best
-
-
-def deck_match(chart: QuotientChart, target: Sequence[float], probe: Sequence[float]) -> int:
-    """Deck power j with T^j(target) closest to the raw probe coordinates."""
-    xt = np.asarray(target, dtype=float)
-    xp = np.asarray(probe, dtype=float)
-    shift = round((xp[0] - xt[0]) / chart.period)
-    best_j, best_d = 0, math.inf
-    for j in (shift - 1, shift, shift + 1):
-        d = float(np.linalg.norm(deck_apply(chart, j, xt) - xp))
-        if d < best_d:
-            best_j, best_d = j, d
-    return best_j
 
 
 def metric_normal(metric: MetricField, x: Array, covector: Array) -> Array:

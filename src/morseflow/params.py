@@ -1,6 +1,7 @@
 """Numerical parameters shared across the pipeline, with override support."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -29,19 +30,31 @@ class Tolerances:
     build_retries: int = 3
     # flow
     r_launch: float = 1e-4
-    eps_lvl: float = 1e-3
     r_conv: float = 1e-5
     t_max: float = 1e3
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 200000
     field_stop: float = 1e-8      # field norm at trajectory convergence
-    sweep_samples: int = 24       # initial launch angles around a 2d source
-    theta_bisect_tol: float = 1e-10
     # genericity perturbations
     perturb_amp: float = 1e-3
     perturb_retries: int = 3
     degeneracy_tol: float = 1e-4
+
+    def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name.endswith("_retries"):
+                if val < 0:
+                    raise ValueError(f"{f.name} = {val} is negative")
+            elif isinstance(f.default, int):
+                if val < 1:
+                    raise ValueError(f"{f.name} = {val} is below one")
+            elif not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"{f.name} = {val} is not finite and positive")
+        if self.r_conv >= self.r_launch:
+            raise ValueError(f"r_conv = {self.r_conv} must be below "
+                             f"r_launch = {self.r_launch}")
 
     def override(self, **kw) -> "Tolerances":
         return replace(self, **kw)
@@ -60,7 +73,10 @@ class Tolerances:
         typed = {}
         for key, val in mapping.items():
             kind = type(getattr(base, key))
-            typed[key] = kind(val)
+            try:
+                typed[key] = kind(val)
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"{key} = {val!r} is not a valid {kind.__name__}") from exc
         return base.override(**typed)
 
 

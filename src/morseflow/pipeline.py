@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import CatalogEntry
 from .chains import (DoubleManifoldReport, HomologyResult, IntPolynomial,
                      IntegerChainComplex, double_manifold_check,
-                     duality_symmetry_check, morse_inequality_quotient)
+                     duality_symmetry_check, int_det, morse_inequality_quotient)
 from .critical import BOUNDARY_N, INTERIOR, CriticalSet, find_critical_set
 from .errors import InvarianceFailure, NonTransverse
 from .flow import IncidenceCount, count_connecting_orbits, intersection_pairing
@@ -53,8 +51,7 @@ class PairingReport:
     def determinant(self) -> int | None:
         if self.matrix is None or not self.rows or len(self.rows) != len(self.cols):
             return None
-        mat = np.array(self.matrix, dtype=float)
-        return int(round(float(np.linalg.det(mat))))
+        return int_det(self.matrix)
 
     def as_dict(self) -> dict:
         return {
@@ -148,8 +145,10 @@ def assemble_complex(crit: CriticalSet, side: str, flavor: str,
 
 
 def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
-                      field_pos: PseudoGradientField, base_seed: int,
+                      field_pos: PseudoGradientField,
+                      field_neg: PseudoGradientField, base_seed: int,
                       tol: Tolerances) -> tuple[dict[int, PairingReport], int | None]:
+    """Pairing matrices, reusing the certified ascent field for its own seed."""
     n = entry.chart.dim
     gens_d = crit.generators("D")
     gens_n = crit.generators("N")
@@ -168,11 +167,12 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
         matrix = None
         last: Exception | None = None
         for seed in _retry_seeds(base_seed, tol):
-            field_neg = build_adapted(entry.field, entry.chart, crit, entry.metric,
-                                      for_negative=True, perturb_seed=seed, tol=tol)
+            ascent = field_neg if seed == field_neg.perturb_seed else build_adapted(
+                entry.field, entry.chart, crit, entry.metric,
+                for_negative=True, perturb_seed=seed, tol=tol)
             try:
                 matrix = tuple(
-                    tuple(intersection_pairing(field_neg, field_pos,
+                    tuple(intersection_pairing(ascent, field_pos,
                                                crit.by_id(pid), crit.by_id(qid), tol)
                           for qid in cols)
                     for pid in rows)
@@ -218,7 +218,8 @@ def build_package(entry: CatalogEntry, seed: int = 0,
         counts, polys["poincare"], IntPolynomial(entry.h_rel_co.betti),
         orientable=entry.orientable)
 
-    pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, seed, tol)
+    pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, field_neg,
+                                              seed, tol)
 
     checks = _collect_checks(entry, crit, field_pos, field_neg, complexes,
                              homology, polys, double_report, pairing)

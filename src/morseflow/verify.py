@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import catalog
-from .chains import IntPolynomial, mat_mul, smith_normal_form
+from .chains import IntPolynomial, int_det, mat_mul, smith_normal_form
 from .critical import BOUNDARY_N, INTERIOR
 from .errors import MorseflowError
 from .fields import boundary_restriction_derivatives
@@ -224,21 +224,6 @@ def check_invariance(ctx: VerificationContext, seeds=(1, 2, 3)) -> CheckResult:
 # --- numerical hygiene -------------------------------------------------------
 
 
-def _int_det(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [[m[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        total += (-1) ** j * m[0][j] * _int_det(minor)
-    return total
-
-
 def snf_oracle(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors from determinant-divisor gcds (brute force)."""
     rows, cols = len(mat), len(mat[0]) if mat else 0
@@ -249,7 +234,7 @@ def snf_oracle(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
         for rsel in combinations(range(rows), k):
             for csel in combinations(range(cols), k):
                 sub = [[mat[i][j] for j in csel] for i in rsel]
-                g = math.gcd(g, abs(_int_det(sub)))
+                g = math.gcd(g, abs(int_det(sub)))
         if g == 0:
             break
         diag.append(g // prev)

@@ -104,3 +104,24 @@ def test_verify_exit_two_on_failed_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 2
     assert "FAIL" in out
+
+
+def test_nonpositive_sample_count_rejected(capsys):
+    code, _, err = run(capsys, "analyze", "disk", "--tol",
+                       "cert_interior_samples=0")
+    assert code == 1
+    assert "bad arguments" in err
+
+
+def test_env_overrides_must_be_an_object(capsys, monkeypatch):
+    monkeypatch.setenv("MORSE_TOL_OVERRIDES", "[1]")
+    code, _, err = run(capsys, "analyze", "disk")
+    assert code == 1
+    assert "bad arguments" in err
+
+
+def test_removed_sweep_tolerance_is_unknown(capsys):
+    code, _, err = run(capsys, "analyze", "tilted_dome", "--tol",
+                       "sweep_samples=24")
+    assert code == 1
+    assert "unknown tolerance names" in err

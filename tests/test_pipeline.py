@@ -1,11 +1,12 @@
 import pytest
 
-from morseflow import catalog
+from morseflow import catalog, pipeline
 from morseflow.chains import HomologyResult
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 from morseflow.errors import InvarianceFailure
-from morseflow.pipeline import (assert_identical_homology, complex_key,
-                                invariance_check)
+from morseflow.pipeline import (PairingReport, assert_identical_homology,
+                                complex_key, invariance_check)
+from morseflow.pseudogradient import build_adapted
 
 
 def test_generator_partitions(packages):
@@ -121,3 +122,23 @@ def test_invariance_failure_detected():
 def test_single_seed_rejected():
     with pytest.raises(ValueError):
         invariance_check(catalog.get("disk"), seeds=(1,))
+
+
+def test_pairing_determinant_is_exact():
+    big = 10 ** 8
+    rep = PairingReport(1, (0, 1), (2, 3), ((big + 1, big), (big, big - 1)))
+    assert rep.determinant() == -1
+
+
+def test_package_builds_each_field_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs["for_negative"], kwargs["perturb_seed"]))
+        return build_adapted(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_adapted", counted)
+    pkg = pipeline.build_package(catalog.get("annulus"))
+    # descent and ascent fields at the base seed, plus the ascent field of the
+    # pairing's retry seed after the base seed's pairing is not transverse
+    assert calls == [(False, None), (True, None), (True, pkg.pairing_seed)]
