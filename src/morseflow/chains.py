@@ -38,12 +38,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def transpose(a: IntMatrix) -> IntMatrix:
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
-
-
 def _swap_rows(a: IntMatrix, i: int, j: int) -> None:
     a[i], a[j] = a[j], a[i]
 

@@ -29,10 +29,6 @@ class TypeUndetermined(NotMorse):
     """<df, n> vanishes at a boundary critical point of the restriction."""
 
 
-class NewtonDivergence(MorseflowError):
-    pass
-
-
 class BlendGapFailure(MorseflowError):
     """Vector-field assembly could not be certified at any retry radius."""
 

@@ -19,7 +19,7 @@ from .critical import BOUNDARY_N, INTERIOR, CriticalPoint, sign_fix
 from .errors import (CertificateViolation, DimensionMismatch, FlowTimeout,
                      NonTransverse)
 from .geometry import (QuotientChart, RegionChart, chart_distance, deck_apply,
-                       deck_sign)
+                       deck_sign, path_orientation_sign)
 from .params import DEFAULT, Tolerances
 from .pseudogradient import PseudoGradientField, _project_to_boundary
 
@@ -521,18 +521,11 @@ def intersection_pairing(field_neg: PseudoGradientField,
                 o_rel = dir_r if label_r > 0 else -dir_r
                 o_abs = dir_a if label_a > 0 else -dir_a
                 det = float(np.linalg.det(np.stack([o_rel, o_abs], axis=1)))
+                # deck-flip signs along each curve up to its sample nearest the crossing
                 seam = 1
-                if isinstance(chart, QuotientChart):
-                    seam = (_path_sign_to(chart, traj_r.points, point)
-                            * _path_sign_to(chart, traj_a.points, point))
+                for traj in (traj_r, traj_a):
+                    idx = int(np.argmin(np.linalg.norm(traj.points - point, axis=1)))
+                    seam *= path_orientation_sign(chart, traj.points[:idx + 1])
                 total += (1 if det > 0 else -1) * seam * p.reference_sign
     return total
 
-
-def _path_sign_to(chart: QuotientChart, points: Array, stop: Array) -> int:
-    """Deck-flip sign accumulated along a polyline up to the sample nearest stop."""
-    dists = np.linalg.norm(points - stop[None, :], axis=1)
-    idx = int(np.argmin(dists))
-    d = (int(math.floor(points[idx][0] / chart.period))
-         - int(math.floor(points[0][0] / chart.period)))
-    return deck_sign(chart, d)

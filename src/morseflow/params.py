@@ -77,6 +77,8 @@ class Tolerances:
                 typed[key] = kind(val)
             except (TypeError, OverflowError) as exc:
                 raise ValueError(f"{key} = {val!r} is not a valid {kind.__name__}") from exc
+            if kind is int and typed[key] != float(val):
+                raise ValueError(f"{key} = {val!r} is not a whole number")
         return base.override(**typed)
 
 

@@ -39,6 +39,9 @@ class CheckRecord:
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
+    def line(self) -> str:
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+
 
 @dataclass(frozen=True, eq=False)
 class PairingReport:
@@ -144,6 +147,13 @@ def assemble_complex(crit: CriticalSet, side: str, flavor: str,
     return IntegerChainComplex(n, step, ids, matrices)
 
 
+def _complexes(crit: CriticalSet, tables: dict[str, dict[tuple[int, int], IncidenceCount]],
+               ) -> dict[str, IntegerChainComplex]:
+    """Both sides' complexes in both flavours, keyed by `complex_key`."""
+    return {complex_key(side, flavor): assemble_complex(crit, side, flavor, tables[side])
+            for side in SIDES for flavor in FLAVORS}
+
+
 def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
                       field_pos: PseudoGradientField,
                       field_neg: PseudoGradientField, base_seed: int,
@@ -193,16 +203,9 @@ def build_package(entry: CatalogEntry, seed: int = 0,
     field_pos, inc_pos = _build_side(entry, crit, False, seed, tol)
     field_neg, inc_neg = _build_side(entry, crit, True, seed, tol)
 
-    complexes: dict[str, IntegerChainComplex] = {}
-    homology: dict[str, HomologyResult] = {}
-    for side, table in (("N", inc_pos), ("D", inc_neg)):
-        for flavor in FLAVORS:
-            key = complex_key(side, flavor)
-            cx = assemble_complex(crit, side, flavor, table)
-            complexes[key] = cx
-            homology[key] = cx.homology()
+    complexes = _complexes(crit, {"N": inc_pos, "D": inc_neg})
     complexes["D_dual"] = complexes[complex_key("D", "untwisted")].transpose_dual()
-    homology["D_dual"] = complexes["D_dual"].homology()
+    homology = {key: cx.homology() for key, cx in complexes.items()}
 
     counts = crit.counts()
     n = entry.chart.dim
@@ -305,13 +308,8 @@ def homologies_for_seed(entry: CatalogEntry, seed: int,
                         crit: CriticalSet | None = None) -> dict[str, HomologyResult]:
     if crit is None:
         crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
-    out = {}
-    for side, for_negative in (("N", False), ("D", True)):
-        _, table = _build_side(entry, crit, for_negative, seed, tol)
-        for flavor in FLAVORS:
-            cx = assemble_complex(crit, side, flavor, table)
-            out[complex_key(side, flavor)] = cx.homology()
-    return out
+    tables = {side: _build_side(entry, crit, side == "D", seed, tol)[1] for side in SIDES}
+    return {key: cx.homology() for key, cx in _complexes(crit, tables).items()}
 
 
 def assert_identical_homology(per_seed: dict[int, dict[str, HomologyResult]]) -> None:

@@ -14,13 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .critical import BOUNDARY_N, CriticalPoint, CriticalSet, reclassify_negated
+from .critical import (BOUNDARY_N, CriticalPoint, CriticalSet, _project_to_zero,
+                       boundary_components, reclassify_negated)
 from .errors import BlendGapFailure
 from .fields import MorseField
 from .geometry import (ChartModel, MetricField, QuotientChart, RegionChart,
-                       boundary_distance, chart_distance, deck_apply, deck_sign,
-                       metric_normal, normalize_point)
-from .critical import boundary_components
+                       boundary_data, boundary_distance, chart_distance, deck_apply,
+                       deck_sign, metric_normal, normalize_point)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -123,7 +123,6 @@ def _project_to_boundary(chart: ChartModel, cp, x: Array) -> Array:
         out = np.array(x, dtype=float)
         out[1] = cp.coords[1]
         return out
-    from .critical import _project_to_zero
     con = _constraint_by_name(chart, cp.constraint)
     proj = _project_to_zero(con, x)
     return x if proj is None else proj
@@ -427,7 +426,6 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
             if any(chart_distance(chart, x, cp.coords) < field.r_n for cp in n_pts):
                 continue
             pt, _ = normalize_point(chart, x, tol)
-            from .geometry import boundary_data
             data = boundary_data(chart, pt, field.metric, tol)
             if data is None:
                 continue

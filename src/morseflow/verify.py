@@ -1,13 +1,14 @@
 """Acceptance checks over the whole catalog, shared by the CLI and the tests.
 
-Each criterion returns a CheckResult; `run_acceptance` executes all of them
-with one shared set of per-entry builds.
+Each criterion judges the packages' ledgers, which compare every flavour with
+the catalog's reference groups, and returns a CheckRecord; `run_acceptance`
+executes all of them with one shared set of per-entry builds.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,41 +16,30 @@ import numpy as np
 
 from . import catalog
 from .chains import IntPolynomial, int_det, mat_mul, smith_normal_form
-from .critical import BOUNDARY_N, INTERIOR
+from .critical import BOUNDARY_N, INTERIOR, _boundary_step
 from .errors import MorseflowError
 from .fields import boundary_restriction_derivatives
-from .geometry import normalize_point
+from .geometry import boundary_distance, normalize_point
 from .params import DEFAULT, Tolerances
-from .pipeline import (MorsePackage, build_package, complex_key,
-                       homologies_for_seed, assert_identical_homology)
-
-EXPECTED_ABSOLUTE = {
-    "interval": (1, 0),
-    "disk": (1, 0, 0),
-    "annulus": (1, 1, 0),
-    "moebius": (1, 1, 0),
-    "tilted_dome": (1, 0, 0),
-}
-
-EXPECTED_RELATIVE = {
-    "interval": (0, 1),
-    "disk": (0, 0, 1),
-    "annulus": (0, 1, 1),
-    "moebius": (0, 1, 1),
-    "tilted_dome": (0, 0, 1),
-}
+from .pipeline import (CheckRecord, MorsePackage, assert_identical_homology,
+                       build_package, homologies_for_seed)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    criterion: int
-    name: str
-    passed: bool
-    detail: str = ""
+def _criterion(number: int, title: str):
+    """Make a check returning (passed, detail) into acceptance criterion
+    `number`, whose record is named after it; a MorseflowError fails it."""
+    name = f"{number:2d} {title}"
 
-    def line(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
-        return f"[{flag}] {self.criterion:2d} {self.name}: {self.detail}"
+    def wrap(check):
+        @functools.wraps(check)
+        def run(ctx: VerificationContext, *args, **kwargs) -> CheckRecord:
+            try:
+                passed, detail = check(ctx, *args, **kwargs)
+            except MorseflowError as exc:
+                return CheckRecord(name, False, f"{type(exc).__name__}: {exc}")
+            return CheckRecord(name, passed, detail)
+        return run
+    return wrap
 
 
 class VerificationContext:
@@ -66,84 +56,68 @@ class VerificationContext:
         return self._packages[name]
 
 
-def _guard(criterion: int, name: str, fn) -> CheckResult:
-    try:
-        return fn()
-    except MorseflowError as exc:
-        return CheckResult(criterion, name, False, f"{type(exc).__name__}: {exc}")
+def _row(pkg: MorsePackage, prefix: str) -> CheckRecord:
+    """The package's ledger row whose name starts with prefix; a failed row
+    when the ledger has none."""
+    for rec in pkg.checks:
+        if rec.name.startswith(prefix):
+            return rec
+    return CheckRecord(prefix, False, "missing from the ledger")
 
 
-def check_absolute_homology(ctx: VerificationContext) -> CheckResult:
-    def run():
-        bad = []
-        for name in catalog.names():
-            pkg = ctx.package(name)
-            got = pkg.homology[complex_key("N", "untwisted")]
-            want = EXPECTED_ABSOLUTE[name]
-            if got.betti != want or any(got.torsion):
-                bad.append(f"{name}: {got.as_dict()}")
-        return CheckResult(1, "absolute homology from the plain complex",
-                           not bad, "; ".join(bad) or "all entries exact")
-    return _guard(1, "absolute homology from the plain complex", run)
+def _failed_rows(ctx: VerificationContext, *prefixes: str) -> list[str]:
+    """One line per catalog entry with a failed or missing row among prefixes."""
+    bad = []
+    for name in catalog.names():
+        rows = [_row(ctx.package(name), prefix) for prefix in prefixes]
+        if not all(r.passed for r in rows):
+            bad.append(f"{name}: " + ", ".join(r.detail for r in rows))
+    return bad
 
 
-def check_twisted_moebius(ctx: VerificationContext) -> CheckResult:
-    def run():
-        pkg = ctx.package("moebius")
-        twisted = pkg.homology[complex_key("N", "orientation")]
-        ok = twisted.betti == (0, 0, 0) and twisted.torsion == ((2,), (), ())
-        dual = pkg.homology["D_dual"]
-        ok = ok and dual.betti == (0, 1, 1) and not any(dual.torsion)
-        return CheckResult(2, "twisted moebius homology",
-                           ok, f"twisted {twisted.as_dict()}, relative {dual.as_dict()}")
-    return _guard(2, "twisted moebius homology", run)
+@_criterion(1, "absolute homology from the plain complex")
+def check_absolute_homology(ctx: VerificationContext):
+    bad = _failed_rows(ctx, "homology:N_untwisted=")
+    return not bad, "; ".join(bad) or "all entries exact"
 
 
-def check_relative_cohomology(ctx: VerificationContext) -> CheckResult:
-    def run():
-        bad = []
-        for name in catalog.names():
-            pkg = ctx.package(name)
-            got = pkg.homology[complex_key("D", "untwisted")]
-            want = EXPECTED_RELATIVE[name]
-            if got.betti != want or any(got.torsion):
-                bad.append(f"{name}: {got.as_dict()}")
-        return CheckResult(3, "relative cohomology from the degree-raising complex",
-                           not bad, "; ".join(bad) or "all entries exact")
-    return _guard(3, "relative cohomology from the degree-raising complex", run)
+@_criterion(2, "twisted moebius homology")
+def check_twisted_moebius(ctx: VerificationContext):
+    pkg = ctx.package("moebius")
+    ok = all(_row(pkg, prefix).passed
+             for prefix in ("homology:N_orientation=", "homology:D_dual="))
+    return ok, (f"twisted {pkg.homology['N_orientation'].as_dict()}, "
+                     f"relative {pkg.homology['D_dual'].as_dict()}")
 
 
-def check_square_zero(ctx: VerificationContext) -> CheckResult:
-    def run():
-        worst = 0
-        for name in catalog.names():
-            pkg = ctx.package(name)
-            for cx in pkg.complexes.values():
-                for k in range(cx.top_dim + 1):
-                    mid = k + cx.step
-                    if not (0 <= mid <= cx.top_dim):
-                        continue
-                    comp = mat_mul(cx.matrix(k), cx.matrix(mid))
-                    worst = max([worst] + [abs(v) for row in comp for v in row])
-        return CheckResult(4, "composite differential vanishes",
-                           worst == 0, f"max |entry| of composites = {worst}")
-    return _guard(4, "composite differential vanishes", run)
+@_criterion(3, "relative cohomology from the degree-raising complex")
+def check_relative_cohomology(ctx: VerificationContext):
+    bad = _failed_rows(ctx, "homology:D_untwisted=")
+    return not bad, "; ".join(bad) or "all entries exact"
 
 
-def check_morse_inequalities(ctx: VerificationContext) -> CheckResult:
-    def run():
-        bad = []
-        for name in catalog.names():
-            pkg = ctx.package(name)
-            qn, qd = pkg.polynomials["q_n"], pkg.polynomials["q_d"]
-            if any(c < 0 for c in qn.coeffs) or any(c < 0 for c in qd.coeffs):
-                bad.append(f"{name}: q_n={qn.as_list()}, q_d={qd.as_list()}")
-        dome_q = ctx.package("tilted_dome").polynomials["q_n"]
-        if dome_q != IntPolynomial.of(0, 1):
-            bad.append(f"tilted_dome q_n = {dome_q.as_list()} != T")
-        return CheckResult(5, "staircase inequalities with non-negative quotients",
-                           not bad, "; ".join(bad) or "quotients exact, dome q_n = T")
-    return _guard(5, "staircase inequalities with non-negative quotients", run)
+@_criterion(4, "composite differential vanishes")
+def check_square_zero(ctx: VerificationContext):
+    worst = 0
+    for name in catalog.names():
+        pkg = ctx.package(name)
+        for cx in pkg.complexes.values():
+            for k in range(cx.top_dim + 1):
+                mid = k + cx.step
+                if not (0 <= mid <= cx.top_dim):
+                    continue
+                comp = mat_mul(cx.matrix(k), cx.matrix(mid))
+                worst = max([worst] + [abs(v) for row in comp for v in row])
+    return worst == 0, f"max |entry| of composites = {worst}"
+
+
+@_criterion(5, "staircase inequalities with non-negative quotients")
+def check_morse_inequalities(ctx: VerificationContext):
+    bad = _failed_rows(ctx, "morse_quotient_n", "morse_quotient_d")
+    dome_q = ctx.package("tilted_dome").polynomials["q_n"]
+    if dome_q != IntPolynomial.of(0, 1):
+        bad.append(f"tilted_dome q_n = {dome_q.as_list()} != T")
+    return not bad, "; ".join(bad) or "quotients exact, dome q_n = T"
 
 
 def _find_id(pkg: MorsePackage, kind: str, grading: int) -> int:
@@ -153,72 +127,56 @@ def _find_id(pkg: MorsePackage, kind: str, grading: int) -> int:
     raise KeyError((kind, grading))
 
 
-def check_forced_orbit_counts(ctx: VerificationContext) -> CheckResult:
-    def run():
-        msgs, ok = [], True
-        pkg = ctx.package("annulus")
-        inc = pkg.incidences["N"][(_find_id(pkg, BOUNDARY_N, 1),
-                                   _find_id(pkg, BOUNDARY_N, 0))]
-        good = (inc.count == 0 and len(inc.orbits) == 2
-                and sorted(o.sign for o in inc.orbits) == [-1, 1])
-        ok &= good
-        msgs.append(f"annulus m={inc.count} from {len(inc.orbits)} orbits")
-        pkg = ctx.package("moebius")
-        inc = pkg.incidences["N"][(_find_id(pkg, INTERIOR, 1),
-                                   _find_id(pkg, BOUNDARY_N, 0))]
-        good = (inc.count == 0 and abs(inc.count_twisted) == 2
-                and len(inc.orbits) == 2)
-        ok &= good
-        msgs.append(f"moebius m={inc.count}, twisted={inc.count_twisted}")
-        pkg = ctx.package("tilted_dome")
-        inc = pkg.incidences["N"][(_find_id(pkg, INTERIOR, 2),
-                                   _find_id(pkg, BOUNDARY_N, 1))]
-        ok &= abs(inc.count) == 1
-        msgs.append(f"dome |m|={abs(inc.count)}")
-        return CheckResult(6, "forced orbit multiplicities and signs",
-                           bool(ok), "; ".join(msgs))
-    return _guard(6, "forced orbit multiplicities and signs", run)
+@_criterion(6, "forced orbit multiplicities and signs")
+def check_forced_orbit_counts(ctx: VerificationContext):
+    msgs, ok = [], True
+    pkg = ctx.package("annulus")
+    inc = pkg.incidences["N"][(_find_id(pkg, BOUNDARY_N, 1),
+                               _find_id(pkg, BOUNDARY_N, 0))]
+    good = (inc.count == 0 and len(inc.orbits) == 2
+            and sorted(o.sign for o in inc.orbits) == [-1, 1])
+    ok &= good
+    msgs.append(f"annulus m={inc.count} from {len(inc.orbits)} orbits")
+    pkg = ctx.package("moebius")
+    inc = pkg.incidences["N"][(_find_id(pkg, INTERIOR, 1),
+                               _find_id(pkg, BOUNDARY_N, 0))]
+    good = (inc.count == 0 and abs(inc.count_twisted) == 2
+            and len(inc.orbits) == 2)
+    ok &= good
+    msgs.append(f"moebius m={inc.count}, twisted={inc.count_twisted}")
+    pkg = ctx.package("tilted_dome")
+    inc = pkg.incidences["N"][(_find_id(pkg, INTERIOR, 2),
+                               _find_id(pkg, BOUNDARY_N, 1))]
+    ok &= abs(inc.count) == 1
+    msgs.append(f"dome |m|={abs(inc.count)}")
+    return bool(ok), "; ".join(msgs)
 
 
-def check_pairing(ctx: VerificationContext) -> CheckResult:
-    def run():
-        rep = ctx.package("annulus").pairing[1]
-        ok = rep.matrix is not None and len(rep.matrix) == 1 \
-            and abs(rep.matrix[0][0]) == 1
-        return CheckResult(7, "duality pairing is unimodular",
-                           ok, f"annulus degree-1 matrix {rep.matrix}")
-    return _guard(7, "duality pairing is unimodular", run)
+@_criterion(7, "duality pairing is unimodular")
+def check_pairing(ctx: VerificationContext):
+    row = _row(ctx.package("annulus"), "pairing_unimodular:deg1")
+    return row.passed, f"annulus degree-1 {row.detail}"
 
 
-def check_double_identities(ctx: VerificationContext) -> CheckResult:
-    def run():
-        bad = []
-        for name in catalog.names():
-            pkg = ctx.package(name)
-            rep = pkg.double_report
-            if not rep.additivity_ok:
-                bad.append(f"{name}: additivity fails")
-            if rep.asserted:
-                if rep.quotient is None or any(c < 0 for c in rep.quotient.coeffs):
-                    bad.append(f"{name}: quotient {None if rep.quotient is None else rep.quotient.as_list()}")
-        for name in ("disk", "annulus"):
-            q = ctx.package(name).double_report.quotient
-            if q is None or q.coeffs != ():
-                bad.append(f"{name}: doubled quotient {q and q.as_list()} != 0")
-        return CheckResult(8, "doubled-manifold polynomial identities",
-                           not bad, "; ".join(bad) or "identities exact")
-    return _guard(8, "doubled-manifold polynomial identities", run)
+@_criterion(8, "doubled-manifold polynomial identities")
+def check_double_identities(ctx: VerificationContext):
+    bad = _failed_rows(ctx, "double_manifold")
+    for name in ("disk", "annulus"):
+        q = ctx.package(name).double_report.quotient
+        if q is None or q.coeffs != ():
+            bad.append(f"{name}: doubled quotient {q and q.as_list()} != 0")
+    return not bad, "; ".join(bad) or "identities exact"
 
 
-def check_invariance(ctx: VerificationContext, seeds=(1, 2, 3)) -> CheckResult:
-    def run():
-        for name in catalog.names():
-            entry = catalog.get(name)
-            per_seed = {s: homologies_for_seed(entry, s, ctx.tol) for s in seeds}
-            assert_identical_homology(per_seed)
-        return CheckResult(9, "homology invariant across perturbation seeds",
-                           True, f"seeds {tuple(seeds)} agree on every entry and flavor")
-    return _guard(9, "homology invariant across perturbation seeds", run)
+@_criterion(9, "homology invariant across perturbation seeds")
+def check_invariance(ctx: VerificationContext, seeds=(1, 2, 3)):
+    """The critical set does not depend on the perturbation seed, so each
+    seed reuses the one in the package."""
+    for name in catalog.names():
+        pkg = ctx.package(name)
+        assert_identical_homology(
+            {s: homologies_for_seed(pkg.entry, s, ctx.tol, pkg.crit) for s in seeds})
+    return True, f"seeds {tuple(seeds)} agree on every entry and flavor"
 
 
 # --- numerical hygiene -------------------------------------------------------
@@ -281,31 +239,29 @@ def snf_fuzz(cases: int = 1000, seed: int = 20240501) -> tuple[int, str]:
     return cases, "all cases agree"
 
 
-def check_numerics(ctx: VerificationContext) -> CheckResult:
-    def run():
-        bad = []
-        rng = np.random.default_rng(4242)
-        for name in catalog.names():
-            pkg = ctx.package(name)
-            for label, fld in (("descent", pkg.field_pos), ("ascent", pkg.field_neg)):
-                cert = fld.certificate
-                if cert.descent_margin >= -1e-6 or cert.inward_margin <= 1e-6 \
-                        or not cert.passed:
-                    bad.append(f"{name}/{label}: {cert.as_dict()}")
-            entry = catalog.get(name)
-            worst = _gradient_fd_error(entry, rng, samples=200)
-            if worst > 1e-5:
-                bad.append(f"{name}: gradient fd error {worst:.2e}")
-            worst_b = _boundary_fd_error(entry, pkg)
-            if worst_b > 1e-4:
-                bad.append(f"{name}: boundary fd error {worst_b:.2e}")
-        count, msg = snf_fuzz()
-        if count != 1000:
-            bad.append(f"snf oracle: {msg}")
-        return CheckResult(10, "numerical hygiene",
-                           not bad, "; ".join(bad) or
-                           "certificates, derivative checks, and snf fuzz all pass")
-    return _guard(10, "numerical hygiene", run)
+@_criterion(10, "numerical hygiene")
+def check_numerics(ctx: VerificationContext):
+    bad = []
+    rng = np.random.default_rng(4242)
+    for name in catalog.names():
+        pkg = ctx.package(name)
+        for label, fld in (("descent", pkg.field_pos), ("ascent", pkg.field_neg)):
+            cert = fld.certificate
+            if cert.descent_margin >= -1e-6 or cert.inward_margin <= 1e-6 \
+                    or not cert.passed:
+                bad.append(f"{name}/{label}: {cert.as_dict()}")
+        entry = catalog.get(name)
+        worst = _gradient_fd_error(entry, rng, samples=200)
+        if worst > 1e-5:
+            bad.append(f"{name}: gradient fd error {worst:.2e}")
+        worst_b = _boundary_fd_error(entry, pkg)
+        if worst_b > 1e-4:
+            bad.append(f"{name}: boundary fd error {worst_b:.2e}")
+    count, msg = snf_fuzz()
+    if count != 1000:
+        bad.append(f"snf oracle: {msg}")
+    return not bad, ("; ".join(bad) or
+                     "certificates, derivative checks, and snf fuzz all pass")
 
 
 def _gradient_fd_error(entry, rng, samples: int = 200) -> float:
@@ -323,7 +279,6 @@ def _gradient_fd_error(entry, rng, samples: int = 200) -> float:
             pt, _ = normalize_point(chart, x)
         except MorseflowError:
             continue
-        from .geometry import boundary_distance
         if boundary_distance(chart, pt.array) < 10 * step:
             continue
         count += 1
@@ -340,7 +295,6 @@ def _gradient_fd_error(entry, rng, samples: int = 200) -> float:
 
 def _boundary_fd_error(entry, pkg) -> float:
     """Arclength finite differences of the restriction at boundary criticals."""
-    from .critical import _boundary_step
     chart, field = entry.chart, entry.field
     if chart.dim != 2:
         return 0.0
@@ -376,6 +330,6 @@ ALL_CHECKS = (
 )
 
 
-def run_acceptance(seed: int = 0, tol: Tolerances = DEFAULT) -> list[CheckResult]:
+def run_acceptance(seed: int = 0, tol: Tolerances = DEFAULT) -> list[CheckRecord]:
     ctx = VerificationContext(seed, tol)
     return [fn(ctx) for fn in ALL_CHECKS]

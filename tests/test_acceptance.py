@@ -1,5 +1,9 @@
 """One test per acceptance criterion; each prints its own pass/fail line."""
-from morseflow import catalog
+import dataclasses
+
+import pytest
+
+from morseflow import catalog, pipeline
 from morseflow.pipeline import build_package
 from morseflow import verify as V
 
@@ -55,3 +59,40 @@ def test_seed_independence_spot_check():
     pkg = build_package(catalog.get("annulus"), seed=7)
     assert pkg.passed
     assert pkg.homology["N_untwisted"].betti == (1, 1, 0)
+
+
+@pytest.mark.parametrize("check, entry, row", [
+    (V.check_absolute_homology, "disk", "homology:N_untwisted="),
+    (V.check_twisted_moebius, "moebius", "homology:N_orientation="),
+    (V.check_relative_cohomology, "annulus", "homology:D_untwisted="),
+    (V.check_morse_inequalities, "interval", "morse_quotient_n"),
+    (V.check_pairing, "annulus", "pairing_unimodular:deg1"),
+    (V.check_double_identities, "disk", "double_manifold"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_criterion_fails_with_its_ledger_row(packages, check, entry, row):
+    """Each criterion judges the package's ledger, not a copy of its checks."""
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = dict(packages)
+    pkg = packages[entry]
+    flipped = [dataclasses.replace(c, passed=False) if c.name.startswith(row) else c
+               for c in pkg.checks]
+    assert flipped != pkg.checks
+    ctx._packages[entry] = dataclasses.replace(pkg, checks=flipped)
+    assert not check(ctx).passed
+
+
+def test_invariance_reuses_each_package_critical_set(packages, monkeypatch):
+    monkeypatch.setattr(catalog, "names", lambda: ["interval"])
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = {"interval": packages["interval"]}
+    calls = []
+    search = pipeline.find_critical_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "find_critical_set", counting)
+    result = V.check_invariance(ctx, seeds=(1,))
+    assert result.passed, result.detail
+    assert calls == []

@@ -54,6 +54,12 @@ def test_bad_tolerance_rejected(capsys):
     assert "bad arguments" in err
 
 
+def test_fractional_count_rejected(capsys):
+    code, _, err = run(capsys, "analyze", "disk", "--tol", "max_steps=2.5")
+    assert code == 1
+    assert "bad arguments" in err
+
+
 def test_json_byte_identical(capsys):
     _, first, _ = run(capsys, "analyze", "interval", "--format", "json")
     _, second, _ = run(capsys, "analyze", "interval", "--format", "json")
@@ -95,10 +101,10 @@ def test_text_format_mentions_homology(capsys):
 
 def test_verify_exit_two_on_failed_check(capsys, monkeypatch):
     from morseflow import cli
-    from morseflow.verify import CheckResult
+    from morseflow.pipeline import CheckRecord
 
     def fake(seed, tol):
-        return [CheckResult(1, "injected fault", False, "fixture corruption")]
+        return [CheckRecord(" 1 injected fault", False, "fixture corruption")]
 
     monkeypatch.setattr(cli, "run_acceptance", fake)
     code, out, _ = run(capsys, "verify")

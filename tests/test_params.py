@@ -29,3 +29,8 @@ def test_untypeable_override_is_a_value_error(mapping):
     with pytest.raises(ValueError):
         Tolerances.from_mapping(mapping)
 
+
+def test_whole_float_count_accepted_as_int():
+    # the CLI parses every --tol value with float()
+    steps = Tolerances.from_mapping({"max_steps": 3.0}).max_steps
+    assert steps == 3 and type(steps) is int
