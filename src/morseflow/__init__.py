@@ -10,7 +10,7 @@ from .geometry import (BoundaryConstraint, MetricField, Point, QuotientChart,
                        RegionChart, boundary_data, normalize_point,
                        path_orientation_sign)
 from .params import DEFAULT, Tolerances
-from .pipeline import MorsePackage, build_package, invariance_check
+from .pipeline import MorsePackage, build_package
 from .pseudogradient import (AdaptednessCertificate, PseudoGradientField,
                              build_adapted, certify_adapted)
 from .flow import (ConnectingOrbit, IncidenceCount, Trajectory,

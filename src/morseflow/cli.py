@@ -142,7 +142,11 @@ def cmd_analyze(args) -> int:
     if args.svg:
         if entry.chart.dim == 2:
             from .svg import render
-            render(entry, pkg, args.svg)
+            try:
+                render(entry, pkg, args.svg)
+            except OSError as exc:
+                print(f"cannot write svg: {exc}", file=sys.stderr)
+                return 1
         else:
             print("svg output skipped: entry is one-dimensional", file=sys.stderr)
     if args.format == "json":

@@ -171,6 +171,33 @@ def chart_distance(chart: ChartModel, a: Sequence[float], b: Sequence[float]) ->
     return best
 
 
+def row_dot(a: Array, b: Array) -> Array:
+    """Dot product of each row of a with the matching row of b (broadcast).
+
+    Each row goes through the same BLAS dot as a single `a @ b`, so the bits
+    agree with the per-point form; `np.sum(a * b, axis=1)` and `einsum` round
+    differently.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def chart_distance_many(chart: ChartModel, points: Array, b: Sequence[float]) -> Array:
+    """`chart_distance` from each row of points to b, with the same bits."""
+    xa = np.asarray(points, dtype=float)
+    xb = np.asarray(b, dtype=float)
+    if isinstance(chart, RegionChart):
+        d = xa - xb
+        return np.sqrt(row_dot(d, d))
+    best = np.full(len(xa), math.inf)
+    shift = np.rint((xb[0] - xa[:, 0]) / chart.period)
+    for k in (shift - 1, shift, shift + 1):
+        sign = np.where(k % 2 == 0, 1.0, float(chart.flip))
+        d = np.stack([xa[:, 0] + k * chart.period, xa[:, 1] * sign], axis=1) - xb
+        best = np.minimum(best, np.sqrt(row_dot(d, d)))
+    return best
+
+
 def metric_normal(metric: MetricField, x: Array, covector: Array) -> Array:
     """Unit vector metric-dual to a covector (direction of steepest increase)."""
     if metric.identity:
@@ -254,4 +281,19 @@ def boundary_distance(chart: ChartModel, raw: Array) -> float:
         if norm == 0.0:
             continue
         best = min(best, abs(float(con.value(x))) / norm)
+    return best
+
+
+def boundary_distance_many(chart: ChartModel, points: Array) -> Array:
+    """`boundary_distance` of each row of points, with the same bits."""
+    x = np.asarray(points, dtype=float)
+    if isinstance(chart, QuotientChart):
+        return np.minimum(np.abs(x[:, 1] - chart.v_min), np.abs(chart.v_max - x[:, 1]))
+    best = np.full(len(x), math.inf)
+    for con in chart.constraints:
+        g = np.asarray(con.gradient(x), dtype=float)
+        norm = np.sqrt(row_dot(g, g))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = np.abs(np.asarray(con.value(x), dtype=float)) / norm
+        best = np.where(norm == 0.0, best, np.minimum(best, dist))
     return best

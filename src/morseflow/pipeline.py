@@ -296,13 +296,6 @@ def _collect_checks(entry, crit, field_pos, field_neg, complexes, homology,
 # seed invariance
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    seeds: tuple[int, ...]
-    homology: dict[int, dict[str, HomologyResult]]
-    passed: bool
-
-
 def homologies_for_seed(entry: CatalogEntry, seed: int,
                         tol: Tolerances = DEFAULT,
                         crit: CriticalSet | None = None) -> dict[str, HomologyResult]:
@@ -322,13 +315,3 @@ def assert_identical_homology(per_seed: dict[int, dict[str, HomologyResult]]) ->
                     f"seed {s} gives {res.as_dict()} for {key}, "
                     f"seed {seeds[0]} gave {base[key].as_dict()}")
 
-
-def invariance_check(entry: CatalogEntry, seeds=(1, 2, 3),
-                     tol: Tolerances = DEFAULT) -> InvarianceReport:
-    """Rebuild the fields with independently seeded perturbations and compare."""
-    if len(seeds) < 2:
-        raise ValueError("need at least two seeds")
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
-    per_seed = {s: homologies_for_seed(entry, s, tol, crit) for s in seeds}
-    assert_identical_homology(per_seed)
-    return InvarianceReport(tuple(seeds), per_seed, True)

@@ -5,12 +5,16 @@ bulk, a collar correction that replaces the outward normal component with a
 capped inward push, and exact model fields in patches around the boundary
 tangency points.  Every build is certified by sampling; failed builds retry
 with halved radii before giving up.
+
+The field has two evaluators that return the same bits: certification
+evaluates its samples in batches (`PseudoGradientField.evaluate_many`), and
+the flow integrator evaluates point by point (`PseudoGradientField.evaluate`),
+where a one-row batch would cost several times as much.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,8 +23,9 @@ from .critical import (BOUNDARY_N, CriticalPoint, CriticalSet, _project_to_zero,
 from .errors import BlendGapFailure
 from .fields import MorseField
 from .geometry import (ChartModel, MetricField, QuotientChart, RegionChart,
-                       boundary_data, boundary_distance, chart_distance, deck_apply,
-                       deck_sign, metric_normal, normalize_point)
+                       boundary_data, boundary_distance, boundary_distance_many,
+                       chart_distance, chart_distance_many, deck_apply, deck_sign,
+                       metric_normal, normalize_point, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -32,6 +37,10 @@ def smoothstep(s: float) -> float:
     if s >= 1.0:
         return 1.0
     return s * s * (3.0 - 2.0 * s)
+
+
+def _smoothstep_many(s: Array) -> Array:
+    return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, s * s * (3.0 - 2.0 * s)))
 
 
 def halton_sequence(count: int, dim: int, skip: int = 20) -> Array:
@@ -109,6 +118,28 @@ class TangencyPatch:
         my, mz = -self.h * y, -z
         return np.array([(d * my - b * mz) / det, (a * mz - c * my) / det])
 
+    def model_vectors(self, chart: ChartModel, x: Array) -> Array:
+        """`model_vector` at each row of x, with the same bits."""
+        if self.kind == "v_min":
+            z, dz = x[:, 1] - chart.v_min, np.array([0.0, 1.0])
+        elif self.kind == "v_max":
+            z, dz = chart.v_max - x[:, 1], np.array([0.0, -1.0])
+        else:
+            con = _constraint_by_name(chart, self.constraint_name)
+            z = -np.asarray(con.value(x), dtype=float) / self.grad_norm_at_center
+            dz = -np.asarray(con.gradient(x), dtype=float) / self.grad_norm_at_center
+        if x.shape[1] == 1:
+            return (-z / dz[:, 0])[:, None]
+        delta = x - self.center
+        if isinstance(chart, QuotientChart):
+            delta[:, 0] -= chart.period * np.rint(delta[:, 0] / chart.period)
+        y = row_dot(delta, self.tangent)
+        a, b = self.tangent
+        c, d = dz[..., 0], dz[..., 1]
+        det = a * d - b * c
+        my, mz = -self.h * y, -z
+        return np.stack([(d * my - b * mz) / det, (a * mz - c * my) / det], axis=1)
+
 
 def _constraint_by_name(chart: RegionChart, name: str):
     for con in chart.constraints:
@@ -182,6 +213,38 @@ def _collar_cap(nu: float, g_t: float, tol: Tolerances) -> float:
     return min(tol.eps_n, g_t * g_t / (2.0 * abs(nu)))
 
 
+def _quadratic_forms(v: Array, g_mats: Array) -> Array:
+    """`v @ g_mat @ v` for each row, with the same bits."""
+    return row_dot(np.matmul(v[:, None, :], g_mats)[:, 0, :], v)
+
+
+def _metric_normals(metric: MetricField, covectors: Array, g_mats: Array | None) -> Array:
+    """`metric_normal` of each row of covectors (a zero row gives nan)."""
+    if metric.identity:
+        vec = covectors
+        length = np.sqrt(row_dot(vec, vec))
+    else:
+        vec = np.linalg.solve(g_mats, covectors[:, :, None])[:, :, 0]
+        length = np.sqrt(_quadratic_forms(vec, g_mats))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return vec / length[:, None]
+
+
+def _piece_depths_normals(chart: ChartModel, metric: MetricField, piece, x: Array,
+                          g_mats: Array | None) -> tuple[Array, Array]:
+    """`_piece_depth_normal` at each row of x; a row without a normal gets depth inf."""
+    if piece in ("v_min", "v_max"):
+        depth = x[:, 1] - chart.v_min if piece == "v_min" else chart.v_max - x[:, 1]
+        wall = _E_DOWN if piece == "v_min" else _E_UP
+        return depth, _metric_normals(metric, np.broadcast_to(wall, x.shape), g_mats)
+    grad = np.asarray(piece.gradient(x), dtype=float)
+    gnorm = np.sqrt(row_dot(grad, grad))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = -np.asarray(piece.value(x), dtype=float) / gnorm
+    depth = np.where(gnorm < 1e-30, math.inf, depth)
+    return depth, _metric_normals(metric, grad, g_mats)
+
+
 # ---------------------------------------------------------------------------
 # certificate
 
@@ -250,7 +313,7 @@ class PseudoGradientField:
     for_negative: bool = False
     perturb_seed: int | None = None
     certificate: AdaptednessCertificate | None = None
-    _perturb: Callable[[Array], Array] | None = None
+    _perturb: _Perturbation | None = None
     tol: Tolerances = DEFAULT
 
     def evaluate(self, raw) -> Array:
@@ -268,6 +331,19 @@ class PseudoGradientField:
 
     def __call__(self, raw) -> Array:
         return self.evaluate(raw)
+
+    def evaluate_many(self, points) -> Array:
+        """`evaluate` at each row of points in one vectorised pass, with the same bits."""
+        x = np.array(points, dtype=float).reshape(-1, self.chart.dim)
+        if not isinstance(self.chart, QuotientChart):
+            return self._eval_canonical_many(x)
+        k = np.floor(x[:, 0] / self.chart.period)
+        flip = (k % 2 != 0) & (self.chart.flip == -1)
+        x[:, 0] += -k * self.chart.period
+        x[flip, 1] *= -1.0
+        vec = self._eval_canonical_many(x)
+        vec[flip, 1] = -vec[flip, 1]
+        return vec
 
     def _eval_canonical(self, x: Array) -> Array:
         grad = np.asarray(self.objective.gradient(x), dtype=float)
@@ -311,6 +387,59 @@ class PseudoGradientField:
             vec = vec + self._perturb(x)
         return vec
 
+    def _eval_canonical_many(self, x: Array) -> Array:
+        """`_eval_canonical` at each row of x, piece by piece."""
+        grad = np.asarray(self.objective.gradient(x), dtype=float)
+        identity = self.metric.identity
+        if identity:
+            g_mats = None
+            vec = -grad
+        else:
+            g_mats = np.array([self.metric.matrix(row) for row in x],
+                              dtype=float).reshape(len(x), x.shape[1], x.shape[1])
+            vec = -np.linalg.solve(g_mats, grad[:, :, None])[:, :, 0]
+
+        # collar at the nearest wall; on a tie the first piece wins, as in
+        # `_eval_canonical`
+        depth = np.full(len(x), math.inf)
+        normal = np.zeros_like(x)
+        for piece in _collar_pieces(self.chart):
+            piece_depth, piece_normal = _piece_depths_normals(
+                self.chart, self.metric, piece, x, g_mats)
+            closer = piece_depth < depth
+            depth = np.where(closer, piece_depth, depth)
+            normal[closer] = piece_normal[closer]
+        if self.delta_c > 0.0:
+            i = np.flatnonzero(depth < self.delta_c)
+            nrm = normal[i]
+            nu = row_dot(grad[i], nrm)
+            tangential = vec[i] + nu[:, None] * nrm
+            if identity:
+                g_t = np.sqrt(row_dot(tangential, tangential))
+            else:
+                g_t = np.sqrt(np.maximum(_quadratic_forms(tangential, g_mats[i]), 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                soft = np.minimum(self.tol.eps_n, g_t * g_t / (2.0 * np.abs(nu)))
+            cap = np.where(nu >= 0.0, self.tol.eps_n,
+                           np.where(g_t < self.tol.g_min, 0.0, soft))
+            w = np.minimum(1.0, np.maximum(0.0, 1.0 - depth[i] / self.delta_c))
+            vec[i] = vec[i] + (w * (nu - cap))[:, None] * nrm
+
+        # the first patch within r_n claims a point, even where its blend is zero
+        free = np.ones(len(x), dtype=bool)
+        for patch in self.patches:
+            d = chart_distance_many(self.chart, x, patch.center)
+            i = np.flatnonzero(free & (d < self.r_n))
+            free[i] = False
+            chi = 1.0 - _smoothstep_many((d[i] - 0.5 * self.r_n) / (0.5 * self.r_n))
+            i, chi = i[chi > 0.0], chi[chi > 0.0]
+            vec[i] = ((1.0 - chi)[:, None] * vec[i]
+                      + chi[:, None] * patch.model_vectors(self.chart, x[i]))
+
+        if self._perturb is not None:
+            vec = vec + self._perturb.many(x)
+        return vec
+
     def linearization(self, at: Array, step: float = 1e-6) -> Array:
         """Central-difference jacobian of the field at a point."""
         x = np.asarray(at, dtype=float)
@@ -329,22 +458,31 @@ class PseudoGradientField:
         return None
 
 
-def _perturbation_closure(chart: ChartModel, crit: CriticalSet, seed: int,
-                          tol: Tolerances) -> Callable[[Array], Array]:
+class _Perturbation:
     """Seeded smooth bump field vanishing near the boundary, the critical points,
-    and (on quotient charts) the gluing seam, so adaptedness margins survive."""
-    rng = np.random.default_rng(seed)
-    dim = chart.dim
-    waves = rng.uniform(0.5, 2.5, size=(dim, dim))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-    signs = rng.choice([-1.0, 1.0], size=dim)
-    centers = [cp.coords for cp in crit.points]
+    and (on quotient charts) the gluing seam, so adaptedness margins survive.
 
-    def perturb(x: Array) -> Array:
+    The waves, phases and signs are drawn once; the per-point call and `many`
+    both use them.
+    """
+
+    def __init__(self, chart: ChartModel, crit: CriticalSet, seed: int,
+                 tol: Tolerances):
+        rng = np.random.default_rng(seed)
+        dim = chart.dim
+        self.chart = chart
+        self.tol = tol
+        self.waves = rng.uniform(0.5, 2.5, size=(dim, dim))
+        self.phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
+        self.signs = rng.choice([-1.0, 1.0], size=dim)
+        self.centers = [cp.coords for cp in crit.points]
+
+    def __call__(self, x: Array) -> Array:
+        chart, tol, dim = self.chart, self.tol, self.chart.dim
         env = smoothstep(boundary_distance(chart, x) / tol.delta_c)
         if env == 0.0:
             return np.zeros(dim)
-        for c in centers:
+        for c in self.centers:
             env *= smoothstep(chart_distance(chart, x, c) / (2.0 * tol.r_excl))
             if env == 0.0:
                 return np.zeros(dim)
@@ -354,11 +492,25 @@ def _perturbation_closure(chart: ChartModel, crit: CriticalSet, seed: int,
             env *= smoothstep(seam / (0.1 * chart.period))
             if env == 0.0:
                 return np.zeros(dim)
-        vec = np.array([signs[i] * math.sin(float(waves[i] @ x) + phases[i])
+        vec = np.array([self.signs[i] * math.sin(float(self.waves[i] @ x) + self.phases[i])
                         for i in range(dim)])
         return tol.perturb_amp * env * vec
 
-    return perturb
+    def many(self, x: Array) -> Array:
+        """The perturbation at each row of x, with the bits of the per-point call."""
+        chart, tol = self.chart, self.tol
+        env = _smoothstep_many(boundary_distance_many(chart, x) / tol.delta_c)
+        for c in self.centers:
+            env = env * _smoothstep_many(chart_distance_many(chart, x, c)
+                                         / (2.0 * tol.r_excl))
+        if isinstance(chart, QuotientChart):
+            u = x[:, 0] % chart.period
+            seam = np.minimum(u, chart.period - u)
+            env = env * _smoothstep_many(seam / (0.1 * chart.period))
+        phase = np.stack([row_dot(x, wave) for wave in self.waves], axis=1) + self.phases
+        vec = (tol.perturb_amp * env)[:, None] * (self.signs * np.sin(phase))
+        # the per-point call returns +0.0 where the envelope vanishes
+        return np.where(env[:, None] == 0.0, 0.0, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -380,24 +532,36 @@ def _manifold_sample(chart: ChartModel, crit: CriticalSet, count: int,
             for con in chart.constraints:
                 mask &= np.asarray(con.value(pts), dtype=float) <= 0.0
         for cp in crit.points:
-            mask &= _vector_chart_dist(chart, pts, cp.coords) > r_excl
+            mask &= chart_distance_many(chart, pts, cp.coords) > r_excl
         gathered.append(pts[mask])
     allpts = np.concatenate(gathered, axis=0)
     return allpts[:want]
 
 
-def _vector_chart_dist(chart: ChartModel, pts: Array, center: Array) -> Array:
-    c = np.asarray(center, dtype=float)
-    if isinstance(chart, RegionChart):
-        return np.linalg.norm(pts - c, axis=1)
-    best = None
-    for k in (-1, 0, 1):
-        img = pts.copy()
-        img[:, 0] += k * chart.period
-        img[:, 1] *= deck_sign(chart, k)
-        d = np.linalg.norm(img - c, axis=1)
-        best = d if best is None else np.minimum(best, d)
-    return best
+def _wall_sample(field: PseudoGradientField, tol: Tolerances,
+                 ) -> tuple[list[Array], list[Array], list[Array]]:
+    """Boundary-loop points outside the tangency patches, each with its outward
+    normal and metric matrix."""
+    chart = field.chart
+    n_pts = [cp for cp in field.crit.points if cp.kind == BOUNDARY_N]
+    if isinstance(chart, QuotientChart):
+        pieces = 1 if chart.flip == -1 else 2
+    else:
+        pieces = max(1, len(chart.constraints))
+    per_loop = max(1, tol.cert_boundary_samples // pieces)
+    points, normals, g_mats = [], [], []
+    for loop in boundary_components(chart, per_loop, tol):
+        for x in loop:
+            if any(chart_distance(chart, x, cp.coords) < field.r_n for cp in n_pts):
+                continue
+            pt, _ = normalize_point(chart, x, tol)
+            data = boundary_data(chart, pt, field.metric, tol)
+            if data is None:
+                continue
+            points.append(pt.array)
+            normals.append(data[1])
+            g_mats.append(np.asarray(field.metric.matrix(pt.array), dtype=float))
+    return points, normals, g_mats
 
 
 def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
@@ -407,33 +571,16 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
     obj = field.objective
     interior = _manifold_sample(chart, crit, tol.cert_interior_samples,
                                 tol.r_excl, tol)
+    vecs = field.evaluate_many(interior)
+    grads = np.asarray(obj.gradient(interior), dtype=float)
     descent = -math.inf
-    for x in interior:
-        vec = field.evaluate(x)
-        descent = max(descent, float(np.asarray(obj.gradient(x)) @ vec))
+    for g, vec in zip(grads, vecs):
+        descent = max(descent, float(g @ vec))
 
-    n_pts = [cp for cp in crit.points if cp.kind == BOUNDARY_N]
+    on_wall, normals, g_mats = _wall_sample(field, tol)
     inward = math.inf
-    n_boundary = 0
-    if isinstance(chart, QuotientChart):
-        pieces = 1 if chart.flip == -1 else 2
-    else:
-        pieces = max(1, len(chart.constraints))
-    per_loop = max(1, tol.cert_boundary_samples // pieces)
-    loops = boundary_components(chart, per_loop, tol)
-    for loop in loops:
-        for x in loop:
-            if any(chart_distance(chart, x, cp.coords) < field.r_n for cp in n_pts):
-                continue
-            pt, _ = normalize_point(chart, x, tol)
-            data = boundary_data(chart, pt, field.metric, tol)
-            if data is None:
-                continue
-            _, normal = data
-            g_mat = np.asarray(field.metric.matrix(pt.array), dtype=float)
-            vec = field.evaluate(pt.array)
-            inward = min(inward, -float(vec @ g_mat @ normal))
-            n_boundary += 1
+    for vec, g_mat, normal in zip(field.evaluate_many(on_wall), g_mats, normals):
+        inward = min(inward, -float(vec @ g_mat @ normal))
 
     interior_def = -math.inf
     tangency_def = -math.inf
@@ -475,7 +622,7 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
         interior_definiteness=interior_def,
         tangency_definiteness=tangency_def,
         interior_samples=len(interior),
-        boundary_samples=n_boundary,
+        boundary_samples=len(on_wall),
         r_n=field.r_n,
         delta_c=field.delta_c,
         attempts=attempts,
@@ -502,7 +649,7 @@ def build_adapted(field: MorseField, chart: ChartModel, crit: CriticalSet,
     patches = tuple(_make_patch(chart, cp) for cp in crit_obj.points
                     if cp.kind == BOUNDARY_N)
     perturb = (None if perturb_seed is None or perturb_seed == 0
-               else _perturbation_closure(chart, crit_obj, perturb_seed, tol))
+               else _Perturbation(chart, crit_obj, perturb_seed, tol))
 
     last = None
     for attempt in range(tol.build_retries + 1):

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import morseflow
 from morseflow.cli import main
 
 
@@ -82,6 +87,27 @@ def test_svg_written(tmp_path, capsys):
     assert body.startswith("<svg")
     assert 'width="800"' in body
     assert "</svg>" in body
+
+
+def test_svg_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "disk.svg"
+    code, _, err = run(capsys, "analyze", "disk", "--format", "json",
+                       "--svg", str(target))
+    assert code == 1
+    assert err.startswith("cannot write svg: ")
+    assert "Traceback" not in err
+
+
+def test_python_m_matches_main(tmp_path, capsys):
+    argv = ["analyze", "interval", "--format", "json"]
+    _, expected, _ = run(capsys, *argv)
+    src = str(Path(morseflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "morseflow", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_svg_skipped_for_interval(tmp_path, capsys):

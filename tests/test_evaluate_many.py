@@ -1,0 +1,96 @@
+"""`PseudoGradientField.evaluate_many` against the per-point `evaluate`.
+
+Certification evaluates in batches and the flow integrator point by point, so
+the two must return the same bits: every comparison here is exact.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from morseflow import catalog
+from morseflow.critical import find_critical_set
+from morseflow.geometry import MetricField
+from morseflow.params import DEFAULT
+from morseflow.pseudogradient import (PseudoGradientField, _manifold_sample,
+                                      _wall_sample, build_adapted, certify_adapted)
+
+
+def assert_same_bits(field, points):
+    points = np.asarray(points, dtype=float)
+    batch = field.evaluate_many(points)
+    one_by_one = np.array([field.evaluate(x) for x in points])
+    assert batch.shape == one_by_one.shape
+    assert np.array_equal(batch.view(np.int64), one_by_one.view(np.int64))
+
+
+def certification_samples(field):
+    interior = _manifold_sample(field.chart, field.crit, DEFAULT.cert_interior_samples,
+                                DEFAULT.r_excl, DEFAULT)
+    wall = np.array(_wall_sample(field, DEFAULT)[0])
+    return interior, wall
+
+
+def side_fields(entry, crit, seed):
+    return [build_adapted(entry.field, entry.chart, crit, entry.metric,
+                          for_negative=neg, perturb_seed=seed) for neg in (False, True)]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", catalog.names())
+def test_certification_samples_match(packages, name, seed):
+    pkg = packages[name]
+    fields = ([pkg.field_pos, pkg.field_neg] if seed is None
+              else side_fields(pkg.entry, pkg.crit, seed))
+    for field in fields:
+        interior, wall = certification_samples(field)
+        assert len(interior) == DEFAULT.cert_interior_samples
+        assert len(wall) > 0
+        assert_same_bits(field, interior)
+        assert_same_bits(field, wall)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_moebius_deck_images_match(packages, seed):
+    pkg = packages["moebius"]
+    period = pkg.entry.chart.period
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-2 * period, 3 * period, 4000)
+    u[:5] = [-2 * period, -period, 0.0, period, 2 * period]
+    points = np.stack([u, rng.uniform(-1.0, 1.0, len(u))], axis=1)
+    points[:5, 1] = -1.0
+    points[5:10, 1] = 1.0
+    for field in side_fields(pkg.entry, pkg.crit, seed):
+        assert_same_bits(field, points)
+
+
+def test_non_identity_metric_matches():
+    entry = dataclasses.replace(catalog.get("disk"), metric=MetricField.scaled(2, 2.0))
+    crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
+    for field in side_fields(entry, crit, None):
+        assert field.certificate.passed
+        for points in certification_samples(field):
+            assert_same_bits(field, points)
+
+
+def test_empty_batch(packages):
+    field = packages["moebius"].field_pos
+    assert field.evaluate_many([]).shape == (0, 2)
+
+
+def test_certification_makes_no_per_point_calls(packages, monkeypatch):
+    field = packages["disk"].field_pos
+    calls = []
+    original = PseudoGradientField.evaluate
+
+    def counted(self, raw):
+        calls.append(raw)
+        return original(self, raw)
+
+    monkeypatch.setattr(PseudoGradientField, "evaluate", counted)
+    cert = certify_adapted(field, DEFAULT)
+    # only the central-difference linearisations at the critical points remain
+    assert len(calls) <= 2 * field.chart.dim * len(field.crit.points)
+    assert cert.interior_samples == DEFAULT.cert_interior_samples
+    assert cert.as_dict() == field.certificate.as_dict() | {"attempts": 0}
+

@@ -5,7 +5,7 @@ from morseflow.chains import HomologyResult
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 from morseflow.errors import InvarianceFailure
 from morseflow.pipeline import (PairingReport, assert_identical_homology,
-                                complex_key, invariance_check)
+                                complex_key, homologies_for_seed)
 from morseflow.pseudogradient import build_adapted
 
 
@@ -106,10 +106,11 @@ def test_all_checks_pass(packages):
         assert not failed, f"{name}: {failed}"
 
 
-def test_invariance_two_entries():
+def test_invariance_two_entries(packages):
     for name in ("annulus", "moebius"):
-        report = invariance_check(catalog.get(name), seeds=(1, 2))
-        assert report.passed
+        pkg = packages[name]
+        per_seed = {s: homologies_for_seed(pkg.entry, s, crit=pkg.crit) for s in (1, 2)}
+        assert_identical_homology(per_seed)
 
 
 def test_invariance_failure_detected():
@@ -117,11 +118,6 @@ def test_invariance_failure_detected():
     bad = {"N_untwisted": HomologyResult((1, 0, 0), ((), (), ()))}
     with pytest.raises(InvarianceFailure):
         assert_identical_homology({1: good, 2: bad})
-
-
-def test_single_seed_rejected():
-    with pytest.raises(ValueError):
-        invariance_check(catalog.get("disk"), seeds=(1,))
 
 
 def test_pairing_determinant_is_exact():
