@@ -1,7 +1,7 @@
 """Command-line front end: list the catalog, analyze an entry, run verification.
 
-Exit codes: 0 on success, 1 on usage errors or unknown entries, 2 when a
-mathematical check fails.
+Exit codes: 0 on success, 1 on usage errors, unknown entries or a reader that
+closes standard output early, 2 when a mathematical check fails.
 """
 from __future__ import annotations
 
@@ -209,7 +209,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (`| head`): send what is still buffered to devnull,
+        # so the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Trajectory integration and connecting-orbit counting.
+"""Trajectory integration, connecting-orbit counting and the intersection pairing.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with a boundary guard:
 steps that would leave the manifold are shortened by bisection to land on the
@@ -6,7 +6,11 @@ wall, where only tangent or inward field directions are tolerated.  Every
 connecting orbit between generators of adjacent grading on a surface is a
 branch of a one-dimensional invariant manifold, so each count follows one: the
 unstable manifold of a grading-one source forward, or the stable manifold of a
-grading-one target backward.
+grading-one target backward.  The pairing's curves are branches of the same
+manifolds.  `_branches` is the one place that launches them: it integrates each
+branch once per field and tolerances and keeps the result on the field, so the
+counts and the pairing read the same trajectories.  `integrate` itself keeps
+nothing.
 """
 from __future__ import annotations
 
@@ -267,6 +271,31 @@ def stable_launches(field: PseudoGradientField, cp: CriticalPoint,
     return [(1, cp.coords + tol.r_launch * inward)]
 
 
+def _branches(field: PseudoGradientField, anchor: CriticalPoint, reverse: bool,
+              tol: Tolerances) -> tuple[tuple[int, Array, Trajectory], ...]:
+    """(label, launch point, trajectory) for each branch of a one-dimensional
+    invariant manifold of anchor, one of the field's critical points.
+
+    Forward follows the unstable manifold, which may not leave the domain;
+    reverse follows the stable manifold backward, ending LEFT_DOMAIN where it
+    exits.  Each branch is integrated once per field and tolerances: the result
+    is kept on the field and shared by every caller, which must not modify it.
+    A timed-out branch raises FlowTimeout and is not kept.
+    """
+    key = (anchor.id, reverse, tol)
+    found = field._branch_memo.get(key)
+    if found is None:
+        launches = stable_launches if reverse else unstable_launches
+        out = []
+        for label, x0 in launches(field, anchor, tol):
+            traj = integrate(field, x0, tol, reverse=reverse, allow_exit=reverse)
+            if traj.termination == TIMEOUT:
+                raise FlowTimeout(f"branch from generator {anchor.id} timed out")
+            out.append((label, x0, traj))
+        found = field._branch_memo[key] = tuple(out)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # orbit counting
 
@@ -345,12 +374,8 @@ def _follow_branches(field: PseudoGradientField, p: CriticalPoint,
     """
     reverse = p.grading > 1
     anchor, far = (q, p) if reverse else (p, q)
-    launches = stable_launches if reverse else unstable_launches
     orbits = []
-    for label, x0 in launches(field, anchor, tol):
-        traj = integrate(field, x0, tol, reverse=reverse, allow_exit=reverse)
-        if traj.termination == TIMEOUT:
-            raise FlowTimeout(f"branch from generator {anchor.id} timed out")
+    for label, x0, traj in _branches(field, anchor, reverse, tol):
         if traj.termination == LEFT_DOMAIN:
             continue
         hit = field.crit.by_id(traj.target)
@@ -446,27 +471,20 @@ def relative_cycle_curves(field_neg: PseudoGradientField, p: CriticalPoint,
 
     Interior generators use the one-dimensional unstable manifold of the
     reversed-function field; boundary generators use its local stable manifold,
-    flowed backwards until it exits through the boundary.
+    flowed backwards until it exits through the boundary.  A curve that times
+    out raises FlowTimeout.
     """
     cp = field_neg.crit.by_id(p.id)
     out = []
-    if cp.kind == INTERIOR:
-        for label, x0 in unstable_launches(field_neg, cp, tol):
-            out.append((label, integrate(field_neg, x0, tol)))
-    else:
-        for label, x0 in stable_launches(field_neg, cp, tol):
-            traj = integrate(field_neg, x0, tol, reverse=True, allow_exit=True)
-            if traj.termination == TIMEOUT:
-                raise FlowTimeout(f"relative curve from {p.id} timed out")
-            if traj.termination == LEFT_DOMAIN:
-                exit_pt = traj.end
-                for other in field_neg.crit.points:
-                    if chart_distance(field_neg.chart, exit_pt,
-                                      other.coords) < tol.degeneracy_tol:
-                        raise NonTransverse(
-                            "relative curve exits at a critical point; "
-                            "general position fails")
-            out.append((label, traj))
+    for label, _, traj in _branches(field_neg, cp, cp.kind != INTERIOR, tol):
+        if traj.termination == LEFT_DOMAIN:
+            for other in field_neg.crit.points:
+                if chart_distance(field_neg.chart, traj.end,
+                                  other.coords) < tol.degeneracy_tol:
+                    raise NonTransverse(
+                        "relative curve exits at a critical point; "
+                        "general position fails")
+        out.append((label, traj))
     return out
 
 
@@ -504,8 +522,8 @@ def intersection_pairing(field_neg: PseudoGradientField,
         total += (1 if det > 0 else -1) * p.reference_sign
 
     rel_curves = relative_cycle_curves(field_neg, p, tol)
-    abs_curves = [(label, integrate(field_pos, x0, tol))
-                  for label, x0 in unstable_launches(field_pos, cp_pos, tol)]
+    abs_curves = [(label, traj)
+                  for label, _, traj in _branches(field_pos, cp_pos, False, tol)]
 
     for label_r, traj_r in rel_curves:
         pr = _resample(traj_r.points, 0.02)

@@ -1,5 +1,9 @@
 """Full construction: complexes in every flavor, homology against references,
-duality pairing matrices, and the empirical seed-invariance check."""
+duality pairing matrices, and the empirical seed-invariance check.
+
+Each analysis traces the boundary wall once and certifies every field it
+builds (both sides, every retry seed, the pairing's retry) from that trace.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,7 +16,7 @@ from .critical import BOUNDARY_N, INTERIOR, CriticalSet, find_critical_set
 from .errors import InvarianceFailure, NonTransverse
 from .flow import IncidenceCount, count_connecting_orbits, intersection_pairing
 from .params import DEFAULT, Tolerances
-from .pseudogradient import PseudoGradientField, build_adapted
+from .pseudogradient import PseudoGradientField, WallTrace, build_adapted, trace_wall
 
 SIDES = ("N", "D")
 FLAVORS = ("untwisted", "orientation")
@@ -105,12 +109,13 @@ def build_incidences(field: PseudoGradientField,
 
 
 def _build_side(entry: CatalogEntry, crit: CriticalSet, for_negative: bool,
-                base_seed: int, tol: Tolerances):
+                base_seed: int, tol: Tolerances, wall: WallTrace | None = None):
     """Field plus incidence table, retrying with perturbation seeds as needed."""
     last: Exception | None = None
     for seed in _retry_seeds(base_seed, tol):
         field = build_adapted(entry.field, entry.chart, crit, entry.metric,
-                              for_negative=for_negative, perturb_seed=seed, tol=tol)
+                              for_negative=for_negative, perturb_seed=seed, tol=tol,
+                              wall=wall)
         try:
             return field, build_incidences(field, tol)
         except NonTransverse as exc:
@@ -157,7 +162,8 @@ def _complexes(crit: CriticalSet, tables: dict[str, dict[tuple[int, int], Incide
 def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
                       field_pos: PseudoGradientField,
                       field_neg: PseudoGradientField, base_seed: int,
-                      tol: Tolerances) -> tuple[dict[int, PairingReport], int | None]:
+                      tol: Tolerances,
+                      wall: WallTrace) -> tuple[dict[int, PairingReport], int | None]:
     """Pairing matrices, reusing the certified ascent field for its own seed."""
     n = entry.chart.dim
     gens_d = crit.generators("D")
@@ -179,7 +185,7 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
         for seed in _retry_seeds(base_seed, tol):
             ascent = field_neg if seed == field_neg.perturb_seed else build_adapted(
                 entry.field, entry.chart, crit, entry.metric,
-                for_negative=True, perturb_seed=seed, tol=tol)
+                for_negative=True, perturb_seed=seed, tol=tol, wall=wall)
             try:
                 matrix = tuple(
                     tuple(intersection_pairing(ascent, field_pos,
@@ -200,8 +206,9 @@ def build_package(entry: CatalogEntry, seed: int = 0,
                   tol: Tolerances = DEFAULT) -> MorsePackage:
     """Run the whole construction for one catalog entry."""
     crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
-    field_pos, inc_pos = _build_side(entry, crit, False, seed, tol)
-    field_neg, inc_neg = _build_side(entry, crit, True, seed, tol)
+    wall = trace_wall(entry.chart, entry.metric, tol)
+    field_pos, inc_pos = _build_side(entry, crit, False, seed, tol, wall)
+    field_neg, inc_neg = _build_side(entry, crit, True, seed, tol, wall)
 
     complexes = _complexes(crit, {"N": inc_pos, "D": inc_neg})
     complexes["D_dual"] = complexes[complex_key("D", "untwisted")].transpose_dual()
@@ -222,7 +229,7 @@ def build_package(entry: CatalogEntry, seed: int = 0,
         orientable=entry.orientable)
 
     pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, field_neg,
-                                              seed, tol)
+                                              seed, tol, wall)
 
     checks = _collect_checks(entry, crit, field_pos, field_neg, complexes,
                              homology, polys, double_report, pairing)
@@ -301,7 +308,9 @@ def homologies_for_seed(entry: CatalogEntry, seed: int,
                         crit: CriticalSet | None = None) -> dict[str, HomologyResult]:
     if crit is None:
         crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
-    tables = {side: _build_side(entry, crit, side == "D", seed, tol)[1] for side in SIDES}
+    wall = trace_wall(entry.chart, entry.metric, tol)
+    tables = {side: _build_side(entry, crit, side == "D", seed, tol, wall)[1]
+              for side in SIDES}
     return {key: cx.homology() for key, cx in _complexes(crit, tables).items()}
 
 

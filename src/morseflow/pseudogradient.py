@@ -9,12 +9,15 @@ with halved radii before giving up.
 The field has two evaluators that return the same bits: certification
 evaluates its samples in batches (`PseudoGradientField.evaluate_many`), and
 the flow integrator evaluates point by point (`PseudoGradientField.evaluate`),
-where a one-row batch would cost several times as much.
+where a one-row batch would cost several times as much.  The wall samples
+depend only on the chart, the metric and the tolerances, so one analysis
+traces the boundary loops once (`trace_wall`) and certifies every field it
+builds from that trace.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -315,6 +318,11 @@ class PseudoGradientField:
     certificate: AdaptednessCertificate | None = None
     _perturb: _Perturbation | None = None
     tol: Tolerances = DEFAULT
+    # invariant-manifold branches integrated by `flow._branches`, keyed by
+    # (anchor id, reverse, tolerances); a copy made with `dataclasses.replace`
+    # starts empty, since its critical points may differ
+    _branch_memo: dict = dataclass_field(default_factory=dict, init=False,
+                                         repr=False)
 
     def evaluate(self, raw) -> Array:
         """Field vector at raw coordinates (deck-equivariant on quotient charts)."""
@@ -538,35 +546,67 @@ def _manifold_sample(chart: ChartModel, crit: CriticalSet, count: int,
     return allpts[:want]
 
 
-def _wall_sample(field: PseudoGradientField, tol: Tolerances,
-                 ) -> tuple[list[Array], list[Array], list[Array]]:
-    """Boundary-loop points outside the tangency patches, each with its outward
-    normal and metric matrix."""
-    chart = field.chart
-    n_pts = [cp for cp in field.crit.points if cp.kind == BOUNDARY_N]
+@dataclass(frozen=True, eq=False)
+class WallTrace:
+    """Boundary-loop samples for certification, one row per point on the wall."""
+
+    loop_points: Array   # raw points of the traced loops
+    points: Array        # their canonical coordinates
+    normals: Array       # outward metric-unit normals
+    g_mats: Array        # metric matrices
+
+
+def trace_wall(chart: ChartModel, metric: MetricField | None,
+               tol: Tolerances = DEFAULT) -> WallTrace:
+    """Trace the boundary loops once for every field certified on chart and metric."""
+    metric = metric or MetricField.euclidean(chart.dim)
     if isinstance(chart, QuotientChart):
         pieces = 1 if chart.flip == -1 else 2
     else:
         pieces = max(1, len(chart.constraints))
     per_loop = max(1, tol.cert_boundary_samples // pieces)
-    points, normals, g_mats = [], [], []
+    loop_points, points, normals, g_mats = [], [], [], []
     for loop in boundary_components(chart, per_loop, tol):
         for x in loop:
-            if any(chart_distance(chart, x, cp.coords) < field.r_n for cp in n_pts):
-                continue
             pt, _ = normalize_point(chart, x, tol)
-            data = boundary_data(chart, pt, field.metric, tol)
+            data = boundary_data(chart, pt, metric, tol)
             if data is None:
                 continue
+            loop_points.append(x)
             points.append(pt.array)
             normals.append(data[1])
-            g_mats.append(np.asarray(field.metric.matrix(pt.array), dtype=float))
-    return points, normals, g_mats
+            g_mats.append(np.asarray(metric.matrix(pt.array), dtype=float))
+    dim = chart.dim
+    return WallTrace(np.reshape(loop_points, (-1, dim)), np.reshape(points, (-1, dim)),
+                     np.reshape(normals, (-1, dim)), np.reshape(g_mats, (-1, dim, dim)))
+
+
+def _wall_sample(field: PseudoGradientField, tol: Tolerances,
+                 wall: WallTrace | None = None) -> tuple[Array, Array, Array]:
+    """Wall points outside the field's tangency patches, each with its outward
+    normal and metric matrix.
+
+    The points come from `wall`, traced here when not given; only the patch
+    filter, which depends on the field's type-N points and r_n, is per build.
+    """
+    if wall is None:
+        wall = trace_wall(field.chart, field.metric, tol)
+    keep = np.ones(len(wall.loop_points), dtype=bool)
+    for cp in field.crit.points:
+        if cp.kind == BOUNDARY_N:
+            keep &= chart_distance_many(field.chart, wall.loop_points,
+                                        cp.coords) >= field.r_n
+    return wall.points[keep], wall.normals[keep], wall.g_mats[keep]
 
 
 def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
-                    attempts: int = 0) -> AdaptednessCertificate:
-    """Sample-based check of the four adaptedness conditions."""
+                    attempts: int = 0,
+                    wall: WallTrace | None = None) -> AdaptednessCertificate:
+    """Sample-based check of the four adaptedness conditions.
+
+    `wall` is `trace_wall(field.chart, field.metric, tol)`, traced here when
+    not given.
+    """
     chart, crit = field.chart, field.crit
     obj = field.objective
     interior = _manifold_sample(chart, crit, tol.cert_interior_samples,
@@ -577,7 +617,7 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
     for g, vec in zip(grads, vecs):
         descent = max(descent, float(g @ vec))
 
-    on_wall, normals, g_mats = _wall_sample(field, tol)
+    on_wall, normals, g_mats = _wall_sample(field, tol, wall)
     inward = math.inf
     for vec, g_mat, normal in zip(field.evaluate_many(on_wall), g_mats, normals):
         inward = min(inward, -float(vec @ g_mat @ normal))
@@ -633,13 +673,18 @@ def build_adapted(field: MorseField, chart: ChartModel, crit: CriticalSet,
                   metric: MetricField | None = None,
                   for_negative: bool = False,
                   perturb_seed: int | None = None,
-                  tol: Tolerances = DEFAULT) -> PseudoGradientField:
+                  tol: Tolerances = DEFAULT,
+                  wall: WallTrace | None = None) -> PseudoGradientField:
     """Assemble and certify a descent field for f (or for -f when requested).
 
     Retries with halved patch and collar radii when certification fails;
-    raises BlendGapFailure when no retry passes.
+    raises BlendGapFailure when no retry passes.  `wall` is
+    `trace_wall(chart, metric, tol)`, which an analysis traces once for all
+    its builds; without it the build traces the wall itself.
     """
     metric = metric or MetricField.euclidean(chart.dim)
+    if wall is None:
+        wall = trace_wall(chart, metric, tol)
     if for_negative:
         objective = field.negated()
         crit_obj = reclassify_negated(crit, field, chart)
@@ -660,7 +705,7 @@ def build_adapted(field: MorseField, chart: ChartModel, crit: CriticalSet,
             for_negative=for_negative, perturb_seed=perturb_seed,
             _perturb=perturb, tol=tol,
         )
-        cert = certify_adapted(pg, tol, attempts=attempt + 1)
+        cert = certify_adapted(pg, tol, attempts=attempt + 1, wall=wall)
         pg.certificate = cert
         if cert.passed:
             return pg

@@ -98,16 +98,37 @@ def test_svg_unwritable_path(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _source_env() -> dict:
+    """Environment for a subprocess that imports this checkout's morseflow."""
+    src = str(Path(morseflow.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_python_m_matches_main(tmp_path, capsys):
     argv = ["analyze", "interval", "--format", "json"]
     _, expected, _ = run(capsys, *argv)
-    src = str(Path(morseflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "morseflow", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_source_env(), capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    # the reader end is closed before the report is written, as when
+    # `| head -c 100` has already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "morseflow", "analyze", "disk",
+                               "--format", "json"], cwd=tmp_path, env=_source_env(),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_svg_skipped_for_interval(tmp_path, capsys):

@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 
+import pytest
+
 from morseflow import catalog
 from morseflow.critical import BOUNDARY_N, INTERIOR
+from morseflow.errors import FlowTimeout
 from morseflow.flow import (CONVERGED, count_connecting_orbits, integrate,
-                            unstable_launches)
+                            intersection_pairing, unstable_launches)
 from morseflow.geometry import path_orientation_sign
 from morseflow.params import DEFAULT
 
@@ -163,3 +166,19 @@ def test_trajectory_records_monotone_time(packages):
     traj = integrate(packages["disk"].field_pos, [0.2, 0.3])
     assert np.all(np.diff(traj.times) > 0)
     assert traj.points.shape[1] == 2
+
+
+def test_timed_out_branches_raise(packages):
+    # a relative curve that times out used to be read as a polyline, so the
+    # pairing returned a number where the orbit count raised
+    pkg = packages["moebius"]
+    tol = DEFAULT.override(max_steps=20)
+    rep = pkg.pairing[1]
+    p, p_abs = pkg.crit.by_id(rep.rows[0]), pkg.crit.by_id(rep.cols[0])
+    assert pkg.field_neg.crit.by_id(p.id).kind == INTERIOR
+    with pytest.raises(FlowTimeout):
+        intersection_pairing(pkg.field_neg, pkg.field_pos, p, p_abs, tol)
+    source, sink = next(iter(pkg.incidences["N"]))
+    with pytest.raises(FlowTimeout):
+        count_connecting_orbits(pkg.field_pos, pkg.field_pos.crit.by_id(source),
+                                pkg.field_pos.crit.by_id(sink), tol)

@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from morseflow import catalog
+from morseflow import catalog, flow
 from morseflow.critical import INTERIOR, find_critical_set
 from morseflow.fields import MorseField, validate_field
 from morseflow.params import DEFAULT
@@ -90,12 +90,21 @@ def n_side(request):
                                            _bumped_moebius_field()),
     }[request.param]()
     crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
-    _, table = _build_side(entry, crit, False, 0, DEFAULT)
-    return entry, crit, table
+    launches = []
+    integrate = flow.integrate
+
+    def counted(field, start, tol=DEFAULT, reverse=False, allow_exit=False):
+        launches.append((tuple(np.asarray(start, dtype=float)), reverse))
+        return integrate(field, start, tol, reverse=reverse, allow_exit=allow_exit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "integrate", counted)
+        _, table = _build_side(entry, crit, False, 0, DEFAULT)
+    return entry, crit, table, launches
 
 
 def test_interior_saddles_present(n_side):
-    entry, crit, _ = n_side
+    entry, crit, _, _ = n_side
     interior = [cp.grading for cp in crit.of_kind(INTERIOR)]
     if entry.name == "two_bump_disk":
         assert sorted(interior) == [1, 1, 2, 2]
@@ -104,7 +113,7 @@ def test_interior_saddles_present(n_side):
 
 
 def test_n_side_homology_matches_reference(n_side):
-    entry, crit, table = n_side
+    entry, crit, table, _ = n_side
     for flavor, ref in (("untwisted", entry.h_abs),
                         ("orientation", entry.h_abs_or)):
         got = assemble_complex(crit, "N", flavor, table).homology()
@@ -113,7 +122,7 @@ def test_n_side_homology_matches_reference(n_side):
 
 
 def test_each_maximum_reaches_its_saddle_once(n_side):
-    entry, crit, table = n_side
+    entry, crit, table, _ = n_side
     saddles = [q for q in crit.of_kind(INTERIOR) if q.grading == 1]
     for p in crit.of_kind(INTERIOR):
         if p.grading != 2:
@@ -121,3 +130,12 @@ def test_each_maximum_reaches_its_saddle_once(n_side):
         q = min(saddles, key=lambda s: float(np.linalg.norm(s.coords - p.coords)))
         assert abs(table[(p.id, q.id)].count) == 1, \
             f"{entry.name}: maximum {p.id} to saddle {q.id}"
+
+
+def test_each_branch_is_integrated_once(n_side):
+    # a saddle's stable manifold carries the orbits from every maximum, and is
+    # followed once, not once per maximum
+    entry, _, _, launches = n_side
+    assert len(set(launches)) == len(launches)
+    if entry.name == "two_bump_disk":
+        assert len(launches) == 8

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
-from morseflow import catalog, pipeline
+from morseflow import catalog, flow, pipeline, pseudogradient
 from morseflow.chains import HomologyResult
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 from morseflow.errors import InvarianceFailure
+from morseflow.params import DEFAULT
 from morseflow.pipeline import (PairingReport, assert_identical_homology,
                                 complex_key, homologies_for_seed)
 from morseflow.pseudogradient import build_adapted
@@ -138,3 +140,76 @@ def test_package_builds_each_field_once(monkeypatch):
     # descent and ascent fields at the base seed, plus the ascent field of the
     # pairing's retry seed after the base seed's pairing is not transverse
     assert calls == [(False, None), (True, None), (True, pkg.pairing_seed)]
+
+
+@pytest.fixture(scope="module")
+def instrumented():
+    """`build_package(name)` recording every field build, every integration
+    (field, start, reverse) and every trace of the boundary loops for
+    certification."""
+    built = {}
+
+    def build(name):
+        if name in built:
+            return built[name]
+        fields, launches, traces = [], [], []
+        integrate = flow.integrate
+        boundary_components = pseudogradient.boundary_components
+
+        def counted_build(*args, **kwargs):
+            fields.append(build_adapted(*args, **kwargs))
+            return fields[-1]
+
+        def counted_integrate(field, start, tol=DEFAULT, reverse=False,
+                              allow_exit=False):
+            # the field itself is kept, so no id is reused by a later field
+            launches.append((field, tuple(np.asarray(start, dtype=float)), reverse))
+            return integrate(field, start, tol, reverse=reverse, allow_exit=allow_exit)
+
+        def counted_trace(*args, **kwargs):
+            traces.append(args)
+            return boundary_components(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "build_adapted", counted_build)
+            mp.setattr(flow, "integrate", counted_integrate)
+            mp.setattr(pseudogradient, "boundary_components", counted_trace)
+            pkg = pipeline.build_package(catalog.get(name))
+        built[name] = pkg, fields, launches, traces
+        return built[name]
+
+    return build
+
+
+@pytest.mark.parametrize("name, integrations", [
+    ("annulus", 6), ("moebius", 4), ("tilted_dome", 3)])
+def test_package_integrates_each_branch_once(instrumented, name, integrations):
+    _, _, launches, _ = instrumented(name)
+    keys = [(id(field), start, reverse) for field, start, reverse in launches]
+    assert len(set(keys)) == len(keys)
+    assert len(keys) == integrations
+
+
+def test_package_traces_the_wall_once(instrumented):
+    pkg, fields, _, traces = instrumented("annulus")
+    # descent, ascent and the pairing retry's ascent field share one trace
+    assert [(f.for_negative, f.perturb_seed) for f in fields] == [
+        (False, None), (True, None), (True, pkg.pairing_seed)]
+    assert len(traces) == 1
+
+
+def test_shared_wall_trace_keeps_certificates(instrumented):
+    _, fields, _, _ = instrumented("annulus")
+    common = {"interior_definiteness": -1.0, "tangency_definiteness": -0.25,
+              "interior_samples": 10000, "boundary_samples": 1928, "r_n": 0.15,
+              "delta_c": 0.1, "attempts": 1, "passed": True}
+    # margins of the annulus fields when each build traced the wall itself
+    # (float literals, so equality is bit for bit)
+    assert [f.certificate.as_dict() for f in fields] == [
+        common | {"descent_margin": -0.00938375437786556,
+                  "inward_margin": 0.0030189178922764843},
+        common | {"descent_margin": -0.015105562719342446,
+                  "inward_margin": 0.0029960744487134696},
+        common | {"descent_margin": -0.015093812165254348,
+                  "inward_margin": 0.0029960744487134696},
+    ]
