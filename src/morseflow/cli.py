@@ -14,6 +14,7 @@ from . import __version__, catalog
 from .errors import MorseflowError, UnknownEntry
 from .params import DEFAULT, Tolerances
 from .pipeline import MorsePackage, build_package, complex_key
+from .svg import render
 from .verify import run_acceptance
 
 ENV_OVERRIDES = "MORSE_TOL_OVERRIDES"
@@ -141,7 +142,6 @@ def cmd_analyze(args) -> int:
     report = _report(pkg, keys, args.tol, args.seed)
     if args.svg:
         if entry.chart.dim == 2:
-            from .svg import render
             try:
                 render(entry, pkg, args.svg)
             except OSError as exc:

@@ -2,15 +2,23 @@
 
 Integration uses an embedded Dormand-Prince 5(4) pair with a boundary guard:
 steps that would leave the manifold are shortened by bisection to land on the
-wall, where only tangent or inward field directions are tolerated.  Every
-connecting orbit between generators of adjacent grading on a surface is a
-branch of a one-dimensional invariant manifold, so each count follows one: the
-unstable manifold of a grading-one source forward, or the stable manifold of a
-grading-one target backward.  The pairing's curves are branches of the same
+wall, where only tangent or inward field directions are tolerated.  A
+trajectory ends as soon as it enters the certified capture region of a sink
+of its time direction (a grading-0 zero forward, a top-grading zero backward),
+with the sink appended as its last sample.  Otherwise it ends at a zero only
+once its speed falls below `field_stop` within `r_conv` of it: a sink whose
+region failed its check, or a saddle, where a branch ending shows a
+non-transverse connection.  Orbit counts only need the basin a branch reaches,
+so the step tolerances are loose.
+
+Every connecting orbit between generators of adjacent grading on a surface is
+a branch of a one-dimensional invariant manifold, so each count follows one:
+the unstable manifold of a grading-one source forward, or the stable manifold
+of a grading-one target backward.  The pairing's curves are branches of the same
 manifolds.  `_branches` is the one place that launches them: it integrates each
 branch once per field and tolerances and keeps the result on the field, so the
 counts and the pairing read the same trajectories.  `integrate` itself keeps
-nothing.
+no trajectory.
 """
 from __future__ import annotations
 
@@ -55,7 +63,6 @@ class Trajectory:
     values: Array                  # objective values along the samples
     termination: str
     target: int | None = None      # critical id for CONVERGED
-    end_point: Array | None = None
 
     @property
     def start(self) -> Array:
@@ -63,12 +70,13 @@ class Trajectory:
 
     @property
     def end(self) -> Array:
-        return self.end_point if self.end_point is not None else self.points[-1]
+        return self.points[-1]
 
 
-def _rk_step(deriv, x: Array, h: float, k1: Array | None = None):
-    """One Dormand-Prince step; returns (x5, err_vec, k_last)."""
-    k = [k1 if k1 is not None else deriv(x)]
+def _rk_step(deriv, x: Array, h: float, k1: Array):
+    """One Dormand-Prince step from x, where k1 = deriv(x); returns
+    (x5, err_vec, k_last)."""
+    k = [k1]
     for stage in range(1, 7):
         acc = x.copy()
         coeffs = _A[stage]
@@ -133,46 +141,71 @@ def _pull_inside(chart, x: Array) -> Array:
     return out
 
 
+def _sink_image(chart, raw: Array, cp: CriticalPoint) -> Array:
+    """The deck image of cp nearest raw coordinates (cp itself on a region chart)."""
+    if isinstance(chart, RegionChart):
+        return cp.coords.copy()
+    return deck_apply(chart, _deck_index(chart, raw, cp), cp.coords)
+
+
 def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
               reverse: bool = False, allow_exit: bool = False) -> Trajectory:
     """Flow a trajectory of the field (or of its time reversal).
 
-    Terminates on convergence to a critical point of the build, on leaving the
-    manifold (LEFT_DOMAIN when allow_exit, CertificateViolation otherwise), or
-    on timeout.
+    Terminates
+    - CONVERGED at a critical point of the build once the speed is below
+      `field_stop` within `r_conv` of it;
+    - CONVERGED on entering a capture region of a sink of this time direction
+      (`PseudoGradientField.capture_regions`): the sink's deck image nearest
+      the trajectory is appended as the last sample, at the time the last
+      segment takes at the speed where the region was entered;
+    - LEFT_DOMAIN on leaving the manifold when allow_exit (CertificateViolation
+      otherwise);
+    - TIMEOUT after `t_max` or `max_steps`.
     """
     chart = field.chart
     sgn = -1.0 if reverse else 1.0
     deriv = lambda x: sgn * field.evaluate(x)
     value = lambda x: float(field.objective.value(x))
+    crit = field.crit.points
+    captures = field.capture_regions(reverse)
 
     x = np.asarray(start, dtype=float).copy()
     t = 0.0
     times, points, values = [t], [x.copy()], [value(x)]
 
-    crit = field.crit.points
+    def result(termination: str, target: int | None = None) -> Trajectory:
+        return Trajectory(np.array(times), np.array(points), np.array(values),
+                          termination, target)
 
-    def near_critical(y: Array, speed: float) -> int | None:
-        if speed >= tol.field_stop:
-            return None
-        for cp in crit:
-            if chart_distance(chart, y, cp.coords) <= tol.r_conv:
-                return cp.id
+    def settled(speed: float) -> int | None:
+        """Target id once the last sample has converged or been captured."""
+        y = points[-1]
+        if speed < tol.field_stop:
+            for cp in crit:
+                if chart_distance(chart, y, cp.coords) <= tol.r_conv:
+                    return cp.id
+        for region in captures:
+            if region.holds(chart, y, values[-1]):
+                sink = _sink_image(chart, y, region.sink)
+                gap = float(np.linalg.norm(sink - y))
+                times.append(times[-1] + gap / max(speed, tol.field_stop))
+                points.append(sink)
+                values.append(region.level)
+                return region.sink.id
         return None
 
     k1 = deriv(x)
-    hit = near_critical(x, float(np.linalg.norm(k1)))
+    hit = settled(float(np.linalg.norm(k1)))
     if hit is not None:
-        return Trajectory(np.array(times), np.array(points), np.array(values),
-                          CONVERGED, target=hit)
+        return result(CONVERGED, target=hit)
 
     h = 1e-4
     h_max = 0.5
     steps = 0
     while True:
         if t >= tol.t_max or steps >= tol.max_steps:
-            return Trajectory(np.array(times), np.array(points), np.array(values),
-                              TIMEOUT)
+            return result(TIMEOUT)
         steps += 1
         h = min(h, h_max, tol.t_max - t + 1e-9)
         x_new, err_vec, k_last = _rk_step(deriv, x, h, k1)
@@ -187,12 +220,12 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
             lo, hi = 0.0, 1.0
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                x_mid, _, _ = _rk_step(deriv, x, h * mid)
+                x_mid, _, _ = _rk_step(deriv, x, h * mid, k1)
                 if _violation(chart, x_mid) > 0.0:
                     hi = mid
                 else:
                     lo = mid
-            x_land, _, _ = _rk_step(deriv, x, h * hi)
+            x_land, _, _ = _rk_step(deriv, x, h * hi, k1)
             x_land = _pull_inside(chart, x_land)
             t_land = t + h * hi
             outward = _outward_direction(chart, x_land)
@@ -203,9 +236,7 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
                 points.append(x_land.copy())
                 values.append(value(x_land))
                 if allow_exit:
-                    return Trajectory(np.array(times), np.array(points),
-                                      np.array(values), LEFT_DOMAIN,
-                                      end_point=x_land)
+                    return result(LEFT_DOMAIN)
                 raise CertificateViolation(
                     f"trajectory pushed out of the manifold at {x_land}")
             x, t, k1 = x_land, t_land, speed_vec
@@ -222,10 +253,9 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
         points.append(x.copy())
         values.append(value(x))
 
-        hit = near_critical(x, float(np.linalg.norm(k_last)))
+        hit = settled(float(np.linalg.norm(k_last)))
         if hit is not None:
-            return Trajectory(np.array(times), np.array(points), np.array(values),
-                              CONVERGED, target=hit)
+            return result(CONVERGED, target=hit)
         if err == 0.0:
             h = h * 5.0
         else:

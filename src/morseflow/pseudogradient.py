@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .critical import (BOUNDARY_N, CriticalPoint, CriticalSet, _project_to_zero,
-                       boundary_components, reclassify_negated)
+from .critical import (BOUNDARY_D, BOUNDARY_N, CriticalPoint, CriticalSet,
+                       _project_to_zero, boundary_components, reclassify_negated)
 from .errors import BlendGapFailure
 from .fields import MorseField
 from .geometry import (ChartModel, MetricField, QuotientChart, RegionChart,
@@ -319,10 +319,13 @@ class PseudoGradientField:
     _perturb: _Perturbation | None = None
     tol: Tolerances = DEFAULT
     # invariant-manifold branches integrated by `flow._branches`, keyed by
-    # (anchor id, reverse, tolerances); a copy made with `dataclasses.replace`
+    # (anchor id, reverse, tolerances), and the capture regions of each time
+    # direction, keyed by reverse; a copy made with `dataclasses.replace`
     # starts empty, since its critical points may differ
     _branch_memo: dict = dataclass_field(default_factory=dict, init=False,
                                          repr=False)
+    _capture_memo: dict = dataclass_field(default_factory=dict, init=False,
+                                          repr=False)
 
     def evaluate(self, raw) -> Array:
         """Field vector at raw coordinates (deck-equivariant on quotient charts)."""
@@ -464,6 +467,22 @@ class PseudoGradientField:
             if chart_distance(self.chart, patch.center, cp.coords) < 1e-9:
                 return patch
         return None
+
+    def capture_regions(self, reverse: bool = False) -> tuple[CaptureRegion, ...]:
+        """Certified capture regions of the sinks of the flow, or of its time
+        reversal: the grading-0 zeros forward, the top-grading zeros in reverse.
+
+        A sink whose check fails has no region.  Each direction is checked
+        once per field, on first use.
+        """
+        found = self._capture_memo.get(reverse)
+        if found is None:
+            grading = self.chart.dim if reverse else 0
+            regions = (_capture_region(self, cp, reverse) for cp in self.crit.points
+                       if cp.grading == grading and cp.kind != BOUNDARY_D)
+            found = self._capture_memo[reverse] = tuple(
+                r for r in regions if r is not None)
+        return found
 
 
 class _Perturbation:
@@ -667,6 +686,78 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
         delta_c=field.delta_c,
         attempts=attempts,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class CaptureRegion:
+    """Certified basin of a sink: the points within `radius` of it at which
+    the Lyapunov function sign * (f - level) is below `depth`.
+
+    f strictly decreases along the field on the whole ball, sign * f is at
+    least 2 * depth above the sink's level on the ball's rim, and the sink is
+    the ball's only zero, so a trajectory that enters the region never leaves
+    the ball and ends at the sink.
+    """
+
+    sink: CriticalPoint
+    radius: float
+    level: float       # the objective at the sink
+    depth: float
+    sign: float        # 1.0 for the flow, -1.0 for its time reversal
+
+    def holds(self, chart: ChartModel, x: Array, value: float) -> bool:
+        """Whether x, where the objective is value, lies in the region."""
+        return (self.sign * (value - self.level) < self.depth
+                and chart_distance(chart, x, self.sink.coords) < self.radius)
+
+
+_CAPTURE_RINGS = 8    # concentric sample rings of a capture check
+_CAPTURE_RAYS = 32    # samples per ring on a surface
+
+
+def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
+                    reverse: bool) -> CaptureRegion | None:
+    """Capture region of the sink cp, or None when its check fails.
+
+    The ball is the exact-model disk of a type-N sink (radius r_n / 2, where
+    the patch blend is one) or the exclusion ball of an interior one.  One
+    batched evaluation on rings around the sink checks that f decreases along
+    the field there; the outermost ring sets the depth, at half its lowest
+    Lyapunov value.
+    """
+    chart, obj = field.chart, field.objective
+    radius = 0.5 * field.r_n if cp.kind == BOUNDARY_N else field.tol.r_excl
+    if any(other.id != cp.id
+           and chart_distance(chart, other.coords, cp.coords) <= radius
+           for other in field.crit.points):
+        return None
+    if chart.dim == 1:
+        directions = np.array([[1.0], [-1.0]])
+    else:
+        theta = 2.0 * math.pi * np.arange(_CAPTURE_RAYS) / _CAPTURE_RAYS
+        directions = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    radii = radius * np.arange(1, _CAPTURE_RINGS + 1) / _CAPTURE_RINGS
+    pts = cp.coords + (radii[:, None, None] * directions).reshape(-1, chart.dim)
+    rim = np.arange(len(pts)) >= len(pts) - len(directions)
+    if isinstance(chart, QuotientChart):
+        inside = (pts[:, 1] >= chart.v_min) & (pts[:, 1] <= chart.v_max)
+    else:
+        inside = np.ones(len(pts), dtype=bool)
+        for con in chart.constraints:
+            inside &= np.asarray(con.value(pts), dtype=float) <= 0.0
+    pts, rim = pts[inside], rim[inside]
+    if not rim.any():
+        return None
+    slope = row_dot(np.asarray(obj.gradient(pts), dtype=float), field.evaluate_many(pts))
+    if not np.all(slope < 0.0):
+        return None
+    sign = -1.0 if reverse else 1.0
+    level = float(obj.value(cp.coords))
+    lyapunov = sign * (np.asarray(obj.value(pts[rim]), dtype=float) - level)
+    depth = 0.5 * float(lyapunov.min())
+    if not depth > 0.0:
+        return None
+    return CaptureRegion(cp, radius, level, depth, sign)
 
 
 def build_adapted(field: MorseField, chart: ChartModel, crit: CriticalSet,

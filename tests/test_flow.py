@@ -4,13 +4,20 @@ import numpy as np
 
 import pytest
 
-from morseflow import catalog
-from morseflow.critical import BOUNDARY_N, INTERIOR
+from morseflow import catalog, flow
+from morseflow.critical import BOUNDARY_N, INTERIOR, find_critical_set
 from morseflow.errors import FlowTimeout
-from morseflow.flow import (CONVERGED, count_connecting_orbits, integrate,
-                            intersection_pairing, unstable_launches)
-from morseflow.geometry import path_orientation_sign
+from morseflow.fields import MorseField
+from morseflow.flow import (CONVERGED, LEFT_DOMAIN, _deck_index,
+                            count_connecting_orbits, integrate,
+                            intersection_pairing, stable_launches,
+                            unstable_launches)
+from morseflow.geometry import chart_distance, deck_apply, path_orientation_sign
 from morseflow.params import DEFAULT
+from morseflow.pseudogradient import PseudoGradientField, build_adapted
+
+# the step tolerances used before branches ended at capture regions
+TIGHT = DEFAULT.override(rtol=1e-10, atol=1e-12)
 
 
 def _zero(pkg, kind, grading):
@@ -182,3 +189,105 @@ def test_timed_out_branches_raise(packages):
     with pytest.raises(FlowTimeout):
         count_connecting_orbits(pkg.field_pos, pkg.field_pos.crit.by_id(source),
                                 pkg.field_pos.crit.by_id(sink), tol)
+
+
+def test_wall_landing_reuses_the_first_stage(packages, monkeypatch):
+    # a backward branch of the ascent field exits through the wall; every
+    # step of the landing's bisection starts from the first stage already in
+    # hand, so each Dormand-Prince step costs six evaluations and each landing
+    # one more, at the point where it lands
+    fld = packages["annulus"].field_neg
+    cp = next(c for c in fld.crit.points if c.kind == BOUNDARY_N)
+    ((_, x0),) = stable_launches(fld, cp)
+    counts = {"evaluate": 0, "step": 0, "landing": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PseudoGradientField, "evaluate",
+                        counted("evaluate", PseudoGradientField.evaluate))
+    monkeypatch.setattr(flow, "_rk_step", counted("step", flow._rk_step))
+    monkeypatch.setattr(flow, "_pull_inside", counted("landing", flow._pull_inside))
+    traj = integrate(fld, x0, reverse=True, allow_exit=True)
+    assert traj.termination == LEFT_DOMAIN
+    assert counts["landing"] >= 1
+    assert counts["evaluate"] == 1 + 6 * counts["step"] + counts["landing"]
+
+
+def test_captured_branches_end_on_the_sink(packages):
+    # the moebius band's two forward orbits end at the N minimum, one of them
+    # at its image across the seam
+    pkg = packages["moebius"]
+    chart = pkg.field_pos.chart
+    sink = _zero(pkg, BOUNDARY_N, 0)
+    inc = pkg.incidences["N"][(_zero(pkg, INTERIOR, 1).id, sink.id)]
+    images = set()
+    for orbit in inc.orbits:
+        traj = orbit.trajectory
+        j = _deck_index(chart, traj.end, sink)
+        assert np.array_equal(traj.points[-1], deck_apply(chart, j, sink.coords))
+        assert np.isfinite(traj.times[-1]) and np.all(np.diff(traj.times) > 0)
+        images.add(j)
+    assert len(images) == 2
+    # the dome's backward branch ends at the maximum, which becomes the first
+    # sample of the stored source-to-sink orbit
+    pkg = packages["tilted_dome"]
+    top = _zero(pkg, INTERIOR, 2)
+    (orbit,) = pkg.incidences["N"][(top.id, _zero(pkg, BOUNDARY_N, 1).id)].orbits
+    assert np.array_equal(orbit.trajectory.points[0], top.coords)
+    assert orbit.trajectory.times[0] == 0.0
+    assert np.all(np.diff(orbit.trajectory.times) > 0)
+
+
+def test_capture_keeps_orbit_signs_and_twists(packages, monkeypatch):
+    # without capture regions, each branch runs to the r_conv rule, which
+    # needs the tighter tolerances
+    monkeypatch.setattr(PseudoGradientField, "capture_regions",
+                        lambda self, reverse=False: ())
+    for name in ("moebius", "tilted_dome"):
+        pkg = packages[name]
+        fld = dataclasses.replace(pkg.field_pos)
+        for (pid, qid), inc in pkg.incidences["N"].items():
+            again = count_connecting_orbits(fld, fld.crit.by_id(pid),
+                                            fld.crit.by_id(qid), TIGHT)
+            assert [(o.sign, o.twist) for o in again.orbits] == \
+                [(o.sign, o.twist) for o in inc.orbits], name
+
+
+class _Swirl:
+    """A rotation about center, strong enough that the bowl below rises along
+    the field next to its minimum, which still attracts as a spiral."""
+
+    def __init__(self, center):
+        self.center = np.asarray(center, dtype=float)
+
+    def __call__(self, x):
+        d = x - self.center
+        return 10.0 * np.array([-d[1], d[0]])
+
+    def many(self, x):
+        d = x - self.center
+        return 10.0 * np.stack([-d[:, 1], d[:, 0]], axis=1)
+
+
+def test_sink_failing_its_capture_check_converges_by_r_conv():
+    # f = (x^2 + 4 y^2) / 2 + x / 10 + y / 20 on the disk, minimum (-0.1, -0.0125)
+    chart = catalog.get("disk").chart
+    bowl = MorseField(
+        value=lambda x: (0.5 * (x[..., 0] ** 2 + 4.0 * x[..., 1] ** 2)
+                         + 0.1 * x[..., 0] + 0.05 * x[..., 1]),
+        gradient=lambda x: np.stack([x[..., 0] + 0.1, 4.0 * x[..., 1] + 0.05], axis=-1),
+        hessian=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)) * np.diag([1.0, 4.0]))
+    crit = find_critical_set(bowl, chart)
+    bottom = next(cp for cp in crit.points if cp.kind == INTERIOR)
+    plain = build_adapted(bowl, chart, crit)
+    assert [r.sink.id for r in plain.capture_regions()] == [bottom.id]
+    swirled = dataclasses.replace(plain, _perturb=_Swirl(bottom.coords))
+    assert swirled.capture_regions() == ()
+    traj = integrate(swirled, bottom.coords + [0.03, 0.01], TIGHT)
+    assert traj.termination == CONVERGED and traj.target == bottom.id
+    assert chart_distance(chart, traj.end, bottom.coords) <= TIGHT.r_conv
+    assert not np.array_equal(traj.end, bottom.coords)

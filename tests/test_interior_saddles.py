@@ -81,14 +81,17 @@ def _fixture(base: str, name: str, field: MorseField):
     return entry
 
 
-@pytest.fixture(scope="module", params=["two_bump_disk", "bumped_moebius"])
+# the fixture entries by name, each made when called
+FIXTURES = {
+    "two_bump_disk": lambda: _fixture("disk", "two_bump_disk", _two_bump_field()),
+    "bumped_moebius": lambda: _fixture("moebius", "bumped_moebius",
+                                       _bumped_moebius_field()),
+}
+
+
+@pytest.fixture(scope="module", params=list(FIXTURES))
 def n_side(request):
-    entry = {
-        "two_bump_disk": lambda: _fixture("disk", "two_bump_disk",
-                                          _two_bump_field()),
-        "bumped_moebius": lambda: _fixture("moebius", "bumped_moebius",
-                                           _bumped_moebius_field()),
-    }[request.param]()
+    entry = FIXTURES[request.param]()
     crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
     launches = []
     integrate = flow.integrate
