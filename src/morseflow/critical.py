@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DegenerateCritical, PointOutsideManifold, TypeUndetermined
 from .fields import MorseField, boundary_restriction_derivatives, validate_morse
 from .geometry import (ChartModel, MetricField, Point, QuotientChart, RegionChart,
-                       boundary_distance, boundary_frame, chart_distance,
-                       normalize_point)
+                       boundary_distance, boundary_frame, boundary_frames,
+                       chart_distance, normalize_point, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -311,12 +311,12 @@ def _refine_on_boundary(field: MorseField, chart: ChartModel, x0: Array,
             if cand_pt is not None:
                 g_new, h_new = boundary_restriction_derivatives(
                     field, chart, cand_pt, metric, tol)
-                if abs(g_new) < 0.7 * abs(g_t) or abs(delta) < 1e-15:
+                if abs(g_new) < 0.7 * abs(g_t):
                     pt, g_t, h_t = cand_pt, g_new, h_new
                     break
             delta *= 0.5
             if abs(delta) < 1e-16:
-                return None
+                return None  # the line search failed
     return pt.array if abs(g_t) < tol.tol_crit else None
 
 
@@ -324,8 +324,8 @@ def _boundary_step(chart: ChartModel, x: Array, delta: float) -> Array | None:
     """Move arclength delta along the boundary through x (t = (n_y, -n_x))."""
     if isinstance(chart, QuotientChart):
         at_min = abs(x[1] - chart.v_min) < abs(x[1] - chart.v_max)
-        # tangent convention: (n_y, -n_x) with n = -+e_v
-        tangent = np.array([1.0, 0.0]) if at_min else np.array([-1.0, 0.0])
+        # tangent convention: (n_y, -n_x) with n = -e_v at v_min, +e_v at v_max
+        tangent = np.array([-1.0, 0.0]) if at_min else np.array([1.0, 0.0])
         return x + delta * tangent
     for con in chart.constraints:
         if abs(float(con.value(x))) <= 1e-7:
@@ -334,6 +334,23 @@ def _boundary_step(chart: ChartModel, x: Array, delta: float) -> Array | None:
             tangent = np.array([normal[1], -normal[0]])
             return _project_to_zero(con, x + delta * tangent)
     return None
+
+
+def _walk_slopes(field: MorseField, chart: ChartModel, loop: Array,
+                 metric: MetricField | None, tol: Tolerances) -> Array:
+    """g_t of `boundary_restriction_derivatives` at every point of a boundary
+    loop in one batch, signed along the direction the loop is walked.
+
+    The strip's edges are walked towards +u, against the frame tangent at
+    v_min; on the flip = -1 circle that reversal falls at the seams, where
+    the frame's g_t would change sign without a critical point.
+    """
+    points, normals, _ = boundary_frames(chart, loop, metric, tol)
+    tangents = np.stack([normals[:, 1], -normals[:, 0]], axis=1)
+    g_t = row_dot(np.asarray(field.gradient(points), dtype=float), tangents)
+    if isinstance(chart, QuotientChart):
+        return np.where(tangents[:, 0] < 0.0, -g_t, g_t)
+    return g_t
 
 
 def find_boundary_critical(field: MorseField, chart: ChartModel,
@@ -346,10 +363,7 @@ def find_boundary_critical(field: MorseField, chart: ChartModel,
     found: list[Array] = []
     for loop in boundary_components(chart, seed_density, tol):
         n_pts = len(loop)
-        g_vals = np.empty(n_pts)
-        for i, x in enumerate(loop):
-            pt, _ = normalize_point(chart, x, tol)
-            g_vals[i], _ = boundary_restriction_derivatives(field, chart, pt, metric, tol)
+        g_vals = _walk_slopes(field, chart, loop, metric, tol)
         typical_step = float(np.linalg.norm(loop[1] - loop[0])) if n_pts > 1 else 0.1
         candidates = []
         for i in range(n_pts):

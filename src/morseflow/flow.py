@@ -220,6 +220,8 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
             lo, hi = 0.0, 1.0
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break  # every further step would repeat this one
                 x_mid, _, _ = _rk_step(deriv, x, h * mid, k1)
                 if _violation(chart, x_mid) > 0.0:
                     hi = mid

@@ -213,6 +213,31 @@ def metric_normal(metric: MetricField, x: Array, covector: Array) -> Array:
     return vec / length
 
 
+def quadratic_forms(v: Array, g_mats: Array) -> Array:
+    """`v @ g_mat @ v` for each row, with the same bits."""
+    return row_dot(np.matmul(v[:, None, :], g_mats)[:, 0, :], v)
+
+
+def metric_matrices(metric: MetricField, x: Array) -> Array:
+    """`metric.matrix` at each row of x, stacked."""
+    rows, dim = x.shape
+    if metric.identity:
+        return np.broadcast_to(np.eye(dim), (rows, dim, dim))
+    return np.array([metric.matrix(row) for row in x], dtype=float).reshape(rows, dim, dim)
+
+
+def metric_normals(metric: MetricField, covectors: Array, g_mats: Array | None) -> Array:
+    """`metric_normal` of each row of covectors (a zero row gives nan)."""
+    if metric.identity:
+        vec = covectors
+        length = np.sqrt(row_dot(vec, vec))
+    else:
+        vec = np.linalg.solve(g_mats, covectors[:, :, None])[:, :, 0]
+        length = np.sqrt(quadratic_forms(vec, g_mats))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return vec / length[:, None]
+
+
 def boundary_data(chart: ChartModel, p: Point, metric: MetricField | None = None,
                   tol: Tolerances = DEFAULT) -> tuple[str, Array] | None:
     """Active boundary piece and outward unit normal at p, or None in the interior.
@@ -256,6 +281,56 @@ def boundary_frame(chart: ChartModel, p: Point, metric: MetricField | None = Non
     if len(p) == 1:
         return name, normal, np.zeros(1)
     return name, normal, tangent_of_normal(normal)
+
+
+def boundary_frames(chart: ChartModel, raw: Array, metric: MetricField | None = None,
+                    tol: Tolerances = DEFAULT) -> tuple[Array, Array, Array]:
+    """Canonical points, outward metric-unit normals and metric matrices of
+    boundary points, one row per row of raw.
+
+    The bits are those of `normalize_point`, `boundary_frame` and
+    `metric.matrix` point by point.  A row off the manifold, at a corner or in
+    the interior raises what those raise at the first such row.
+    """
+    x = np.array(raw, dtype=float).reshape(-1, chart.dim)
+    metric = metric or MetricField.euclidean(chart.dim)
+    geom = tol.tol_geom
+    if isinstance(chart, QuotientChart):
+        # the deck reduction of `normalize_point`, with its two rounding fixes
+        k = np.floor(x[:, 0] / chart.period)
+        canon = np.stack([x[:, 0] + -k * chart.period,
+                          x[:, 1] * np.where(k % 2 == 0, 1.0, float(chart.flip))], axis=1)
+        for shift in (-chart.period, chart.period):
+            wrapped = canon[:, 0] >= chart.period if shift < 0.0 else canon[:, 0] < 0.0
+            canon[wrapped, 0] += shift
+            canon[wrapped, 1] *= chart.flip
+        v = canon[:, 1]
+        at_min = np.abs(v - chart.v_min) <= geom
+        at_max = np.abs(v - chart.v_max) <= geom
+        bad = (v < chart.v_min - geom) | (v > chart.v_max + geom) | (at_min == at_max)
+        covectors = np.where(at_min[:, None], [0.0, -1.0], [0.0, 1.0])
+    else:
+        canon = x
+        values = np.empty((len(x), len(chart.constraints)))
+        for j, con in enumerate(chart.constraints):
+            values[:, j] = con.value(x)
+        active = np.abs(values) <= geom
+        bad = (values > geom).any(axis=1) | (active.sum(axis=1) != 1)
+        for axis, (lo, hi) in enumerate(chart.box):
+            bad |= (x[:, axis] < lo - geom) | (x[:, axis] > hi + geom)
+        covectors = np.zeros_like(x)
+        for j, con in enumerate(chart.constraints):
+            rows = np.flatnonzero(active[:, j] & ~bad)
+            covectors[rows] = con.gradient(x[rows])
+    g_mats = metric_matrices(metric, canon)
+    normals = metric_normals(metric, covectors, g_mats)
+    # `metric_normal` raises on a zero normal, where the batch divides by zero
+    bad |= ~np.isfinite(normals).all(axis=1) & np.isfinite(covectors).all(axis=1)
+    # rows the batch cannot vouch for take the per-point path, which raises
+    for i in np.flatnonzero(bad):
+        pt, _ = normalize_point(chart, x[i], tol)
+        _, normals[i], _ = boundary_frame(chart, pt, metric, tol)
+    return canon, normals, g_mats
 
 
 def path_orientation_sign(chart: ChartModel, polyline: Sequence[Sequence[float]]) -> int:

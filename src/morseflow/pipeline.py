@@ -1,8 +1,9 @@
 """Full construction: complexes in every flavor, homology against references,
 duality pairing matrices, and the empirical seed-invariance check.
 
-Each analysis traces the boundary wall once and certifies every field it
-builds (both sides, every retry seed, the pairing's retry) from that trace.
+Each analysis draws one certification sample (interior points and the traced
+wall) and certifies every field it builds (both sides, every retry seed, the
+pairing's retry) on it.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from .critical import BOUNDARY_N, INTERIOR, CriticalSet, find_critical_set
 from .errors import InvarianceFailure, NonTransverse
 from .flow import IncidenceCount, count_connecting_orbits, intersection_pairing
 from .params import DEFAULT, Tolerances
-from .pseudogradient import PseudoGradientField, WallTrace, build_adapted, trace_wall
+from .pseudogradient import (CertificationSample, PseudoGradientField, build_adapted,
+                             certification_sample)
 
 SIDES = ("N", "D")
 FLAVORS = ("untwisted", "orientation")
@@ -85,6 +87,7 @@ class MorsePackage:
     pairing: dict[int, PairingReport]
     pairing_seed: int | None
     checks: list[CheckRecord]
+    sample: CertificationSample
 
     @property
     def passed(self) -> bool:
@@ -109,13 +112,14 @@ def build_incidences(field: PseudoGradientField,
 
 
 def _build_side(entry: CatalogEntry, crit: CriticalSet, for_negative: bool,
-                base_seed: int, tol: Tolerances, wall: WallTrace | None = None):
+                base_seed: int, tol: Tolerances,
+                sample: CertificationSample | None = None):
     """Field plus incidence table, retrying with perturbation seeds as needed."""
     last: Exception | None = None
     for seed in _retry_seeds(base_seed, tol):
         field = build_adapted(entry.field, entry.chart, crit, entry.metric,
                               for_negative=for_negative, perturb_seed=seed, tol=tol,
-                              wall=wall)
+                              sample=sample)
         try:
             return field, build_incidences(field, tol)
         except NonTransverse as exc:
@@ -162,8 +166,8 @@ def _complexes(crit: CriticalSet, tables: dict[str, dict[tuple[int, int], Incide
 def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
                       field_pos: PseudoGradientField,
                       field_neg: PseudoGradientField, base_seed: int,
-                      tol: Tolerances,
-                      wall: WallTrace) -> tuple[dict[int, PairingReport], int | None]:
+                      tol: Tolerances, sample: CertificationSample,
+                      ) -> tuple[dict[int, PairingReport], int | None]:
     """Pairing matrices, reusing the certified ascent field for its own seed."""
     n = entry.chart.dim
     gens_d = crit.generators("D")
@@ -185,7 +189,7 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
         for seed in _retry_seeds(base_seed, tol):
             ascent = field_neg if seed == field_neg.perturb_seed else build_adapted(
                 entry.field, entry.chart, crit, entry.metric,
-                for_negative=True, perturb_seed=seed, tol=tol, wall=wall)
+                for_negative=True, perturb_seed=seed, tol=tol, sample=sample)
             try:
                 matrix = tuple(
                     tuple(intersection_pairing(ascent, field_pos,
@@ -206,9 +210,9 @@ def build_package(entry: CatalogEntry, seed: int = 0,
                   tol: Tolerances = DEFAULT) -> MorsePackage:
     """Run the whole construction for one catalog entry."""
     crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
-    wall = trace_wall(entry.chart, entry.metric, tol)
-    field_pos, inc_pos = _build_side(entry, crit, False, seed, tol, wall)
-    field_neg, inc_neg = _build_side(entry, crit, True, seed, tol, wall)
+    sample = certification_sample(entry.chart, entry.metric, crit, tol)
+    field_pos, inc_pos = _build_side(entry, crit, False, seed, tol, sample)
+    field_neg, inc_neg = _build_side(entry, crit, True, seed, tol, sample)
 
     complexes = _complexes(crit, {"N": inc_pos, "D": inc_neg})
     complexes["D_dual"] = complexes[complex_key("D", "untwisted")].transpose_dual()
@@ -229,7 +233,7 @@ def build_package(entry: CatalogEntry, seed: int = 0,
         orientable=entry.orientable)
 
     pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, field_neg,
-                                              seed, tol, wall)
+                                              seed, tol, sample)
 
     checks = _collect_checks(entry, crit, field_pos, field_neg, complexes,
                              homology, polys, double_report, pairing)
@@ -238,7 +242,7 @@ def build_package(entry: CatalogEntry, seed: int = 0,
         field_neg=field_neg, incidences={"N": inc_pos, "D": inc_neg},
         complexes=complexes, homology=homology, polynomials=polys,
         double_report=double_report, pairing=pairing, pairing_seed=pairing_seed,
-        checks=checks,
+        checks=checks, sample=sample,
     )
 
 
@@ -305,11 +309,16 @@ def _collect_checks(entry, crit, field_pos, field_neg, complexes, homology,
 
 def homologies_for_seed(entry: CatalogEntry, seed: int,
                         tol: Tolerances = DEFAULT,
-                        crit: CriticalSet | None = None) -> dict[str, HomologyResult]:
+                        crit: CriticalSet | None = None,
+                        sample: CertificationSample | None = None,
+                        ) -> dict[str, HomologyResult]:
+    """Every complex's homology at one perturbation seed.  `sample`, when
+    given, is `certification_sample` for `crit`, as a package holds both."""
     if crit is None:
         crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
-    wall = trace_wall(entry.chart, entry.metric, tol)
-    tables = {side: _build_side(entry, crit, side == "D", seed, tol, wall)[1]
+    if sample is None:
+        sample = certification_sample(entry.chart, entry.metric, crit, tol)
+    tables = {side: _build_side(entry, crit, side == "D", seed, tol, sample)[1]
               for side in SIDES}
     return {key: cx.homology() for key, cx in _complexes(crit, tables).items()}
 

@@ -9,10 +9,10 @@ with halved radii before giving up.
 The field has two evaluators that return the same bits: certification
 evaluates its samples in batches (`PseudoGradientField.evaluate_many`), and
 the flow integrator evaluates point by point (`PseudoGradientField.evaluate`),
-where a one-row batch would cost several times as much.  The wall samples
-depend only on the chart, the metric and the tolerances, so one analysis
-traces the boundary loops once (`trace_wall`) and certifies every field it
-builds from that trace.
+where a one-row batch would cost several times as much.  The certification
+sample (interior points and the traced wall) depends only on the chart, the
+metric, the critical coordinates and the tolerances, so one analysis draws it
+once (`certification_sample`) and certifies every field it builds on it.
 """
 from __future__ import annotations
 
@@ -26,9 +26,10 @@ from .critical import (BOUNDARY_D, BOUNDARY_N, CriticalPoint, CriticalSet,
 from .errors import BlendGapFailure
 from .fields import MorseField
 from .geometry import (ChartModel, MetricField, QuotientChart, RegionChart,
-                       boundary_data, boundary_distance, boundary_distance_many,
+                       boundary_distance, boundary_distance_many, boundary_frames,
                        chart_distance, chart_distance_many, deck_apply, deck_sign,
-                       metric_normal, normalize_point, row_dot)
+                       metric_matrices, metric_normal, metric_normals,
+                       quadratic_forms, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -216,36 +217,19 @@ def _collar_cap(nu: float, g_t: float, tol: Tolerances) -> float:
     return min(tol.eps_n, g_t * g_t / (2.0 * abs(nu)))
 
 
-def _quadratic_forms(v: Array, g_mats: Array) -> Array:
-    """`v @ g_mat @ v` for each row, with the same bits."""
-    return row_dot(np.matmul(v[:, None, :], g_mats)[:, 0, :], v)
-
-
-def _metric_normals(metric: MetricField, covectors: Array, g_mats: Array | None) -> Array:
-    """`metric_normal` of each row of covectors (a zero row gives nan)."""
-    if metric.identity:
-        vec = covectors
-        length = np.sqrt(row_dot(vec, vec))
-    else:
-        vec = np.linalg.solve(g_mats, covectors[:, :, None])[:, :, 0]
-        length = np.sqrt(_quadratic_forms(vec, g_mats))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return vec / length[:, None]
-
-
 def _piece_depths_normals(chart: ChartModel, metric: MetricField, piece, x: Array,
                           g_mats: Array | None) -> tuple[Array, Array]:
     """`_piece_depth_normal` at each row of x; a row without a normal gets depth inf."""
     if piece in ("v_min", "v_max"):
         depth = x[:, 1] - chart.v_min if piece == "v_min" else chart.v_max - x[:, 1]
         wall = _E_DOWN if piece == "v_min" else _E_UP
-        return depth, _metric_normals(metric, np.broadcast_to(wall, x.shape), g_mats)
+        return depth, metric_normals(metric, np.broadcast_to(wall, x.shape), g_mats)
     grad = np.asarray(piece.gradient(x), dtype=float)
     gnorm = np.sqrt(row_dot(grad, grad))
     with np.errstate(divide="ignore", invalid="ignore"):
         depth = -np.asarray(piece.value(x), dtype=float) / gnorm
     depth = np.where(gnorm < 1e-30, math.inf, depth)
-    return depth, _metric_normals(metric, grad, g_mats)
+    return depth, metric_normals(metric, grad, g_mats)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +390,7 @@ class PseudoGradientField:
             g_mats = None
             vec = -grad
         else:
-            g_mats = np.array([self.metric.matrix(row) for row in x],
-                              dtype=float).reshape(len(x), x.shape[1], x.shape[1])
+            g_mats = metric_matrices(self.metric, x)
             vec = -np.linalg.solve(g_mats, grad[:, :, None])[:, :, 0]
 
         # collar at the nearest wall; on a tie the first piece wins, as in
@@ -428,7 +411,7 @@ class PseudoGradientField:
             if identity:
                 g_t = np.sqrt(row_dot(tangential, tangential))
             else:
-                g_t = np.sqrt(np.maximum(_quadratic_forms(tangential, g_mats[i]), 0.0))
+                g_t = np.sqrt(np.maximum(quadratic_forms(tangential, g_mats[i]), 0.0))
             with np.errstate(divide="ignore", invalid="ignore"):
                 soft = np.minimum(self.tol.eps_n, g_t * g_t / (2.0 * np.abs(nu)))
             cap = np.where(nu >= 0.0, self.tol.eps_n,
@@ -566,80 +549,76 @@ def _manifold_sample(chart: ChartModel, crit: CriticalSet, count: int,
 
 
 @dataclass(frozen=True, eq=False)
-class WallTrace:
-    """Boundary-loop samples for certification, one row per point on the wall."""
+class CertificationSample:
+    """The points every field of one analysis is certified on: interior
+    Halton points away from the critical points, and the boundary loops.
 
-    loop_points: Array   # raw points of the traced loops
-    points: Array        # their canonical coordinates
+    The sample depends only on the chart, the metric, the critical
+    coordinates and the tolerances, so both sides, every shrink retry and
+    every retry seed share it.
+    """
+
+    interior: Array
+    loop_points: Array   # raw points of the traced boundary loops
+    wall: Array          # their canonical coordinates
     normals: Array       # outward metric-unit normals
     g_mats: Array        # metric matrices
 
 
-def trace_wall(chart: ChartModel, metric: MetricField | None,
-               tol: Tolerances = DEFAULT) -> WallTrace:
-    """Trace the boundary loops once for every field certified on chart and metric."""
-    metric = metric or MetricField.euclidean(chart.dim)
+def certification_sample(chart: ChartModel, metric: MetricField | None,
+                         crit: CriticalSet,
+                         tol: Tolerances = DEFAULT) -> CertificationSample:
+    """Draw the interior points and trace the boundary loops once."""
     if isinstance(chart, QuotientChart):
         pieces = 1 if chart.flip == -1 else 2
     else:
         pieces = max(1, len(chart.constraints))
     per_loop = max(1, tol.cert_boundary_samples // pieces)
-    loop_points, points, normals, g_mats = [], [], [], []
-    for loop in boundary_components(chart, per_loop, tol):
-        for x in loop:
-            pt, _ = normalize_point(chart, x, tol)
-            data = boundary_data(chart, pt, metric, tol)
-            if data is None:
-                continue
-            loop_points.append(x)
-            points.append(pt.array)
-            normals.append(data[1])
-            g_mats.append(np.asarray(metric.matrix(pt.array), dtype=float))
-    dim = chart.dim
-    return WallTrace(np.reshape(loop_points, (-1, dim)), np.reshape(points, (-1, dim)),
-                     np.reshape(normals, (-1, dim)), np.reshape(g_mats, (-1, dim, dim)))
+    loops = boundary_components(chart, per_loop, tol)
+    loop_points = np.concatenate(loops) if loops else np.empty((0, chart.dim))
+    return CertificationSample(
+        _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl, tol),
+        loop_points, *boundary_frames(chart, loop_points, metric, tol))
 
 
-def _wall_sample(field: PseudoGradientField, tol: Tolerances,
-                 wall: WallTrace | None = None) -> tuple[Array, Array, Array]:
+def _wall_sample(field: PseudoGradientField,
+                 sample: CertificationSample) -> tuple[Array, Array, Array]:
     """Wall points outside the field's tangency patches, each with its outward
     normal and metric matrix.
 
-    The points come from `wall`, traced here when not given; only the patch
-    filter, which depends on the field's type-N points and r_n, is per build.
+    Only this patch filter, which depends on the field's type-N points and
+    r_n, is per build.
     """
-    if wall is None:
-        wall = trace_wall(field.chart, field.metric, tol)
-    keep = np.ones(len(wall.loop_points), dtype=bool)
+    keep = np.ones(len(sample.loop_points), dtype=bool)
     for cp in field.crit.points:
         if cp.kind == BOUNDARY_N:
-            keep &= chart_distance_many(field.chart, wall.loop_points,
+            keep &= chart_distance_many(field.chart, sample.loop_points,
                                         cp.coords) >= field.r_n
-    return wall.points[keep], wall.normals[keep], wall.g_mats[keep]
+    return sample.wall[keep], sample.normals[keep], sample.g_mats[keep]
 
 
 def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
                     attempts: int = 0,
-                    wall: WallTrace | None = None) -> AdaptednessCertificate:
+                    sample: CertificationSample | None = None) -> AdaptednessCertificate:
     """Sample-based check of the four adaptedness conditions.
 
-    `wall` is `trace_wall(field.chart, field.metric, tol)`, traced here when
-    not given.
+    `sample` is `certification_sample(field.chart, field.metric, field.crit,
+    tol)`, drawn here when not given.  A NaN at any sample fails the
+    certificate.
     """
     chart, crit = field.chart, field.crit
     obj = field.objective
-    interior = _manifold_sample(chart, crit, tol.cert_interior_samples,
-                                tol.r_excl, tol)
-    vecs = field.evaluate_many(interior)
+    if sample is None:
+        sample = certification_sample(chart, field.metric, crit, tol)
+    interior = sample.interior
     grads = np.asarray(obj.gradient(interior), dtype=float)
-    descent = -math.inf
-    for g, vec in zip(grads, vecs):
-        descent = max(descent, float(g @ vec))
+    descent = float(np.max(row_dot(grads, field.evaluate_many(interior)),
+                           initial=-math.inf))
 
-    on_wall, normals, g_mats = _wall_sample(field, tol, wall)
-    inward = math.inf
-    for vec, g_mat, normal in zip(field.evaluate_many(on_wall), g_mats, normals):
-        inward = min(inward, -float(vec @ g_mat @ normal))
+    on_wall, normals, g_mats = _wall_sample(field, sample)
+    pushed = np.matmul(field.evaluate_many(on_wall)[:, None, :], g_mats)[:, 0, :]
+    # 1.0 when no wall point lies outside the patches, so nothing is tested
+    inward = float(np.min(-row_dot(pushed, normals))) if len(on_wall) else 1.0
 
     interior_def = -math.inf
     tangency_def = -math.inf
@@ -672,9 +651,6 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
         interior_def = -1.0
     if not has_tangency:
         tangency_def = -1.0
-    if inward is math.inf:
-        inward = 1.0  # no boundary points outside patches to test
-
     return AdaptednessCertificate(
         descent_margin=descent,
         inward_margin=inward,
@@ -765,17 +741,17 @@ def build_adapted(field: MorseField, chart: ChartModel, crit: CriticalSet,
                   for_negative: bool = False,
                   perturb_seed: int | None = None,
                   tol: Tolerances = DEFAULT,
-                  wall: WallTrace | None = None) -> PseudoGradientField:
+                  sample: CertificationSample | None = None) -> PseudoGradientField:
     """Assemble and certify a descent field for f (or for -f when requested).
 
     Retries with halved patch and collar radii when certification fails;
-    raises BlendGapFailure when no retry passes.  `wall` is
-    `trace_wall(chart, metric, tol)`, which an analysis traces once for all
-    its builds; without it the build traces the wall itself.
+    raises BlendGapFailure when no retry passes.  `sample` is
+    `certification_sample(chart, metric, crit, tol)`, which an analysis
+    draws once for all its builds; without it the build draws its own.
     """
     metric = metric or MetricField.euclidean(chart.dim)
-    if wall is None:
-        wall = trace_wall(chart, metric, tol)
+    if sample is None:
+        sample = certification_sample(chart, metric, crit, tol)
     if for_negative:
         objective = field.negated()
         crit_obj = reclassify_negated(crit, field, chart)
@@ -796,7 +772,7 @@ def build_adapted(field: MorseField, chart: ChartModel, crit: CriticalSet,
             for_negative=for_negative, perturb_seed=perturb_seed,
             _perturb=perturb, tol=tol,
         )
-        cert = certify_adapted(pg, tol, attempts=attempt + 1, wall=wall)
+        cert = certify_adapted(pg, tol, attempts=attempt + 1, sample=sample)
         pg.certificate = cert
         if cert.passed:
             return pg

@@ -170,12 +170,13 @@ def check_double_identities(ctx: VerificationContext):
 
 @_criterion(9, "homology invariant across perturbation seeds")
 def check_invariance(ctx: VerificationContext, seeds=(1, 2, 3)):
-    """The critical set does not depend on the perturbation seed, so each
-    seed reuses the one in the package."""
+    """The critical set and the certification sample do not depend on the
+    perturbation seed, so each seed reuses the package's."""
     for name in catalog.names():
         pkg = ctx.package(name)
         assert_identical_homology(
-            {s: homologies_for_seed(pkg.entry, s, ctx.tol, pkg.crit) for s in seeds})
+            {s: homologies_for_seed(pkg.entry, s, ctx.tol, pkg.crit, pkg.sample)
+             for s in seeds})
     return True, f"seeds {tuple(seeds)} agree on every entry and flavor"
 
 
@@ -294,7 +295,9 @@ def _gradient_fd_error(entry, rng, samples: int = 200) -> float:
 
 
 def _boundary_fd_error(entry, pkg) -> float:
-    """Arclength finite differences of the restriction at boundary criticals."""
+    """Arclength finite differences of the restriction at the boundary
+    criticals and a fixed arclength either side of each, where the first
+    difference also checks the sign of the step along the boundary."""
     chart, field = entry.chart, entry.field
     if chart.dim != 2:
         return 0.0
@@ -303,16 +306,17 @@ def _boundary_fd_error(entry, pkg) -> float:
     for cp in pkg.crit.points:
         if cp.kind == INTERIOR:
             continue
-        x0 = cp.coords
-        f0 = float(field.value(x0))
-        plus = _boundary_step(chart, x0, h)
-        minus = _boundary_step(chart, x0, -h)
-        if plus is None or minus is None:
-            continue
-        fd_second = (float(field.value(plus)) - 2 * f0 + float(field.value(minus))) / h ** 2
-        pt, _ = normalize_point(chart, x0)
-        _, h_t = boundary_restriction_derivatives(field, chart, pt, entry.metric)
-        worst = max(worst, abs(fd_second - h_t) / max(1.0, abs(h_t)))
+        for x0 in (cp.coords, _boundary_step(chart, cp.coords, 0.1),
+                   _boundary_step(chart, cp.coords, -0.1)):
+            plus = _boundary_step(chart, x0, h) if x0 is not None else None
+            minus = _boundary_step(chart, x0, -h) if x0 is not None else None
+            if plus is None or minus is None:
+                continue
+            f0, fp, fm = (float(field.value(x)) for x in (x0, plus, minus))
+            pt, _ = normalize_point(chart, x0)
+            g_t, h_t = boundary_restriction_derivatives(field, chart, pt, entry.metric)
+            worst = max(worst, abs((fp - fm) / (2 * h) - g_t) / max(1.0, abs(g_t)),
+                        abs((fp - 2 * f0 + fm) / h ** 2 - h_t) / max(1.0, abs(h_t)))
     return worst
 
 

@@ -1,0 +1,217 @@
+"""The batched boundary layer against the per-point one.
+
+`geometry.boundary_frames` gives the wall trace and the critical search their
+boundary points, normals and metric matrices in one batch, and
+`critical._walk_slopes` the tangential derivatives scanned for sign changes.
+Both must return the bits, and raise the errors, of `normalize_point`,
+`boundary_frame`, `metric.matrix` and `boundary_restriction_derivatives` point
+by point, so every comparison here is exact.  Each analysis draws its
+certification sample once.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from morseflow import catalog, critical, fields, geometry, pipeline, pseudogradient
+from morseflow.critical import _walk_slopes, boundary_components
+from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
+from morseflow.fields import MorseField, boundary_restriction_derivatives
+from morseflow.geometry import (BoundaryConstraint, MetricField, RegionChart,
+                                boundary_frame, boundary_frames, normalize_point)
+from morseflow.params import DEFAULT
+from morseflow.pseudogradient import certification_sample, certify_adapted
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def per_point_frames(chart, loop, metric):
+    points, normals, g_mats = [], [], []
+    for x in loop:
+        pt, _ = normalize_point(chart, x)
+        points.append(pt.array)
+        normals.append(boundary_frame(chart, pt, metric)[1])
+        g_mats.append(np.asarray(metric.matrix(pt.array), dtype=float))
+    return np.array(points), np.array(normals), np.array(g_mats)
+
+
+def scaled(name):
+    entry = catalog.get(name)
+    return dataclasses.replace(entry, metric=MetricField.scaled(entry.chart.dim, 2.0))
+
+
+ENTRIES = [(name, lambda name=name: catalog.get(name)) for name in catalog.names()] + [
+    (f"{name}-scaled", lambda name=name: scaled(name)) for name in ("disk", "annulus")]
+
+
+def search_and_wall_loops(chart):
+    """The critical search's loops and the wall trace's loops."""
+    return (boundary_components(chart, DEFAULT.boundary_samples)
+            + boundary_components(chart, DEFAULT.cert_boundary_samples // 2))
+
+
+@pytest.mark.parametrize("label, make", ENTRIES, ids=[label for label, _ in ENTRIES])
+def test_frames_match_per_point(label, make):
+    entry = make()
+    for loop in search_and_wall_loops(entry.chart):
+        got = boundary_frames(entry.chart, loop, entry.metric)
+        want = per_point_frames(entry.chart, loop, entry.metric)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("label, make", ENTRIES, ids=[label for label, _ in ENTRIES])
+def test_walk_slopes_match_per_point(label, make):
+    entry = make()
+    if entry.chart.dim != 2:
+        return
+    for loop in search_and_wall_loops(entry.chart):
+        got = _walk_slopes(entry.field, entry.chart, loop, entry.metric, DEFAULT)
+        want = [boundary_restriction_derivatives(
+            entry.field, entry.chart, normalize_point(entry.chart, x)[0], entry.metric)[0]
+            for x in loop]
+        # oriented along the walk: only a sign may differ
+        assert same_bits(np.abs(got), np.abs(want))
+
+
+def test_walk_slopes_follow_the_moebius_boundary_circle():
+    # the one boundary circle of the band, walked along the top edge and then
+    # the bottom edge: f = v sin(u/2) falls and rises once along it, so its
+    # slope changes sign at the two critical points and nowhere else, not at
+    # the seams where the frame tangent reverses
+    entry = catalog.get("moebius")
+    (loop,) = boundary_components(entry.chart, DEFAULT.boundary_samples)
+    g = _walk_slopes(entry.field, entry.chart, loop, entry.metric, DEFAULT)
+    changes = np.flatnonzero(np.sign(g) != np.sign(np.roll(g, -1)))
+    u = loop[changes, 0]
+    assert len(changes) == 2
+    assert np.all(np.abs(u - np.pi) < 0.05)
+
+
+def corner_chart():
+    def wall(name, axis):
+        def gradient(x):
+            out = np.zeros(np.shape(x))
+            out[..., axis] = 1.0
+            return out
+        return BoundaryConstraint(name, lambda x: x[..., axis] - 1.0, gradient,
+                                  lambda x: np.zeros(np.shape(x)[:-1] + (2, 2)))
+    return RegionChart(2, ((-2.0, 1.0), (-2.0, 1.0)), (wall("right", 0), wall("top", 1)))
+
+
+def error_of(call):
+    try:
+        call()
+    except (PointOutsideManifold, AmbiguousBoundary, NotOnBoundary) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def per_point_error(chart, rows):
+    def run():
+        for x in rows:
+            pt, _ = normalize_point(chart, x)
+            boundary_frame(chart, pt)
+    return error_of(run)
+
+
+EDGE = [1.0, 0.0]          # on the corner chart's right wall
+OUTSIDE = [1.5, 0.0]       # beyond the right wall
+CORNER = [1.0, 1.0]        # on both walls
+INSIDE = [0.0, 0.0]
+
+
+@pytest.mark.parametrize("chart, rows", [
+    (corner_chart(), [EDGE, OUTSIDE, CORNER]),
+    (corner_chart(), [EDGE, CORNER, OUTSIDE]),
+    (corner_chart(), [EDGE, INSIDE, CORNER]),
+    (corner_chart(), [[-3.0, 0.0]]),
+    (catalog.get("disk").chart, [[0.0, -1.0], [0.0, 0.5]]),
+    (catalog.get("moebius").chart, [[1.0, 1.0], [9.0, 1.5]]),
+    (catalog.get("moebius").chart, [[1.0, -1.0], [1.0, 0.25]]),
+    (geometry.QuotientChart(1.0, -1e-12, 1e-12, -1), [[0.5, 0.0]]),
+], ids=["outside", "corner", "interior", "box", "disk-interior", "strip-outside",
+        "strip-interior", "strip-degenerate"])
+def test_frames_raise_the_per_point_error(chart, rows):
+    want = per_point_error(chart, rows)
+    assert want is not None
+    assert error_of(lambda: boundary_frames(chart, np.array(rows))) == want
+
+
+def test_package_draws_one_certification_sample(monkeypatch):
+    draws, builds = [], []
+    draw = pseudogradient._manifold_sample
+    build = pipeline.build_adapted
+
+    def counted_draw(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        builds.append(kwargs["perturb_seed"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pseudogradient, "_manifold_sample", counted_draw)
+    monkeypatch.setattr(pipeline, "build_adapted", counted_build)
+    pkg = pipeline.build_package(catalog.get("annulus"))
+    assert len(builds) == 3
+    assert len(draws) == 1
+    # each field's certificate counts the shared interior sample
+    for fld in (pkg.field_pos, pkg.field_neg):
+        assert fld.certificate.interior_samples == len(pkg.sample.interior)
+
+
+def test_invariance_reuses_the_package_sample(packages, monkeypatch):
+    draws = []
+    draw = pseudogradient.certification_sample
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "certification_sample", counted)
+    pkg = packages["interval"]
+    pipeline.homologies_for_seed(pkg.entry, 1, DEFAULT, pkg.crit, pkg.sample)
+    assert draws == []
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
+    calls = []
+    for fn in (geometry.normalize_point, geometry.boundary_data,
+               fields.boundary_restriction_derivatives):
+        def counted(*args, fn=fn, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        for mod in (geometry, critical, fields, pseudogradient):
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    entry = catalog.get(name)
+    crit = packages[name].crit
+    sample = certification_sample(entry.chart, entry.metric, crit)
+    assert len(sample.wall) > 0
+    if entry.chart.dim == 2:
+        for loop in boundary_components(entry.chart, DEFAULT.boundary_samples):
+            _walk_slopes(entry.field, entry.chart, loop, entry.metric, DEFAULT)
+    assert calls == []
+
+
+def test_nan_gradient_at_one_sample_fails_the_certificate(packages):
+    field = packages["disk"].field_pos
+    sample = certification_sample(field.chart, field.metric, field.crit)
+    bad = sample.interior[17]
+    gradient = field.objective.gradient
+
+    def spoiled(x):
+        out = np.array(gradient(x), dtype=float)
+        out[np.all(np.asarray(x) == bad, axis=-1)] = np.nan
+        return out
+
+    objective = MorseField(field.objective.value, spoiled, field.objective.hessian)
+    cert = certify_adapted(dataclasses.replace(field, objective=objective), sample=sample)
+    assert np.isnan(cert.descent_margin)
+    assert not cert.descent_ok and not cert.passed
+    # the same field without the NaN passes on the same sample
+    assert certify_adapted(field, sample=sample).passed

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from morseflow import catalog
-from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR,
-                                find_boundary_critical, find_critical_set,
-                                find_interior_critical)
-from morseflow.geometry import MetricField, QuotientChart, chart_distance
+from morseflow import catalog, critical
+from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, _boundary_step,
+                                boundary_components, find_boundary_critical,
+                                find_critical_set, find_interior_critical)
+from morseflow.fields import boundary_restriction_derivatives
+from morseflow.geometry import MetricField, QuotientChart, chart_distance, normalize_point
+from morseflow.params import DEFAULT
+from morseflow.pipeline import build_package
 
 
 def test_expected_partition_reproduced(packages):
@@ -167,3 +170,53 @@ def test_orientation_frames_span_unstable_directions(packages):
                 assert len(cp.orientation_ref) == cp.unstable_dim
                 for vec in cp.frame_arrays():
                     assert np.linalg.norm(vec) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("samples", [300, 398, 402, 1000])
+def test_moebius_found_at_any_walk_density(packages, samples):
+    # u = pi, where both boundary critical points sit, is a walk point only
+    # at some densities; elsewhere the refinement must walk onto it
+    base = packages["moebius"]
+    tol = DEFAULT.override(boundary_samples=samples)
+    pkg = build_package(base.entry, 0, tol)
+    assert [(p.kind, p.grading) for p in pkg.crit.points] \
+        == [(p.kind, p.grading) for p in base.crit.points]
+    for got, want in zip(pkg.crit.points, base.crit.points):
+        assert chart_distance(base.entry.chart, got.coords, want.coords) < 1e-9
+    assert {k: h.as_dict() for k, h in pkg.homology.items()} \
+        == {k: h.as_dict() for k, h in base.homology.items()}
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names()
+                                  if catalog.get(n).chart.dim == 2])
+def test_boundary_step_follows_the_frame_tangent(name):
+    # first order: stepping +-h along the boundary changes f by +-h g_t, so
+    # a step against the tangent of `boundary_frame` shows as a sign error
+    entry = catalog.get(name)
+    h = 1e-5
+    for loop in boundary_components(entry.chart, 48):
+        for x in loop:
+            pt, _ = normalize_point(entry.chart, x)
+            g_t, _ = boundary_restriction_derivatives(entry.field, entry.chart, pt)
+            plus = _boundary_step(entry.chart, pt.array, h)
+            minus = _boundary_step(entry.chart, pt.array, -h)
+            fd = (float(entry.field.value(plus)) - float(entry.field.value(minus))) / (2 * h)
+            assert fd == pytest.approx(g_t, abs=1e-6), f"{name} at {x}"
+
+
+def test_refinement_ends_when_its_line_search_fails(monkeypatch):
+    # below the rounding floor of g_t no step can shrink |g_t|: the refinement
+    # gives up at once instead of accepting ever smaller steps
+    entry = catalog.get("moebius")
+    calls = []
+    derivatives = critical.boundary_restriction_derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return derivatives(*args, **kwargs)
+
+    monkeypatch.setattr(critical, "boundary_restriction_derivatives", counted)
+    tol = DEFAULT.override(tol_crit=1e-300)
+    assert critical._refine_on_boundary(entry.field, entry.chart, np.array([3.0, 1.0]),
+                                        entry.metric, tol, max_move=0.1) is None
+    assert len(calls) <= 10

@@ -12,8 +12,8 @@ from morseflow import catalog
 from morseflow.critical import find_critical_set
 from morseflow.geometry import MetricField
 from morseflow.params import DEFAULT
-from morseflow.pseudogradient import (PseudoGradientField, _manifold_sample,
-                                      _wall_sample, build_adapted, certify_adapted)
+from morseflow.pseudogradient import (PseudoGradientField, _wall_sample, build_adapted,
+                                      certification_sample, certify_adapted)
 
 
 def assert_same_bits(field, points):
@@ -25,10 +25,8 @@ def assert_same_bits(field, points):
 
 
 def certification_samples(field):
-    interior = _manifold_sample(field.chart, field.crit, DEFAULT.cert_interior_samples,
-                                DEFAULT.r_excl, DEFAULT)
-    wall = np.array(_wall_sample(field, DEFAULT)[0])
-    return interior, wall
+    sample = certification_sample(field.chart, field.metric, field.crit, DEFAULT)
+    return sample.interior, _wall_sample(field, sample)[0]
 
 
 def side_fields(entry, crit, seed):

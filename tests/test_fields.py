@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morseflow import catalog
+from morseflow import catalog, verify
 from morseflow.critical import find_boundary_critical
 from morseflow.errors import NotMorse
 from morseflow.fields import (MorseField, boundary_restriction_derivatives,
@@ -41,6 +41,15 @@ def test_disk_restriction_side_not_critical():
 def test_restriction_matches_arclength_differences(packages):
     for name, pkg in packages.items():
         assert _boundary_fd_error(catalog.get(name), pkg) < 1e-4
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus", "moebius", "tilted_dome"])
+def test_arclength_differences_see_a_reversed_step(packages, name, monkeypatch):
+    # the second difference is symmetric in the step; the first is not
+    step = verify._boundary_step
+    monkeypatch.setattr(verify, "_boundary_step",
+                        lambda chart, x, delta: step(chart, x, -delta))
+    assert _boundary_fd_error(catalog.get(name), packages[name]) > 1e-4
 
 
 def test_gradient_matches_value_differences():

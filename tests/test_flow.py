@@ -217,6 +217,28 @@ def test_wall_landing_reuses_the_first_stage(packages, monkeypatch):
     assert counts["evaluate"] == 1 + 6 * counts["step"] + counts["landing"]
 
 
+def test_wall_bisection_stops_when_the_bracket_cannot_shrink(packages, monkeypatch):
+    # once the midpoint rounds to an end of the bracket, every further
+    # bisection step would repeat that end's step; on this branch the
+    # bracket stops shrinking after about 55 of the 60 steps allowed
+    fld = packages["annulus"].field_neg
+    cp = next(c for c in fld.crit.points if c.kind == BOUNDARY_N)
+    ((_, x0),) = stable_launches(fld, cp)
+    starts = []
+    rk_step = flow._rk_step
+
+    def recorded(deriv, x, h, k1):
+        starts.append(tuple(x))
+        return rk_step(deriv, x, h, k1)
+
+    monkeypatch.setattr(flow, "_rk_step", recorded)
+    traj = integrate(fld, x0, reverse=True, allow_exit=True)
+    assert traj.termination == LEFT_DOMAIN
+    # every step from where the landing starts: the trial step that left the
+    # manifold, the bisection and the landing
+    assert starts.count(starts[-1]) < 60
+
+
 def test_captured_branches_end_on_the_sink(packages):
     # the moebius band's two forward orbits end at the N minimum, one of them
     # at its image across the seam
