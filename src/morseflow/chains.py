@@ -218,32 +218,6 @@ class IntegerChainComplex:
             mats[tgt] = flipped
         return IntegerChainComplex(self.top_dim, -self.step, self.generators, mats)
 
-    def conjugated(self, order: dict[int, list[int]] | None = None,
-                   signs: dict[int, int] | None = None) -> "IntegerChainComplex":
-        """Reorder generators within degrees and/or flip generator signs."""
-        order = order or {}
-        signs = signs or {}
-        perm: dict[int, list[int]] = {}
-        new_gens = []
-        for k in range(self.top_dim + 1):
-            ids = list(self.generators[k])
-            perm[k] = order.get(k, list(range(len(ids))))
-            new_gens.append(tuple(ids[i] for i in perm[k]))
-        sign_of = lambda gid: signs.get(gid, 1)
-        mats = {}
-        for k, mat in self.matrices.items():
-            tgt = k + self.step
-            rows = perm[k]
-            cols = perm[tgt] if 0 <= tgt <= self.top_dim else []
-            new = zeros(len(rows), len(cols))
-            for i, oi in enumerate(rows):
-                for j, oj in enumerate(cols):
-                    gi = self.generators[k][oi]
-                    gj = self.generators[tgt][oj]
-                    new[i][j] = mat[oi][oj] * sign_of(gi) * sign_of(gj)
-            mats[k] = new
-        return IntegerChainComplex(self.top_dim, self.step, tuple(new_gens), mats)
-
     def as_dict(self) -> dict:
         return {
             "step": self.step,

@@ -191,7 +191,17 @@ def find_interior_critical(field: MorseField, chart: ChartModel,
 
 
 def _project_to_zero(con, x: Array, max_iter: int = 60) -> Array | None:
+    """Newton projection onto the zero set of con, of one point or of each row
+    of an array of points; None when a projection fails.
+
+    Every row runs the one-point iteration on its own: it stops once
+    |value| < 1e-13, within max_iter steps, and fails at a vanishing gradient.
+    The walks project one point at a time, which a one-row batch would make
+    about four times as slow.
+    """
     x = np.array(x, dtype=float)
+    if x.ndim == 2:
+        return _project_rows(con, x, max_iter)
     for _ in range(max_iter):
         val = float(con.value(x))
         if abs(val) < 1e-13:
@@ -204,15 +214,50 @@ def _project_to_zero(con, x: Array, max_iter: int = 60) -> Array | None:
     return None
 
 
+def _project_rows(con, x: Array, max_iter: int) -> Array | None:
+    todo = np.arange(len(x))
+    for _ in range(max_iter):
+        val = np.asarray(con.value(x[todo]), dtype=float)
+        moving = np.abs(val) >= 1e-13
+        todo, val = todo[moving], val[moving]
+        if not len(todo):
+            return x
+        grad = np.asarray(con.gradient(x[todo]), dtype=float)
+        gg = row_dot(grad, grad)
+        if (gg < 1e-30).any():
+            return None
+        x[todo] = x[todo] - val[:, None] * grad / gg[:, None]
+    return None
+
+
+def _uniform_arclength(polygon: Array, samples: int) -> Array:
+    """`samples` points at equal arclength along a closed polygon, the first
+    at its first vertex."""
+    edges = np.roll(polygon, -1, axis=0) - polygon
+    lengths = np.sqrt(row_dot(edges, edges))
+    ends = np.cumsum(lengths)
+    s = ends[-1] * np.arange(samples) / samples
+    edge = np.searchsorted(ends, s, side="right")
+    along = s - np.concatenate([[0.0], ends[:-1]])[edge]
+    return polygon[edge] + (along / lengths[edge])[:, None] * edges[edge]
+
+
 def _trace_region_loop(chart: RegionChart, con, samples: int,
                        tol: Tolerances) -> Array | None:
-    """Ordered closed loop of points on one constraint's zero set, or None."""
-    probe = _seed_grid(chart, 40)
-    vals = np.abs(np.asarray(con.value(probe), dtype=float))
+    """Ordered closed loop of `samples` points on one constraint's zero set,
+    or None.
+
+    A coarse walk (steps of 2% of the chart's span) goes once round the
+    curve; the loop's points are spaced evenly in arclength along that walk's
+    polygon and projected onto the curve in one batch.  Should the batch fail
+    to converge, the walk's own points are the loop.
+    """
+    grid = _seed_grid(chart, 40)
+    vals = np.abs(np.asarray(con.value(grid), dtype=float))
     order = np.argsort(vals)
     start = None
     for i in order[:200]:
-        cand = _project_to_zero(con, probe[i])
+        cand = _project_to_zero(con, grid[i])
         if cand is None:
             continue
         inside_box = all(lo - 1e-9 <= cand[a] <= hi + 1e-9
@@ -225,32 +270,25 @@ def _trace_region_loop(chart: RegionChart, con, samples: int,
     if start is None:
         return None
 
-    def walk(step: float, cap: int) -> list[Array] | None:
-        pts = [start]
-        x = start
-        for _ in range(cap):
-            grad = np.asarray(con.gradient(x), dtype=float)
-            normal = grad / np.linalg.norm(grad)
-            tangent = np.array([normal[1], -normal[0]])
-            nxt = _project_to_zero(con, x + step * tangent)
-            if nxt is None:
-                return None
-            if len(pts) > 5 and float(np.linalg.norm(nxt - start)) < 0.6 * step:
-                return pts
-            pts.append(nxt)
-            x = nxt
+    step = 0.02 * max(hi - lo for lo, hi in chart.box)
+    walk = [start]
+    x = start
+    for _ in range(20000):
+        grad = np.asarray(con.gradient(x), dtype=float)
+        normal = grad / np.linalg.norm(grad)
+        tangent = np.array([normal[1], -normal[0]])
+        nxt = _project_to_zero(con, x + step * tangent)
+        if nxt is None:
+            return None
+        if len(walk) > 5 and float(np.linalg.norm(nxt - start)) < 0.6 * step:
+            break
+        walk.append(nxt)
+        x = nxt
+    else:
         return None
-
-    span = max(hi - lo for lo, hi in chart.box)
-    probe_pts = walk(0.02 * span, 20000)
-    if probe_pts is None:
-        return None
-    length = sum(float(np.linalg.norm(b - a))
-                 for a, b in zip(probe_pts, probe_pts[1:] + [probe_pts[0]]))
-    loop = walk(length / samples, 4 * samples)
-    if loop is None:
-        loop = probe_pts
-    return np.array(loop)
+    polygon = np.array(walk)
+    loop = _project_to_zero(con, _uniform_arclength(polygon, samples))
+    return polygon if loop is None else loop
 
 
 def boundary_components(chart: ChartModel, samples: int | None = None,

@@ -215,20 +215,27 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
-        # boundary guard
+        # boundary guard: bisect the step for the wall, keeping the step at
+        # hi, which lands; a midpoint step equal to one already taken needs
+        # no new step, since its side is known
         if _violation(chart, x_new) > 1e-12:
-            lo, hi = 0.0, 1.0
+            lo, hi, x_hi = 0.0, 1.0, x_new
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break  # every further step would repeat this one
+                if h * mid == h * lo:
+                    lo = mid
+                    continue
+                if h * mid == h * hi:
+                    hi = mid
+                    continue
                 x_mid, _, _ = _rk_step(deriv, x, h * mid, k1)
                 if _violation(chart, x_mid) > 0.0:
-                    hi = mid
+                    hi, x_hi = mid, x_mid
                 else:
                     lo = mid
-            x_land, _, _ = _rk_step(deriv, x, h * hi, k1)
-            x_land = _pull_inside(chart, x_land)
+            x_land = _pull_inside(chart, x_hi)
             t_land = t + h * hi
             outward = _outward_direction(chart, x_land)
             speed_vec = deriv(x_land)

@@ -529,14 +529,22 @@ class _Perturbation:
 
 def _manifold_sample(chart: ChartModel, crit: CriticalSet, count: int,
                      r_excl: float, tol: Tolerances) -> Array:
+    """The first `count` of the first 60 * count Halton points of the chart's
+    box that lie on the manifold farther than r_excl from every critical point.
+
+    Candidates are drawn in chunks sized to what is still missing at the
+    acceptance rate seen so far.  A radical inverse does not depend on the
+    chunk it is drawn in, so neither does the sample.
+    """
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
-    want = count
     gathered = []
-    skip = 20
-    while sum(len(g) for g in gathered) < want and skip < 60 * count:
-        pts = lo + (hi - lo) * halton_sequence(4 * count, chart.dim, skip=skip)
-        skip += 4 * count
+    have = drawn = 0
+    size = count
+    while have < count and drawn < 60 * count:
+        size = min(size, 60 * count - drawn)
+        pts = lo + (hi - lo) * halton_sequence(size, chart.dim, skip=20 + drawn)
+        drawn += size
         mask = np.ones(len(pts), dtype=bool)
         if isinstance(chart, RegionChart):
             for con in chart.constraints:
@@ -544,8 +552,10 @@ def _manifold_sample(chart: ChartModel, crit: CriticalSet, count: int,
         for cp in crit.points:
             mask &= chart_distance_many(chart, pts, cp.coords) > r_excl
         gathered.append(pts[mask])
-    allpts = np.concatenate(gathered, axis=0)
-    return allpts[:want]
+        have += len(gathered[-1])
+        # a tenth more than the rate so far needs, so one chunk usually ends it
+        size = math.ceil(1.1 * (count - have) * drawn / max(have, 1))
+    return np.concatenate(gathered)[:count]
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from .chains import IntPolynomial, int_det, mat_mul, smith_normal_form
 from .critical import BOUNDARY_N, INTERIOR, _boundary_step
 from .errors import MorseflowError
 from .fields import boundary_restriction_derivatives
-from .geometry import boundary_distance, normalize_point
+from .geometry import boundary_distance, boundary_frame, normalize_point
 from .params import DEFAULT, Tolerances
 from .pipeline import (CheckRecord, MorsePackage, assert_identical_homology,
                        build_package, homologies_for_seed)
@@ -297,7 +297,11 @@ def _gradient_fd_error(entry, rng, samples: int = 200) -> float:
 def _boundary_fd_error(entry, pkg) -> float:
     """Arclength finite differences of the restriction at the boundary
     criticals and a fixed arclength either side of each, where the first
-    difference also checks the sign of the step along the boundary."""
+    difference also checks the sign of the step along the boundary.
+
+    The steps are taken in chart arclength and g_t, h_t are per metric-unit
+    arclength, so the differences are converted with the euclidean length of
+    the metric-unit tangent, as the critical search's refinement does."""
     chart, field = entry.chart, entry.field
     if chart.dim != 2:
         return 0.0
@@ -314,9 +318,12 @@ def _boundary_fd_error(entry, pkg) -> float:
                 continue
             f0, fp, fm = (float(field.value(x)) for x in (x0, plus, minus))
             pt, _ = normalize_point(chart, x0)
+            t_len = float(np.linalg.norm(boundary_frame(chart, pt, entry.metric)[2]))
             g_t, h_t = boundary_restriction_derivatives(field, chart, pt, entry.metric)
-            worst = max(worst, abs((fp - fm) / (2 * h) - g_t) / max(1.0, abs(g_t)),
-                        abs((fp - 2 * f0 + fm) / h ** 2 - h_t) / max(1.0, abs(h_t)))
+            first = (fp - fm) / (2 * h) * t_len
+            second = (fp - 2 * f0 + fm) / h ** 2 * t_len ** 2
+            worst = max(worst, abs(first - g_t) / max(1.0, abs(g_t)),
+                        abs(second - h_t) / max(1.0, abs(h_t)))
     return worst
 
 

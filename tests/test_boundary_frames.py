@@ -18,9 +18,11 @@ from morseflow.critical import _walk_slopes, boundary_components
 from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
 from morseflow.fields import MorseField, boundary_restriction_derivatives
 from morseflow.geometry import (BoundaryConstraint, MetricField, RegionChart,
-                                boundary_frame, boundary_frames, normalize_point)
+                                boundary_frame, boundary_frames, chart_distance_many,
+                                normalize_point)
 from morseflow.params import DEFAULT
-from morseflow.pseudogradient import certification_sample, certify_adapted
+from morseflow.pseudogradient import (certification_sample, certify_adapted,
+                                     halton_sequence)
 
 
 def same_bits(a, b):
@@ -215,3 +217,32 @@ def test_nan_gradient_at_one_sample_fails_the_certificate(packages):
     assert not cert.descent_ok and not cert.passed
     # the same field without the NaN passes on the same sample
     assert certify_adapted(field, sample=sample).passed
+
+
+def chunked_sample(chart, crit, count, r_excl):
+    """The interior sample drawn 4 * count Halton candidates at a time."""
+    lo = np.array([b[0] for b in chart.box])
+    hi = np.array([b[1] for b in chart.box])
+    gathered = []
+    skip = 20
+    while sum(len(g) for g in gathered) < count and skip < 60 * count:
+        pts = lo + (hi - lo) * halton_sequence(4 * count, chart.dim, skip=skip)
+        skip += 4 * count
+        mask = np.ones(len(pts), dtype=bool)
+        if isinstance(chart, RegionChart):
+            for con in chart.constraints:
+                mask &= np.asarray(con.value(pts), dtype=float) <= 0.0
+        for cp in crit.points:
+            mask &= chart_distance_many(chart, pts, cp.coords) > r_excl
+        gathered.append(pts[mask])
+    return np.concatenate(gathered, axis=0)[:count]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_interior_sample_does_not_depend_on_the_chunks(packages, name):
+    # chunks sized to what is missing draw the same candidate stream
+    entry, crit = catalog.get(name), packages[name].crit
+    for count in (DEFAULT.cert_interior_samples, 1000, 7):
+        got = pseudogradient._manifold_sample(entry.chart, crit, count, DEFAULT.r_excl, DEFAULT)
+        assert len(got) == count
+        assert same_bits(got, chunked_sample(entry.chart, crit, count, DEFAULT.r_excl))

@@ -8,7 +8,8 @@ from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, _boundary_step
                                 boundary_components, find_boundary_critical,
                                 find_critical_set, find_interior_critical)
 from morseflow.fields import boundary_restriction_derivatives
-from morseflow.geometry import MetricField, QuotientChart, chart_distance, normalize_point
+from morseflow.geometry import (MetricField, QuotientChart, RegionChart, chart_distance,
+                                normalize_point)
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 
@@ -220,3 +221,80 @@ def test_refinement_ends_when_its_line_search_fails(monkeypatch):
     assert critical._refine_on_boundary(entry.field, entry.chart, np.array([3.0, 1.0]),
                                         entry.metric, tol, max_move=0.1) is None
     assert len(calls) <= 10
+
+
+REGION_ENTRIES = [n for n in catalog.names()
+                  if isinstance(catalog.get(n).chart, RegionChart)
+                  and catalog.get(n).chart.dim == 2]
+
+
+def trace_counted(monkeypatch, chart, con, samples):
+    """One loop, the coarse walk's polygon and the projections made."""
+    calls, polygons = [], []
+    project, spaced = critical._project_to_zero, critical._uniform_arclength
+
+    def counted(con, x, *args):
+        calls.append(np.ndim(x))
+        return project(con, x, *args)
+
+    def recorded(polygon, samples):
+        polygons.append(polygon)
+        return spaced(polygon, samples)
+
+    monkeypatch.setattr(critical, "_project_to_zero", counted)
+    monkeypatch.setattr(critical, "_uniform_arclength", recorded)
+    loop = critical._trace_region_loop(chart, con, samples, DEFAULT)
+    monkeypatch.undo()
+    (polygon,) = polygons
+    return loop, polygon, calls
+
+
+@pytest.mark.parametrize("name", REGION_ENTRIES)
+def test_loops_are_evenly_spaced_on_the_wall(name, monkeypatch):
+    chart = catalog.get(name).chart
+    pieces = len(chart.constraints)
+    for samples in (DEFAULT.boundary_samples, DEFAULT.cert_boundary_samples // pieces):
+        loops = boundary_components(chart, samples)
+        assert len(loops) == pieces
+        for loop, con in zip(loops, chart.constraints):
+            assert loop.shape == (samples, 2)
+            assert np.all(np.abs(con.value(loop)) < 1e-13)
+            for axis, (lo, hi) in enumerate(chart.box):
+                assert np.all((lo <= loop[:, axis]) & (loop[:, axis] <= hi))
+            gaps = np.linalg.norm(np.roll(loop, -1, axis=0) - loop, axis=1)
+            mean = gaps.sum() / samples
+            assert np.all((0.5 * mean <= gaps) & (gaps <= 1.5 * mean))
+            traced, polygon, calls = trace_counted(monkeypatch, chart, con, samples)
+            assert np.array_equal(traced, loop)
+            assert np.array_equal(loop[0], polygon[0])
+            # one projection per step of the coarse walk, one for its start
+            # (when the first candidate is good), and one batch for the loop
+            assert len(polygon) < samples / 2
+            assert calls.count(1) <= len(polygon) + 1
+            assert calls.count(2) == 1
+
+
+def test_loop_falls_back_to_the_walk(monkeypatch):
+    # a batch that fails to converge leaves the coarse walk's points
+    chart = catalog.get("disk").chart
+    (con,) = chart.constraints
+    polygons = []
+    spaced = critical._uniform_arclength
+    monkeypatch.setattr(critical, "_project_rows", lambda con, x, max_iter: None)
+    monkeypatch.setattr(critical, "_uniform_arclength",
+                        lambda polygon, samples: polygons.append(polygon)
+                        or spaced(polygon, samples))
+    loop = critical._trace_region_loop(chart, con, 400, DEFAULT)
+    assert np.array_equal(loop, polygons[0])
+    assert len(loop) < 400
+
+
+def test_batched_projection_matches_one_point_at_a_time():
+    con = catalog.get("annulus").chart.constraints[1]
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-2.0, 2.0, size=(50, 2))
+    rows = rows[np.linalg.norm(rows, axis=1) > 0.1]
+    got = critical._project_to_zero(con, rows)
+    want = np.array([critical._project_to_zero(con, x) for x in rows])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert critical._project_to_zero(con, rows, max_iter=1) is None

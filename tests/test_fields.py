@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from morseflow.errors import NotMorse
 from morseflow.fields import (MorseField, boundary_restriction_derivatives,
                               check_deck_invariance,
                               check_derivative_consistency, validate_morse)
-from morseflow.geometry import normalize_point
+from morseflow.geometry import MetricField, normalize_point
 from morseflow.verify import _boundary_fd_error, _gradient_fd_error
 
 
@@ -50,6 +52,19 @@ def test_arclength_differences_see_a_reversed_step(packages, name, monkeypatch):
     monkeypatch.setattr(verify, "_boundary_step",
                         lambda chart, x, delta: step(chart, x, -delta))
     assert _boundary_fd_error(catalog.get(name), packages[name]) > 1e-4
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus"])
+def test_arclength_differences_under_a_scaled_metric(packages, name, monkeypatch):
+    # g_t and h_t are per metric-unit arclength, the steps per chart
+    # arclength; under 4 * identity the unconverted first difference is off
+    # by a factor of two, and the row read 0.75
+    entry = dataclasses.replace(catalog.get(name), metric=MetricField.scaled(2, 4.0))
+    assert _boundary_fd_error(entry, packages[name]) < 1e-4
+    step = verify._boundary_step
+    monkeypatch.setattr(verify, "_boundary_step",
+                        lambda chart, x, delta: step(chart, x, -delta))
+    assert _boundary_fd_error(entry, packages[name]) > 1e-4
 
 
 def test_gradient_matches_value_differences():

@@ -239,6 +239,26 @@ def test_wall_bisection_stops_when_the_bracket_cannot_shrink(packages, monkeypat
     assert starts.count(starts[-1]) < 60
 
 
+def test_wall_guard_takes_no_step_twice(packages, monkeypatch):
+    # the landing reuses the step at the bracket's upper end, and a midpoint
+    # step that rounds to one already taken is not taken again
+    fld = packages["annulus"].field_neg
+    cp = next(c for c in fld.crit.points if c.kind == BOUNDARY_N)
+    ((_, x0),) = stable_launches(fld, cp)
+    steps = []
+    rk_step = flow._rk_step
+
+    def recorded(deriv, x, h, k1):
+        steps.append((tuple(x), h))
+        return rk_step(deriv, x, h, k1)
+
+    monkeypatch.setattr(flow, "_rk_step", recorded)
+    traj = integrate(fld, x0, reverse=True, allow_exit=True)
+    assert traj.termination == LEFT_DOMAIN
+    assert len(steps) > 60
+    assert len(set(steps)) == len(steps)
+
+
 def test_captured_branches_end_on_the_sink(packages):
     # the moebius band's two forward orbits end at the N minimum, one of them
     # at its image across the seam

@@ -208,17 +208,11 @@ def test_package_traces_the_wall_once(instrumented):
 
 
 def test_shared_wall_trace_keeps_certificates(instrumented):
+    # each field's certificate on the analysis's shared sample equals, bit
+    # for bit, the one it gets on a sample its own build would draw
     _, fields, _, _ = instrumented("annulus")
-    common = {"interior_definiteness": -1.0, "tangency_definiteness": -0.25,
-              "interior_samples": 10000, "boundary_samples": 1928, "r_n": 0.15,
-              "delta_c": 0.1, "attempts": 1, "passed": True}
-    # margins of the annulus fields when each build traced the wall itself
-    # (float literals, so equality is bit for bit)
-    assert [f.certificate.as_dict() for f in fields] == [
-        common | {"descent_margin": -0.00938375437786556,
-                  "inward_margin": 0.0030189178922764843},
-        common | {"descent_margin": -0.015105562719342446,
-                  "inward_margin": 0.0029960744487134696},
-        common | {"descent_margin": -0.015093812165254348,
-                  "inward_margin": 0.0029960744487134696},
-    ]
+    assert len(fields) == 3
+    for fld in fields:
+        assert fld.certificate.attempts == 1
+        own = pseudogradient.certify_adapted(fld, DEFAULT, attempts=1, sample=None)
+        assert fld.certificate.as_dict() == own.as_dict()
