@@ -108,11 +108,20 @@ def _circle_constraint(name: str, radius: float, inner: bool = False) -> Boundar
     r2 = radius * radius
     sgn = -1.0 if inner else 1.0
 
+    # one point takes float arithmetic, which rounds as the batch does
     def value(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            u, v = x.tolist()
+            return sgn * (u * u + v * v - r2)
         return sgn * (x[..., 0] ** 2 + x[..., 1] ** 2 - r2)
 
     def gradient(x):
-        return sgn * 2.0 * np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            u, v = x.tolist()
+            return np.array([sgn * 2.0 * u, sgn * 2.0 * v])
+        return sgn * 2.0 * x
 
     def hessian(x):
         eye = sgn * 2.0 * np.eye(2)
@@ -123,6 +132,8 @@ def _circle_constraint(name: str, radius: float, inner: bool = False) -> Boundar
 
 def _height_field() -> MorseField:
     def gradient(x):
+        if np.ndim(x) == 1:
+            return np.array([0.0, 1.0])
         out = np.zeros(np.shape(x))
         out[..., 1] = 1.0
         return out
@@ -153,6 +164,9 @@ def _disk() -> CatalogEntry:
 
 
 def _annulus() -> CatalogEntry:
+    # y is symmetric about the y-axis: at seed 0 the relative curve of the D point
+    # (0, -1) runs down the axis into the N minimum (0, -2), which is not general
+    # position, so the pairing retries with a perturbation (meta.pairing_seed 7920)
     chart = RegionChart(
         dim=2, box=((-2.2, 2.2), (-2.2, 2.2)),
         constraints=(_circle_constraint("outer", 2.0),
@@ -222,7 +236,11 @@ def _tilted_dome() -> CatalogEntry:
         return 1.0 - x[..., 0] ** 2 - x[..., 1] ** 2 + x[..., 1] / 2.0
 
     def gradient(x):
-        out = -2.0 * np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            u, v = x.tolist()
+            return np.array([-2.0 * u, -2.0 * v + 0.5])
+        out = -2.0 * x
         out[..., 1] += 0.5
         return out
 

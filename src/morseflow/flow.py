@@ -162,6 +162,9 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
     - LEFT_DOMAIN on leaving the manifold when allow_exit (CertificateViolation
       otherwise);
     - TIMEOUT after `t_max` or `max_steps`.
+
+    A field value that is not finite raises CertificateViolation at the step
+    that meets it, or at the next one after a landing on the wall.
     """
     chart = field.chart
     sgn = -1.0 if reverse else 1.0
@@ -211,6 +214,9 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
         x_new, err_vec, k_last = _rk_step(deriv, x, h, k1)
         scale = tol.atol + tol.rtol * np.maximum(np.abs(x), np.abs(x_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if not math.isfinite(err):  # a stage met a field value that is not finite
+            raise CertificateViolation(
+                f"field is not finite near {x.tolist()} at step {steps}")
         if err > 1.0 and h > 1e-13:
             h *= max(0.2, 0.9 * err ** -0.2)
             continue

@@ -158,17 +158,34 @@ def normalize_point(chart: ChartModel, raw: Sequence[float],
 
 def chart_distance(chart: ChartModel, a: Sequence[float], b: Sequence[float]) -> float:
     """Distance between two raw coordinate tuples, minimized over deck images."""
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
+    return coords_distance(chart, np.asarray(a, dtype=float).tolist(),
+                           np.asarray(b, dtype=float).tolist())
+
+
+def coords_distance(chart: ChartModel, a: list[float], b: list[float]) -> float:
+    """`chart_distance` of two coordinate lists, in float arithmetic with the
+    operations of `chart_distance_many`."""
     if isinstance(chart, RegionChart):
-        d = xa - xb
-        return math.sqrt(float(d @ d))
+        d0, d1 = a[0] - b[0], (a[1] - b[1] if len(a) == 2 else 0.0)
+        return math.sqrt(d0 * d0 + d1 * d1)   # d0 * d0 + 0.0 rounds as d0 * d0
     best = math.inf
-    shift = round((xb[0] - xa[0]) / chart.period)
+    shift = round((b[0] - a[0]) / chart.period)
     for k in (shift - 1, shift, shift + 1):
-        d = deck_apply(chart, k, xa) - xb
-        best = min(best, math.sqrt(float(d @ d)))
+        d0 = a[0] + k * chart.period - b[0]
+        d1 = a[1] * (1.0 if k % 2 == 0 else chart.flip) - b[1]
+        best = min(best, math.sqrt(d0 * d0 + d1 * d1))
     return best
+
+
+def plain_dot(a, b):
+    """Sum of the products of the components of a and b, left to right.
+
+    Components are floats, or arrays that each hold one component of many
+    vectors (the columns of a batch).  Products and sums round alike in float
+    and in elementwise array arithmetic, so the two give the same bits, and
+    the bits do not depend on the BLAS build.
+    """
+    return a[0] * b[0] + a[1] * b[1] if len(a) == 2 else a[0] * b[0]
 
 
 def row_dot(a: Array, b: Array) -> Array:
@@ -176,7 +193,9 @@ def row_dot(a: Array, b: Array) -> Array:
 
     Each row goes through the same BLAS dot as a single `a @ b`, so the bits
     agree with the per-point form; `np.sum(a * b, axis=1)` and `einsum` round
-    differently.
+    differently.  The BLAS dot may fuse a multiply and an add, which float
+    arithmetic cannot reproduce: arithmetic that a float path must match bit
+    for bit uses `plain_dot` instead.
     """
     a, b = np.broadcast_arrays(a, b)
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
@@ -184,17 +203,17 @@ def row_dot(a: Array, b: Array) -> Array:
 
 def chart_distance_many(chart: ChartModel, points: Array, b: Sequence[float]) -> Array:
     """`chart_distance` from each row of points to b, with the same bits."""
-    xa = np.asarray(points, dtype=float)
-    xb = np.asarray(b, dtype=float)
+    xa = np.asarray(points, dtype=float).T
+    xb = np.asarray(b, dtype=float).tolist()
     if isinstance(chart, RegionChart):
-        d = xa - xb
-        return np.sqrt(row_dot(d, d))
-    best = np.full(len(xa), math.inf)
-    shift = np.rint((xb[0] - xa[:, 0]) / chart.period)
+        d = [p - q for p, q in zip(xa, xb)]
+        return np.sqrt(plain_dot(d, d))
+    best = np.full(xa.shape[1], math.inf)
+    shift = np.rint((xb[0] - xa[0]) / chart.period)
     for k in (shift - 1, shift, shift + 1):
-        sign = np.where(k % 2 == 0, 1.0, float(chart.flip))
-        d = np.stack([xa[:, 0] + k * chart.period, xa[:, 1] * sign], axis=1) - xb
-        best = np.minimum(best, np.sqrt(row_dot(d, d)))
+        d = [xa[0] + k * chart.period - xb[0],
+             xa[1] * np.where(k % 2 == 0, 1.0, float(chart.flip)) - xb[1]]
+        best = np.minimum(best, np.sqrt(plain_dot(d, d)))
     return best
 
 
@@ -356,19 +375,4 @@ def boundary_distance(chart: ChartModel, raw: Array) -> float:
         if norm == 0.0:
             continue
         best = min(best, abs(float(con.value(x))) / norm)
-    return best
-
-
-def boundary_distance_many(chart: ChartModel, points: Array) -> Array:
-    """`boundary_distance` of each row of points, with the same bits."""
-    x = np.asarray(points, dtype=float)
-    if isinstance(chart, QuotientChart):
-        return np.minimum(np.abs(x[:, 1] - chart.v_min), np.abs(chart.v_max - x[:, 1]))
-    best = np.full(len(x), math.inf)
-    for con in chart.constraints:
-        g = np.asarray(con.gradient(x), dtype=float)
-        norm = np.sqrt(row_dot(g, g))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dist = np.abs(np.asarray(con.value(x), dtype=float)) / norm
-        best = np.where(norm == 0.0, best, np.minimum(best, dist))
     return best

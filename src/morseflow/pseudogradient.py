@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 import numpy as np
 
@@ -26,10 +27,8 @@ from .critical import (BOUNDARY_D, BOUNDARY_N, CriticalPoint, CriticalSet,
 from .errors import BlendGapFailure
 from .fields import MorseField
 from .geometry import (ChartModel, MetricField, QuotientChart, RegionChart,
-                       boundary_distance, boundary_distance_many, boundary_frames,
-                       chart_distance, chart_distance_many, deck_apply, deck_sign,
-                       metric_matrices, metric_normal, metric_normals,
-                       quadratic_forms, row_dot)
+                       boundary_frames, chart_distance, chart_distance_many,
+                       coords_distance, metric_matrices, plain_dot, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -79,70 +78,43 @@ class TangencyPatch:
     constraint_name: str
     grad_norm_at_center: float
 
-    def local_coords(self, chart: ChartModel, x: Array) -> tuple[float, float]:
-        delta = x - self.center
-        if isinstance(chart, QuotientChart):
-            delta[0] -= chart.period * round(delta[0] / chart.period)
-        y = float(delta @ self.tangent) if len(x) > 1 else 0.0
-        z = self._depth(chart, x)
-        return y, z
-
-    def _depth(self, chart: ChartModel, x: Array) -> float:
+    def _depth(self, chart: ChartModel, x: Array) -> tuple[Array, list]:
+        """The local depth coordinate z at each row of x, and its gradient."""
         if self.kind == "v_min":
-            return float(x[1] - chart.v_min)
+            return x[:, 1] - chart.v_min, [0.0, 1.0]
         if self.kind == "v_max":
-            return float(chart.v_max - x[1])
+            return chart.v_max - x[:, 1], [0.0, -1.0]
         con = _constraint_by_name(chart, self.constraint_name)
-        return -float(con.value(x)) / self.grad_norm_at_center
+        z = -np.asarray(con.value(x), dtype=float) / self.grad_norm_at_center
+        return z, list(-np.asarray(con.gradient(x), dtype=float).T
+                       / self.grad_norm_at_center)
 
     def jacobian(self, chart: ChartModel, x: Array) -> Array:
-        dim = len(x)
-        if dim == 1:
-            con = _constraint_by_name(chart, self.constraint_name)
-            dz = -np.asarray(con.gradient(x), dtype=float) / self.grad_norm_at_center
-            return dz.reshape(1, 1)
-        if self.kind == "v_min":
-            dz = np.array([0.0, 1.0])
-        elif self.kind == "v_max":
-            dz = np.array([0.0, -1.0])
-        else:
-            con = _constraint_by_name(chart, self.constraint_name)
-            dz = -np.asarray(con.gradient(x), dtype=float) / self.grad_norm_at_center
-        return np.stack([self.tangent, dz])
-
-    def model_vector(self, chart: ChartModel, x: Array) -> Array:
-        """Pullback of (y, z) -> (-h*y, -z) through the local coordinates."""
-        y, z = self.local_coords(chart, x)
-        jac = self.jacobian(chart, x)
-        if len(x) == 1:
-            return np.array([-z / jac[0, 0]])
-        a, b = jac[0]
-        c, d = jac[1]
-        det = a * d - b * c
-        my, mz = -self.h * y, -z
-        return np.array([(d * my - b * mz) / det, (a * mz - c * my) / det])
+        """Rows: the gradients of the local coordinates (y, z) at the point x."""
+        dz = np.array(self._depth(chart, x[None])[1], dtype=float).reshape(-1)
+        return dz.reshape(1, 1) if len(x) == 1 else np.stack([self.tangent, dz])
 
     def model_vectors(self, chart: ChartModel, x: Array) -> Array:
-        """`model_vector` at each row of x, with the same bits."""
-        if self.kind == "v_min":
-            z, dz = x[:, 1] - chart.v_min, np.array([0.0, 1.0])
-        elif self.kind == "v_max":
-            z, dz = chart.v_max - x[:, 1], np.array([0.0, -1.0])
-        else:
-            con = _constraint_by_name(chart, self.constraint_name)
-            z = -np.asarray(con.value(x), dtype=float) / self.grad_norm_at_center
-            dz = -np.asarray(con.gradient(x), dtype=float) / self.grad_norm_at_center
-        if x.shape[1] == 1:
-            return (-z / dz[:, 0])[:, None]
-        delta = x - self.center
+        """The model field (y, z) -> (-h*y, -z), pulled back through the local
+        coordinates, at each row of x."""
+        z, dz = self._depth(chart, x)
+        delta = (x - self.center).T
         if isinstance(chart, QuotientChart):
-            delta[:, 0] -= chart.period * np.rint(delta[:, 0] / chart.period)
-        y = row_dot(delta, self.tangent)
-        a, b = self.tangent
-        c, d = dz[..., 0], dz[..., 1]
-        det = a * d - b * c
-        my, mz = -self.h * y, -z
-        return np.stack([(d * my - b * mz) / det, (a * mz - c * my) / det], axis=1)
+            delta[0] -= chart.period * np.rint(delta[0] / chart.period)
+        return np.stack(_model_vector(self.tangent.tolist(), self.h, delta, z, dz),
+                        axis=1)
+
+
+def _model_vector(tangent, h: float, delta, z, dz) -> list:
+    """Pullback of (y, z) -> (-h*y, -z), where y = <delta, tangent> and dz is
+    the gradient of z; components as `plain_dot` takes them."""
+    if len(dz) == 1:
+        return [-z / dz[0]]
+    a, b = tangent
+    c, d = dz
+    det = a * d - b * c
+    my, mz = -h * plain_dot(delta, tangent), -z
+    return [(d * my - b * mz) / det, (a * mz - c * my) / det]
 
 
 def _constraint_by_name(chart: RegionChart, name: str):
@@ -183,53 +155,51 @@ def _make_patch(chart: ChartModel, cp: CriticalPoint) -> TangencyPatch:
 # collar
 
 
-def _collar_pieces(chart: ChartModel):
+_DOWN = [0.0, -1.0]   # covectors of the strip's walls v >= v_min and v <= v_max
+_UP = [0.0, 1.0]
+
+
+def _pieces_many(chart: ChartModel, x: Array):
+    """(depth, covector) of each collar piece at each row of x: the signed
+    depth is positive inside, and a piece without a normal has depth inf."""
     if isinstance(chart, QuotientChart):
-        return ("v_min", "v_max")
-    return chart.constraints
+        yield x[:, 1] - chart.v_min, np.broadcast_to(_DOWN, x.shape)
+        yield chart.v_max - x[:, 1], np.broadcast_to(_UP, x.shape)
+        return
+    for con in chart.constraints:
+        cov = np.asarray(con.gradient(x), dtype=float)
+        gnorm = np.sqrt(plain_dot(cov.T, cov.T))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            depth = -np.asarray(con.value(x), dtype=float) / gnorm
+        yield np.where(gnorm < 1e-30, math.inf, depth), cov
 
 
-_E_DOWN = np.array([0.0, -1.0])
-_E_UP = np.array([0.0, 1.0])
+def _solve(g, c) -> list:
+    """g^-1 c by Cramer's rule for a 1x1 or 2x2 matrix g, given by rows;
+    components as `plain_dot` takes them."""
+    if len(c) == 1:
+        return [c[0] / g[0][0]]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    return [(g[1][1] * c[0] - g[0][1] * c[1]) / det,
+            (g[0][0] * c[1] - g[1][0] * c[0]) / det]
 
 
-def _piece_depth_normal(chart: ChartModel, metric: MetricField, piece, x: Array):
-    """Signed depth (positive inside) and outward metric-unit normal for a piece."""
-    if piece == "v_min":
-        return float(x[1] - chart.v_min), metric_normal(metric, x, _E_DOWN)
-    if piece == "v_max":
-        return float(chart.v_max - x[1]), metric_normal(metric, x, _E_UP)
-    grad = np.asarray(piece.gradient(x), dtype=float)
-    gnorm = math.sqrt(float(grad @ grad))
-    if gnorm < 1e-30:
-        return math.inf, None
-    if metric.identity:
-        return -float(piece.value(x)) / gnorm, grad / gnorm
-    return -float(piece.value(x)) / gnorm, metric_normal(metric, x, grad)
+def _quadratic(v, g):
+    """v . g v"""
+    return plain_dot(v, [plain_dot(row, v) for row in g])
 
 
-def _collar_cap(nu: float, g_t: float, tol: Tolerances) -> float:
-    """Inward push magnitude keeping the descent inequality safe."""
-    if nu >= 0.0:
-        return tol.eps_n
-    if g_t < tol.g_min:
-        return 0.0
-    return min(tol.eps_n, g_t * g_t / (2.0 * abs(nu)))
+def _axpy(a, s, n) -> list:
+    """a + s n, componentwise."""
+    return [a[0] + s * n[0], a[1] + s * n[1]] if len(a) == 2 else [a[0] + s * n[0]]
 
 
-def _piece_depths_normals(chart: ChartModel, metric: MetricField, piece, x: Array,
-                          g_mats: Array | None) -> tuple[Array, Array]:
-    """`_piece_depth_normal` at each row of x; a row without a normal gets depth inf."""
-    if piece in ("v_min", "v_max"):
-        depth = x[:, 1] - chart.v_min if piece == "v_min" else chart.v_max - x[:, 1]
-        wall = _E_DOWN if piece == "v_min" else _E_UP
-        return depth, metric_normals(metric, np.broadcast_to(wall, x.shape), g_mats)
-    grad = np.asarray(piece.gradient(x), dtype=float)
-    gnorm = np.sqrt(row_dot(grad, grad))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        depth = -np.asarray(piece.value(x), dtype=float) / gnorm
-    depth = np.where(gnorm < 1e-30, math.inf, depth)
-    return depth, metric_normals(metric, grad, g_mats)
+def _unit_dual(cov, g, sqrt) -> list:
+    """The metric-unit vector dual to a covector (g None for the identity
+    metric); sqrt is `math.sqrt` for floats, `np.sqrt` for arrays."""
+    vec = cov if g is None else _solve(g, cov)
+    length = sqrt(plain_dot(vec, vec) if g is None else _quadratic(vec, g))
+    return [vec[0] / length, vec[1] / length] if len(vec) == 2 else [vec[0] / length]
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +281,12 @@ class PseudoGradientField:
     _capture_memo: dict = dataclass_field(default_factory=dict, init=False,
                                           repr=False)
 
+    def __post_init__(self):
+        self._point = _point_evaluator(self)
+
     def evaluate(self, raw) -> Array:
         """Field vector at raw coordinates (deck-equivariant on quotient charts)."""
-        x = np.asarray(raw, dtype=float)
-        if isinstance(self.chart, QuotientChart):
-            k = int(math.floor(x[0] / self.chart.period))
-            canon = deck_apply(self.chart, -k, x)
-            vec = self._eval_canonical(canon)
-            if deck_sign(self.chart, k) == -1:
-                vec = vec.copy()
-                vec[1] = -vec[1]
-            return vec
-        return self._eval_canonical(x)
+        return self._point(raw)
 
     def __call__(self, raw) -> Array:
         return self.evaluate(raw)
@@ -340,84 +304,37 @@ class PseudoGradientField:
         vec[flip, 1] = -vec[flip, 1]
         return vec
 
-    def _eval_canonical(self, x: Array) -> Array:
-        grad = np.asarray(self.objective.gradient(x), dtype=float)
-        identity = self.metric.identity
-        if identity:
-            g_mat = None
-            vec = -grad
-        else:
-            g_mat = np.asarray(self.metric.matrix(x), dtype=float)
-            vec = -np.linalg.solve(g_mat, grad)
-
-        # collar: replace the outward normal component near the nearest wall
-        best = (math.inf, None)
-        for piece in _collar_pieces(self.chart):
-            depth, normal = _piece_depth_normal(self.chart, self.metric, piece, x)
-            if normal is not None and depth < best[0]:
-                best = (depth, normal)
-        depth, normal = best
-        if normal is not None and self.delta_c > 0.0 and depth < self.delta_c:
-            nu = float(grad @ normal)
-            tangential = vec + nu * normal
-            if identity:
-                g_t = math.sqrt(float(tangential @ tangential))
-            else:
-                g_t = math.sqrt(max(float(tangential @ g_mat @ tangential), 0.0))
-            cap = _collar_cap(nu, g_t, self.tol)
-            w = min(1.0, max(0.0, 1.0 - depth / self.delta_c))
-            vec = vec + w * (nu - cap) * normal
-
-        # tangency patches override everything nearby
-        for patch in self.patches:
-            d = chart_distance(self.chart, x, patch.center)
-            if d >= self.r_n:
-                continue
-            chi = 1.0 - smoothstep((d - 0.5 * self.r_n) / (0.5 * self.r_n))
-            if chi > 0.0:
-                vec = (1.0 - chi) * vec + chi * patch.model_vector(self.chart, x)
-            break
-
-        if self._perturb is not None:
-            vec = vec + self._perturb(x)
-        return vec
-
     def _eval_canonical_many(self, x: Array) -> Array:
-        """`_eval_canonical` at each row of x, piece by piece."""
+        """The arithmetic of `_point_evaluator` at each row of x, piece by piece."""
         grad = np.asarray(self.objective.gradient(x), dtype=float)
-        identity = self.metric.identity
-        if identity:
-            g_mats = None
-            vec = -grad
-        else:
-            g_mats = metric_matrices(self.metric, x)
-            vec = -np.linalg.solve(g_mats, grad[:, :, None])[:, :, 0]
+        g = (None if self.metric.identity
+             else metric_matrices(self.metric, x).transpose(1, 2, 0))
+        vec = -grad if g is None else -np.stack(_solve(g, grad.T), axis=1)
 
-        # collar at the nearest wall; on a tie the first piece wins, as in
-        # `_eval_canonical`
+        # collar at the nearest wall; on a tie the first piece wins
         depth = np.full(len(x), math.inf)
-        normal = np.zeros_like(x)
-        for piece in _collar_pieces(self.chart):
-            piece_depth, piece_normal = _piece_depths_normals(
-                self.chart, self.metric, piece, x, g_mats)
+        wall = np.full(len(x), math.inf)
+        cov = np.zeros_like(x)
+        for piece_depth, piece_cov in _pieces_many(self.chart, x):
+            wall = np.minimum(wall, np.abs(piece_depth))
             closer = piece_depth < depth
             depth = np.where(closer, piece_depth, depth)
-            normal[closer] = piece_normal[closer]
+            cov[closer] = piece_cov[closer]
         if self.delta_c > 0.0:
             i = np.flatnonzero(depth < self.delta_c)
-            nrm = normal[i]
-            nu = row_dot(grad[i], nrm)
-            tangential = vec[i] + nu[:, None] * nrm
-            if identity:
-                g_t = np.sqrt(row_dot(tangential, tangential))
-            else:
-                g_t = np.sqrt(np.maximum(quadratic_forms(tangential, g_mats[i]), 0.0))
+            g_i = None if g is None else g[..., i]
+            normal = _unit_dual(cov[i].T, g_i, np.sqrt)
+            nu = plain_dot(grad[i].T, normal)
+            tangential = _axpy(vec[i].T, nu, normal)
+            g_t = np.sqrt(plain_dot(tangential, tangential) if g_i is None
+                          else np.maximum(_quadratic(tangential, g_i), 0.0))
             with np.errstate(divide="ignore", invalid="ignore"):
                 soft = np.minimum(self.tol.eps_n, g_t * g_t / (2.0 * np.abs(nu)))
             cap = np.where(nu >= 0.0, self.tol.eps_n,
                            np.where(g_t < self.tol.g_min, 0.0, soft))
-            w = np.minimum(1.0, np.maximum(0.0, 1.0 - depth[i] / self.delta_c))
-            vec[i] = vec[i] + (w * (nu - cap))[:, None] * nrm
+            push = (np.minimum(1.0, np.maximum(0.0, 1.0 - depth[i] / self.delta_c))
+                    * (nu - cap))
+            vec[i] = np.stack(_axpy(vec[i].T, push, normal), axis=1)
 
         # the first patch within r_n claims a point, even where its blend is zero
         free = np.ones(len(x), dtype=bool)
@@ -431,7 +348,7 @@ class PseudoGradientField:
                       + chi[:, None] * patch.model_vectors(self.chart, x[i]))
 
         if self._perturb is not None:
-            vec = vec + self._perturb.many(x)
+            vec = vec + self._perturb.many(x, wall)
         return vec
 
     def linearization(self, at: Array, step: float = 1e-6) -> Array:
@@ -468,12 +385,102 @@ class PseudoGradientField:
         return found
 
 
+def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
+    """`evaluate` for one field, compiled when the field is built: what does
+    not depend on the point (the chart's walls, each patch's constraint,
+    center and tangent) is resolved here as Python floats.  Per point, the
+    objective, the constraints and the metric are called as given; the rest
+    is float arithmetic with the operations of `_eval_canonical_many`, in the
+    same order, so both give the same bits.  Non-finite coordinates give NaN.
+    """
+    chart, tol, dim = field.chart, field.tol, field.chart.dim
+    gradient = field.objective.gradient
+    matrix = None if field.metric.identity else field.metric.matrix
+    quotient = isinstance(chart, QuotientChart)
+    constraints = () if quotient else chart.constraints
+    names = [con.name for con in constraints]
+    # a patch takes its depth z from its wall's piece or its constraint's value
+    patches = tuple((p.center.tolist(), p.tangent.tolist(), p.h, p.grad_norm_at_center,
+                     (p.kind == "v_max") if quotient else names.index(p.constraint_name))
+                    for p in field.patches)
+    r_n, half, delta_c = field.r_n, 0.5 * field.r_n, field.delta_c
+    perturb = field._perturb
+
+    def evaluate(raw) -> Array:
+        x = np.asarray(raw, dtype=float)
+        xs = x.tolist()
+        if not all(map(math.isfinite, xs)):
+            return np.full(dim, math.nan)
+        flip = False
+        if quotient:
+            k = math.floor(xs[0] / chart.period)
+            flip = k % 2 != 0 and chart.flip == -1
+            xs = [xs[0] + -k * chart.period, -xs[1] if flip else xs[1]]
+            x = np.array(xs)
+        grad = np.asarray(gradient(x), dtype=float).tolist()
+        g = None if matrix is None else np.asarray(matrix(x), dtype=float).tolist()
+        vec = [-c for c in (grad if g is None else _solve(g, grad))]
+
+        # collar at the nearest wall; on a tie the first piece wins
+        if quotient:
+            pieces = ((xs[1] - chart.v_min, _DOWN), (chart.v_max - xs[1], _UP))
+        else:
+            values = [(float(con.value(x)),
+                       np.asarray(con.gradient(x), dtype=float).tolist())
+                      for con in constraints]
+            pieces = []
+            for b, cov in values:
+                gnorm = math.sqrt(plain_dot(cov, cov))
+                pieces.append((-b / gnorm if gnorm >= 1e-30 else math.inf, cov))
+        depth, cov, wall = math.inf, None, math.inf
+        for piece_depth, piece_cov in pieces:
+            wall = min(wall, abs(piece_depth))
+            if piece_depth < depth:
+                depth, cov = piece_depth, piece_cov
+        if delta_c > 0.0 and depth < delta_c:
+            normal = _unit_dual(cov, g, math.sqrt)
+            nu = plain_dot(grad, normal)
+            tangential = _axpy(vec, nu, normal)
+            g_t = math.sqrt(plain_dot(tangential, tangential) if g is None
+                            else max(_quadratic(tangential, g), 0.0))
+            cap = (tol.eps_n if nu >= 0.0 else 0.0 if g_t < tol.g_min
+                   else min(tol.eps_n, g_t * g_t / (2.0 * abs(nu))))
+            push = min(1.0, max(0.0, 1.0 - depth / delta_c)) * (nu - cap)
+            vec = _axpy(vec, push, normal)
+
+        # the first patch within r_n claims the point, even where its blend is zero
+        for center, tangent, h, grad_norm, piece in patches:
+            d = coords_distance(chart, xs, center)
+            if d >= r_n:
+                continue
+            chi = 1.0 - smoothstep((d - half) / half)
+            if chi > 0.0:
+                delta = [p - q for p, q in zip(xs, center)]
+                if quotient:
+                    delta[0] -= chart.period * round(delta[0] / chart.period)
+                    z, dz = pieces[piece][0], ([0.0, -1.0] if piece else [0.0, 1.0])
+                else:
+                    b, cov = values[piece]
+                    z, dz = -b / grad_norm, [-c / grad_norm for c in cov]
+                model = _model_vector(tangent, h, delta, z, dz)
+                vec = [(1.0 - chi) * a + chi * m for a, m in zip(vec, model)]
+            break
+
+        if perturb is not None:
+            vec = [a + q for a, q in zip(vec, perturb.at(xs, wall))]
+        if flip:
+            vec[1] = -vec[1]
+        return np.array(vec)
+
+    return evaluate
+
+
 class _Perturbation:
     """Seeded smooth bump field vanishing near the boundary, the critical points,
     and (on quotient charts) the gluing seam, so adaptedness margins survive.
 
-    The waves, phases and signs are drawn once; the per-point call and `many`
-    both use them.
+    The waves, phases and signs are drawn once.  Both evaluators pass the
+    distance to the nearest wall, which they have already computed.
     """
 
     def __init__(self, chart: ChartModel, crit: CriticalSet, seed: int,
@@ -485,31 +492,32 @@ class _Perturbation:
         self.waves = rng.uniform(0.5, 2.5, size=(dim, dim))
         self.phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
         self.signs = rng.choice([-1.0, 1.0], size=dim)
-        self.centers = [cp.coords for cp in crit.points]
+        self.centers = [cp.coords.tolist() for cp in crit.points]
+        self._terms = tuple(zip(self.signs.tolist(), self.waves.tolist(),
+                                self.phases.tolist()))
 
-    def __call__(self, x: Array) -> Array:
-        chart, tol, dim = self.chart, self.tol, self.chart.dim
-        env = smoothstep(boundary_distance(chart, x) / tol.delta_c)
-        if env == 0.0:
-            return np.zeros(dim)
-        for c in self.centers:
-            env *= smoothstep(chart_distance(chart, x, c) / (2.0 * tol.r_excl))
-            if env == 0.0:
-                return np.zeros(dim)
-        if isinstance(chart, QuotientChart):
-            u = x[0] % chart.period
-            seam = min(u, chart.period - u)
-            env *= smoothstep(seam / (0.1 * chart.period))
-            if env == 0.0:
-                return np.zeros(dim)
-        vec = np.array([self.signs[i] * math.sin(float(self.waves[i] @ x) + self.phases[i])
-                        for i in range(dim)])
-        return tol.perturb_amp * env * vec
-
-    def many(self, x: Array) -> Array:
-        """The perturbation at each row of x, with the bits of the per-point call."""
+    def at(self, x: list[float], wall: float) -> list[float]:
+        """The perturbation at canonical coordinates x, `wall` from the nearest
+        wall, in float arithmetic with the bits of `many`."""
         chart, tol = self.chart, self.tol
-        env = _smoothstep_many(boundary_distance_many(chart, x) / tol.delta_c)
+        env = smoothstep(wall / tol.delta_c)
+        for c in self.centers:
+            if env == 0.0:
+                break
+            env *= smoothstep(coords_distance(chart, x, c) / (2.0 * tol.r_excl))
+        if env != 0.0 and isinstance(chart, QuotientChart):
+            u = x[0] % chart.period
+            env *= smoothstep(min(u, chart.period - u) / (0.1 * chart.period))
+        if env == 0.0:
+            return [0.0] * chart.dim
+        amp = tol.perturb_amp * env
+        return [amp * (sign * math.sin(plain_dot(x, wave) + phase))
+                for sign, wave, phase in self._terms]
+
+    def many(self, x: Array, wall: Array) -> Array:
+        """`at` at each row of x, with the same bits."""
+        chart, tol = self.chart, self.tol
+        env = _smoothstep_many(wall / tol.delta_c)
         for c in self.centers:
             env = env * _smoothstep_many(chart_distance_many(chart, x, c)
                                          / (2.0 * tol.r_excl))
@@ -517,9 +525,9 @@ class _Perturbation:
             u = x[:, 0] % chart.period
             seam = np.minimum(u, chart.period - u)
             env = env * _smoothstep_many(seam / (0.1 * chart.period))
-        phase = np.stack([row_dot(x, wave) for wave in self.waves], axis=1) + self.phases
+        phase = np.stack([plain_dot(x.T, wave) for wave in self.waves], axis=1) + self.phases
         vec = (tol.perturb_amp * env)[:, None] * (self.signs * np.sin(phase))
-        # the per-point call returns +0.0 where the envelope vanishes
+        # `at` returns +0.0 where the envelope vanishes
         return np.where(env[:, None] == 0.0, 0.0, vec)
 
 

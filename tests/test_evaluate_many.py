@@ -1,16 +1,21 @@
 """`PseudoGradientField.evaluate_many` against the per-point `evaluate`.
 
 Certification evaluates in batches and the flow integrator point by point, so
-the two must return the same bits: every comparison here is exact.
+the two must return the same bits: every comparison here is exact.  The
+per-point evaluator is float arithmetic compiled once per field; the batch
+repeats its operations elementwise, in the same order and with no BLAS dot,
+which may fuse a multiply and an add.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from morseflow import catalog
 from morseflow.critical import find_critical_set
-from morseflow.geometry import MetricField
+from morseflow.fields import MorseField
+from morseflow.geometry import MetricField, QuotientChart
 from morseflow.params import DEFAULT
 from morseflow.pseudogradient import (PseudoGradientField, _wall_sample, build_adapted,
                                       certification_sample, certify_adapted)
@@ -92,3 +97,46 @@ def test_certification_makes_no_per_point_calls(packages, monkeypatch):
     assert cert.interior_samples == DEFAULT.cert_interior_samples
     assert cert.as_dict() == field.certificate.as_dict() | {"attempts": 0}
 
+
+
+def _cylinder():
+    """v + cos(u) / 2 on the band glued without a flip (deck map (u, v) -> (u + P, v))."""
+    chart = QuotientChart(period=2.0 * math.pi, v_min=-1.0, v_max=1.0, flip=1)
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([-0.5 * np.sin(x[..., 0]), np.ones(np.shape(x)[:-1])], axis=-1)
+
+    def hessian(x):
+        out = np.zeros(np.shape(x)[:-1] + (2, 2))
+        out[..., 0, 0] = -0.5 * np.cos(x[..., 0])
+        return out
+
+    field = MorseField(value=lambda x: x[..., 1] + 0.5 * np.cos(x[..., 0]),
+                       gradient=gradient, hessian=hessian)
+    entry = dataclasses.replace(catalog.get("moebius"), name="cylinder", chart=chart,
+                                field=field)
+    return entry, find_critical_set(field, chart, entry.metric, DEFAULT)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_cylinder_deck_images_match(seed):
+    entry, crit = _cylinder()
+    period = entry.chart.period
+    # a tangency patch sits on the seam, at (0, -1)
+    assert any(cp.coords[0] == 0.0 for cp in crit.points)
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-2 * period, 3 * period, 4000)
+    u[:5] = [-2 * period, -period, 0.0, period, 2 * period]
+    points = np.stack([u, rng.uniform(-1.0, 1.0, len(u))], axis=1)
+    points[:5, 1] = -1.0
+    points[5:10, 1] = 1.0
+    shifted = points + [period, 0.0]
+    for field in side_fields(entry, crit, seed):
+        assert field.certificate.passed
+        assert_same_bits(field, points)
+        # with no flip the deck map's differential is the identity; the
+        # reduction to [0, P) rounds u differently for x and T x
+        moved = np.array([field.evaluate(x) for x in shifted])
+        still = np.array([field.evaluate(x) for x in points])
+        assert np.allclose(moved, still, rtol=0.0, atol=1e-12)

@@ -1,0 +1,195 @@
+"""The float evaluator against the numpy evaluator it replaced.
+
+`reference_evaluate` is the per-point field evaluation as it was written with
+numpy 2-vectors: the deck reduction, the metric solve, the collar, the first
+tangency patch and the perturbation.  Its dot products go through BLAS, which
+may fuse a multiply and an add, so it agrees with the float evaluator to
+rounding, not bit for bit.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from morseflow import catalog
+from morseflow.critical import find_critical_set
+from morseflow.geometry import (MetricField, QuotientChart, RegionChart, boundary_distance,
+                                deck_apply, deck_sign, metric_normal)
+from morseflow.params import DEFAULT
+from morseflow.pipeline import _build_side
+from morseflow.pseudogradient import (_constraint_by_name, _wall_sample,
+                                      certification_sample, smoothstep)
+
+_E_DOWN = np.array([0.0, -1.0])
+_E_UP = np.array([0.0, 1.0])
+
+
+def _chart_distance(chart, a, b):
+    xa = np.asarray(a, dtype=float)
+    xb = np.asarray(b, dtype=float)
+    if isinstance(chart, RegionChart):
+        d = xa - xb
+        return math.sqrt(float(d @ d))
+    best = math.inf
+    shift = round((xb[0] - xa[0]) / chart.period)
+    for k in (shift - 1, shift, shift + 1):
+        d = deck_apply(chart, k, xa) - xb
+        best = min(best, math.sqrt(float(d @ d)))
+    return best
+
+
+def _piece_depth_normal(chart, metric, piece, x):
+    if piece == "v_min":
+        return float(x[1] - chart.v_min), metric_normal(metric, x, _E_DOWN)
+    if piece == "v_max":
+        return float(chart.v_max - x[1]), metric_normal(metric, x, _E_UP)
+    grad = np.asarray(piece.gradient(x), dtype=float)
+    gnorm = math.sqrt(float(grad @ grad))
+    if gnorm < 1e-30:
+        return math.inf, None
+    if metric.identity:
+        return -float(piece.value(x)) / gnorm, grad / gnorm
+    return -float(piece.value(x)) / gnorm, metric_normal(metric, x, grad)
+
+
+def _collar_cap(nu, g_t, tol):
+    if nu >= 0.0:
+        return tol.eps_n
+    if g_t < tol.g_min:
+        return 0.0
+    return min(tol.eps_n, g_t * g_t / (2.0 * abs(nu)))
+
+
+def _model_vector(patch, chart, x):
+    delta = x - patch.center
+    if isinstance(chart, QuotientChart):
+        delta[0] -= chart.period * round(delta[0] / chart.period)
+    y = float(delta @ patch.tangent) if len(x) > 1 else 0.0
+    if patch.kind == "v_min":
+        z, dz = float(x[1] - chart.v_min), np.array([0.0, 1.0])
+    elif patch.kind == "v_max":
+        z, dz = float(chart.v_max - x[1]), np.array([0.0, -1.0])
+    else:
+        con = _constraint_by_name(chart, patch.constraint_name)
+        z = -float(con.value(x)) / patch.grad_norm_at_center
+        dz = -np.asarray(con.gradient(x), dtype=float) / patch.grad_norm_at_center
+    if len(x) == 1:
+        return np.array([-z / dz[0]])
+    a, b = patch.tangent
+    c, d = dz
+    det = a * d - b * c
+    my, mz = -patch.h * y, -z
+    return np.array([(d * my - b * mz) / det, (a * mz - c * my) / det])
+
+
+def _perturbation(pert, x):
+    chart, tol, dim = pert.chart, pert.tol, pert.chart.dim
+    env = smoothstep(boundary_distance(chart, x) / tol.delta_c)
+    if env == 0.0:
+        return np.zeros(dim)
+    for c in pert.centers:
+        env *= smoothstep(_chart_distance(chart, x, c) / (2.0 * tol.r_excl))
+        if env == 0.0:
+            return np.zeros(dim)
+    if isinstance(chart, QuotientChart):
+        u = x[0] % chart.period
+        env *= smoothstep(min(u, chart.period - u) / (0.1 * chart.period))
+        if env == 0.0:
+            return np.zeros(dim)
+    vec = np.array([pert.signs[i] * math.sin(float(pert.waves[i] @ x) + pert.phases[i])
+                    for i in range(dim)])
+    return tol.perturb_amp * env * vec
+
+
+def _eval_canonical(field, x):
+    grad = np.asarray(field.objective.gradient(x), dtype=float)
+    identity = field.metric.identity
+    if identity:
+        g_mat = None
+        vec = -grad
+    else:
+        g_mat = np.asarray(field.metric.matrix(x), dtype=float)
+        vec = -np.linalg.solve(g_mat, grad)
+
+    best = (math.inf, None)
+    pieces = (("v_min", "v_max") if isinstance(field.chart, QuotientChart)
+              else field.chart.constraints)
+    for piece in pieces:
+        depth, normal = _piece_depth_normal(field.chart, field.metric, piece, x)
+        if normal is not None and depth < best[0]:
+            best = (depth, normal)
+    depth, normal = best
+    if normal is not None and field.delta_c > 0.0 and depth < field.delta_c:
+        nu = float(grad @ normal)
+        tangential = vec + nu * normal
+        if identity:
+            g_t = math.sqrt(float(tangential @ tangential))
+        else:
+            g_t = math.sqrt(max(float(tangential @ g_mat @ tangential), 0.0))
+        cap = _collar_cap(nu, g_t, field.tol)
+        w = min(1.0, max(0.0, 1.0 - depth / field.delta_c))
+        vec = vec + w * (nu - cap) * normal
+
+    for patch in field.patches:
+        d = _chart_distance(field.chart, x, patch.center)
+        if d >= field.r_n:
+            continue
+        chi = 1.0 - smoothstep((d - 0.5 * field.r_n) / (0.5 * field.r_n))
+        if chi > 0.0:
+            vec = (1.0 - chi) * vec + chi * _model_vector(patch, field.chart, x)
+        break
+
+    if field._perturb is not None:
+        vec = vec + _perturbation(field._perturb, x)
+    return vec
+
+
+def reference_evaluate(field, raw):
+    x = np.asarray(raw, dtype=float)
+    if isinstance(field.chart, QuotientChart):
+        k = int(math.floor(x[0] / field.chart.period))
+        vec = _eval_canonical(field, deck_apply(field.chart, -k, x))
+        if deck_sign(field.chart, k) == -1:
+            vec[1] = -vec[1]
+        return vec
+    return _eval_canonical(field, x)
+
+
+def assert_matches_reference(field, points):
+    new = np.array([field.evaluate(x) for x in points])
+    ref = np.array([reference_evaluate(field, x) for x in points])
+    assert np.allclose(new, ref, rtol=1e-12, atol=1e-14)
+
+
+def check_field(field, sample):
+    # every fifth interior point: the interior is mostly plain descent, which
+    # the wall sample and the trajectories cover next to the walls and patches
+    wall = _wall_sample(field, sample)[0]
+    assert_matches_reference(field, np.concatenate([sample.interior[::5], wall]))
+    trajectories = [traj.points for branches in field._branch_memo.values()
+                    for _, _, traj in branches]
+    if trajectories:
+        assert_matches_reference(field, np.concatenate(trajectories))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", catalog.names())
+def test_matches_the_numpy_evaluator(packages, name, seed):
+    pkg = packages[name]
+    for negative in (False, True):
+        if seed is None:
+            field = pkg.field_neg if negative else pkg.field_pos
+        else:
+            field, _ = _build_side(pkg.entry, pkg.crit, negative, seed, DEFAULT, pkg.sample)
+        check_field(field, pkg.sample)
+
+
+def test_matches_the_numpy_evaluator_under_a_scaled_metric():
+    entry = dataclasses.replace(catalog.get("disk"), metric=MetricField.scaled(2, 2.0))
+    crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
+    sample = certification_sample(entry.chart, entry.metric, crit, DEFAULT)
+    for negative in (False, True):
+        field, _ = _build_side(entry, crit, negative, 0, DEFAULT, sample)
+        assert not field.metric.identity
+        check_field(field, sample)

@@ -6,7 +6,7 @@ import pytest
 
 from morseflow import catalog, flow
 from morseflow.critical import BOUNDARY_N, INTERIOR, find_critical_set
-from morseflow.errors import FlowTimeout
+from morseflow.errors import CertificateViolation, FlowTimeout
 from morseflow.fields import MorseField
 from morseflow.flow import (CONVERGED, LEFT_DOMAIN, _deck_index,
                             count_connecting_orbits, integrate,
@@ -306,11 +306,11 @@ class _Swirl:
     def __init__(self, center):
         self.center = np.asarray(center, dtype=float)
 
-    def __call__(self, x):
-        d = x - self.center
-        return 10.0 * np.array([-d[1], d[0]])
+    def at(self, x, wall):
+        d = np.asarray(x) - self.center
+        return (10.0 * np.array([-d[1], d[0]])).tolist()
 
-    def many(self, x):
+    def many(self, x, wall):
         d = x - self.center
         return 10.0 * np.stack([-d[:, 1], d[:, 0]], axis=1)
 
@@ -333,3 +333,27 @@ def test_sink_failing_its_capture_check_converges_by_r_conv():
     assert traj.termination == CONVERGED and traj.target == bottom.id
     assert chart_distance(chart, traj.end, bottom.coords) <= TIGHT.r_conv
     assert not np.array_equal(traj.end, bottom.coords)
+
+
+@pytest.mark.parametrize("name, height", [("tilted_dome", 0.5), ("moebius", -0.5)])
+def test_non_finite_field_raises_at_the_step(packages, name, height):
+    # the objective's gradient is NaN below a height the branch descends through
+    field = packages[name].field_pos
+    objective = field.objective
+    nan_points = []
+
+    def gradient(x):
+        out = np.asarray(objective.gradient(x), dtype=float)
+        below = np.asarray(x)[..., 1:2] < height
+        if below.ndim == 1 and below[0]:
+            nan_points.append(x)
+        return np.where(below, np.nan, out)
+
+    broken = dataclasses.replace(field, objective=MorseField(
+        objective.value, gradient, objective.hessian))
+    saddle = next(cp for cp in broken.crit.points if cp.grading == 1)
+    _, start = unstable_launches(broken, saddle)[0]
+    with pytest.raises(CertificateViolation, match="not finite near .* at step"):
+        integrate(broken, start)
+    # one Dormand-Prince step evaluates six new stages
+    assert 1 <= len(nan_points) <= 6

@@ -4,7 +4,8 @@ import pytest
 from morseflow import catalog, flow, pipeline, pseudogradient
 from morseflow.chains import HomologyResult
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
-from morseflow.errors import InvarianceFailure
+from morseflow.cli import _report
+from morseflow.errors import InvarianceFailure, NonTransverse
 from morseflow.params import DEFAULT
 from morseflow.pipeline import (PairingReport, assert_identical_homology,
                                 complex_key, homologies_for_seed)
@@ -86,6 +87,20 @@ def test_pairing_annulus_unimodular(packages):
     assert rep.matrix is not None
     assert abs(rep.matrix[0][0]) == 1
     assert rep.determinant() in (1, -1)
+
+
+def test_annulus_pairing_is_taken_at_the_first_retry_seed(packages):
+    # y is symmetric about the y-axis, so at seed 0 the D point's relative
+    # curve runs down the axis into the N minimum (0, -2)
+    pkg = packages["annulus"]
+    d_point = next(cp for cp in pkg.crit.points
+                   if cp.kind == BOUNDARY_D and cp.grading == 1)
+    assert np.allclose(d_point.coords, [0.0, -1.0])
+    assert pkg.field_neg.perturb_seed is None
+    with pytest.raises(NonTransverse, match="exits at a critical point"):
+        flow.relative_cycle_curves(pkg.field_neg, d_point)
+    report = _report(pkg, ["N_untwisted", "D_untwisted"], [], 0)
+    assert report["meta"]["pairing_seed"] == 7920
 
 
 def test_pairing_moebius_diagonal(packages):
