@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import UnknownEntry
 from .fields import MorseField, validate_field
-from .geometry import (BoundaryConstraint, ChartModel, MetricField, QuotientChart,
-                       RegionChart)
+from .geometry import BoundaryConstraint, Chart, MetricField
 
 Array = np.ndarray
 
@@ -43,7 +42,7 @@ class ExpectedCritical:
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    chart: ChartModel
+    chart: Chart
     metric: MetricField
     field: MorseField
     expected: tuple[ExpectedCritical, ...]
@@ -71,22 +70,16 @@ class CatalogEntry:
 
 
 def _interval() -> CatalogEntry:
-    left = BoundaryConstraint(
-        name="left",
-        value=lambda x: -x[..., 0],
-        gradient=lambda x: np.full(np.shape(x), -1.0),
-        hessian=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
-    )
-    right = BoundaryConstraint(
-        name="right",
-        value=lambda x: x[..., 0] - 1.0,
-        gradient=lambda x: np.full(np.shape(x), 1.0),
-        hessian=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
-    )
-    chart = RegionChart(dim=1, box=((0.0, 1.0),), constraints=(left, right))
+    chart = Chart(dim=1, box=((0.0, 1.0),),
+                  constraints=(BoundaryConstraint.linear("left", (-1.0,), 0.0),
+                               BoundaryConstraint.linear("right", (1.0,), -1.0)))
+
+    def gradient(x):
+        return np.array([1.0]) if np.ndim(x) == 1 else np.ones(np.shape(x))
+
     f = MorseField(
         value=lambda x: x[..., 0],
-        gradient=lambda x: np.ones(np.shape(x)),
+        gradient=gradient,
         hessian=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
     )
     return CatalogEntry(
@@ -146,8 +139,8 @@ def _height_field() -> MorseField:
 
 
 def _disk() -> CatalogEntry:
-    chart = RegionChart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
-                        constraints=(_circle_constraint("rim", 1.0),))
+    chart = Chart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
+                  constraints=(_circle_constraint("rim", 1.0),))
     return CatalogEntry(
         name="disk", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
         expected=(
@@ -167,7 +160,7 @@ def _annulus() -> CatalogEntry:
     # y is symmetric about the y-axis: at seed 0 the relative curve of the D point
     # (0, -1) runs down the axis into the N minimum (0, -2), which is not general
     # position, so the pairing retries with a perturbation (meta.pairing_seed 7920)
-    chart = RegionChart(
+    chart = Chart(
         dim=2, box=((-2.2, 2.2), (-2.2, 2.2)),
         constraints=(_circle_constraint("outer", 2.0),
                      _circle_constraint("inner", 1.0, inner=True)),
@@ -190,7 +183,7 @@ def _annulus() -> CatalogEntry:
 
 
 def _moebius() -> CatalogEntry:
-    chart = QuotientChart(period=2.0 * math.pi, v_min=-1.0, v_max=1.0, flip=-1)
+    chart = Chart.strip(period=2.0 * math.pi, v_min=-1.0, v_max=1.0, flip=-1)
 
     def value(x):
         return x[..., 1] * np.sin(x[..., 0] / 2.0)
@@ -229,8 +222,8 @@ def _moebius() -> CatalogEntry:
 
 
 def _tilted_dome() -> CatalogEntry:
-    chart = RegionChart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
-                        constraints=(_circle_constraint("rim", 1.0),))
+    chart = Chart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
+                  constraints=(_circle_constraint("rim", 1.0),))
 
     def value(x):
         return 1.0 - x[..., 0] ** 2 - x[..., 1] ** 2 + x[..., 1] / 2.0

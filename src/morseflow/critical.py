@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import DegenerateCritical, PointOutsideManifold, TypeUndetermined
 from .fields import MorseField, boundary_restriction_derivatives, validate_morse
-from .geometry import (ChartModel, MetricField, Point, QuotientChart, RegionChart,
-                       boundary_distance, boundary_frame, boundary_frames,
-                       chart_distance, normalize_point, row_dot)
+from .geometry import (Chart, MetricField, Point, active_constraint, boundary_distance,
+                       boundary_frame, boundary_frames, chart_distance, normalize_point,
+                       row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -48,7 +48,6 @@ class CriticalPoint:
     orientation_ref: tuple[tuple[float, ...], ...]
     normal_slope: float = 0.0       # <df, n> for boundary points
     tangential_hessian: float = 0.0
-    constraint: str = ""
     normal: tuple[float, ...] = ()
     tangent: tuple[float, ...] = ()
     reference_sign: int = 1
@@ -115,13 +114,13 @@ class CriticalSet:
 # interior search
 
 
-def _seed_grid(chart: ChartModel, density: int) -> Array:
+def _seed_grid(chart: Chart, density: int) -> Array:
     axes = [np.linspace(lo, hi, density) for lo, hi in chart.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, chart.dim)
 
 
-def find_interior_critical(field: MorseField, chart: ChartModel,
+def find_interior_critical(field: MorseField, chart: Chart,
                            seed_grid_density: int | None = None,
                            tol: Tolerances = DEFAULT) -> list[CriticalPoint]:
     """Newton search for zeros of grad f; classified by hessian signature.
@@ -166,13 +165,15 @@ def find_interior_critical(field: MorseField, chart: ChartModel,
 
     found: list[CriticalPoint] = []
     for i in np.flatnonzero(alive & (gnorm <= tol.tol_crit)):
+        # most seeds converge to a point already found (the distance is taken
+        # over deck images), so that test comes before the dearer wall tests
+        if any(chart_distance(chart, x[i], q.coords) < tol.dedup_dist for q in found):
+            continue
         try:
             pt, _ = normalize_point(chart, x[i], tol)
         except PointOutsideManifold:
             continue
         if boundary_distance(chart, pt.array) <= tol.tol_geom:
-            continue
-        if any(chart_distance(chart, pt.array, q.coords) < tol.dedup_dist for q in found):
             continue
         hess = np.asarray(field.hessian(pt.array), dtype=float)
         if abs(float(np.linalg.det(hess))) < tol.tol_nondeg:
@@ -242,7 +243,7 @@ def _uniform_arclength(polygon: Array, samples: int) -> Array:
     return polygon[edge] + (along / lengths[edge])[:, None] * edges[edge]
 
 
-def _trace_region_loop(chart: RegionChart, con, samples: int,
+def _trace_region_loop(chart: Chart, con, samples: int,
                        tol: Tolerances) -> Array | None:
     """Ordered closed loop of `samples` points on one constraint's zero set,
     or None.
@@ -291,17 +292,27 @@ def _trace_region_loop(chart: RegionChart, con, samples: int,
     return polygon if loop is None else loop
 
 
-def boundary_components(chart: ChartModel, samples: int | None = None,
+def boundary_loop_count(chart: Chart) -> int:
+    """The number of loops `boundary_components` returns: one per wall, but
+    the deck map with flip = -1 joins the strip's two walls into one."""
+    joined = chart.deck is not None and chart.deck.flip == -1
+    return max(1, len(chart.constraints) - joined)
+
+
+def boundary_components(chart: Chart, samples: int | None = None,
                         tol: Tolerances = DEFAULT) -> list[Array]:
-    """Ordered sample loops covering every boundary component."""
+    """Ordered sample loops covering every boundary component, `samples`
+    points each."""
     samples = samples or tol.boundary_samples
-    if isinstance(chart, QuotientChart):
-        per_edge = samples // 2 if chart.flip == -1 else samples
-        us = np.linspace(0.0, chart.period, max(per_edge, 8), endpoint=False)
-        top = np.stack([us, np.full_like(us, chart.v_max)], axis=-1)
-        bottom = np.stack([us, np.full_like(us, chart.v_min)], axis=-1)
-        if chart.flip == -1:
-            # the deck map glues the two strip edges into a single circle
+    if chart.deck is not None:
+        # the strip's walls are the lines v = lo and v = hi over one period
+        joined = chart.deck.flip == -1
+        per_wall = samples // 2 if joined else samples
+        us = np.linspace(0.0, chart.deck.period, max(per_wall, 8), endpoint=False)
+        (lo, hi) = chart.box[1]
+        top = np.stack([us, np.full_like(us, hi)], axis=-1)
+        bottom = np.stack([us, np.full_like(us, lo)], axis=-1)
+        if joined:
             return [np.concatenate([top, bottom], axis=0)]
         return [top, bottom]
     if chart.dim == 1:
@@ -321,7 +332,7 @@ def boundary_components(chart: ChartModel, samples: int | None = None,
     return loops
 
 
-def _refine_on_boundary(field: MorseField, chart: ChartModel, x0: Array,
+def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
                         metric: MetricField | None, tol: Tolerances,
                         max_move: float) -> Array | None:
     """Newton on the tangential derivative, staying on the boundary curve."""
@@ -339,7 +350,7 @@ def _refine_on_boundary(field: MorseField, chart: ChartModel, x0: Array,
             return None
         delta = float(np.clip(-g_t / h_t * t_len, -max_move, max_move))
         while True:
-            cand = _boundary_step(chart, pt.array, delta)
+            cand = _boundary_step(chart, pt.array, delta, tol)
             if cand is None:
                 return None
             try:
@@ -358,40 +369,36 @@ def _refine_on_boundary(field: MorseField, chart: ChartModel, x0: Array,
     return pt.array if abs(g_t) < tol.tol_crit else None
 
 
-def _boundary_step(chart: ChartModel, x: Array, delta: float) -> Array | None:
-    """Move arclength delta along the boundary through x (t = (n_y, -n_x))."""
-    if isinstance(chart, QuotientChart):
-        at_min = abs(x[1] - chart.v_min) < abs(x[1] - chart.v_max)
-        # tangent convention: (n_y, -n_x) with n = -e_v at v_min, +e_v at v_max
-        tangent = np.array([-1.0, 0.0]) if at_min else np.array([1.0, 0.0])
-        return x + delta * tangent
-    for con in chart.constraints:
-        if abs(float(con.value(x))) <= 1e-7:
-            grad = np.asarray(con.gradient(x), dtype=float)
-            normal = grad / np.linalg.norm(grad)
-            tangent = np.array([normal[1], -normal[0]])
-            return _project_to_zero(con, x + delta * tangent)
-    return None
+def _boundary_step(chart: Chart, x: Array, delta: float,
+                   tol: Tolerances = DEFAULT) -> Array | None:
+    """Move arclength delta along the wall through x (t = (n_y, -n_x))."""
+    con = active_constraint(chart, x, tol)
+    if con is None:
+        return None
+    grad = np.asarray(con.gradient(x), dtype=float)
+    normal = grad / np.linalg.norm(grad)
+    tangent = np.array([normal[1], -normal[0]])
+    return _project_to_zero(con, x + delta * tangent)
 
 
-def _walk_slopes(field: MorseField, chart: ChartModel, loop: Array,
+def _walk_slopes(field: MorseField, chart: Chart, loop: Array,
                  metric: MetricField | None, tol: Tolerances) -> Array:
     """g_t of `boundary_restriction_derivatives` at every point of a boundary
     loop in one batch, signed along the direction the loop is walked.
 
-    The strip's edges are walked towards +u, against the frame tangent at
-    v_min; on the flip = -1 circle that reversal falls at the seams, where
-    the frame's g_t would change sign without a critical point.
+    The strip's walls are walked towards +u, against the frame tangent of
+    the lower wall; on the flip = -1 circle that reversal falls at the seams,
+    where the frame's g_t would change sign without a critical point.
     """
     points, normals, _ = boundary_frames(chart, loop, metric, tol)
     tangents = np.stack([normals[:, 1], -normals[:, 0]], axis=1)
     g_t = row_dot(np.asarray(field.gradient(points), dtype=float), tangents)
-    if isinstance(chart, QuotientChart):
+    if chart.deck is not None:
         return np.where(tangents[:, 0] < 0.0, -g_t, g_t)
     return g_t
 
 
-def find_boundary_critical(field: MorseField, chart: ChartModel,
+def find_boundary_critical(field: MorseField, chart: Chart,
                            seed_density: int | None = None,
                            metric: MetricField | None = None,
                            tol: Tolerances = DEFAULT) -> list[CriticalPoint]:
@@ -429,10 +436,10 @@ def _boundary_critical_1d(field, chart, metric, tol) -> list[CriticalPoint]:
     return out
 
 
-def _classify_boundary(field: MorseField, chart: ChartModel, x: Array,
+def _classify_boundary(field: MorseField, chart: Chart, x: Array,
                        metric: MetricField | None, tol: Tolerances) -> CriticalPoint:
     pt, _ = normalize_point(chart, x, tol)
-    name, normal, tangent = boundary_frame(chart, pt, metric, tol)
+    _, normal, tangent = boundary_frame(chart, pt, metric, tol)
     grad = np.asarray(field.gradient(pt.array), dtype=float)
     nu = float(grad @ normal)
     if abs(nu) <= tol.tol_type:
@@ -452,7 +459,7 @@ def _classify_boundary(field: MorseField, chart: ChartModel, x: Array,
     return CriticalPoint(
         id=-1, point=pt, value=float(field.value(pt.array)), kind=kind,
         index=b_index, grading=grading, unstable_dim=grading, orientation_ref=(),
-        normal_slope=nu, tangential_hessian=h_t, constraint=name,
+        normal_slope=nu, tangential_hessian=h_t,
         normal=tuple(float(c) for c in normal),
         tangent=tuple(float(c) for c in tangent),
     )
@@ -479,7 +486,7 @@ def _orientation_frame(field: MorseField, cp: CriticalPoint, dim: int) -> tuple:
     return tuple(tuple(float(c) for c in v) for v in frame)
 
 
-def assemble_critical_set(field: MorseField, chart: ChartModel,
+def assemble_critical_set(field: MorseField, chart: Chart,
                           interior: Sequence[CriticalPoint],
                           boundary: Sequence[CriticalPoint],
                           tol: Tolerances = DEFAULT,
@@ -496,7 +503,7 @@ def assemble_critical_set(field: MorseField, chart: ChartModel,
     return crit
 
 
-def find_critical_set(field: MorseField, chart: ChartModel,
+def find_critical_set(field: MorseField, chart: Chart,
                       metric: MetricField | None = None,
                       tol: Tolerances = DEFAULT) -> CriticalSet:
     interior = find_interior_critical(field, chart, tol=tol)
@@ -505,7 +512,7 @@ def find_critical_set(field: MorseField, chart: ChartModel,
 
 
 def reclassify_negated(crit: CriticalSet, field: MorseField,
-                       chart: ChartModel) -> CriticalSet:
+                       chart: Chart) -> CriticalSet:
     """Critical data of -f: same points and ids, complementary indices, N/D swap."""
     dim = crit.dim
     neg = field.negated()

@@ -13,8 +13,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateCritical, NotMorse, NotOnBoundary, TypeUndetermined
-from .geometry import (ChartModel, MetricField, Point, QuotientChart,
-                       boundary_frame, deck_apply)
+from .geometry import (Chart, MetricField, Point, active_constraint, boundary_frame,
+                       deck_apply)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -36,26 +36,21 @@ class MorseField:
         )
 
 
-def _sample_points(chart: ChartModel, count: int, rng: np.random.Generator) -> Array:
-    if isinstance(chart, QuotientChart):
-        lo = np.array([0.0, chart.v_min])
-        hi = np.array([chart.period, chart.v_max])
-    else:
-        lo = np.array([b[0] for b in chart.box])
-        hi = np.array([b[1] for b in chart.box])
+def _sample_points(chart: Chart, count: int, rng: np.random.Generator) -> Array:
+    lo, hi = np.array(chart.box, dtype=float).T
     return lo + (hi - lo) * rng.random((count, len(lo)))
 
 
-def check_deck_invariance(field: MorseField, chart: ChartModel,
+def check_deck_invariance(field: MorseField, chart: Chart,
                           samples: int = 100, tol: float = 1e-9,
                           seed: int = 7) -> float:
     """Worst deviation of value/gradient/hessian from deck equivariance."""
-    if not isinstance(chart, QuotientChart):
+    if chart.deck is None:
         return 0.0
     rng = np.random.default_rng(seed)
     pts = _sample_points(chart, samples, rng)
     worst = 0.0
-    flip = np.diag([1.0, float(chart.flip)])
+    flip = np.diag([1.0, float(chart.deck.flip)])
     for x in pts:
         tx = deck_apply(chart, 1, x)
         worst = max(worst, abs(float(field.value(tx)) - float(field.value(x))))
@@ -70,7 +65,7 @@ def check_deck_invariance(field: MorseField, chart: ChartModel,
     return worst
 
 
-def check_derivative_consistency(field: MorseField, chart: ChartModel,
+def check_derivative_consistency(field: MorseField, chart: Chart,
                                  samples: int = 100, seed: int = 11) -> float:
     """Hessian versus central differences of the gradient; returns worst rel error."""
     rng = np.random.default_rng(seed)
@@ -93,36 +88,34 @@ def check_derivative_consistency(field: MorseField, chart: ChartModel,
     return worst
 
 
-def validate_field(field: MorseField, chart: ChartModel) -> None:
+def validate_field(field: MorseField, chart: Chart) -> None:
     """Construction-time checks: deck equivariance and derivative consistency."""
     check_deck_invariance(field, chart)
     check_derivative_consistency(field, chart)
 
 
-def curvature_form(chart: ChartModel, p: Point, normal: Array, tangent: Array,
-                   metric: MetricField | None = None) -> float:
+def curvature_form(chart: Chart, p: Point, normal: Array, tangent: Array,
+                   metric: MetricField | None = None, tol: Tolerances = DEFAULT) -> float:
     """Second fundamental form II(t, t) of the boundary, outward normal convention.
 
     tangent is assumed metric-unit; the constraint gradient is normalized in the
     dual metric norm so the result is frame consistent.
     """
-    if isinstance(chart, QuotientChart):
-        return 0.0
     x = p.array
-    for con in chart.constraints:
-        if abs(float(con.value(x))) <= 1e-7:
-            grad = np.asarray(con.gradient(x), dtype=float)
-            hess = np.asarray(con.hessian(x), dtype=float)
-            if metric is None or metric.identity:
-                gl = math.sqrt(float(grad @ grad))
-            else:
-                ginv_grad = np.linalg.solve(np.asarray(metric.matrix(x)), grad)
-                gl = math.sqrt(float(grad @ ginv_grad))
-            return float(tangent @ hess @ tangent) / gl
-    raise NotOnBoundary(f"{p.coords} has no active constraint")
+    con = active_constraint(chart, x, tol)
+    if con is None:
+        raise NotOnBoundary(f"{p.coords} has no active constraint")
+    grad = np.asarray(con.gradient(x), dtype=float)
+    hess = np.asarray(con.hessian(x), dtype=float)
+    if metric is None or metric.identity:
+        gl = math.sqrt(float(grad @ grad))
+    else:
+        ginv_grad = np.linalg.solve(np.asarray(metric.matrix(x)), grad)
+        gl = math.sqrt(float(grad @ ginv_grad))
+    return float(tangent @ hess @ tangent) / gl
 
 
-def boundary_restriction_derivatives(field: MorseField, chart: ChartModel,
+def boundary_restriction_derivatives(field: MorseField, chart: Chart,
                                      p: Point, metric: MetricField | None = None,
                                      tol: Tolerances = DEFAULT) -> tuple[float, float]:
     """Arclength first and second derivatives of the boundary restriction at p.
@@ -140,7 +133,7 @@ def boundary_restriction_derivatives(field: MorseField, chart: ChartModel,
     g_t = float(grad @ tangent)
     nu = float(grad @ normal)
     second = float(tangent @ hess @ tangent) \
-        - nu * curvature_form(chart, p, normal, tangent, metric)
+        - nu * curvature_form(chart, p, normal, tangent, metric, tol)
     return g_t, second
 
 
@@ -154,7 +147,7 @@ class ValidationReport:
     min_type_margin: float
 
 
-def validate_morse(field: MorseField, chart: ChartModel, crit,
+def validate_morse(field: MorseField, chart: Chart, crit,
                    tol: Tolerances = DEFAULT) -> ValidationReport:
     """Assert the located critical data satisfies the admissibility clauses.
 

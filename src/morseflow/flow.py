@@ -27,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import BOUNDARY_N, INTERIOR, CriticalPoint, sign_fix
+from .critical import BOUNDARY_N, INTERIOR, CriticalPoint, _project_to_zero, sign_fix
 from .errors import (CertificateViolation, DimensionMismatch, FlowTimeout,
                      NonTransverse)
-from .geometry import (QuotientChart, RegionChart, chart_distance, deck_apply,
-                       deck_sign, path_orientation_sign)
+from .geometry import (active_constraint, chart_distance, deck_apply, deck_sign,
+                       nearest_wall, path_orientation_sign)
 from .params import DEFAULT, Tolerances
-from .pseudogradient import PseudoGradientField, _project_to_boundary
+from .pseudogradient import PseudoGradientField
 
 Array = np.ndarray
 
@@ -97,37 +97,12 @@ def _rk_step(deriv, x: Array, h: float, k1: Array):
 
 def _violation(chart, x: Array) -> float:
     """Positive when x lies outside the manifold (worst constraint excess)."""
-    if isinstance(chart, QuotientChart):
-        return max(chart.v_min - x[1], x[1] - chart.v_max)
-    worst = -math.inf
-    for con in chart.constraints:
-        worst = max(worst, float(con.value(x)))
-    return worst
-
-
-def _outward_direction(chart, x: Array) -> Array | None:
-    if isinstance(chart, QuotientChart):
-        if abs(x[1] - chart.v_min) < abs(x[1] - chart.v_max):
-            return np.array([0.0, -1.0])
-        return np.array([0.0, 1.0])
-    best, grad = math.inf, None
-    for con in chart.constraints:
-        g = np.asarray(con.gradient(x), dtype=float)
-        gl = float(np.linalg.norm(g))
-        if gl == 0.0:
-            continue
-        d = abs(float(con.value(x))) / gl
-        if d < best:
-            best, grad = d, g / gl
-    return grad
+    return max((float(con.value(x)) for con in chart.constraints), default=-math.inf)
 
 
 def _pull_inside(chart, x: Array) -> Array:
     """Nudge a point with a tiny constraint excess back onto the manifold."""
     out = np.array(x, dtype=float)
-    if isinstance(chart, QuotientChart):
-        out[1] = min(max(out[1], chart.v_min), chart.v_max)
-        return out
     for _ in range(4):
         worst, con = 0.0, None
         for c in chart.constraints:
@@ -139,13 +114,6 @@ def _pull_inside(chart, x: Array) -> Array:
         g = np.asarray(con.gradient(out), dtype=float)
         out = out - (worst / float(g @ g)) * g
     return out
-
-
-def _sink_image(chart, raw: Array, cp: CriticalPoint) -> Array:
-    """The deck image of cp nearest raw coordinates (cp itself on a region chart)."""
-    if isinstance(chart, RegionChart):
-        return cp.coords.copy()
-    return deck_apply(chart, _deck_index(chart, raw, cp), cp.coords)
 
 
 def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
@@ -190,7 +158,8 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
                     return cp.id
         for region in captures:
             if region.holds(chart, y, values[-1]):
-                sink = _sink_image(chart, y, region.sink)
+                sink = deck_apply(chart, _deck_index(chart, y, region.sink),
+                                  region.sink.coords)
                 gap = float(np.linalg.norm(sink - y))
                 times.append(times[-1] + gap / max(speed, tol.field_stop))
                 points.append(sink)
@@ -243,7 +212,7 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
                     lo = mid
             x_land = _pull_inside(chart, x_hi)
             t_land = t + h * hi
-            outward = _outward_direction(chart, x_land)
+            _, outward = nearest_wall(chart, x_land)
             speed_vec = deriv(x_land)
             push = float(speed_vec @ outward) if outward is not None else 0.0
             if push > 1e-8 * (1.0 + float(np.linalg.norm(speed_vec))):
@@ -293,7 +262,8 @@ def unstable_launches(field: PseudoGradientField, cp: CriticalPoint,
     for label in (1, -1):
         x0 = cp.coords + tol.r_launch * label * e_u
         if cp.kind == BOUNDARY_N:
-            x0 = _project_to_boundary(field.chart, cp, x0)
+            proj = _project_to_zero(active_constraint(field.chart, cp.coords, tol), x0)
+            x0 = x0 if proj is None else proj
         out.append((label, x0))
     return out
 
@@ -371,10 +341,10 @@ class IncidenceCount:
 
 
 def _deck_index(chart, raw: Array, cp: CriticalPoint) -> int:
-    """Deck power j with raw coordinates near T^j of cp (0 on a region chart)."""
-    if isinstance(chart, RegionChart):
+    """Deck power j with raw coordinates near T^j of cp (0 without a deck map)."""
+    if chart.deck is None:
         return 0
-    return round((raw[0] - cp.coords[0]) / chart.period)
+    return round((raw[0] - cp.coords[0]) / chart.deck.period)
 
 
 def _orbit_twist(field: PseudoGradientField, traj: Trajectory,

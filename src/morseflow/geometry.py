@@ -1,15 +1,18 @@
 """Coordinate charts for compact 1- and 2-manifolds with boundary.
 
-Two chart shapes cover the built-in catalog: a box region cut out by smooth
-inequality constraints, and a periodic strip glued by a deck transformation
-(u, v) ~ (u + period, flip * v).  All evaluators are pure; chart values are
-immutable after construction.
+One chart model covers the built-in catalog: a box cut out by smooth
+inequality constraints, each of which bounds the manifold by one wall, and
+optionally glued by a deck map (u, v) -> (u + period, flip * v).  The strip
+(`Chart.strip`) is a box one period wide whose two walls are linear
+constraints.  Every wall operation treats all constraints alike; only code
+about the deck images asks whether a chart has a deck map.  All evaluators
+are pure; chart values are immutable after construction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,19 +24,63 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class BoundaryConstraint:
-    """Smooth scalar map b; the manifold side is {b <= 0}, the wall is {b = 0}."""
+    """Smooth scalar map b; the manifold side is {b <= 0}, the wall is {b = 0}.
+
+    A linear constraint b(x) = covector . x + offset also keeps its covector
+    and offset, which the field evaluator reads once as floats.
+    """
 
     name: str
     value: Callable[[Array], Array]
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array]
+    covector: tuple[float, ...] | None = None
+    offset: float = 0.0
+
+    @classmethod
+    def linear(cls, name: str, covector: Sequence[float],
+               offset: float) -> "BoundaryConstraint":
+        """b(x) = covector . x + offset, evaluated as `plain_dot(covector, x)
+        + offset` for one point (in float arithmetic) and for each row."""
+        cov, offset, dim = tuple(float(c) for c in covector), float(offset), len(covector)
+
+        def value(x):
+            x = np.asarray(x, dtype=float)
+            columns = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
+            return plain_dot(cov, columns) + offset
+
+        def gradient(x):
+            # a batch shares one read-only row
+            return np.array(cov) if np.ndim(x) == 1 else np.broadcast_to(cov, np.shape(x))
+
+        return cls(name, value, gradient,
+                   lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim)), cov, offset)
 
 
 @dataclass(frozen=True)
-class RegionChart:
+class Deck:
+    """The deck map (u, v) -> (u + period, flip * v)."""
+
+    period: float
+    flip: int
+
+    def __post_init__(self):
+        if self.flip not in (-1, 1):
+            raise ValueError("flip must be +1 or -1")
+
+
+@dataclass(frozen=True)
+class Chart:
+    """A box cut out by boundary constraints, optionally glued by a deck map.
+
+    With a deck map the box's first axis is one period, [0, period), and the
+    canonical form of a point is its deck image there.
+    """
+
     dim: int
     box: tuple[tuple[float, float], ...]
     constraints: tuple[BoundaryConstraint, ...]
+    deck: Deck | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -41,37 +88,19 @@ class RegionChart:
         if len(self.box) != self.dim:
             raise ValueError("box must have one (lo, hi) pair per axis")
 
-
-@dataclass(frozen=True)
-class QuotientChart:
-    """Strip R x [v_min, v_max] with deck map (u, v) -> (u + period, flip * v)."""
-
-    period: float
-    v_min: float
-    v_max: float
-    flip: int
-
-    def __post_init__(self):
-        if self.flip not in (-1, 1):
-            raise ValueError("flip must be +1 or -1")
-        if self.flip == -1 and abs(self.v_min + self.v_max) > 1e-15:
+    @classmethod
+    def strip(cls, period: float, v_min: float, v_max: float, flip: int) -> "Chart":
+        """The strip R x [v_min, v_max] glued by (u, v) -> (u + period, flip * v)."""
+        if flip == -1 and abs(v_min + v_max) > 1e-15:
             raise ValueError("flip = -1 requires v_min = -v_max")
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def box(self) -> tuple[tuple[float, float], ...]:
-        return ((0.0, self.period), (self.v_min, self.v_max))
-
-
-ChartModel = Union[RegionChart, QuotientChart]
+        walls = (BoundaryConstraint.linear("v_min", (0.0, -1.0), v_min),
+                 BoundaryConstraint.linear("v_max", (0.0, 1.0), -v_max))
+        return cls(2, ((0.0, period), (v_min, v_max)), walls, Deck(period, flip))
 
 
 @dataclass(frozen=True)
 class Point:
-    """Chart coordinates in canonical form (quotient: first coordinate in [0, P))."""
+    """Chart coordinates in canonical form (with a deck map, u in [0, period))."""
 
     coords: tuple[float, ...]
 
@@ -101,78 +130,98 @@ class MetricField:
         return cls(matrix=lambda x: mat)
 
 
-def deck_sign(chart: QuotientChart, k: int) -> int:
-    return 1 if k % 2 == 0 else chart.flip
+def deck_sign(chart: Chart, k: int) -> int:
+    return 1 if k % 2 == 0 else chart.deck.flip
 
 
-def deck_apply(chart: QuotientChart, k: int, xy: Array) -> Array:
+def deck_apply(chart: Chart, k: int, xy: Array) -> Array:
     """k-fold deck transformation applied to raw strip coordinates."""
     out = np.array(xy, dtype=float)
-    out[0] += k * chart.period
-    out[1] *= deck_sign(chart, k)
+    if k:
+        out[0] += k * chart.deck.period
+        out[1] *= deck_sign(chart, k)
     return out
 
 
-def _region_violation(chart: RegionChart, x: Array, tol: float) -> str | None:
-    for axis, (lo, hi) in enumerate(chart.box):
-        if x[axis] < lo - tol or x[axis] > hi + tol:
-            return f"axis {axis} outside box"
-    for con in chart.constraints:
-        if float(con.value(x)) > tol:
-            return f"constraint {con.name} positive"
-    return None
+def deck_reduce(chart: Chart, x: Array) -> tuple[Array, Array]:
+    """Each row of x moved into [0, period) by a deck power, and that power:
+    floor(u / period), plus one where the move rounds onto the period, less
+    one where it rounds below 0."""
+    period, flip = chart.deck.period, float(chart.deck.flip)
+    k = np.floor(x[:, 0] / period)
+    canon = np.stack([x[:, 0] + -k * period,
+                      x[:, 1] * np.where(k % 2 == 0, 1.0, flip)], axis=1)
+    for step in (1.0, -1.0):
+        wrapped = canon[:, 0] >= period if step > 0.0 else canon[:, 0] < 0.0
+        canon[wrapped, 0] -= step * period
+        canon[wrapped, 1] *= flip
+        k[wrapped] += step
+    return canon, k
 
 
-def normalize_point(chart: ChartModel, raw: Sequence[float],
+def active_constraint(chart: Chart, x: Array,
+                      tol: Tolerances = DEFAULT) -> BoundaryConstraint | None:
+    """The constraint whose wall passes through x (|b| <= tol_geom), or None.
+
+    Raises AmbiguousBoundary when two constraints are active at once (corner).
+    """
+    active = [con for con in chart.constraints if abs(float(con.value(x))) <= tol.tol_geom]
+    if len(active) > 1:
+        raise AmbiguousBoundary(f"constraints {[c.name for c in active]} all active")
+    return active[0] if active else None
+
+
+def normalize_point(chart: Chart, raw: Sequence[float],
                     tol: Tolerances = DEFAULT) -> tuple[Point, int]:
     """Reduce raw coordinates to canonical form.
 
     Returns the canonical point and the net orientation sign accumulated by
-    the deck applications (always +1 on a region chart).  Raises
+    the deck applications (always +1 without a deck map).  Raises
     PointOutsideManifold when the input does not lie on the manifold.
     """
     x = np.asarray(raw, dtype=float)
-    if isinstance(chart, RegionChart):
-        if x.shape != (chart.dim,):
-            raise ValueError("wrong coordinate length")
-        reason = _region_violation(chart, x, tol.tol_geom)
-        if reason is not None:
-            raise PointOutsideManifold(reason)
-        return Point(tuple(float(c) for c in x)), 1
-    if x.shape != (2,):
+    if x.shape != (chart.dim,):
         raise ValueError("wrong coordinate length")
-    k = int(math.floor(x[0] / chart.period))
-    canon = deck_apply(chart, -k, x)
-    # floor can land exactly on the period due to rounding
-    if canon[0] >= chart.period:
-        canon = deck_apply(chart, -1, canon)
-        k += 1
-    if canon[0] < 0.0:
-        canon = deck_apply(chart, 1, canon)
-        k -= 1
-    sign = deck_sign(chart, k)
-    if canon[1] < chart.v_min - tol.tol_geom or canon[1] > chart.v_max + tol.tol_geom:
-        raise PointOutsideManifold("strip bounds violated")
-    return Point((float(canon[0]), float(canon[1]))), sign
+    sign = 1
+    if chart.deck is not None:
+        # `deck_reduce` for one point; a one-row batch costs several times as much
+        period = chart.deck.period
+        k = int(math.floor(x[0] / period))
+        x = deck_apply(chart, -k, x)
+        if x[0] >= period:
+            x = deck_apply(chart, -1, x)
+            k += 1
+        if x[0] < 0.0:
+            x = deck_apply(chart, 1, x)
+            k -= 1
+        sign = deck_sign(chart, k)
+    for axis, (lo, hi) in enumerate(chart.box):
+        if x[axis] < lo - tol.tol_geom or x[axis] > hi + tol.tol_geom:
+            raise PointOutsideManifold(f"axis {axis} outside box")
+    for con in chart.constraints:
+        if float(con.value(x)) > tol.tol_geom:
+            raise PointOutsideManifold(f"constraint {con.name} positive")
+    return Point(tuple(float(c) for c in x)), sign
 
 
-def chart_distance(chart: ChartModel, a: Sequence[float], b: Sequence[float]) -> float:
+def chart_distance(chart: Chart, a: Sequence[float], b: Sequence[float]) -> float:
     """Distance between two raw coordinate tuples, minimized over deck images."""
     return coords_distance(chart, np.asarray(a, dtype=float).tolist(),
                            np.asarray(b, dtype=float).tolist())
 
 
-def coords_distance(chart: ChartModel, a: list[float], b: list[float]) -> float:
+def coords_distance(chart: Chart, a: list[float], b: list[float]) -> float:
     """`chart_distance` of two coordinate lists, in float arithmetic with the
     operations of `chart_distance_many`."""
-    if isinstance(chart, RegionChart):
+    if chart.deck is None:
         d0, d1 = a[0] - b[0], (a[1] - b[1] if len(a) == 2 else 0.0)
         return math.sqrt(d0 * d0 + d1 * d1)   # d0 * d0 + 0.0 rounds as d0 * d0
+    period, flip = chart.deck.period, chart.deck.flip
     best = math.inf
-    shift = round((b[0] - a[0]) / chart.period)
+    shift = round((b[0] - a[0]) / period)
     for k in (shift - 1, shift, shift + 1):
-        d0 = a[0] + k * chart.period - b[0]
-        d1 = a[1] * (1.0 if k % 2 == 0 else chart.flip) - b[1]
+        d0 = a[0] + k * period - b[0]
+        d1 = a[1] * (1.0 if k % 2 == 0 else flip) - b[1]
         best = min(best, math.sqrt(d0 * d0 + d1 * d1))
     return best
 
@@ -201,18 +250,19 @@ def row_dot(a: Array, b: Array) -> Array:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def chart_distance_many(chart: ChartModel, points: Array, b: Sequence[float]) -> Array:
+def chart_distance_many(chart: Chart, points: Array, b: Sequence[float]) -> Array:
     """`chart_distance` from each row of points to b, with the same bits."""
     xa = np.asarray(points, dtype=float).T
     xb = np.asarray(b, dtype=float).tolist()
-    if isinstance(chart, RegionChart):
+    if chart.deck is None:
         d = [p - q for p, q in zip(xa, xb)]
         return np.sqrt(plain_dot(d, d))
+    period, flip = chart.deck.period, float(chart.deck.flip)
     best = np.full(xa.shape[1], math.inf)
-    shift = np.rint((xb[0] - xa[0]) / chart.period)
+    shift = np.rint((xb[0] - xa[0]) / period)
     for k in (shift - 1, shift, shift + 1):
-        d = [xa[0] + k * chart.period - xb[0],
-             xa[1] * np.where(k % 2 == 0, 1.0, float(chart.flip)) - xb[1]]
+        d = [xa[0] + k * period - xb[0],
+             xa[1] * np.where(k % 2 == 0, 1.0, flip) - xb[1]]
         best = np.minimum(best, np.sqrt(plain_dot(d, d)))
     return best
 
@@ -257,32 +307,18 @@ def metric_normals(metric: MetricField, covectors: Array, g_mats: Array | None) 
         return vec / length[:, None]
 
 
-def boundary_data(chart: ChartModel, p: Point, metric: MetricField | None = None,
+def boundary_data(chart: Chart, p: Point, metric: MetricField | None = None,
                   tol: Tolerances = DEFAULT) -> tuple[str, Array] | None:
     """Active boundary piece and outward unit normal at p, or None in the interior.
 
     Raises AmbiguousBoundary when two constraints are active at once (corner).
     """
     x = p.array
+    con = active_constraint(chart, x, tol)
+    if con is None:
+        return None
     metric = metric or MetricField.euclidean(len(x))
-    if isinstance(chart, QuotientChart):
-        at_min = abs(x[1] - chart.v_min) <= tol.tol_geom
-        at_max = abs(x[1] - chart.v_max) <= tol.tol_geom
-        if at_min and at_max:
-            raise AmbiguousBoundary("degenerate strip")
-        if at_min:
-            return "v_min", metric_normal(metric, x, np.array([0.0, -1.0]))
-        if at_max:
-            return "v_max", metric_normal(metric, x, np.array([0.0, 1.0]))
-        return None
-    active = [con for con in chart.constraints if abs(float(con.value(x))) <= tol.tol_geom]
-    if len(active) > 1:
-        raise AmbiguousBoundary(f"constraints {[c.name for c in active]} all active")
-    if not active:
-        return None
-    con = active[0]
-    grad = np.asarray(con.gradient(x), dtype=float)
-    return con.name, metric_normal(metric, x, grad)
+    return con.name, metric_normal(metric, x, np.asarray(con.gradient(x), dtype=float))
 
 
 def tangent_of_normal(normal: Array) -> Array:
@@ -290,7 +326,7 @@ def tangent_of_normal(normal: Array) -> Array:
     return np.array([normal[1], -normal[0]])
 
 
-def boundary_frame(chart: ChartModel, p: Point, metric: MetricField | None = None,
+def boundary_frame(chart: Chart, p: Point, metric: MetricField | None = None,
                    tol: Tolerances = DEFAULT) -> tuple[str, Array, Array]:
     """(piece name, outward normal, tangent) at a boundary point; raises otherwise."""
     data = boundary_data(chart, p, metric, tol)
@@ -302,7 +338,7 @@ def boundary_frame(chart: ChartModel, p: Point, metric: MetricField | None = Non
     return name, normal, tangent_of_normal(normal)
 
 
-def boundary_frames(chart: ChartModel, raw: Array, metric: MetricField | None = None,
+def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
                     tol: Tolerances = DEFAULT) -> tuple[Array, Array, Array]:
     """Canonical points, outward metric-unit normals and metric matrices of
     boundary points, one row per row of raw.
@@ -314,33 +350,18 @@ def boundary_frames(chart: ChartModel, raw: Array, metric: MetricField | None = 
     x = np.array(raw, dtype=float).reshape(-1, chart.dim)
     metric = metric or MetricField.euclidean(chart.dim)
     geom = tol.tol_geom
-    if isinstance(chart, QuotientChart):
-        # the deck reduction of `normalize_point`, with its two rounding fixes
-        k = np.floor(x[:, 0] / chart.period)
-        canon = np.stack([x[:, 0] + -k * chart.period,
-                          x[:, 1] * np.where(k % 2 == 0, 1.0, float(chart.flip))], axis=1)
-        for shift in (-chart.period, chart.period):
-            wrapped = canon[:, 0] >= chart.period if shift < 0.0 else canon[:, 0] < 0.0
-            canon[wrapped, 0] += shift
-            canon[wrapped, 1] *= chart.flip
-        v = canon[:, 1]
-        at_min = np.abs(v - chart.v_min) <= geom
-        at_max = np.abs(v - chart.v_max) <= geom
-        bad = (v < chart.v_min - geom) | (v > chart.v_max + geom) | (at_min == at_max)
-        covectors = np.where(at_min[:, None], [0.0, -1.0], [0.0, 1.0])
-    else:
-        canon = x
-        values = np.empty((len(x), len(chart.constraints)))
-        for j, con in enumerate(chart.constraints):
-            values[:, j] = con.value(x)
-        active = np.abs(values) <= geom
-        bad = (values > geom).any(axis=1) | (active.sum(axis=1) != 1)
-        for axis, (lo, hi) in enumerate(chart.box):
-            bad |= (x[:, axis] < lo - geom) | (x[:, axis] > hi + geom)
-        covectors = np.zeros_like(x)
-        for j, con in enumerate(chart.constraints):
-            rows = np.flatnonzero(active[:, j] & ~bad)
-            covectors[rows] = con.gradient(x[rows])
+    canon = x if chart.deck is None else deck_reduce(chart, x)[0]
+    values = np.empty((len(x), len(chart.constraints)))
+    for j, con in enumerate(chart.constraints):
+        values[:, j] = con.value(canon)
+    active = np.abs(values) <= geom
+    bad = (values > geom).any(axis=1) | (active.sum(axis=1) != 1)
+    for axis, (lo, hi) in enumerate(chart.box):
+        bad |= (canon[:, axis] < lo - geom) | (canon[:, axis] > hi + geom)
+    covectors = np.zeros_like(canon)
+    for j, con in enumerate(chart.constraints):
+        rows = np.flatnonzero(active[:, j] & ~bad)
+        covectors[rows] = con.gradient(canon[rows])
     g_mats = metric_matrices(metric, canon)
     normals = metric_normals(metric, covectors, g_mats)
     # `metric_normal` raises on a zero normal, where the batch divides by zero
@@ -352,27 +373,34 @@ def boundary_frames(chart: ChartModel, raw: Array, metric: MetricField | None = 
     return canon, normals, g_mats
 
 
-def path_orientation_sign(chart: ChartModel, polyline: Sequence[Sequence[float]]) -> int:
+def path_orientation_sign(chart: Chart, polyline: Sequence[Sequence[float]]) -> int:
     """Product of deck-flip signs over signed seam crossings of a raw polyline."""
-    if isinstance(chart, RegionChart):
+    if chart.deck is None:
         return 1
+    period = chart.deck.period
     pts = [np.asarray(q, dtype=float) for q in polyline]
     total = 0
     for a, b in zip(pts[:-1], pts[1:]):
-        total += int(math.floor(b[0] / chart.period)) - int(math.floor(a[0] / chart.period))
+        total += int(math.floor(b[0] / period)) - int(math.floor(a[0] / period))
     return deck_sign(chart, total)
 
 
-def boundary_distance(chart: ChartModel, raw: Array) -> float:
-    """First-order distance from raw coordinates to the nearest boundary piece."""
+def nearest_wall(chart: Chart, raw: Array) -> tuple[float, Array | None]:
+    """First-order distance |b| / |grad b| from raw coordinates to the
+    nearest wall, and that wall's unit covector (None without a wall)."""
     x = np.asarray(raw, dtype=float)
-    if isinstance(chart, QuotientChart):
-        return float(min(abs(x[1] - chart.v_min), abs(chart.v_max - x[1])))
-    best = math.inf
+    best, unit = math.inf, None
     for con in chart.constraints:
         g = np.asarray(con.gradient(x), dtype=float)
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
             continue
-        best = min(best, abs(float(con.value(x))) / norm)
-    return best
+        d = abs(float(con.value(x))) / norm
+        if d < best:
+            best, unit = d, g / norm
+    return best, unit
+
+
+def boundary_distance(chart: Chart, raw: Array) -> float:
+    """First-order distance from raw coordinates to the nearest boundary piece."""
+    return nearest_wall(chart, raw)[0]

@@ -123,7 +123,9 @@ def _build_side(entry: CatalogEntry, crit: CriticalSet, for_negative: bool,
         try:
             return field, build_incidences(field, tol)
         except NonTransverse as exc:
-            last = exc
+            # keep the error without its traceback, whose frames would hold
+            # this analysis in a reference cycle until the cyclic collector runs
+            last = exc.with_traceback(None)
     raise last  # type: ignore[misc]
 
 
@@ -199,7 +201,7 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
                 used_seed = seed
                 break
             except NonTransverse as exc:
-                last = exc
+                last = exc.with_traceback(None)  # as in `_build_side`
         if matrix is None:
             raise last  # type: ignore[misc]
         out[k] = PairingReport(k, rows, cols, matrix)

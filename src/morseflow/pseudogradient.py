@@ -23,10 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .critical import (BOUNDARY_D, BOUNDARY_N, CriticalPoint, CriticalSet,
-                       _project_to_zero, boundary_components, reclassify_negated)
+                       boundary_components, boundary_loop_count, reclassify_negated)
 from .errors import BlendGapFailure
 from .fields import MorseField
-from .geometry import (ChartModel, MetricField, QuotientChart, RegionChart,
+from .geometry import (BoundaryConstraint, Chart, MetricField, active_constraint,
                        boundary_frames, chart_distance, chart_distance_many,
                        coords_distance, metric_matrices, plain_dot, row_dot)
 from .params import DEFAULT, Tolerances
@@ -74,33 +74,27 @@ class TangencyPatch:
     center: Array                   # canonical coordinates of the type-N point
     tangent: Array                  # unit boundary tangent at the center
     h: float                        # arclength second derivative of the restriction
-    kind: str                       # "constraint" | "v_min" | "v_max"
-    constraint_name: str
+    constraint: BoundaryConstraint  # the wall the center lies on
     grad_norm_at_center: float
 
-    def _depth(self, chart: ChartModel, x: Array) -> tuple[Array, list]:
+    def _depth(self, x: Array) -> tuple[Array, list]:
         """The local depth coordinate z at each row of x, and its gradient."""
-        if self.kind == "v_min":
-            return x[:, 1] - chart.v_min, [0.0, 1.0]
-        if self.kind == "v_max":
-            return chart.v_max - x[:, 1], [0.0, -1.0]
-        con = _constraint_by_name(chart, self.constraint_name)
-        z = -np.asarray(con.value(x), dtype=float) / self.grad_norm_at_center
-        return z, list(-np.asarray(con.gradient(x), dtype=float).T
-                       / self.grad_norm_at_center)
+        con, gnorm = self.constraint, self.grad_norm_at_center
+        z = -np.asarray(con.value(x), dtype=float) / gnorm
+        return z, list(-np.asarray(con.gradient(x), dtype=float).T / gnorm)
 
-    def jacobian(self, chart: ChartModel, x: Array) -> Array:
+    def jacobian(self, x: Array) -> Array:
         """Rows: the gradients of the local coordinates (y, z) at the point x."""
-        dz = np.array(self._depth(chart, x[None])[1], dtype=float).reshape(-1)
+        dz = np.array(self._depth(x[None])[1], dtype=float).reshape(-1)
         return dz.reshape(1, 1) if len(x) == 1 else np.stack([self.tangent, dz])
 
-    def model_vectors(self, chart: ChartModel, x: Array) -> Array:
+    def model_vectors(self, chart: Chart, x: Array) -> Array:
         """The model field (y, z) -> (-h*y, -z), pulled back through the local
         coordinates, at each row of x."""
-        z, dz = self._depth(chart, x)
+        z, dz = self._depth(x)
         delta = (x - self.center).T
-        if isinstance(chart, QuotientChart):
-            delta[0] -= chart.period * np.rint(delta[0] / chart.period)
+        if chart.deck is not None:
+            delta[0] -= chart.deck.period * np.rint(delta[0] / chart.deck.period)
         return np.stack(_model_vector(self.tangent.tolist(), self.h, delta, z, dz),
                         axis=1)
 
@@ -117,37 +111,11 @@ def _model_vector(tangent, h: float, delta, z, dz) -> list:
     return [(d * my - b * mz) / det, (a * mz - c * my) / det]
 
 
-def _constraint_by_name(chart: RegionChart, name: str):
-    for con in chart.constraints:
-        if con.name == name:
-            return con
-    raise KeyError(name)
-
-
-def _project_to_boundary(chart: ChartModel, cp, x: Array) -> Array:
-    """Project a near-boundary launch point onto cp's boundary piece."""
-    if isinstance(chart, QuotientChart):
-        out = np.array(x, dtype=float)
-        out[1] = cp.coords[1]
-        return out
-    con = _constraint_by_name(chart, cp.constraint)
-    proj = _project_to_zero(con, x)
-    return x if proj is None else proj
-
-
-def _make_patch(chart: ChartModel, cp: CriticalPoint) -> TangencyPatch:
-    x = cp.coords
-    if isinstance(chart, QuotientChart):
-        kind = "v_min" if abs(x[1] - chart.v_min) < abs(x[1] - chart.v_max) else "v_max"
-        return TangencyPatch(center=x, tangent=np.asarray(cp.tangent, dtype=float),
-                             h=cp.tangential_hessian, kind=kind,
-                             constraint_name="", grad_norm_at_center=1.0)
-    con = _constraint_by_name(chart, cp.constraint)
-    gnorm = float(np.linalg.norm(np.asarray(con.gradient(x), dtype=float)))
-    tangent = (np.asarray(cp.tangent, dtype=float) if chart.dim == 2
-               else np.zeros(1))
-    return TangencyPatch(center=x, tangent=tangent, h=cp.tangential_hessian,
-                         kind="constraint", constraint_name=cp.constraint,
+def _make_patch(chart: Chart, cp: CriticalPoint, tol: Tolerances) -> TangencyPatch:
+    con = active_constraint(chart, cp.coords, tol)
+    gnorm = float(np.linalg.norm(np.asarray(con.gradient(cp.coords), dtype=float)))
+    return TangencyPatch(center=cp.coords, tangent=np.asarray(cp.tangent, dtype=float),
+                         h=cp.tangential_hessian, constraint=con,
                          grad_norm_at_center=gnorm)
 
 
@@ -155,17 +123,9 @@ def _make_patch(chart: ChartModel, cp: CriticalPoint) -> TangencyPatch:
 # collar
 
 
-_DOWN = [0.0, -1.0]   # covectors of the strip's walls v >= v_min and v <= v_max
-_UP = [0.0, 1.0]
-
-
-def _pieces_many(chart: ChartModel, x: Array):
-    """(depth, covector) of each collar piece at each row of x: the signed
-    depth is positive inside, and a piece without a normal has depth inf."""
-    if isinstance(chart, QuotientChart):
-        yield x[:, 1] - chart.v_min, np.broadcast_to(_DOWN, x.shape)
-        yield chart.v_max - x[:, 1], np.broadcast_to(_UP, x.shape)
-        return
+def _pieces_many(chart: Chart, x: Array):
+    """(depth, covector) of each wall at each row of x: the signed depth is
+    positive inside, and a wall without a normal has depth inf."""
     for con in chart.constraints:
         cov = np.asarray(con.gradient(x), dtype=float)
         gnorm = np.sqrt(plain_dot(cov.T, cov.T))
@@ -260,7 +220,7 @@ class AdaptednessCertificate:
 
 @dataclass(eq=False)
 class PseudoGradientField:
-    chart: ChartModel
+    chart: Chart
     metric: MetricField
     objective: MorseField            # the function this field descends
     crit: CriticalSet                # classified for the objective
@@ -285,7 +245,7 @@ class PseudoGradientField:
         self._point = _point_evaluator(self)
 
     def evaluate(self, raw) -> Array:
-        """Field vector at raw coordinates (deck-equivariant on quotient charts)."""
+        """Field vector at raw coordinates (deck-equivariant under a deck map)."""
         return self._point(raw)
 
     def __call__(self, raw) -> Array:
@@ -294,11 +254,12 @@ class PseudoGradientField:
     def evaluate_many(self, points) -> Array:
         """`evaluate` at each row of points in one vectorised pass, with the same bits."""
         x = np.array(points, dtype=float).reshape(-1, self.chart.dim)
-        if not isinstance(self.chart, QuotientChart):
+        deck = self.chart.deck
+        if deck is None:
             return self._eval_canonical_many(x)
-        k = np.floor(x[:, 0] / self.chart.period)
-        flip = (k % 2 != 0) & (self.chart.flip == -1)
-        x[:, 0] += -k * self.chart.period
+        k = np.floor(x[:, 0] / deck.period)
+        flip = (k % 2 != 0) & (deck.flip == -1)
+        x[:, 0] += -k * deck.period
         x[flip, 1] *= -1.0
         vec = self._eval_canonical_many(x)
         vec[flip, 1] = -vec[flip, 1]
@@ -387,22 +348,24 @@ class PseudoGradientField:
 
 def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
     """`evaluate` for one field, compiled when the field is built: what does
-    not depend on the point (the chart's walls, each patch's constraint,
-    center and tangent) is resolved here as Python floats.  Per point, the
-    objective, the constraints and the metric are called as given; the rest
-    is float arithmetic with the operations of `_eval_canonical_many`, in the
-    same order, so both give the same bits.  Non-finite coordinates give NaN.
+    not depend on the point (each linear wall's covector, offset and norm,
+    each patch's wall, center and tangent) is resolved here as Python floats.
+    Per point, the objective, the other constraints and the metric are called
+    as given; the rest is float arithmetic with the operations of
+    `_eval_canonical_many`, in the same order, so both give the same bits.
+    Non-finite coordinates give NaN.
     """
-    chart, tol, dim = field.chart, field.tol, field.chart.dim
+    chart, tol, dim, deck = field.chart, field.tol, field.chart.dim, field.chart.deck
     gradient = field.objective.gradient
     matrix = None if field.metric.identity else field.metric.matrix
-    quotient = isinstance(chart, QuotientChart)
-    constraints = () if quotient else chart.constraints
-    names = [con.name for con in constraints]
-    # a patch takes its depth z from its wall's piece or its constraint's value
+    walls = []
+    for con in chart.constraints:
+        cov = None if con.covector is None else list(con.covector)
+        walls.append((con, cov, con.offset,
+                      None if cov is None else math.sqrt(plain_dot(cov, cov))))
+    # a patch takes its depth z from its wall's value, read for the collar
     patches = tuple((p.center.tolist(), p.tangent.tolist(), p.h, p.grad_norm_at_center,
-                     (p.kind == "v_max") if quotient else names.index(p.constraint_name))
-                    for p in field.patches)
+                     chart.constraints.index(p.constraint)) for p in field.patches)
     r_n, half, delta_c = field.r_n, 0.5 * field.r_n, field.delta_c
     perturb = field._perturb
 
@@ -412,28 +375,26 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
         if not all(map(math.isfinite, xs)):
             return np.full(dim, math.nan)
         flip = False
-        if quotient:
-            k = math.floor(xs[0] / chart.period)
-            flip = k % 2 != 0 and chart.flip == -1
-            xs = [xs[0] + -k * chart.period, -xs[1] if flip else xs[1]]
+        if deck is not None:
+            k = math.floor(xs[0] / deck.period)
+            flip = k % 2 != 0 and deck.flip == -1
+            xs = [xs[0] + -k * deck.period, -xs[1] if flip else xs[1]]
             x = np.array(xs)
         grad = np.asarray(gradient(x), dtype=float).tolist()
         g = None if matrix is None else np.asarray(matrix(x), dtype=float).tolist()
         vec = [-c for c in (grad if g is None else _solve(g, grad))]
 
-        # collar at the nearest wall; on a tie the first piece wins
-        if quotient:
-            pieces = ((xs[1] - chart.v_min, _DOWN), (chart.v_max - xs[1], _UP))
-        else:
-            values = [(float(con.value(x)),
-                       np.asarray(con.gradient(x), dtype=float).tolist())
-                      for con in constraints]
-            pieces = []
-            for b, cov in values:
-                gnorm = math.sqrt(plain_dot(cov, cov))
-                pieces.append((-b / gnorm if gnorm >= 1e-30 else math.inf, cov))
-        depth, cov, wall = math.inf, None, math.inf
-        for piece_depth, piece_cov in pieces:
+        # collar at the nearest wall; on a tie the first wall wins
+        depth, cov, wall, values = math.inf, None, math.inf, []
+        for con, piece_cov, offset, gnorm in walls:
+            if piece_cov is None:
+                b = float(con.value(x))
+                piece_cov = np.asarray(con.gradient(x), dtype=float).tolist()
+                gnorm = math.sqrt(plain_dot(piece_cov, piece_cov))
+            else:
+                b = plain_dot(piece_cov, xs) + offset
+            values.append((b, piece_cov))
+            piece_depth = -b / gnorm if gnorm >= 1e-30 else math.inf
             wall = min(wall, abs(piece_depth))
             if piece_depth < depth:
                 depth, cov = piece_depth, piece_cov
@@ -456,12 +417,10 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
             chi = 1.0 - smoothstep((d - half) / half)
             if chi > 0.0:
                 delta = [p - q for p, q in zip(xs, center)]
-                if quotient:
-                    delta[0] -= chart.period * round(delta[0] / chart.period)
-                    z, dz = pieces[piece][0], ([0.0, -1.0] if piece else [0.0, 1.0])
-                else:
-                    b, cov = values[piece]
-                    z, dz = -b / grad_norm, [-c / grad_norm for c in cov]
+                if deck is not None:
+                    delta[0] -= deck.period * round(delta[0] / deck.period)
+                b, piece_cov = values[piece]
+                z, dz = -b / grad_norm, [-c / grad_norm for c in piece_cov]
                 model = _model_vector(tangent, h, delta, z, dz)
                 vec = [(1.0 - chi) * a + chi * m for a, m in zip(vec, model)]
             break
@@ -477,13 +436,13 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
 
 class _Perturbation:
     """Seeded smooth bump field vanishing near the boundary, the critical points,
-    and (on quotient charts) the gluing seam, so adaptedness margins survive.
+    and (under a deck map) the gluing seam, so adaptedness margins survive.
 
     The waves, phases and signs are drawn once.  Both evaluators pass the
     distance to the nearest wall, which they have already computed.
     """
 
-    def __init__(self, chart: ChartModel, crit: CriticalSet, seed: int,
+    def __init__(self, chart: Chart, crit: CriticalSet, seed: int,
                  tol: Tolerances):
         rng = np.random.default_rng(seed)
         dim = chart.dim
@@ -505,9 +464,10 @@ class _Perturbation:
             if env == 0.0:
                 break
             env *= smoothstep(coords_distance(chart, x, c) / (2.0 * tol.r_excl))
-        if env != 0.0 and isinstance(chart, QuotientChart):
-            u = x[0] % chart.period
-            env *= smoothstep(min(u, chart.period - u) / (0.1 * chart.period))
+        if env != 0.0 and chart.deck is not None:
+            period = chart.deck.period
+            u = x[0] % period
+            env *= smoothstep(min(u, period - u) / (0.1 * period))
         if env == 0.0:
             return [0.0] * chart.dim
         amp = tol.perturb_amp * env
@@ -521,10 +481,11 @@ class _Perturbation:
         for c in self.centers:
             env = env * _smoothstep_many(chart_distance_many(chart, x, c)
                                          / (2.0 * tol.r_excl))
-        if isinstance(chart, QuotientChart):
-            u = x[:, 0] % chart.period
-            seam = np.minimum(u, chart.period - u)
-            env = env * _smoothstep_many(seam / (0.1 * chart.period))
+        if chart.deck is not None:
+            period = chart.deck.period
+            u = x[:, 0] % period
+            seam = np.minimum(u, period - u)
+            env = env * _smoothstep_many(seam / (0.1 * period))
         phase = np.stack([plain_dot(x.T, wave) for wave in self.waves], axis=1) + self.phases
         vec = (tol.perturb_amp * env)[:, None] * (self.signs * np.sin(phase))
         # `at` returns +0.0 where the envelope vanishes
@@ -535,7 +496,7 @@ class _Perturbation:
 # certification
 
 
-def _manifold_sample(chart: ChartModel, crit: CriticalSet, count: int,
+def _manifold_sample(chart: Chart, crit: CriticalSet, count: int,
                      r_excl: float, tol: Tolerances) -> Array:
     """The first `count` of the first 60 * count Halton points of the chart's
     box that lie on the manifold farther than r_excl from every critical point.
@@ -554,9 +515,8 @@ def _manifold_sample(chart: ChartModel, crit: CriticalSet, count: int,
         pts = lo + (hi - lo) * halton_sequence(size, chart.dim, skip=20 + drawn)
         drawn += size
         mask = np.ones(len(pts), dtype=bool)
-        if isinstance(chart, RegionChart):
-            for con in chart.constraints:
-                mask &= np.asarray(con.value(pts), dtype=float) <= 0.0
+        for con in chart.constraints:
+            mask &= np.asarray(con.value(pts), dtype=float) <= 0.0
         for cp in crit.points:
             mask &= chart_distance_many(chart, pts, cp.coords) > r_excl
         gathered.append(pts[mask])
@@ -583,15 +543,11 @@ class CertificationSample:
     g_mats: Array        # metric matrices
 
 
-def certification_sample(chart: ChartModel, metric: MetricField | None,
+def certification_sample(chart: Chart, metric: MetricField | None,
                          crit: CriticalSet,
                          tol: Tolerances = DEFAULT) -> CertificationSample:
     """Draw the interior points and trace the boundary loops once."""
-    if isinstance(chart, QuotientChart):
-        pieces = 1 if chart.flip == -1 else 2
-    else:
-        pieces = max(1, len(chart.constraints))
-    per_loop = max(1, tol.cert_boundary_samples // pieces)
+    per_loop = max(1, tol.cert_boundary_samples // boundary_loop_count(chart))
     loops = boundary_components(chart, per_loop, tol)
     loop_points = np.concatenate(loops) if loops else np.empty((0, chart.dim))
     return CertificationSample(
@@ -657,7 +613,7 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
                 tangency_def = max(tangency_def, 1.0)
                 continue
             lin = field.linearization(cp.coords)
-            jac = patch.jacobian(chart, cp.coords)
+            jac = patch.jacobian(cp.coords)
             model_lin = jac @ lin @ np.linalg.inv(jac)
             if chart.dim == 1:
                 quad = np.array([[2.0]])
@@ -699,7 +655,7 @@ class CaptureRegion:
     depth: float
     sign: float        # 1.0 for the flow, -1.0 for its time reversal
 
-    def holds(self, chart: ChartModel, x: Array, value: float) -> bool:
+    def holds(self, chart: Chart, x: Array, value: float) -> bool:
         """Whether x, where the objective is value, lies in the region."""
         return (self.sign * (value - self.level) < self.depth
                 and chart_distance(chart, x, self.sink.coords) < self.radius)
@@ -733,12 +689,9 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
     radii = radius * np.arange(1, _CAPTURE_RINGS + 1) / _CAPTURE_RINGS
     pts = cp.coords + (radii[:, None, None] * directions).reshape(-1, chart.dim)
     rim = np.arange(len(pts)) >= len(pts) - len(directions)
-    if isinstance(chart, QuotientChart):
-        inside = (pts[:, 1] >= chart.v_min) & (pts[:, 1] <= chart.v_max)
-    else:
-        inside = np.ones(len(pts), dtype=bool)
-        for con in chart.constraints:
-            inside &= np.asarray(con.value(pts), dtype=float) <= 0.0
+    inside = np.ones(len(pts), dtype=bool)
+    for con in chart.constraints:
+        inside &= np.asarray(con.value(pts), dtype=float) <= 0.0
     pts, rim = pts[inside], rim[inside]
     if not rim.any():
         return None
@@ -754,7 +707,7 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
     return CaptureRegion(cp, radius, level, depth, sign)
 
 
-def build_adapted(field: MorseField, chart: ChartModel, crit: CriticalSet,
+def build_adapted(field: MorseField, chart: Chart, crit: CriticalSet,
                   metric: MetricField | None = None,
                   for_negative: bool = False,
                   perturb_seed: int | None = None,
@@ -776,7 +729,7 @@ def build_adapted(field: MorseField, chart: ChartModel, crit: CriticalSet,
     else:
         objective = field
         crit_obj = crit
-    patches = tuple(_make_patch(chart, cp) for cp in crit_obj.points
+    patches = tuple(_make_patch(chart, cp, tol) for cp in crit_obj.points
                     if cp.kind == BOUNDARY_N)
     perturb = (None if perturb_seed is None or perturb_seed == 0
                else _Perturbation(chart, crit_obj, perturb_seed, tol))

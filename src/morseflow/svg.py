@@ -7,21 +7,15 @@ from __future__ import annotations
 import numpy as np
 
 from .critical import BOUNDARY_D, BOUNDARY_N, boundary_components
-from .geometry import QuotientChart, RegionChart
+from .geometry import deck_reduce
 
 VIEW = 800.0
 MARGIN = 40.0
 
 
-def _world_box(chart):
-    if isinstance(chart, QuotientChart):
-        return (0.0, chart.period), (chart.v_min, chart.v_max)
-    return chart.box
-
-
 class _Mapper:
     def __init__(self, chart):
-        (x0, x1), (y0, y1) = _world_box(chart) if chart.dim == 2 else (chart.box[0], (0, 1))
+        (x0, x1), (y0, y1) = chart.box if chart.dim == 2 else (chart.box[0], (0, 1))
         span = max(x1 - x0, y1 - y0)
         self.scale = (VIEW - 2 * MARGIN) / span
         self.x0, self.y0 = x0, y0
@@ -46,16 +40,14 @@ def _color(value: float, lo: float, hi: float) -> str:
 
 def _split_segments(chart, points: np.ndarray) -> list[np.ndarray]:
     """Canonicalize a polyline and break it where it crosses the gluing seam."""
-    if isinstance(chart, RegionChart):
+    if chart.deck is None:
         return [points]
-    canon = points.copy()
-    flips = np.floor(canon[:, 0] / chart.period)
-    canon[:, 0] -= flips * chart.period
-    canon[:, 1] *= np.where(flips.astype(int) % 2 == 0, 1.0, float(chart.flip))
+    period = chart.deck.period
+    canon, _ = deck_reduce(chart, points)
     pieces = []
     start = 0
     for i in range(1, len(canon)):
-        if abs(canon[i, 0] - canon[i - 1, 0]) > 0.5 * chart.period:
+        if abs(canon[i, 0] - canon[i - 1, 0]) > 0.5 * period:
             pieces.append(canon[start:i])
             start = i
     pieces.append(canon[start:])
@@ -81,12 +73,11 @@ def render(entry, package, path: str) -> None:
             coords = " ".join(f"{x},{y}" for x, y in (mapper.pt(p) for p in piece))
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="black" stroke-width="2"/>')
-    if isinstance(chart, QuotientChart):
-        a = mapper.pt((0.0, chart.v_min))
-        b = mapper.pt((0.0, chart.v_max))
-        c = mapper.pt((chart.period, chart.v_min))
-        d = mapper.pt((chart.period, chart.v_max))
-        for p, q in ((a, b), (c, d)):
+    if chart.deck is not None:
+        # the seams u = 0 and u = period
+        (u0, u1), (v0, v1) = chart.box
+        for p, q in ((mapper.pt((u0, v0)), mapper.pt((u0, v1))),
+                     (mapper.pt((u1, v0)), mapper.pt((u1, v1)))):
             parts.append(f'<line x1="{p[0]}" y1="{p[1]}" x2="{q[0]}" y2="{q[1]}" '
                          f'stroke="gray" stroke-width="1" stroke-dasharray="6,4"/>')
 
@@ -104,8 +95,7 @@ def render(entry, package, path: str) -> None:
                     parts.append(f'<polyline points="{coords}" fill="none" '
                                  f'stroke="{color}" stroke-width="1.5"{dash}/>')
                 mid = orbit.trajectory.points[len(orbit.trajectory.points) // 2]
-                mx, my = mapper.pt(_split_segments(chart, np.array([mid, mid]))[0][0]
-                                   if isinstance(chart, QuotientChart) else mid)
+                mx, my = mapper.pt(_split_segments(chart, np.array([mid, mid]))[0][0])
                 label = "+" if orbit.sign > 0 else "−"
                 parts.append(f'<text x="{mx + 4}" y="{my - 4}" font-size="16" '
                              f'fill="black">{label}</text>')

@@ -17,7 +17,7 @@ from morseflow import catalog, critical, fields, geometry, pipeline, pseudogradi
 from morseflow.critical import _walk_slopes, boundary_components
 from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
 from morseflow.fields import MorseField, boundary_restriction_derivatives
-from morseflow.geometry import (BoundaryConstraint, MetricField, RegionChart,
+from morseflow.geometry import (BoundaryConstraint, Chart, MetricField,
                                 boundary_frame, boundary_frames, chart_distance_many,
                                 normalize_point)
 from morseflow.params import DEFAULT
@@ -100,7 +100,7 @@ def corner_chart():
             return out
         return BoundaryConstraint(name, lambda x: x[..., axis] - 1.0, gradient,
                                   lambda x: np.zeros(np.shape(x)[:-1] + (2, 2)))
-    return RegionChart(2, ((-2.0, 1.0), (-2.0, 1.0)), (wall("right", 0), wall("top", 1)))
+    return Chart(2, ((-2.0, 1.0), (-2.0, 1.0)), (wall("right", 0), wall("top", 1)))
 
 
 def error_of(call):
@@ -133,7 +133,7 @@ INSIDE = [0.0, 0.0]
     (catalog.get("disk").chart, [[0.0, -1.0], [0.0, 0.5]]),
     (catalog.get("moebius").chart, [[1.0, 1.0], [9.0, 1.5]]),
     (catalog.get("moebius").chart, [[1.0, -1.0], [1.0, 0.25]]),
-    (geometry.QuotientChart(1.0, -1e-12, 1e-12, -1), [[0.5, 0.0]]),
+    (Chart.strip(1.0, -1e-12, 1e-12, -1), [[0.5, 0.0]]),
 ], ids=["outside", "corner", "interior", "box", "disk-interior", "strip-outside",
         "strip-interior", "strip-degenerate"])
 def test_frames_raise_the_per_point_error(chart, rows):
@@ -229,7 +229,7 @@ def chunked_sample(chart, crit, count, r_excl):
         pts = lo + (hi - lo) * halton_sequence(4 * count, chart.dim, skip=skip)
         skip += 4 * count
         mask = np.ones(len(pts), dtype=bool)
-        if isinstance(chart, RegionChart):
+        if chart.deck is None:
             for con in chart.constraints:
                 mask &= np.asarray(con.value(pts), dtype=float) <= 0.0
         for cp in crit.points:

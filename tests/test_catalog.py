@@ -4,7 +4,6 @@ from morseflow import catalog
 from morseflow.chains import IntPolynomial, duality_symmetry_check
 from morseflow.errors import UnknownEntry
 from morseflow.fields import validate_field
-from morseflow.geometry import QuotientChart
 
 
 def test_names_and_lookup():
@@ -20,8 +19,8 @@ def test_unknown_entry():
 
 def test_moebius_entry_shape():
     entry = catalog.get("moebius")
-    assert isinstance(entry.chart, QuotientChart)
-    assert entry.chart.flip == -1
+    assert entry.chart.deck is not None
+    assert entry.chart.deck.flip == -1
     assert len(entry.expected) == 3
     assert not entry.orientable
 
@@ -74,7 +73,7 @@ def test_constraint_gradients_nonvanishing_on_walls():
         if entry.dim != 2:
             continue
         for loop in boundary_components(entry.chart, 100):
-            if isinstance(entry.chart, QuotientChart):
+            if entry.chart.deck is not None:
                 continue
             for x in loop:
                 active = [c for c in entry.chart.constraints

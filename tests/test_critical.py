@@ -8,8 +8,7 @@ from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, _boundary_step
                                 boundary_components, find_boundary_critical,
                                 find_critical_set, find_interior_critical)
 from morseflow.fields import boundary_restriction_derivatives
-from morseflow.geometry import (MetricField, QuotientChart, RegionChart, chart_distance,
-                                normalize_point)
+from morseflow.geometry import MetricField, chart_distance, normalize_point
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 
@@ -87,8 +86,9 @@ def _interior_oracle(entry, density=400):
     if chart.dim == 1:
         return hits
     inside = np.ones(mag.shape, dtype=bool)
-    if isinstance(chart, QuotientChart):
-        inside &= (pts[..., 1] > chart.v_min + 1e-3) & (pts[..., 1] < chart.v_max - 1e-3)
+    if chart.deck is not None:
+        (v_lo, v_hi) = chart.box[1]
+        inside &= (pts[..., 1] > v_lo + 1e-3) & (pts[..., 1] < v_hi - 1e-3)
     else:
         for con in chart.constraints:
             inside &= np.asarray(con.value(pts)) < -1e-3
@@ -224,7 +224,7 @@ def test_refinement_ends_when_its_line_search_fails(monkeypatch):
 
 
 REGION_ENTRIES = [n for n in catalog.names()
-                  if isinstance(catalog.get(n).chart, RegionChart)
+                  if catalog.get(n).chart.deck is None
                   and catalog.get(n).chart.dim == 2]
 
 

@@ -7,15 +7,13 @@ repeats its operations elementwise, in the same order and with no BLAS dot,
 which may fuse a multiply and an add.
 """
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 from morseflow import catalog
 from morseflow.critical import find_critical_set
-from morseflow.fields import MorseField
-from morseflow.geometry import MetricField, QuotientChart
+from morseflow.geometry import MetricField
 from morseflow.params import DEFAULT
 from morseflow.pseudogradient import (PseudoGradientField, _wall_sample, build_adapted,
                                       certification_sample, certify_adapted)
@@ -56,7 +54,7 @@ def test_certification_samples_match(packages, name, seed):
 @pytest.mark.parametrize("seed", [None, 1])
 def test_moebius_deck_images_match(packages, seed):
     pkg = packages["moebius"]
-    period = pkg.entry.chart.period
+    period = pkg.entry.chart.deck.period
     rng = np.random.default_rng(3)
     u = rng.uniform(-2 * period, 3 * period, 4000)
     u[:5] = [-2 * period, -period, 0.0, period, 2 * period]
@@ -98,31 +96,11 @@ def test_certification_makes_no_per_point_calls(packages, monkeypatch):
     assert cert.as_dict() == field.certificate.as_dict() | {"attempts": 0}
 
 
-
-def _cylinder():
-    """v + cos(u) / 2 on the band glued without a flip (deck map (u, v) -> (u + P, v))."""
-    chart = QuotientChart(period=2.0 * math.pi, v_min=-1.0, v_max=1.0, flip=1)
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([-0.5 * np.sin(x[..., 0]), np.ones(np.shape(x)[:-1])], axis=-1)
-
-    def hessian(x):
-        out = np.zeros(np.shape(x)[:-1] + (2, 2))
-        out[..., 0, 0] = -0.5 * np.cos(x[..., 0])
-        return out
-
-    field = MorseField(value=lambda x: x[..., 1] + 0.5 * np.cos(x[..., 0]),
-                       gradient=gradient, hessian=hessian)
-    entry = dataclasses.replace(catalog.get("moebius"), name="cylinder", chart=chart,
-                                field=field)
-    return entry, find_critical_set(field, chart, entry.metric, DEFAULT)
-
-
 @pytest.mark.parametrize("seed", [None, 1])
-def test_cylinder_deck_images_match(seed):
-    entry, crit = _cylinder()
-    period = entry.chart.period
+def test_cylinder_deck_images_match(cylinder, seed):
+    entry = cylinder
+    crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
+    period = entry.chart.deck.period
     # a tangency patch sits on the seam, at (0, -1)
     assert any(cp.coords[0] == 0.0 for cp in crit.points)
     rng = np.random.default_rng(5)

@@ -4,7 +4,8 @@
 numpy 2-vectors: the deck reduction, the metric solve, the collar, the first
 tangency patch and the perturbation.  Its dot products go through BLAS, which
 may fuse a multiply and an add, so it agrees with the float evaluator to
-rounding, not bit for bit.
+rounding, not bit for bit.  On a chart with a deck map it takes the strip's
+walls from the box's v-bounds, not from the chart's constraints.
 """
 import dataclasses
 import math
@@ -14,12 +15,11 @@ import pytest
 
 from morseflow import catalog
 from morseflow.critical import find_critical_set
-from morseflow.geometry import (MetricField, QuotientChart, RegionChart, boundary_distance,
-                                deck_apply, deck_sign, metric_normal)
+from morseflow.geometry import (MetricField, boundary_distance, deck_apply, deck_sign,
+                                metric_normal)
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _build_side
-from morseflow.pseudogradient import (_constraint_by_name, _wall_sample,
-                                      certification_sample, smoothstep)
+from morseflow.pseudogradient import _wall_sample, certification_sample, smoothstep
 
 _E_DOWN = np.array([0.0, -1.0])
 _E_UP = np.array([0.0, 1.0])
@@ -28,22 +28,29 @@ _E_UP = np.array([0.0, 1.0])
 def _chart_distance(chart, a, b):
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
-    if isinstance(chart, RegionChart):
+    if chart.deck is None:
         d = xa - xb
         return math.sqrt(float(d @ d))
     best = math.inf
-    shift = round((xb[0] - xa[0]) / chart.period)
+    shift = round((xb[0] - xa[0]) / chart.deck.period)
     for k in (shift - 1, shift, shift + 1):
         d = deck_apply(chart, k, xa) - xb
         best = min(best, math.sqrt(float(d @ d)))
     return best
 
 
+def _strip_pieces(chart):
+    """The strip's lower and upper walls, from the box's v-bounds."""
+    (v_lo, v_hi) = chart.box[1]
+    return (("lower", v_lo), ("upper", v_hi))
+
+
 def _piece_depth_normal(chart, metric, piece, x):
-    if piece == "v_min":
-        return float(x[1] - chart.v_min), metric_normal(metric, x, _E_DOWN)
-    if piece == "v_max":
-        return float(chart.v_max - x[1]), metric_normal(metric, x, _E_UP)
+    if chart.deck is not None:
+        side, v_wall = piece
+        if side == "lower":
+            return float(x[1] - v_wall), metric_normal(metric, x, _E_DOWN)
+        return float(v_wall - x[1]), metric_normal(metric, x, _E_UP)
     grad = np.asarray(piece.gradient(x), dtype=float)
     gnorm = math.sqrt(float(grad @ grad))
     if gnorm < 1e-30:
@@ -63,15 +70,18 @@ def _collar_cap(nu, g_t, tol):
 
 def _model_vector(patch, chart, x):
     delta = x - patch.center
-    if isinstance(chart, QuotientChart):
-        delta[0] -= chart.period * round(delta[0] / chart.period)
+    if chart.deck is not None:
+        delta[0] -= chart.deck.period * round(delta[0] / chart.deck.period)
     y = float(delta @ patch.tangent) if len(x) > 1 else 0.0
-    if patch.kind == "v_min":
-        z, dz = float(x[1] - chart.v_min), np.array([0.0, 1.0])
-    elif patch.kind == "v_max":
-        z, dz = float(chart.v_max - x[1]), np.array([0.0, -1.0])
+    if chart.deck is not None:
+        # the patch sits on the strip's wall nearest its center
+        (v_lo, v_hi) = chart.box[1]
+        if abs(patch.center[1] - v_lo) < abs(patch.center[1] - v_hi):
+            z, dz = float(x[1] - v_lo), np.array([0.0, 1.0])
+        else:
+            z, dz = float(v_hi - x[1]), np.array([0.0, -1.0])
     else:
-        con = _constraint_by_name(chart, patch.constraint_name)
+        con = patch.constraint
         z = -float(con.value(x)) / patch.grad_norm_at_center
         dz = -np.asarray(con.gradient(x), dtype=float) / patch.grad_norm_at_center
     if len(x) == 1:
@@ -85,16 +95,22 @@ def _model_vector(patch, chart, x):
 
 def _perturbation(pert, x):
     chart, tol, dim = pert.chart, pert.tol, pert.chart.dim
-    env = smoothstep(boundary_distance(chart, x) / tol.delta_c)
+    if chart.deck is not None:
+        (v_lo, v_hi) = chart.box[1]
+        wall = min(abs(x[1] - v_lo), abs(v_hi - x[1]))
+    else:
+        wall = boundary_distance(chart, x)
+    env = smoothstep(wall / tol.delta_c)
     if env == 0.0:
         return np.zeros(dim)
     for c in pert.centers:
         env *= smoothstep(_chart_distance(chart, x, c) / (2.0 * tol.r_excl))
         if env == 0.0:
             return np.zeros(dim)
-    if isinstance(chart, QuotientChart):
-        u = x[0] % chart.period
-        env *= smoothstep(min(u, chart.period - u) / (0.1 * chart.period))
+    if chart.deck is not None:
+        period = chart.deck.period
+        u = x[0] % period
+        env *= smoothstep(min(u, period - u) / (0.1 * period))
         if env == 0.0:
             return np.zeros(dim)
     vec = np.array([pert.signs[i] * math.sin(float(pert.waves[i] @ x) + pert.phases[i])
@@ -113,7 +129,7 @@ def _eval_canonical(field, x):
         vec = -np.linalg.solve(g_mat, grad)
 
     best = (math.inf, None)
-    pieces = (("v_min", "v_max") if isinstance(field.chart, QuotientChart)
+    pieces = (_strip_pieces(field.chart) if field.chart.deck is not None
               else field.chart.constraints)
     for piece in pieces:
         depth, normal = _piece_depth_normal(field.chart, field.metric, piece, x)
@@ -147,8 +163,8 @@ def _eval_canonical(field, x):
 
 def reference_evaluate(field, raw):
     x = np.asarray(raw, dtype=float)
-    if isinstance(field.chart, QuotientChart):
-        k = int(math.floor(x[0] / field.chart.period))
+    if field.chart.deck is not None:
+        k = int(math.floor(x[0] / field.chart.deck.period))
         vec = _eval_canonical(field, deck_apply(field.chart, -k, x))
         if deck_sign(field.chart, k) == -1:
             vec[1] = -vec[1]

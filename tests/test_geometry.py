@@ -5,8 +5,8 @@ import pytest
 
 from morseflow import catalog
 from morseflow.errors import AmbiguousBoundary, PointOutsideManifold
-from morseflow.geometry import (BoundaryConstraint, MetricField, Point,
-                                RegionChart, boundary_data, chart_distance,
+from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, Point,
+                                boundary_data, chart_distance,
                                 deck_apply, normalize_point,
                                 path_orientation_sign)
 
@@ -84,7 +84,7 @@ def test_boundary_data_corner_rejected():
         "top", lambda x: x[..., 1] - 1.0,
         lambda x: np.array([0.0, 1.0]),
         lambda x: np.zeros((2, 2)))
-    chart = RegionChart(2, ((-2.0, 1.0), (-2.0, 1.0)), (right, top))
+    chart = Chart(2, ((-2.0, 1.0), (-2.0, 1.0)), (right, top))
     with pytest.raises(AmbiguousBoundary):
         boundary_data(chart, Point((1.0, 1.0)))
 
@@ -141,8 +141,7 @@ def test_chart_distance_respects_deck(moebius_chart):
 
 
 def test_flipped_strip_must_be_symmetric():
-    from morseflow.geometry import QuotientChart
     with pytest.raises(ValueError):
-        QuotientChart(period=1.0, v_min=0.0, v_max=1.0, flip=-1)
+        Chart.strip(period=1.0, v_min=0.0, v_max=1.0, flip=-1)
     with pytest.raises(ValueError):
-        QuotientChart(period=1.0, v_min=-1.0, v_max=1.0, flip=2)
+        Chart.strip(period=1.0, v_min=-1.0, v_max=1.0, flip=2)
