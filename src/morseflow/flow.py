@@ -11,6 +11,15 @@ region failed its check, or a saddle, where a branch ending shows a
 non-transverse connection.  Orbit counts only need the basin a branch reaches,
 so the step tolerances are loose.
 
+The integrator steps in float arithmetic: stages, error norm, wall test and
+stop tests work on lists of floats and round as the numpy 2-vector arithmetic
+they replaced.  Each stage calls `PseudoGradientField.evaluate`.  Numpy is
+left to the output arrays, the objective and curved-constraint callables, the
+landing on a wall and the entry into a capture region.  `np.linalg.norm`,
+whose BLAS dot may round differently from `sqrt(a*a + b*b)`, gives the speed
+where its last bit decides: within a relative 1e-9 of `field_stop`, and for
+the landing time at a capture region.
+
 Every connecting orbit between generators of adjacent grading on a surface is
 a branch of a one-dimensional invariant manifold, so each count follows one:
 the unstable manifold of a grading-one source forward, or the stable manifold
@@ -30,8 +39,9 @@ import numpy as np
 from .critical import BOUNDARY_N, INTERIOR, CriticalPoint, _project_to_zero, sign_fix
 from .errors import (CertificateViolation, DimensionMismatch, FlowTimeout,
                      NonTransverse)
-from .geometry import (active_constraint, chart_distance, deck_apply, deck_sign,
-                       nearest_wall, path_orientation_sign)
+from .geometry import (active_constraint, chart_distance, coords_distance,
+                       deck_apply, deck_sign, nearest_wall, path_orientation_sign,
+                       plain_dot)
 from .params import DEFAULT, Tolerances
 from .pseudogradient import PseudoGradientField
 
@@ -73,34 +83,55 @@ class Trajectory:
         return self.points[-1]
 
 
-def _rk_step(deriv, x: Array, h: float, k1: Array):
+# the nonzero terms (j, c) of each stage after the first, of the fifth-order
+# solution and of the error estimate
+_STAGES = tuple(tuple((j, c) for j, c in enumerate(row) if c != 0.0) for row in _A[1:])
+_X5 = tuple((j, c) for j, c in enumerate(_B5) if c != 0.0)
+_ERR = tuple((j, b5 - b4) for j, (b5, b4) in enumerate(zip(_B5, _B4)) if b5 != b4)
+
+
+def _combine(x: list, h: float, terms, k: list) -> list:
+    """x + (h * c) * k[j] for each term (j, c) in turn, componentwise: the
+    order, and so the rounding, of the array arithmetic
+    `acc = acc + (h * c) * k[j]`."""
+    if len(x) == 2:
+        a0, a1 = x
+        for j, c in terms:
+            hc, (b0, b1) = h * c, k[j]
+            a0, a1 = a0 + hc * b0, a1 + hc * b1
+        return [a0, a1]
+    (a0,) = x
+    for j, c in terms:
+        a0 = a0 + (h * c) * k[j][0]
+    return [a0]
+
+
+def _rk_step(deriv, x: list, h: float, k1: list):
     """One Dormand-Prince step from x, where k1 = deriv(x); returns
-    (x5, err_vec, k_last)."""
+    (x5, err_vec, k_last), each a list of floats."""
     k = [k1]
-    for stage in range(1, 7):
-        acc = x.copy()
-        coeffs = _A[stage]
-        for j, c in enumerate(coeffs):
-            if c != 0.0:
-                acc = acc + (h * c) * k[j]
-        k.append(deriv(acc))
-    x5 = x.copy()
-    err = np.zeros_like(x)
-    for j in range(7):
-        if _B5[j] != 0.0:
-            x5 = x5 + (h * _B5[j]) * k[j]
-        diff = _B5[j] - _B4[j]
-        if diff != 0.0:
-            err = err + (h * diff) * k[j]
-    return x5, err, k[6]
+    for terms in _STAGES:
+        k.append(deriv(_combine(x, h, terms, k)))
+    return _combine(x, h, _X5, k), _combine([0.0] * len(x), h, _ERR, k), k[6]
 
 
-def _violation(chart, x: Array) -> float:
-    """Positive when x lies outside the manifold (worst constraint excess)."""
-    return max((float(con.value(x)) for con in chart.constraints), default=-math.inf)
+def _walls(chart) -> list:
+    """(constraint, covector, offset) per wall, with a linear wall's covector
+    and offset read once as floats; a curved wall has covector None."""
+    return [(con, None if con.covector is None else list(con.covector), con.offset)
+            for con in chart.constraints]
 
 
-def _pull_inside(chart, x: Array) -> Array:
+def _violation(walls: list, x: list) -> float:
+    """Positive when x lies outside the manifold (worst constraint excess).
+    A linear wall's value is `plain_dot(covector, x) + offset`, as its
+    constraint computes it; a curved wall's constraint is called."""
+    return max((plain_dot(cov, x) + offset if cov is not None
+                else float(con.value(np.array(x))) for con, cov, offset in walls),
+               default=-math.inf)
+
+
+def _pull_inside(chart, x) -> Array:
     """Nudge a point with a tiny constraint excess back onto the manifold."""
     out = np.array(x, dtype=float)
     for _ in range(4):
@@ -114,6 +145,12 @@ def _pull_inside(chart, x: Array) -> Array:
         g = np.asarray(con.gradient(out), dtype=float)
         out = out - (worst / float(g @ g)) * g
     return out
+
+
+def _norm(v: list) -> float:
+    """`np.linalg.norm`, whose BLAS dot may round differently from the float
+    `math.sqrt(plain_dot(v, v))`."""
+    return float(np.linalg.norm(np.array(v)))
 
 
 def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
@@ -135,40 +172,50 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
     that meets it, or at the next one after a landing on the wall.
     """
     chart = field.chart
-    sgn = -1.0 if reverse else 1.0
-    deriv = lambda x: sgn * field.evaluate(x)
-    value = lambda x: float(field.objective.value(x))
-    crit = field.crit.points
-    captures = field.capture_regions(reverse)
+    if reverse:
+        deriv = lambda x: [-c for c in field.evaluate(x).tolist()]
+    else:
+        deriv = lambda x: field.evaluate(x).tolist()
+    value = lambda x: float(field.objective.value(np.array(x)))
+    walls = _walls(chart)
+    stop, r_conv, atol, rtol = tol.field_stop, tol.r_conv, tol.atol, tol.rtol
+    crit = [(cp.id, cp.coords.tolist()) for cp in field.crit.points]
+    captures = [(region, region.sink.coords.tolist())
+                for region in field.capture_regions(reverse)]
 
-    x = np.asarray(start, dtype=float).copy()
+    x = np.asarray(start, dtype=float).tolist()
     t = 0.0
-    times, points, values = [t], [x.copy()], [value(x)]
+    times, points, values = [t], [x], [value(x)]
 
     def result(termination: str, target: int | None = None) -> Trajectory:
         return Trajectory(np.array(times), np.array(points), np.array(values),
                           termination, target)
 
-    def settled(speed: float) -> int | None:
-        """Target id once the last sample has converged or been captured."""
+    def settled(k: list) -> int | None:
+        """Target id once the last sample, where the field is k, has
+        converged or been captured."""
         y = points[-1]
-        if speed < tol.field_stop:
-            for cp in crit:
-                if chart_distance(chart, y, cp.coords) <= tol.r_conv:
-                    return cp.id
-        for region in captures:
-            if region.holds(chart, y, values[-1]):
+        speed = math.sqrt(plain_dot(k, k))
+        if abs(speed - stop) <= 1e-9 * stop:
+            speed = _norm(k)  # the two norms may fall on either side of the stop
+        if speed < stop:
+            for cp_id, coords in crit:
+                if coords_distance(chart, y, coords) <= r_conv:
+                    return cp_id
+        for region, coords in captures:
+            if (region.sign * (values[-1] - region.level) < region.depth
+                    and coords_distance(chart, y, coords) < region.radius):
                 sink = deck_apply(chart, _deck_index(chart, y, region.sink),
                                   region.sink.coords)
-                gap = float(np.linalg.norm(sink - y))
-                times.append(times[-1] + gap / max(speed, tol.field_stop))
-                points.append(sink)
+                gap = float(np.linalg.norm(sink - np.array(y)))
+                times.append(times[-1] + gap / max(_norm(k), stop))
+                points.append(sink.tolist())
                 values.append(region.level)
                 return region.sink.id
         return None
 
     k1 = deriv(x)
-    hit = settled(float(np.linalg.norm(k1)))
+    hit = settled(k1)
     if hit is not None:
         return result(CONVERGED, target=hit)
 
@@ -181,11 +228,13 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
         steps += 1
         h = min(h, h_max, tol.t_max - t + 1e-9)
         x_new, err_vec, k_last = _rk_step(deriv, x, h, k1)
-        scale = tol.atol + tol.rtol * np.maximum(np.abs(x), np.abs(x_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        # the root mean square of the scaled error, rounded as `np.mean` rounds
+        q = [e / (atol + rtol * max(abs(a), abs(b)))
+             for e, a, b in zip(err_vec, x, x_new)]
+        err = math.sqrt(plain_dot(q, q) / len(q))
         if not math.isfinite(err):  # a stage met a field value that is not finite
             raise CertificateViolation(
-                f"field is not finite near {x.tolist()} at step {steps}")
+                f"field is not finite near {x} at step {steps}")
         if err > 1.0 and h > 1e-13:
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
@@ -193,7 +242,7 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
         # boundary guard: bisect the step for the wall, keeping the step at
         # hi, which lands; a midpoint step equal to one already taken needs
         # no new step, since its side is known
-        if _violation(chart, x_new) > 1e-12:
+        if _violation(walls, x_new) > 1e-12:
             lo, hi, x_hi = 0.0, 1.0, x_new
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
@@ -206,7 +255,7 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
                     hi = mid
                     continue
                 x_mid, _, _ = _rk_step(deriv, x, h * mid, k1)
-                if _violation(chart, x_mid) > 0.0:
+                if _violation(walls, x_mid) > 0.0:
                     hi, x_hi = mid, x_mid
                 else:
                     lo = mid
@@ -214,18 +263,19 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
             t_land = t + h * hi
             _, outward = nearest_wall(chart, x_land)
             speed_vec = deriv(x_land)
-            push = float(speed_vec @ outward) if outward is not None else 0.0
-            if push > 1e-8 * (1.0 + float(np.linalg.norm(speed_vec))):
+            push = (float(np.array(speed_vec) @ outward) if outward is not None
+                    else 0.0)
+            if push > 1e-8 * (1.0 + _norm(speed_vec)):
                 times.append(t_land)
-                points.append(x_land.copy())
+                points.append(x_land.tolist())
                 values.append(value(x_land))
                 if allow_exit:
                     return result(LEFT_DOMAIN)
                 raise CertificateViolation(
                     f"trajectory pushed out of the manifold at {x_land}")
-            x, t, k1 = x_land, t_land, speed_vec
+            x, t, k1 = x_land.tolist(), t_land, speed_vec
             times.append(t)
-            points.append(x.copy())
+            points.append(x)
             values.append(value(x))
             h = max(h * 0.5, 1e-10)
             continue
@@ -234,10 +284,10 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
         x = x_new
         k1 = k_last
         times.append(t)
-        points.append(x.copy())
+        points.append(x)
         values.append(value(x))
 
-        hit = settled(float(np.linalg.norm(k_last)))
+        hit = settled(k_last)
         if hit is not None:
             return result(CONVERGED, target=hit)
         if err == 0.0:
@@ -367,7 +417,10 @@ def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
     k = _deck_index(chart, traj.end, p)
     points = traj.points[::-1]
     if k:
-        points = np.array([deck_apply(chart, -k, x) for x in points])
+        # `deck_apply(chart, -k, x)` at each row
+        points = points.copy()
+        points[:, 0] += -k * chart.deck.period
+        points[:, 1] *= deck_sign(chart, -k)
     forward = Trajectory(traj.times[-1] - traj.times[::-1], points,
                          traj.values[::-1], CONVERGED, target=q.id)
     # orientation of (flow direction, q's unstable frame vector, which
@@ -537,13 +590,12 @@ def intersection_pairing(field_neg: PseudoGradientField,
         total += (1 if det > 0 else -1) * p.reference_sign
 
     rel_curves = relative_cycle_curves(field_neg, p, tol)
-    abs_curves = [(label, traj)
+    abs_curves = [(label, traj, _resample(traj.points, 0.02))
                   for label, _, traj in _branches(field_pos, cp_pos, False, tol)]
 
     for label_r, traj_r in rel_curves:
         pr = _resample(traj_r.points, 0.02)
-        for label_a, traj_a in abs_curves:
-            pa = _resample(traj_a.points, 0.02)
+        for label_a, traj_a, pa in abs_curves:
             for point, dir_r, dir_a, sin_angle in _polyline_crossings(pr, pa):
                 if chart_distance(chart, point, cp_pos.coords) < 10 * tol.r_launch \
                         and p.id == p_abs.id:

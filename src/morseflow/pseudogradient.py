@@ -439,7 +439,10 @@ class _Perturbation:
     and (under a deck map) the gluing seam, so adaptedness margins survive.
 
     The waves, phases and signs are drawn once.  Both evaluators pass the
-    distance to the nearest wall, which they have already computed.
+    distance to the nearest wall, which they have already computed.  A
+    center's factor in the envelope is exactly 1.0 beyond 2 r_excl, where
+    `smoothstep` saturates, so `at` skips a center that a bound from the
+    coordinates alone puts that far away.
     """
 
     def __init__(self, chart: Chart, crit: CriticalSet, seed: int,
@@ -454,18 +457,32 @@ class _Perturbation:
         self.centers = [cp.coords.tolist() for cp in crit.points]
         self._terms = tuple(zip(self.signs.tolist(), self.waves.tolist(),
                                 self.phases.tolist()))
+        # beyond this coordinate gap a center is farther than 2 r_excl, with
+        # a margin far above the rounding of the gap and of the distance
+        self._apart = 2.0 * tol.r_excl * (1.0 + 1e-9)
 
     def at(self, x: list[float], wall: float) -> list[float]:
         """The perturbation at canonical coordinates x, `wall` from the nearest
         wall, in float arithmetic with the bits of `many`."""
-        chart, tol = self.chart, self.tol
+        chart, tol, apart = self.chart, self.tol, self._apart
+        period = None if chart.deck is None else chart.deck.period
+        fold = chart.deck is not None and chart.deck.flip == -1
         env = smoothstep(wall / tol.delta_c)
         for c in self.centers:
             if env == 0.0:
                 break
+            # the coordinate gaps bound the chart distance from below: u
+            # around the period and, under a flip, |v| against |v|
+            du = abs(x[0] - c[0])
+            if period is not None:
+                du %= period
+                du = min(du, period - du)
+            dv = (0.0 if len(x) == 1 else abs(abs(x[1]) - abs(c[1])) if fold
+                  else abs(x[1] - c[1]))
+            if du > apart or dv > apart:
+                continue  # the factor is exactly 1.0
             env *= smoothstep(coords_distance(chart, x, c) / (2.0 * tol.r_excl))
-        if env != 0.0 and chart.deck is not None:
-            period = chart.deck.period
+        if env != 0.0 and period is not None:
             u = x[0] % period
             env *= smoothstep(min(u, period - u) / (0.1 * period))
         if env == 0.0:
@@ -646,7 +663,8 @@ class CaptureRegion:
     f strictly decreases along the field on the whole ball, sign * f is at
     least 2 * depth above the sink's level on the ball's rim, and the sink is
     the ball's only zero, so a trajectory that enters the region never leaves
-    the ball and ends at the sink.
+    the ball and ends at the sink.  `flow.integrate` tests membership, the
+    level before the distance.
     """
 
     sink: CriticalPoint
@@ -654,11 +672,6 @@ class CaptureRegion:
     level: float       # the objective at the sink
     depth: float
     sign: float        # 1.0 for the flow, -1.0 for its time reversal
-
-    def holds(self, chart: Chart, x: Array, value: float) -> bool:
-        """Whether x, where the objective is value, lies in the region."""
-        return (self.sign * (value - self.level) < self.depth
-                and chart_distance(chart, x, self.sink.coords) < self.radius)
 
 
 _CAPTURE_RINGS = 8    # concentric sample rings of a capture check

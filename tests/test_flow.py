@@ -299,6 +299,27 @@ def test_capture_keeps_orbit_signs_and_twists(packages, monkeypatch):
                 [(o.sign, o.twist) for o in inc.orbits], name
 
 
+@pytest.mark.parametrize("k", [1, -3])
+def test_reversed_orbit_moves_each_sample_by_the_deck_map(packages, k):
+    # a backward branch from q that reaches the deck image T^k p is stored
+    # moved by T^-k, with the bits of deck_apply at each sample; no catalog
+    # orbit needs the move, so a branch across k seams is made here
+    pkg = packages["moebius"]
+    fld, chart = pkg.field_pos, pkg.field_pos.chart
+    q = _zero(pkg, INTERIOR, 1)
+    p = dataclasses.replace(_zero(pkg, BOUNDARY_N, 0),
+                            orientation_ref=((1.0, 0.0), (0.0, 1.0)))
+    end = deck_apply(chart, k, p.coords)
+    points = q.coords + np.linspace(0.0, 1.0, 7)[:, None] * (end - q.coords)
+    traj = flow.Trajectory(np.linspace(0.0, 3.0, 7), points, -np.arange(7.0),
+                           CONVERGED, p.id)
+    _, forward = flow._reversed_orbit(fld, p, q, q.coords + [1e-4, 0.0], traj)
+    want = np.array([deck_apply(chart, -k, x) for x in points[::-1]])
+    assert forward.points.tobytes() == want.tobytes()
+    assert np.array_equal(forward.points[0], p.coords)
+    assert np.array_equal(traj.points, points)  # the branch itself is not moved
+
+
 class _Swirl:
     """A rotation about center, strong enough that the bowl below rises along
     the field next to its minimum, which still attracts as a spiral."""
