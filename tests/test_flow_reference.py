@@ -232,3 +232,29 @@ def test_speed_straddling_field_stop_takes_the_exact_norm(packages):
     # converged at the start exactly when the BLAS norm is the smaller
     assert (len(want.times) == 1) == (exact < plain)
     assert_same_trajectory(integrate(field, start, tol), want)
+
+
+def test_capture_landing_time_takes_the_exact_norm(packages):
+    # a start inside a sink's capture region ends at once, the sink appended
+    # at the time the gap takes at the speed there, which the BLAS norm gives
+    field = packages["tilted_dome"].field_pos
+    region = field.capture_regions()[0]
+    objective, chart = field.objective, field.chart
+    for i in range(256):
+        theta = 2.0 * math.pi * i / 256
+        start = region.sink.coords + 0.2 * region.radius * np.array(
+            [math.cos(theta), math.sin(theta)])
+        if (any(float(con.value(start)) > 0.0 for con in chart.constraints)
+                or region.sign * (float(objective.value(start)) - region.level)
+                >= region.depth):
+            continue
+        k = field.evaluate(start)
+        plain = math.sqrt(float(k[0]) * float(k[0]) + float(k[1]) * float(k[1]))
+        gap = float(np.linalg.norm(region.sink.coords - start))
+        if gap / plain != gap / float(np.linalg.norm(k)):
+            break
+    else:
+        pytest.fail("no start in the region where the two landing times differ")
+    want = reference_integrate(field, start)
+    assert len(want.times) == 2 and want.target == region.sink.id
+    assert_same_trajectory(integrate(field, start), want)
