@@ -243,16 +243,10 @@ def _uniform_arclength(polygon: Array, samples: int) -> Array:
     return polygon[edge] + (along / lengths[edge])[:, None] * edges[edge]
 
 
-def _trace_region_loop(chart: Chart, con, samples: int,
-                       tol: Tolerances) -> Array | None:
-    """Ordered closed loop of `samples` points on one constraint's zero set,
-    or None.
-
-    A coarse walk (steps of 2% of the chart's span) goes once round the
-    curve; the loop's points are spaced evenly in arclength along that walk's
-    polygon and projected onto the curve in one batch.  Should the batch fail
-    to converge, the walk's own points are the loop.
-    """
+def _coarse_walk(chart: Chart, con, tol: Tolerances) -> Array | None:
+    """The closed polygon of a coarse walk once round one constraint's zero
+    set (steps of 2% of the chart's span, each projected onto the curve), or
+    None when no start is found or the walk fails."""
     grid = _seed_grid(chart, 40)
     vals = np.abs(np.asarray(con.value(grid), dtype=float))
     order = np.argsort(vals)
@@ -287,9 +281,31 @@ def _trace_region_loop(chart: Chart, con, samples: int,
         x = nxt
     else:
         return None
-    polygon = np.array(walk)
+    return np.array(walk)
+
+
+def _trace_region_loop(con, polygon: Array, samples: int) -> Array:
+    """Ordered closed loop of `samples` points on one constraint's zero set,
+    spaced evenly in arclength along its coarse walk's polygon and projected
+    onto the curve in one batch.  Should the batch fail to converge, the
+    walk's own points are the loop.
+    """
     loop = _project_to_zero(con, _uniform_arclength(polygon, samples))
     return polygon if loop is None else loop
+
+
+def boundary_walks(chart: Chart, tol: Tolerances = DEFAULT) -> tuple[Array | None, ...]:
+    """The coarse walk of each constraint of a surface chart without a deck
+    map, in the constraints' order (None where the walk fails); other charts
+    take their loops without a walk and have none.
+
+    A walk depends only on the chart, the constraint and the tolerances, so
+    one analysis walks each wall once and spaces every loop it needs, at any
+    sample count, along the same walk.
+    """
+    if chart.dim == 1 or chart.deck is not None:
+        return ()
+    return tuple(_coarse_walk(chart, con, tol) for con in chart.constraints)
 
 
 def boundary_loop_count(chart: Chart) -> int:
@@ -300,9 +316,11 @@ def boundary_loop_count(chart: Chart) -> int:
 
 
 def boundary_components(chart: Chart, samples: int | None = None,
-                        tol: Tolerances = DEFAULT) -> list[Array]:
+                        tol: Tolerances = DEFAULT,
+                        walks: tuple[Array | None, ...] | None = None) -> list[Array]:
     """Ordered sample loops covering every boundary component, `samples`
-    points each."""
+    points each.  `walks` is `boundary_walks(chart, tol)`, taken here when
+    not given."""
     samples = samples or tol.boundary_samples
     if chart.deck is not None:
         # the strip's walls are the lines v = lo and v = hi over one period
@@ -324,12 +342,10 @@ def boundary_components(chart: Chart, samples: int | None = None,
             if cand is not None:
                 out.append(cand.reshape(1, 1))
         return out
-    loops = []
-    for con in chart.constraints:
-        loop = _trace_region_loop(chart, con, samples, tol)
-        if loop is not None:
-            loops.append(loop)
-    return loops
+    if walks is None:
+        walks = boundary_walks(chart, tol)
+    return [_trace_region_loop(con, polygon, samples)
+            for con, polygon in zip(chart.constraints, walks) if polygon is not None]
 
 
 def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
@@ -401,12 +417,16 @@ def _walk_slopes(field: MorseField, chart: Chart, loop: Array,
 def find_boundary_critical(field: MorseField, chart: Chart,
                            seed_density: int | None = None,
                            metric: MetricField | None = None,
-                           tol: Tolerances = DEFAULT) -> list[CriticalPoint]:
-    """Critical points of the boundary restriction, classified by type and index."""
+                           tol: Tolerances = DEFAULT,
+                           walks: tuple[Array | None, ...] | None = None,
+                           ) -> list[CriticalPoint]:
+    """Critical points of the boundary restriction, classified by type and
+    index.  `walks` is `boundary_walks(chart, tol)`, taken here when not
+    given."""
     if chart.dim == 1:
         return _boundary_critical_1d(field, chart, metric, tol)
     found: list[Array] = []
-    for loop in boundary_components(chart, seed_density, tol):
+    for loop in boundary_components(chart, seed_density, tol, walks):
         n_pts = len(loop)
         g_vals = _walk_slopes(field, chart, loop, metric, tol)
         typical_step = float(np.linalg.norm(loop[1] - loop[0])) if n_pts > 1 else 0.1
@@ -505,9 +525,12 @@ def assemble_critical_set(field: MorseField, chart: Chart,
 
 def find_critical_set(field: MorseField, chart: Chart,
                       metric: MetricField | None = None,
-                      tol: Tolerances = DEFAULT) -> CriticalSet:
+                      tol: Tolerances = DEFAULT,
+                      walks: tuple[Array | None, ...] | None = None) -> CriticalSet:
+    """Every critical point of f and of its boundary restriction.  `walks`
+    is `boundary_walks(chart, tol)`, taken here when not given."""
     interior = find_interior_critical(field, chart, tol=tol)
-    boundary = find_boundary_critical(field, chart, metric=metric, tol=tol)
+    boundary = find_boundary_critical(field, chart, metric=metric, tol=tol, walks=walks)
     return assemble_critical_set(field, chart, interior, boundary, tol)
 
 

@@ -33,6 +33,11 @@ class BlendGapFailure(MorseflowError):
     """Vector-field assembly could not be certified at any retry radius."""
 
 
+class SampleMismatch(MorseflowError):
+    """A certification sample holds the gradients of another function than
+    the field descends."""
+
+
 class CertificateViolation(MorseflowError):
     """A trajectory left the manifold through a supposedly inward boundary."""
 

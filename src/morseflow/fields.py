@@ -7,7 +7,7 @@ single coordinate vector or a batch with the coordinates on the last axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
@@ -22,17 +22,24 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class MorseField:
-    """Scalar function with gradient covector and coordinate hessian."""
+    """Scalar function with gradient covector and coordinate hessian.
+
+    A field made by `negated` records the field it negates, whose gradient,
+    negated, gives its own bits.
+    """
 
     value: Callable[[Array], Array]
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array]
+    negation_of: MorseField | None = dataclass_field(default=None, repr=False,
+                                                     compare=False)
 
     def negated(self) -> "MorseField":
         return MorseField(
             value=lambda x: -self.value(x),
             gradient=lambda x: -self.gradient(x),
             hessian=lambda x: -self.hessian(x),
+            negation_of=self,
         )
 
 

@@ -1,9 +1,11 @@
 """Full construction: complexes in every flavor, homology against references,
 duality pairing matrices, and the empirical seed-invariance check.
 
-Each analysis draws one certification sample (interior points and the traced
-wall) and certifies every field it builds (both sides, every retry seed, the
-pairing's retry) on it.
+Each analysis walks each wall once, for the critical search and the
+certification sample alike.  It draws one certification sample (interior
+points and the traced wall, with the function's gradient at each) and
+certifies every field it builds (both sides, every retry seed, the pairing's
+retry) on it.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from .catalog import CatalogEntry
 from .chains import (DoubleManifoldReport, HomologyResult, IntPolynomial,
                      IntegerChainComplex, double_manifold_check,
                      duality_symmetry_check, int_det, morse_inequality_quotient)
-from .critical import BOUNDARY_N, INTERIOR, CriticalSet, find_critical_set
+from .critical import (BOUNDARY_N, INTERIOR, CriticalSet, boundary_walks,
+                       find_critical_set)
 from .errors import InvarianceFailure, NonTransverse
 from .flow import IncidenceCount, count_connecting_orbits, intersection_pairing
 from .params import DEFAULT, Tolerances
@@ -211,8 +214,10 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
 def build_package(entry: CatalogEntry, seed: int = 0,
                   tol: Tolerances = DEFAULT) -> MorsePackage:
     """Run the whole construction for one catalog entry."""
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
-    sample = certification_sample(entry.chart, entry.metric, crit, tol)
+    walks = boundary_walks(entry.chart, tol)
+    crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, walks)
+    sample = certification_sample(entry.field, entry.chart, entry.metric, crit, tol,
+                                  walks)
     field_pos, inc_pos = _build_side(entry, crit, False, seed, tol, sample)
     field_neg, inc_neg = _build_side(entry, crit, True, seed, tol, sample)
 
@@ -315,11 +320,14 @@ def homologies_for_seed(entry: CatalogEntry, seed: int,
                         sample: CertificationSample | None = None,
                         ) -> dict[str, HomologyResult]:
     """Every complex's homology at one perturbation seed.  `sample`, when
-    given, is `certification_sample` for `crit`, as a package holds both."""
+    given, is `certification_sample` for `entry.field` and `crit`, as a
+    package holds both."""
+    walks = None if sample is not None else boundary_walks(entry.chart, tol)
     if crit is None:
-        crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
+        crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, walks)
     if sample is None:
-        sample = certification_sample(entry.chart, entry.metric, crit, tol)
+        sample = certification_sample(entry.field, entry.chart, entry.metric, crit, tol,
+                                      walks)
     tables = {side: _build_side(entry, crit, side == "D", seed, tol, sample)[1]
               for side in SIDES}
     return {key: cx.homology() for key, cx in _complexes(crit, tables).items()}

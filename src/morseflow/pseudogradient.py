@@ -9,10 +9,13 @@ with halved radii before giving up.
 The field has two evaluators that return the same bits: certification
 evaluates its samples in batches (`PseudoGradientField.evaluate_many`), and
 the flow integrator evaluates point by point (`PseudoGradientField.evaluate`),
-where a one-row batch would cost several times as much.  The certification
-sample (interior points and the traced wall) depends only on the chart, the
-metric, the critical coordinates and the tolerances, so one analysis draws it
-once (`certification_sample`) and certifies every field it builds on it.
+where a one-row batch would cost several times as much.  One analysis draws
+its certification sample once (`certification_sample`): interior points and
+the traced wall, which depend only on the chart, the metric, the critical
+coordinates and the tolerances, and the analysed function's gradient at each
+of them.  Every field the analysis builds is certified on it; the field's
+value and the descent test both read the sample's gradient, negated for an
+ascent field, so no certification point's gradient is evaluated twice.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .critical import (BOUNDARY_D, BOUNDARY_N, CriticalPoint, CriticalSet,
                        boundary_components, boundary_loop_count, reclassify_negated)
-from .errors import BlendGapFailure
+from .errors import BlendGapFailure, SampleMismatch
 from .fields import MorseField
 from .geometry import (BoundaryConstraint, Chart, MetricField, active_constraint,
                        boundary_frames, chart_distance, chart_distance_many,
@@ -255,19 +258,20 @@ class PseudoGradientField:
         """`evaluate` at each row of points in one vectorised pass, with the same bits."""
         x = np.array(points, dtype=float).reshape(-1, self.chart.dim)
         deck = self.chart.deck
-        if deck is None:
-            return self._eval_canonical_many(x)
-        k = np.floor(x[:, 0] / deck.period)
-        flip = (k % 2 != 0) & (deck.flip == -1)
-        x[:, 0] += -k * deck.period
-        x[flip, 1] *= -1.0
-        vec = self._eval_canonical_many(x)
-        vec[flip, 1] = -vec[flip, 1]
+        if deck is not None:
+            k = np.floor(x[:, 0] / deck.period)
+            flip = (k % 2 != 0) & (deck.flip == -1)
+            x[:, 0] += -k * deck.period
+            x[flip, 1] *= -1.0
+        vec = self._eval_canonical_many(
+            x, np.asarray(self.objective.gradient(x), dtype=float))
+        if deck is not None:
+            vec[flip, 1] = -vec[flip, 1]
         return vec
 
-    def _eval_canonical_many(self, x: Array) -> Array:
-        """The arithmetic of `_point_evaluator` at each row of x, piece by piece."""
-        grad = np.asarray(self.objective.gradient(x), dtype=float)
+    def _eval_canonical_many(self, x: Array, grad: Array) -> Array:
+        """The arithmetic of `_point_evaluator` at each row of x, canonical
+        coordinates, where the objective's gradient is the row of grad."""
         g = (None if self.metric.identity
              else metric_matrices(self.metric, x).transpose(1, 2, 0))
         vec = -grad if g is None else -np.stack(_solve(g, grad.T), axis=1)
@@ -545,37 +549,66 @@ def _manifold_sample(chart: Chart, crit: CriticalSet, count: int,
 
 @dataclass(frozen=True, eq=False)
 class CertificationSample:
-    """The points every field of one analysis is certified on: interior
-    Halton points away from the critical points, and the boundary loops.
+    """The points every field of one analysis is certified on, interior
+    Halton points away from the critical points and the boundary loops, with
+    the gradient of the analysed function at each.
 
-    The sample depends only on the chart, the metric, the critical
-    coordinates and the tolerances, so both sides, every shrink retry and
-    every retry seed share it.
+    The points depend only on the chart, the metric, the critical coordinates
+    and the tolerances, and the gradients only on the function as well, so
+    both sides, every shrink retry and every retry seed share the sample.
     """
 
+    field: MorseField    # the function whose gradients the sample holds
     interior: Array
+    interior_grad: Array  # its gradient at each interior point
     loop_points: Array   # raw points of the traced boundary loops
     wall: Array          # their canonical coordinates
+    wall_grad: Array     # its gradient at each canonical wall point
     normals: Array       # outward metric-unit normals
     g_mats: Array        # metric matrices
 
+    def gradients(self, objective: MorseField) -> tuple[Array, Array]:
+        """The objective's gradient at the interior and at the wall points.
 
-def certification_sample(chart: Chart, metric: MetricField | None,
-                         crit: CriticalSet,
-                         tol: Tolerances = DEFAULT) -> CertificationSample:
-    """Draw the interior points and trace the boundary loops once."""
+        The objective is the sample's function or its negation, whose
+        gradient is the negated array bit for bit; any other function raises
+        `SampleMismatch`.
+        """
+        if objective is self.field:
+            return self.interior_grad, self.wall_grad
+        if objective.negation_of is self.field:
+            return -self.interior_grad, -self.wall_grad
+        raise SampleMismatch("the certification sample holds the gradients of "
+                             "another function than the field descends")
+
+
+def certification_sample(field: MorseField, chart: Chart,
+                         metric: MetricField | None, crit: CriticalSet,
+                         tol: Tolerances = DEFAULT,
+                         walks: tuple[Array | None, ...] | None = None,
+                         ) -> CertificationSample:
+    """Draw the interior points, trace the boundary loops and evaluate the
+    gradient of f (`field`) at both, once.  `walks` is
+    `critical.boundary_walks(chart, tol)`, taken here when not given."""
     per_loop = max(1, tol.cert_boundary_samples // boundary_loop_count(chart))
-    loops = boundary_components(chart, per_loop, tol)
+    loops = boundary_components(chart, per_loop, tol, walks)
     loop_points = np.concatenate(loops) if loops else np.empty((0, chart.dim))
+    interior = _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl, tol)
+    wall, normals, g_mats = boundary_frames(chart, loop_points, metric, tol)
     return CertificationSample(
-        _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl, tol),
-        loop_points, *boundary_frames(chart, loop_points, metric, tol))
+        field=field,
+        interior=interior,
+        interior_grad=np.asarray(field.gradient(interior), dtype=float),
+        loop_points=loop_points,
+        wall=wall,
+        wall_grad=np.asarray(field.gradient(wall), dtype=float),
+        normals=normals,
+        g_mats=g_mats,
+    )
 
 
-def _wall_sample(field: PseudoGradientField,
-                 sample: CertificationSample) -> tuple[Array, Array, Array]:
-    """Wall points outside the field's tangency patches, each with its outward
-    normal and metric matrix.
+def _wall_sample(field: PseudoGradientField, sample: CertificationSample) -> Array:
+    """The rows of the sample's wall outside the field's tangency patches.
 
     Only this patch filter, which depends on the field's type-N points and
     r_n, is per build.
@@ -585,7 +618,7 @@ def _wall_sample(field: PseudoGradientField,
         if cp.kind == BOUNDARY_N:
             keep &= chart_distance_many(field.chart, sample.loop_points,
                                         cp.coords) >= field.r_n
-    return sample.wall[keep], sample.normals[keep], sample.g_mats[keep]
+    return keep
 
 
 def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
@@ -593,23 +626,30 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
                     sample: CertificationSample | None = None) -> AdaptednessCertificate:
     """Sample-based check of the four adaptedness conditions.
 
-    `sample` is `certification_sample(field.chart, field.metric, field.crit,
-    tol)`, drawn here when not given.  A NaN at any sample fails the
-    certificate.
+    `sample` is `certification_sample(f, field.chart, field.metric,
+    field.crit, tol)` for the function f the field descends, or for -f when
+    it ascends; it is drawn here, for the field's objective, when not given.
+    A sample of any other function raises `SampleMismatch`.  A NaN at any
+    sample fails the certificate.
     """
     chart, crit = field.chart, field.crit
     obj = field.objective
     if sample is None:
-        sample = certification_sample(chart, field.metric, crit, tol)
+        sample = certification_sample(obj, chart, field.metric, crit, tol)
     interior = sample.interior
-    grads = np.asarray(obj.gradient(interior), dtype=float)
-    descent = float(np.max(row_dot(grads, field.evaluate_many(interior)),
-                           initial=-math.inf))
+    interior_grad, wall_grad = sample.gradients(obj)
+    # the sample's points are canonical, so the field reads their gradients
+    descent = float(np.max(
+        row_dot(interior_grad, field._eval_canonical_many(interior, interior_grad)),
+        initial=-math.inf))
 
-    on_wall, normals, g_mats = _wall_sample(field, sample)
-    pushed = np.matmul(field.evaluate_many(on_wall)[:, None, :], g_mats)[:, 0, :]
+    keep = _wall_sample(field, sample)
+    on_wall = sample.wall[keep]
+    pushed = np.matmul(field._eval_canonical_many(on_wall, wall_grad[keep])[:, None, :],
+                       sample.g_mats[keep])[:, 0, :]
     # 1.0 when no wall point lies outside the patches, so nothing is tested
-    inward = float(np.min(-row_dot(pushed, normals))) if len(on_wall) else 1.0
+    inward = (float(np.min(-row_dot(pushed, sample.normals[keep])))
+              if len(on_wall) else 1.0)
 
     interior_def = -math.inf
     tangency_def = -math.inf
@@ -730,12 +770,13 @@ def build_adapted(field: MorseField, chart: Chart, crit: CriticalSet,
 
     Retries with halved patch and collar radii when certification fails;
     raises BlendGapFailure when no retry passes.  `sample` is
-    `certification_sample(chart, metric, crit, tol)`, which an analysis
-    draws once for all its builds; without it the build draws its own.
+    `certification_sample(field, chart, metric, crit, tol)`, which an
+    analysis draws once for all its builds, both sides included; without it
+    the build draws its own.
     """
     metric = metric or MetricField.euclidean(chart.dim)
     if sample is None:
-        sample = certification_sample(chart, metric, crit, tol)
+        sample = certification_sample(field, chart, metric, crit, tol)
     if for_negative:
         objective = field.negated()
         crit_obj = reclassify_negated(crit, field, chart)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -202,36 +201,42 @@ def snf_oracle(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
 
 
 def rational_rank(mat: list[list[int]]) -> int:
-    work = [[Fraction(v) for v in row] for row in mat]
+    """Rank over Q by fraction-free (Bareiss) elimination.
+
+    Every entry stays an integer: after pivot k an entry below the pivots is
+    a (k+1) x (k+1) minor of the matrix, so each division by the previous
+    pivot is exact, and a column with no pivot left stays zero below.
+    """
+    work = [list(row) for row in mat]
     rows, cols = len(work), len(work[0]) if mat else 0
-    rank, pivot_row = 0, 0
+    rank, prev = 0, 1
     for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, rows):
-            if work[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, rows) if work[r][col] != 0), None)
         if pivot is None:
             continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        inv = work[pivot_row][col]
-        for r in range(pivot_row + 1, rows):
-            if work[r][col] != 0:
-                factor = work[r][col] / inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
-        pivot_row += 1
+        work[rank], work[pivot] = work[pivot], work[rank]
+        lead = work[rank][col]
+        for r in range(rank + 1, rows):
+            factor = work[r][col]
+            work[r] = [(lead * a - factor * b) // prev for a, b in zip(work[r], work[rank])]
+        prev = lead
         rank += 1
-        if pivot_row == rows:
+        if rank == rows:
             break
     return rank
 
 
-def snf_fuzz(cases: int = 1000, seed: int = 20240501) -> tuple[int, str]:
+def fuzz_matrices(cases: int = 1000, seed: int = 20240501):
+    """The SNF fuzz's matrices: 1 to 4 rows and columns, entries in [-5, 5]."""
     rng = random.Random(seed)
-    for i in range(cases):
+    for _ in range(cases):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        yield [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+
+
+def snf_fuzz(cases: int = 1000, seed: int = 20240501) -> tuple[int, str]:
+    for i, mat in enumerate(fuzz_matrices(cases, seed)):
         got_diag, got_rank = smith_normal_form(mat)
         want_diag, want_rank = snf_oracle(mat)
         want_diag = tuple(d for d in want_diag if d != 0)

@@ -192,7 +192,7 @@ def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
                 monkeypatch.setattr(mod, fn.__name__, counted)
     entry = catalog.get(name)
     crit = packages[name].crit
-    sample = certification_sample(entry.chart, entry.metric, crit)
+    sample = certification_sample(entry.field, entry.chart, entry.metric, crit)
     assert len(sample.wall) > 0
     if entry.chart.dim == 2:
         for loop in boundary_components(entry.chart, DEFAULT.boundary_samples):
@@ -202,7 +202,7 @@ def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
 
 def test_nan_gradient_at_one_sample_fails_the_certificate(packages):
     field = packages["disk"].field_pos
-    sample = certification_sample(field.chart, field.metric, field.crit)
+    sample = certification_sample(field.objective, field.chart, field.metric, field.crit)
     bad = sample.interior[17]
     gradient = field.objective.gradient
 
@@ -211,11 +211,15 @@ def test_nan_gradient_at_one_sample_fails_the_certificate(packages):
         out[np.all(np.asarray(x) == bad, axis=-1)] = np.nan
         return out
 
+    # the sample holds the gradients of the function it was drawn for
     objective = MorseField(field.objective.value, spoiled, field.objective.hessian)
-    cert = certify_adapted(dataclasses.replace(field, objective=objective), sample=sample)
+    spoiled_sample = certification_sample(objective, field.chart, field.metric, field.crit)
+    assert np.isnan(spoiled_sample.interior_grad[17]).all()
+    cert = certify_adapted(dataclasses.replace(field, objective=objective),
+                           sample=spoiled_sample)
     assert np.isnan(cert.descent_margin)
     assert not cert.descent_ok and not cert.passed
-    # the same field without the NaN passes on the same sample
+    # the same field without the NaN passes on the same points
     assert certify_adapted(field, sample=sample).passed
 
 

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from morseflow.chains import (IntPolynomial, IntegerChainComplex,
@@ -5,7 +8,7 @@ from morseflow.chains import (IntPolynomial, IntegerChainComplex,
                               morse_inequality_quotient, smith_normal_form, zeros)
 from morseflow.errors import (BoundarySquareNonzero, NegativeCoefficient,
                               NotDivisible)
-from morseflow.verify import rational_rank, snf_fuzz, snf_oracle
+from morseflow.verify import fuzz_matrices, rational_rank, snf_fuzz, snf_oracle
 
 
 def test_snf_single_entry():
@@ -34,6 +37,61 @@ def test_oracle_helpers_consistent():
     mat = [[2, 4], [6, 8]]
     assert snf_oracle(mat) == ((2, 4), 2)
     assert rational_rank(mat) == 2
+
+
+def fraction_rank(mat):
+    """Rank over Q by elimination in `Fraction`s: the reference for the
+    fraction-free `rational_rank`."""
+    work = [[Fraction(v) for v in row] for row in mat]
+    rows, cols = len(work), len(work[0]) if mat else 0
+    rank, pivot_row = 0, 0
+    for col in range(cols):
+        pivot = None
+        for r in range(pivot_row, rows):
+            if work[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+        inv = work[pivot_row][col]
+        for r in range(pivot_row + 1, rows):
+            if work[r][col] != 0:
+                factor = work[r][col] / inv
+                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+        rank += 1
+        if pivot_row == rows:
+            break
+    return rank
+
+
+def low_rank_products(count, seed=7):
+    """Products of an m x k and a k x n integer matrix, k below min(m, n)
+    mostly, with entries large enough that the minors grow."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(m, n))
+        a = [[rng.randint(-30, 30) for _ in range(k)] for _ in range(m)]
+        b = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(k)]
+        yield [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+               for i in range(m)]
+
+
+RANK_CASES = [
+    [], [[]], [[0]], [[0, 0, 0]], [[0], [0], [0]], [[0, 0], [0, 0]],
+    [[3]], [[0, 0, 7]], [[1, -2, 3, 4]], [[0], [5], [0]], [[2], [4], [-6]],
+    [[1, 2], [2, 4]], [[0, 1], [0, 2]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[0, 0, 1], [0, 0, 2], [3, 0, 0]], [[2, 4, 6], [1, 2, 3], [0, 0, 1]],
+]
+
+
+def test_integer_rank_matches_fraction_elimination():
+    cases = RANK_CASES + list(fuzz_matrices()) + list(low_rank_products(300))
+    assert len(cases) == len(RANK_CASES) + 1300
+    for mat in cases:
+        assert rational_rank(mat) == fraction_rank(mat), mat
 
 
 def _complex(ranks, d1, step=-1):

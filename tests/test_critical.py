@@ -243,7 +243,8 @@ def trace_counted(monkeypatch, chart, con, samples):
 
     monkeypatch.setattr(critical, "_project_to_zero", counted)
     monkeypatch.setattr(critical, "_uniform_arclength", recorded)
-    loop = critical._trace_region_loop(chart, con, samples, DEFAULT)
+    loop = critical._trace_region_loop(
+        con, critical._coarse_walk(chart, con, DEFAULT), samples)
     monkeypatch.undo()
     (polygon,) = polygons
     return loop, polygon, calls
@@ -284,7 +285,8 @@ def test_loop_falls_back_to_the_walk(monkeypatch):
     monkeypatch.setattr(critical, "_uniform_arclength",
                         lambda polygon, samples: polygons.append(polygon)
                         or spaced(polygon, samples))
-    loop = critical._trace_region_loop(chart, con, 400, DEFAULT)
+    loop = critical._trace_region_loop(
+        con, critical._coarse_walk(chart, con, DEFAULT), 400)
     assert np.array_equal(loop, polygons[0])
     assert len(loop) < 400
 

@@ -28,8 +28,9 @@ def assert_same_bits(field, points):
 
 
 def certification_samples(field):
-    sample = certification_sample(field.chart, field.metric, field.crit, DEFAULT)
-    return sample.interior, _wall_sample(field, sample)[0]
+    sample = certification_sample(field.objective, field.chart, field.metric,
+                                  field.crit, DEFAULT)
+    return sample.interior, sample.wall[_wall_sample(field, sample)]
 
 
 def side_fields(entry, crit, seed):

@@ -181,7 +181,7 @@ def assert_matches_reference(field, points):
 def check_field(field, sample):
     # every fifth interior point: the interior is mostly plain descent, which
     # the wall sample and the trajectories cover next to the walls and patches
-    wall = _wall_sample(field, sample)[0]
+    wall = sample.wall[_wall_sample(field, sample)]
     assert_matches_reference(field, np.concatenate([sample.interior[::5], wall]))
     trajectories = [traj.points for branches in field._branch_memo.values()
                     for _, _, traj in branches]
@@ -204,7 +204,7 @@ def test_matches_the_numpy_evaluator(packages, name, seed):
 def test_matches_the_numpy_evaluator_under_a_scaled_metric():
     entry = dataclasses.replace(catalog.get("disk"), metric=MetricField.scaled(2, 2.0))
     crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
-    sample = certification_sample(entry.chart, entry.metric, crit, DEFAULT)
+    sample = certification_sample(entry.field, entry.chart, entry.metric, crit, DEFAULT)
     for negative in (False, True):
         field, _ = _build_side(entry, crit, negative, 0, DEFAULT, sample)
         assert not field.metric.identity
