@@ -97,32 +97,6 @@ def _interval() -> CatalogEntry:
     )
 
 
-def _circle_constraint(name: str, radius: float, inner: bool = False) -> BoundaryConstraint:
-    r2 = radius * radius
-    sgn = -1.0 if inner else 1.0
-
-    # one point takes float arithmetic, which rounds as the batch does
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            u, v = x.tolist()
-            return sgn * (u * u + v * v - r2)
-        return sgn * (x[..., 0] ** 2 + x[..., 1] ** 2 - r2)
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            u, v = x.tolist()
-            return np.array([sgn * 2.0 * u, sgn * 2.0 * v])
-        return sgn * 2.0 * x
-
-    def hessian(x):
-        eye = sgn * 2.0 * np.eye(2)
-        return np.broadcast_to(eye, np.shape(x)[:-1] + (2, 2)).copy()
-
-    return BoundaryConstraint(name=name, value=value, gradient=gradient, hessian=hessian)
-
-
 def _height_field() -> MorseField:
     def gradient(x):
         if np.ndim(x) == 1:
@@ -140,7 +114,7 @@ def _height_field() -> MorseField:
 
 def _disk() -> CatalogEntry:
     chart = Chart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
-                  constraints=(_circle_constraint("rim", 1.0),))
+                  constraints=(BoundaryConstraint.circle("rim", (0.0, 0.0), 1.0),))
     return CatalogEntry(
         name="disk", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
         expected=(
@@ -162,8 +136,8 @@ def _annulus() -> CatalogEntry:
     # position, so the pairing retries with a perturbation (meta.pairing_seed 7920)
     chart = Chart(
         dim=2, box=((-2.2, 2.2), (-2.2, 2.2)),
-        constraints=(_circle_constraint("outer", 2.0),
-                     _circle_constraint("inner", 1.0, inner=True)),
+        constraints=(BoundaryConstraint.circle("outer", (0.0, 0.0), 2.0),
+                     BoundaryConstraint.circle("inner", (0.0, 0.0), 1.0, inner=True)),
     )
     return CatalogEntry(
         name="annulus", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
@@ -223,7 +197,7 @@ def _moebius() -> CatalogEntry:
 
 def _tilted_dome() -> CatalogEntry:
     chart = Chart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
-                  constraints=(_circle_constraint("rim", 1.0),))
+                  constraints=(BoundaryConstraint.circle("rim", (0.0, 0.0), 1.0),))
 
     def value(x):
         return 1.0 - x[..., 0] ** 2 - x[..., 1] ** 2 + x[..., 1] / 2.0

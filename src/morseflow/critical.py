@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DegenerateCritical, PointOutsideManifold, TypeUndetermined
 from .fields import MorseField, boundary_restriction_derivatives, validate_morse
 from .geometry import (Chart, MetricField, Point, active_constraint, boundary_distance,
-                       boundary_frame, boundary_frames, chart_distance, normalize_point,
-                       row_dot)
+                       boundary_frame, boundary_frames, chart_distance,
+                       chart_distance_many, normalize_point, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -147,30 +147,36 @@ def find_interior_critical(field: MorseField, chart: Chart,
         singular = ~np.isfinite(det) | (np.abs(det) < 1e-14)
         hess[singular] = np.eye(dim)
         step = -np.linalg.solve(hess, grad[work][..., None])[..., 0]
-        step[singular] = 0.0
         idx = np.flatnonzero(work)
+        # a row with a singular hessian dies where it stands; only the others step
         alive[idx[singular]] = False
+        idx, step = idx[~singular], step[~singular]
+        if not len(idx):
+            break  # no row moves any more
 
-        trial = x[work] + step
+        trial = x[idx] + step
         gt = np.asarray(field.gradient(trial), dtype=float).reshape(len(trial), dim)
-        worse = np.linalg.norm(gt, axis=1) > gnorm[work]
+        worse = np.linalg.norm(gt, axis=1) > gnorm[idx]
         if worse.any():
-            trial[worse] = x[work][worse] + 0.5 * step[worse]
+            trial[worse] = x[idx][worse] + 0.5 * step[worse]
             gt[worse] = np.asarray(field.gradient(trial[worse]), dtype=float).reshape(-1, dim)
-        x[work] = trial
-        grad[work] = gt
-        gnorm[work] = np.linalg.norm(gt, axis=1)
+        x[idx] = trial
+        grad[idx] = gt
+        gnorm[idx] = np.linalg.norm(gt, axis=1)
         escaped = np.any((x < los - spans) | (x > his + spans), axis=1)
         alive &= ~escaped
 
     found: list[CriticalPoint] = []
-    for i in np.flatnonzero(alive & (gnorm <= tol.tol_crit)):
-        # most seeds converge to a point already found (the distance is taken
-        # over deck images), so that test comes before the dearer wall tests
-        if any(chart_distance(chart, x[i], q.coords) < tol.dedup_dist for q in found):
+    seeds = x[alive & (gnorm <= tol.tol_crit)]
+    # most seeds converge to a point already found (the distance is taken over
+    # deck images): each point found closes every seed within dedup_dist of
+    # it, and the wall tests run on the open seeds only
+    open_ = np.ones(len(seeds), dtype=bool)
+    for i, seed in enumerate(seeds):
+        if not open_[i]:
             continue
         try:
-            pt, _ = normalize_point(chart, x[i], tol)
+            pt, _ = normalize_point(chart, seed, tol)
         except PointOutsideManifold:
             continue
         if boundary_distance(chart, pt.array) <= tol.tol_geom:
@@ -184,6 +190,7 @@ def find_interior_critical(field: MorseField, chart: Chart,
             id=-1, point=pt, value=float(field.value(pt.array)), kind=INTERIOR,
             index=index, grading=index, unstable_dim=index, orientation_ref=(),
         ))
+        open_[chart_distance_many(chart, seeds, pt.coords) < tol.dedup_dist] = False
     return found
 
 

@@ -13,8 +13,10 @@ so the step tolerances are loose.
 
 The integrator steps in float arithmetic: stages, error norm, wall test and
 stop tests work on lists of floats and round as the numpy 2-vector arithmetic
-they replaced.  Each stage calls `PseudoGradientField.evaluate`.  Numpy is
-left to the output arrays, the objective and curved-constraint callables, the
+they replaced.  Each stage passes its list to `PseudoGradientField.evaluate`,
+and the wall test reads every wall through `BoundaryConstraint.read`, which
+a line or a circle computes in float arithmetic.  Numpy is left to the output
+arrays, the objective's callables, a wall given by callables alone, the
 landing on a wall and the entry into a capture region.  `np.linalg.norm`,
 whose BLAS dot may round differently from `sqrt(a*a + b*b)`, gives the speed
 where its last bit decides: within a relative 1e-9 of `field_stop`, and for
@@ -115,20 +117,10 @@ def _rk_step(deriv, x: list, h: float, k1: list):
     return _combine(x, h, _X5, k), _combine([0.0] * len(x), h, _ERR, k), k[6]
 
 
-def _walls(chart) -> list:
-    """(constraint, covector, offset) per wall, with a linear wall's covector
-    and offset read once as floats; a curved wall has covector None."""
-    return [(con, None if con.covector is None else list(con.covector), con.offset)
-            for con in chart.constraints]
-
-
-def _violation(walls: list, x: list) -> float:
-    """Positive when x lies outside the manifold (worst constraint excess).
-    A linear wall's value is `plain_dot(covector, x) + offset`, as its
-    constraint computes it; a curved wall's constraint is called."""
-    return max((plain_dot(cov, x) + offset if cov is not None
-                else float(con.value(np.array(x))) for con, cov, offset in walls),
-               default=-math.inf)
+def _violation(readers: tuple, x: list) -> float:
+    """Positive when x lies outside the manifold (worst constraint excess);
+    readers are the walls' `BoundaryConstraint.read`."""
+    return max([read(x)[0] for read in readers], default=-math.inf)
 
 
 def _pull_inside(chart, x) -> Array:
@@ -177,7 +169,7 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
     else:
         deriv = lambda x: field.evaluate(x).tolist()
     value = lambda x: float(field.objective.value(np.array(x)))
-    walls = _walls(chart)
+    walls = tuple(con.read for con in chart.constraints)
     stop, r_conv, atol, rtol = tol.field_stop, tol.r_conv, tol.atol, tol.rtol
     crit = [(cp.id, cp.coords.tolist()) for cp in field.crit.points]
     captures = [(region, region.sink.coords.tolist())

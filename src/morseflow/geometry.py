@@ -11,7 +11,7 @@ are pure; chart values are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,20 +22,32 @@ from .params import DEFAULT, Tolerances
 Array = np.ndarray
 
 
+WallReader = Callable[[list], tuple[float, Sequence[float], float]]
+
+
 @dataclass(frozen=True)
 class BoundaryConstraint:
     """Smooth scalar map b; the manifold side is {b <= 0}, the wall is {b = 0}.
 
-    A linear constraint b(x) = covector . x + offset also keeps its covector
-    and offset, which the field evaluator reads once as floats.
+    `value`, `gradient` and `hessian` take one point or a batch of rows.
+    `read` takes the coordinates of one point as a list of floats and returns
+    b, its gradient covector and the covector's norm `sqrt(plain_dot(cov,
+    cov))` as floats, with the bits of `value` and `gradient`; the caller
+    must not modify the covector.  The field evaluator and the integrator
+    read every wall through it.  Linear walls and circles (`linear`,
+    `circle`) compute it in float arithmetic from their coefficients; a
+    constraint given by its callables alone reads through them.
     """
 
     name: str
     value: Callable[[Array], Array]
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array]
-    covector: tuple[float, ...] | None = None
-    offset: float = 0.0
+    read: WallReader = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.read is None:
+            object.__setattr__(self, "read", _callable_reader(self.value, self.gradient))
 
     @classmethod
     def linear(cls, name: str, covector: Sequence[float],
@@ -43,6 +55,7 @@ class BoundaryConstraint:
         """b(x) = covector . x + offset, evaluated as `plain_dot(covector, x)
         + offset` for one point (in float arithmetic) and for each row."""
         cov, offset, dim = tuple(float(c) for c in covector), float(offset), len(covector)
+        norm = math.sqrt(plain_dot(cov, cov))
 
         def value(x):
             x = np.asarray(x, dtype=float)
@@ -53,8 +66,58 @@ class BoundaryConstraint:
             # a batch shares one read-only row
             return np.array(cov) if np.ndim(x) == 1 else np.broadcast_to(cov, np.shape(x))
 
+        def read(x):
+            return plain_dot(cov, x) + offset, cov, norm
+
         return cls(name, value, gradient,
-                   lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim)), cov, offset)
+                   lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim)), read)
+
+    @classmethod
+    def circle(cls, name: str, center: Sequence[float], radius: float,
+               inner: bool = False) -> "BoundaryConstraint":
+        """b(x) = s (|x - center|^2 - radius^2) in the plane, where s = 1 keeps
+        the disk and s = -1 (`inner`) the outside of the circle.
+
+        One point is read in float arithmetic, a batch elementwise with the
+        same operations, so the two give the same bits.
+        """
+        (cu, cv), r2 = (float(c) for c in center), float(radius) * float(radius)
+        s = -1.0 if inner else 1.0
+        s2 = s * 2.0
+
+        def read(x):
+            du, dv = x[0] - cu, x[1] - cv
+            g0, g1 = s2 * du, s2 * dv
+            return s * (du * du + dv * dv - r2), [g0, g1], math.sqrt(g0 * g0 + g1 * g1)
+
+        def value(x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 1:
+                return read(x.tolist())[0]
+            du, dv = x[..., 0] - cu, x[..., 1] - cv
+            return s * (du * du + dv * dv - r2)
+
+        def gradient(x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 1:
+                return np.array(read(x.tolist())[1])
+            return s2 * (x - (cu, cv))
+
+        def hessian(x):
+            return np.broadcast_to(s2 * np.eye(2), np.shape(x)[:-1] + (2, 2)).copy()
+
+        return cls(name, value, gradient, hessian, read)
+
+
+def _callable_reader(value: Callable[[Array], Array],
+                     gradient: Callable[[Array], Array]) -> WallReader:
+    """`BoundaryConstraint.read` through a constraint's callables."""
+    def read(x):
+        point = np.array(x, dtype=float)
+        b = float(value(point))
+        cov = np.asarray(gradient(point), dtype=float).tolist()
+        return b, cov, math.sqrt(plain_dot(cov, cov))
+    return read
 
 
 @dataclass(frozen=True)

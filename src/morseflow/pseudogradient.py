@@ -9,13 +9,18 @@ with halved radii before giving up.
 The field has two evaluators that return the same bits: certification
 evaluates its samples in batches (`PseudoGradientField.evaluate_many`), and
 the flow integrator evaluates point by point (`PseudoGradientField.evaluate`),
-where a one-row batch would cost several times as much.  One analysis draws
-its certification sample once (`certification_sample`): interior points and
-the traced wall, which depend only on the chart, the metric, the critical
-coordinates and the tolerances, and the analysed function's gradient at each
-of them.  Every field the analysis builds is certified on it; the field's
-value and the descent test both read the sample's gradient, negated for an
-ascent field, so no certification point's gradient is evaluated twice.
+where a one-row batch would cost several times as much.  The point evaluator
+calls the objective and the metric as given and reads every wall through
+`BoundaryConstraint.read`, in float arithmetic for a line or a circle; the
+batch calls the walls' own callables.
+
+One analysis draws its certification sample once (`certification_sample`):
+interior points and the traced wall, which depend only on the chart, the
+metric, the critical coordinates and the tolerances, and the analysed
+function's gradient at each of them.  Every field the analysis builds is
+certified on it; the field's value and the descent test both read the
+sample's gradient, negated for an ascent field, so no certification point's
+gradient is evaluated twice.
 """
 from __future__ import annotations
 
@@ -256,18 +261,26 @@ class PseudoGradientField:
 
     def evaluate_many(self, points) -> Array:
         """`evaluate` at each row of points in one vectorised pass, with the same bits."""
-        x = np.array(points, dtype=float).reshape(-1, self.chart.dim)
-        deck = self.chart.deck
-        if deck is not None:
-            k = np.floor(x[:, 0] / deck.period)
-            flip = (k % 2 != 0) & (deck.flip == -1)
-            x[:, 0] += -k * deck.period
-            x[flip, 1] *= -1.0
+        x, flip = self._canonical_many(points)
         vec = self._eval_canonical_many(
             x, np.asarray(self.objective.gradient(x), dtype=float))
-        if deck is not None:
+        if flip is not None:
             vec[flip, 1] = -vec[flip, 1]
         return vec
+
+    def _canonical_many(self, points) -> tuple[Array, Array | None]:
+        """Each row of points moved into the deck period as `evaluate` moves
+        one point, and the rows whose v the move negated (None without a deck
+        map)."""
+        x = np.array(points, dtype=float).reshape(-1, self.chart.dim)
+        deck = self.chart.deck
+        if deck is None:
+            return x, None
+        k = np.floor(x[:, 0] / deck.period)
+        flip = (k % 2 != 0) & (deck.flip == -1)
+        x[:, 0] += -k * deck.period
+        x[flip, 1] *= -1.0
+        return x, flip
 
     def _eval_canonical_many(self, x: Array, grad: Array) -> Array:
         """The arithmetic of `_point_evaluator` at each row of x, canonical
@@ -352,21 +365,18 @@ class PseudoGradientField:
 
 def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
     """`evaluate` for one field, compiled when the field is built: what does
-    not depend on the point (each linear wall's covector, offset and norm,
-    each patch's wall, center and tangent) is resolved here as Python floats.
-    Per point, the objective, the other constraints and the metric are called
-    as given; the rest is float arithmetic with the operations of
-    `_eval_canonical_many`, in the same order, so both give the same bits.
-    Non-finite coordinates give NaN.
+    not depend on the point (each wall's reader, and each patch's wall,
+    center and tangent as Python floats) is resolved here.  Per
+    point, the objective and the metric are called as given and each wall is
+    read through `BoundaryConstraint.read`; the rest is float arithmetic with
+    the operations of `_eval_canonical_many`, in the same order, so both give
+    the same bits.  A list of coordinates is read as its floats, anything
+    else through `np.asarray`.  Non-finite coordinates give NaN.
     """
     chart, tol, dim, deck = field.chart, field.tol, field.chart.dim, field.chart.deck
     gradient = field.objective.gradient
     matrix = None if field.metric.identity else field.metric.matrix
-    walls = []
-    for con in chart.constraints:
-        cov = None if con.covector is None else list(con.covector)
-        walls.append((con, cov, con.offset,
-                      None if cov is None else math.sqrt(plain_dot(cov, cov))))
+    readers = tuple(con.read for con in chart.constraints)
     # a patch takes its depth z from its wall's value, read for the collar
     patches = tuple((p.center.tolist(), p.tangent.tolist(), p.h, p.grad_norm_at_center,
                      chart.constraints.index(p.constraint)) for p in field.patches)
@@ -374,8 +384,8 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
     perturb = field._perturb
 
     def evaluate(raw) -> Array:
-        x = np.asarray(raw, dtype=float)
-        xs = x.tolist()
+        xs = (list(map(float, raw)) if type(raw) is list
+              else np.asarray(raw, dtype=float).tolist())
         if not all(map(math.isfinite, xs)):
             return np.full(dim, math.nan)
         flip = False
@@ -383,21 +393,15 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
             k = math.floor(xs[0] / deck.period)
             flip = k % 2 != 0 and deck.flip == -1
             xs = [xs[0] + -k * deck.period, -xs[1] if flip else xs[1]]
-            x = np.array(xs)
+        x = np.array(xs)
         grad = np.asarray(gradient(x), dtype=float).tolist()
         g = None if matrix is None else np.asarray(matrix(x), dtype=float).tolist()
         vec = [-c for c in (grad if g is None else _solve(g, grad))]
 
         # collar at the nearest wall; on a tie the first wall wins
-        depth, cov, wall, values = math.inf, None, math.inf, []
-        for con, piece_cov, offset, gnorm in walls:
-            if piece_cov is None:
-                b = float(con.value(x))
-                piece_cov = np.asarray(con.gradient(x), dtype=float).tolist()
-                gnorm = math.sqrt(plain_dot(piece_cov, piece_cov))
-            else:
-                b = plain_dot(piece_cov, xs) + offset
-            values.append((b, piece_cov))
+        depth, cov, wall = math.inf, None, math.inf
+        values = [read(xs) for read in readers]
+        for b, piece_cov, gnorm in values:
             piece_depth = -b / gnorm if gnorm >= 1e-30 else math.inf
             wall = min(wall, abs(piece_depth))
             if piece_depth < depth:
@@ -423,7 +427,7 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
                 delta = [p - q for p, q in zip(xs, center)]
                 if deck is not None:
                     delta[0] -= deck.period * round(delta[0] / deck.period)
-                b, piece_cov = values[piece]
+                b, piece_cov, _ = values[piece]
                 z, dz = -b / grad_norm, [-c / grad_norm for c in piece_cov]
                 model = _model_vector(tangent, h, delta, z, dz)
                 vec = [(1.0 - chi) * a + chi * m for a, m in zip(vec, model)]
@@ -748,7 +752,11 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
     pts, rim = pts[inside], rim[inside]
     if not rim.any():
         return None
-    slope = row_dot(np.asarray(obj.gradient(pts), dtype=float), field.evaluate_many(pts))
+    # df(X) is the same at a point and at its deck image, so it is read at the
+    # canonical point, where one gradient serves the slope and the field
+    x, _ = field._canonical_many(pts)
+    grad = np.asarray(obj.gradient(x), dtype=float)
+    slope = row_dot(grad, field._eval_canonical_many(x, grad))
     if not np.all(slope < 0.0):
         return None
     sign = -1.0 if reverse else 1.0

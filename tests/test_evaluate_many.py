@@ -23,8 +23,11 @@ def assert_same_bits(field, points):
     points = np.asarray(points, dtype=float)
     batch = field.evaluate_many(points)
     one_by_one = np.array([field.evaluate(x) for x in points])
-    assert batch.shape == one_by_one.shape
+    # the integrator passes each point as a list of floats
+    from_lists = np.array([field.evaluate(x) for x in points.tolist()])
+    assert batch.shape == one_by_one.shape == from_lists.shape
     assert np.array_equal(batch.view(np.int64), one_by_one.view(np.int64))
+    assert np.array_equal(batch.view(np.int64), from_lists.view(np.int64))
 
 
 def certification_samples(field):
