@@ -114,7 +114,7 @@ def _height_field() -> MorseField:
 
 def _disk() -> CatalogEntry:
     chart = Chart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
-                  constraints=(BoundaryConstraint.circle("rim", (0.0, 0.0), 1.0),))
+                  constraints=(BoundaryConstraint.circle("rim", 1.0),))
     return CatalogEntry(
         name="disk", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
         expected=(
@@ -136,8 +136,8 @@ def _annulus() -> CatalogEntry:
     # position, so the pairing retries with a perturbation (meta.pairing_seed 7920)
     chart = Chart(
         dim=2, box=((-2.2, 2.2), (-2.2, 2.2)),
-        constraints=(BoundaryConstraint.circle("outer", (0.0, 0.0), 2.0),
-                     BoundaryConstraint.circle("inner", (0.0, 0.0), 1.0, inner=True)),
+        constraints=(BoundaryConstraint.circle("outer", 2.0),
+                     BoundaryConstraint.circle("inner", 1.0, inner=True)),
     )
     return CatalogEntry(
         name="annulus", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
@@ -197,7 +197,7 @@ def _moebius() -> CatalogEntry:
 
 def _tilted_dome() -> CatalogEntry:
     chart = Chart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
-                  constraints=(BoundaryConstraint.circle("rim", (0.0, 0.0), 1.0),))
+                  constraints=(BoundaryConstraint.circle("rim", 1.0),))
 
     def value(x):
         return 1.0 - x[..., 0] ** 2 - x[..., 1] ** 2 + x[..., 1] / 2.0

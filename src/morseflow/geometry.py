@@ -73,35 +73,34 @@ class BoundaryConstraint:
                    lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim)), read)
 
     @classmethod
-    def circle(cls, name: str, center: Sequence[float], radius: float,
-               inner: bool = False) -> "BoundaryConstraint":
-        """b(x) = s (|x - center|^2 - radius^2) in the plane, where s = 1 keeps
-        the disk and s = -1 (`inner`) the outside of the circle.
+    def circle(cls, name: str, radius: float, inner: bool = False) -> "BoundaryConstraint":
+        """b(x) = s (|x|^2 - radius^2) in the plane, where s = 1 keeps the disk
+        about the origin and s = -1 (`inner`) the outside of the circle.
 
         One point is read in float arithmetic, a batch elementwise with the
         same operations, so the two give the same bits.
         """
-        (cu, cv), r2 = (float(c) for c in center), float(radius) * float(radius)
+        r2 = float(radius) * float(radius)
         s = -1.0 if inner else 1.0
         s2 = s * 2.0
 
         def read(x):
-            du, dv = x[0] - cu, x[1] - cv
-            g0, g1 = s2 * du, s2 * dv
-            return s * (du * du + dv * dv - r2), [g0, g1], math.sqrt(g0 * g0 + g1 * g1)
+            u, v = x[0], x[1]
+            g0, g1 = s2 * u, s2 * v
+            return s * (u * u + v * v - r2), [g0, g1], math.sqrt(g0 * g0 + g1 * g1)
 
         def value(x):
             x = np.asarray(x, dtype=float)
             if x.ndim == 1:
                 return read(x.tolist())[0]
-            du, dv = x[..., 0] - cu, x[..., 1] - cv
-            return s * (du * du + dv * dv - r2)
+            u, v = x[..., 0], x[..., 1]
+            return s * (u * u + v * v - r2)
 
         def gradient(x):
             x = np.asarray(x, dtype=float)
             if x.ndim == 1:
                 return np.array(read(x.tolist())[1])
-            return s2 * (x - (cu, cv))
+            return s2 * x
 
         def hessian(x):
             return np.broadcast_to(s2 * np.eye(2), np.shape(x)[:-1] + (2, 2)).copy()

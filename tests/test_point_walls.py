@@ -68,7 +68,7 @@ def circle_points(radius, rng, count=300):
 @pytest.mark.parametrize("radius, inner", [(1.0, False), (2.0, False), (1.0, True)])
 def test_circle_gives_the_catalog_closure_bits(radius, inner):
     old = catalog_circle("wall", radius, inner)
-    new = BoundaryConstraint.circle("wall", (0.0, 0.0), radius, inner=inner)
+    new = BoundaryConstraint.circle("wall", radius, inner=inner)
     points = circle_points(radius, np.random.default_rng(7))
     assert same_bits(new.value(points), old.value(points))
     assert same_bits(new.gradient(points), old.gradient(points))
@@ -81,20 +81,6 @@ def test_circle_gives_the_catalog_closure_bits(radius, inner):
         assert same_bits(b, value)
         assert same_bits(cov, grad)
         assert same_bits(norm, math.sqrt(plain_dot(grad.tolist(), grad.tolist())))
-
-
-def test_off_center_circle_reads_the_bits_of_its_batch():
-    center, radius = (0.3, -0.7), 0.5
-    con = BoundaryConstraint.circle("hole", center, radius, inner=True)
-    points = np.random.default_rng(11).uniform(-1.5, 1.5, (500, 2))
-    values, grads = con.value(points), con.gradient(points)
-    assert np.allclose(values, radius ** 2 - np.sum((points - center) ** 2, axis=1))
-    assert np.allclose(grads, -2.0 * (points - center))
-    for x, value, grad in zip(points, values, grads):
-        b, cov, norm = con.read(x.tolist())
-        assert same_bits(b, value) and same_bits(con.value(x), value)
-        assert same_bits(cov, grad) and same_bits(con.gradient(x), grad)
-        assert same_bits(norm, np.sqrt(plain_dot(grad, grad)))
 
 
 class CountedCallables:
