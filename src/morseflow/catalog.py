@@ -1,35 +1,21 @@
 """Built-in manifolds with height-like functions and reference homology.
 
-Reference groups are standard fixture data entered per entry; the pipeline's
-job is to reproduce them from flow counting alone.
+Reference groups are derived from each entry's dimension, χ and chart; the
+pipeline's job is to reproduce them from flow counting alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import HomologyResult
 from .errors import UnknownEntry
 from .fields import MorseField, validate_field
 from .geometry import BoundaryConstraint, Chart, MetricField
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class ReferenceGroup:
-    """Betti numbers plus torsion coefficient lists, degree by degree."""
-
-    betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.torsion is None:
-            object.__setattr__(self, "torsion", tuple(() for _ in self.betti))
-
-    def as_dict(self) -> dict:
-        return {"betti": list(self.betti), "torsion": [list(t) for t in self.torsion]}
 
 
 @dataclass(frozen=True)
@@ -47,25 +33,41 @@ class CatalogEntry:
     field: MorseField
     expected: tuple[ExpectedCritical, ...]
     chi: int
-    orientable: bool
-    # reference homology, one group per coefficient flavor
-    h_abs: ReferenceGroup            # absolute, plain integer coefficients
-    h_abs_or: ReferenceGroup         # absolute, orientation-twisted
-    h_rel_co_or: ReferenceGroup      # relative cohomology, orientation-twisted
-    h_rel_co: ReferenceGroup         # relative cohomology, plain
-    h_rel_or: ReferenceGroup         # relative homology, orientation-twisted
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
-    def references(self) -> dict[str, ReferenceGroup]:
+    @property
+    def orientable(self) -> bool:
+        """Read from the chart: no deck map, or one that keeps orientation."""
+        return self.chart.deck is None or self.chart.deck.flip == 1
+
+    def references(self) -> dict[str, HomologyResult]:
+        """The reference group of every coefficient flavour.
+
+        Every entry is compact and connected with non-empty boundary, so it
+        retracts onto a graph: H_*(M;Z) = (Z, Z^{1-χ}, 0), and H_*(M;Z^or) is
+        the same when M is orientable and (Z/2, Z^{-χ}, 0) otherwise.
+        Poincaré–Lefschetz duality gives the relative groups:
+        H^k(M,∂M;Z^or) = H_{n-k}(M;Z), H^k(M,∂M;Z) = H_{n-k}(M;Z^or) and
+        H_k(M,∂M;Z^or) = H^{n-k}(M;Z), which is free because H_*(M;Z) is.
+        """
+        n = self.dim
+        no_torsion = ((),) * (n + 1)
+        plain = HomologyResult((1, 1 - self.chi) + (0,) * (n - 1), no_torsion)
+        twisted = plain if self.orientable else HomologyResult(
+            (0, -self.chi) + (0,) * (n - 1), ((2,),) + no_torsion[1:])
+
+        def dual(group: HomologyResult) -> HomologyResult:
+            return HomologyResult(group.betti[::-1], group.torsion[::-1])
+
         return {
-            "H_*(M;Z)": self.h_abs,
-            "H_*(M;Z^or)": self.h_abs_or,
-            "H^*(M,dM;Z^or)": self.h_rel_co_or,
-            "H^*(M,dM;Z)": self.h_rel_co,
-            "H_*(M,dM;Z^or)": self.h_rel_or,
+            "H_*(M;Z)": plain,
+            "H_*(M;Z^or)": twisted,
+            "H^*(M,dM;Z^or)": dual(plain),
+            "H^*(M,dM;Z)": dual(twisted),
+            "H_*(M,dM;Z^or)": dual(plain),
         }
 
 
@@ -88,12 +90,7 @@ def _interval() -> CatalogEntry:
             ExpectedCritical("boundary_n", 0, (0.0,)),
             ExpectedCritical("boundary_d", 1, (1.0,)),
         ),
-        chi=1, orientable=True,
-        h_abs=ReferenceGroup((1, 0)),
-        h_abs_or=ReferenceGroup((1, 0)),
-        h_rel_co_or=ReferenceGroup((0, 1)),
-        h_rel_co=ReferenceGroup((0, 1)),
-        h_rel_or=ReferenceGroup((0, 1)),
+        chi=1,
     )
 
 
@@ -121,12 +118,7 @@ def _disk() -> CatalogEntry:
             ExpectedCritical("boundary_n", 0, (0.0, -1.0)),
             ExpectedCritical("boundary_d", 2, (0.0, 1.0)),
         ),
-        chi=1, orientable=True,
-        h_abs=ReferenceGroup((1, 0, 0)),
-        h_abs_or=ReferenceGroup((1, 0, 0)),
-        h_rel_co_or=ReferenceGroup((0, 0, 1)),
-        h_rel_co=ReferenceGroup((0, 0, 1)),
-        h_rel_or=ReferenceGroup((0, 0, 1)),
+        chi=1,
     )
 
 
@@ -147,12 +139,7 @@ def _annulus() -> CatalogEntry:
             ExpectedCritical("boundary_d", 1, (0.0, -1.0)),
             ExpectedCritical("boundary_d", 2, (0.0, 2.0)),
         ),
-        chi=0, orientable=True,
-        h_abs=ReferenceGroup((1, 1, 0)),
-        h_abs_or=ReferenceGroup((1, 1, 0)),
-        h_rel_co_or=ReferenceGroup((0, 1, 1)),
-        h_rel_co=ReferenceGroup((0, 1, 1)),
-        h_rel_or=ReferenceGroup((0, 1, 1)),
+        chi=0,
     )
 
 
@@ -186,12 +173,7 @@ def _moebius() -> CatalogEntry:
             ExpectedCritical("boundary_n", 0, (math.pi, -1.0)),
             ExpectedCritical("boundary_d", 2, (math.pi, 1.0)),
         ),
-        chi=0, orientable=False,
-        h_abs=ReferenceGroup((1, 1, 0)),
-        h_abs_or=ReferenceGroup((0, 0, 0), ((2,), (), ())),
-        h_rel_co_or=ReferenceGroup((0, 1, 1)),
-        h_rel_co=ReferenceGroup((0, 0, 0), ((), (), (2,))),
-        h_rel_or=ReferenceGroup((0, 1, 1)),
+        chi=0,
     )
 
 
@@ -223,12 +205,7 @@ def _tilted_dome() -> CatalogEntry:
             ExpectedCritical("boundary_n", 1, (0.0, 1.0)),
             ExpectedCritical("boundary_n", 0, (0.0, -1.0)),
         ),
-        chi=1, orientable=True,
-        h_abs=ReferenceGroup((1, 0, 0)),
-        h_abs_or=ReferenceGroup((1, 0, 0)),
-        h_rel_co_or=ReferenceGroup((0, 0, 1)),
-        h_rel_co=ReferenceGroup((0, 0, 1)),
-        h_rel_or=ReferenceGroup((0, 0, 1)),
+        chi=1,
     )
 
 

@@ -166,9 +166,9 @@ class IntegerChainComplex:
             cols = len(self.generators[tgt]) if 0 <= tgt <= self.top_dim else 0
             if len(mat) != rows or (rows and len(mat[0]) != cols):
                 raise ValueError(f"matrix at degree {k} has the wrong shape")
-        self._check_square_zero()
+        self._check_composites_vanish()
 
-    def _check_square_zero(self) -> None:
+    def _check_composites_vanish(self) -> None:
         for k in range(self.top_dim + 1):
             mid = k + self.step
             if k not in self.matrices or mid not in self.matrices:
@@ -303,7 +303,6 @@ def duality_symmetry_check(p_abs: IntPolynomial, p_rel: IntPolynomial, n: int) -
 class DoubleManifoldReport:
     m_double: IntPolynomial
     p_double: IntPolynomial
-    additivity_ok: bool
     quotient: IntPolynomial | None
     asserted: bool
 
@@ -311,7 +310,6 @@ class DoubleManifoldReport:
         return {
             "morse_double": self.m_double.as_list(),
             "poincare_double": self.p_double.as_list(),
-            "additivity_ok": self.additivity_ok,
             "quotient": None if self.quotient is None else self.quotient.as_list(),
             "asserted": self.asserted,
         }
@@ -322,14 +320,10 @@ def double_manifold_check(counts: Sequence[tuple[int, int, int]],
                           orientable: bool = True) -> DoubleManifoldReport:
     """Doubled-manifold polynomial identities.
 
-    counts[k] = (|C_k|, |N_k|, |D_k|).  The doubled Morse polynomial must equal
-    the sum of the one-sided ones identically; the rank-level inequality against
+    counts[k] = (|C_k|, |N_k|, |D_k|).  The rank-level inequality against
     p_abs + p_rel is asserted only for orientable entries and recorded otherwise.
     """
     m_double = IntPolynomial(tuple(2 * c + n + d for c, n, d in counts))
-    m_n = IntPolynomial(tuple(c + n for c, n, _ in counts))
-    m_d = IntPolynomial(tuple(c + d for c, _, d in counts))
-    additivity = m_double == m_n + m_d
     p_double = p_abs + p_rel
     quotient = None
     if orientable:
@@ -339,4 +333,4 @@ def double_manifold_check(counts: Sequence[tuple[int, int, int]],
             quotient = divide_by_one_plus_t(m_double - p_double)
         except NotDivisible:
             quotient = None
-    return DoubleManifoldReport(m_double, p_double, additivity, quotient, orientable)
+    return DoubleManifoldReport(m_double, p_double, quotient, orientable)

@@ -54,9 +54,6 @@ def _report(pkg: MorsePackage, keys: list[str], overrides: list[str],
             name = rec.name.split(":", 1)[1].split("=", 1)[0]
             if name not in keys:
                 continue
-        if rec.name.startswith("square_zero:"):
-            if rec.name.split(":", 1)[1] not in keys:
-                continue
         if rec.name == "certificate:ascent" and not any(k.startswith("D") for k in keys):
             continue
         checks.append(rec.as_dict())

@@ -226,24 +226,23 @@ def build_package(entry: CatalogEntry, seed: int = 0,
     homology = {key: cx.homology() for key, cx in complexes.items()}
 
     counts = crit.counts()
-    n = entry.chart.dim
     polys = {
         "morse_n": IntPolynomial(tuple(c + nn for c, nn, _ in counts)),
         "morse_d": IntPolynomial(tuple(c + d for c, _, d in counts)),
-        "poincare": IntPolynomial(entry.h_abs.betti),
-        "poincare_rel": IntPolynomial(entry.h_rel_co_or.betti),
+        "poincare": IntPolynomial(homology["N_untwisted"].betti),
+        "poincare_rel": IntPolynomial(homology["D_untwisted"].betti),
     }
     polys["q_n"] = morse_inequality_quotient(polys["morse_n"], polys["poincare"])
     polys["q_d"] = morse_inequality_quotient(polys["morse_d"], polys["poincare_rel"])
     double_report = double_manifold_check(
-        counts, polys["poincare"], IntPolynomial(entry.h_rel_co.betti),
+        counts, polys["poincare"], IntPolynomial(homology["D_orientation"].betti),
         orientable=entry.orientable)
 
     pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, field_neg,
                                               seed, tol, sample)
 
-    checks = _collect_checks(entry, crit, field_pos, field_neg, complexes,
-                             homology, polys, double_report, pairing)
+    checks = _collect_checks(entry, crit, field_pos, field_neg, homology, polys,
+                             double_report, pairing)
     return MorsePackage(
         entry=entry, seed=seed, crit=crit, field_pos=field_pos,
         field_neg=field_neg, incidences={"N": inc_pos, "D": inc_neg},
@@ -253,8 +252,8 @@ def build_package(entry: CatalogEntry, seed: int = 0,
     )
 
 
-def _collect_checks(entry, crit, field_pos, field_neg, complexes, homology,
-                    polys, double_report, pairing) -> list[CheckRecord]:
+def _collect_checks(entry, crit, field_pos, field_neg, homology, polys,
+                    double_report, pairing) -> list[CheckRecord]:
     refs = entry.references()
     named_targets = [(complex_key(side, flavor), target)
                      for (side, flavor), target in COMPLEX_TARGETS.items()]
@@ -266,8 +265,6 @@ def _collect_checks(entry, crit, field_pos, field_neg, complexes, homology,
         ok = got.matches(ref.betti, ref.torsion)
         checks.append(CheckRecord(f"homology:{name}={target}", ok,
                                   f"got {got.as_dict()}, want {ref.as_dict()}"))
-    for name, cx in complexes.items():
-        checks.append(CheckRecord(f"square_zero:{name}", True, "verified at build"))
     for label, fld in (("descent", field_pos), ("ascent", field_neg)):
         cert = fld.certificate
         checks.append(CheckRecord(f"certificate:{label}", cert.passed,
@@ -289,19 +286,18 @@ def _collect_checks(entry, crit, field_pos, field_neg, complexes, homology,
                                entry.chart.dim),
         "rank-level coefficient reversal"))
     checks.append(CheckRecord(
-        "double_manifold", double_report.additivity_ok and
-        (not double_report.asserted or double_report.quotient is not None
-         and all(c >= 0 for c in double_report.quotient.coeffs)),
+        "double_manifold",
+        not double_report.asserted or double_report.quotient is not None
+        and all(c >= 0 for c in double_report.quotient.coeffs),
         f"{double_report.as_dict()}"))
+    ref_rel, ref_abs = refs["H_*(M,dM;Z^or)"], refs["H_*(M;Z)"]
+    n = entry.chart.dim
     for k, rep in pairing.items():
         det = rep.determinant()
         if det is None:
             continue
-        ref_rel = entry.h_rel_or.betti
-        ref_abs = entry.h_abs.betti
-        n = entry.chart.dim
-        both_z = (ref_rel[k] == 1 and not entry.h_rel_or.torsion[k]
-                  and ref_abs[n - k] == 1 and not entry.h_abs.torsion[n - k]
+        both_z = (ref_rel.betti[k] == 1 and not ref_rel.torsion[k]
+                  and ref_abs.betti[n - k] == 1 and not ref_abs.torsion[n - k]
                   and len(rep.rows) == 1)
         if both_z:
             checks.append(CheckRecord(

@@ -1,8 +1,9 @@
 """Acceptance checks over the whole catalog, shared by the CLI and the tests.
 
 Each criterion judges the packages' ledgers, which compare every flavour with
-the catalog's reference groups, and returns a CheckRecord; `run_acceptance`
-executes all of them with one shared set of per-entry builds.
+the reference groups the catalog derives from each entry's dimension, χ and
+orientability, and returns a CheckRecord; `run_acceptance` executes all of them
+with one shared set of per-entry builds.
 """
 from __future__ import annotations
 
@@ -96,7 +97,7 @@ def check_relative_cohomology(ctx: VerificationContext):
 
 
 @_criterion(4, "composite differential vanishes")
-def check_square_zero(ctx: VerificationContext):
+def check_composites_vanish(ctx: VerificationContext):
     worst = 0
     for name in catalog.names():
         pkg = ctx.package(name)
@@ -336,7 +337,7 @@ ALL_CHECKS = (
     check_absolute_homology,
     check_twisted_moebius,
     check_relative_cohomology,
-    check_square_zero,
+    check_composites_vanish,
     check_morse_inequalities,
     check_forced_orbit_counts,
     check_pairing,

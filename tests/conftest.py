@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morseflow import catalog
-from morseflow.catalog import CatalogEntry, ExpectedCritical, ReferenceGroup
+from morseflow.catalog import CatalogEntry, ExpectedCritical
 from morseflow.fields import MorseField, validate_field
 from morseflow.geometry import Chart, MetricField
 from morseflow.verify import VerificationContext
@@ -43,7 +43,6 @@ def cylinder():
     field = MorseField(value=lambda x: x[..., 1] + 0.5 * np.cos(x[..., 0]),
                        gradient=gradient, hessian=hessian)
     validate_field(field, chart)
-    absolute, relative = ReferenceGroup((1, 1, 0)), ReferenceGroup((0, 1, 1))
     return CatalogEntry(
         name="cylinder", chart=chart, metric=MetricField.euclidean(2), field=field,
         expected=(
@@ -52,7 +51,5 @@ def cylinder():
             ExpectedCritical("boundary_d", 1, (math.pi, 1.0)),
             ExpectedCritical("boundary_d", 2, (0.0, 1.0)),
         ),
-        chi=0, orientable=True,
-        h_abs=absolute, h_abs_or=absolute,
-        h_rel_co_or=relative, h_rel_co=relative, h_rel_or=relative,
+        chi=0,
     )

@@ -28,7 +28,7 @@ def test_criterion_03_relative_cohomology(ctx):
 
 
 def test_criterion_04_square_zero(ctx):
-    _run(V.check_square_zero, ctx)
+    _run(V.check_composites_vanish, ctx)
 
 
 def test_criterion_05_morse_inequalities(ctx):

@@ -1,9 +1,72 @@
 import pytest
 
 from morseflow import catalog
-from morseflow.chains import IntPolynomial, duality_symmetry_check
+from morseflow.chains import HomologyResult, IntPolynomial, duality_symmetry_check
 from morseflow.errors import UnknownEntry
 from morseflow.fields import validate_field
+
+def _group(betti, torsion=None):
+    return HomologyResult(betti, torsion or tuple(() for _ in betti))
+
+
+# The groups as the catalog once listed them by hand, with their orientability:
+# the reference the derivation from dim, χ and the chart is checked against.
+TEXTBOOK = {
+    "interval": (True, {
+        "H_*(M;Z)": _group((1, 0)),
+        "H_*(M;Z^or)": _group((1, 0)),
+        "H^*(M,dM;Z^or)": _group((0, 1)),
+        "H^*(M,dM;Z)": _group((0, 1)),
+        "H_*(M,dM;Z^or)": _group((0, 1)),
+    }),
+    "disk": (True, {
+        "H_*(M;Z)": _group((1, 0, 0)),
+        "H_*(M;Z^or)": _group((1, 0, 0)),
+        "H^*(M,dM;Z^or)": _group((0, 0, 1)),
+        "H^*(M,dM;Z)": _group((0, 0, 1)),
+        "H_*(M,dM;Z^or)": _group((0, 0, 1)),
+    }),
+    "annulus": (True, {
+        "H_*(M;Z)": _group((1, 1, 0)),
+        "H_*(M;Z^or)": _group((1, 1, 0)),
+        "H^*(M,dM;Z^or)": _group((0, 1, 1)),
+        "H^*(M,dM;Z)": _group((0, 1, 1)),
+        "H_*(M,dM;Z^or)": _group((0, 1, 1)),
+    }),
+    "moebius": (False, {
+        "H_*(M;Z)": _group((1, 1, 0)),
+        "H_*(M;Z^or)": _group((0, 0, 0), ((2,), (), ())),
+        "H^*(M,dM;Z^or)": _group((0, 1, 1)),
+        "H^*(M,dM;Z)": _group((0, 0, 0), ((), (), (2,))),
+        "H_*(M,dM;Z^or)": _group((0, 1, 1)),
+    }),
+    "tilted_dome": (True, {
+        "H_*(M;Z)": _group((1, 0, 0)),
+        "H_*(M;Z^or)": _group((1, 0, 0)),
+        "H^*(M,dM;Z^or)": _group((0, 0, 1)),
+        "H^*(M,dM;Z)": _group((0, 0, 1)),
+        "H_*(M,dM;Z^or)": _group((0, 0, 1)),
+    }),
+}
+
+
+def test_references_match_textbook_table():
+    assert list(TEXTBOOK) == catalog.names()
+    for name, (_, groups) in TEXTBOOK.items():
+        assert catalog.get(name).references() == groups, name
+
+
+def test_cylinder_references(cylinder):
+    refs = cylinder.references()
+    assert cylinder.orientable
+    assert refs["H_*(M;Z)"] == refs["H_*(M;Z^or)"] == _group((1, 1, 0))
+    for key in ("H^*(M,dM;Z^or)", "H^*(M,dM;Z)", "H_*(M,dM;Z^or)"):
+        assert refs[key] == _group((0, 1, 1)), key
+
+
+def test_orientability_read_from_chart():
+    for name, (orientable, _) in TEXTBOOK.items():
+        assert catalog.get(name).orientable is orientable, name
 
 
 def test_names_and_lookup():
@@ -34,15 +97,17 @@ def test_disk_expected_partition():
 def test_reference_rank_duality():
     for name in catalog.names():
         entry = catalog.get(name)
-        assert duality_symmetry_check(IntPolynomial(entry.h_abs.betti),
-                                      IntPolynomial(entry.h_rel_co_or.betti),
+        refs = entry.references()
+        assert duality_symmetry_check(IntPolynomial(refs["H_*(M;Z)"].betti),
+                                      IntPolynomial(refs["H^*(M,dM;Z^or)"].betti),
                                       entry.dim), name
 
 
 def test_reference_euler_characteristic():
     for name in catalog.names():
         entry = catalog.get(name)
-        chi = sum((-1) ** k * b for k, b in enumerate(entry.h_abs.betti))
+        betti = entry.references()["H_*(M;Z)"].betti
+        chi = sum((-1) ** k * b for k, b in enumerate(betti))
         assert chi == entry.chi, name
 
 

@@ -117,8 +117,9 @@ def test_interior_saddles_present(n_side):
 
 def test_n_side_homology_matches_reference(n_side):
     entry, crit, table, _ = n_side
-    for flavor, ref in (("untwisted", entry.h_abs),
-                        ("orientation", entry.h_abs_or)):
+    refs = entry.references()
+    for flavor, ref in (("untwisted", refs["H_*(M;Z)"]),
+                        ("orientation", refs["H_*(M;Z^or)"])):
         got = assemble_complex(crit, "N", flavor, table).homology()
         assert got.matches(ref.betti, ref.torsion), \
             f"{entry.name}/{flavor}: {got.as_dict()} != {ref.as_dict()}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, flow, pipeline, pseudogradient
-from morseflow.chains import HomologyResult
+from morseflow.chains import HomologyResult, IntegerChainComplex, IntPolynomial
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 from morseflow.cli import _report
 from morseflow.errors import InvarianceFailure, NonTransverse
@@ -71,6 +71,32 @@ def test_homology_matches_catalog_references(packages):
             ref = refs[target]
             assert got.matches(ref.betti, ref.torsion), \
                 f"{name}/{key}: {got.as_dict()} != {ref.as_dict()}"
+
+
+def test_duality_symmetry_judges_computed_homology(monkeypatch):
+    """The polynomials come from the flow's homology, so duality_symmetry
+    compares the descent field's N side with the ascent field's D side: an N
+    side that lost the dome's one orbit (d = 0) fails it."""
+    lost = HomologyResult((1, 1, 1), ((), (), ()))
+
+    class LostOrbit(IntegerChainComplex):
+        def homology(self):
+            return lost
+
+    complexes = pipeline._complexes
+
+    def tampered(crit, tables):
+        out = complexes(crit, tables)
+        cx = out["N_untwisted"]
+        out["N_untwisted"] = LostOrbit(cx.top_dim, cx.step, cx.generators, cx.matrices)
+        return out
+
+    monkeypatch.setattr(pipeline, "_complexes", tampered)
+    pkg = pipeline.build_package(catalog.get("tilted_dome"))
+    assert pkg.homology["N_untwisted"] is lost
+    assert pkg.polynomials["poincare"] == IntPolynomial.of(1, 1, 1)
+    row = next(c for c in pkg.checks if c.name == "duality_symmetry")
+    assert not row.passed
 
 
 def test_dual_complex_shape(packages):
