@@ -1,9 +1,8 @@
 """Morse complexes of height-like functions on compact manifolds with boundary."""
 
 from . import catalog
-from .chains import (HomologyResult, IntPolynomial, IntegerChainComplex,
-                     double_manifold_check, duality_symmetry_check,
-                     morse_inequality_quotient, smith_normal_form)
+from .chains import (HomologyResult, IntegerChainComplex, smith_normal_form,
+                     staircase_quotient)
 from .critical import CriticalPoint, CriticalSet, find_critical_set
 from .fields import MorseField, boundary_restriction_derivatives, validate_morse
 from .geometry import (BoundaryConstraint, Chart, Deck, MetricField, Point,

@@ -1,4 +1,5 @@
-"""Exact integer chain complexes, Smith normal form, and Morse polynomials.
+"""Exact integer chain complexes, Smith normal form, and the staircase quotient
+of the strong Morse inequalities.
 
 All arithmetic is over Python integers, so invariant factors never overflow.
 Matrices are lists of rows; row index = source generator, column = target.
@@ -7,9 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
-from .errors import BoundarySquareNonzero, NegativeCoefficient, NotDivisible
+from .errors import BoundarySquareNonzero
 
 IntMatrix = list[list[int]]
 
@@ -227,110 +229,26 @@ class IntegerChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# Morse inequalities
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    coeffs: tuple[int, ...]
+def staircase_quotient(morse: Sequence[int],
+                       betti: Sequence[int]) -> tuple[int, ...] | None:
+    """Coefficients of Q with M - P = (1 + T) Q, trailing zeros dropped, or
+    None when (1 + T) does not divide M - P.
 
-    def __post_init__(self):
-        c = list(self.coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(int(v) for v in c))
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "IntPolynomial":
-        return cls(tuple(coeffs))
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self.coefficient(i) + other.coefficient(i)
-                                   for i in range(n)))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self.coefficient(i) - other.coefficient(i)
-                                   for i in range(n)))
-
-    def __call__(self, t: int) -> int:
-        return sum(c * t ** i for i, c in enumerate(self.coeffs))
-
-    def as_list(self) -> list[int]:
-        return list(self.coeffs)
-
-
-def divide_by_one_plus_t(poly: IntPolynomial) -> IntPolynomial:
-    """Exact division by (1 + T); raises NotDivisible on a nonzero remainder."""
-    if not poly.coeffs:
-        return poly
-    # synthetic division at the root T = -1, highest degree first
-    quotient = [0] * len(poly.coeffs)
-    carry = 0
-    for i in range(poly.degree, -1, -1):
-        carry = poly.coefficient(i) - carry
-        quotient[i] = carry
-    # quotient[0] holds the remainder after the last fold
-    remainder = quotient[0]
-    if remainder != 0:
-        raise NotDivisible(f"remainder {remainder} on division by (1+T)")
-    return IntPolynomial(tuple(quotient[1:]))
-
-
-def morse_inequality_quotient(m_poly: IntPolynomial,
-                              p_poly: IntPolynomial) -> IntPolynomial:
-    """Q with M - P = (1 + T) Q; every coefficient must be non-negative."""
-    q = divide_by_one_plus_t(m_poly - p_poly)
-    if any(c < 0 for c in q.coeffs):
-        raise NegativeCoefficient(f"quotient {q.as_list()} has a negative coefficient")
-    return q
-
-
-def duality_symmetry_check(p_abs: IntPolynomial, p_rel: IntPolynomial, n: int) -> bool:
-    """True iff the relative polynomial is the degree-n reversal of the absolute one."""
-    return all(p_rel.coefficient(k) == p_abs.coefficient(n - k) for k in range(n + 1))
-
-
-@dataclass(frozen=True)
-class DoubleManifoldReport:
-    m_double: IntPolynomial
-    p_double: IntPolynomial
-    quotient: IntPolynomial | None
-    asserted: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "morse_double": self.m_double.as_list(),
-            "poincare_double": self.p_double.as_list(),
-            "quotient": None if self.quotient is None else self.quotient.as_list(),
-            "asserted": self.asserted,
-        }
-
-
-def double_manifold_check(counts: Sequence[tuple[int, int, int]],
-                          p_abs: IntPolynomial, p_rel: IntPolynomial,
-                          orientable: bool = True) -> DoubleManifoldReport:
-    """Doubled-manifold polynomial identities.
-
-    counts[k] = (|C_k|, |N_k|, |D_k|).  The rank-level inequality against
-    p_abs + p_rel is asserted only for orientable entries and recorded otherwise.
+    M and P are given by their coefficients, lowest degree first.  Q comes
+    from alternating partial sums, Q_k = (M_k - P_k) - Q_{k-1}; the division
+    is exact iff the last partial sum, +-(M - P)(-1), is zero.  The strong
+    Morse inequalities hold iff Q exists and no coefficient is negative.
     """
-    m_double = IntPolynomial(tuple(2 * c + n + d for c, n, d in counts))
-    p_double = p_abs + p_rel
-    quotient = None
-    if orientable:
-        quotient = morse_inequality_quotient(m_double, p_double)
-    else:
-        try:
-            quotient = divide_by_one_plus_t(m_double - p_double)
-        except NotDivisible:
-            quotient = None
-    return DoubleManifoldReport(m_double, p_double, quotient, orientable)
+    quotient = []
+    carry = 0
+    for m, p in zip_longest(morse, betti, fillvalue=0):
+        carry = m - p - carry
+        quotient.append(carry)
+    if quotient and quotient.pop() != 0:
+        return None
+    while quotient and quotient[-1] == 0:
+        quotient.pop()
+    return tuple(quotient)

@@ -77,8 +77,6 @@ def _report(pkg: MorsePackage, keys: list[str], overrides: list[str],
         },
         "complexes": {k: pkg.complexes[k].as_dict() for k in keys},
         "homology": {k: pkg.homology[k].as_dict() for k in keys},
-        "polynomials": {k: p.as_list() for k, p in pkg.polynomials.items()}
-        | {"double": pkg.double_report.as_dict()},
         "pairing": ({str(k): rep.as_dict() for k, rep in pkg.pairing.items()}
                     if include_pairing else {}),
         "ledger": checks,
@@ -101,9 +99,6 @@ def _print_text(report: dict) -> None:
     print("homology:")
     for key, h in report["homology"].items():
         print(f"  {key:<14s} betti {h['betti']} torsion {h['torsion']}")
-    print("polynomials:")
-    for key in ("morse_n", "morse_d", "poincare", "poincare_rel", "q_n", "q_d"):
-        print(f"  {key:<13s} {report['polynomials'][key]}")
     if report["pairing"]:
         for k, rep in sorted(report["pairing"].items()):
             body = rep["matrix"] if rep["matrix"] is not None else rep["reason"]
@@ -167,6 +162,14 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+def _seed(text: str) -> int:
+    """A perturbation seed: an integer >= 0, as numpy's generators take."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit with code 1
         self.print_usage(sys.stderr)
@@ -188,13 +191,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="both")
     ana.add_argument("--format", choices=("text", "json"), default="text")
     ana.add_argument("--svg", metavar="PATH", default=None)
-    ana.add_argument("--seed", type=int, default=0)
+    ana.add_argument("--seed", type=_seed, default=0)
     ana.add_argument("--tol", action="append", metavar="NAME=VALUE",
                      help="tolerance override (repeatable)")
     ana.set_defaults(fn=cmd_analyze)
 
     ver = sub.add_parser("verify", help="run the acceptance checks")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--tol", action="append", metavar="NAME=VALUE")
     ver.set_defaults(fn=cmd_verify)
     return parser

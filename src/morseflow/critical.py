@@ -44,7 +44,6 @@ class CriticalPoint:
     kind: str                 # interior / boundary_n / boundary_d
     index: int                # interior Morse index, or boundary index of f|dM
     grading: int
-    unstable_dim: int
     orientation_ref: tuple[tuple[float, ...], ...]
     normal_slope: float = 0.0       # <df, n> for boundary points
     tangential_hessian: float = 0.0
@@ -121,15 +120,13 @@ def _seed_grid(chart: Chart, density: int) -> Array:
 
 
 def find_interior_critical(field: MorseField, chart: Chart,
-                           seed_grid_density: int | None = None,
                            tol: Tolerances = DEFAULT) -> list[CriticalPoint]:
     """Newton search for zeros of grad f; classified by hessian signature.
 
     Returned points carry provisional ids (-1); assembly assigns final ones.
     """
-    density = seed_grid_density or tol.seed_grid_density
     dim = chart.dim
-    x = _seed_grid(chart, density)
+    x = _seed_grid(chart, tol.seed_grid_density)
     alive = np.ones(len(x), dtype=bool)
     grad = np.asarray(field.gradient(x), dtype=float).reshape(len(x), dim)
     gnorm = np.linalg.norm(grad, axis=1)
@@ -188,7 +185,7 @@ def find_interior_critical(field: MorseField, chart: Chart,
         index = int(np.sum(eigvals < 0))
         found.append(CriticalPoint(
             id=-1, point=pt, value=float(field.value(pt.array)), kind=INTERIOR,
-            index=index, grading=index, unstable_dim=index, orientation_ref=(),
+            index=index, grading=index, orientation_ref=(),
         ))
         open_[chart_distance_many(chart, seeds, pt.coords) < tol.dedup_dist] = False
     return found
@@ -422,7 +419,6 @@ def _walk_slopes(field: MorseField, chart: Chart, loop: Array,
 
 
 def find_boundary_critical(field: MorseField, chart: Chart,
-                           seed_density: int | None = None,
                            metric: MetricField | None = None,
                            tol: Tolerances = DEFAULT,
                            walks: tuple[Array | None, ...] | None = None,
@@ -433,7 +429,7 @@ def find_boundary_critical(field: MorseField, chart: Chart,
     if chart.dim == 1:
         return _boundary_critical_1d(field, chart, metric, tol)
     found: list[Array] = []
-    for loop in boundary_components(chart, seed_density, tol, walks):
+    for loop in boundary_components(chart, tol.boundary_samples, tol, walks):
         n_pts = len(loop)
         g_vals = _walk_slopes(field, chart, loop, metric, tol)
         typical_step = float(np.linalg.norm(loop[1] - loop[0])) if n_pts > 1 else 0.1
@@ -485,7 +481,7 @@ def _classify_boundary(field: MorseField, chart: Chart, x: Array,
         kind, grading = BOUNDARY_D, b_index + 1
     return CriticalPoint(
         id=-1, point=pt, value=float(field.value(pt.array)), kind=kind,
-        index=b_index, grading=grading, unstable_dim=grading, orientation_ref=(),
+        index=b_index, grading=grading, orientation_ref=(),
         normal_slope=nu, tangential_hessian=h_t,
         normal=tuple(float(c) for c in normal),
         tangent=tuple(float(c) for c in tangent),
@@ -550,13 +546,13 @@ def reclassify_negated(crit: CriticalSet, field: MorseField,
     for cp in crit.points:
         if cp.kind == INTERIOR:
             new = replace(cp, value=-cp.value, index=dim - cp.index,
-                          grading=dim - cp.grading, unstable_dim=dim - cp.grading)
+                          grading=dim - cp.grading)
         else:
             b_index = (dim - 1) - cp.index
             kind = BOUNDARY_D if cp.kind == BOUNDARY_N else BOUNDARY_N
             grading = b_index if kind == BOUNDARY_N else b_index + 1
             new = replace(cp, value=-cp.value, kind=kind, index=b_index,
-                          grading=grading, unstable_dim=grading,
+                          grading=grading,
                           normal_slope=-cp.normal_slope,
                           tangential_hessian=-cp.tangential_hessian)
         new = replace(new, orientation_ref=_orientation_frame(neg, new, dim))

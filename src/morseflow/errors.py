@@ -54,14 +54,6 @@ class DimensionMismatch(MorseflowError):
     pass
 
 
-class NotDivisible(MorseflowError):
-    pass
-
-
-class NegativeCoefficient(MorseflowError):
-    pass
-
-
 class BoundarySquareNonzero(MorseflowError):
     """The composed incidence matrices are not zero."""
 

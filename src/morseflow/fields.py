@@ -146,7 +146,6 @@ def boundary_restriction_derivatives(field: MorseField, chart: Chart,
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     checked_points: int
     min_value_gap: float
     min_interior_det: float
@@ -190,7 +189,6 @@ def validate_morse(field: MorseField, chart: Chart, crit,
         if b - a <= tol.tol_val:
             raise NotMorse(f"critical values {a} and {b} too close")
     return ValidationReport(
-        ok=True,
         checked_points=len(pts),
         min_value_gap=min_gap,
         min_interior_det=min_det,

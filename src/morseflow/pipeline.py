@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import CatalogEntry
-from .chains import (DoubleManifoldReport, HomologyResult, IntPolynomial,
-                     IntegerChainComplex, double_manifold_check,
-                     duality_symmetry_check, int_det, morse_inequality_quotient)
+from .chains import HomologyResult, IntegerChainComplex, int_det
 from .critical import (BOUNDARY_N, INTERIOR, CriticalSet, boundary_walks,
                        find_critical_set)
 from .errors import InvarianceFailure, NonTransverse
@@ -85,8 +83,6 @@ class MorsePackage:
     incidences: dict[str, dict[tuple[int, int], IncidenceCount]]
     complexes: dict[str, IntegerChainComplex]
     homology: dict[str, HomologyResult]
-    polynomials: dict[str, IntPolynomial]
-    double_report: DoubleManifoldReport
     pairing: dict[int, PairingReport]
     pairing_seed: int | None
     checks: list[CheckRecord]
@@ -225,35 +221,20 @@ def build_package(entry: CatalogEntry, seed: int = 0,
     complexes["D_dual"] = complexes[complex_key("D", "untwisted")].transpose_dual()
     homology = {key: cx.homology() for key, cx in complexes.items()}
 
-    counts = crit.counts()
-    polys = {
-        "morse_n": IntPolynomial(tuple(c + nn for c, nn, _ in counts)),
-        "morse_d": IntPolynomial(tuple(c + d for c, _, d in counts)),
-        "poincare": IntPolynomial(homology["N_untwisted"].betti),
-        "poincare_rel": IntPolynomial(homology["D_untwisted"].betti),
-    }
-    polys["q_n"] = morse_inequality_quotient(polys["morse_n"], polys["poincare"])
-    polys["q_d"] = morse_inequality_quotient(polys["morse_d"], polys["poincare_rel"])
-    double_report = double_manifold_check(
-        counts, polys["poincare"], IntPolynomial(homology["D_orientation"].betti),
-        orientable=entry.orientable)
-
     pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, field_neg,
                                               seed, tol, sample)
 
-    checks = _collect_checks(entry, crit, field_pos, field_neg, homology, polys,
-                             double_report, pairing)
+    checks = _collect_checks(entry, crit, field_pos, field_neg, homology, pairing)
     return MorsePackage(
         entry=entry, seed=seed, crit=crit, field_pos=field_pos,
         field_neg=field_neg, incidences={"N": inc_pos, "D": inc_neg},
-        complexes=complexes, homology=homology, polynomials=polys,
-        double_report=double_report, pairing=pairing, pairing_seed=pairing_seed,
-        checks=checks, sample=sample,
+        complexes=complexes, homology=homology, pairing=pairing,
+        pairing_seed=pairing_seed, checks=checks, sample=sample,
     )
 
 
-def _collect_checks(entry, crit, field_pos, field_neg, homology, polys,
-                    double_report, pairing) -> list[CheckRecord]:
+def _collect_checks(entry, crit, field_pos, field_neg, homology,
+                    pairing) -> list[CheckRecord]:
     refs = entry.references()
     named_targets = [(complex_key(side, flavor), target)
                      for (side, flavor), target in COMPLEX_TARGETS.items()]
@@ -275,21 +256,9 @@ def _collect_checks(entry, crit, field_pos, field_neg, homology, polys,
         crit.euler_characteristic() == entry.chi,
         f"counts give {crit.euler_characteristic()}, reference {entry.chi}"))
     checks.append(CheckRecord(
-        "morse_quotient_n", all(c >= 0 for c in polys["q_n"].coeffs),
-        f"q_n = {polys['q_n'].as_list()}"))
-    checks.append(CheckRecord(
-        "morse_quotient_d", all(c >= 0 for c in polys["q_d"].coeffs),
-        f"q_d = {polys['q_d'].as_list()}"))
-    checks.append(CheckRecord(
         "duality_symmetry",
-        duality_symmetry_check(polys["poincare"], polys["poincare_rel"],
-                               entry.chart.dim),
+        homology["D_untwisted"].betti == homology["N_untwisted"].betti[::-1],
         "rank-level coefficient reversal"))
-    checks.append(CheckRecord(
-        "double_manifold",
-        not double_report.asserted or double_report.quotient is not None
-        and all(c >= 0 for c in double_report.quotient.coeffs),
-        f"{double_report.as_dict()}"))
     ref_rel, ref_abs = refs["H_*(M,dM;Z^or)"], refs["H_*(M;Z)"]
     n = entry.chart.dim
     for k, rep in pairing.items():

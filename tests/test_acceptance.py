@@ -4,6 +4,7 @@ import dataclasses
 import pytest
 
 from morseflow import catalog, pipeline
+from morseflow.critical import INTERIOR, CriticalSet
 from morseflow.pipeline import build_package
 from morseflow import verify as V
 
@@ -61,6 +62,21 @@ def test_seed_independence_spot_check():
     assert pkg.homology["N_untwisted"].betti == (1, 1, 0)
 
 
+def _keep_top(pkg):
+    """The package with its critical set cut to its highest point and its
+    ledger collected again for the cut set."""
+    top = max(pkg.crit.points, key=lambda cp: cp.value)
+    cut = CriticalSet(pkg.crit.dim, (top,))
+    ledger = pipeline._collect_checks(pkg.entry, cut, pkg.field_pos, pkg.field_neg,
+                                      pkg.homology, pkg.pairing)
+    return dataclasses.replace(pkg, crit=cut, checks=ledger)
+
+
+# Criteria 5 and 8 read no ledger row: they judge the critical counts behind
+# the N-side and the doubled staircase quotients.
+_QUOTIENTS = {"morse_quotient_n": "q_n", "double_manifold": "double"}
+
+
 @pytest.mark.parametrize("check, entry, row", [
     (V.check_absolute_homology, "disk", "homology:N_untwisted="),
     (V.check_twisted_moebius, "moebius", "homology:N_orientation="),
@@ -70,15 +86,45 @@ def test_seed_independence_spot_check():
     (V.check_double_identities, "disk", "double_manifold"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_criterion_fails_with_its_ledger_row(packages, check, entry, row):
-    """Each criterion judges the package's ledger, not a copy of its checks."""
+    """Each criterion judges the package it is handed, not a copy of its
+    checks: it fails with a failed ledger row or, for criteria 5 and 8, with
+    critical counts whose staircase quotient fails."""
     ctx = V.VerificationContext(seed=0)
     ctx._packages = dict(packages)
     pkg = packages[entry]
-    flipped = [dataclasses.replace(c, passed=False) if c.name.startswith(row) else c
-               for c in pkg.checks]
-    assert flipped != pkg.checks
-    ctx._packages[entry] = dataclasses.replace(pkg, checks=flipped)
+    assert check(ctx).passed
+    if row in _QUOTIENTS:
+        broken = _keep_top(pkg)
+        assert not V._holds(V.staircase_quotients(broken)[_QUOTIENTS[row]])
+    else:
+        flipped = [dataclasses.replace(c, passed=False) if c.name.startswith(row) else c
+                   for c in pkg.checks]
+        assert flipped != pkg.checks
+        broken = dataclasses.replace(pkg, checks=flipped)
+    ctx._packages[entry] = broken
     assert not check(ctx).passed
+
+
+def test_staircase_criteria_fail_on_counts_with_the_right_chi(packages):
+    """Criteria 5 and 8 judge the critical counts against the reference
+    groups: the dome's maximum alone has the dome's χ = 1, so its ledger's
+    euler_characteristic row passes, yet M - P = T^2 - 1 = (1 + T)(T - 1)
+    on the N side and, from the doubled counts (0, 0, 2) against (1, 0, 1),
+    on the doubled manifold."""
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = dict(packages)
+    pkg = packages["tilted_dome"]
+    top = max(pkg.crit.points, key=lambda cp: cp.value)
+    assert (top.kind, top.grading) == (INTERIOR, 2)
+    assert V.check_morse_inequalities(ctx).passed
+    assert V.check_double_identities(ctx).passed
+    ctx._packages["tilted_dome"] = broken = _keep_top(pkg)
+    assert next(c for c in broken.checks if c.name == "euler_characteristic").passed
+    quotients = V.staircase_quotients(broken)
+    assert quotients["q_n"] == (-1, 1)
+    assert quotients["double"] == (-1, 1)
+    assert not V.check_morse_inequalities(ctx).passed
+    assert not V.check_double_identities(ctx).passed
 
 
 def test_invariance_reuses_each_package_critical_set(packages, monkeypatch):

@@ -3,11 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from morseflow.chains import (IntPolynomial, IntegerChainComplex,
-                              double_manifold_check, duality_symmetry_check,
-                              morse_inequality_quotient, smith_normal_form, zeros)
-from morseflow.errors import (BoundarySquareNonzero, NegativeCoefficient,
-                              NotDivisible)
+from morseflow.chains import (IntegerChainComplex, smith_normal_form,
+                              staircase_quotient, zeros)
+from morseflow.errors import BoundarySquareNonzero
 from morseflow.verify import fuzz_matrices, rational_rank, snf_fuzz, snf_oracle
 
 
@@ -161,59 +159,49 @@ def test_homology_invariant_under_conjugation():
 
 
 def test_quotient_dome():
-    q = morse_inequality_quotient(IntPolynomial.of(1, 1, 1), IntPolynomial.of(1))
-    assert q == IntPolynomial.of(0, 1)
+    assert staircase_quotient((1, 1, 1), (1,)) == (0, 1)
 
 
 def test_quotient_equal_polynomials():
-    q = morse_inequality_quotient(IntPolynomial.of(1, 1), IntPolynomial.of(1, 1))
-    assert q.coeffs == ()
+    assert staircase_quotient((1, 1), (1, 1)) == ()
 
 
 def test_quotient_impossible_pair_flagged():
-    # M - P = -T has remainder 1 at T = -1, so divisibility fails first
-    with pytest.raises((NotDivisible, NegativeCoefficient)):
-        morse_inequality_quotient(IntPolynomial.of(1), IntPolynomial.of(1, 1))
+    # M - P = -T has remainder 1 at T = -1
+    assert staircase_quotient((1,), (1, 1)) is None
 
 
 def test_quotient_negative_coefficient_flagged():
     # M - P = T^2 - 1 = (1 + T)(T - 1): divisible, but the quotient dips negative
-    with pytest.raises(NegativeCoefficient):
-        morse_inequality_quotient(IntPolynomial.of(0, 0, 1), IntPolynomial.of(1))
+    assert staircase_quotient((0, 0, 1), (1,)) == (-1, 1)
 
 
 def test_quotient_nonzero_remainder():
-    with pytest.raises(NotDivisible):
-        morse_inequality_quotient(IntPolynomial.of(1, 0, 1), IntPolynomial.of(1))
+    assert staircase_quotient((1, 0, 1), (1,)) is None
 
 
-def test_duality_symmetry_examples():
-    assert duality_symmetry_check(IntPolynomial.of(1, 1), IntPolynomial.of(0, 1, 1), 2)
-    assert duality_symmetry_check(IntPolynomial.of(1), IntPolynomial.of(0, 0, 1), 2)
-    assert not duality_symmetry_check(IntPolynomial.of(1), IntPolynomial.of(1), 2)
+def _doubled(counts):
+    """2c+n+d per grading from (c, n, d) counts."""
+    return tuple(2 * c + n + d for c, n, d in counts)
 
 
 def test_double_manifold_annulus():
     counts = [(0, 1, 0), (0, 1, 1), (0, 0, 1)]
-    rep = double_manifold_check(counts, IntPolynomial.of(1, 1),
-                                IntPolynomial.of(0, 1, 1), orientable=True)
-    assert rep.m_double == IntPolynomial.of(1, 2, 1)
-    assert rep.quotient.coeffs == ()
+    assert _doubled(counts) == (1, 2, 1)
+    # H_*(M;Z) + H^*(M,dM;Z) = (1, 1, 0) + (0, 1, 1)
+    assert staircase_quotient(_doubled(counts), (1, 2, 1)) == ()
 
 
 def test_double_manifold_disk():
     counts = [(0, 1, 0), (0, 0, 0), (0, 0, 1)]
-    rep = double_manifold_check(counts, IntPolynomial.of(1),
-                                IntPolynomial.of(0, 0, 1), orientable=True)
-    assert rep.quotient.coeffs == ()
+    # (1, 0, 0) + (0, 0, 1)
+    assert staircase_quotient(_doubled(counts), (1, 0, 1)) == ()
 
 
 def test_double_manifold_nonorientable_recorded_only():
     counts = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
-    rep = double_manifold_check(counts, IntPolynomial.of(1, 1),
-                                IntPolynomial.of(), orientable=False)
-    assert not rep.asserted
-    assert rep.quotient == IntPolynomial.of(0, 1)
+    # (1, 1) + ()
+    assert staircase_quotient(_doubled(counts), (1, 1)) == (0, 1)
 
 
 def test_euler_alternating_sum(packages):
@@ -222,10 +210,3 @@ def test_euler_alternating_sum(packages):
             h = cx.homology()
             chi_h = sum((-1) ** k * b for k, b in enumerate(h.betti))
             assert chi_h == cx.euler_characteristic()
-
-
-def test_polynomial_trims_and_evaluates():
-    p = IntPolynomial((1, 2, 0, 0))
-    assert p.coeffs == (1, 2)
-    assert p(-1) == -1
-    assert (p - p).coeffs == ()

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import morseflow
 from morseflow.cli import main
 
@@ -29,8 +31,7 @@ def test_analyze_annulus_json(capsys):
     report = json.loads(out)
     assert report["homology"]["N_untwisted"]["betti"] == [1, 1, 0]
     assert set(report) == {"manifold", "critical_points", "certificates",
-                           "complexes", "homology", "polynomials", "pairing",
-                           "ledger", "meta"}
+                           "complexes", "homology", "pairing", "ledger", "meta"}
 
 
 def test_analyze_moebius_orientation(capsys):
@@ -129,6 +130,18 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [("analyze", "interval", "--seed", "-1"),
+                                  ("verify", "--seed", "-2")],
+                         ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(tmp_path, argv):
+    proc = subprocess.run([sys.executable, "-m", "morseflow", *argv], cwd=tmp_path,
+                          env=_source_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: morseflow")
 
 
 def test_svg_skipped_for_interval(tmp_path, capsys):

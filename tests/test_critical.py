@@ -168,7 +168,7 @@ def test_orientation_frames_span_unstable_directions(packages):
     for pkg in packages.values():
         for cp in pkg.crit.points:
             if cp.kind in (INTERIOR, BOUNDARY_N):
-                assert len(cp.orientation_ref) == cp.unstable_dim
+                assert len(cp.orientation_ref) == cp.grading
                 for vec in cp.frame_arrays():
                     assert np.linalg.norm(vec) == pytest.approx(1.0)
 
