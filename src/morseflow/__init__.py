@@ -6,7 +6,7 @@ from .chains import (HomologyResult, IntegerChainComplex, smith_normal_form,
 from .critical import CriticalPoint, CriticalSet, find_critical_set
 from .fields import MorseField, boundary_restriction_derivatives, validate_morse
 from .geometry import (BoundaryConstraint, Chart, Deck, MetricField, Point,
-                       boundary_data, normalize_point, path_orientation_sign)
+                       boundary_data, normalize_point)
 from .params import DEFAULT, Tolerances
 from .pipeline import MorsePackage, build_package
 from .pseudogradient import (AdaptednessCertificate, PseudoGradientField,

@@ -173,6 +173,7 @@ def _seed(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit with code 1
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

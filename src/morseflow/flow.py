@@ -30,6 +30,10 @@ manifolds.  `_branches` is the one place that launches them: it integrates each
 branch once per field and tolerances and keeps the result on the field, so the
 counts and the pairing read the same trajectories.  `integrate` itself keeps
 no trajectory.
+
+The pairing counts crossings on the cover: trajectories run in raw strip
+coordinates, lifts of their curves, so each relative curve is intersected with
+the deck images of each absolute branch, whose directions carry the deck map.
 """
 from __future__ import annotations
 
@@ -42,8 +46,7 @@ from .critical import BOUNDARY_N, INTERIOR, CriticalPoint, _project_to_zero, sig
 from .errors import (CertificateViolation, DimensionMismatch, FlowTimeout,
                      NonTransverse)
 from .geometry import (active_constraint, chart_distance, coords_distance,
-                       deck_apply, deck_sign, nearest_wall, path_orientation_sign,
-                       plain_dot)
+                       deck_apply, deck_sign, nearest_wall, plain_dot)
 from .params import DEFAULT, Tolerances
 from .pseudogradient import PseudoGradientField
 
@@ -407,13 +410,8 @@ def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
     """
     chart = field.chart
     k = _deck_index(chart, traj.end, p)
-    points = traj.points[::-1]
-    if k:
-        # `deck_apply(chart, -k, x)` at each row
-        points = points.copy()
-        points[:, 0] += -k * chart.deck.period
-        points[:, 1] *= deck_sign(chart, -k)
-    forward = Trajectory(traj.times[-1] - traj.times[::-1], points,
+    forward = Trajectory(traj.times[-1] - traj.times[::-1],
+                         deck_apply(chart, -k, traj.points[::-1]),
                          traj.values[::-1], CONVERGED, target=q.id)
     # orientation of (flow direction, q's unstable frame vector, which
     # co-orients q's stable manifold) against p's unstable frame carried to T^k p
@@ -470,17 +468,6 @@ def count_connecting_orbits(field: PseudoGradientField, p: CriticalPoint,
 # intersection pairing
 
 
-def _resample(points: Array, max_len: float) -> Array:
-    """Subdivide long polyline segments so crossings are localized."""
-    out = [points[0]]
-    for a, b in zip(points[:-1], points[1:]):
-        seg = float(np.linalg.norm(b - a))
-        k = max(1, int(math.ceil(seg / max_len)))
-        for i in range(1, k + 1):
-            out.append(a + (b - a) * (i / k))
-    return np.array(out)
-
-
 def _polyline_crossings(pa: Array, pb: Array) -> list[tuple[Array, Array, Array, float]]:
     """Transversal crossings between two polylines.
 
@@ -525,6 +512,19 @@ def _polyline_crossings(pa: Array, pb: Array) -> list[tuple[Array, Array, Array,
     return merged
 
 
+def _cover_crossings(chart, pr: Array, pa: Array) -> list[tuple[Array, Array, Array, float]]:
+    """`_polyline_crossings` of the raw polyline pr with each deck image T^m
+    of pa whose u-range meets pr's (pa itself without a deck map); an image's
+    samples carry T^m, so its directions carry dT^m."""
+    images = [pa]
+    if chart.deck is not None:
+        period = chart.deck.period
+        first = math.ceil((pr[:, 0].min() - pa[:, 0].max()) / period)
+        last = math.floor((pr[:, 0].max() - pa[:, 0].min()) / period)
+        images = [deck_apply(chart, m, pa) for m in range(first, last + 1)]
+    return [hit for image in images for hit in _polyline_crossings(pr, image)]
+
+
 def relative_cycle_curves(field_neg: PseudoGradientField, p: CriticalPoint,
                           tol: Tolerances = DEFAULT) -> list[tuple[int, Trajectory]]:
     """Polyline representative of the relative cycle attached to a generator.
@@ -556,7 +556,8 @@ def intersection_pairing(field_neg: PseudoGradientField,
 
     p lives on the reversed-function side with unstable dimension n-k; p_abs on
     the plain side with unstable dimension n-k.  The count realizes the duality
-    pairing between the two homology classes.
+    pairing between the two homology classes: crossings on the cover
+    (`_cover_crossings`), each signed by the curves' orientation there.
     """
     chart = field_pos.chart
     n = chart.dim
@@ -581,14 +582,10 @@ def intersection_pairing(field_neg: PseudoGradientField,
             raise NonTransverse("invariant manifolds tangent at the shared point")
         total += (1 if det > 0 else -1) * p.reference_sign
 
-    rel_curves = relative_cycle_curves(field_neg, p, tol)
-    abs_curves = [(label, traj, _resample(traj.points, 0.02))
-                  for label, _, traj in _branches(field_pos, cp_pos, False, tol)]
-
-    for label_r, traj_r in rel_curves:
-        pr = _resample(traj_r.points, 0.02)
-        for label_a, traj_a, pa in abs_curves:
-            for point, dir_r, dir_a, sin_angle in _polyline_crossings(pr, pa):
+    for label_r, traj_r in relative_cycle_curves(field_neg, p, tol):
+        for label_a, _, traj_a in _branches(field_pos, cp_pos, False, tol):
+            for point, dir_r, dir_a, sin_angle in _cover_crossings(
+                    chart, traj_r.points, traj_a.points):
                 if chart_distance(chart, point, cp_pos.coords) < 10 * tol.r_launch \
                         and p.id == p_abs.id:
                     continue  # germ artifacts next to the shared point
@@ -598,11 +595,5 @@ def intersection_pairing(field_neg: PseudoGradientField,
                 o_rel = dir_r if label_r > 0 else -dir_r
                 o_abs = dir_a if label_a > 0 else -dir_a
                 det = float(np.linalg.det(np.stack([o_rel, o_abs], axis=1)))
-                # deck-flip signs along each curve up to its sample nearest the crossing
-                seam = 1
-                for traj in (traj_r, traj_a):
-                    idx = int(np.argmin(np.linalg.norm(traj.points - point, axis=1)))
-                    seam *= path_orientation_sign(chart, traj.points[:idx + 1])
-                total += (1 if det > 0 else -1) * seam * p.reference_sign
+                total += (1 if det > 0 else -1) * p.reference_sign
     return total
-

@@ -197,11 +197,12 @@ def deck_sign(chart: Chart, k: int) -> int:
 
 
 def deck_apply(chart: Chart, k: int, xy: Array) -> Array:
-    """k-fold deck transformation applied to raw strip coordinates."""
+    """k-fold deck transformation applied to raw strip coordinates: a point,
+    or each row of an array of points."""
     out = np.array(xy, dtype=float)
     if k:
-        out[0] += k * chart.deck.period
-        out[1] *= deck_sign(chart, k)
+        out[..., 0] += k * chart.deck.period
+        out[..., 1] *= deck_sign(chart, k)
     return out
 
 
@@ -433,18 +434,6 @@ def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
         pt, _ = normalize_point(chart, x[i], tol)
         _, normals[i], _ = boundary_frame(chart, pt, metric, tol)
     return canon, normals, g_mats
-
-
-def path_orientation_sign(chart: Chart, polyline: Sequence[Sequence[float]]) -> int:
-    """Product of deck-flip signs over signed seam crossings of a raw polyline."""
-    if chart.deck is None:
-        return 1
-    period = chart.deck.period
-    pts = [np.asarray(q, dtype=float) for q in polyline]
-    total = 0
-    for a, b in zip(pts[:-1], pts[1:]):
-        total += int(math.floor(b[0] / period)) - int(math.floor(a[0] / period))
-    return deck_sign(chart, total)
 
 
 def nearest_wall(chart: Chart, raw: Array) -> tuple[float, Array | None]:

@@ -83,13 +83,14 @@ def check_absolute_homology(ctx: VerificationContext):
     return not bad, "; ".join(bad) or "all entries exact"
 
 
-@_criterion(2, "twisted moebius homology")
+@_criterion(2, "homology with orientation coefficients")
 def check_twisted_moebius(ctx: VerificationContext):
-    pkg = ctx.package("moebius")
-    ok = all(_row(pkg, prefix).passed
-             for prefix in ("homology:N_orientation=", "homology:D_dual="))
-    return ok, (f"twisted {pkg.homology['N_orientation'].as_dict()}, "
-                     f"relative {pkg.homology['D_dual'].as_dict()}")
+    bad = _failed_rows(ctx, "homology:N_orientation=", "homology:D_orientation=",
+                       "homology:D_dual=")
+    h = ctx.package("moebius").homology  # where the twist leaves Z/2
+    return not bad, "; ".join(bad) or (
+        f"all entries exact; moebius twisted {h['N_orientation'].as_dict()}, "
+        f"relative {h['D_orientation'].as_dict()}")
 
 
 @_criterion(3, "relative cohomology from the degree-raising complex")
@@ -182,8 +183,14 @@ def check_forced_orbit_counts(ctx: VerificationContext):
 
 @_criterion(7, "duality pairing is unimodular")
 def check_pairing(ctx: VerificationContext):
-    row = _row(ctx.package("annulus"), "pairing_unimodular:deg1")
-    return row.passed, f"annulus degree-1 {row.detail}"
+    """Every pairing_unimodular row of every entry; the annulus, whose
+    degree-1 pairing is Z against Z, must have one."""
+    read = [(name, row) for name in catalog.names() for row in ctx.package(name).checks
+            if row.name.startswith("pairing_unimodular:")]
+    if "annulus" not in dict(read):
+        read.append(("annulus", _row(ctx.package("annulus"), "pairing_unimodular:deg1")))
+    return (all(row.passed for _, row in read), "; ".join(
+        f"{name} {row.name.split(':')[1]} {row.detail}" for name, row in read))
 
 
 @_criterion(8, "doubled-manifold polynomial identities")

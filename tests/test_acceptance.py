@@ -80,9 +80,11 @@ _QUOTIENTS = {"morse_quotient_n": "q_n", "double_manifold": "double"}
 @pytest.mark.parametrize("check, entry, row", [
     (V.check_absolute_homology, "disk", "homology:N_untwisted="),
     (V.check_twisted_moebius, "moebius", "homology:N_orientation="),
+    (V.check_twisted_moebius, "annulus", "homology:D_orientation="),
     (V.check_relative_cohomology, "annulus", "homology:D_untwisted="),
     (V.check_morse_inequalities, "interval", "morse_quotient_n"),
     (V.check_pairing, "annulus", "pairing_unimodular:deg1"),
+    (V.check_pairing, "moebius", "pairing_unimodular:deg1"),
     (V.check_double_identities, "disk", "double_manifold"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_criterion_fails_with_its_ledger_row(packages, check, entry, row):
@@ -103,6 +105,17 @@ def test_criterion_fails_with_its_ledger_row(packages, check, entry, row):
         broken = dataclasses.replace(pkg, checks=flipped)
     ctx._packages[entry] = broken
     assert not check(ctx).passed
+
+
+def test_pairing_criterion_fails_without_the_annulus_row(packages):
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = dict(packages)
+    pkg = packages["annulus"]
+    ctx._packages["annulus"] = dataclasses.replace(pkg, checks=[
+        c for c in pkg.checks if not c.name.startswith("pairing_unimodular:")])
+    result = V.check_pairing(ctx)
+    assert not result.passed
+    assert "annulus deg1 missing from the ledger" in result.detail
 
 
 def test_staircase_criteria_fail_on_counts_with_the_right_chi(packages):

@@ -142,6 +142,15 @@ def test_negative_seed_is_a_usage_error(tmp_path, argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage: morseflow")
+    assert f"morseflow {argv[0]}: error: argument --seed: seed must be >= 0" \
+        in proc.stderr
+
+
+def test_usage_error_states_its_reason(capsys):
+    code, _, err = run(capsys, "analyze", "disk", "--complex", "X")
+    assert code == 1
+    assert err.startswith("usage: morseflow analyze")
+    assert "morseflow analyze: error: argument --complex: invalid choice" in err
 
 
 def test_svg_skipped_for_interval(tmp_path, capsys):

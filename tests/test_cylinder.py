@@ -39,15 +39,7 @@ def test_textbook_groups_in_every_flavour(built, seed):
     assert len(rows) == 7 and all(c.passed for c in rows)
 
 
-@pytest.mark.parametrize("seed", [
-    0,
-    pytest.param(1, marks=pytest.mark.xfail(
-        strict=True, reason="the D point's relative curve ends at the N minimum "
-                            "(pi, -1), where both absolute branches end; the "
-                            "crossing is lost without NonTransverse")),
-    2,
-    3,
-])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_degree_one_pairing_is_unimodular(built, seed):
     pkg = built[seed]
     assert pkg.pairing[1].matrix == ((1,),)

@@ -12,9 +12,10 @@ from morseflow.flow import (CONVERGED, LEFT_DOMAIN, _deck_index,
                             count_connecting_orbits, integrate,
                             intersection_pairing, stable_launches,
                             unstable_launches)
-from morseflow.geometry import chart_distance, deck_apply, path_orientation_sign
+from morseflow.geometry import chart_distance, deck_apply
 from morseflow.params import DEFAULT
 from morseflow.pseudogradient import PseudoGradientField, build_adapted
+from test_geometry import path_orientation_sign
 
 # the step tolerances used before branches ended at capture regions
 TIGHT = DEFAULT.override(rtol=1e-10, atol=1e-12)
@@ -189,6 +190,21 @@ def test_timed_out_branches_raise(packages):
     with pytest.raises(FlowTimeout):
         count_connecting_orbits(pkg.field_pos, pkg.field_pos.crit.by_id(source),
                                 pkg.field_pos.crit.by_id(sink), tol)
+
+
+def test_crossing_only_on_a_deck_image():
+    # the absolute polyline lies one sheet to the left; only its image T^1,
+    # which flips v, meets the relative one, at (0.5, -0.2)
+    chart = catalog.get("moebius").chart
+    rel = np.array([[0.5, -0.5], [0.5, 0.5]])
+    ab = np.array([[0.3 - 2 * np.pi, 0.2], [0.7 - 2 * np.pi, 0.2]])
+    assert flow._polyline_crossings(rel, ab) == []
+    (hit,) = flow._cover_crossings(chart, rel, ab)
+    point, dir_rel, dir_abs, _ = hit
+    assert np.allclose(point, [0.5, -0.2])
+    assert np.allclose(dir_abs, [1.0, 0.0])  # dT^1 of (1, 0)
+    # det(o_rel, dT o_abs), the sign the pairing gives the crossing
+    assert np.linalg.det(np.stack([dir_rel, dir_abs], axis=1)) == pytest.approx(-1.0)
 
 
 def test_wall_landing_reuses_the_first_stage(packages, monkeypatch):

@@ -7,8 +7,20 @@ from morseflow import catalog
 from morseflow.errors import AmbiguousBoundary, PointOutsideManifold
 from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, Point,
                                 boundary_data, chart_distance,
-                                deck_apply, normalize_point,
-                                path_orientation_sign)
+                                deck_apply, deck_sign, normalize_point)
+
+
+def path_orientation_sign(chart, polyline) -> int:
+    """Product of deck-flip signs over signed seam crossings of a raw
+    polyline: the oracle for an orbit's orientation twist."""
+    if chart.deck is None:
+        return 1
+    period = chart.deck.period
+    pts = [np.asarray(q, dtype=float) for q in polyline]
+    total = 0
+    for a, b in zip(pts[:-1], pts[1:]):
+        total += int(math.floor(b[0] / period)) - int(math.floor(a[0] / period))
+    return deck_sign(chart, total)
 
 
 @pytest.fixture
