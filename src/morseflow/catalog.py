@@ -50,8 +50,7 @@ class CatalogEntry:
         retracts onto a graph: H_*(M;Z) = (Z, Z^{1-χ}, 0), and H_*(M;Z^or) is
         the same when M is orientable and (Z/2, Z^{-χ}, 0) otherwise.
         Poincaré–Lefschetz duality gives the relative groups:
-        H^k(M,∂M;Z^or) = H_{n-k}(M;Z), H^k(M,∂M;Z) = H_{n-k}(M;Z^or) and
-        H_k(M,∂M;Z^or) = H^{n-k}(M;Z), which is free because H_*(M;Z) is.
+        H^k(M,∂M;Z^or) = H_{n-k}(M;Z) and H^k(M,∂M;Z) = H_{n-k}(M;Z^or).
         """
         n = self.dim
         no_torsion = ((),) * (n + 1)
@@ -67,7 +66,6 @@ class CatalogEntry:
             "H_*(M;Z^or)": twisted,
             "H^*(M,dM;Z^or)": dual(plain),
             "H^*(M,dM;Z)": dual(twisted),
-            "H_*(M,dM;Z^or)": dual(plain),
         }
 
 

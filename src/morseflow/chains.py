@@ -205,9 +205,6 @@ class IntegerChainComplex:
             torsion.append(tuple(d for d in in_diag if d > 1))
         return HomologyResult(tuple(betti), tuple(torsion))
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * self.rank(k) for k in range(self.top_dim + 1))
-
     def transpose_dual(self) -> "IntegerChainComplex":
         """Dual complex: same generators, every matrix transposed, step negated."""
         mats: dict[int, IntMatrix] = {}

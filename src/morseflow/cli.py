@@ -17,17 +17,9 @@ from .pipeline import MorsePackage, build_package, complex_key
 from .svg import render
 from .verify import run_acceptance
 
-ENV_OVERRIDES = "MORSE_TOL_OVERRIDES"
-
 
 def _parse_tolerances(pairs: list[str]) -> Tolerances:
     mapping: dict[str, float] = {}
-    env = os.environ.get(ENV_OVERRIDES)
-    if env:
-        parsed = json.loads(env)
-        if not isinstance(parsed, dict):
-            raise ValueError(f"{ENV_OVERRIDES} must hold a JSON object")
-        mapping.update(parsed)
     for item in pairs or []:
         if "=" not in item:
             raise ValueError(f"expected NAME=VALUE, got {item!r}")
@@ -54,8 +46,6 @@ def _report(pkg: MorsePackage, keys: list[str], overrides: list[str],
             name = rec.name.split(":", 1)[1].split("=", 1)[0]
             if name not in keys:
                 continue
-        if rec.name == "certificate:ascent" and not any(k.startswith("D") for k in keys):
-            continue
         checks.append(rec.as_dict())
     include_pairing = any(k.startswith("N") for k in keys) \
         and any(k.startswith("D") for k in keys)

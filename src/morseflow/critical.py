@@ -78,9 +78,6 @@ class CriticalSet:
     def by_id(self, ident: int) -> CriticalPoint:
         return self._by_id[ident]  # type: ignore[attr-defined]
 
-    def of_kind(self, kind: str) -> list[CriticalPoint]:
-        return [p for p in self.points if p.kind == kind]
-
     def generators(self, side: str) -> list[list[CriticalPoint]]:
         """Per-degree generator lists: side N keeps interior+type-N, D keeps interior+type-D."""
         keep = {INTERIOR, BOUNDARY_N if side == "N" else BOUNDARY_D}
@@ -97,16 +94,6 @@ class CriticalSet:
             col = {INTERIOR: 0, BOUNDARY_N: 1, BOUNDARY_D: 2}[p.kind]
             out[p.grading][col] += 1
         return [tuple(row) for row in out]
-
-    def euler_characteristic(self) -> int:
-        total = 0
-        for k, (c, nn, _) in enumerate(self.counts()):
-            total += (-1) ** k * (c + nn)
-        return total
-
-    def replace_point(self, new_point: CriticalPoint) -> "CriticalSet":
-        pts = tuple(new_point if p.id == new_point.id else p for p in self.points)
-        return CriticalSet(self.dim, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +499,7 @@ def _orientation_frame(field: MorseField, cp: CriticalPoint, dim: int) -> tuple:
 def assemble_critical_set(field: MorseField, chart: Chart,
                           interior: Sequence[CriticalPoint],
                           boundary: Sequence[CriticalPoint],
-                          tol: Tolerances = DEFAULT,
-                          validate: bool = True) -> CriticalSet:
+                          tol: Tolerances = DEFAULT) -> CriticalSet:
     merged = sorted(list(interior) + list(boundary), key=lambda p: p.value)
     out = []
     for ident, cp in enumerate(merged):
@@ -521,8 +507,7 @@ def assemble_critical_set(field: MorseField, chart: Chart,
         cp = replace(cp, orientation_ref=_orientation_frame(field, cp, chart.dim))
         out.append(cp)
     crit = CriticalSet(chart.dim, tuple(out))
-    if validate:
-        validate_morse(field, chart, crit, tol)
+    validate_morse(crit, tol)
     return crit
 
 

@@ -3,6 +3,8 @@
 Derivative closures are supplied analytically per catalog entry; finite
 differences appear only as consistency oracles.  Every evaluator accepts a
 single coordinate vector or a batch with the coordinates on the last axis.
+`validate_morse` checks the one Morse condition a located critical set must
+meet as a whole: distinct critical values.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateCritical, NotMorse, NotOnBoundary, TypeUndetermined
+from .errors import NotMorse, NotOnBoundary
 from .geometry import (Chart, MetricField, Point, active_constraint, boundary_frame,
                        deck_apply)
 from .params import DEFAULT, Tolerances
@@ -144,54 +146,11 @@ def boundary_restriction_derivatives(field: MorseField, chart: Chart,
     return g_t, second
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checked_points: int
-    min_value_gap: float
-    min_interior_det: float
-    min_boundary_hess: float
-    min_type_margin: float
-
-
-def validate_morse(field: MorseField, chart: Chart, crit,
-                   tol: Tolerances = DEFAULT) -> ValidationReport:
-    """Assert the located critical data satisfies the admissibility clauses.
-
-    `crit` is a CriticalSet from the critical module; checks are re-run on its
-    points so a corrupted set cannot slip through assembly.
-    """
-    pts = list(crit.points)
-    min_det = math.inf
-    min_bh = math.inf
-    min_margin = math.inf
-    for cp in pts:
-        x = cp.point.array
-        if cp.kind == "interior":
-            hess = np.asarray(field.hessian(x), dtype=float)
-            det = abs(float(np.linalg.det(hess)))
-            min_det = min(min_det, det)
-            if det < tol.tol_nondeg:
-                raise DegenerateCritical(f"interior point {cp.point.coords}")
-        else:
-            margin = abs(cp.normal_slope)
-            min_margin = min(min_margin, margin)
-            if margin <= tol.tol_type:
-                raise TypeUndetermined(
-                    f"df vanishes on the boundary at {cp.point.coords}")
-            if chart.dim == 2:
-                min_bh = min(min_bh, abs(cp.tangential_hessian))
-                if abs(cp.tangential_hessian) < tol.tol_nondeg:
-                    raise DegenerateCritical(f"boundary point {cp.point.coords}")
-    values = sorted(cp.value for cp in pts)
-    min_gap = math.inf
+def validate_morse(crit, tol: Tolerances = DEFAULT) -> None:
+    """Raise `NotMorse` when two critical values of `crit`, a CriticalSet,
+    lie within `tol_val`.  The other Morse clauses raise where each point is
+    classified (`critical.find_interior_critical`, `_classify_boundary`)."""
+    values = sorted(cp.value for cp in crit.points)
     for a, b in zip(values[:-1], values[1:]):
-        min_gap = min(min_gap, b - a)
         if b - a <= tol.tol_val:
             raise NotMorse(f"critical values {a} and {b} too close")
-    return ValidationReport(
-        checked_points=len(pts),
-        min_value_gap=min_gap,
-        min_interior_det=min_det,
-        min_boundary_hess=min_bh,
-        min_type_margin=min_margin,
-    )

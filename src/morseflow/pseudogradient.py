@@ -256,9 +256,6 @@ class PseudoGradientField:
         """Field vector at raw coordinates (deck-equivariant under a deck map)."""
         return self._point(raw)
 
-    def __call__(self, raw) -> Array:
-        return self.evaluate(raw)
-
     def evaluate_many(self, points) -> Array:
         """`evaluate` at each row of points in one vectorised pass, with the same bits."""
         x, flip = self._canonical_many(points)

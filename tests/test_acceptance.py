@@ -63,46 +63,42 @@ def test_seed_independence_spot_check():
 
 
 def _keep_top(pkg):
-    """The package with its critical set cut to its highest point and its
-    ledger collected again for the cut set."""
+    """The package with its critical set cut to its highest point.  Its
+    ledger stays: the rows read the homology and the pairing, not the
+    critical set."""
     top = max(pkg.crit.points, key=lambda cp: cp.value)
-    cut = CriticalSet(pkg.crit.dim, (top,))
-    ledger = pipeline._collect_checks(pkg.entry, cut, pkg.field_pos, pkg.field_neg,
-                                      pkg.homology, pkg.pairing)
-    return dataclasses.replace(pkg, crit=cut, checks=ledger)
+    return dataclasses.replace(pkg, crit=CriticalSet(pkg.crit.dim, (top,)))
 
 
-# Criteria 5 and 8 read no ledger row: they judge the critical counts behind
-# the N-side and the doubled staircase quotients.
-_QUOTIENTS = {"morse_quotient_n": "q_n", "double_manifold": "double"}
-
-
-@pytest.mark.parametrize("check, entry, row", [
-    (V.check_absolute_homology, "disk", "homology:N_untwisted="),
-    (V.check_twisted_moebius, "moebius", "homology:N_orientation="),
-    (V.check_twisted_moebius, "annulus", "homology:D_orientation="),
-    (V.check_relative_cohomology, "annulus", "homology:D_untwisted="),
-    (V.check_morse_inequalities, "interval", "morse_quotient_n"),
-    (V.check_pairing, "annulus", "pairing_unimodular:deg1"),
-    (V.check_pairing, "moebius", "pairing_unimodular:deg1"),
-    (V.check_double_identities, "disk", "double_manifold"),
-], ids=lambda v: v if isinstance(v, str) else v.__name__)
-def test_criterion_fails_with_its_ledger_row(packages, check, entry, row):
+@pytest.mark.parametrize("check, entry, quotient", [
+    *(pytest.param(None, name, None, id=name) for name in catalog.names()),
+    pytest.param(V.check_morse_inequalities, "interval", "q_n",
+                 id="check_morse_inequalities-interval-q_n"),
+    pytest.param(V.check_double_identities, "disk", "double",
+                 id="check_double_identities-disk-double"),
+])
+def test_criterion_fails_with_its_ledger_row(packages, check, entry, quotient):
     """Each criterion judges the package it is handed, not a copy of its
-    checks: it fails with a failed ledger row or, for criteria 5 and 8, with
-    critical counts whose staircase quotient fails."""
+    checks: flipping any row of an entry's ledger fails a criterion that
+    passes on the unflipped package.  Criteria 5 and 8 read no ledger row;
+    they fail with critical counts whose staircase quotient fails."""
     ctx = V.VerificationContext(seed=0)
     ctx._packages = dict(packages)
     pkg = packages[entry]
+    if quotient is None:
+        assert pkg.checks
+        for i, row in enumerate(pkg.checks):
+            flipped = list(pkg.checks)
+            flipped[i] = dataclasses.replace(row, passed=False)
+            ctx._packages[entry] = dataclasses.replace(pkg, checks=flipped)
+            failing = next((c for c in V.ALL_CHECKS if not c(ctx).passed), None)
+            assert failing is not None, f"no criterion reads {row.name}"
+            ctx._packages[entry] = pkg
+            assert failing(ctx).passed, row.name
+        return
     assert check(ctx).passed
-    if row in _QUOTIENTS:
-        broken = _keep_top(pkg)
-        assert not V._holds(V.staircase_quotients(broken)[_QUOTIENTS[row]])
-    else:
-        flipped = [dataclasses.replace(c, passed=False) if c.name.startswith(row) else c
-                   for c in pkg.checks]
-        assert flipped != pkg.checks
-        broken = dataclasses.replace(pkg, checks=flipped)
+    broken = _keep_top(pkg)
+    assert not V._holds(V.staircase_quotients(broken)[quotient])
     ctx._packages[entry] = broken
     assert not check(ctx).passed
 
@@ -120,10 +116,9 @@ def test_pairing_criterion_fails_without_the_annulus_row(packages):
 
 def test_staircase_criteria_fail_on_counts_with_the_right_chi(packages):
     """Criteria 5 and 8 judge the critical counts against the reference
-    groups: the dome's maximum alone has the dome's χ = 1, so its ledger's
-    euler_characteristic row passes, yet M - P = T^2 - 1 = (1 + T)(T - 1)
-    on the N side and, from the doubled counts (0, 0, 2) against (1, 0, 1),
-    on the doubled manifold."""
+    groups: the dome's maximum alone has the dome's χ = 1, yet
+    M - P = T^2 - 1 = (1 + T)(T - 1) on the N side and, from the doubled
+    counts (0, 0, 2) against (1, 0, 1), on the doubled manifold."""
     ctx = V.VerificationContext(seed=0)
     ctx._packages = dict(packages)
     pkg = packages["tilted_dome"]
@@ -132,7 +127,8 @@ def test_staircase_criteria_fail_on_counts_with_the_right_chi(packages):
     assert V.check_morse_inequalities(ctx).passed
     assert V.check_double_identities(ctx).passed
     ctx._packages["tilted_dome"] = broken = _keep_top(pkg)
-    assert next(c for c in broken.checks if c.name == "euler_characteristic").passed
+    counts = broken.crit.counts()
+    assert sum((-1) ** k * (c + n) for k, (c, n, _) in enumerate(counts)) == pkg.entry.chi
     quotients = V.staircase_quotients(broken)
     assert quotients["q_n"] == (-1, 1)
     assert quotients["double"] == (-1, 1)

@@ -72,13 +72,6 @@ def test_json_byte_identical(capsys):
     assert first == second
 
 
-def test_env_tolerance_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("MORSE_TOL_OVERRIDES", json.dumps({"r_launch": 9e-5}))
-    code, out, _ = run(capsys, "analyze", "interval", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["homology"]["N_untwisted"]["betti"] == [1, 0]
-
-
 def test_svg_written(tmp_path, capsys):
     target = tmp_path / "disk.svg"
     code, _, _ = run(capsys, "analyze", "disk", "--format", "json",
@@ -184,13 +177,6 @@ def test_verify_exit_two_on_failed_check(capsys, monkeypatch):
 def test_nonpositive_sample_count_rejected(capsys):
     code, _, err = run(capsys, "analyze", "disk", "--tol",
                        "cert_interior_samples=0")
-    assert code == 1
-    assert "bad arguments" in err
-
-
-def test_env_overrides_must_be_an_object(capsys, monkeypatch):
-    monkeypatch.setenv("MORSE_TOL_OVERRIDES", "[1]")
-    code, _, err = run(capsys, "analyze", "disk")
     assert code == 1
     assert "bad arguments" in err
 

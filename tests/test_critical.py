@@ -142,7 +142,8 @@ def test_boundary_search_complete_against_walk(packages):
 
 def test_euler_characteristic(packages):
     for name, pkg in packages.items():
-        assert pkg.crit.euler_characteristic() == catalog.get(name).chi
+        chi = sum((-1) ** k * (c + n) for k, (c, n, _) in enumerate(pkg.crit.counts()))
+        assert chi == catalog.get(name).chi
 
 
 def test_classification_stable_under_metric_scaling(packages):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, verify
-from morseflow.critical import find_boundary_critical
+from morseflow.critical import CriticalSet, find_boundary_critical
 from morseflow.errors import NotMorse
 from morseflow.fields import (MorseField, boundary_restriction_derivatives,
                               check_deck_invariance,
                               check_derivative_consistency, validate_morse)
 from morseflow.geometry import MetricField, normalize_point
+from morseflow.params import DEFAULT
 from morseflow.verify import _boundary_fd_error, _gradient_fd_error
 
 
@@ -111,14 +112,22 @@ def test_round_bump_on_disk_not_admissible():
 
 def test_annulus_validates_with_expected_values(packages):
     pkg = packages["annulus"]
-    e = catalog.get("annulus")
-    validate_morse(e.field, e.chart, pkg.crit)  # raises on a failed clause
+    validate_morse(pkg.crit)  # raises on close critical values
     assert sorted(cp.value for cp in pkg.crit.points) == pytest.approx(
         [-2.0, -1.0, 1.0, 2.0])
 
 
-def test_validation_reports_minimum_gaps(packages):
-    e = catalog.get("moebius")
-    report = validate_morse(e.field, e.chart, packages["moebius"].crit)
-    assert report.min_value_gap == pytest.approx(1.0)
-    assert report.min_type_margin == pytest.approx(1.0)
+def test_close_critical_values_are_not_morse(packages):
+    """The value gap is the one clause `validate_morse` judges on the whole
+    set: two critical values within tol_val raise, twice that apart do not."""
+    crit = packages["annulus"].crit
+    low, high = sorted(crit.points, key=lambda cp: cp.value)[:2]
+
+    def with_gap(gap):
+        moved = dataclasses.replace(high, value=low.value + gap)
+        return CriticalSet(crit.dim, tuple(moved if cp.id == high.id else cp
+                                           for cp in crit.points))
+
+    with pytest.raises(NotMorse, match="too close"):
+        validate_morse(with_gap(DEFAULT.tol_val / 2))
+    validate_morse(with_gap(2 * DEFAULT.tol_val))

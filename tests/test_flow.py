@@ -151,7 +151,8 @@ def test_orientation_flip_negates_orbit_signs(packages):
     n1 = _zero(pkg, BOUNDARY_N, 1)
     n0 = _zero(pkg, BOUNDARY_N, 0)
     c2 = _zero(pkg, INTERIOR, 2)
-    flipped_crit = fld.crit.replace_point(n1.flipped())
+    flipped_crit = dataclasses.replace(fld.crit, points=tuple(
+        n1.flipped() if cp.id == n1.id else cp for cp in fld.crit.points))
     flipped = dataclasses.replace(fld, crit=flipped_crit)
 
     base_in = pkg.incidences["N"][(c2.id, n1.id)]

@@ -108,7 +108,7 @@ def n_side(request):
 
 def test_interior_saddles_present(n_side):
     entry, crit, _, _ = n_side
-    interior = [cp.grading for cp in crit.of_kind(INTERIOR)]
+    interior = [cp.grading for cp in crit.points if cp.kind == INTERIOR]
     if entry.name == "two_bump_disk":
         assert sorted(interior) == [1, 1, 2, 2]
     else:
@@ -127,8 +127,9 @@ def test_n_side_homology_matches_reference(n_side):
 
 def test_each_maximum_reaches_its_saddle_once(n_side):
     entry, crit, table, _ = n_side
-    saddles = [q for q in crit.of_kind(INTERIOR) if q.grading == 1]
-    for p in crit.of_kind(INTERIOR):
+    interior = [cp for cp in crit.points if cp.kind == INTERIOR]
+    saddles = [q for q in interior if q.grading == 1]
+    for p in interior:
         if p.grading != 2:
             continue
         q = min(saddles, key=lambda s: float(np.linalg.norm(s.coords - p.coords)))

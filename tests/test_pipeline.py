@@ -64,7 +64,7 @@ def test_homology_matches_catalog_references(packages):
             "N_orientation": "H_*(M;Z^or)",
             "D_untwisted": "H^*(M,dM;Z^or)",
             "D_orientation": "H^*(M,dM;Z)",
-            "D_dual": "H_*(M,dM;Z^or)",
+            "D_dual": "H^*(M,dM;Z^or)",
         }
         for key, target in targets.items():
             got = pkg.homology[key]
@@ -74,8 +74,9 @@ def test_homology_matches_catalog_references(packages):
 
 
 def test_duality_symmetry_judges_computed_homology(monkeypatch):
-    """duality_symmetry reads the flow's homology, so it compares the descent field's N side with the ascent field's D side: an N
-    side that lost the dome's one orbit (d = 0) fails it."""
+    """The ledger judges the flow's homology, not the references: an N side
+    that lost the dome's one orbit (d = 0) fails its homology row, and with
+    it the package."""
     lost = HomologyResult((1, 1, 1), ((), (), ()))
 
     class LostOrbit(IntegerChainComplex):
@@ -93,8 +94,9 @@ def test_duality_symmetry_judges_computed_homology(monkeypatch):
     monkeypatch.setattr(pipeline, "_complexes", tampered)
     pkg = pipeline.build_package(catalog.get("tilted_dome"))
     assert pkg.homology["N_untwisted"] is lost
-    row = next(c for c in pkg.checks if c.name == "duality_symmetry")
+    row = next(c for c in pkg.checks if c.name.startswith("homology:N_untwisted="))
     assert not row.passed
+    assert not pkg.passed
 
 
 def test_dual_complex_shape(packages):
