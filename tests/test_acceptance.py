@@ -70,37 +70,57 @@ def _keep_top(pkg):
     return dataclasses.replace(pkg, crit=CriticalSet(pkg.crit.dim, (top,)))
 
 
-@pytest.mark.parametrize("check, entry, quotient", [
-    *(pytest.param(None, name, None, id=name) for name in catalog.names()),
-    pytest.param(V.check_morse_inequalities, "interval", "q_n",
-                 id="check_morse_inequalities-interval-q_n"),
-    pytest.param(V.check_double_identities, "disk", "double",
-                 id="check_double_identities-disk-double"),
-])
-def test_criterion_fails_with_its_ledger_row(packages, check, entry, quotient):
+# Criteria 5 and 8 read no ledger row: they judge the critical counts behind
+# the N-side and the doubled staircase quotients.
+_QUOTIENTS = {"morse_quotient_n": "q_n", "double_manifold": "double"}
+
+
+@pytest.mark.parametrize("check, entry, row", [
+    (V.check_absolute_homology, "disk", "homology:N_untwisted="),
+    (V.check_twisted_moebius, "moebius", "homology:N_orientation="),
+    (V.check_twisted_moebius, "annulus", "homology:D_orientation="),
+    (V.check_relative_cohomology, "annulus", "homology:D_untwisted="),
+    (V.check_morse_inequalities, "interval", "morse_quotient_n"),
+    (V.check_pairing, "annulus", "pairing_unimodular:deg1"),
+    (V.check_pairing, "moebius", "pairing_unimodular:deg1"),
+    (V.check_double_identities, "disk", "double_manifold"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_criterion_fails_with_its_ledger_row(packages, check, entry, row):
     """Each criterion judges the package it is handed, not a copy of its
-    checks: flipping any row of an entry's ledger fails a criterion that
-    passes on the unflipped package.  Criteria 5 and 8 read no ledger row;
-    they fail with critical counts whose staircase quotient fails."""
+    checks: it fails with a failed ledger row or, for criteria 5 and 8, with
+    critical counts whose staircase quotient fails."""
     ctx = V.VerificationContext(seed=0)
     ctx._packages = dict(packages)
     pkg = packages[entry]
-    if quotient is None:
-        assert pkg.checks
-        for i, row in enumerate(pkg.checks):
-            flipped = list(pkg.checks)
-            flipped[i] = dataclasses.replace(row, passed=False)
-            ctx._packages[entry] = dataclasses.replace(pkg, checks=flipped)
-            failing = next((c for c in V.ALL_CHECKS if not c(ctx).passed), None)
-            assert failing is not None, f"no criterion reads {row.name}"
-            ctx._packages[entry] = pkg
-            assert failing(ctx).passed, row.name
-        return
     assert check(ctx).passed
-    broken = _keep_top(pkg)
-    assert not V._holds(V.staircase_quotients(broken)[quotient])
+    if row in _QUOTIENTS:
+        broken = _keep_top(pkg)
+        assert not V._holds(V.staircase_quotients(broken)[_QUOTIENTS[row]])
+    else:
+        flipped = [dataclasses.replace(c, passed=False) if c.name.startswith(row) else c
+                   for c in pkg.checks]
+        assert flipped != pkg.checks
+        broken = dataclasses.replace(pkg, checks=flipped)
     ctx._packages[entry] = broken
     assert not check(ctx).passed
+
+
+@pytest.mark.parametrize("entry", catalog.names())
+def test_every_ledger_row_is_read(packages, entry):
+    """No ledger row goes unread: flipping any row of an entry's ledger
+    fails a criterion that passes on the unflipped package."""
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = dict(packages)
+    pkg = packages[entry]
+    assert pkg.checks
+    for i, row in enumerate(pkg.checks):
+        flipped = list(pkg.checks)
+        flipped[i] = dataclasses.replace(row, passed=False)
+        ctx._packages[entry] = dataclasses.replace(pkg, checks=flipped)
+        failing = next((c for c in V.ALL_CHECKS if not c(ctx).passed), None)
+        assert failing is not None, f"no criterion reads {row.name}"
+        ctx._packages[entry] = pkg
+        assert failing(ctx).passed, row.name
 
 
 def test_pairing_criterion_fails_without_the_annulus_row(packages):
