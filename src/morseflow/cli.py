@@ -40,15 +40,18 @@ def _selected_keys(complex_flag: str, coeff_flag: str) -> list[str]:
 
 def _report(pkg: MorsePackage, keys: list[str], overrides: list[str],
             seed: int) -> dict:
-    checks = []
-    for rec in pkg.checks:
-        if rec.name.startswith("homology:"):
-            name = rec.name.split(":", 1)[1].split("=", 1)[0]
-            if name not in keys:
-                continue
-        checks.append(rec.as_dict())
     include_pairing = any(k.startswith("N") for k in keys) \
         and any(k.startswith("D") for k in keys)
+    # the ledger keeps the rows of what the report shows: the selected
+    # complexes' homology, and the pairing's rows only with the pairing
+    checks = []
+    for rec in pkg.checks:
+        row, _, name = rec.name.partition(":")
+        if row == "homology" and name.split("=", 1)[0] not in keys:
+            continue
+        if row == "pairing_unimodular" and not include_pairing:
+            continue
+        checks.append(rec.as_dict())
     return {
         "manifold": pkg.entry.name,
         "critical_points": [

@@ -42,14 +42,11 @@ class CriticalPoint:
     point: Point
     value: float
     kind: str                 # interior / boundary_n / boundary_d
-    index: int                # interior Morse index, or boundary index of f|dM
-    grading: int
+    grading: int              # Morse index, or index of f|dM (plus one on type D)
     orientation_ref: tuple[tuple[float, ...], ...]
-    normal_slope: float = 0.0       # <df, n> for boundary points
     tangential_hessian: float = 0.0
     normal: tuple[float, ...] = ()
     tangent: tuple[float, ...] = ()
-    reference_sign: int = 1
 
     @property
     def coords(self) -> Array:
@@ -57,14 +54,6 @@ class CriticalPoint:
 
     def frame_arrays(self) -> list[Array]:
         return [np.asarray(v, dtype=float) for v in self.orientation_ref]
-
-    def flipped(self) -> "CriticalPoint":
-        """Reverse the chosen orientation (negate the first frame vector)."""
-        if not self.orientation_ref:
-            return self
-        frame = list(self.orientation_ref)
-        frame[0] = tuple(-c for c in frame[0])
-        return replace(self, orientation_ref=tuple(frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +149,7 @@ def find_interior_critical(field: MorseField, chart: Chart,
         if not open_[i]:
             continue
         try:
-            pt, _ = normalize_point(chart, seed, tol)
+            pt = normalize_point(chart, seed, tol)
         except PointOutsideManifold:
             continue
         if boundary_distance(chart, pt.array) <= tol.tol_geom:
@@ -168,11 +157,10 @@ def find_interior_critical(field: MorseField, chart: Chart,
         hess = np.asarray(field.hessian(pt.array), dtype=float)
         if abs(float(np.linalg.det(hess))) < tol.tol_nondeg:
             raise DegenerateCritical(f"interior critical point near {pt.coords}")
-        eigvals = np.linalg.eigvalsh(hess)
-        index = int(np.sum(eigvals < 0))
+        index = int(np.sum(np.linalg.eigvalsh(hess) < 0))
         found.append(CriticalPoint(
             id=-1, point=pt, value=float(field.value(pt.array)), kind=INTERIOR,
-            index=index, grading=index, orientation_ref=(),
+            grading=index, orientation_ref=(),
         ))
         open_[chart_distance_many(chart, seeds, pt.coords) < tol.dedup_dist] = False
     return found
@@ -344,7 +332,7 @@ def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
                         max_move: float) -> Array | None:
     """Newton on the tangential derivative, staying on the boundary curve."""
     x = np.array(x0, dtype=float)
-    pt, _ = normalize_point(chart, x, tol)
+    pt = normalize_point(chart, x, tol)
     # the walk moves in chart arclength, so convert the metric-frame Newton
     # step by the euclidean length of the metric-unit tangent
     _, _, tangent = boundary_frame(chart, pt, metric, tol)
@@ -361,7 +349,7 @@ def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
             if cand is None:
                 return None
             try:
-                cand_pt, _ = normalize_point(chart, cand, tol)
+                cand_pt = normalize_point(chart, cand, tol)
             except PointOutsideManifold:
                 cand_pt = None
             if cand_pt is not None:
@@ -448,7 +436,7 @@ def _boundary_critical_1d(field, chart, metric, tol) -> list[CriticalPoint]:
 
 def _classify_boundary(field: MorseField, chart: Chart, x: Array,
                        metric: MetricField | None, tol: Tolerances) -> CriticalPoint:
-    pt, _ = normalize_point(chart, x, tol)
+    pt = normalize_point(chart, x, tol)
     _, normal, tangent = boundary_frame(chart, pt, metric, tol)
     grad = np.asarray(field.gradient(pt.array), dtype=float)
     nu = float(grad @ normal)
@@ -468,8 +456,7 @@ def _classify_boundary(field: MorseField, chart: Chart, x: Array,
         kind, grading = BOUNDARY_D, b_index + 1
     return CriticalPoint(
         id=-1, point=pt, value=float(field.value(pt.array)), kind=kind,
-        index=b_index, grading=grading, orientation_ref=(),
-        normal_slope=nu, tangential_hessian=h_t,
+        grading=grading, orientation_ref=(), tangential_hessian=h_t,
         normal=tuple(float(c) for c in normal),
         tangent=tuple(float(c) for c in tangent),
     )
@@ -480,19 +467,17 @@ def _classify_boundary(field: MorseField, chart: Chart, x: Array,
 
 
 def _orientation_frame(field: MorseField, cp: CriticalPoint, dim: int) -> tuple:
+    """The chosen orientation of cp's unstable manifold: the descent
+    eigenvectors of an interior point, the tangent of a grading-one type-N
+    point.  A type-D point is no zero of the descent field and has none."""
     if cp.kind == INTERIOR:
         hess = np.asarray(field.hessian(cp.coords), dtype=float)
         eigvals, eigvecs = np.linalg.eigh(hess)
         frame = [sign_fix(eigvecs[:, i]) for i in range(dim) if eigvals[i] < 0]
-    elif cp.kind == BOUNDARY_N:
-        frame = [sign_fix(np.asarray(cp.tangent))] if cp.index == 1 else []
+    elif cp.kind == BOUNDARY_N and cp.grading == 1:
+        frame = [sign_fix(np.asarray(cp.tangent))]
     else:
-        # never used dynamically on this side; tangential descent directions
-        # followed by the outward normal, a fixed reproducible convention
         frame = []
-        if cp.index >= 1:
-            frame.append(sign_fix(np.asarray(cp.tangent)))
-        frame.append(sign_fix(np.asarray(cp.normal)))
     return tuple(tuple(float(c) for c in v) for v in frame)
 
 
@@ -522,25 +507,24 @@ def find_critical_set(field: MorseField, chart: Chart,
     return assemble_critical_set(field, chart, interior, boundary, tol)
 
 
+_NEGATED_KIND = {INTERIOR: INTERIOR, BOUNDARY_N: BOUNDARY_D, BOUNDARY_D: BOUNDARY_N}
+
+
 def reclassify_negated(crit: CriticalSet, field: MorseField,
                        chart: Chart) -> CriticalSet:
-    """Critical data of -f: same points and ids, complementary indices, N/D swap."""
+    """Critical data of -f: same points and ids, value -value, grading
+    n - grading, N and D swapped, tangential hessian negated.
+
+    On the boundary the index i of f|dM becomes n - 1 - i, and the type-D
+    side adds one, so the grading is n minus the old one there too.
+    """
     dim = crit.dim
     neg = field.negated()
     out = []
     for cp in crit.points:
-        if cp.kind == INTERIOR:
-            new = replace(cp, value=-cp.value, index=dim - cp.index,
-                          grading=dim - cp.grading)
-        else:
-            b_index = (dim - 1) - cp.index
-            kind = BOUNDARY_D if cp.kind == BOUNDARY_N else BOUNDARY_N
-            grading = b_index if kind == BOUNDARY_N else b_index + 1
-            new = replace(cp, value=-cp.value, kind=kind, index=b_index,
-                          grading=grading,
-                          normal_slope=-cp.normal_slope,
-                          tangential_hessian=-cp.tangential_hessian)
-        new = replace(new, orientation_ref=_orientation_frame(neg, new, dim))
-        out.append(new)
+        new = replace(cp, value=-cp.value, kind=_NEGATED_KIND[cp.kind],
+                      grading=dim - cp.grading,
+                      tangential_hessian=-cp.tangential_hessian)
+        out.append(replace(new, orientation_ref=_orientation_frame(neg, new, dim)))
     out.sort(key=lambda p: p.value)
     return CriticalSet(dim, tuple(out))

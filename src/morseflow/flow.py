@@ -27,9 +27,13 @@ a branch of a one-dimensional invariant manifold, so each count follows one:
 the unstable manifold of a grading-one source forward, or the stable manifold
 of a grading-one target backward.  The pairing's curves are branches of the same
 manifolds.  `_branches` is the one place that launches them: it integrates each
-branch once per field and tolerances and keeps the result on the field, so the
-counts and the pairing read the same trajectories.  `integrate` itself keeps
-no trajectory.
+branch once per field and keeps the result on the field, so the counts and
+the pairing read the same trajectories.  `integrate` itself keeps no
+trajectory.
+
+Every function here reads its tolerances from the field (`field.tol`), the
+set the field was built and certified with; the pairing reads each field's
+own.
 
 The pairing counts crossings on the cover: trajectories run in raw strip
 coordinates, lifts of their curves, so each relative curve is intersected with
@@ -47,7 +51,6 @@ from .errors import (CertificateViolation, DimensionMismatch, FlowTimeout,
                      NonTransverse)
 from .geometry import (active_constraint, chart_distance, coords_distance,
                        deck_apply, deck_sign, nearest_wall, plain_dot)
-from .params import DEFAULT, Tolerances
 from .pseudogradient import PseudoGradientField
 
 Array = np.ndarray
@@ -148,8 +151,8 @@ def _norm(v: list) -> float:
     return float(np.linalg.norm(np.array(v)))
 
 
-def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
-              reverse: bool = False, allow_exit: bool = False) -> Trajectory:
+def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
+              allow_exit: bool = False) -> Trajectory:
     """Flow a trajectory of the field (or of its time reversal).
 
     Terminates
@@ -173,6 +176,7 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
         deriv = lambda x: field.evaluate(x).tolist()
     value = lambda x: float(field.objective.value(np.array(x)))
     walls = tuple(con.read for con in chart.constraints)
+    tol = field.tol
     stop, r_conv, atol, rtol = tol.field_stop, tol.r_conv, tol.atol, tol.rtol
     crit = [(cp.id, cp.coords.tolist()) for cp in field.crit.points]
     captures = [(region, region.sink.coords.tolist())
@@ -295,14 +299,14 @@ def integrate(field: PseudoGradientField, start, tol: Tolerances = DEFAULT,
 # launches
 
 
-def unstable_launches(field: PseudoGradientField, cp: CriticalPoint,
-                      tol: Tolerances = DEFAULT) -> list[tuple[int, Array]]:
+def unstable_launches(field: PseudoGradientField,
+                      cp: CriticalPoint) -> list[tuple[int, Array]]:
     """Launch points for the two branches of a one-dimensional unstable manifold."""
     frame = cp.frame_arrays()
     if len(frame) != 1:
         raise DimensionMismatch(f"generator {cp.id} has unstable dimension "
                                 f"{len(frame)}, expected 1")
-    e_u = frame[0]
+    e_u, tol = frame[0], field.tol
     out = []
     for label in (1, -1):
         x0 = cp.coords + tol.r_launch * label * e_u
@@ -313,9 +317,10 @@ def unstable_launches(field: PseudoGradientField, cp: CriticalPoint,
     return out
 
 
-def stable_launches(field: PseudoGradientField, cp: CriticalPoint,
-                    tol: Tolerances = DEFAULT) -> list[tuple[int, Array]]:
+def stable_launches(field: PseudoGradientField,
+                    cp: CriticalPoint) -> list[tuple[int, Array]]:
     """Launch points spanning a one-dimensional local stable manifold."""
+    r_launch = field.tol.r_launch
     if cp.kind == INTERIOR:
         hess = np.asarray(field.objective.hessian(cp.coords), dtype=float)
         eigvals, eigvecs = np.linalg.eigh(hess)
@@ -324,31 +329,30 @@ def stable_launches(field: PseudoGradientField, cp: CriticalPoint,
             raise DimensionMismatch(f"generator {cp.id} has stable dimension "
                                     f"{len(stable)}, expected 1")
         e_s = sign_fix(stable[0])
-        return [(1, cp.coords + tol.r_launch * e_s),
-                (-1, cp.coords - tol.r_launch * e_s)]
+        return [(1, cp.coords + r_launch * e_s), (-1, cp.coords - r_launch * e_s)]
     # boundary tangency point: the stable direction is the inward normal ray
     inward = -np.asarray(cp.normal, dtype=float)
-    return [(1, cp.coords + tol.r_launch * inward)]
+    return [(1, cp.coords + r_launch * inward)]
 
 
-def _branches(field: PseudoGradientField, anchor: CriticalPoint, reverse: bool,
-              tol: Tolerances) -> tuple[tuple[int, Array, Trajectory], ...]:
+def _branches(field: PseudoGradientField, anchor: CriticalPoint,
+              reverse: bool) -> tuple[tuple[int, Array, Trajectory], ...]:
     """(label, launch point, trajectory) for each branch of a one-dimensional
     invariant manifold of anchor, one of the field's critical points.
 
     Forward follows the unstable manifold, which may not leave the domain;
     reverse follows the stable manifold backward, ending LEFT_DOMAIN where it
-    exits.  Each branch is integrated once per field and tolerances: the result
-    is kept on the field and shared by every caller, which must not modify it.
+    exits.  Each branch is integrated once per field: the result is kept on
+    the field and shared by every caller, which must not modify it.
     A timed-out branch raises FlowTimeout and is not kept.
     """
-    key = (anchor.id, reverse, tol)
+    key = (anchor.id, reverse)
     found = field._branch_memo.get(key)
     if found is None:
         launches = stable_launches if reverse else unstable_launches
         out = []
-        for label, x0 in launches(field, anchor, tol):
-            traj = integrate(field, x0, tol, reverse=reverse, allow_exit=reverse)
+        for label, x0 in launches(field, anchor):
+            traj = integrate(field, x0, reverse=reverse, allow_exit=reverse)
             if traj.termination == TIMEOUT:
                 raise FlowTimeout(f"branch from generator {anchor.id} timed out")
             out.append((label, x0, traj))
@@ -393,10 +397,9 @@ def _deck_index(chart, raw: Array, cp: CriticalPoint) -> int:
 
 
 def _orbit_twist(field: PseudoGradientField, traj: Trajectory,
-                 source: CriticalPoint, sink: CriticalPoint) -> int:
+                 sink: CriticalPoint) -> int:
     """Orientation twist of the orbit loop closed through canonical positions."""
-    j = _deck_index(field.chart, traj.end, sink)
-    return deck_sign(field.chart, j) * source.reference_sign * sink.reference_sign
+    return deck_sign(field.chart, _deck_index(field.chart, traj.end, sink))
 
 
 def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
@@ -423,7 +426,7 @@ def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
 
 
 def _follow_branches(field: PseudoGradientField, p: CriticalPoint,
-                     q: CriticalPoint, tol: Tolerances) -> list[ConnectingOrbit]:
+                     q: CriticalPoint) -> list[ConnectingOrbit]:
     """Orbits from p to q along the one-dimensional manifold that carries them.
 
     A grading-one source's unstable manifold is followed forward; otherwise,
@@ -433,7 +436,7 @@ def _follow_branches(field: PseudoGradientField, p: CriticalPoint,
     reverse = p.grading > 1
     anchor, far = (q, p) if reverse else (p, q)
     orbits = []
-    for label, x0, traj in _branches(field, anchor, reverse, tol):
+    for label, x0, traj in _branches(field, anchor, reverse):
         if traj.termination == LEFT_DOMAIN:
             continue
         hit = field.crit.by_id(traj.target)
@@ -446,19 +449,18 @@ def _follow_branches(field: PseudoGradientField, p: CriticalPoint,
         if reverse:
             sign, traj = _reversed_orbit(field, p, q, x0, traj)
         orbits.append(ConnectingOrbit(p.id, q.id, sign,
-                                      _orbit_twist(field, traj, p, q), traj))
+                                      _orbit_twist(field, traj, q), traj))
     return orbits
 
 
 def count_connecting_orbits(field: PseudoGradientField, p: CriticalPoint,
-                            q: CriticalPoint,
-                            tol: Tolerances = DEFAULT) -> IncidenceCount:
+                            q: CriticalPoint) -> IncidenceCount:
     """Signed connecting orbits from p (grading k) down to q (grading k-1)."""
     if p.grading != q.grading + 1:
         raise DimensionMismatch("orbit counting needs a grading gap of one")
     if p.value <= q.value:
         return IncidenceCount(p.id, q.id, 0, 0, ())
-    orbits = _follow_branches(field, p, q, tol)
+    orbits = _follow_branches(field, p, q)
     total = sum(o.sign for o in orbits)
     twisted = sum(o.twisted_sign for o in orbits)
     return IncidenceCount(p.id, q.id, total, twisted, tuple(orbits))
@@ -525,8 +527,8 @@ def _cover_crossings(chart, pr: Array, pa: Array) -> list[tuple[Array, Array, Ar
     return [hit for image in images for hit in _polyline_crossings(pr, image)]
 
 
-def relative_cycle_curves(field_neg: PseudoGradientField, p: CriticalPoint,
-                          tol: Tolerances = DEFAULT) -> list[tuple[int, Trajectory]]:
+def relative_cycle_curves(field_neg: PseudoGradientField,
+                          p: CriticalPoint) -> list[tuple[int, Trajectory]]:
     """Polyline representative of the relative cycle attached to a generator.
 
     Interior generators use the one-dimensional unstable manifold of the
@@ -536,11 +538,11 @@ def relative_cycle_curves(field_neg: PseudoGradientField, p: CriticalPoint,
     """
     cp = field_neg.crit.by_id(p.id)
     out = []
-    for label, _, traj in _branches(field_neg, cp, cp.kind != INTERIOR, tol):
+    for label, _, traj in _branches(field_neg, cp, cp.kind != INTERIOR):
         if traj.termination == LEFT_DOMAIN:
             for other in field_neg.crit.points:
                 if chart_distance(field_neg.chart, traj.end,
-                                  other.coords) < tol.degeneracy_tol:
+                                  other.coords) < field_neg.tol.degeneracy_tol:
                     raise NonTransverse(
                         "relative curve exits at a critical point; "
                         "general position fails")
@@ -550,8 +552,7 @@ def relative_cycle_curves(field_neg: PseudoGradientField, p: CriticalPoint,
 
 def intersection_pairing(field_neg: PseudoGradientField,
                          field_pos: PseudoGradientField,
-                         p: CriticalPoint, p_abs: CriticalPoint,
-                         tol: Tolerances = DEFAULT) -> int:
+                         p: CriticalPoint, p_abs: CriticalPoint) -> int:
     """Signed intersection count pairing a relative generator with an absolute one.
 
     p lives on the reversed-function side with unstable dimension n-k; p_abs on
@@ -570,6 +571,7 @@ def intersection_pairing(field_neg: PseudoGradientField,
 
     cp_neg = field_neg.crit.by_id(p.id)
     cp_pos = field_pos.crit.by_id(p_abs.id)
+    germ = 10 * field_pos.tol.r_launch
 
     if p.id == p_abs.id:
         # both invariant manifolds pass through the shared point; the local
@@ -580,14 +582,13 @@ def intersection_pairing(field_neg: PseudoGradientField,
         det = float(np.linalg.det(mat))
         if abs(det) < 1e-8:
             raise NonTransverse("invariant manifolds tangent at the shared point")
-        total += (1 if det > 0 else -1) * p.reference_sign
+        total += 1 if det > 0 else -1
 
-    for label_r, traj_r in relative_cycle_curves(field_neg, p, tol):
-        for label_a, _, traj_a in _branches(field_pos, cp_pos, False, tol):
+    for label_r, traj_r in relative_cycle_curves(field_neg, p):
+        for label_a, _, traj_a in _branches(field_pos, cp_pos, False):
             for point, dir_r, dir_a, sin_angle in _cover_crossings(
                     chart, traj_r.points, traj_a.points):
-                if chart_distance(chart, point, cp_pos.coords) < 10 * tol.r_launch \
-                        and p.id == p_abs.id:
+                if p.id == p_abs.id and chart_distance(chart, point, cp_pos.coords) < germ:
                     continue  # germ artifacts next to the shared point
                 if sin_angle < 1e-4:
                     raise NonTransverse("near-tangential crossing "
@@ -595,5 +596,5 @@ def intersection_pairing(field_neg: PseudoGradientField,
                 o_rel = dir_r if label_r > 0 else -dir_r
                 o_abs = dir_a if label_a > 0 else -dir_a
                 det = float(np.linalg.det(np.stack([o_rel, o_abs], axis=1)))
-                total += (1 if det > 0 else -1) * p.reference_sign
+                total += 1 if det > 0 else -1
     return total

@@ -206,10 +206,10 @@ def deck_apply(chart: Chart, k: int, xy: Array) -> Array:
     return out
 
 
-def deck_reduce(chart: Chart, x: Array) -> tuple[Array, Array]:
-    """Each row of x moved into [0, period) by a deck power, and that power:
-    floor(u / period), plus one where the move rounds onto the period, less
-    one where it rounds below 0."""
+def deck_reduce(chart: Chart, x: Array) -> Array:
+    """Each row of x moved into [0, period) by a deck power: floor(u / period),
+    plus one where the move rounds onto the period, less one where it rounds
+    below 0."""
     period, flip = chart.deck.period, float(chart.deck.flip)
     k = np.floor(x[:, 0] / period)
     canon = np.stack([x[:, 0] + -k * period,
@@ -218,8 +218,7 @@ def deck_reduce(chart: Chart, x: Array) -> tuple[Array, Array]:
         wrapped = canon[:, 0] >= period if step > 0.0 else canon[:, 0] < 0.0
         canon[wrapped, 0] -= step * period
         canon[wrapped, 1] *= flip
-        k[wrapped] += step
-    return canon, k
+    return canon
 
 
 def active_constraint(chart: Chart, x: Array,
@@ -235,36 +234,29 @@ def active_constraint(chart: Chart, x: Array,
 
 
 def normalize_point(chart: Chart, raw: Sequence[float],
-                    tol: Tolerances = DEFAULT) -> tuple[Point, int]:
-    """Reduce raw coordinates to canonical form.
+                    tol: Tolerances = DEFAULT) -> Point:
+    """Reduce raw coordinates to the canonical point.
 
-    Returns the canonical point and the net orientation sign accumulated by
-    the deck applications (always +1 without a deck map).  Raises
-    PointOutsideManifold when the input does not lie on the manifold.
+    Raises PointOutsideManifold when the input does not lie on the manifold.
     """
     x = np.asarray(raw, dtype=float)
     if x.shape != (chart.dim,):
         raise ValueError("wrong coordinate length")
-    sign = 1
     if chart.deck is not None:
         # `deck_reduce` for one point; a one-row batch costs several times as much
         period = chart.deck.period
-        k = int(math.floor(x[0] / period))
-        x = deck_apply(chart, -k, x)
+        x = deck_apply(chart, -int(math.floor(x[0] / period)), x)
         if x[0] >= period:
             x = deck_apply(chart, -1, x)
-            k += 1
         if x[0] < 0.0:
             x = deck_apply(chart, 1, x)
-            k -= 1
-        sign = deck_sign(chart, k)
     for axis, (lo, hi) in enumerate(chart.box):
         if x[axis] < lo - tol.tol_geom or x[axis] > hi + tol.tol_geom:
             raise PointOutsideManifold(f"axis {axis} outside box")
     for con in chart.constraints:
         if float(con.value(x)) > tol.tol_geom:
             raise PointOutsideManifold(f"constraint {con.name} positive")
-    return Point(tuple(float(c) for c in x)), sign
+    return Point(tuple(float(c) for c in x))
 
 
 def chart_distance(chart: Chart, a: Sequence[float], b: Sequence[float]) -> float:
@@ -413,7 +405,7 @@ def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
     x = np.array(raw, dtype=float).reshape(-1, chart.dim)
     metric = metric or MetricField.euclidean(chart.dim)
     geom = tol.tol_geom
-    canon = x if chart.deck is None else deck_reduce(chart, x)[0]
+    canon = x if chart.deck is None else deck_reduce(chart, x)
     values = np.empty((len(x), len(chart.constraints)))
     for j, con in enumerate(chart.constraints):
         values[:, j] = con.value(canon)
@@ -431,7 +423,7 @@ def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
     bad |= ~np.isfinite(normals).all(axis=1) & np.isfinite(covectors).all(axis=1)
     # rows the batch cannot vouch for take the per-point path, which raises
     for i in np.flatnonzero(bad):
-        pt, _ = normalize_point(chart, x[i], tol)
+        pt = normalize_point(chart, x[i], tol)
         _, normals[i], _ = boundary_frame(chart, pt, metric, tol)
     return canon, normals, g_mats
 

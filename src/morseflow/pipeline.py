@@ -97,15 +97,14 @@ def _retry_seeds(base_seed: int, tol: Tolerances) -> list[int | None]:
     return [first] + [7919 * (base_seed + 1) + i for i in range(1, tol.perturb_retries + 1)]
 
 
-def build_incidences(field: PseudoGradientField,
-                     tol: Tolerances) -> dict[tuple[int, int], IncidenceCount]:
+def build_incidences(field: PseudoGradientField) -> dict[tuple[int, int], IncidenceCount]:
     """Connecting-orbit counts between the field's zeros at grading gap one."""
     zeros = [cp for cp in field.crit.points if cp.kind in (INTERIOR, BOUNDARY_N)]
     table: dict[tuple[int, int], IncidenceCount] = {}
     for p in zeros:
         for q in zeros:
             if p.grading == q.grading + 1:
-                table[(p.id, q.id)] = count_connecting_orbits(field, p, q, tol)
+                table[(p.id, q.id)] = count_connecting_orbits(field, p, q)
     return table
 
 
@@ -119,7 +118,7 @@ def _build_side(entry: CatalogEntry, crit: CriticalSet, for_negative: bool,
                               for_negative=for_negative, perturb_seed=seed, tol=tol,
                               sample=sample)
         try:
-            return field, build_incidences(field, tol)
+            return field, build_incidences(field)
         except NonTransverse as exc:
             # keep the error without its traceback, whose frames would hold
             # this analysis in a reference cycle until the cyclic collector runs
@@ -166,9 +165,11 @@ def _complexes(crit: CriticalSet, tables: dict[str, dict[tuple[int, int], Incide
 def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
                       field_pos: PseudoGradientField,
                       field_neg: PseudoGradientField, base_seed: int,
-                      tol: Tolerances, sample: CertificationSample,
+                      sample: CertificationSample,
                       ) -> tuple[dict[int, PairingReport], int | None]:
-    """Pairing matrices, reusing the certified ascent field for its own seed."""
+    """Pairing matrices, reusing the certified ascent field for its own seed;
+    a retry builds with the ascent field's tolerances."""
+    tol = field_neg.tol
     n = entry.chart.dim
     gens_d = crit.generators("D")
     gens_n = crit.generators("N")
@@ -193,7 +194,7 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
             try:
                 matrix = tuple(
                     tuple(intersection_pairing(ascent, field_pos,
-                                               crit.by_id(pid), crit.by_id(qid), tol)
+                                               crit.by_id(pid), crit.by_id(qid))
                           for qid in cols)
                     for pid in rows)
                 used_seed = seed
@@ -223,7 +224,7 @@ def build_package(entry: CatalogEntry, seed: int = 0,
     homology = {key: cx.homology() for key, cx in complexes.items()}
 
     pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, field_neg,
-                                              seed, tol, sample)
+                                              seed, sample)
 
     checks = _collect_checks(entry, homology, pairing)
     return MorsePackage(

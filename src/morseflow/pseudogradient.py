@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .critical import (BOUNDARY_D, BOUNDARY_N, CriticalPoint, CriticalSet,
+from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalPoint, CriticalSet,
                        boundary_components, boundary_loop_count, reclassify_negated)
 from .errors import BlendGapFailure, SampleMismatch
 from .fields import MorseField
@@ -187,25 +187,10 @@ class AdaptednessCertificate:
     attempts: int
 
     @property
-    def descent_ok(self) -> bool:
-        return self.descent_margin < 0.0
-
-    @property
-    def inward_ok(self) -> bool:
-        return self.inward_margin > 0.0
-
-    @property
-    def interior_ok(self) -> bool:
-        return self.interior_definiteness < 0.0
-
-    @property
-    def tangency_ok(self) -> bool:
-        return self.tangency_definiteness < 0.0
-
-    @property
     def passed(self) -> bool:
-        return (self.descent_ok and self.inward_ok
-                and self.interior_ok and self.tangency_ok)
+        return (self.descent_margin < 0.0 and self.inward_margin > 0.0
+                and self.interior_definiteness < 0.0
+                and self.tangency_definiteness < 0.0)
 
     def as_dict(self) -> dict:
         return {
@@ -235,15 +220,14 @@ class PseudoGradientField:
     patches: tuple[TangencyPatch, ...]
     r_n: float
     delta_c: float
-    for_negative: bool = False
     perturb_seed: int | None = None
     certificate: AdaptednessCertificate | None = None
     _perturb: _Perturbation | None = None
-    tol: Tolerances = DEFAULT
+    tol: Tolerances = DEFAULT        # the one set its flow and certificate read
     # invariant-manifold branches integrated by `flow._branches`, keyed by
-    # (anchor id, reverse, tolerances), and the capture regions of each time
-    # direction, keyed by reverse; a copy made with `dataclasses.replace`
-    # starts empty, since its critical points may differ
+    # (anchor id, reverse), and the capture regions of each time direction,
+    # keyed by reverse; a copy made with `dataclasses.replace` starts empty,
+    # since its critical points or tolerances may differ
     _branch_memo: dict = dataclass_field(default_factory=dict, init=False,
                                          repr=False)
     _capture_memo: dict = dataclass_field(default_factory=dict, init=False,
@@ -336,12 +320,6 @@ class PseudoGradientField:
             e[j] = step
             out[:, j] = (self.evaluate(x + e) - self.evaluate(x - e)) / (2 * step)
         return out
-
-    def patch_for(self, cp: CriticalPoint) -> TangencyPatch | None:
-        for patch in self.patches:
-            if chart_distance(self.chart, patch.center, cp.coords) < 1e-9:
-                return patch
-        return None
 
     def capture_regions(self, reverse: bool = False) -> tuple[CaptureRegion, ...]:
         """Certified capture regions of the sinks of the flow, or of its time
@@ -622,21 +600,21 @@ def _wall_sample(field: PseudoGradientField, sample: CertificationSample) -> Arr
     return keep
 
 
-def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
-                    attempts: int = 0,
+def certify_adapted(field: PseudoGradientField, *, attempts: int = 0,
                     sample: CertificationSample | None = None) -> AdaptednessCertificate:
     """Sample-based check of the four adaptedness conditions.
 
     `sample` is `certification_sample(f, field.chart, field.metric,
-    field.crit, tol)` for the function f the field descends, or for -f when
-    it ascends; it is drawn here, for the field's objective, when not given.
+    field.crit, field.tol)` for the function f the field descends, or for -f
+    when it ascends; it is drawn here, for the field's objective, when not
+    given.
     A sample of any other function raises `SampleMismatch`.  A NaN at any
     sample fails the certificate.
     """
     chart, crit = field.chart, field.crit
     obj = field.objective
     if sample is None:
-        sample = certification_sample(obj, chart, field.metric, crit, tol)
+        sample = certification_sample(obj, chart, field.metric, crit, field.tol)
     interior = sample.interior
     interior_grad, wall_grad = sample.gradients(obj)
     # the sample's points are canonical, so the field reads their gradients
@@ -652,36 +630,29 @@ def certify_adapted(field: PseudoGradientField, tol: Tolerances = DEFAULT,
     inward = (float(np.min(-row_dot(pushed, sample.normals[keep])))
               if len(on_wall) else 1.0)
 
-    interior_def = -math.inf
-    tangency_def = -math.inf
+    interior_def = tangency_def = -math.inf
     has_interior = False
-    has_tangency = False
     for cp in crit.points:
-        if cp.kind == "interior":
+        if cp.kind == INTERIOR:
             has_interior = True
             lin = field.linearization(cp.coords)
             hess = np.asarray(obj.hessian(cp.coords), dtype=float)
             form = 0.5 * (hess @ lin + lin.T @ hess)
             interior_def = max(interior_def, float(np.max(np.linalg.eigvalsh(form))))
-        elif cp.kind == BOUNDARY_N:
-            has_tangency = True
-            patch = field.patch_for(cp)
-            if patch is None:
-                # no model patch at a tangency point: the condition fails outright
-                tangency_def = max(tangency_def, 1.0)
-                continue
-            lin = field.linearization(cp.coords)
-            jac = patch.jacobian(cp.coords)
-            model_lin = jac @ lin @ np.linalg.inv(jac)
-            if chart.dim == 1:
-                quad = np.array([[2.0]])
-            else:
-                quad = np.array([[patch.h, 0.0], [0.0, 2.0]])
-            form = 0.5 * (quad @ model_lin + model_lin.T @ quad)
-            tangency_def = max(tangency_def, float(np.max(np.linalg.eigvalsh(form))))
+    for patch in field.patches:  # one at each type-N point
+        lin = field.linearization(patch.center)
+        jac = patch.jacobian(patch.center)
+        model_lin = jac @ lin @ np.linalg.inv(jac)
+        if chart.dim == 1:
+            quad = np.array([[2.0]])
+        else:
+            quad = np.array([[patch.h, 0.0], [0.0, 2.0]])
+        form = 0.5 * (quad @ model_lin + model_lin.T @ quad)
+        tangency_def = max(tangency_def, float(np.max(np.linalg.eigvalsh(form))))
+    # a condition with no point to test holds, at -1.0
     if not has_interior:
         interior_def = -1.0
-    if not has_tangency:
+    if not field.patches:
         tangency_def = -1.0
     return AdaptednessCertificate(
         descent_margin=descent,
@@ -799,10 +770,9 @@ def build_adapted(field: MorseField, chart: Chart, crit: CriticalSet,
         pg = PseudoGradientField(
             chart=chart, metric=metric, objective=objective, crit=crit_obj,
             patches=patches, r_n=tol.r_n * shrink, delta_c=tol.delta_c * shrink,
-            for_negative=for_negative, perturb_seed=perturb_seed,
-            _perturb=perturb, tol=tol,
+            perturb_seed=perturb_seed, _perturb=perturb, tol=tol,
         )
-        cert = certify_adapted(pg, tol, attempts=attempt + 1, sample=sample)
+        cert = certify_adapted(pg, attempts=attempt + 1, sample=sample)
         pg.certificate = cert
         if cert.passed:
             return pg

@@ -43,7 +43,7 @@ def _split_segments(chart, points: np.ndarray) -> list[np.ndarray]:
     if chart.deck is None:
         return [points]
     period = chart.deck.period
-    canon, _ = deck_reduce(chart, points)
+    canon = deck_reduce(chart, points)
     pieces = []
     start = 0
     for i in range(1, len(canon)):

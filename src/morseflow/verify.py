@@ -321,7 +321,7 @@ def _gradient_fd_error(entry, rng, samples: int = 200) -> float:
         attempts += 1
         x = lo + (hi - lo) * rng.random(chart.dim)
         try:
-            pt, _ = normalize_point(chart, x)
+            pt = normalize_point(chart, x)
         except MorseflowError:
             continue
         if boundary_distance(chart, pt.array) < 10 * step:
@@ -361,7 +361,7 @@ def _boundary_fd_error(entry, pkg) -> float:
             if plus is None or minus is None:
                 continue
             f0, fp, fm = (float(field.value(x)) for x in (x0, plus, minus))
-            pt, _ = normalize_point(chart, x0)
+            pt = normalize_point(chart, x0)
             t_len = float(np.linalg.norm(boundary_frame(chart, pt, entry.metric)[2]))
             g_t, h_t = boundary_restriction_derivatives(field, chart, pt, entry.metric)
             first = (fp - fm) / (2 * h) * t_len

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import morseflow
+from morseflow import cli
 from morseflow.cli import main
 
 
@@ -41,6 +43,32 @@ def test_analyze_moebius_orientation(capsys):
     h = json.loads(out)["homology"]["N_orientation"]
     assert h["betti"] == [0, 0, 0]
     assert h["torsion"][0] == [2]
+
+
+@pytest.mark.parametrize("side", ["N", "D"])
+def test_one_side_reports_no_pairing_row(capsys, side):
+    """Without the pairing, the ledger keeps only the selected homology row."""
+    code, out, _ = run(capsys, "analyze", "annulus", "--complex", side,
+                       "--coefficients", "orientation", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["pairing"] == {}
+    assert [row["name"].split("=")[0] for row in report["ledger"]] == [
+        f"homology:{side}_orientation"]
+    _, text, _ = run(capsys, "analyze", "annulus", "--complex", side,
+                     "--coefficients", "orientation")
+    assert "checks: 1 passed, 0 failed" in text
+
+
+def test_exit_code_follows_only_reported_rows(capsys, monkeypatch, packages):
+    pkg = packages["annulus"]
+    checks = [dataclasses.replace(c, passed=False)
+              if c.name.startswith("pairing_unimodular:") else c for c in pkg.checks]
+    assert checks != pkg.checks
+    monkeypatch.setattr(cli, "build_package",
+                        lambda *_: dataclasses.replace(pkg, checks=checks))
+    assert run(capsys, "analyze", "annulus", "--complex", "N")[0] == 0
+    code, out, _ = run(capsys, "analyze", "annulus")
+    assert code == 2 and "FAIL pairing_unimodular:deg1" in out
 
 
 def test_analyze_unknown_entry(capsys):
@@ -162,7 +190,6 @@ def test_text_format_mentions_homology(capsys):
 
 
 def test_verify_exit_two_on_failed_check(capsys, monkeypatch):
-    from morseflow import cli
     from morseflow.pipeline import CheckRecord
 
     def fake(seed, tol):

@@ -6,7 +6,8 @@ import pytest
 from morseflow import catalog, critical
 from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, _boundary_step,
                                 boundary_components, find_boundary_critical,
-                                find_critical_set, find_interior_critical)
+                                find_critical_set, find_interior_critical,
+                                reclassify_negated)
 from morseflow.fields import boundary_restriction_derivatives
 from morseflow.geometry import MetricField, chart_distance, normalize_point
 from morseflow.params import DEFAULT
@@ -31,7 +32,7 @@ def test_moebius_interior_saddle():
     pts = find_interior_critical(e.field, e.chart)
     assert len(pts) == 1
     cp = pts[0]
-    assert cp.kind == INTERIOR and cp.index == 1
+    assert cp.kind == INTERIOR and cp.grading == 1
     assert cp.value == pytest.approx(0.0, abs=1e-12)
     eigs = np.linalg.eigvalsh(e.field.hessian(cp.coords))
     assert eigs == pytest.approx([-0.5, 0.5])
@@ -128,7 +129,7 @@ def test_boundary_search_complete_against_walk(packages):
         for loop in boundary_components(entry.chart, 4000):
             g = []
             for x in loop:
-                pt, _ = normalize_point(entry.chart, x)
+                pt = normalize_point(entry.chart, x)
                 g_t, _ = boundary_restriction_derivatives(entry.field, entry.chart, pt)
                 g.append(abs(g_t))
             g = np.array(g)
@@ -174,6 +175,35 @@ def test_orientation_frames_span_unstable_directions(packages):
                     assert np.linalg.norm(vec) == pytest.approx(1.0)
 
 
+SWAP = {INTERIOR: INTERIOR, BOUNDARY_N: BOUNDARY_D, BOUNDARY_D: BOUNDARY_N}
+
+
+def _kinds(crit):
+    return [(cp.id, cp.kind, cp.grading, cp.value) for cp in crit.points]
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), "cylinder"])
+def test_negation_complements_gradings_and_swaps_types(packages, cylinder, name):
+    # grading g becomes n - g on every kind of point, and N and D swap; the
+    # critical search run on -f itself, by location, is the judge
+    entry = cylinder if name == "cylinder" else catalog.get(name)
+    crit = (find_critical_set(entry.field, entry.chart, entry.metric)
+            if name == "cylinder" else packages[name].crit)
+    n = crit.dim
+    neg = reclassify_negated(crit, entry.field, entry.chart)
+    assert sorted(cp.id for cp in neg.points) == [cp.id for cp in crit.points]
+    fresh = find_critical_set(entry.field.negated(), entry.chart, entry.metric).points
+    for cp in neg.points:
+        old = crit.by_id(cp.id)
+        assert (cp.kind, cp.grading, cp.value) == (SWAP[old.kind], n - old.grading, -old.value)
+        assert cp.tangential_hessian == -old.tangential_hessian
+        (match,) = [q for q in fresh if chart_distance(entry.chart, q.coords, cp.coords) < 1e-6]
+        assert (match.kind, match.grading) == (cp.kind, cp.grading)
+    # negating twice gives back every point
+    twice = reclassify_negated(neg, entry.field.negated(), entry.chart)
+    assert _kinds(twice) == _kinds(crit)
+
+
 @pytest.mark.parametrize("samples", [300, 398, 402, 1000])
 def test_moebius_found_at_any_walk_density(packages, samples):
     # u = pi, where both boundary critical points sit, is a walk point only
@@ -198,7 +228,7 @@ def test_boundary_step_follows_the_frame_tangent(name):
     h = 1e-5
     for loop in boundary_components(entry.chart, 48):
         for x in loop:
-            pt, _ = normalize_point(entry.chart, x)
+            pt = normalize_point(entry.chart, x)
             g_t, _ = boundary_restriction_derivatives(entry.field, entry.chart, pt)
             plus = _boundary_step(entry.chart, pt.array, h)
             minus = _boundary_step(entry.chart, pt.array, -h)

@@ -93,7 +93,7 @@ def test_certification_makes_no_per_point_calls(packages, monkeypatch):
         return original(self, raw)
 
     monkeypatch.setattr(PseudoGradientField, "evaluate", counted)
-    cert = certify_adapted(field, DEFAULT)
+    cert = certify_adapted(field)
     # only the central-difference linearisations at the critical points remain
     assert len(calls) <= 2 * field.chart.dim * len(field.crit.points)
     assert cert.interior_samples == DEFAULT.cert_interior_samples

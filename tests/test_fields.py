@@ -15,7 +15,7 @@ from morseflow.verify import _boundary_fd_error, _gradient_fd_error
 
 
 def _pt(chart, xy):
-    return normalize_point(chart, xy)[0]
+    return normalize_point(chart, xy)
 
 
 def test_disk_restriction_bottom_is_a_minimum():

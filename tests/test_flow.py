@@ -14,11 +14,18 @@ from morseflow.flow import (CONVERGED, LEFT_DOMAIN, _deck_index,
                             unstable_launches)
 from morseflow.geometry import chart_distance, deck_apply
 from morseflow.params import DEFAULT
-from morseflow.pseudogradient import PseudoGradientField, build_adapted
+from morseflow.pseudogradient import PseudoGradientField, build_adapted, certify_adapted
 from test_geometry import path_orientation_sign
 
 # the step tolerances used before branches ended at capture regions
 TIGHT = DEFAULT.override(rtol=1e-10, atol=1e-12)
+
+
+def _flipped(cp):
+    """cp with its chosen orientation reversed: the first frame vector negated."""
+    frame = list(cp.orientation_ref)
+    frame[0] = tuple(-c for c in frame[0])
+    return dataclasses.replace(cp, orientation_ref=tuple(frame))
 
 
 def _zero(pkg, kind, grading):
@@ -113,10 +120,9 @@ def test_counts_stable_under_smaller_launch_radius(packages):
     tol = DEFAULT.override(r_launch=5e-5)
     for name in ("annulus", "moebius", "tilted_dome"):
         pkg = packages[name]
+        fld = dataclasses.replace(pkg.field_pos, tol=tol)
         for (pid, qid), inc in pkg.incidences["N"].items():
-            again = count_connecting_orbits(
-                pkg.field_pos, pkg.field_pos.crit.by_id(pid),
-                pkg.field_pos.crit.by_id(qid), tol)
+            again = count_connecting_orbits(fld, fld.crit.by_id(pid), fld.crit.by_id(qid))
             assert again.count == inc.count
             assert again.count_twisted == inc.count_twisted
 
@@ -152,7 +158,7 @@ def test_orientation_flip_negates_orbit_signs(packages):
     n0 = _zero(pkg, BOUNDARY_N, 0)
     c2 = _zero(pkg, INTERIOR, 2)
     flipped_crit = dataclasses.replace(fld.crit, points=tuple(
-        n1.flipped() if cp.id == n1.id else cp for cp in fld.crit.points))
+        _flipped(n1) if cp.id == n1.id else cp for cp in fld.crit.points))
     flipped = dataclasses.replace(fld, crit=flipped_crit)
 
     base_in = pkg.incidences["N"][(c2.id, n1.id)]
@@ -171,6 +177,16 @@ def test_orientation_flip_negates_orbit_signs(packages):
     assert got_in.count * got_out.count == base_in.count * base_out.count
 
 
+def test_tolerances_come_only_from_the_field(packages):
+    # a tolerance set passed by position is an error, not read as the
+    # reverse flag or as an attempt count
+    fld = packages["disk"].field_pos
+    with pytest.raises(TypeError):
+        integrate(fld, [0.5, 0.0], DEFAULT)
+    with pytest.raises(TypeError):
+        certify_adapted(fld, DEFAULT)
+
+
 def test_trajectory_records_monotone_time(packages):
     traj = integrate(packages["disk"].field_pos, [0.2, 0.3])
     assert np.all(np.diff(traj.times) > 0)
@@ -182,15 +198,17 @@ def test_timed_out_branches_raise(packages):
     # pairing returned a number where the orbit count raised
     pkg = packages["moebius"]
     tol = DEFAULT.override(max_steps=20)
+    field_pos = dataclasses.replace(pkg.field_pos, tol=tol)
+    field_neg = dataclasses.replace(pkg.field_neg, tol=tol)
     rep = pkg.pairing[1]
     p, p_abs = pkg.crit.by_id(rep.rows[0]), pkg.crit.by_id(rep.cols[0])
-    assert pkg.field_neg.crit.by_id(p.id).kind == INTERIOR
+    assert field_neg.crit.by_id(p.id).kind == INTERIOR
     with pytest.raises(FlowTimeout):
-        intersection_pairing(pkg.field_neg, pkg.field_pos, p, p_abs, tol)
+        intersection_pairing(field_neg, field_pos, p, p_abs)
     source, sink = next(iter(pkg.incidences["N"]))
     with pytest.raises(FlowTimeout):
-        count_connecting_orbits(pkg.field_pos, pkg.field_pos.crit.by_id(source),
-                                pkg.field_pos.crit.by_id(sink), tol)
+        count_connecting_orbits(field_pos, field_pos.crit.by_id(source),
+                                field_pos.crit.by_id(sink))
 
 
 def test_crossing_only_on_a_deck_image():
@@ -308,10 +326,9 @@ def test_capture_keeps_orbit_signs_and_twists(packages, monkeypatch):
                         lambda self, reverse=False: ())
     for name in ("moebius", "tilted_dome"):
         pkg = packages[name]
-        fld = dataclasses.replace(pkg.field_pos)
+        fld = dataclasses.replace(pkg.field_pos, tol=TIGHT)
         for (pid, qid), inc in pkg.incidences["N"].items():
-            again = count_connecting_orbits(fld, fld.crit.by_id(pid),
-                                            fld.crit.by_id(qid), TIGHT)
+            again = count_connecting_orbits(fld, fld.crit.by_id(pid), fld.crit.by_id(qid))
             assert [(o.sign, o.twist) for o in again.orbits] == \
                 [(o.sign, o.twist) for o in inc.orbits], name
 
@@ -365,9 +382,9 @@ def test_sink_failing_its_capture_check_converges_by_r_conv():
     bottom = next(cp for cp in crit.points if cp.kind == INTERIOR)
     plain = build_adapted(bowl, chart, crit)
     assert [r.sink.id for r in plain.capture_regions()] == [bottom.id]
-    swirled = dataclasses.replace(plain, _perturb=_Swirl(bottom.coords))
+    swirled = dataclasses.replace(plain, _perturb=_Swirl(bottom.coords), tol=TIGHT)
     assert swirled.capture_regions() == ()
-    traj = integrate(swirled, bottom.coords + [0.03, 0.01], TIGHT)
+    traj = integrate(swirled, bottom.coords + [0.03, 0.01])
     assert traj.termination == CONVERGED and traj.target == bottom.id
     assert chart_distance(chart, traj.end, bottom.coords) <= TIGHT.r_conv
     assert not np.array_equal(traj.end, bottom.coords)

@@ -7,6 +7,7 @@ through `np.linalg.norm`.  The float integrator must give the same bits:
 every branch integrated for a catalog entry at seeds 0 and 1 and for the
 interior-saddle fixtures is integrated again here and compared byte for byte.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -47,8 +48,8 @@ def _violation(chart, x):
     return max((float(con.value(x)) for con in chart.constraints), default=-math.inf)
 
 
-def reference_integrate(field, start, tol=DEFAULT, reverse=False, allow_exit=False):
-    chart = field.chart
+def reference_integrate(field, start, *, reverse=False, allow_exit=False):
+    chart, tol = field.chart, field.tol
     sgn = -1.0 if reverse else 1.0
     deriv = lambda x: sgn * field.evaluate(x)
     value = lambda x: float(field.objective.value(x))
@@ -170,11 +171,11 @@ def assert_same_trajectory(got, want):
 def check_branches(field):
     """Integrate every branch kept on the field again, with both integrators."""
     checked = 0
-    for (_, reverse, tol), branches in field._branch_memo.items():
+    for (_, reverse), branches in field._branch_memo.items():
         for _, x0, traj in branches:
-            want = reference_integrate(field, x0, tol, reverse=reverse, allow_exit=reverse)
+            want = reference_integrate(field, x0, reverse=reverse, allow_exit=reverse)
             assert_same_trajectory(traj, want)
-            assert_same_trajectory(integrate(field, x0, tol, reverse=reverse,
+            assert_same_trajectory(integrate(field, x0, reverse=reverse,
                                              allow_exit=reverse), want)
             checked += 1
     return checked
@@ -227,11 +228,11 @@ def test_speed_straddling_field_stop_takes_the_exact_norm(packages):
             break
     else:
         pytest.fail("no start where the two norms differ")
-    tol = DEFAULT.override(field_stop=max(plain, exact))
-    want = reference_integrate(field, start, tol)
+    field = dataclasses.replace(field, tol=DEFAULT.override(field_stop=max(plain, exact)))
+    want = reference_integrate(field, start)
     # converged at the start exactly when the BLAS norm is the smaller
     assert (len(want.times) == 1) == (exact < plain)
-    assert_same_trajectory(integrate(field, start, tol), want)
+    assert_same_trajectory(integrate(field, start), want)
 
 
 def test_capture_landing_time_takes_the_exact_norm(packages):

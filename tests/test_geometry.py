@@ -39,16 +39,14 @@ def annulus_chart():
 
 
 def test_normalize_moebius_one_deck_application(moebius_chart):
-    pt, sign = normalize_point(moebius_chart, [3 * math.pi, 0.5])
+    pt = normalize_point(moebius_chart, [3 * math.pi, 0.5])
     assert pt.coords[0] == pytest.approx(math.pi)
     assert pt.coords[1] == pytest.approx(-0.5)
-    assert sign == -1
 
 
 def test_normalize_disk_identity(disk_chart):
-    pt, sign = normalize_point(disk_chart, [0.3, 0.4])
+    pt = normalize_point(disk_chart, [0.3, 0.4])
     assert pt.coords == (0.3, 0.4)
-    assert sign == 1
 
 
 def test_normalize_outside_disk(disk_chart):
@@ -62,28 +60,27 @@ def test_normalize_outside_strip(moebius_chart):
 
 
 def test_normalize_idempotent(moebius_chart):
-    pt, _ = normalize_point(moebius_chart, [5.0, -0.3])
-    again, sign = normalize_point(moebius_chart, pt.coords)
+    pt = normalize_point(moebius_chart, [5.0, -0.3])
+    again = normalize_point(moebius_chart, pt.coords)
     assert again.coords == pt.coords
-    assert sign == 1
 
 
 def test_boundary_data_disk_bottom(disk_chart):
-    pt, _ = normalize_point(disk_chart, [0.0, -1.0])
+    pt = normalize_point(disk_chart, [0.0, -1.0])
     name, normal = boundary_data(disk_chart, pt)
     assert name == "rim"
     assert normal == pytest.approx([0.0, -1.0])
 
 
 def test_boundary_data_annulus_inner_points_into_hole(annulus_chart):
-    pt, _ = normalize_point(annulus_chart, [0.0, 1.0])
+    pt = normalize_point(annulus_chart, [0.0, 1.0])
     name, normal = boundary_data(annulus_chart, pt)
     assert name == "inner"
     assert normal == pytest.approx([0.0, -1.0])
 
 
 def test_boundary_data_interior_empty(annulus_chart):
-    pt, _ = normalize_point(annulus_chart, [0.5, 1.5])
+    pt = normalize_point(annulus_chart, [0.5, 1.5])
     assert boundary_data(annulus_chart, pt) is None
 
 
@@ -103,7 +100,7 @@ def test_boundary_data_corner_rejected():
 
 def test_normal_has_unit_metric_length(annulus_chart):
     metric = MetricField.scaled(2, 4.0)
-    pt, _ = normalize_point(annulus_chart, [2.0 / math.sqrt(2)] * 2)
+    pt = normalize_point(annulus_chart, [2.0 / math.sqrt(2)] * 2)
     _, normal = boundary_data(annulus_chart, pt, metric)
     g = metric.matrix(pt.array)
     assert float(normal @ g @ normal) == pytest.approx(1.0, abs=1e-9)

@@ -96,9 +96,9 @@ def n_side(request):
     launches = []
     integrate = flow.integrate
 
-    def counted(field, start, tol=DEFAULT, reverse=False, allow_exit=False):
+    def counted(field, start, *, reverse=False, allow_exit=False):
         launches.append((tuple(np.asarray(start, dtype=float)), reverse))
-        return integrate(field, start, tol, reverse=reverse, allow_exit=allow_exit)
+        return integrate(field, start, reverse=reverse, allow_exit=allow_exit)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "integrate", counted)

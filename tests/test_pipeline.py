@@ -6,7 +6,6 @@ from morseflow.chains import HomologyResult, IntegerChainComplex
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 from morseflow.cli import _report
 from morseflow.errors import InvarianceFailure, NonTransverse
-from morseflow.params import DEFAULT
 from morseflow.pipeline import (PairingReport, assert_identical_homology,
                                 complex_key, homologies_for_seed)
 from morseflow.pseudogradient import build_adapted
@@ -201,9 +200,8 @@ def instrumented():
             fields.append(build_adapted(*args, **kwargs))
             return fields[-1]
 
-        def counted_integrate(field, start, tol=DEFAULT, reverse=False,
-                              allow_exit=False):
-            traj = integrate(field, start, tol, reverse=reverse, allow_exit=allow_exit)
+        def counted_integrate(field, start, *, reverse=False, allow_exit=False):
+            traj = integrate(field, start, reverse=reverse, allow_exit=allow_exit)
             # the field itself is kept, so no id is reused by a later field
             launches.append((field, tuple(np.asarray(start, dtype=float)), reverse,
                              len(traj.points)))
@@ -243,7 +241,8 @@ def test_package_integrates_each_branch_once(instrumented, name, integrations):
 def test_package_traces_the_wall_once(instrumented):
     pkg, fields, _, traces = instrumented("annulus")
     # descent, ascent and the pairing retry's ascent field share one trace
-    assert [(f.for_negative, f.perturb_seed) for f in fields] == [
+    ascends = [f.objective.negation_of is pkg.entry.field for f in fields]
+    assert list(zip(ascends, [f.perturb_seed for f in fields])) == [
         (False, None), (True, None), (True, pkg.pairing_seed)]
     assert len(traces) == 1
 
@@ -255,5 +254,5 @@ def test_shared_wall_trace_keeps_certificates(instrumented):
     assert len(fields) == 3
     for fld in fields:
         assert fld.certificate.attempts == 1
-        own = pseudogradient.certify_adapted(fld, DEFAULT, attempts=1, sample=None)
+        own = pseudogradient.certify_adapted(fld, attempts=1, sample=None)
         assert fld.certificate.as_dict() == own.as_dict()

@@ -7,7 +7,6 @@ import pytest
 from morseflow import catalog
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 from morseflow.geometry import boundary_distance, chart_distance
-from morseflow.params import DEFAULT
 from morseflow.pseudogradient import (PseudoGradientField, certify_adapted,
                                       halton_sequence)
 
@@ -29,7 +28,7 @@ def test_raw_gradient_fails_inwardness_on_annulus(packages):
     raw = PseudoGradientField(
         chart=base.chart, metric=base.metric, objective=base.objective,
         crit=base.crit, patches=(), r_n=base.r_n, delta_c=0.0)
-    cert = certify_adapted(raw, DEFAULT)
+    cert = certify_adapted(raw)
     assert cert.inward_margin < 0  # -grad f points outward near the tangency points
 
 
