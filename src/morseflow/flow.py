@@ -14,13 +14,14 @@ so the step tolerances are loose.
 The integrator steps in float arithmetic: stages, error norm, wall test and
 stop tests work on lists of floats and round as the numpy 2-vector arithmetic
 they replaced.  Each stage passes its list to `PseudoGradientField.evaluate`,
-and the wall test reads every wall through `BoundaryConstraint.read`, which
-a line or a circle computes in float arithmetic.  Numpy is left to the output
-arrays, the objective's callables, a wall given by callables alone, the
-landing on a wall and the entry into a capture region.  `np.linalg.norm`,
-whose BLAS dot may round differently from `sqrt(a*a + b*b)`, gives the speed
-where its last bit decides: within a relative 1e-9 of `field_stop`, and for
-the landing time at a capture region.
+the field's compiled float kernel, and reads its ndarray back as a list; the
+flow evaluates the field through nothing else.  The wall test reads every wall
+through `BoundaryConstraint.read`.  Numpy is left to the output arrays, the
+objective's callables, a wall given by callables alone, the landing on a wall
+and the entry into a capture region.  `np.linalg.norm`, whose BLAS dot may
+round differently from `sqrt(a*a + b*b)`, gives the speed where its last bit
+decides: within a relative 1e-9 of `field_stop`, and for the landing time at
+a capture region.
 
 Every connecting orbit between generators of adjacent grading on a surface is
 a branch of a one-dimensional invariant manifold, so each count follows one:

@@ -8,11 +8,11 @@ with halved radii before giving up.
 
 The field has two evaluators that return the same bits: certification
 evaluates its samples in batches (`PseudoGradientField.evaluate_many`), and
-the flow integrator evaluates point by point (`PseudoGradientField.evaluate`),
-where a one-row batch would cost several times as much.  The point evaluator
-calls the objective and the metric as given and reads every wall through
-`BoundaryConstraint.read`, in float arithmetic for a line or a circle; the
-batch calls the walls' own callables.
+the flow integrator point by point (`PseudoGradientField.evaluate`), where a
+one-row batch would cost several times as much.  The point evaluator is one
+straight-line float kernel per field (`_point_evaluator`) around one call of
+the objective's gradient and of the metric and one `BoundaryConstraint.read`
+per wall; the batch calls the walls' own callables.
 
 One analysis draws its certification sample once (`certification_sample`):
 interior points and the traced wall, which depend only on the chart, the
@@ -40,14 +40,6 @@ from .geometry import (BoundaryConstraint, Chart, MetricField, active_constraint
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
-
-
-def smoothstep(s: float) -> float:
-    if s <= 0.0:
-        return 0.0
-    if s >= 1.0:
-        return 1.0
-    return s * s * (3.0 - 2.0 * s)
 
 
 def _smoothstep_many(s: Array) -> Array:
@@ -307,7 +299,7 @@ class PseudoGradientField:
                       + chi[:, None] * patch.model_vectors(self.chart, x[i]))
 
         if self._perturb is not None:
-            vec = vec + self._perturb.many(x, wall)
+            vec = vec + self._perturb.many(x, wall, self.tol)
         return vec
 
     def linearization(self, at: Array, step: float = 1e-6) -> Array:
@@ -339,80 +331,155 @@ class PseudoGradientField:
 
 
 def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
-    """`evaluate` for one field, compiled when the field is built: what does
-    not depend on the point (each wall's reader, and each patch's wall,
-    center and tangent as Python floats) is resolved here.  Per
-    point, the objective and the metric are called as given and each wall is
-    read through `BoundaryConstraint.read`; the rest is float arithmetic with
-    the operations of `_eval_canonical_many`, in the same order, so both give
-    the same bits.  A list of coordinates is read as its floats, anything
-    else through `np.asarray`.  Non-finite coordinates give NaN.
+    """`evaluate` for one field: straight-line float arithmetic, compiled when
+    the field is built.  What does not depend on the point (the tolerances,
+    each wall's reader, each patch's center and tangent as Python floats, the
+    perturbation's waves) is resolved here.  Per point, the objective and the
+    metric are called as given and each wall is read through
+    `BoundaryConstraint.read`; the rest is the arithmetic of
+    `_eval_canonical_many`, component by component with the same operations
+    in the same order, so both give the same bits.  On a line, v and each
+    center's second coordinate are 0.0, which moves no bit of a coordinate
+    gap, and the second components of vectors are dropped; a metric other
+    than the identity takes the list helpers the batch takes.  A list of
+    coordinates is read as its floats, anything else through `np.asarray`.
+    Non-finite coordinates give NaN.
     """
     chart, tol, dim, deck = field.chart, field.tol, field.chart.dim, field.chart.deck
+    two_d = dim == 2
     gradient = field.objective.gradient
     matrix = None if field.metric.identity else field.metric.matrix
     readers = tuple(con.read for con in chart.constraints)
+    period = None if deck is None else deck.period
+    folds = deck is not None and deck.flip == -1
+
+    def padded(c) -> list:
+        return [*c, 0.0] if len(c) == 1 else list(c)
+
     # a patch takes its depth z from its wall's value, read for the collar
-    patches = tuple((p.center.tolist(), p.tangent.tolist(), p.h, p.grad_norm_at_center,
-                     chart.constraints.index(p.constraint)) for p in field.patches)
+    patches = tuple((*padded(p.center.tolist()), *padded(p.tangent.tolist()), p.h,
+                     p.grad_norm_at_center, chart.constraints.index(p.constraint))
+                    for p in field.patches)
     r_n, half, delta_c = field.r_n, 0.5 * field.r_n, field.delta_c
+    eps_n, g_min = tol.eps_n, tol.g_min
     perturb = field._perturb
+    if perturb is not None:
+        centers = [padded(c) for c in perturb.centers]
+        if two_d:
+            (sg0, (w00, w01), ph0), (sg1, (w10, w11), ph1) = perturb._terms
+        else:
+            (sg0, (w00,), ph0), = perturb._terms
+        # a center's factor in the envelope is exactly 1.0 beyond 2 r_excl,
+        # where smoothstep saturates: beyond this coordinate gap a center is
+        # that far, with a margin far above the rounding of gap and distance
+        apart = 2.0 * tol.r_excl * (1.0 + 1e-9)
+        bump, amp_max = 2.0 * tol.r_excl, tol.perturb_amp
+        seam = None if deck is None else 0.1 * period
 
     def evaluate(raw) -> Array:
         xs = (list(map(float, raw)) if type(raw) is list
               else np.asarray(raw, dtype=float).tolist())
         if not all(map(math.isfinite, xs)):
             return np.full(dim, math.nan)
+        u, v = xs if two_d else (xs[0], 0.0)
         flip = False
         if deck is not None:
-            k = math.floor(xs[0] / deck.period)
-            flip = k % 2 != 0 and deck.flip == -1
-            xs = [xs[0] + -k * deck.period, -xs[1] if flip else xs[1]]
+            k = math.floor(u / period)
+            flip = k % 2 != 0 and folds
+            u, v = u + -k * period, -v if flip else v
+            xs = [u, v]
         x = np.array(xs)
         grad = np.asarray(gradient(x), dtype=float).tolist()
         g = None if matrix is None else np.asarray(matrix(x), dtype=float).tolist()
-        vec = [-c for c in (grad if g is None else _solve(g, grad))]
+        g0, g1 = grad if two_d else (grad[0], 0.0)
+        a0, a1 = (-g0, -g1) if g is None else padded([-c for c in _solve(g, grad)])
 
         # collar at the nearest wall; on a tie the first wall wins
-        depth, cov, wall = math.inf, None, math.inf
+        depth = wall = math.inf
         values = [read(xs) for read in readers]
         for b, piece_cov, gnorm in values:
             piece_depth = -b / gnorm if gnorm >= 1e-30 else math.inf
-            wall = min(wall, abs(piece_depth))
+            if abs(piece_depth) < wall:
+                wall = abs(piece_depth)
             if piece_depth < depth:
                 depth, cov = piece_depth, piece_cov
         if delta_c > 0.0 and depth < delta_c:
-            normal = _unit_dual(cov, g, math.sqrt)
-            nu = plain_dot(grad, normal)
-            tangential = _axpy(vec, nu, normal)
-            g_t = math.sqrt(plain_dot(tangential, tangential) if g is None
-                            else max(_quadratic(tangential, g), 0.0))
-            cap = (tol.eps_n if nu >= 0.0 else 0.0 if g_t < tol.g_min
-                   else min(tol.eps_n, g_t * g_t / (2.0 * abs(nu))))
-            push = min(1.0, max(0.0, 1.0 - depth / delta_c)) * (nu - cap)
-            vec = _axpy(vec, push, normal)
+            if g is None:
+                c0, c1 = cov if two_d else (cov[0], 0.0)
+                length = math.sqrt(c0 * c0 + c1 * c1 if two_d else c0 * c0)
+                n0, n1 = c0 / length, c1 / length
+            else:
+                n0, n1 = padded(_unit_dual(cov, g, math.sqrt))
+            nu = g0 * n0 + g1 * n1 if two_d else g0 * n0
+            if nu >= 0.0:
+                cap = eps_n
+            else:
+                t0, t1 = a0 + nu * n0, a1 + nu * n1
+                g_t = math.sqrt((t0 * t0 + t1 * t1 if two_d else t0 * t0) if g is None
+                                else max(_quadratic([t0, t1][:dim], g), 0.0))
+                cap = 0.0 if g_t < g_min else min(eps_n, g_t * g_t / (2.0 * abs(nu)))
+            s = 1.0 - depth / delta_c
+            push = (1.0 if s >= 1.0 else s if s > 0.0 else 0.0) * (nu - cap)
+            a0, a1 = a0 + push * n0, a1 + push * n1
 
         # the first patch within r_n claims the point, even where its blend is zero
-        for center, tangent, h, grad_norm, piece in patches:
-            d = coords_distance(chart, xs, center)
+        for c0, c1, t0, t1, h, grad_norm, piece in patches:
+            d0, d1 = u - c0, v - c1
+            d = (math.sqrt(d0 * d0 + d1 * d1) if deck is None
+                 else coords_distance(chart, xs, (c0, c1)))
             if d >= r_n:
                 continue
-            chi = 1.0 - smoothstep((d - half) / half)
+            s = (d - half) / half
+            chi = 1.0 - (0.0 if s <= 0.0 else 1.0 if s >= 1.0 else s * s * (3.0 - 2.0 * s))
             if chi > 0.0:
-                delta = [p - q for p, q in zip(xs, center)]
-                if deck is not None:
-                    delta[0] -= deck.period * round(delta[0] / deck.period)
                 b, piece_cov, _ = values[piece]
-                z, dz = -b / grad_norm, [-c / grad_norm for c in piece_cov]
-                model = _model_vector(tangent, h, delta, z, dz)
-                vec = [(1.0 - chi) * a + chi * m for a, m in zip(vec, model)]
+                z = -b / grad_norm
+                if two_d:
+                    if deck is not None:
+                        d0 -= period * round(d0 / period)
+                    e0, e1 = -piece_cov[0] / grad_norm, -piece_cov[1] / grad_norm
+                    det = t0 * e1 - t1 * e0
+                    my, mz = -h * (d0 * t0 + d1 * t1), -z
+                    m0, m1 = (e1 * my - t1 * mz) / det, (t0 * mz - e0 * my) / det
+                else:
+                    m0, m1 = -z / (-piece_cov[0] / grad_norm), 0.0
+                a0, a1 = (1.0 - chi) * a0 + chi * m0, (1.0 - chi) * a1 + chi * m1
             break
 
+        # the seeded bump field of `_Perturbation`, vanishing near the walls,
+        # the critical points and the seam
         if perturb is not None:
-            vec = [a + q for a, q in zip(vec, perturb.at(xs, wall))]
-        if flip:
-            vec[1] = -vec[1]
-        return np.array(vec)
+            s = wall / tol.delta_c
+            env = 0.0 if s <= 0.0 else 1.0 if s >= 1.0 else s * s * (3.0 - 2.0 * s)
+            for c0, c1 in centers:
+                if env == 0.0:
+                    break
+                # the coordinate gaps bound the chart distance from below: u
+                # around the period and, under a flip, |v| against |v|
+                du = abs(u - c0)
+                if deck is not None:
+                    du %= period
+                    du = min(du, period - du)
+                dv = abs(abs(v) - abs(c1)) if folds else abs(v - c1)
+                if du > apart or dv > apart:
+                    continue  # the factor is exactly 1.0
+                s = coords_distance(chart, xs, (c0, c1)) / bump
+                env *= 0.0 if s <= 0.0 else 1.0 if s >= 1.0 else s * s * (3.0 - 2.0 * s)
+            if env != 0.0 and deck is not None:
+                s = u % period
+                s = min(s, period - s) / seam
+                env *= 0.0 if s <= 0.0 else 1.0 if s >= 1.0 else s * s * (3.0 - 2.0 * s)
+            if env == 0.0:
+                a0, a1 = a0 + 0.0, a1 + 0.0
+            elif two_d:
+                amp = amp_max * env
+                a0 = a0 + amp * (sg0 * math.sin(u * w00 + v * w01 + ph0))
+                a1 = a1 + amp * (sg1 * math.sin(u * w10 + v * w11 + ph1))
+            else:
+                a0 = a0 + amp_max * env * (sg0 * math.sin(u * w00 + ph0))
+        if not two_d:
+            return np.array([a0])
+        return np.array([a0, -a1 if flip else a1])
 
     return evaluate
 
@@ -421,62 +488,28 @@ class _Perturbation:
     """Seeded smooth bump field vanishing near the boundary, the critical points,
     and (under a deck map) the gluing seam, so adaptedness margins survive.
 
-    The waves, phases and signs are drawn once.  Both evaluators pass the
-    distance to the nearest wall, which they have already computed.  A
-    center's factor in the envelope is exactly 1.0 beyond 2 r_excl, where
-    `smoothstep` saturates, so `at` skips a center that a bound from the
-    coordinates alone puts that far away.
+    The waves, phases and signs are drawn once; the field's tolerances set
+    the amplitude and the radii.  The point evaluator computes the bump in
+    float arithmetic with the bits of `many`, and skips a center that a bound
+    from the coordinates alone puts beyond 2 r_excl, where its factor in the
+    envelope is exactly 1.0.
     """
 
-    def __init__(self, chart: Chart, crit: CriticalSet, seed: int,
-                 tol: Tolerances):
+    def __init__(self, chart: Chart, crit: CriticalSet, seed: int):
         rng = np.random.default_rng(seed)
         dim = chart.dim
         self.chart = chart
-        self.tol = tol
         self.waves = rng.uniform(0.5, 2.5, size=(dim, dim))
         self.phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
         self.signs = rng.choice([-1.0, 1.0], size=dim)
         self.centers = [cp.coords.tolist() for cp in crit.points]
         self._terms = tuple(zip(self.signs.tolist(), self.waves.tolist(),
                                 self.phases.tolist()))
-        # beyond this coordinate gap a center is farther than 2 r_excl, with
-        # a margin far above the rounding of the gap and of the distance
-        self._apart = 2.0 * tol.r_excl * (1.0 + 1e-9)
 
-    def at(self, x: list[float], wall: float) -> list[float]:
-        """The perturbation at canonical coordinates x, `wall` from the nearest
-        wall, in float arithmetic with the bits of `many`."""
-        chart, tol, apart = self.chart, self.tol, self._apart
-        period = None if chart.deck is None else chart.deck.period
-        fold = chart.deck is not None and chart.deck.flip == -1
-        env = smoothstep(wall / tol.delta_c)
-        for c in self.centers:
-            if env == 0.0:
-                break
-            # the coordinate gaps bound the chart distance from below: u
-            # around the period and, under a flip, |v| against |v|
-            du = abs(x[0] - c[0])
-            if period is not None:
-                du %= period
-                du = min(du, period - du)
-            dv = (0.0 if len(x) == 1 else abs(abs(x[1]) - abs(c[1])) if fold
-                  else abs(x[1] - c[1]))
-            if du > apart or dv > apart:
-                continue  # the factor is exactly 1.0
-            env *= smoothstep(coords_distance(chart, x, c) / (2.0 * tol.r_excl))
-        if env != 0.0 and period is not None:
-            u = x[0] % period
-            env *= smoothstep(min(u, period - u) / (0.1 * period))
-        if env == 0.0:
-            return [0.0] * chart.dim
-        amp = tol.perturb_amp * env
-        return [amp * (sign * math.sin(plain_dot(x, wave) + phase))
-                for sign, wave, phase in self._terms]
-
-    def many(self, x: Array, wall: Array) -> Array:
-        """`at` at each row of x, with the same bits."""
-        chart, tol = self.chart, self.tol
+    def many(self, x: Array, wall: Array, tol: Tolerances) -> Array:
+        """The perturbation at each row of x, canonical coordinates `wall`
+        from the nearest wall, under the tolerances tol."""
+        chart = self.chart
         env = _smoothstep_many(wall / tol.delta_c)
         for c in self.centers:
             env = env * _smoothstep_many(chart_distance_many(chart, x, c)
@@ -488,7 +521,7 @@ class _Perturbation:
             env = env * _smoothstep_many(seam / (0.1 * period))
         phase = np.stack([plain_dot(x.T, wave) for wave in self.waves], axis=1) + self.phases
         vec = (tol.perturb_amp * env)[:, None] * (self.signs * np.sin(phase))
-        # `at` returns +0.0 where the envelope vanishes
+        # the point evaluator adds +0.0 where the envelope vanishes
         return np.where(env[:, None] == 0.0, 0.0, vec)
 
 
@@ -762,7 +795,7 @@ def build_adapted(field: MorseField, chart: Chart, crit: CriticalSet,
     patches = tuple(_make_patch(chart, cp, tol) for cp in crit_obj.points
                     if cp.kind == BOUNDARY_N)
     perturb = (None if perturb_seed is None or perturb_seed == 0
-               else _Perturbation(chart, crit_obj, perturb_seed, tol))
+               else _Perturbation(chart, crit_obj, perturb_seed))
 
     last = None
     for attempt in range(tol.build_retries + 1):

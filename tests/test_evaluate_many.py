@@ -2,9 +2,11 @@
 
 Certification evaluates in batches and the flow integrator point by point, so
 the two must return the same bits: every comparison here is exact.  The
-per-point evaluator is float arithmetic compiled once per field; the batch
-repeats its operations elementwise, in the same order and with no BLAS dot,
-which may fuse a multiply and an add.
+per-point evaluator is one straight-line float kernel compiled per field; the
+batch repeats its operations elementwise, in the same order and with no BLAS
+dot, which may fuse a multiply and an add.  The points are the certification
+samples, which reach the collars and the patches only sparsely, and every
+sample of every branch an analysis integrated, which run into both.
 """
 import dataclasses
 
@@ -13,10 +15,12 @@ import pytest
 
 from morseflow import catalog
 from morseflow.critical import find_critical_set
-from morseflow.geometry import MetricField
+from morseflow.geometry import MetricField, chart_distance_many
 from morseflow.params import DEFAULT
-from morseflow.pseudogradient import (PseudoGradientField, _wall_sample, build_adapted,
-                                      certification_sample, certify_adapted)
+from morseflow.pipeline import build_package
+from morseflow.pseudogradient import (PseudoGradientField, _pieces_many, _wall_sample,
+                                      build_adapted, certification_sample,
+                                      certify_adapted)
 
 
 def assert_same_bits(field, points):
@@ -53,6 +57,37 @@ def test_certification_samples_match(packages, name, seed):
         assert len(wall) > 0
         assert_same_bits(field, interior)
         assert_same_bits(field, wall)
+
+
+def branch_samples(field):
+    """The samples of every branch integrated on the field, one row each."""
+    return [x for branches in field._branch_memo.values()
+            for _, _, traj in branches for x in traj.points]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", [*catalog.names(), "cylinder"])
+def test_flow_samples_match(cylinder, name, seed):
+    entry = cylinder if name == "cylinder" else catalog.get(name)
+    pkg = build_package(entry, seed=seed)
+    in_collar = in_patch = 0
+    for field in (pkg.field_pos, pkg.field_neg):
+        points = np.array(branch_samples(field))
+        if not len(points):
+            continue
+        assert_same_bits(field, points)
+        if field.chart.deck is not None:
+            period = field.chart.deck.period
+            for shift in (-period, period):
+                assert_same_bits(field, points + [shift, 0.0])
+        x, _ = field._canonical_many(points)
+        depth = np.min([d for d, _ in _pieces_many(field.chart, x)], axis=0, initial=np.inf)
+        in_collar += np.count_nonzero(depth < field.delta_c)
+        in_patch += sum(np.count_nonzero(chart_distance_many(field.chart, x, p.center)
+                                         < field.r_n) for p in field.patches)
+    # only the interval and the disk, whose complexes need no orbit, have none
+    if name not in ("interval", "disk"):
+        assert in_collar > 0 and in_patch > 0
 
 
 @pytest.mark.parametrize("seed", [None, 1])
@@ -122,3 +157,13 @@ def test_cylinder_deck_images_match(cylinder, seed):
         moved = np.array([field.evaluate(x) for x in shifted])
         still = np.array([field.evaluate(x) for x in points])
         assert np.allclose(moved, still, rtol=0.0, atol=1e-12)
+
+
+def test_a_copy_perturbs_with_its_own_tolerances(packages):
+    pkg = packages["disk"]
+    field = side_fields(pkg.entry, pkg.crit, 1)[0]
+    louder = dataclasses.replace(field, tol=dataclasses.replace(
+        field.tol, perturb_amp=10.0 * field.tol.perturb_amp))
+    point = [0.1, 0.2]
+    assert not np.array_equal(louder.evaluate(point), field.evaluate(point))
+    assert_same_bits(louder, [point])

@@ -19,10 +19,18 @@ from morseflow.geometry import (MetricField, boundary_distance, deck_apply, deck
                                 metric_normal)
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _build_side
-from morseflow.pseudogradient import _wall_sample, certification_sample, smoothstep
+from morseflow.pseudogradient import _wall_sample, certification_sample
 
 _E_DOWN = np.array([0.0, -1.0])
 _E_UP = np.array([0.0, 1.0])
+
+
+def smoothstep(s):
+    if s <= 0.0:
+        return 0.0
+    if s >= 1.0:
+        return 1.0
+    return s * s * (3.0 - 2.0 * s)
 
 
 def _chart_distance(chart, a, b):
@@ -93,8 +101,8 @@ def _model_vector(patch, chart, x):
     return np.array([(d * my - b * mz) / det, (a * mz - c * my) / det])
 
 
-def _perturbation(pert, x):
-    chart, tol, dim = pert.chart, pert.tol, pert.chart.dim
+def _perturbation(pert, tol, x):
+    chart, dim = pert.chart, pert.chart.dim
     if chart.deck is not None:
         (v_lo, v_hi) = chart.box[1]
         wall = min(abs(x[1] - v_lo), abs(v_hi - x[1]))
@@ -157,7 +165,7 @@ def _eval_canonical(field, x):
         break
 
     if field._perturb is not None:
-        vec = vec + _perturbation(field._perturb, x)
+        vec = vec + _perturbation(field._perturb, field.tol, x)
     return vec
 
 

@@ -33,6 +33,35 @@ def _zero(pkg, kind, grading):
                 if cp.kind == kind and cp.grading == grading)
 
 
+def test_flow_evaluates_the_field_only_through_evaluate(packages, monkeypatch):
+    # the benchmark's tracer counts field evaluations, and times them, by
+    # wrapping `PseudoGradientField.evaluate`; a call of the compiled kernel
+    # past it would go uncounted
+    calls = {"evaluate": 0, "kernel": 0}
+    evaluate = PseudoGradientField.evaluate
+
+    def counted(self, raw):
+        calls["evaluate"] += 1
+        return evaluate(self, raw)
+
+    monkeypatch.setattr(PseudoGradientField, "evaluate", counted)
+    pkg = packages["tilted_dome"]
+    for side in (pkg.field_pos, pkg.field_neg):
+        field = dataclasses.replace(side)  # its own kernel, and no branch yet
+        kernel = field._point
+
+        def counted_kernel(raw, kernel=kernel):
+            calls["kernel"] += 1
+            return kernel(raw)
+
+        field._point = counted_kernel
+        for cp in field.crit.points:
+            if cp.grading == 1 and cp.kind in (INTERIOR, BOUNDARY_N):
+                for reverse in (False, True):
+                    flow._branches(field, cp, reverse)
+    assert calls["kernel"] == calls["evaluate"] > 0
+
+
 def test_disk_descent_reaches_the_bottom(packages):
     pkg = packages["disk"]
     traj = integrate(pkg.field_pos, [0.5, 0.0])
@@ -354,20 +383,23 @@ def test_reversed_orbit_moves_each_sample_by_the_deck_map(packages, k):
     assert np.array_equal(traj.points, points)  # the branch itself is not moved
 
 
-class _Swirl:
-    """A rotation about center, strong enough that the bowl below rises along
-    the field next to its minimum, which still attracts as a spiral."""
+def _swirled(field, center, tol):
+    """A copy of a field on a chart without a deck map, under tol, plus a
+    rotation about center, strong enough that the bowl below rises along the
+    field next to its minimum, which still attracts as a spiral."""
+    out = dataclasses.replace(field, tol=tol)
+    point, many = out._point, out._eval_canonical_many
 
-    def __init__(self, center):
-        self.center = np.asarray(center, dtype=float)
+    def swirled_point(raw):
+        d = np.asarray(raw, dtype=float) - center
+        return point(raw) + 10.0 * np.array([-d[1], d[0]])
 
-    def at(self, x, wall):
-        d = np.asarray(x) - self.center
-        return (10.0 * np.array([-d[1], d[0]])).tolist()
+    def swirled_many(x, grad):
+        d = x - center
+        return many(x, grad) + 10.0 * np.stack([-d[:, 1], d[:, 0]], axis=1)
 
-    def many(self, x, wall):
-        d = x - self.center
-        return 10.0 * np.stack([-d[:, 1], d[:, 0]], axis=1)
+    out._point, out._eval_canonical_many = swirled_point, swirled_many
+    return out
 
 
 def test_sink_failing_its_capture_check_converges_by_r_conv():
@@ -382,7 +414,7 @@ def test_sink_failing_its_capture_check_converges_by_r_conv():
     bottom = next(cp for cp in crit.points if cp.kind == INTERIOR)
     plain = build_adapted(bowl, chart, crit)
     assert [r.sink.id for r in plain.capture_regions()] == [bottom.id]
-    swirled = dataclasses.replace(plain, _perturb=_Swirl(bottom.coords), tol=TIGHT)
+    swirled = _swirled(plain, bottom.coords, TIGHT)
     assert swirled.capture_regions() == ()
     traj = integrate(swirled, bottom.coords + [0.03, 0.01])
     assert traj.termination == CONVERGED and traj.target == bottom.id
