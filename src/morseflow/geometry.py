@@ -277,8 +277,8 @@ def coords_distance(chart: Chart, a: list[float], b: list[float]) -> float:
     for k in (shift - 1, shift, shift + 1):
         d0 = a[0] + k * period - b[0]
         d1 = a[1] * (1.0 if k % 2 == 0 else flip) - b[1]
-        best = min(best, math.sqrt(d0 * d0 + d1 * d1))
-    return best
+        best = min(best, d0 * d0 + d1 * d1)
+    return math.sqrt(best)   # sqrt is monotone: the root of the least square
 
 
 def plain_dot(a, b):
@@ -318,8 +318,8 @@ def chart_distance_many(chart: Chart, points: Array, b: Sequence[float]) -> Arra
     for k in (shift - 1, shift, shift + 1):
         d = [xa[0] + k * period - xb[0],
              xa[1] * np.where(k % 2 == 0, 1.0, flip) - xb[1]]
-        best = np.minimum(best, np.sqrt(plain_dot(d, d)))
-    return best
+        best = np.minimum(best, plain_dot(d, d))
+    return np.sqrt(best)   # one root of the least square, as `coords_distance`
 
 
 def metric_normal(metric: MetricField, x: Array, covector: Array) -> Array:

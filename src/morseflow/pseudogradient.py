@@ -6,13 +6,15 @@ capped inward push, and exact model fields in patches around the boundary
 tangency points.  Every build is certified by sampling; failed builds retry
 with halved radii before giving up.
 
-The field has two evaluators that return the same bits: certification
-evaluates its samples in batches (`PseudoGradientField.evaluate_many`), and
-the flow integrator point by point (`PseudoGradientField.evaluate`), where a
-one-row batch would cost several times as much.  The point evaluator is one
-straight-line float kernel per field (`_point_evaluator`) around one call of
-the objective's gradient and of the metric and one `BoundaryConstraint.read`
-per wall; the batch calls the walls' own callables.
+A field derives its patches and perturbation from its eight init fields, and
+only `build_adapted` certifies it.  It has two evaluators that return the
+same bits: certification evaluates its samples in batches
+(`PseudoGradientField.evaluate_many`), and the flow integrator point by point
+(`PseudoGradientField.evaluate`), where a one-row batch would cost several
+times as much.  The point evaluator is one straight-line float kernel per
+field (`_point_evaluator`) around one call of the objective's gradient and of
+the metric and one `BoundaryConstraint.read` per wall; the batch reads each
+wall once per row through its callables (`_pieces_many`).
 
 One analysis draws its certification sample once (`certification_sample`):
 interior points and the traced wall, which depend only on the chart, the
@@ -34,9 +36,9 @@ from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalPoint, Critical
                        boundary_components, boundary_loop_count, reclassify_negated)
 from .errors import BlendGapFailure, SampleMismatch
 from .fields import MorseField
-from .geometry import (BoundaryConstraint, Chart, MetricField, active_constraint,
-                       boundary_frames, chart_distance, chart_distance_many,
-                       coords_distance, metric_matrices, plain_dot, row_dot)
+from .geometry import (Chart, MetricField, active_constraint, boundary_frames,
+                       chart_distance, chart_distance_many, coords_distance,
+                       metric_matrices, plain_dot, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -74,48 +76,21 @@ class TangencyPatch:
     center: Array                   # canonical coordinates of the type-N point
     tangent: Array                  # unit boundary tangent at the center
     h: float                        # arclength second derivative of the restriction
-    constraint: BoundaryConstraint  # the wall the center lies on
-    grad_norm_at_center: float
+    piece: int                      # index in `chart.constraints` of the center's wall
+    grad_norm_at_center: float      # that wall's covector norm at the center
 
-    def _depth(self, x: Array) -> tuple[Array, list]:
-        """The local depth coordinate z at each row of x, and its gradient."""
-        con, gnorm = self.constraint, self.grad_norm_at_center
-        z = -np.asarray(con.value(x), dtype=float) / gnorm
-        return z, list(-np.asarray(con.gradient(x), dtype=float).T / gnorm)
-
-    def jacobian(self, x: Array) -> Array:
+    def jacobian(self, chart: Chart, x: Array) -> Array:
         """Rows: the gradients of the local coordinates (y, z) at the point x."""
-        dz = np.array(self._depth(x[None])[1], dtype=float).reshape(-1)
+        cov = np.asarray(chart.constraints[self.piece].gradient(x[None]), dtype=float)[0]
+        dz = -cov / self.grad_norm_at_center
         return dz.reshape(1, 1) if len(x) == 1 else np.stack([self.tangent, dz])
-
-    def model_vectors(self, chart: Chart, x: Array) -> Array:
-        """The model field (y, z) -> (-h*y, -z), pulled back through the local
-        coordinates, at each row of x."""
-        z, dz = self._depth(x)
-        delta = (x - self.center).T
-        if chart.deck is not None:
-            delta[0] -= chart.deck.period * np.rint(delta[0] / chart.deck.period)
-        return np.stack(_model_vector(self.tangent.tolist(), self.h, delta, z, dz),
-                        axis=1)
-
-
-def _model_vector(tangent, h: float, delta, z, dz) -> list:
-    """Pullback of (y, z) -> (-h*y, -z), where y = <delta, tangent> and dz is
-    the gradient of z; components as `plain_dot` takes them."""
-    if len(dz) == 1:
-        return [-z / dz[0]]
-    a, b = tangent
-    c, d = dz
-    det = a * d - b * c
-    my, mz = -h * plain_dot(delta, tangent), -z
-    return [(d * my - b * mz) / det, (a * mz - c * my) / det]
 
 
 def _make_patch(chart: Chart, cp: CriticalPoint, tol: Tolerances) -> TangencyPatch:
     con = active_constraint(chart, cp.coords, tol)
     gnorm = float(np.linalg.norm(np.asarray(con.gradient(cp.coords), dtype=float)))
     return TangencyPatch(center=cp.coords, tangent=np.asarray(cp.tangent, dtype=float),
-                         h=cp.tangential_hessian, constraint=con,
+                         h=cp.tangential_hessian, piece=chart.constraints.index(con),
                          grad_norm_at_center=gnorm)
 
 
@@ -124,14 +99,11 @@ def _make_patch(chart: Chart, cp: CriticalPoint, tol: Tolerances) -> TangencyPat
 
 
 def _pieces_many(chart: Chart, x: Array):
-    """(depth, covector) of each wall at each row of x: the signed depth is
-    positive inside, and a wall without a normal has depth inf."""
+    """(value, covector, covector norm) of each wall at each row of x, the
+    batch form of `BoundaryConstraint.read`."""
     for con in chart.constraints:
         cov = np.asarray(con.gradient(x), dtype=float)
-        gnorm = np.sqrt(plain_dot(cov.T, cov.T))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            depth = -np.asarray(con.value(x), dtype=float) / gnorm
-        yield np.where(gnorm < 1e-30, math.inf, depth), cov
+        yield np.asarray(con.value(x), dtype=float), cov, np.sqrt(plain_dot(cov.T, cov.T))
 
 
 def _solve(g, c) -> list:
@@ -205,27 +177,34 @@ class AdaptednessCertificate:
 
 @dataclass(eq=False)
 class PseudoGradientField:
+    """A value of its eight init fields.  The patches and the perturbation
+    (none for a seed of None or 0) are derived from them, so a copy made with
+    `dataclasses.replace` derives its own; only `build_adapted` certifies."""
+
     chart: Chart
     metric: MetricField
     objective: MorseField            # the function this field descends
     crit: CriticalSet                # classified for the objective
-    patches: tuple[TangencyPatch, ...]
     r_n: float
     delta_c: float
     perturb_seed: int | None = None
-    certificate: AdaptednessCertificate | None = None
-    _perturb: _Perturbation | None = None
     tol: Tolerances = DEFAULT        # the one set its flow and certificate read
+    patches: tuple[TangencyPatch, ...] = dataclass_field(init=False)
+    _perturb: _Perturbation | None = dataclass_field(init=False, repr=False)
+    certificate: AdaptednessCertificate | None = dataclass_field(default=None, init=False)
     # invariant-manifold branches integrated by `flow._branches`, keyed by
     # (anchor id, reverse), and the capture regions of each time direction,
-    # keyed by reverse; a copy made with `dataclasses.replace` starts empty,
-    # since its critical points or tolerances may differ
+    # keyed by reverse; a copy starts empty
     _branch_memo: dict = dataclass_field(default_factory=dict, init=False,
                                          repr=False)
     _capture_memo: dict = dataclass_field(default_factory=dict, init=False,
                                           repr=False)
 
     def __post_init__(self):
+        self.patches = tuple(_make_patch(self.chart, cp, self.tol)
+                             for cp in self.crit.points if cp.kind == BOUNDARY_N)
+        self._perturb = (_Perturbation(self.chart, self.crit, self.perturb_seed)
+                         if self.perturb_seed else None)
         self._point = _point_evaluator(self)
 
     def evaluate(self, raw) -> Array:
@@ -266,7 +245,10 @@ class PseudoGradientField:
         depth = np.full(len(x), math.inf)
         wall = np.full(len(x), math.inf)
         cov = np.zeros_like(x)
-        for piece_depth, piece_cov in _pieces_many(self.chart, x):
+        walls = list(_pieces_many(self.chart, x))
+        for b, piece_cov, gnorm in walls:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                piece_depth = np.where(gnorm < 1e-30, math.inf, -b / gnorm)
             wall = np.minimum(wall, np.abs(piece_depth))
             closer = piece_depth < depth
             depth = np.where(closer, piece_depth, depth)
@@ -287,7 +269,9 @@ class PseudoGradientField:
                     * (nu - cap))
             vec[i] = np.stack(_axpy(vec[i].T, push, normal), axis=1)
 
-        # the first patch within r_n claims a point, even where its blend is zero
+        # the first patch within r_n claims a point, even where its blend is
+        # zero; the model field (y, z) -> (-h*y, -z), pulled back through the
+        # local coordinates, takes its depth z from the wall's value
         free = np.ones(len(x), dtype=bool)
         for patch in self.patches:
             d = chart_distance_many(self.chart, x, patch.center)
@@ -295,17 +279,30 @@ class PseudoGradientField:
             free[i] = False
             chi = 1.0 - _smoothstep_many((d[i] - 0.5 * self.r_n) / (0.5 * self.r_n))
             i, chi = i[chi > 0.0], chi[chi > 0.0]
-            vec[i] = ((1.0 - chi)[:, None] * vec[i]
-                      + chi[:, None] * patch.model_vectors(self.chart, x[i]))
+            b, piece_cov, _ = walls[patch.piece]
+            z = -b[i] / patch.grad_norm_at_center
+            dz = list(-piece_cov[i].T / patch.grad_norm_at_center)
+            if len(dz) == 1:
+                model = [-z / dz[0]]
+            else:
+                delta = (x[i] - patch.center).T
+                if self.chart.deck is not None:
+                    period = self.chart.deck.period
+                    delta[0] -= period * np.rint(delta[0] / period)
+                (t0, t1), (e0, e1) = patch.tangent.tolist(), dz
+                det = t0 * e1 - t1 * e0
+                my, mz = -patch.h * plain_dot(delta, (t0, t1)), -z
+                model = [(e1 * my - t1 * mz) / det, (t0 * mz - e0 * my) / det]
+            vec[i] = (1.0 - chi)[:, None] * vec[i] + chi[:, None] * np.stack(model, axis=1)
 
         if self._perturb is not None:
             vec = vec + self._perturb.many(x, wall, self.tol)
         return vec
 
-    def linearization(self, at: Array, step: float = 1e-6) -> Array:
+    def linearization(self, at: Array) -> Array:
         """Central-difference jacobian of the field at a point."""
         x = np.asarray(at, dtype=float)
-        dim = len(x)
+        dim, step = len(x), 1e-6
         out = np.zeros((dim, dim))
         for j in range(dim):
             e = np.zeros(dim)
@@ -358,8 +355,7 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
 
     # a patch takes its depth z from its wall's value, read for the collar
     patches = tuple((*padded(p.center.tolist()), *padded(p.tangent.tolist()), p.h,
-                     p.grad_norm_at_center, chart.constraints.index(p.constraint))
-                    for p in field.patches)
+                     p.grad_norm_at_center, p.piece) for p in field.patches)
     r_n, half, delta_c = field.r_n, 0.5 * field.r_n, field.delta_c
     eps_n, g_min = tol.eps_n, tol.g_min
     perturb = field._perturb
@@ -650,10 +646,11 @@ def certify_adapted(field: PseudoGradientField, *, attempts: int = 0,
         sample = certification_sample(obj, chart, field.metric, crit, field.tol)
     interior = sample.interior
     interior_grad, wall_grad = sample.gradients(obj)
-    # the sample's points are canonical, so the field reads their gradients
-    descent = float(np.max(
-        row_dot(interior_grad, field._eval_canonical_many(interior, interior_grad)),
-        initial=-math.inf))
+    # the sample's points are canonical, so the field reads their gradients;
+    # an empty sample tests nothing, and its NaN margin fails the certificate
+    descent = (float(np.max(row_dot(
+        interior_grad, field._eval_canonical_many(interior, interior_grad))))
+        if len(interior) else math.nan)
 
     keep = _wall_sample(field, sample)
     on_wall = sample.wall[keep]
@@ -674,7 +671,7 @@ def certify_adapted(field: PseudoGradientField, *, attempts: int = 0,
             interior_def = max(interior_def, float(np.max(np.linalg.eigvalsh(form))))
     for patch in field.patches:  # one at each type-N point
         lin = field.linearization(patch.center)
-        jac = patch.jacobian(patch.center)
+        jac = patch.jacobian(chart, patch.center)
         model_lin = jac @ lin @ np.linalg.inv(jac)
         if chart.dim == 1:
             quad = np.array([[2.0]])
@@ -792,18 +789,14 @@ def build_adapted(field: MorseField, chart: Chart, crit: CriticalSet,
     else:
         objective = field
         crit_obj = crit
-    patches = tuple(_make_patch(chart, cp, tol) for cp in crit_obj.points
-                    if cp.kind == BOUNDARY_N)
-    perturb = (None if perturb_seed is None or perturb_seed == 0
-               else _Perturbation(chart, crit_obj, perturb_seed))
 
     last = None
     for attempt in range(tol.build_retries + 1):
         shrink = 0.5 ** attempt
         pg = PseudoGradientField(
             chart=chart, metric=metric, objective=objective, crit=crit_obj,
-            patches=patches, r_n=tol.r_n * shrink, delta_c=tol.delta_c * shrink,
-            perturb_seed=perturb_seed, _perturb=perturb, tol=tol,
+            r_n=tol.r_n * shrink, delta_c=tol.delta_c * shrink,
+            perturb_seed=perturb_seed, tol=tol,
         )
         cert = certify_adapted(pg, attempts=attempt + 1, sample=sample)
         pg.certificate = cert

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import morseflow
-from morseflow import cli
+from morseflow import catalog, cli
 from morseflow.cli import main
 
 
@@ -125,6 +125,26 @@ def _source_env() -> dict:
     src = str(Path(morseflow.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_reports_are_strict_json(capsys, name):
+    code, out, _ = run(capsys, "analyze", name, "--format", "json")
+    assert code == 0
+    json.loads(out, parse_constant=_reject_non_finite)
+
+
+def test_empty_interior_sample_fails_certification(capsys):
+    # no interior point lies farther than r_excl = 10 from the critical points
+    code, out, err = run(capsys, "analyze", "disk", "--tol", "r_excl=10",
+                         "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("analysis failed: BlendGapFailure: ")
+    assert "'descent_margin': nan" in err and "'interior_samples': 0" in err
 
 
 def test_python_m_matches_main(tmp_path, capsys):

@@ -81,7 +81,9 @@ def test_flow_samples_match(cylinder, name, seed):
             for shift in (-period, period):
                 assert_same_bits(field, points + [shift, 0.0])
         x, _ = field._canonical_many(points)
-        depth = np.min([d for d, _ in _pieces_many(field.chart, x)], axis=0, initial=np.inf)
+        with np.errstate(divide="ignore"):
+            depth = np.min([-b / norm for b, _, norm in _pieces_many(field.chart, x)],
+                           axis=0, initial=np.inf)
         in_collar += np.count_nonzero(depth < field.delta_c)
         in_patch += sum(np.count_nonzero(chart_distance_many(field.chart, x, p.center)
                                          < field.r_n) for p in field.patches)

@@ -89,7 +89,7 @@ def _model_vector(patch, chart, x):
         else:
             z, dz = float(v_hi - x[1]), np.array([0.0, -1.0])
     else:
-        con = patch.constraint
+        con = chart.constraints[patch.piece]
         z = -float(con.value(x)) / patch.grad_norm_at_center
         dz = -np.asarray(con.gradient(x), dtype=float) / patch.grad_norm_at_center
     if len(x) == 1:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from morseflow import catalog
-from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
+from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalSet
 from morseflow.geometry import boundary_distance, chart_distance
-from morseflow.pseudogradient import (PseudoGradientField, certify_adapted,
-                                      halton_sequence)
+from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch,
+                                      build_adapted, certify_adapted, halton_sequence)
 
 
 def test_certificates_pass_with_stated_margins(packages):
@@ -27,7 +27,7 @@ def test_raw_gradient_fails_inwardness_on_annulus(packages):
     base = pkg.field_pos
     raw = PseudoGradientField(
         chart=base.chart, metric=base.metric, objective=base.objective,
-        crit=base.crit, patches=(), r_n=base.r_n, delta_c=0.0)
+        crit=base.crit, r_n=base.r_n, delta_c=0.0)
     cert = certify_adapted(raw)
     assert cert.inward_margin < 0  # -grad f points outward near the tangency points
 
@@ -129,14 +129,59 @@ def test_halton_points_fill_unit_square():
 
 
 def test_perturbed_field_still_certifies(packages):
-    from morseflow.pseudogradient import build_adapted
     entry = catalog.get("annulus")
     crit = packages["annulus"].crit
     fld = build_adapted(entry.field, entry.chart, crit, entry.metric,
                         perturb_seed=5)
     assert fld.certificate.passed
     # the perturbation vanishes on the boundary and near critical points
-    plain = dataclasses.replace(fld, _perturb=None)
+    plain = dataclasses.replace(fld, perturb_seed=None)
     assert np.array_equal(fld.evaluate([0.0, -2.0]), plain.evaluate([0.0, -2.0]))
     probe = fld.evaluate([1.5, 0.2]) - plain.evaluate([1.5, 0.2])
     assert 0.0 < np.linalg.norm(probe) < 2e-3
+
+
+def test_a_field_is_a_value_of_its_eight_inputs():
+    assert [f.name for f in dataclasses.fields(PseudoGradientField) if f.init] == [
+        "chart", "metric", "objective", "crit", "r_n", "delta_c", "perturb_seed", "tol"]
+    # a patch is data: its wall is an index into the chart's constraints
+    assert [f.name for f in dataclasses.fields(TangencyPatch)] == [
+        "center", "tangent", "h", "piece", "grad_norm_at_center"]
+
+
+def _seed_one_disk(packages):
+    entry = catalog.get("disk")
+    return build_adapted(entry.field, entry.chart, packages["disk"].crit, entry.metric,
+                         perturb_seed=1)
+
+
+def test_an_unperturbed_copy_evaluates_as_a_fresh_field(packages):
+    field = _seed_one_disk(packages)
+    copy = dataclasses.replace(field, perturb_seed=None)
+    fresh = PseudoGradientField(chart=field.chart, metric=field.metric,
+                                objective=field.objective, crit=field.crit,
+                                r_n=field.r_n, delta_c=field.delta_c, tol=field.tol)
+    for point in ([0.1, 0.2], [-0.4, 0.3], [0.3, -0.5]):
+        assert not np.array_equal(field.evaluate(point), fresh.evaluate(point))
+        assert np.array_equal(copy.evaluate(point).view(np.int64),
+                              fresh.evaluate(point).view(np.int64))
+        assert np.array_equal(copy.evaluate_many([point]).view(np.int64),
+                              fresh.evaluate_many([point]).view(np.int64))
+
+
+def test_a_copy_takes_its_patches_from_its_critical_set(cylinder):
+    from morseflow.critical import find_critical_set
+    from morseflow.params import DEFAULT
+    crit = find_critical_set(cylinder.field, cylinder.chart, cylinder.metric, DEFAULT)
+    field = build_adapted(cylinder.field, cylinder.chart, crit, cylinder.metric)
+    n_points = [cp for cp in crit.points if cp.kind == BOUNDARY_N]
+    assert len(field.patches) == len(n_points) == 2
+    assert dataclasses.replace(field, crit=CriticalSet(2, ())).patches == ()
+    last = dataclasses.replace(field, crit=CriticalSet(2, (n_points[-1],)))
+    assert [p.center.tolist() for p in last.patches] == [n_points[-1].coords.tolist()]
+
+
+def test_a_copy_is_uncertified(packages):
+    field = packages["disk"].field_pos
+    assert field.certificate.passed
+    assert dataclasses.replace(field, r_n=0.01).certificate is None
