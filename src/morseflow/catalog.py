@@ -1,7 +1,8 @@
 """Built-in manifolds with height-like functions and reference homology.
 
 Reference groups are derived from each entry's dimension, χ and chart; the
-pipeline's job is to reproduce them from flow counting alone.
+pipeline's job is to reproduce them from flow counting alone.  A one-point
+path computes in float arithmetic with the bits of a batch row.
 """
 from __future__ import annotations
 
@@ -145,6 +146,9 @@ def _moebius() -> CatalogEntry:
     chart = Chart.strip(period=2.0 * math.pi, v_min=-1.0, v_max=1.0, flip=-1)
 
     def value(x):
+        if np.ndim(x) == 1:
+            u, v = np.asarray(x, dtype=float).tolist()
+            return v * math.sin(u / 2.0)
         return x[..., 1] * np.sin(x[..., 0] / 2.0)
 
     def gradient(x):
@@ -180,6 +184,9 @@ def _tilted_dome() -> CatalogEntry:
                   constraints=(BoundaryConstraint.circle("rim", 1.0),))
 
     def value(x):
+        if np.ndim(x) == 1:
+            u, v = np.asarray(x, dtype=float).tolist()
+            return 1.0 - u * u - v * v + v / 2.0   # ** 2 squares as u * u
         return 1.0 - x[..., 0] ** 2 - x[..., 1] ** 2 + x[..., 1] / 2.0
 
     def gradient(x):

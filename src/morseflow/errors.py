@@ -50,6 +50,10 @@ class NonTransverse(MorseflowError):
     """Degenerate invariant-manifold configuration; retry with a perturbation."""
 
 
+class StalledBranch(MorseflowError):
+    """A branch launched `r_launch` from its generator ends there; no retry mends it."""
+
+
 class DimensionMismatch(MorseflowError):
     pass
 

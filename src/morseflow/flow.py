@@ -13,12 +13,16 @@ so the step tolerances are loose.
 
 The integrator steps in float arithmetic: stages, error norm, wall test and
 stop tests work on lists of floats and round as the numpy 2-vector arithmetic
-they replaced.  Each stage passes its list to `PseudoGradientField.evaluate`,
-the field's compiled float kernel, and reads its ndarray back as a list; the
-flow evaluates the field through nothing else.  The wall test reads every wall
-through `BoundaryConstraint.read`.  Numpy is left to the output arrays, the
-objective's callables, a wall given by callables alone, the landing on a wall
-and the entry into a capture region.  `np.linalg.norm`, whose BLAS dot may
+they replaced.  One step is straight-line code for the plane (`_rk_step`):
+each stage point adds its terms one at a time, left to right, as the array
+arithmetic did, and a line runs it with second components of 0.0.  Each
+stage passes its list to `PseudoGradientField.evaluate`, the field's compiled
+float kernel, and reads its ndarray back as a list; the flow evaluates the
+field through nothing else.  The wall test reads every wall through
+`BoundaryConstraint.read`.  Numpy is left to the output arrays, the
+objective's callables (the catalog's compute one point in float arithmetic),
+a wall given by callables alone, the landing on a wall and the entry into a
+capture region.  `np.linalg.norm`, whose BLAS dot may
 round differently from `sqrt(a*a + b*b)`, gives the speed where its last bit
 decides: within a relative 1e-9 of `field_stop`, and for the landing time at
 a capture region.
@@ -49,7 +53,7 @@ import numpy as np
 
 from .critical import BOUNDARY_N, INTERIOR, CriticalPoint, _project_to_zero, sign_fix
 from .errors import (CertificateViolation, DimensionMismatch, FlowTimeout,
-                     NonTransverse)
+                     NonTransverse, StalledBranch)
 from .geometry import (active_constraint, chart_distance, coords_distance,
                        deck_apply, deck_sign, nearest_wall, plain_dot)
 from .pseudogradient import PseudoGradientField
@@ -92,36 +96,53 @@ class Trajectory:
         return self.points[-1]
 
 
-# the nonzero terms (j, c) of each stage after the first, of the fifth-order
-# solution and of the error estimate
-_STAGES = tuple(tuple((j, c) for j, c in enumerate(row) if c != 0.0) for row in _A[1:])
-_X5 = tuple((j, c) for j, c in enumerate(_B5) if c != 0.0)
-_ERR = tuple((j, b5 - b4) for j, (b5, b4) in enumerate(zip(_B5, _B4)) if b5 != b4)
-
-
-def _combine(x: list, h: float, terms, k: list) -> list:
-    """x + (h * c) * k[j] for each term (j, c) in turn, componentwise: the
-    order, and so the rounding, of the array arithmetic
-    `acc = acc + (h * c) * k[j]`."""
-    if len(x) == 2:
-        a0, a1 = x
-        for j, c in terms:
-            hc, (b0, b1) = h * c, k[j]
-            a0, a1 = a0 + hc * b0, a1 + hc * b1
-        return [a0, a1]
-    (a0,) = x
-    for j, c in terms:
-        a0 = a0 + (h * c) * k[j][0]
-    return [a0]
+# the tableau and the error weights b5 - b4 by name, but for their zeros
+(_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76)) = _A
+_E1, _, _E3, _E4, _E5, _E6, _E7 = (b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
 def _rk_step(deriv, x: list, h: float, k1: list):
-    """One Dormand-Prince step from x, where k1 = deriv(x); returns
-    (x5, err_vec, k_last), each a list of floats."""
-    k = [k1]
-    for terms in _STAGES:
-        k.append(deriv(_combine(x, h, terms, k)))
-    return _combine(x, h, _X5, k), _combine([0.0] * len(x), h, _ERR, k), k[6]
+    """One Dormand-Prince step from x, where k1 = deriv(x), which must not
+    modify its argument; returns (x5, err_vec, k_last) as lists of floats.
+
+    Each stage point adds its terms `(h * c) * k[j]` to x left to right, as
+    `acc = acc + (h * c) * k[j]` rounds; x5 is the last stage's point (first
+    same as last), and the error sums its terms onto 0.0.  A line runs the
+    plane's arithmetic with second components of 0.0, which move no bit.
+    """
+    line = len(x) == 1
+    if line:
+        deriv_line = deriv
+        deriv = lambda y: [*deriv_line(y[:1]), 0.0]
+        x, k1 = [x[0], 0.0], [k1[0], 0.0]
+    x0, x1 = x
+    k10, k11 = k1
+    c1 = h * _A21
+    k20, k21 = deriv([x0 + c1 * k10, x1 + c1 * k11])
+    c1, c2 = h * _A31, h * _A32
+    k30, k31 = deriv([x0 + c1 * k10 + c2 * k20, x1 + c1 * k11 + c2 * k21])
+    c1, c2, c3 = h * _A41, h * _A42, h * _A43
+    k40, k41 = deriv([x0 + c1 * k10 + c2 * k20 + c3 * k30,
+                      x1 + c1 * k11 + c2 * k21 + c3 * k31])
+    c1, c2, c3, c4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k50, k51 = deriv([x0 + c1 * k10 + c2 * k20 + c3 * k30 + c4 * k40,
+                      x1 + c1 * k11 + c2 * k21 + c3 * k31 + c4 * k41])
+    c1, c2, c3, c4, c5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k60, k61 = deriv([x0 + c1 * k10 + c2 * k20 + c3 * k30 + c4 * k40 + c5 * k50,
+                      x1 + c1 * k11 + c2 * k21 + c3 * k31 + c4 * k41 + c5 * k51])
+    c1, c3, c4, c5, c6 = h * _A71, h * _A73, h * _A74, h * _A75, h * _A76
+    x5 = [x0 + c1 * k10 + c3 * k30 + c4 * k40 + c5 * k50 + c6 * k60,
+          x1 + c1 * k11 + c3 * k31 + c4 * k41 + c5 * k51 + c6 * k61]
+    k7 = deriv(x5)
+    k70, k71 = k7
+    c1, c3, c4, c5, c6, c7 = (h * _E1, h * _E3, h * _E4, h * _E5, h * _E6,
+                              h * _E7)
+    err = [0.0 + c1 * k10 + c3 * k30 + c4 * k40 + c5 * k50 + c6 * k60 + c7 * k70,
+           0.0 + c1 * k11 + c3 * k31 + c4 * k41 + c5 * k51 + c6 * k61 + c7 * k71]
+    if line:
+        return x5[:1], err[:1], k7[:1]
+    return x5, err, k7
 
 
 def _violation(readers: tuple, x: list) -> float:
@@ -345,7 +366,8 @@ def _branches(field: PseudoGradientField, anchor: CriticalPoint,
     reverse follows the stable manifold backward, ending LEFT_DOMAIN where it
     exits.  Each branch is integrated once per field: the result is kept on
     the field and shared by every caller, which must not modify it.
-    A timed-out branch raises FlowTimeout and is not kept.
+    A timed-out branch raises FlowTimeout, and one that ends at anchor
+    itself StalledBranch; neither is kept.
     """
     key = (anchor.id, reverse)
     found = field._branch_memo.get(key)
@@ -356,6 +378,10 @@ def _branches(field: PseudoGradientField, anchor: CriticalPoint,
             traj = integrate(field, x0, reverse=reverse, allow_exit=reverse)
             if traj.termination == TIMEOUT:
                 raise FlowTimeout(f"branch from generator {anchor.id} timed out")
+            if traj.target == anchor.id:
+                raise StalledBranch(
+                    f"branch {label} from generator {anchor.id} ends where it "
+                    f"started: r_launch = {field.tol.r_launch:g} does not leave it")
             out.append((label, x0, traj))
         found = field._branch_memo[key] = tuple(out)
     return found

@@ -322,6 +322,35 @@ def chart_distance_many(chart: Chart, points: Array, b: Sequence[float]) -> Arra
     return np.sqrt(best)   # one root of the least square, as `coords_distance`
 
 
+def gap_bound(chart: Chart, radius: float, scale: float = 0.0) -> float:
+    """A coordinate gap beyond which two points lie at least radius apart: the
+    gap in u around the period, and in v (|v| against |v| under a flip), each
+    bound the distance to every deck image from below.  The slack, 1e-9 of
+    radius, the period and the larger of the box's extent and `scale` (the
+    points' largest |u|, read under a deck map), is far above rounding."""
+    extent = max(abs(b) for pair in chart.box for b in pair)
+    period = 0.0 if chart.deck is None else chart.deck.period
+    return radius + 1e-9 * (radius + period + max(extent, scale))
+
+
+def near_rows(chart: Chart, points: Array, b: Sequence[float], radius: float) -> Array:
+    """Indices of the rows of points whose coordinate gaps to b do not rule
+    out a distance below radius (`gap_bound`).  Every other row has a
+    `chart_distance_many` to b of at least radius; a row with NaN is kept."""
+    x = np.asarray(points, dtype=float)
+    b = np.asarray(b, dtype=float).tolist()
+    gap = np.abs(x[:, 0] - b[0])
+    if chart.deck is not None:
+        gap %= chart.deck.period
+        gap = np.minimum(gap, chart.deck.period - gap)
+    if chart.dim == 2:
+        folds = chart.deck is not None and chart.deck.flip == -1
+        gap = np.maximum(gap, np.abs(np.abs(x[:, 1]) - abs(b[1])) if folds
+                         else np.abs(x[:, 1] - b[1]))
+    bound = gap_bound(chart, radius, float(np.abs(x[:, 0]).max(initial=0.0)))
+    return np.flatnonzero(~(gap > bound))
+
+
 def metric_normal(metric: MetricField, x: Array, covector: Array) -> Array:
     """Unit vector metric-dual to a covector (direction of steepest increase)."""
     if metric.identity:

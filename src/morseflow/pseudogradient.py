@@ -16,6 +16,15 @@ field (`_point_evaluator`) around one call of the objective's gradient and of
 the metric and one `BoundaryConstraint.read` per wall; the batch reads each
 wall once per row through its callables (`_pieces_many`).
 
+Both measure a chart distance to a patch's or a critical point's center only
+where the coordinate gaps, lower bounds of the distance to every deck image,
+allow it inside the radius in play (`geometry.gap_bound`).  The batch picks
+those rows (`geometry.near_rows`) for the patch claim and the wall filter
+(r_n), the perturbation's envelope (2 r_excl) and the interior sample's
+exclusion (r_excl); the point kernel skips a center beyond the bound and, on
+a strip, a patch, without measuring its deck images.  What the bound skips
+lies at least that far away, so no bit changes.
+
 One analysis draws its certification sample once (`certification_sample`):
 interior points and the traced wall, which depend only on the chart, the
 metric, the critical coordinates and the tolerances, and the analysed
@@ -37,11 +46,12 @@ from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalPoint, Critical
 from .errors import BlendGapFailure, SampleMismatch
 from .fields import MorseField
 from .geometry import (Chart, MetricField, active_constraint, boundary_frames,
-                       chart_distance, chart_distance_many, coords_distance,
-                       metric_matrices, plain_dot, row_dot)
+                       chart_distance, chart_distance_many, coords_distance, gap_bound,
+                       metric_matrices, near_rows, plain_dot, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
+_FLOAT = np.dtype(float)
 
 
 def _smoothstep_many(s: Array) -> Array:
@@ -241,7 +251,7 @@ class PseudoGradientField:
              else metric_matrices(self.metric, x).transpose(1, 2, 0))
         vec = -grad if g is None else -np.stack(_solve(g, grad.T), axis=1)
 
-        # collar at the nearest wall; on a tie the first piece wins
+        # collar at the nearest wall, kept in place; on a tie the first piece wins
         depth = np.full(len(x), math.inf)
         wall = np.full(len(x), math.inf)
         cov = np.zeros_like(x)
@@ -249,10 +259,10 @@ class PseudoGradientField:
         for b, piece_cov, gnorm in walls:
             with np.errstate(divide="ignore", invalid="ignore"):
                 piece_depth = np.where(gnorm < 1e-30, math.inf, -b / gnorm)
-            wall = np.minimum(wall, np.abs(piece_depth))
             closer = piece_depth < depth
-            depth = np.where(closer, piece_depth, depth)
+            np.copyto(depth, piece_depth, where=closer)
             cov[closer] = piece_cov[closer]
+            np.minimum(wall, np.abs(piece_depth, out=piece_depth), out=wall)
         if self.delta_c > 0.0:
             i = np.flatnonzero(depth < self.delta_c)
             g_i = None if g is None else g[..., i]
@@ -274,10 +284,12 @@ class PseudoGradientField:
         # local coordinates, takes its depth z from the wall's value
         free = np.ones(len(x), dtype=bool)
         for patch in self.patches:
-            d = chart_distance_many(self.chart, x, patch.center)
-            i = np.flatnonzero(free & (d < self.r_n))
+            i = near_rows(self.chart, x, patch.center, self.r_n)
+            i = i[free[i]]
+            d = chart_distance_many(self.chart, x[i], patch.center)
+            i, d = i[d < self.r_n], d[d < self.r_n]
             free[i] = False
-            chi = 1.0 - _smoothstep_many((d[i] - 0.5 * self.r_n) / (0.5 * self.r_n))
+            chi = 1.0 - _smoothstep_many((d - 0.5 * self.r_n) / (0.5 * self.r_n))
             i, chi = i[chi > 0.0], chi[chi > 0.0]
             b, piece_cov, _ = walls[patch.piece]
             z = -b[i] / patch.grad_norm_at_center
@@ -357,6 +369,7 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
     patches = tuple((*padded(p.center.tolist()), *padded(p.tangent.tolist()), p.h,
                      p.grad_norm_at_center, p.piece) for p in field.patches)
     r_n, half, delta_c = field.r_n, 0.5 * field.r_n, field.delta_c
+    r_n_apart = gap_bound(chart, r_n)
     eps_n, g_min = tol.eps_n, tol.g_min
     perturb = field._perturb
     if perturb is not None:
@@ -366,11 +379,18 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
         else:
             (sg0, (w00,), ph0), = perturb._terms
         # a center's factor in the envelope is exactly 1.0 beyond 2 r_excl,
-        # where smoothstep saturates: beyond this coordinate gap a center is
-        # that far, with a margin far above the rounding of gap and distance
-        apart = 2.0 * tol.r_excl * (1.0 + 1e-9)
+        # where smoothstep saturates
         bump, amp_max = 2.0 * tol.r_excl, tol.perturb_amp
+        apart = gap_bound(chart, bump)
         seam = None if deck is None else 0.1 * period
+
+    def beyond(u, v, c0, c1, bound) -> bool:
+        """Whether a coordinate gap from canonical (u, v) to (c0, c1) exceeds bound."""
+        du = abs(u - c0)
+        if deck is not None:
+            du %= period
+            du = min(du, period - du)
+        return du > bound or (abs(abs(v) - abs(c1)) if folds else abs(v - c1)) > bound
 
     def evaluate(raw) -> Array:
         xs = (list(map(float, raw)) if type(raw) is list
@@ -385,7 +405,9 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
             u, v = u + -k * period, -v if flip else v
             xs = [u, v]
         x = np.array(xs)
-        grad = np.asarray(gradient(x), dtype=float).tolist()
+        grad = gradient(x)  # a float64 array is read as it is
+        grad = (grad if type(grad) is np.ndarray and grad.dtype is _FLOAT
+                else np.asarray(grad, dtype=float)).tolist()
         g = None if matrix is None else np.asarray(matrix(x), dtype=float).tolist()
         g0, g1 = grad if two_d else (grad[0], 0.0)
         a0, a1 = (-g0, -g1) if g is None else padded([-c for c in _solve(g, grad)])
@@ -421,6 +443,8 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
         # the first patch within r_n claims the point, even where its blend is zero
         for c0, c1, t0, t1, h, grad_norm, piece in patches:
             d0, d1 = u - c0, v - c1
+            if deck is not None and beyond(u, v, c0, c1, r_n_apart):
+                continue  # at least r_n away: no deck image is measured
             d = (math.sqrt(d0 * d0 + d1 * d1) if deck is None
                  else coords_distance(chart, xs, (c0, c1)))
             if d >= r_n:
@@ -450,14 +474,7 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
             for c0, c1 in centers:
                 if env == 0.0:
                     break
-                # the coordinate gaps bound the chart distance from below: u
-                # around the period and, under a flip, |v| against |v|
-                du = abs(u - c0)
-                if deck is not None:
-                    du %= period
-                    du = min(du, period - du)
-                dv = abs(abs(v) - abs(c1)) if folds else abs(v - c1)
-                if du > apart or dv > apart:
+                if beyond(u, v, c0, c1, apart):
                     continue  # the factor is exactly 1.0
                 s = coords_distance(chart, xs, (c0, c1)) / bump
                 env *= 0.0 if s <= 0.0 else 1.0 if s >= 1.0 else s * s * (3.0 - 2.0 * s)
@@ -486,9 +503,9 @@ class _Perturbation:
 
     The waves, phases and signs are drawn once; the field's tolerances set
     the amplitude and the radii.  The point evaluator computes the bump in
-    float arithmetic with the bits of `many`, and skips a center that a bound
-    from the coordinates alone puts beyond 2 r_excl, where its factor in the
-    envelope is exactly 1.0.
+    float arithmetic with the bits of `many`.  Both skip a center that a
+    bound from the coordinates alone puts beyond 2 r_excl, where its factor
+    in the envelope is exactly 1.0.
     """
 
     def __init__(self, chart: Chart, crit: CriticalSet, seed: int):
@@ -507,9 +524,11 @@ class _Perturbation:
         from the nearest wall, under the tolerances tol."""
         chart = self.chart
         env = _smoothstep_many(wall / tol.delta_c)
+        bump = 2.0 * tol.r_excl
         for c in self.centers:
-            env = env * _smoothstep_many(chart_distance_many(chart, x, c)
-                                         / (2.0 * tol.r_excl))
+            # beyond 2 r_excl a center's factor is exactly 1.0
+            i = near_rows(chart, x, c, bump)
+            env[i] *= _smoothstep_many(chart_distance_many(chart, x[i], c) / bump)
         if chart.deck is not None:
             period = chart.deck.period
             u = x[:, 0] % period
@@ -547,7 +566,8 @@ def _manifold_sample(chart: Chart, crit: CriticalSet, count: int,
         for con in chart.constraints:
             mask &= np.asarray(con.value(pts), dtype=float) <= 0.0
         for cp in crit.points:
-            mask &= chart_distance_many(chart, pts, cp.coords) > r_excl
+            i = near_rows(chart, pts, cp.coords, r_excl)
+            mask[i] &= chart_distance_many(chart, pts[i], cp.coords) > r_excl
         gathered.append(pts[mask])
         have += len(gathered[-1])
         # a tenth more than the rate so far needs, so one chunk usually ends it
@@ -621,11 +641,12 @@ def _wall_sample(field: PseudoGradientField, sample: CertificationSample) -> Arr
     Only this patch filter, which depends on the field's type-N points and
     r_n, is per build.
     """
-    keep = np.ones(len(sample.loop_points), dtype=bool)
+    points = sample.loop_points
+    keep = np.ones(len(points), dtype=bool)
     for cp in field.crit.points:
         if cp.kind == BOUNDARY_N:
-            keep &= chart_distance_many(field.chart, sample.loop_points,
-                                        cp.coords) >= field.r_n
+            i = near_rows(field.chart, points, cp.coords, field.r_n)
+            keep[i] &= chart_distance_many(field.chart, points[i], cp.coords) >= field.r_n
     return keep
 
 
@@ -647,7 +668,8 @@ def certify_adapted(field: PseudoGradientField, *, attempts: int = 0,
     interior = sample.interior
     interior_grad, wall_grad = sample.gradients(obj)
     # the sample's points are canonical, so the field reads their gradients;
-    # an empty sample tests nothing, and its NaN margin fails the certificate
+    # an empty sample, interior or wall, tests nothing, and its NaN margin
+    # fails the certificate
     descent = (float(np.max(row_dot(
         interior_grad, field._eval_canonical_many(interior, interior_grad))))
         if len(interior) else math.nan)
@@ -656,9 +678,8 @@ def certify_adapted(field: PseudoGradientField, *, attempts: int = 0,
     on_wall = sample.wall[keep]
     pushed = np.matmul(field._eval_canonical_many(on_wall, wall_grad[keep])[:, None, :],
                        sample.g_mats[keep])[:, 0, :]
-    # 1.0 when no wall point lies outside the patches, so nothing is tested
     inward = (float(np.min(-row_dot(pushed, sample.normals[keep])))
-              if len(on_wall) else 1.0)
+              if len(on_wall) else math.nan)
 
     interior_def = tangency_def = -math.inf
     has_interior = False

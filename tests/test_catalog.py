@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
 from morseflow import catalog
 from morseflow.chains import HomologyResult
 from morseflow.errors import UnknownEntry
 from morseflow.fields import validate_field
+
+from test_interior_saddles import FIXTURES
 
 def _group(betti, torsion=None):
     return HomologyResult(betti, torsion or tuple(() for _ in betti))
@@ -139,3 +142,17 @@ def test_constraint_gradients_nonvanishing_on_walls():
                 assert len(active) == 1  # walls are disjoint, no corners
                 grad = np.asarray(active[0].gradient(x))
                 assert np.linalg.norm(grad) > 1e-6
+
+
+def test_one_point_value_is_the_batch_row(cylinder):
+    # the flow reads the value at one point, certification and capture checks
+    # in batches: both must give the same bits
+    rng = np.random.default_rng(5)
+    entries = [catalog.get(name) for name in catalog.names()]
+    for entry in entries + [make() for make in FIXTURES.values()] + [cylinder]:
+        lo, hi = np.array(entry.chart.box, dtype=float).T
+        pts = lo + (hi - lo) * rng.random((2000, entry.dim))
+        pts[:500] *= 3.0  # beyond the box and across the seam
+        batch = np.asarray(entry.field.value(pts), dtype=float)
+        one = np.array([float(entry.field.value(p)) for p in pts])
+        assert one.tobytes() == batch.tobytes(), entry.name

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import morseflow
-from morseflow import catalog, cli
+from morseflow import catalog, cli, pipeline
 from morseflow.cli import main
 
 
@@ -233,3 +233,30 @@ def test_removed_sweep_tolerance_is_unknown(capsys):
                        "sweep_samples=24")
     assert code == 1
     assert "unknown tolerance names" in err
+
+
+def test_empty_wall_sample_fails_certification(capsys):
+    # at r_n = 2 the patch of the interval's minimum covers every wall point,
+    # so the first build tests no inward condition; its NaN margin fails, and
+    # the build passes at the halved radius, where the type-D endpoint is tested
+    code, out, _ = run(capsys, "analyze", "interval", "--tol", "r_n=2",
+                       "--format", "json")
+    assert code == 0
+    for cert in json.loads(out)["certificates"].values():
+        assert cert["attempts"] == 2 and cert["r_n"] == 1.0
+        assert cert["boundary_samples"] == 1 and cert["inward_margin"] > 0.0
+
+
+def test_branch_that_never_leaves_its_generator(capsys, monkeypatch):
+    # a launch 1e-300 from the dome's N saddle rounds onto it, so the branch
+    # ends at sample 0 where it started; no perturbation seed mends that
+    builds = []
+    build_adapted = pipeline.build_adapted
+    monkeypatch.setattr(pipeline, "build_adapted",
+                        lambda *a, **k: builds.append(1) or build_adapted(*a, **k))
+    code, out, err = run(capsys, "analyze", "tilted_dome", "--tol", "r_launch=1e-300",
+                         "--tol", "r_conv=1e-301")
+    assert code == 2 and out == ""
+    assert err.startswith("analysis failed: StalledBranch: ")
+    assert "generator 1 " in err and "r_launch = 1e-300" in err
+    assert len(builds) == 1

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from morseflow import catalog
-from morseflow.critical import find_critical_set
-from morseflow.geometry import MetricField, chart_distance_many
+from morseflow.critical import CriticalSet, find_critical_set
+from morseflow.geometry import MetricField, Point, chart_distance_many
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 from morseflow.pseudogradient import (PseudoGradientField, _pieces_many, _wall_sample,
@@ -169,3 +169,25 @@ def test_a_copy_perturbs_with_its_own_tolerances(packages):
     point = [0.1, 0.2]
     assert not np.array_equal(louder.evaluate(point), field.evaluate(point))
     assert_same_bits(louder, [point])
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_centers_next_to_the_seam_match(packages, seed):
+    # moebius's critical points moved next to the seam, off v = 0: a patch or
+    # a perturbation center is then near points across the seam only through
+    # the flip, which both evaluators' coordinate gaps must allow
+    base = packages["moebius"].field_pos
+    period = base.chart.deck.period
+    moved = {0.0: (0.01, 0.4), -1.0: (0.02, -1.0), 1.0: (period - 0.03, 1.0)}
+    crit = CriticalSet(2, tuple(
+        dataclasses.replace(cp, point=Point(moved[float(cp.coords[1])]))
+        for cp in base.crit.points))
+    field = PseudoGradientField(chart=base.chart, metric=base.metric,
+                                objective=base.objective, crit=crit, r_n=base.r_n,
+                                delta_c=base.delta_c, perturb_seed=seed)
+    rng = np.random.default_rng(9)
+    u = np.concatenate([rng.uniform(-0.2, 0.2, 3000), rng.uniform(period - 0.2,
+                                                                   period + 0.2, 3000)])
+    v = rng.uniform(-1.0, 1.0, len(u))
+    v[::3] = np.clip(-np.sign(v[::3]) * rng.normal(0.4, 0.05, len(v[::3])), -1.0, 1.0)
+    assert_same_bits(field, np.stack([u, v], axis=1))

@@ -12,12 +12,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from morseflow import catalog
 from morseflow.critical import INTERIOR, find_critical_set
 from morseflow.errors import CertificateViolation
 from morseflow.flow import (CONVERGED, LEFT_DOMAIN, TIMEOUT, Trajectory, _A, _B4, _B5,
-                            _deck_index, _pull_inside, integrate)
+                            _deck_index, _pull_inside, _rk_step, integrate)
 from morseflow.geometry import chart_distance, deck_apply, nearest_wall
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _build_side, build_package
@@ -259,3 +260,52 @@ def test_capture_landing_time_takes_the_exact_norm(packages):
     want = reference_integrate(field, start)
     assert len(want.times) == 2 and want.target == region.sink.id
     assert_same_trajectory(integrate(field, start), want)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+# stage vectors whose error terms are all -0.0: the sum onto 0.0 is +0.0
+@example(dim=2, x=[1.0, -2.0], h=0.25,
+         ks=[-0.0, -0.0, 1.0, 1.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0])
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([1, 2]), x=st.lists(_finite, min_size=2, max_size=2),
+       h=st.floats(1e-12, 0.5), ks=st.lists(_finite, min_size=14, max_size=14))
+def test_straight_line_step_is_the_stage_composition(dim, x, h, ks):
+    # each stage returns the next of seven drawn vectors whatever its point,
+    # so every stage point, x5 and the error estimate are compared bit for bit
+    def stages(wrap):
+        seen, out = [], iter(ks[2 * i:2 * i + dim] for i in range(7))
+        k1 = next(out)
+
+        def deriv(y):
+            seen.append(np.array(y, dtype=float).tobytes())
+            return wrap(next(out))
+        return seen, deriv, wrap(k1)
+
+    got_seen, deriv, k1 = stages(list)
+    got = _rk_step(deriv, x[:dim], h, k1)
+    want_seen, deriv, k1 = stages(lambda k: np.array(k, dtype=float))
+    want = reference_rk_step(deriv, np.array(x[:dim]), h, k1)
+    assert got_seen == want_seen
+    for a, b in zip(got, want):
+        assert type(a) is list and np.array(a).tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_interval_trajectories_match_the_numpy_integrator(packages, seed):
+    # no catalog branch runs on a line; these starts, across the interval
+    # and next to both ends, run its steps forward into the minimum's capture
+    # region and backward out through the type-D end
+    pkg = packages["interval"] if seed == 0 else build_package(catalog.get("interval"),
+                                                               seed=seed)
+    starts = [[s] for s in (1e-3, 0.05, 0.3, 0.5, 0.77, 0.95, 1.0 - 1e-3)]
+    for field in (pkg.field_pos, pkg.field_neg):
+        ends = set()
+        for x0 in starts:
+            for reverse in (False, True):
+                want = reference_integrate(field, x0, reverse=reverse, allow_exit=True)
+                assert_same_trajectory(
+                    integrate(field, x0, reverse=reverse, allow_exit=True), want)
+                ends.add((reverse, want.termination, len(want.times) > 5))
+        assert {(False, CONVERGED, True), (True, LEFT_DOMAIN, True)} <= ends

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morseflow import catalog
 from morseflow.errors import AmbiguousBoundary, PointOutsideManifold
 from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, Point,
-                                boundary_data, chart_distance,
-                                deck_apply, deck_sign, normalize_point)
+                                boundary_data, chart_distance, chart_distance_many,
+                                deck_apply, deck_sign, near_rows, normalize_point)
 
 
 def path_orientation_sign(chart, polyline) -> int:
@@ -154,3 +155,50 @@ def test_flipped_strip_must_be_symmetric():
         Chart.strip(period=1.0, v_min=0.0, v_max=1.0, flip=-1)
     with pytest.raises(ValueError):
         Chart.strip(period=1.0, v_min=-1.0, v_max=1.0, flip=2)
+
+
+_PRE_CHARTS = {
+    "plain": catalog.get("disk").chart,
+    "flip-1": catalog.get("moebius").chart,
+    "flip+1": Chart.strip(period=2.0 * math.pi, v_min=-1.0, v_max=1.0, flip=1),
+    "line": catalog.get("interval").chart,
+}
+
+
+@st.composite
+def _prefilter_case(draw):
+    chart = _PRE_CHARTS[draw(st.sampled_from(sorted(_PRE_CHARTS)))]
+    (u_lo, u_hi), *v_box = chart.box
+    period = chart.deck.period if chart.deck is not None else u_hi - u_lo
+    coord = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    center = [draw(st.sampled_from([u_lo, u_hi, 0.5 * (u_lo + u_hi)]) | coord(u_lo, u_hi))]
+    if v_box:
+        center.append(draw(st.sampled_from(list(v_box[0])) | coord(*v_box[0])))
+    radius = draw(coord(1e-9, 2.0 * period))
+    tiny = draw(st.sampled_from([0.0, 1e-300, 1e-15, 1e-9]))
+    # u near the seam and a radius away from the center; v at +-|v of the center|
+    u_near = [u_lo, u_hi, u_hi - tiny, u_lo + tiny, center[0] + radius,
+              center[0] - radius, center[0] + period - radius]
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = [draw(st.sampled_from(u_near) | coord(u_lo - period, u_hi + period))]
+        if v_box:
+            row.append(draw(st.sampled_from([center[1], -center[1]]) | coord(*v_box[0])))
+        rows.append(row)
+    pts = np.array(rows)
+    # a radius within a few units in the last place of some row's distance
+    if draw(st.booleans()):
+        d = chart_distance_many(chart, pts, center)[draw(st.integers(0, len(pts) - 1))]
+        radius = float(d) + draw(st.integers(-4, 4)) * math.ulp(float(d))
+    return chart, pts, center, radius
+
+
+@settings(max_examples=500, deadline=None)
+@given(_prefilter_case())
+def test_row_prefilter_keeps_every_row_within_the_radius(case):
+    chart, pts, center, radius = case
+    near = set(near_rows(chart, pts, center, radius).tolist())
+    dist = chart_distance_many(chart, pts, center)
+    for i, d in enumerate(dist):
+        if i not in near:
+            assert d >= radius, (pts[i], d)

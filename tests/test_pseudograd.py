@@ -185,3 +185,13 @@ def test_a_copy_is_uncertified(packages):
     field = packages["disk"].field_pos
     assert field.certificate.passed
     assert dataclasses.replace(field, r_n=0.01).certificate is None
+
+
+def test_empty_wall_sample_has_a_nan_inward_margin(packages):
+    # a patch as wide as the interval leaves no wall point to test, which is
+    # no evidence for the inward condition
+    pkg = packages["interval"]
+    wide = dataclasses.replace(pkg.field_pos, r_n=2.0)
+    cert = certify_adapted(wide, sample=pkg.sample)
+    assert cert.boundary_samples == 0
+    assert math.isnan(cert.inward_margin) and not cert.passed
