@@ -4,7 +4,7 @@ from . import catalog
 from .chains import (HomologyResult, IntegerChainComplex, smith_normal_form,
                      staircase_quotient)
 from .critical import CriticalPoint, CriticalSet, find_critical_set
-from .fields import MorseField, boundary_restriction_derivatives, validate_morse
+from .fields import MorseField, boundary_restriction_derivatives
 from .geometry import (BoundaryConstraint, Chart, Deck, MetricField, Point,
                        boundary_data, normalize_point)
 from .params import DEFAULT, Tolerances

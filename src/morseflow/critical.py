@@ -8,12 +8,11 @@ Newton refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateCritical, PointOutsideManifold, TypeUndetermined
-from .fields import MorseField, boundary_restriction_derivatives, validate_morse
+from .fields import MorseField, boundary_restriction_derivatives
 from .geometry import (Chart, MetricField, Point, active_constraint, boundary_distance,
                        boundary_frame, boundary_frames, chart_distance,
                        chart_distance_many, normalize_point, row_dot)
@@ -481,30 +480,22 @@ def _orientation_frame(field: MorseField, cp: CriticalPoint, dim: int) -> tuple:
     return tuple(tuple(float(c) for c in v) for v in frame)
 
 
-def assemble_critical_set(field: MorseField, chart: Chart,
-                          interior: Sequence[CriticalPoint],
-                          boundary: Sequence[CriticalPoint],
-                          tol: Tolerances = DEFAULT) -> CriticalSet:
-    merged = sorted(list(interior) + list(boundary), key=lambda p: p.value)
-    out = []
-    for ident, cp in enumerate(merged):
-        cp = replace(cp, id=ident)
-        cp = replace(cp, orientation_ref=_orientation_frame(field, cp, chart.dim))
-        out.append(cp)
-    crit = CriticalSet(chart.dim, tuple(out))
-    validate_morse(crit, tol)
-    return crit
-
-
 def find_critical_set(field: MorseField, chart: Chart,
                       metric: MetricField | None = None,
                       tol: Tolerances = DEFAULT,
                       walks: tuple[Array | None, ...] | None = None) -> CriticalSet:
-    """Every critical point of f and of its boundary restriction.  `walks`
-    is `boundary_walks(chart, tol)`, taken here when not given."""
+    """Every critical point of f and of its boundary restriction, with ids in
+    order of value.  The sort is stable, so points of equal value (the lifts
+    of one point to a cyclic cover) keep the searches' order, interior points
+    first.  `walks` is `boundary_walks(chart, tol)`, taken here when not given."""
     interior = find_interior_critical(field, chart, tol=tol)
     boundary = find_boundary_critical(field, chart, metric=metric, tol=tol, walks=walks)
-    return assemble_critical_set(field, chart, interior, boundary, tol)
+    out = []
+    for ident, cp in enumerate(sorted(interior + boundary, key=lambda p: p.value)):
+        cp = replace(cp, id=ident)
+        cp = replace(cp, orientation_ref=_orientation_frame(field, cp, chart.dim))
+        out.append(cp)
+    return CriticalSet(chart.dim, tuple(out))
 
 
 _NEGATED_KIND = {INTERIOR: INTERIOR, BOUNDARY_N: BOUNDARY_D, BOUNDARY_D: BOUNDARY_N}

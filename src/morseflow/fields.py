@@ -3,8 +3,9 @@
 Derivative closures are supplied analytically per catalog entry; finite
 differences appear only as consistency oracles.  Every evaluator accepts a
 single coordinate vector or a batch with the coordinates on the last axis.
-`validate_morse` checks the one Morse condition a located critical set must
-meet as a whole: distinct critical values.
+The Morse clauses are judged where each critical point is classified; two
+points may share a critical value, as the lifts to a cyclic cover do, since
+no orbit runs between equal values.
 """
 from __future__ import annotations
 
@@ -144,13 +145,3 @@ def boundary_restriction_derivatives(field: MorseField, chart: Chart,
     second = float(tangent @ hess @ tangent) \
         - nu * curvature_form(chart, p, normal, tangent, metric, tol)
     return g_t, second
-
-
-def validate_morse(crit, tol: Tolerances = DEFAULT) -> None:
-    """Raise `NotMorse` when two critical values of `crit`, a CriticalSet,
-    lie within `tol_val`.  The other Morse clauses raise where each point is
-    classified (`critical.find_interior_critical`, `_classify_boundary`)."""
-    values = sorted(cp.value for cp in crit.points)
-    for a, b in zip(values[:-1], values[1:]):
-        if b - a <= tol.tol_val:
-            raise NotMorse(f"critical values {a} and {b} too close")

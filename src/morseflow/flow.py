@@ -40,6 +40,12 @@ Every function here reads its tolerances from the field (`field.tol`), the
 set the field was built and certified with; the pairing reads each field's
 own.
 
+Each connecting orbit keeps one fact beyond its sign, its deck index k: it
+runs from its source's canonical position to T^k of its sink's (k = 0 without
+a deck map).  An incidence is sum(sign * t^k) over its orbits: the integer
+count at t = 1, the count with orientation coefficients at t = flip; on the
+m-fold cyclic cover the orbit runs from sheet i to sheet i + k.
+
 The pairing counts crossings on the cover: trajectories run in raw strip
 coordinates, lifts of their curves, so each relative curve is intersected with
 the deck images of each absolute branch, whose directions carry the deck map.
@@ -377,11 +383,13 @@ def _branches(field: PseudoGradientField, anchor: CriticalPoint,
         for label, x0 in launches(field, anchor):
             traj = integrate(field, x0, reverse=reverse, allow_exit=reverse)
             if traj.termination == TIMEOUT:
-                raise FlowTimeout(f"branch from generator {anchor.id} timed out")
+                raise FlowTimeout(f"branch {label} from generator {anchor.id} "
+                                  f"timed out (perturb_seed {field.perturb_seed})")
             if traj.target == anchor.id:
                 raise StalledBranch(
                     f"branch {label} from generator {anchor.id} ends where it "
-                    f"started: r_launch = {field.tol.r_launch:g} does not leave it")
+                    f"started: r_launch = {field.tol.r_launch:g} does not leave it "
+                    f"(perturb_seed {field.perturb_seed})")
             out.append((label, x0, traj))
         found = field._branch_memo[key] = tuple(out)
     return found
@@ -396,21 +404,26 @@ class ConnectingOrbit:
     source: int
     sink: int
     sign: int
-    twist: int
+    deck: int             # the orbit ends at T^deck of its sink
     trajectory: Trajectory
-
-    @property
-    def twisted_sign(self) -> int:
-        return self.sign * self.twist
 
 
 @dataclass(frozen=True, eq=False)
 class IncidenceCount:
+    """The orbits from source to sink; both coefficient flavours evaluate
+    sum(sign * t^deck), at t = 1 and at t = flip."""
     source: int
     sink: int
-    count: int            # plain signed orbit count
-    count_twisted: int    # signs multiplied by the orientation twist
     orbits: tuple[ConnectingOrbit, ...]
+    flip: int             # the chart's deck flip (1 without a deck map)
+
+    @property
+    def count(self) -> int:
+        return sum(o.sign for o in self.orbits)
+
+    @property
+    def count_twisted(self) -> int:
+        return sum(o.sign * (self.flip if o.deck % 2 else 1) for o in self.orbits)
 
     def flavor(self, coefficients: str) -> int:
         return self.count if coefficients == "untwisted" else self.count_twisted
@@ -423,20 +436,15 @@ def _deck_index(chart, raw: Array, cp: CriticalPoint) -> int:
     return round((raw[0] - cp.coords[0]) / chart.deck.period)
 
 
-def _orbit_twist(field: PseudoGradientField, traj: Trajectory,
-                 sink: CriticalPoint) -> int:
-    """Orientation twist of the orbit loop closed through canonical positions."""
-    return deck_sign(field.chart, _deck_index(field.chart, traj.end, sink))
-
-
 def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
                     q: CriticalPoint, launch: Array,
-                    traj: Trajectory) -> tuple[int, Trajectory]:
-    """Sign and source-to-sink trajectory of a backward branch from q to p.
+                    traj: Trajectory) -> tuple[int, int, Trajectory]:
+    """Sign, deck index and source-to-sink trajectory of a backward branch
+    from q to p.
 
     The branch starts at q's canonical position and reaches a deck image T^k
     of p; it is stored reversed and moved by T^-k so that it runs from p's
-    canonical position to q with increasing times.
+    canonical position to T^-k q with increasing times.
     """
     chart = field.chart
     k = _deck_index(chart, traj.end, p)
@@ -449,7 +457,7 @@ def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
     det = float(np.linalg.det(np.stack([vel, q.frame_arrays()[0]], axis=1)))
     or_source = 1 if np.linalg.det(np.stack(p.frame_arrays(), axis=1)) > 0 else -1
     sign = or_source * deck_sign(chart, k) * (1 if det > 0 else -1)
-    return sign, forward
+    return sign, -k, forward
 
 
 def _follow_branches(field: PseudoGradientField, p: CriticalPoint,
@@ -469,14 +477,15 @@ def _follow_branches(field: PseudoGradientField, p: CriticalPoint,
         hit = field.crit.by_id(traj.target)
         if hit.grading == anchor.grading:
             raise NonTransverse(
-                f"orbit between equal gradings {anchor.id} -> {hit.id}")
+                f"branch {label} from generator {anchor.id} ends at generator "
+                f"{hit.id} of equal grading (perturb_seed {field.perturb_seed})")
         if hit.id != far.id:
             continue
-        sign = label
         if reverse:
-            sign, traj = _reversed_orbit(field, p, q, x0, traj)
-        orbits.append(ConnectingOrbit(p.id, q.id, sign,
-                                      _orbit_twist(field, traj, q), traj))
+            sign, deck, traj = _reversed_orbit(field, p, q, x0, traj)
+        else:
+            sign, deck = label, _deck_index(field.chart, traj.end, q)
+        orbits.append(ConnectingOrbit(p.id, q.id, sign, deck, traj))
     return orbits
 
 
@@ -485,12 +494,9 @@ def count_connecting_orbits(field: PseudoGradientField, p: CriticalPoint,
     """Signed connecting orbits from p (grading k) down to q (grading k-1)."""
     if p.grading != q.grading + 1:
         raise DimensionMismatch("orbit counting needs a grading gap of one")
-    if p.value <= q.value:
-        return IncidenceCount(p.id, q.id, 0, 0, ())
-    orbits = _follow_branches(field, p, q)
-    total = sum(o.sign for o in orbits)
-    twisted = sum(o.twisted_sign for o in orbits)
-    return IncidenceCount(p.id, q.id, total, twisted, tuple(orbits))
+    flip = 1 if field.chart.deck is None else field.chart.deck.flip
+    orbits = tuple(_follow_branches(field, p, q)) if p.value > q.value else ()
+    return IncidenceCount(p.id, q.id, orbits, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +577,9 @@ def relative_cycle_curves(field_neg: PseudoGradientField,
                 if chart_distance(field_neg.chart, traj.end,
                                   other.coords) < field_neg.tol.degeneracy_tol:
                     raise NonTransverse(
-                        "relative curve exits at a critical point; "
-                        "general position fails")
+                        f"branch {label} of the relative curve of generator "
+                        f"{p.id} exits at a critical point ({other.id}); general "
+                        f"position fails (perturb_seed {field_neg.perturb_seed})")
         out.append((label, traj))
     return out
 
@@ -599,6 +606,8 @@ def intersection_pairing(field_neg: PseudoGradientField,
     cp_neg = field_neg.crit.by_id(p.id)
     cp_pos = field_pos.crit.by_id(p_abs.id)
     germ = 10 * field_pos.tol.r_launch
+    seeds = (f"(perturb_seed {field_neg.perturb_seed} ascent, "
+             f"{field_pos.perturb_seed} descent)")
 
     if p.id == p_abs.id:
         # both invariant manifolds pass through the shared point; the local
@@ -608,7 +617,8 @@ def intersection_pairing(field_neg: PseudoGradientField,
         mat = np.stack(frame_rel + frame_abs, axis=1)
         det = float(np.linalg.det(mat))
         if abs(det) < 1e-8:
-            raise NonTransverse("invariant manifolds tangent at the shared point")
+            raise NonTransverse(f"invariant manifolds of generator {p.id} "
+                                f"tangent at the shared point {seeds}")
         total += 1 if det > 0 else -1
 
     for label_r, traj_r in relative_cycle_curves(field_neg, p):
@@ -618,8 +628,9 @@ def intersection_pairing(field_neg: PseudoGradientField,
                 if p.id == p_abs.id and chart_distance(chart, point, cp_pos.coords) < germ:
                     continue  # germ artifacts next to the shared point
                 if sin_angle < 1e-4:
-                    raise NonTransverse("near-tangential crossing "
-                                        f"between {p.id} and {p_abs.id}")
+                    raise NonTransverse(
+                        f"near-tangential crossing between generators {p.id} "
+                        f"and {p_abs.id} {seeds}")
                 o_rel = dir_r if label_r > 0 else -dir_r
                 o_abs = dir_a if label_a > 0 else -dir_a
                 det = float(np.linalg.det(np.stack([o_rel, o_abs], axis=1)))

@@ -13,7 +13,6 @@ class Tolerances:
     tol_crit: float = 1e-10       # gradient norm at Newton convergence
     tol_type: float = 1e-8        # |<df, n>| below this: boundary type undecidable
     tol_nondeg: float = 1e-8      # hessian determinant / eigenvalue floor
-    tol_val: float = 1e-6         # minimal separation of critical values
     # searches
     seed_grid_density: int = 40   # interior Newton seeds per axis
     boundary_samples: int = 400   # walk samples per boundary component

@@ -23,8 +23,9 @@ from .errors import MorseflowError
 from .fields import boundary_restriction_derivatives
 from .geometry import boundary_distance, boundary_frame, normalize_point
 from .params import DEFAULT, Tolerances
-from .pipeline import (CheckRecord, MorsePackage, assert_identical_homology,
-                       build_package, homologies_for_seed)
+from .pipeline import (COMPLEX_TARGETS, CheckRecord, MorsePackage,
+                       assert_identical_homology, build_package, complex_key,
+                       homologies_for_seed)
 
 
 def _criterion(number: int, title: str):
@@ -209,14 +210,19 @@ def check_double_identities(ctx: VerificationContext):
 
 @_criterion(9, "homology invariant across perturbation seeds")
 def check_invariance(ctx: VerificationContext, seeds=(1, 2, 3)):
-    """The critical set and the certification sample do not depend on the
-    perturbation seed, so each seed reuses the package's."""
+    """Each seed's four judged groups against the package's own, at
+    `ctx.seed`, which is not built again.  The critical set and the
+    certification sample do not depend on the perturbation seed, so each
+    seed reuses the package's."""
     for name in catalog.names():
         pkg = ctx.package(name)
-        assert_identical_homology(
-            {s: homologies_for_seed(pkg.entry, s, ctx.tol, pkg.crit, pkg.sample)
-             for s in seeds})
-    return True, f"seeds {tuple(seeds)} agree on every entry and flavor"
+        per_seed = {s: homologies_for_seed(pkg.entry, s, ctx.tol, pkg.crit, pkg.sample)
+                    for s in seeds if s != ctx.seed}
+        per_seed[ctx.seed] = {complex_key(*key): pkg.homology[complex_key(*key)]
+                              for key in COMPLEX_TARGETS}
+        assert_identical_homology(per_seed)
+    agree = tuple(sorted({ctx.seed, *seeds}))
+    return True, f"seeds {agree} agree on every entry and flavor"
 
 
 # --- numerical hygiene -------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,35 @@ from morseflow.catalog import CatalogEntry, ExpectedCritical
 from morseflow.fields import MorseField, validate_field
 from morseflow.geometry import Chart, MetricField
 from morseflow.verify import VerificationContext
+
+# hypothesis imports this module to print a falsifying example, and its import
+# raises mypy_extensions' DeprecationWarning; under `filterwarnings = error`
+# that ends a failing run in an INTERNALERROR with no example, so it is
+# imported here once with that one warning ignored
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", category=DeprecationWarning,
+                            message="mypy_extensions.TypedDict is deprecated")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no hypothesis: its tests do not collect anyway
+        pass
+
+
+def cyclic_cover(entry: CatalogEntry, m: int) -> CatalogEntry:
+    """The m-fold cyclic cover of a strip entry: the strip of period m * P
+    glued by T^m, (u, v) -> (u + m * P, flip^m * v), carrying the same
+    function, with χ times m and each expected point lifted to the m sheets."""
+    deck = entry.chart.deck
+    _, (v_min, v_max) = entry.chart.box
+    chart = Chart.strip(period=m * deck.period, v_min=v_min, v_max=v_max,
+                        flip=deck.flip ** m)
+    validate_field(entry.field, chart)
+    expected = tuple(
+        ExpectedCritical(e.kind, e.grading, (e.location[0] + j * deck.period,
+                                             deck.flip ** j * e.location[1]))
+        for j in range(m) for e in entry.expected)
+    return dataclasses.replace(entry, name=f"{entry.name}_x{m}", chart=chart,
+                               expected=expected, chi=m * entry.chi)
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +84,21 @@ def cylinder():
         ),
         chi=0,
     )
+
+
+@pytest.fixture(scope="session")
+def moebius_x2():
+    """The Möbius band's double cover: a cylinder of period 4π."""
+    return cyclic_cover(catalog.get("moebius"), 2)
+
+
+@pytest.fixture(scope="session")
+def moebius_x3():
+    """The Möbius band's triple cover: a Möbius band of period 6π."""
+    return cyclic_cover(catalog.get("moebius"), 3)
+
+
+@pytest.fixture(scope="session")
+def cylinder_x2(cylinder):
+    """The cylinder's double cover: v + cos(u) / 2 on a cylinder of period 4π."""
+    return cyclic_cover(cylinder, 2)

@@ -171,3 +171,43 @@ def test_invariance_reuses_each_package_critical_set(packages, monkeypatch):
     result = V.check_invariance(ctx, seeds=(1,))
     assert result.passed, result.detail
     assert calls == []
+
+
+def test_invariance_compares_each_seed_with_the_package(packages, monkeypatch):
+    """With one seed besides the package's, criterion 9 still compares two:
+    groups at seed 1 that differ from the package's fail it."""
+    monkeypatch.setattr(catalog, "names", lambda: ["interval"])
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = {"interval": packages["interval"]}
+    real = V.homologies_for_seed
+
+    def shifted(entry, seed, *args):
+        out = real(entry, seed, *args)
+        plain = out["N_untwisted"]
+        out["N_untwisted"] = dataclasses.replace(
+            plain, betti=(plain.betti[0] + 1,) + plain.betti[1:])
+        return out
+
+    monkeypatch.setattr(V, "homologies_for_seed", shifted)
+    result = V.check_invariance(ctx, seeds=(1,))
+    assert not result.passed
+    assert "InvarianceFailure" in result.detail and "N_untwisted" in result.detail
+
+
+def test_invariance_builds_no_seed_twice(monkeypatch):
+    """The package's seed is judged from the package, so `verify --seed 1`
+    builds seed 1's fields once, and seeds 2 and 3 once each."""
+    monkeypatch.setattr(catalog, "names", lambda: ["interval"])
+    ctx = V.VerificationContext(seed=1)
+    calls = []
+    real = V.homologies_for_seed
+
+    def counting(entry, seed, *args):
+        calls.append(seed)
+        return real(entry, seed, *args)
+
+    monkeypatch.setattr(V, "homologies_for_seed", counting)
+    result = V.check_invariance(ctx)
+    assert result.passed, result.detail
+    assert calls == [2, 3]
+    assert "seeds (1, 2, 3) agree" in result.detail

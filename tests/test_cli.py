@@ -235,6 +235,13 @@ def test_removed_sweep_tolerance_is_unknown(capsys):
     assert "unknown tolerance names" in err
 
 
+def test_removed_value_gap_tolerance_is_unknown(capsys):
+    # critical values may tie, so nothing reads a minimal gap between them
+    code, _, err = run(capsys, "analyze", "interval", "--tol", "tol_val=1e-6")
+    assert code == 1
+    assert "unknown tolerance names: ['tol_val']" in err
+
+
 def test_empty_wall_sample_fails_certification(capsys):
     # at r_n = 2 the patch of the interval's minimum covers every wall point,
     # so the first build tests no inward condition; its NaN margin fails, and
@@ -259,4 +266,5 @@ def test_branch_that_never_leaves_its_generator(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("analysis failed: StalledBranch: ")
     assert "generator 1 " in err and "r_launch = 1e-300" in err
+    assert err.endswith("(perturb_seed None)\n")
     assert len(builds) == 1

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, flow
-from morseflow.critical import BOUNDARY_N, INTERIOR, find_critical_set
-from morseflow.errors import CertificateViolation, FlowTimeout
+from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalSet,
+                                find_critical_set)
+from morseflow.errors import (CertificateViolation, FlowTimeout, NonTransverse,
+                              StalledBranch)
 from morseflow.fields import MorseField
-from morseflow.flow import (CONVERGED, LEFT_DOMAIN, _deck_index,
-                            count_connecting_orbits, integrate,
-                            intersection_pairing, stable_launches,
+from morseflow.flow import (CONVERGED, LEFT_DOMAIN, count_connecting_orbits,
+                            integrate, intersection_pairing, stable_launches,
                             unstable_launches)
-from morseflow.geometry import chart_distance, deck_apply
+from morseflow.geometry import chart_distance, deck_apply, deck_sign
 from morseflow.params import DEFAULT
 from morseflow.pseudogradient import PseudoGradientField, build_adapted, certify_adapted
 from test_geometry import path_orientation_sign
@@ -106,7 +107,7 @@ def test_forced_counts_annulus(packages):
                                _zero(pkg, BOUNDARY_N, 0).id)]
     assert inc.count == 0 and inc.count_twisted == 0
     assert sorted(o.sign for o in inc.orbits) == [-1, 1]
-    assert all(o.twist == 1 for o in inc.orbits)
+    assert all(o.deck == 0 for o in inc.orbits)  # no deck map
 
 
 def test_forced_counts_moebius(packages):
@@ -116,7 +117,8 @@ def test_forced_counts_moebius(packages):
     assert inc.count == 0
     assert abs(inc.count_twisted) == 2
     assert len(inc.orbits) == 2
-    assert sorted(o.twist for o in inc.orbits) == [-1, 1]
+    # one orbit crosses the seam: odd deck index, orientation twist -1
+    assert sorted(o.deck % 2 for o in inc.orbits) == [0, 1]
 
 
 def test_forced_counts_dome(packages):
@@ -134,7 +136,7 @@ def test_orbit_twist_matches_path_sign(packages):
     for orbit in inc.orbits:
         src = pkg.crit.by_id(orbit.source).point.coords
         poly = [np.asarray(src)] + list(orbit.trajectory.points)
-        assert orbit.twist == path_orientation_sign(chart, poly)
+        assert deck_sign(chart, orbit.deck) == path_orientation_sign(chart, poly)
 
 
 def test_count_parity(packages):
@@ -333,7 +335,7 @@ def test_captured_branches_end_on_the_sink(packages):
     images = set()
     for orbit in inc.orbits:
         traj = orbit.trajectory
-        j = _deck_index(chart, traj.end, sink)
+        j = orbit.deck
         assert np.array_equal(traj.points[-1], deck_apply(chart, j, sink.coords))
         assert np.isfinite(traj.times[-1]) and np.all(np.diff(traj.times) > 0)
         images.add(j)
@@ -358,8 +360,8 @@ def test_capture_keeps_orbit_signs_and_twists(packages, monkeypatch):
         fld = dataclasses.replace(pkg.field_pos, tol=TIGHT)
         for (pid, qid), inc in pkg.incidences["N"].items():
             again = count_connecting_orbits(fld, fld.crit.by_id(pid), fld.crit.by_id(qid))
-            assert [(o.sign, o.twist) for o in again.orbits] == \
-                [(o.sign, o.twist) for o in inc.orbits], name
+            assert [(o.sign, o.deck) for o in again.orbits] == \
+                [(o.sign, o.deck) for o in inc.orbits], name
 
 
 @pytest.mark.parametrize("k", [1, -3])
@@ -376,7 +378,8 @@ def test_reversed_orbit_moves_each_sample_by_the_deck_map(packages, k):
     points = q.coords + np.linspace(0.0, 1.0, 7)[:, None] * (end - q.coords)
     traj = flow.Trajectory(np.linspace(0.0, 3.0, 7), points, -np.arange(7.0),
                            CONVERGED, p.id)
-    _, forward = flow._reversed_orbit(fld, p, q, q.coords + [1e-4, 0.0], traj)
+    _, deck, forward = flow._reversed_orbit(fld, p, q, q.coords + [1e-4, 0.0], traj)
+    assert deck == -k  # the stored orbit ends at T^-k q
     want = np.array([deck_apply(chart, -k, x) for x in points[::-1]])
     assert forward.points.tobytes() == want.tobytes()
     assert np.array_equal(forward.points[0], p.coords)
@@ -444,3 +447,82 @@ def test_non_finite_field_raises_at_the_step(packages, name, height):
         integrate(broken, start)
     # one Dormand-Prince step evaluates six new stages
     assert 1 <= len(nan_points) <= 6
+
+
+# --- the flow's errors name the branch or the pair, and the field's seed -----
+
+
+def _seeded(pkg, tol=DEFAULT):
+    """Copies of the package's descent and ascent fields at perturbation
+    seeds 7 and 8."""
+    return (dataclasses.replace(pkg.field_pos, tol=tol, perturb_seed=7),
+            dataclasses.replace(pkg.field_neg, tol=tol, perturb_seed=8))
+
+
+def _ending_at(target):
+    """A stand-in for `integrate` whose trajectories converge at target at once."""
+    return lambda field, x0, **kw: flow.Trajectory(
+        np.zeros(1), np.array([x0]), np.zeros(1), CONVERGED, target)
+
+
+def test_timed_out_branch_names_itself_and_the_seed(packages):
+    pkg = packages["moebius"]
+    fld, _ = _seeded(pkg, DEFAULT.override(max_steps=20))
+    ((source, sink),) = pkg.incidences["N"]
+    with pytest.raises(FlowTimeout) as err:
+        count_connecting_orbits(fld, fld.crit.by_id(source), fld.crit.by_id(sink))
+    assert str(err.value) == \
+        f"branch 1 from generator {source} timed out (perturb_seed 7)"
+
+
+def test_stalled_branch_names_itself_and_the_seed(packages, monkeypatch):
+    pkg = packages["moebius"]
+    fld, _ = _seeded(pkg)
+    ((source, sink),) = pkg.incidences["N"]
+    monkeypatch.setattr(flow, "integrate", _ending_at(source))
+    with pytest.raises(StalledBranch) as err:
+        count_connecting_orbits(fld, fld.crit.by_id(source), fld.crit.by_id(sink))
+    assert str(err.value) == (
+        f"branch 1 from generator {source} ends where it started: "
+        "r_launch = 0.0001 does not leave it (perturb_seed 7)")
+
+
+def test_orbit_between_equal_gradings_names_the_pair_and_the_seed(packages,
+                                                                   monkeypatch):
+    pkg = packages["annulus"]
+    fld, _ = _seeded(pkg)
+    source, sink = _zero(pkg, BOUNDARY_N, 1), _zero(pkg, BOUNDARY_N, 0)
+    other = _zero(pkg, BOUNDARY_D, 1)
+    monkeypatch.setattr(flow, "integrate", _ending_at(other.id))
+    with pytest.raises(NonTransverse) as err:
+        count_connecting_orbits(fld, source, sink)
+    assert str(err.value) == (
+        f"branch 1 from generator {source.id} ends at generator {other.id} "
+        "of equal grading (perturb_seed 7)")
+
+
+def test_pairing_errors_name_the_pair_and_both_seeds(packages, monkeypatch):
+    pkg = packages["moebius"]
+    field_pos, field_neg = _seeded(pkg)
+    rep = pkg.pairing[1]
+    p, p_abs = pkg.crit.by_id(rep.rows[0]), pkg.crit.by_id(rep.cols[0])
+    assert p.id == p_abs.id  # the saddle carries both invariant manifolds
+    seeds = "(perturb_seed 8 ascent, 7 descent)"
+    # the ascent field's unstable frame turned onto the descent field's
+    frame = field_pos.crit.by_id(p.id).orientation_ref
+    tangent = CriticalSet(field_neg.crit.dim, tuple(
+        dataclasses.replace(cp, orientation_ref=frame) if cp.id == p.id else cp
+        for cp in field_neg.crit.points))
+    with pytest.raises(NonTransverse) as err:
+        intersection_pairing(dataclasses.replace(field_neg, crit=tangent),
+                             field_pos, p, p_abs)
+    assert str(err.value) == \
+        f"invariant manifolds of generator {p.id} tangent at the shared point {seeds}"
+    # a grazing crossing away from the shared point
+    away, e = np.array([3.0, 0.5]), np.array([1.0, 0.0])
+    monkeypatch.setattr(flow, "_cover_crossings",
+                        lambda chart, pr, pa: [(away, e, e, 1e-6)])
+    with pytest.raises(NonTransverse) as err:
+        intersection_pairing(field_neg, field_pos, p, p_abs)
+    assert str(err.value) == (f"near-tangential crossing between generators "
+                              f"{p.id} and {p_abs.id} {seeds}")

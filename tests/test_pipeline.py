@@ -122,8 +122,12 @@ def test_annulus_pairing_is_taken_at_the_first_retry_seed(packages):
                    if cp.kind == BOUNDARY_D and cp.grading == 1)
     assert np.allclose(d_point.coords, [0.0, -1.0])
     assert pkg.field_neg.perturb_seed is None
-    with pytest.raises(NonTransverse, match="exits at a critical point"):
+    with pytest.raises(NonTransverse) as err:
         flow.relative_cycle_curves(pkg.field_neg, d_point)
+    n_min = next(cp for cp in pkg.crit.points if np.allclose(cp.coords, [0.0, -2.0]))
+    assert str(err.value) == (
+        f"branch 1 of the relative curve of generator {d_point.id} exits at a "
+        f"critical point ({n_min.id}); general position fails (perturb_seed None)")
     report = _report(pkg, ["N_untwisted", "D_untwisted"], [], 0)
     assert report["meta"]["pairing_seed"] == 7920
 
