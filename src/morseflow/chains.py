@@ -21,22 +21,13 @@ def zeros(rows: int, cols: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    if rows and len(a[0]) != inner:
-        raise ValueError("shape mismatch")
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik == 0:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(cols):
-                row[j] += aik * bk[j]
+    """The product of matrices whose shapes agree, skipping a's zero entries."""
+    out = zeros(len(a), len(b[0]) if b else 0)
+    for row, acc in zip(a, out):
+        for aik, bk in zip(row, b):
+            if aik:
+                for j, v in enumerate(bk):
+                    acc[j] += aik * v
     return out
 
 
@@ -140,11 +131,6 @@ class HomologyResult:
     def as_dict(self) -> dict:
         return {"betti": list(self.betti), "torsion": [list(t) for t in self.torsion]}
 
-    def matches(self, betti: Sequence[int], torsion: Sequence[Sequence[int]]) -> bool:
-        return (tuple(self.betti) == tuple(betti)
-                and tuple(tuple(t) for t in self.torsion)
-                == tuple(tuple(t) for t in torsion))
-
 
 @dataclass(frozen=True, eq=False)
 class IntegerChainComplex:
@@ -164,23 +150,25 @@ class IntegerChainComplex:
             raise ValueError("step must be -1 or +1")
         for k, mat in self.matrices.items():
             tgt = k + self.step
-            rows = len(self.generators[k])
-            cols = len(self.generators[tgt]) if 0 <= tgt <= self.top_dim else 0
-            if len(mat) != rows or (rows and len(mat[0]) != cols):
+            if not (0 <= k <= self.top_dim and 0 <= tgt <= self.top_dim):
+                raise ValueError(f"matrix at degree {k} maps outside degrees "
+                                 f"0..{self.top_dim}")
+            cols = len(self.generators[tgt])
+            if (len(mat) != len(self.generators[k])
+                    or any(len(row) != cols for row in mat)):
                 raise ValueError(f"matrix at degree {k} has the wrong shape")
         self._check_composites_vanish()
 
     def _check_composites_vanish(self) -> None:
-        for k in range(self.top_dim + 1):
-            mid = k + self.step
-            if k not in self.matrices or mid not in self.matrices:
+        for k, mat in self.matrices.items():
+            after = self.matrices.get(k + self.step)
+            if after is None:
                 continue
-            comp = mat_mul(self.matrices[k], self.matrices[mid])
-            for i, row in enumerate(comp):
+            for i, row in enumerate(mat_mul(mat, after)):
                 for j, v in enumerate(row):
                     if v != 0:
                         p = self.generators[k][i]
-                        q = self.generators[mid + self.step][j]
+                        q = self.generators[k + 2 * self.step][j]
                         raise BoundarySquareNonzero(
                             f"composite differential nonzero between generators "
                             f"{p} and {q} (value {v})")
@@ -195,14 +183,19 @@ class IntegerChainComplex:
         return zeros(self.rank(k), self.rank(k + self.step))
 
     def homology(self) -> HomologyResult:
-        betti = []
-        torsion = []
-        for k in range(self.top_dim + 1):
-            _, out_rank = smith_normal_form(self.matrix(k))
-            incoming = self.matrix(k - self.step)
-            in_diag, in_rank = smith_normal_form(incoming)
-            betti.append(self.rank(k) - out_rank - in_rank)
-            torsion.append(tuple(d for d in in_diag if d > 1))
+        """One Smith form per stored matrix, none for one without entries: a
+        matrix from degree k to k + step lowers both Betti numbers by its
+        rank, and its invariant factors above 1 are degree k + step's torsion."""
+        betti = [self.rank(k) for k in range(self.top_dim + 1)]
+        torsion = [()] * (self.top_dim + 1)
+        for k, mat in self.matrices.items():
+            if not mat or not mat[0]:
+                continue
+            diag, rank = smith_normal_form(mat)
+            tgt = k + self.step
+            betti[k] -= rank
+            betti[tgt] -= rank
+            torsion[tgt] = tuple(d for d in diag if d > 1)
         return HomologyResult(tuple(betti), tuple(torsion))
 
     def transpose_dual(self) -> "IntegerChainComplex":

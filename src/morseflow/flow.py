@@ -9,7 +9,10 @@ with the sink appended as its last sample.  Otherwise it ends at a zero only
 once its speed falls below `field_stop` within `r_conv` of it: a sink whose
 region failed its check, or a saddle, where a branch ending shows a
 non-transverse connection.  Orbit counts only need the basin a branch reaches,
-so the step tolerances are loose.
+so the step tolerances are loose.  A trajectory keeps only its times and
+points: the integrator reads the field's objective at a sample only when the
+sample lies within a capture region's radius, once, for the regions' level
+tests.
 
 The integrator steps in float arithmetic: stages, error norm, wall test and
 stop tests work on lists of floats and round as the numpy 2-vector arithmetic
@@ -89,7 +92,6 @@ TIMEOUT = "timeout"
 class Trajectory:
     times: Array
     points: Array                  # raw (cover) coordinates, one row per sample
-    values: Array                  # objective values along the samples
     termination: str
     target: int | None = None      # critical id for CONVERGED
 
@@ -212,11 +214,10 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
 
     x = np.asarray(start, dtype=float).tolist()
     t = 0.0
-    times, points, values = [t], [x], [value(x)]
+    times, points = [t], [x]
 
     def result(termination: str, target: int | None = None) -> Trajectory:
-        return Trajectory(np.array(times), np.array(points), np.array(values),
-                          termination, target)
+        return Trajectory(np.array(times), np.array(points), termination, target)
 
     def settled(k: list) -> int | None:
         """Target id once the last sample, where the field is k, has
@@ -229,15 +230,18 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
             for cp_id, coords in crit:
                 if coords_distance(chart, y, coords) <= r_conv:
                     return cp_id
+        f_y = None  # the objective at y, read once y lies within a region's radius
         for region, coords in captures:
-            if (region.sign * (values[-1] - region.level) < region.depth
-                    and coords_distance(chart, y, coords) < region.radius):
+            if coords_distance(chart, y, coords) >= region.radius:
+                continue
+            if f_y is None:
+                f_y = value(y)
+            if region.sign * (f_y - region.level) < region.depth:
                 sink = deck_apply(chart, _deck_index(chart, y, region.sink),
                                   region.sink.coords)
                 gap = float(np.linalg.norm(sink - np.array(y)))
                 times.append(times[-1] + gap / max(_norm(k), stop))
                 points.append(sink.tolist())
-                values.append(region.level)
                 return region.sink.id
         return None
 
@@ -295,7 +299,6 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
             if push > 1e-8 * (1.0 + _norm(speed_vec)):
                 times.append(t_land)
                 points.append(x_land.tolist())
-                values.append(value(x_land))
                 if allow_exit:
                     return result(LEFT_DOMAIN)
                 raise CertificateViolation(
@@ -303,7 +306,6 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
             x, t, k1 = x_land.tolist(), t_land, speed_vec
             times.append(t)
             points.append(x)
-            values.append(value(x))
             h = max(h * 0.5, 1e-10)
             continue
 
@@ -312,7 +314,6 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
         k1 = k_last
         times.append(t)
         points.append(x)
-        values.append(value(x))
 
         hit = settled(k_last)
         if hit is not None:
@@ -450,7 +451,7 @@ def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
     k = _deck_index(chart, traj.end, p)
     forward = Trajectory(traj.times[-1] - traj.times[::-1],
                          deck_apply(chart, -k, traj.points[::-1]),
-                         traj.values[::-1], CONVERGED, target=q.id)
+                         CONVERGED, target=q.id)
     # orientation of (flow direction, q's unstable frame vector, which
     # co-orients q's stable manifold) against p's unstable frame carried to T^k p
     vel = field.evaluate(launch)

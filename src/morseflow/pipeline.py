@@ -108,22 +108,30 @@ def build_incidences(field: PseudoGradientField) -> dict[tuple[int, int], Incide
     return table
 
 
-def _build_side(entry: CatalogEntry, crit: CriticalSet, for_negative: bool,
-                base_seed: int, tol: Tolerances,
-                sample: CertificationSample | None = None):
-    """Field plus incidence table, retrying with perturbation seeds as needed."""
+def _first_transverse(attempt, base_seed: int, tol: Tolerances):
+    """(attempt(seed), seed) for the first retry seed at which attempt raises
+    no NonTransverse; the last NonTransverse when every seed does."""
     last: Exception | None = None
     for seed in _retry_seeds(base_seed, tol):
-        field = build_adapted(entry.field, entry.chart, crit, entry.metric,
-                              for_negative=for_negative, perturb_seed=seed, tol=tol,
-                              sample=sample)
         try:
-            return field, build_incidences(field)
+            return attempt(seed), seed
         except NonTransverse as exc:
             # keep the error without its traceback, whose frames would hold
             # this analysis in a reference cycle until the cyclic collector runs
             last = exc.with_traceback(None)
     raise last  # type: ignore[misc]
+
+
+def _build_side(entry: CatalogEntry, crit: CriticalSet, for_negative: bool,
+                base_seed: int, tol: Tolerances,
+                sample: CertificationSample | None = None):
+    """Field plus incidence table, retrying with perturbation seeds as needed."""
+    def attempt(seed):
+        field = build_adapted(entry.field, entry.chart, crit, entry.metric,
+                              for_negative=for_negative, perturb_seed=seed, tol=tol,
+                              sample=sample)
+        return field, build_incidences(field)
+    return _first_transverse(attempt, base_seed, tol)[0]
 
 
 def assemble_complex(crit: CriticalSet, side: str, flavor: str,
@@ -185,24 +193,16 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
         if not rows or not cols:
             out[k] = PairingReport(k, rows, cols, tuple(() for _ in rows))
             continue
-        matrix = None
-        last: Exception | None = None
-        for seed in _retry_seeds(base_seed, tol):
+
+        def attempt(seed):
             ascent = field_neg if seed == field_neg.perturb_seed else build_adapted(
                 entry.field, entry.chart, crit, entry.metric,
                 for_negative=True, perturb_seed=seed, tol=tol, sample=sample)
-            try:
-                matrix = tuple(
-                    tuple(intersection_pairing(ascent, field_pos,
-                                               crit.by_id(pid), crit.by_id(qid))
-                          for qid in cols)
-                    for pid in rows)
-                used_seed = seed
-                break
-            except NonTransverse as exc:
-                last = exc.with_traceback(None)  # as in `_build_side`
-        if matrix is None:
-            raise last  # type: ignore[misc]
+            return tuple(tuple(intersection_pairing(ascent, field_pos,
+                                                    crit.by_id(pid), crit.by_id(qid))
+                               for qid in cols)
+                         for pid in rows)
+        matrix, used_seed = _first_transverse(attempt, base_seed, tol)
         out[k] = PairingReport(k, rows, cols, matrix)
     return out, used_seed
 
@@ -242,8 +242,7 @@ def _collect_checks(entry, homology, pairing) -> list[CheckRecord]:
         name = complex_key(side, flavor)
         got = homology[name]
         ref = refs[target]
-        ok = got.matches(ref.betti, ref.torsion)
-        checks.append(CheckRecord(f"homology:{name}={target}", ok,
+        checks.append(CheckRecord(f"homology:{name}={target}", got == ref,
                                   f"got {got.as_dict()}, want {ref.as_dict()}"))
     ref_rel, ref_abs = refs["H^*(M,dM;Z^or)"], refs["H_*(M;Z)"]
     n = entry.chart.dim
@@ -289,7 +288,7 @@ def assert_identical_homology(per_seed: dict[int, dict[str, HomologyResult]]) ->
     base = per_seed[seeds[0]]
     for s in seeds[1:]:
         for key, res in per_seed[s].items():
-            if not res.matches(base[key].betti, base[key].torsion):
+            if res != base[key]:
                 raise InvarianceFailure(
                     f"seed {s} gives {res.as_dict()} for {key}, "
                     f"seed {seeds[0]} gave {base[key].as_dict()}")

@@ -727,7 +727,7 @@ class CaptureRegion:
     least 2 * depth above the sink's level on the ball's rim, and the sink is
     the ball's only zero, so a trajectory that enters the region never leaves
     the ball and ends at the sink.  `flow.integrate` tests membership, the
-    level before the distance.
+    distance before the level, so it reads f only inside the ball.
     """
 
     sink: CriticalPoint

@@ -86,11 +86,13 @@ def render(entry, package, path: str) -> None:
     for side, style in (("N", "none"), ("D", "4,3")):
         for inc in package.incidences[side].values():
             for orbit in inc.orbits:
+                # f, not the side's objective: the D side descends -f
+                color = _color(float(entry.field.value(orbit.trajectory.points[0])),
+                               lo, hi)
                 for piece in _split_segments(chart, orbit.trajectory.points):
                     step = max(1, len(piece) // 300)
                     pts = piece[::step]
                     coords = " ".join(f"{x},{y}" for x, y in (mapper.pt(p) for p in pts))
-                    color = _color(orbit.trajectory.values[0], lo, hi)
                     dash = "" if style == "none" else f' stroke-dasharray="{style}"'
                     parts.append(f'<polyline points="{coords}" fill="none" '
                                  f'stroke="{color}" stroke-width="1.5"{dash}/>')

@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from morseflow import catalog, pipeline
+from morseflow import catalog, flow, pipeline
 from morseflow.critical import INTERIOR, CriticalSet
 from morseflow.pipeline import build_package
 from morseflow import verify as V
@@ -30,6 +30,24 @@ def test_criterion_03_relative_cohomology(ctx):
 
 def test_criterion_04_square_zero(ctx):
     _run(V.check_composites_vanish, ctx)
+
+
+def test_square_zero_criterion_names_every_complex(packages):
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = dict(packages)
+    count = sum(len(pkg.complexes) for pkg in packages.values())
+    assert count == 5 * len(packages)
+    assert f"all {count} complexes" in V.check_composites_vanish(ctx).detail
+
+
+def test_square_zero_criterion_fails_on_a_nonzero_composite(monkeypatch):
+    """Every incidence read as 1 gives the dome's N side d2 = d1 = (1), so its
+    package raises BoundarySquareNonzero when built, which fails criterion 4."""
+    monkeypatch.setattr(catalog, "names", lambda: ["tilted_dome"])
+    monkeypatch.setattr(flow.IncidenceCount, "flavor", lambda self, coefficients: 1)
+    result = V.check_composites_vanish(V.VerificationContext(seed=0))
+    assert not result.passed
+    assert result.detail.startswith("BoundarySquareNonzero: ")
 
 
 def test_criterion_05_morse_inequalities(ctx):

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from morseflow import chains
 from morseflow.chains import (IntegerChainComplex, smith_normal_form,
                               staircase_quotient, zeros)
 from morseflow.errors import BoundarySquareNonzero
@@ -122,6 +124,76 @@ def test_square_zero_enforced():
     gens = ((0,), (1,), (2,))
     with pytest.raises(BoundarySquareNonzero):
         IntegerChainComplex(2, -1, gens, {1: [[1]], 2: [[1]]})
+
+
+def test_ragged_matrix_is_rejected():
+    # the first row has the right length; the second does not
+    with pytest.raises(ValueError, match="wrong shape"):
+        IntegerChainComplex(1, -1, ((0,), (1, 2)), {1: [[1], [1, 0]]})
+
+
+@pytest.mark.parametrize("step, degree, mat", [
+    (-1, 2, [[1]]),      # degree above top_dim
+    (-1, 0, [[]]),       # target below 0
+    (1, 1, [[]]),        # target above top_dim
+])
+def test_matrix_outside_the_degrees_is_rejected(step, degree, mat):
+    with pytest.raises(ValueError, match="outside degrees"):
+        IntegerChainComplex(1, step, ((0,), (1,)), {degree: mat})
+
+
+def test_homology_reduces_each_stored_matrix_once(packages, monkeypatch):
+    """One Smith form per stored matrix, none for a matrix without rows or
+    columns: a 2-D package's five homologies take at most ten."""
+    calls = []
+    real = chains.smith_normal_form
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(chains, "smith_normal_form", counted)
+    for name in ("disk", "annulus", "moebius", "tilted_dome"):
+        calls.clear()
+        complexes = packages[name].complexes.values()
+        got = [cx.homology() for cx in complexes]
+        assert got == [packages[name].homology[key] for key in packages[name].complexes]
+        assert len(calls) <= sum(len(cx.matrices) for cx in complexes) == 10
+        assert all(mat and mat[0] for mat in calls)
+
+
+@st.composite
+def _one_differential(draw):
+    """(complex, ranks, degree, matrix): free modules of ranks 0 to 4 in
+    degrees 0..top_dim, one matrix with entries in [-5, 5] out of `degree`."""
+    step = draw(st.sampled_from([-1, 1]))
+    top = draw(st.integers(1, 3))
+    ranks = draw(st.lists(st.integers(0, 4), min_size=top + 1, max_size=top + 1))
+    degree = draw(st.integers(0, top - 1)) + (1 if step == -1 else 0)
+    rows, cols = ranks[degree], ranks[degree + step]
+    mat = draw(st.lists(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    first = [sum(ranks[:k]) for k in range(top + 1)]
+    gens = tuple(tuple(range(first[k], first[k] + ranks[k])) for k in range(top + 1))
+    return IntegerChainComplex(top, step, gens, {degree: mat}), ranks, degree, mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_differential())
+def test_one_differential_homology_matches_the_oracles(case):
+    """Chain (step -1) and cochain (step +1) form: the rank comes off both
+    degrees, and the invariant factors above 1 are the target's torsion."""
+    cx, ranks, degree, mat = case
+    diag, _ = snf_oracle(mat)
+    rank = rational_rank(mat)
+    betti = list(ranks)
+    betti[degree] -= rank
+    betti[degree + cx.step] -= rank
+    torsion = [()] * len(ranks)
+    torsion[degree + cx.step] = tuple(d for d in diag if d > 1)
+    h = cx.homology()
+    assert h.betti == tuple(betti)
+    assert h.torsion == tuple(torsion)
 
 
 def test_transpose_dual_involution():

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import morseflow
-from morseflow import catalog, cli, pipeline
+from morseflow import catalog, cli, pipeline, svg
 from morseflow.cli import main
 
 
@@ -109,6 +111,25 @@ def test_svg_written(tmp_path, capsys):
     assert body.startswith("<svg")
     assert 'width="800"' in body
     assert "</svg>" in body
+
+
+def test_svg_colours_every_orbit_by_f(packages, tmp_path):
+    """The D side descends -f, yet its orbits are coloured by f at their
+    start, on the scale of the critical values of f: the annulus's two D
+    orbits start at f = -1."""
+    pkg = packages["annulus"]
+    entry = pkg.entry
+    target = tmp_path / "annulus.svg"
+    svg.render(entry, pkg, str(target))
+    dashed = re.findall(r'stroke="(rgb\([0-9,]+\))" stroke-width="1.5" '
+                        r'stroke-dasharray="4,3"', target.read_text())
+    values = [cp.value for cp in pkg.crit.points]
+    starts = [float(entry.field.value(o.trajectory.points[0]))
+              for inc in pkg.incidences["D"].values() for o in inc.orbits]
+    assert len(starts) == 2 and np.allclose(starts, -1.0)
+    want = {svg._color(f, min(values), max(values)) for f in starts}
+    assert dashed and set(dashed) == want
+    assert "rgb(189,60,90)" not in want  # the colour of f = +1
 
 
 def test_svg_unwritable_path(tmp_path, capsys):

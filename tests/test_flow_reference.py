@@ -3,7 +3,8 @@
 `reference_integrate` is `flow.integrate` as it was written with numpy
 2-vectors: Dormand-Prince stages as array arithmetic, the error norm through
 `np.mean`, the wall test through the constraint callables and the speed
-through `np.linalg.norm`.  The float integrator must give the same bits:
+through `np.linalg.norm`, and f at every sample, with a capture region's
+level tested before its distance.  The float integrator must give the same bits:
 every branch integrated for a catalog entry at seeds 0 and 1 and for the
 interior-saddle fixtures is integrated again here and compared byte for byte.
 """
@@ -62,8 +63,7 @@ def reference_integrate(field, start, *, reverse=False, allow_exit=False):
     times, points, values = [t], [x.copy()], [value(x)]
 
     def result(termination, target=None):
-        return Trajectory(np.array(times), np.array(points), np.array(values),
-                          termination, target)
+        return Trajectory(np.array(times), np.array(points), termination, target)
 
     def settled(speed):
         y = points[-1]
@@ -161,7 +161,7 @@ def reference_integrate(field, start, *, reverse=False, allow_exit=False):
 
 def _bits(traj):
     return tuple((a.shape, a.dtype.str, a.tobytes())
-                 for a in (traj.times, traj.points, traj.values)) + (
+                 for a in (traj.times, traj.points)) + (
         traj.termination, traj.target)
 
 

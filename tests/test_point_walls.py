@@ -124,8 +124,7 @@ def test_field_and_flow_read_a_callables_wall_with_the_circle_bits(packages):
     ours = flow.integrate(field, [0.9, 0.3])
     theirs = flow.integrate(pkg.field_pos, [0.9, 0.3])
     assert ours.termination == theirs.termination == flow.CONVERGED
-    for a, b in ((ours.times, theirs.times), (ours.points, theirs.points),
-                 (ours.values, theirs.values)):
+    for a, b in ((ours.times, theirs.times), (ours.points, theirs.points)):
         assert same_bits(a, b)
     assert wall.calls
 
