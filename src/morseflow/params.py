@@ -31,8 +31,8 @@ class Tolerances:
     r_launch: float = 1e-4
     r_conv: float = 1e-5
     t_max: float = 1e3
-    rtol: float = 1e-6
-    atol: float = 1e-8
+    rtol: float = 1e-5
+    atol: float = 1e-7
     max_steps: int = 200000
     field_stop: float = 1e-8      # field norm at trajectory convergence
     # genericity perturbations

@@ -351,8 +351,9 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
     center's second coordinate are 0.0, which moves no bit of a coordinate
     gap, and the second components of vectors are dropped; a metric other
     than the identity takes the list helpers the batch takes.  A list of
-    coordinates is read as its floats, anything else through `np.asarray`.
-    Non-finite coordinates give NaN.
+    Python floats, what the integrator passes, is read as it is; a list of
+    other numbers is read as their floats, anything else through
+    `np.asarray`.  Non-finite coordinates give NaN.
     """
     chart, tol, dim, deck = field.chart, field.tol, field.chart.dim, field.chart.deck
     two_d = dim == 2
@@ -393,11 +394,13 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
         return du > bound or (abs(abs(v) - abs(c1)) if folds else abs(v - c1)) > bound
 
     def evaluate(raw) -> Array:
-        xs = (list(map(float, raw)) if type(raw) is list
-              else np.asarray(raw, dtype=float).tolist())
-        if not all(map(math.isfinite, xs)):
-            return np.full(dim, math.nan)
+        xs = raw if type(raw) is list else np.asarray(raw, dtype=float).tolist()
         u, v = xs if two_d else (xs[0], 0.0)
+        if type(u) is not float or type(v) is not float:
+            u, v = float(u), float(v)
+            xs = [u, v] if two_d else [u]
+        if not (math.isfinite(u) and math.isfinite(v)):
+            return np.full(dim, math.nan)
         flip = False
         if deck is not None:
             k = math.floor(u / period)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -223,16 +223,21 @@ def check_invariance(ctx: VerificationContext, seeds=(1, 2, 3)):
 
 
 def snf_oracle(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
-    """Invariant factors from determinant-divisor gcds (brute force)."""
+    """Invariant factors from determinant-divisor gcds (brute force).
+
+    D_{k-1} divides every k x k minor, so the scan of degree k's minors stops
+    once their gcd has come down to D_{k-1}: D_k can fall no further.
+    """
     rows, cols = len(mat), len(mat[0]) if mat else 0
     diag = []
     prev = 1
     for k in range(1, min(rows, cols) + 1):
         g = 0
-        for rsel in combinations(range(rows), k):
-            for csel in combinations(range(cols), k):
-                sub = [[mat[i][j] for j in csel] for i in rsel]
-                g = math.gcd(g, abs(int_det(sub)))
+        for rsel, csel in product(combinations(range(rows), k),
+                                  combinations(range(cols), k)):
+            g = math.gcd(g, abs(int_det([[mat[i][j] for j in csel] for i in rsel])))
+            if g == prev:
+                break
         if g == 0:
             break
         diag.append(g // prev)

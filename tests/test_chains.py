@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from morseflow import chains
 from morseflow.chains import (IntegerChainComplex, smith_normal_form,
                               staircase_quotient, zeros)
 from morseflow.errors import BoundarySquareNonzero
-from morseflow.verify import fuzz_matrices, rational_rank, snf_fuzz, snf_oracle
+from morseflow.verify import fuzz_matrices, int_det, rational_rank, snf_fuzz, snf_oracle
 
 
 def test_snf_single_entry():
@@ -37,6 +39,40 @@ def test_oracle_helpers_consistent():
     mat = [[2, 4], [6, 8]]
     assert snf_oracle(mat) == ((2, 4), 2)
     assert rational_rank(mat) == 2
+
+
+def full_scan_oracle(mat):
+    """`snf_oracle` without its early stop: every k x k minor of every degree."""
+    rows, cols = len(mat), len(mat[0]) if mat else 0
+    diag, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rsel in combinations(range(rows), k):
+            for csel in combinations(range(cols), k):
+                g = math.gcd(g, abs(int_det([[mat[i][j] for j in csel] for i in rsel])))
+        if g == 0:
+            break
+        diag.append(g // prev)
+        prev = g
+    return tuple(diag), len(diag)
+
+
+def test_snf_oracle_equals_the_full_scan_on_the_fuzz_matrices():
+    for mat in fuzz_matrices():
+        assert snf_oracle(mat) == full_scan_oracle(mat)
+
+
+def _matrices(cols):
+    row = st.lists(st.integers(-12, 12), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(_matrices), st.integers(1, 6))
+def test_snf_oracle_equals_the_full_scan(mat, scale):
+    # a common factor makes D_1 > 1, so a scan can stop above 1
+    mat = [[scale * a for a in row] for row in mat]
+    assert snf_oracle(mat) == full_scan_oracle(mat)
 
 
 def fraction_rank(mat):

@@ -4,7 +4,9 @@
 2-vectors: Dormand-Prince stages as array arithmetic, the error norm through
 `np.mean`, the wall test through the constraint callables and the speed
 through `np.linalg.norm`, and f at every sample, with a capture region's
-level tested before its distance.  The float integrator must give the same bits:
+level tested before its distance.  Its step cap and its wall landing (regula
+falsi on the wall's value along the step fraction) are the float
+integrator's.  The float integrator must give the same bits:
 every branch integrated for a catalog entry at seeds 0 and 1 and for the
 interior-saddle fixtures is integrated again here and compared byte for byte.
 """
@@ -89,7 +91,7 @@ def reference_integrate(field, start, *, reverse=False, allow_exit=False):
         return result(CONVERGED, target=hit)
 
     h = 1e-4
-    h_max = 0.5
+    h_max = 1.0
     steps = 0
     while True:
         if t >= tol.t_max or steps >= tol.max_steps:
@@ -106,23 +108,31 @@ def reference_integrate(field, start, *, reverse=False, allow_exit=False):
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
-        if _violation(chart, x_new) > 1e-12:
+        excess = _violation(chart, x_new)
+        if excess > 1e-12:
             lo, hi, x_hi = 0.0, 1.0, x_new
+            f_lo, f_hi, moved = min(_violation(chart, x), 0.0), excess, 0
             for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
+                s = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+                if not h * lo < h * s < h * hi:
+                    s = 0.5 * (lo + hi)
+                    if not h * lo < h * s < h * hi:
+                        break
+                x_s, _, _ = reference_rk_step(deriv, x, h * s, k1)
+                f_s = _violation(chart, x_s)
+                if abs(f_s) <= 1e-12:
+                    hi, x_hi = s, x_s
                     break
-                if h * mid == h * lo:
-                    lo = mid
-                    continue
-                if h * mid == h * hi:
-                    hi = mid
-                    continue
-                x_mid, _, _ = reference_rk_step(deriv, x, h * mid, k1)
-                if _violation(chart, x_mid) > 0.0:
-                    hi, x_hi = mid, x_mid
+                if f_s > 0.0:
+                    hi, x_hi, f_hi = s, x_s, f_s
+                    if moved == 1:
+                        f_lo *= 0.5
+                    moved = 1
                 else:
-                    lo = mid
+                    lo, f_lo = s, f_s
+                    if moved == -1:
+                        f_hi *= 0.5
+                    moved = -1
             x_land = _pull_inside(chart, x_hi)
             t_land = t + h * hi
             _, outward = nearest_wall(chart, x_land)

@@ -195,3 +195,24 @@ def test_empty_wall_sample_has_a_nan_inward_margin(packages):
     cert = certify_adapted(wide, sample=pkg.sample)
     assert cert.boundary_samples == 0
     assert math.isnan(cert.inward_margin) and not cert.passed
+
+
+@pytest.mark.parametrize("name", ["interval", "moebius", "tilted_dome"])
+def test_point_kernel_reads_any_numbers_as_their_floats(packages, name):
+    # the integrator passes lists of Python floats, which the kernel reads as
+    # they are; a list of ints, a list of numpy float64 scalars and a tuple
+    # give the same bits, and a coordinate that is not finite gives NaN
+    field = packages[name].field_pos
+    dim = field.chart.dim
+    whole = [[0], [1]] if dim == 1 else [[0, 0], [1, 0], [3, -1], [-4, 1], [7, 0]]
+    points = whole + packages[name].sample.interior[:6].tolist()
+    for x in points:
+        want = field.evaluate([float(c) for c in x]).tobytes()
+        assert field.evaluate(list(x)).tobytes() == want
+        assert field.evaluate([np.float64(c) for c in x]).tobytes() == want
+        assert field.evaluate(tuple(x)).tobytes() == want
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(dim):
+            x = [0.5] * dim
+            x[i] = bad
+            assert np.isnan(field.evaluate(x)).all()
