@@ -5,8 +5,8 @@ from .chains import (HomologyResult, IntegerChainComplex, smith_normal_form,
                      staircase_quotient)
 from .critical import CriticalPoint, CriticalSet, find_critical_set
 from .fields import MorseField, boundary_restriction_derivatives
-from .geometry import (BoundaryConstraint, Chart, Deck, MetricField, Point,
-                       boundary_data, normalize_point)
+from .geometry import (BoundaryConstraint, Chart, Deck, MetricField, boundary_frame,
+                       normalize_point)
 from .params import DEFAULT, Tolerances
 from .pipeline import MorsePackage, build_package
 from .pseudogradient import (AdaptednessCertificate, PseudoGradientField,

@@ -59,7 +59,7 @@ def _report(pkg: MorsePackage, keys: list[str], overrides: list[str],
                 "id": cp.id,
                 "kind": cp.kind,
                 "grading": cp.grading,
-                "location": [float(c) for c in cp.point.coords],
+                "location": cp.coords.tolist(),
                 "value": cp.value,
             }
             for cp in pkg.crit.points

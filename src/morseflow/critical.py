@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateCritical, PointOutsideManifold, TypeUndetermined
 from .fields import MorseField, boundary_restriction_derivatives
-from .geometry import (Chart, MetricField, Point, active_constraint, boundary_distance,
+from .geometry import (Chart, MetricField, active_constraint, boundary_distance,
                        boundary_frame, boundary_frames, chart_distance,
                        chart_distance_many, normalize_point, row_dot)
 from .params import DEFAULT, Tolerances
@@ -35,24 +35,35 @@ def sign_fix(vec: Array) -> Array:
     return v
 
 
+def _frozen(vec) -> Array:
+    out = np.array(vec, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class CriticalPoint:
+    """A critical point of f or of f|dM: canonical `coords`, the `frame`
+    orienting the unstable manifold (one vector per unstable direction) and
+    the boundary frame (`normal`, `tangent`; None in the interior), each kept
+    as a read-only copy, since `replace` copies and tangency patches share it.
+    """
+
     id: int
-    point: Point
+    coords: Array
     value: float
     kind: str                 # interior / boundary_n / boundary_d
     grading: int              # Morse index, or index of f|dM (plus one on type D)
-    orientation_ref: tuple[tuple[float, ...], ...]
+    frame: tuple[Array, ...] = ()
     tangential_hessian: float = 0.0
-    normal: tuple[float, ...] = ()
-    tangent: tuple[float, ...] = ()
+    normal: Array | None = None
+    tangent: Array | None = None
 
-    @property
-    def coords(self) -> Array:
-        return self.point.array
-
-    def frame_arrays(self) -> list[Array]:
-        return [np.asarray(v, dtype=float) for v in self.orientation_ref]
+    def __post_init__(self):
+        for name in ("coords", "normal", "tangent"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "frame", tuple(map(_frozen, self.frame)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,17 +162,15 @@ def find_interior_critical(field: MorseField, chart: Chart,
             pt = normalize_point(chart, seed, tol)
         except PointOutsideManifold:
             continue
-        if boundary_distance(chart, pt.array) <= tol.tol_geom:
+        if boundary_distance(chart, pt) <= tol.tol_geom:
             continue
-        hess = np.asarray(field.hessian(pt.array), dtype=float)
+        hess = np.asarray(field.hessian(pt), dtype=float)
         if abs(float(np.linalg.det(hess))) < tol.tol_nondeg:
-            raise DegenerateCritical(f"interior critical point near {pt.coords}")
+            raise DegenerateCritical(f"interior critical point near {tuple(pt.tolist())}")
         index = int(np.sum(np.linalg.eigvalsh(hess) < 0))
-        found.append(CriticalPoint(
-            id=-1, point=pt, value=float(field.value(pt.array)), kind=INTERIOR,
-            grading=index, orientation_ref=(),
-        ))
-        open_[chart_distance_many(chart, seeds, pt.coords) < tol.dedup_dist] = False
+        found.append(CriticalPoint(id=-1, coords=pt, value=float(field.value(pt)),
+                                   kind=INTERIOR, grading=index))
+        open_[chart_distance_many(chart, seeds, pt) < tol.dedup_dist] = False
     return found
 
 
@@ -334,17 +343,17 @@ def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
     pt = normalize_point(chart, x, tol)
     # the walk moves in chart arclength, so convert the metric-frame Newton
     # step by the euclidean length of the metric-unit tangent
-    _, _, tangent = boundary_frame(chart, pt, metric, tol)
+    _, tangent = boundary_frame(chart, pt, metric, tol)
     t_len = float(np.linalg.norm(tangent))
     g_t, h_t = boundary_restriction_derivatives(field, chart, pt, metric, tol)
     for _ in range(tol.newton_max_iter):
         if abs(g_t) < tol.tol_crit:
-            return pt.array
+            return pt
         if abs(h_t) < 1e-14:
             return None
         delta = float(np.clip(-g_t / h_t * t_len, -max_move, max_move))
         while True:
-            cand = _boundary_step(chart, pt.array, delta, tol)
+            cand = _boundary_step(chart, pt, delta, tol)
             if cand is None:
                 return None
             try:
@@ -360,7 +369,7 @@ def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
             delta *= 0.5
             if abs(delta) < 1e-16:
                 return None  # the line search failed
-    return pt.array if abs(g_t) < tol.tol_crit else None
+    return pt if abs(g_t) < tol.tol_crit else None
 
 
 def _boundary_step(chart: Chart, x: Array, delta: float,
@@ -436,15 +445,16 @@ def _boundary_critical_1d(field, chart, metric, tol) -> list[CriticalPoint]:
 def _classify_boundary(field: MorseField, chart: Chart, x: Array,
                        metric: MetricField | None, tol: Tolerances) -> CriticalPoint:
     pt = normalize_point(chart, x, tol)
-    _, normal, tangent = boundary_frame(chart, pt, metric, tol)
-    grad = np.asarray(field.gradient(pt.array), dtype=float)
+    normal, tangent = boundary_frame(chart, pt, metric, tol)
+    grad = np.asarray(field.gradient(pt), dtype=float)
     nu = float(grad @ normal)
     if abs(nu) <= tol.tol_type:
-        raise TypeUndetermined(f"<df, n> = {nu:.2e} at {pt.coords}")
+        raise TypeUndetermined(f"<df, n> = {nu:.2e} at {tuple(pt.tolist())}")
     if chart.dim == 2:
         _, h_t = boundary_restriction_derivatives(field, chart, pt, metric, tol)
         if abs(h_t) < tol.tol_nondeg:
-            raise DegenerateCritical(f"boundary restriction degenerate at {pt.coords}")
+            raise DegenerateCritical(
+                f"boundary restriction degenerate at {tuple(pt.tolist())}")
         b_index = 0 if h_t > 0 else 1
     else:
         h_t = 0.0
@@ -454,30 +464,25 @@ def _classify_boundary(field: MorseField, chart: Chart, x: Array,
     else:
         kind, grading = BOUNDARY_D, b_index + 1
     return CriticalPoint(
-        id=-1, point=pt, value=float(field.value(pt.array)), kind=kind,
-        grading=grading, orientation_ref=(), tangential_hessian=h_t,
-        normal=tuple(float(c) for c in normal),
-        tangent=tuple(float(c) for c in tangent),
-    )
+        id=-1, coords=pt, value=float(field.value(pt)), kind=kind, grading=grading,
+        tangential_hessian=h_t, normal=normal, tangent=tangent)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
-def _orientation_frame(field: MorseField, cp: CriticalPoint, dim: int) -> tuple:
+def _orientation_frame(field: MorseField, cp: CriticalPoint, dim: int) -> list[Array]:
     """The chosen orientation of cp's unstable manifold: the descent
     eigenvectors of an interior point, the tangent of a grading-one type-N
     point.  A type-D point is no zero of the descent field and has none."""
     if cp.kind == INTERIOR:
         hess = np.asarray(field.hessian(cp.coords), dtype=float)
         eigvals, eigvecs = np.linalg.eigh(hess)
-        frame = [sign_fix(eigvecs[:, i]) for i in range(dim) if eigvals[i] < 0]
-    elif cp.kind == BOUNDARY_N and cp.grading == 1:
-        frame = [sign_fix(np.asarray(cp.tangent))]
-    else:
-        frame = []
-    return tuple(tuple(float(c) for c in v) for v in frame)
+        return [sign_fix(eigvecs[:, i]) for i in range(dim) if eigvals[i] < 0]
+    if cp.kind == BOUNDARY_N and cp.grading == 1:
+        return [sign_fix(cp.tangent)]
+    return []
 
 
 def find_critical_set(field: MorseField, chart: Chart,
@@ -490,11 +495,8 @@ def find_critical_set(field: MorseField, chart: Chart,
     first.  `walks` is `boundary_walks(chart, tol)`, taken here when not given."""
     interior = find_interior_critical(field, chart, tol=tol)
     boundary = find_boundary_critical(field, chart, metric=metric, tol=tol, walks=walks)
-    out = []
-    for ident, cp in enumerate(sorted(interior + boundary, key=lambda p: p.value)):
-        cp = replace(cp, id=ident)
-        cp = replace(cp, orientation_ref=_orientation_frame(field, cp, chart.dim))
-        out.append(cp)
+    out = [replace(cp, id=ident, frame=_orientation_frame(field, cp, chart.dim))
+           for ident, cp in enumerate(sorted(interior + boundary, key=lambda p: p.value))]
     return CriticalSet(chart.dim, tuple(out))
 
 
@@ -516,6 +518,6 @@ def reclassify_negated(crit: CriticalSet, field: MorseField,
         new = replace(cp, value=-cp.value, kind=_NEGATED_KIND[cp.kind],
                       grading=dim - cp.grading,
                       tangential_hessian=-cp.tangential_hessian)
-        out.append(replace(new, orientation_ref=_orientation_frame(neg, new, dim)))
+        out.append(replace(new, frame=_orientation_frame(neg, new, dim)))
     out.sort(key=lambda p: p.value)
     return CriticalSet(dim, tuple(out))

@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotMorse, NotOnBoundary
-from .geometry import (Chart, MetricField, Point, active_constraint, boundary_frame,
-                       deck_apply)
+from .geometry import Chart, MetricField, active_constraint, boundary_frame, deck_apply
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -104,44 +103,30 @@ def validate_field(field: MorseField, chart: Chart) -> None:
     check_derivative_consistency(field, chart)
 
 
-def curvature_form(chart: Chart, p: Point, normal: Array, tangent: Array,
-                   metric: MetricField | None = None, tol: Tolerances = DEFAULT) -> float:
-    """Second fundamental form II(t, t) of the boundary, outward normal convention.
-
-    tangent is assumed metric-unit; the constraint gradient is normalized in the
-    dual metric norm so the result is frame consistent.
-    """
-    x = p.array
-    con = active_constraint(chart, x, tol)
-    if con is None:
-        raise NotOnBoundary(f"{p.coords} has no active constraint")
-    grad = np.asarray(con.gradient(x), dtype=float)
-    hess = np.asarray(con.hessian(x), dtype=float)
-    if metric is None or metric.identity:
-        gl = math.sqrt(float(grad @ grad))
-    else:
-        ginv_grad = np.linalg.solve(np.asarray(metric.matrix(x)), grad)
-        gl = math.sqrt(float(grad @ ginv_grad))
-    return float(tangent @ hess @ tangent) / gl
-
-
 def boundary_restriction_derivatives(field: MorseField, chart: Chart,
-                                     p: Point, metric: MetricField | None = None,
+                                     x: Array, metric: MetricField | None = None,
                                      tol: Tolerances = DEFAULT) -> tuple[float, float]:
-    """Arclength first and second derivatives of the boundary restriction at p.
+    """Arclength first and second derivatives of the boundary restriction at x.
 
     The second derivative carries the curvature correction
-    t.(d2f).t - <df, n> II(t, t) coming from the bending of the wall.
-    Only meaningful in dimension 2 (the boundary is a curve).
+    t.(d2f).t - <df, n> II(t, t) coming from the bending of the wall, where
+    II(t, t) = t.(d2b).t / |db| is its second fundamental form, |db| taken in
+    the dual metric norm so the result is frame consistent.  Only meaningful
+    in dimension 2 (the boundary is a curve).
     """
     if chart.dim != 2:
         raise NotOnBoundary("boundary of a 1-manifold is zero-dimensional")
-    _, normal, tangent = boundary_frame(chart, p, metric, tol)
-    x = p.array
+    normal, tangent = boundary_frame(chart, x, metric, tol)
+    con = active_constraint(chart, x, tol)
+    grad_b = np.asarray(con.gradient(x), dtype=float)
+    hess_b = np.asarray(con.hessian(x), dtype=float)
+    if metric is None or metric.identity:
+        gl = math.sqrt(float(grad_b @ grad_b))
+    else:
+        gl = math.sqrt(float(grad_b @ np.linalg.solve(np.asarray(metric.matrix(x)), grad_b)))
     grad = np.asarray(field.gradient(x), dtype=float)
     hess = np.asarray(field.hessian(x), dtype=float)
     g_t = float(grad @ tangent)
     nu = float(grad @ normal)
-    second = float(tangent @ hess @ tangent) \
-        - nu * curvature_form(chart, p, normal, tangent, metric, tol)
+    second = float(tangent @ hess @ tangent) - nu * (float(tangent @ hess_b @ tangent) / gl)
     return g_t, second

@@ -112,10 +112,6 @@ class Trajectory:
     target: int | None = None      # critical id for CONVERGED
 
     @property
-    def start(self) -> Array:
-        return self.points[0]
-
-    @property
     def end(self) -> Array:
         return self.points[-1]
 
@@ -356,11 +352,10 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
 def unstable_launches(field: PseudoGradientField,
                       cp: CriticalPoint) -> list[tuple[int, Array]]:
     """Launch points for the two branches of a one-dimensional unstable manifold."""
-    frame = cp.frame_arrays()
-    if len(frame) != 1:
+    if len(cp.frame) != 1:
         raise DimensionMismatch(f"generator {cp.id} has unstable dimension "
-                                f"{len(frame)}, expected 1")
-    e_u, tol = frame[0], field.tol
+                                f"{len(cp.frame)}, expected 1")
+    e_u, tol = cp.frame[0], field.tol
     out = []
     for label in (1, -1):
         x0 = cp.coords + tol.r_launch * label * e_u
@@ -385,8 +380,7 @@ def stable_launches(field: PseudoGradientField,
         e_s = sign_fix(stable[0])
         return [(1, cp.coords + r_launch * e_s), (-1, cp.coords - r_launch * e_s)]
     # boundary tangency point: the stable direction is the inward normal ray
-    inward = -np.asarray(cp.normal, dtype=float)
-    return [(1, cp.coords + r_launch * inward)]
+    return [(1, cp.coords + r_launch * -cp.normal)]
 
 
 def _branches(field: PseudoGradientField, anchor: CriticalPoint,
@@ -480,8 +474,8 @@ def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
     # orientation of (flow direction, q's unstable frame vector, which
     # co-orients q's stable manifold) against p's unstable frame carried to T^k p
     vel = field.evaluate(launch)
-    det = float(np.linalg.det(np.stack([vel, q.frame_arrays()[0]], axis=1)))
-    or_source = 1 if np.linalg.det(np.stack(p.frame_arrays(), axis=1)) > 0 else -1
+    det = float(np.linalg.det(np.stack([vel, q.frame[0]], axis=1)))
+    or_source = 1 if np.linalg.det(np.stack(p.frame, axis=1)) > 0 else -1
     sign = or_source * deck_sign(chart, k) * (1 if det > 0 else -1)
     return sign, -k, forward
 
@@ -638,9 +632,7 @@ def intersection_pairing(field_neg: PseudoGradientField,
     if p.id == p_abs.id:
         # both invariant manifolds pass through the shared point; the local
         # contribution is the orientation of the combined eigenframe
-        frame_rel = cp_neg.frame_arrays()
-        frame_abs = cp_pos.frame_arrays()
-        mat = np.stack(frame_rel + frame_abs, axis=1)
+        mat = np.stack(cp_neg.frame + cp_pos.frame, axis=1)
         det = float(np.linalg.det(mat))
         if abs(det) < 1e-8:
             raise NonTransverse(f"invariant manifolds of generator {p.id} "

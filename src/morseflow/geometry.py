@@ -161,20 +161,6 @@ class Chart:
 
 
 @dataclass(frozen=True)
-class Point:
-    """Chart coordinates in canonical form (with a deck map, u in [0, period))."""
-
-    coords: tuple[float, ...]
-
-    @property
-    def array(self) -> Array:
-        return np.asarray(self.coords, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
 class MetricField:
     """Symmetric positive-definite bilinear form on chart coordinates."""
 
@@ -234,12 +220,13 @@ def active_constraint(chart: Chart, x: Array,
 
 
 def normalize_point(chart: Chart, raw: Sequence[float],
-                    tol: Tolerances = DEFAULT) -> Point:
-    """Reduce raw coordinates to the canonical point.
+                    tol: Tolerances = DEFAULT) -> Array:
+    """Canonical coordinates of raw coordinates (with a deck map, u in
+    [0, period)), as a new float array.
 
     Raises PointOutsideManifold when the input does not lie on the manifold.
     """
-    x = np.asarray(raw, dtype=float)
+    x = np.array(raw, dtype=float)
     if x.shape != (chart.dim,):
         raise ValueError("wrong coordinate length")
     if chart.deck is not None:
@@ -256,7 +243,7 @@ def normalize_point(chart: Chart, raw: Sequence[float],
     for con in chart.constraints:
         if float(con.value(x)) > tol.tol_geom:
             raise PointOutsideManifold(f"constraint {con.name} positive")
-    return Point(tuple(float(c) for c in x))
+    return x
 
 
 def chart_distance(chart: Chart, a: Sequence[float], b: Sequence[float]) -> float:
@@ -391,35 +378,20 @@ def metric_normals(metric: MetricField, covectors: Array, g_mats: Array | None) 
         return vec / length[:, None]
 
 
-def boundary_data(chart: Chart, p: Point, metric: MetricField | None = None,
-                  tol: Tolerances = DEFAULT) -> tuple[str, Array] | None:
-    """Active boundary piece and outward unit normal at p, or None in the interior.
+def boundary_frame(chart: Chart, x: Array, metric: MetricField | None = None,
+                   tol: Tolerances = DEFAULT) -> tuple[Array, Array]:
+    """Outward metric-unit normal and tangent at a boundary point x.  In
+    dimension 2 the tangent is the normal turned clockwise; in dimension 1
+    it is zero.
 
-    Raises AmbiguousBoundary when two constraints are active at once (corner).
+    Raises NotOnBoundary in the interior and AmbiguousBoundary at a corner.
     """
-    x = p.array
     con = active_constraint(chart, x, tol)
     if con is None:
-        return None
+        raise NotOnBoundary(f"{tuple(x.tolist())} is interior")
     metric = metric or MetricField.euclidean(len(x))
-    return con.name, metric_normal(metric, x, np.asarray(con.gradient(x), dtype=float))
-
-
-def tangent_of_normal(normal: Array) -> Array:
-    """Boundary tangent convention in dimension 2: rotate the normal clockwise."""
-    return np.array([normal[1], -normal[0]])
-
-
-def boundary_frame(chart: Chart, p: Point, metric: MetricField | None = None,
-                   tol: Tolerances = DEFAULT) -> tuple[str, Array, Array]:
-    """(piece name, outward normal, tangent) at a boundary point; raises otherwise."""
-    data = boundary_data(chart, p, metric, tol)
-    if data is None:
-        raise NotOnBoundary(f"{p.coords} is interior")
-    name, normal = data
-    if len(p) == 1:
-        return name, normal, np.zeros(1)
-    return name, normal, tangent_of_normal(normal)
+    normal = metric_normal(metric, x, np.asarray(con.gradient(x), dtype=float))
+    return normal, (np.zeros(1) if len(x) == 1 else np.array([normal[1], -normal[0]]))
 
 
 def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
@@ -452,8 +424,7 @@ def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
     bad |= ~np.isfinite(normals).all(axis=1) & np.isfinite(covectors).all(axis=1)
     # rows the batch cannot vouch for take the per-point path, which raises
     for i in np.flatnonzero(bad):
-        pt = normalize_point(chart, x[i], tol)
-        _, normals[i], _ = boundary_frame(chart, pt, metric, tol)
+        normals[i], _ = boundary_frame(chart, normalize_point(chart, x[i], tol), metric, tol)
     return canon, normals, g_mats
 
 

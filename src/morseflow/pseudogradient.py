@@ -8,13 +8,16 @@ with halved radii before giving up.
 
 A field derives its patches and perturbation from its eight init fields, and
 only `build_adapted` certifies it.  It has two evaluators that return the
-same bits: certification evaluates its samples in batches
-(`PseudoGradientField.evaluate_many`), and the flow integrator point by point
+same bits: the flow integrator evaluates point by point
 (`PseudoGradientField.evaluate`), where a one-row batch would cost several
-times as much.  The point evaluator is one straight-line float kernel per
-field (`_point_evaluator`) around one call of the objective's gradient and of
-the metric and one `BoundaryConstraint.read` per wall; the batch reads each
-wall once per row through its callables (`_pieces_many`).
+times as much, and certification and the capture check evaluate in batches
+(`_eval_canonical_many`) on canonical points and the gradients stored with
+them.  `evaluate_many` is the public batch form, which reduces raw points and
+evaluates their gradients first.  The point evaluator is one straight-line
+float kernel per field (`_point_evaluator`) around one call of the
+objective's gradient and of the metric and one `BoundaryConstraint.read` per
+wall; the batch reads each wall once per row through its callables
+(`_pieces_many`).
 
 Both measure a chart distance to a patch's or a critical point's center only
 where the coordinate gaps, lower bounds of the distance to every deck image,
@@ -99,7 +102,7 @@ class TangencyPatch:
 def _make_patch(chart: Chart, cp: CriticalPoint, tol: Tolerances) -> TangencyPatch:
     con = active_constraint(chart, cp.coords, tol)
     gnorm = float(np.linalg.norm(np.asarray(con.gradient(cp.coords), dtype=float)))
-    return TangencyPatch(center=cp.coords, tangent=np.asarray(cp.tangent, dtype=float),
+    return TangencyPatch(center=cp.coords, tangent=cp.tangent,
                          h=cp.tangential_hessian, piece=chart.constraints.index(con),
                          grad_norm_at_center=gnorm)
 

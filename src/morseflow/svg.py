@@ -103,7 +103,7 @@ def render(entry, package, path: str) -> None:
                              f'fill="black">{label}</text>')
 
     for cp in package.crit.points:
-        x, y = mapper.pt(cp.point.coords)
+        x, y = mapper.pt(cp.coords)
         if cp.kind == BOUNDARY_N:
             parts.append(f'<circle cx="{x}" cy="{y}" r="7" fill="#1f6f1f" '
                          f'stroke="black"/>')

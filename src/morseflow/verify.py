@@ -329,15 +329,14 @@ def _gradient_fd_error(entry, rng, samples: int = 200) -> float:
             pt = normalize_point(chart, x)
         except MorseflowError:
             continue
-        if boundary_distance(chart, pt.array) < 10 * step:
+        if boundary_distance(chart, pt) < 10 * step:
             continue
         count += 1
-        grad = np.asarray(field.gradient(pt.array), dtype=float)
+        grad = np.asarray(field.gradient(pt), dtype=float)
         for j in range(chart.dim):
             e = np.zeros(chart.dim)
             e[j] = step
-            fd = (float(field.value(pt.array + e))
-                  - float(field.value(pt.array - e))) / (2 * step)
+            fd = (float(field.value(pt + e)) - float(field.value(pt - e))) / (2 * step)
             scale = max(1.0, abs(grad[j]))
             worst = max(worst, abs(fd - grad[j]) / scale)
     return worst
@@ -367,7 +366,7 @@ def _boundary_fd_error(entry, pkg) -> float:
                 continue
             f0, fp, fm = (float(field.value(x)) for x in (x0, plus, minus))
             pt = normalize_point(chart, x0)
-            t_len = float(np.linalg.norm(boundary_frame(chart, pt, entry.metric)[2]))
+            t_len = float(np.linalg.norm(boundary_frame(chart, pt, entry.metric)[1]))
             g_t, h_t = boundary_restriction_derivatives(field, chart, pt, entry.metric)
             first = (fp - fm) / (2 * h) * t_len
             second = (fp - 2 * f0 + fm) / h ** 2 * t_len ** 2

@@ -34,9 +34,9 @@ def per_point_frames(chart, loop, metric):
     points, normals, g_mats = [], [], []
     for x in loop:
         pt = normalize_point(chart, x)
-        points.append(pt.array)
-        normals.append(boundary_frame(chart, pt, metric)[1])
-        g_mats.append(np.asarray(metric.matrix(pt.array), dtype=float))
+        points.append(pt)
+        normals.append(boundary_frame(chart, pt, metric)[0])
+        g_mats.append(np.asarray(metric.matrix(pt), dtype=float))
     return np.array(points), np.array(normals), np.array(g_mats)
 
 
@@ -182,7 +182,7 @@ def test_invariance_reuses_the_package_sample(packages, monkeypatch):
 @pytest.mark.parametrize("name", catalog.names())
 def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
     calls = []
-    for fn in (geometry.normalize_point, geometry.boundary_data,
+    for fn in (geometry.normalize_point, geometry.boundary_frame,
                fields.boundary_restriction_derivatives):
         def counted(*args, fn=fn, **kwargs):
             calls.append(fn.__name__)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import morseflow
 from morseflow import catalog, cli, pipeline, svg
 from morseflow.cli import main
+from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 
 
 def run(capsys, *argv):
@@ -130,6 +132,32 @@ def test_svg_colours_every_orbit_by_f(packages, tmp_path):
     want = {svg._color(f, min(values), max(values)) for f in starts}
     assert dashed and set(dashed) == want
     assert "rgb(189,60,90)" not in want  # the colour of f = +1
+
+
+@pytest.mark.parametrize("name", ["moebius", "tilted_dome"])
+def test_svg_draws_glyphs_seams_and_split_curves(packages, tmp_path, name):
+    """One glyph per critical point of its kind; on the Möbius band the two
+    seams, and every curve broken where it crosses a seam (the boundary
+    circle crosses both), so that no segment spans half the drawn period
+    (360 px)."""
+    pkg = packages[name]
+    target = tmp_path / f"{name}.svg"
+    svg.render(pkg.entry, pkg, str(target))
+    root = ElementTree.parse(target).getroot()
+
+    def drawn(tag, **attrs):
+        return [el for el in root.iter("{http://www.w3.org/2000/svg}" + tag)
+                if all(el.get(key.replace("_", "-")) == val for key, val in attrs.items())]
+
+    kinds = [cp.kind for cp in pkg.crit.points]
+    assert len(drawn("circle")) == kinds.count(BOUNDARY_N)
+    assert len(drawn("rect", width="12")) == kinds.count(BOUNDARY_D)
+    assert len(drawn("polygon")) == kinds.count(INTERIOR)
+    seams = drawn("line", stroke_dasharray="6,4")
+    assert len(seams) == (2 if name == "moebius" else 0)
+    for line in drawn("polyline"):
+        xs = [float(pair.split(",")[0]) for pair in line.get("points").split()]
+        assert np.abs(np.diff(xs)).max() <= 360.0
 
 
 def test_svg_unwritable_path(tmp_path, capsys):

@@ -22,7 +22,7 @@ def test_expected_partition_reproduced(packages):
         for exp in entry.expected:
             matches = [cp for cp in found
                        if cp.kind == exp.kind and cp.grading == exp.grading
-                       and chart_distance(entry.chart, cp.point.coords,
+                       and chart_distance(entry.chart, cp.coords,
                                           exp.location) < 1e-6]
             assert len(matches) == 1, f"{name}: {exp} not matched exactly once"
 
@@ -48,14 +48,14 @@ def test_dome_interior_maximum():
     pts = find_interior_critical(e.field, e.chart)
     assert len(pts) == 1
     assert pts[0].grading == 2
-    assert pts[0].point.coords == pytest.approx((0.0, 0.25), abs=1e-9)
+    assert pts[0].coords == pytest.approx((0.0, 0.25), abs=1e-9)
     assert pts[0].value == pytest.approx(17.0 / 16.0)
 
 
 def test_interval_boundary_classification():
     e = catalog.get("interval")
     pts = find_boundary_critical(e.field, e.chart)
-    kinds = {round(cp.point.coords[0]): (cp.kind, cp.grading) for cp in pts}
+    kinds = {round(cp.coords[0]): (cp.kind, cp.grading) for cp in pts}
     assert kinds[0] == (BOUNDARY_N, 0)
     assert kinds[1] == (BOUNDARY_D, 1)
 
@@ -72,7 +72,7 @@ def test_moebius_boundary_types_and_values():
     assert [(p.kind, p.grading) for p in pts] == [(BOUNDARY_N, 0), (BOUNDARY_D, 2)]
     assert [p.value for p in pts] == pytest.approx([-1.0, 1.0])
     for p in pts:
-        assert p.point.coords[0] == pytest.approx(math.pi)
+        assert p.coords[0] == pytest.approx(math.pi)
 
 
 def _interior_oracle(entry, density=400):
@@ -112,7 +112,7 @@ def test_interior_search_complete_against_grid(packages):
         entry = catalog.get(name)
         reported = [cp for cp in pkg.crit.points if cp.kind == INTERIOR]
         for hit in _interior_oracle(entry):
-            dists = [chart_distance(entry.chart, hit, cp.point.coords)
+            dists = [chart_distance(entry.chart, hit, cp.coords)
                      for cp in reported]
             assert dists and min(dists) < 1e-4, f"{name}: missed critical near {hit}"
 
@@ -136,7 +136,7 @@ def test_boundary_search_complete_against_walk(packages):
             for i in range(len(g)):
                 lo, hi = (i - 1) % len(g), (i + 1) % len(g)
                 if g[i] < 1e-3 and g[i] <= min(g[lo], g[hi]):
-                    dists = [chart_distance(entry.chart, loop[i], cp.point.coords)
+                    dists = [chart_distance(entry.chart, loop[i], cp.coords)
                              for cp in reported]
                     assert min(dists) < 1e-2, f"{name}: walk minimum missed"
 
@@ -170,9 +170,20 @@ def test_orientation_frames_span_unstable_directions(packages):
     for pkg in packages.values():
         for cp in pkg.crit.points:
             if cp.kind in (INTERIOR, BOUNDARY_N):
-                assert len(cp.orientation_ref) == cp.grading
-                for vec in cp.frame_arrays():
+                assert len(cp.frame) == cp.grading
+                for vec in cp.frame:
                     assert np.linalg.norm(vec) == pytest.approx(1.0)
+
+
+def test_critical_data_is_read_only(packages):
+    # copies made by `replace` and the tangency patches share these arrays
+    pkg = packages["moebius"]
+    saddle = next(cp for cp in pkg.crit.points if cp.kind == INTERIOR)
+    wall = next(cp for cp in pkg.crit.points if cp.kind == BOUNDARY_N)
+    (patch,) = pkg.field_pos.patches
+    for arr in (saddle.coords, saddle.frame[0], wall.normal, wall.tangent, patch.center):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 SWAP = {INTERIOR: INTERIOR, BOUNDARY_N: BOUNDARY_D, BOUNDARY_D: BOUNDARY_N}
@@ -230,8 +241,8 @@ def test_boundary_step_follows_the_frame_tangent(name):
         for x in loop:
             pt = normalize_point(entry.chart, x)
             g_t, _ = boundary_restriction_derivatives(entry.field, entry.chart, pt)
-            plus = _boundary_step(entry.chart, pt.array, h)
-            minus = _boundary_step(entry.chart, pt.array, -h)
+            plus = _boundary_step(entry.chart, pt, h)
+            minus = _boundary_step(entry.chart, pt, -h)
             fd = (float(entry.field.value(plus)) - float(entry.field.value(minus))) / (2 * h)
             assert fd == pytest.approx(g_t, abs=1e-6), f"{name} at {x}"
 

@@ -15,7 +15,7 @@ import pytest
 
 from morseflow import catalog
 from morseflow.critical import CriticalSet, find_critical_set
-from morseflow.geometry import MetricField, Point, chart_distance_many
+from morseflow.geometry import MetricField, chart_distance_many
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 from morseflow.pseudogradient import (PseudoGradientField, _pieces_many, _wall_sample,
@@ -180,7 +180,7 @@ def test_centers_next_to_the_seam_match(packages, seed):
     period = base.chart.deck.period
     moved = {0.0: (0.01, 0.4), -1.0: (0.02, -1.0), 1.0: (period - 0.03, 1.0)}
     crit = CriticalSet(2, tuple(
-        dataclasses.replace(cp, point=Point(moved[float(cp.coords[1])]))
+        dataclasses.replace(cp, coords=moved[float(cp.coords[1])])
         for cp in base.crit.points))
     field = PseudoGradientField(chart=base.chart, metric=base.metric,
                                 objective=base.objective, crit=crit, r_n=base.r_n,

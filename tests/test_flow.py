@@ -25,9 +25,7 @@ TIGHT = DEFAULT.override(rtol=1e-10, atol=1e-12)
 
 def _flipped(cp):
     """cp with its chosen orientation reversed: the first frame vector negated."""
-    frame = list(cp.orientation_ref)
-    frame[0] = tuple(-c for c in frame[0])
-    return dataclasses.replace(cp, orientation_ref=tuple(frame))
+    return dataclasses.replace(cp, frame=(-cp.frame[0], *cp.frame[1:]))
 
 
 def _zero(pkg, kind, grading):
@@ -157,7 +155,7 @@ def test_orbit_twist_matches_path_sign(packages):
     inc = pkg.incidences["N"][(_zero(pkg, INTERIOR, 1).id,
                                _zero(pkg, BOUNDARY_N, 0).id)]
     for orbit in inc.orbits:
-        src = pkg.crit.by_id(orbit.source).point.coords
+        src = pkg.crit.by_id(orbit.source).coords
         poly = [np.asarray(src)] + list(orbit.trajectory.points)
         assert deck_sign(chart, orbit.deck) == path_orientation_sign(chart, poly)
 
@@ -199,7 +197,7 @@ def _branch_signs(pkg, inc, source):
     e_ref = np.array([1.0, 0.0])
     out = {}
     for orbit in inc.orbits:
-        offset = orbit.trajectory.points[0] - np.asarray(source.point.coords)
+        offset = orbit.trajectory.points[0] - np.asarray(source.coords)
         key = 1 if float(offset @ e_ref) > 0 else -1
         out[key] = orbit.sign
     return out
@@ -400,7 +398,7 @@ def test_reversed_orbit_moves_each_sample_by_the_deck_map(packages, k):
     fld, chart = pkg.field_pos, pkg.field_pos.chart
     q = _zero(pkg, INTERIOR, 1)
     p = dataclasses.replace(_zero(pkg, BOUNDARY_N, 0),
-                            orientation_ref=((1.0, 0.0), (0.0, 1.0)))
+                            frame=((1.0, 0.0), (0.0, 1.0)))
     end = deck_apply(chart, k, p.coords)
     points = q.coords + np.linspace(0.0, 1.0, 7)[:, None] * (end - q.coords)
     traj = flow.Trajectory(np.linspace(0.0, 3.0, 7), points, CONVERGED, p.id)
@@ -535,9 +533,9 @@ def test_pairing_errors_name_the_pair_and_both_seeds(packages, monkeypatch):
     assert p.id == p_abs.id  # the saddle carries both invariant manifolds
     seeds = "(perturb_seed 8 ascent, 7 descent)"
     # the ascent field's unstable frame turned onto the descent field's
-    frame = field_pos.crit.by_id(p.id).orientation_ref
+    frame = field_pos.crit.by_id(p.id).frame
     tangent = CriticalSet(field_neg.crit.dim, tuple(
-        dataclasses.replace(cp, orientation_ref=frame) if cp.id == p.id else cp
+        dataclasses.replace(cp, frame=frame) if cp.id == p.id else cp
         for cp in field_neg.crit.points))
     with pytest.raises(NonTransverse) as err:
         intersection_pairing(dataclasses.replace(field_neg, crit=tangent),

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseflow import catalog
-from morseflow.errors import AmbiguousBoundary, PointOutsideManifold
-from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, Point,
-                                boundary_data, chart_distance, chart_distance_many,
-                                deck_apply, deck_sign, near_rows, normalize_point)
+from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
+from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, boundary_frame,
+                                chart_distance, chart_distance_many, deck_apply,
+                                deck_reduce, deck_sign, near_rows, normalize_point)
 
 
 def path_orientation_sign(chart, polyline) -> int:
@@ -41,13 +41,13 @@ def annulus_chart():
 
 def test_normalize_moebius_one_deck_application(moebius_chart):
     pt = normalize_point(moebius_chart, [3 * math.pi, 0.5])
-    assert pt.coords[0] == pytest.approx(math.pi)
-    assert pt.coords[1] == pytest.approx(-0.5)
+    assert pt[0] == pytest.approx(math.pi)
+    assert pt[1] == pytest.approx(-0.5)
 
 
 def test_normalize_disk_identity(disk_chart):
     pt = normalize_point(disk_chart, [0.3, 0.4])
-    assert pt.coords == (0.3, 0.4)
+    assert pt.tolist() == [0.3, 0.4]
 
 
 def test_normalize_outside_disk(disk_chart):
@@ -60,29 +60,38 @@ def test_normalize_outside_strip(moebius_chart):
         normalize_point(moebius_chart, [1.0, 1.5])
 
 
+@pytest.mark.parametrize("u", [np.nextafter(17 * 2 * math.pi, 0.0), -1e-17])
+def test_normalize_wraps_into_the_period_as_deck_reduce(moebius_chart, u):
+    # u / period rounds up to 17 for the first u, so the floor move leaves u
+    # below 0; for the second the move rounds onto the period.  Either way
+    # one more deck map brings u into [0, 2 pi).
+    pt = normalize_point(moebius_chart, [u, 0.5])
+    assert 0.0 <= pt[0] < 2 * math.pi
+    assert pt.tobytes() == deck_reduce(moebius_chart, np.array([[u, 0.5]]))[0].tobytes()
+
+
 def test_normalize_idempotent(moebius_chart):
     pt = normalize_point(moebius_chart, [5.0, -0.3])
-    again = normalize_point(moebius_chart, pt.coords)
-    assert again.coords == pt.coords
+    again = normalize_point(moebius_chart, pt)
+    assert np.array_equal(again, pt)
 
 
 def test_boundary_data_disk_bottom(disk_chart):
     pt = normalize_point(disk_chart, [0.0, -1.0])
-    name, normal = boundary_data(disk_chart, pt)
-    assert name == "rim"
+    normal, _ = boundary_frame(disk_chart, pt)
     assert normal == pytest.approx([0.0, -1.0])
 
 
 def test_boundary_data_annulus_inner_points_into_hole(annulus_chart):
     pt = normalize_point(annulus_chart, [0.0, 1.0])
-    name, normal = boundary_data(annulus_chart, pt)
-    assert name == "inner"
+    normal, _ = boundary_frame(annulus_chart, pt)
     assert normal == pytest.approx([0.0, -1.0])
 
 
 def test_boundary_data_interior_empty(annulus_chart):
     pt = normalize_point(annulus_chart, [0.5, 1.5])
-    assert boundary_data(annulus_chart, pt) is None
+    with pytest.raises(NotOnBoundary):
+        boundary_frame(annulus_chart, pt)
 
 
 def test_boundary_data_corner_rejected():
@@ -96,14 +105,14 @@ def test_boundary_data_corner_rejected():
         lambda x: np.zeros((2, 2)))
     chart = Chart(2, ((-2.0, 1.0), (-2.0, 1.0)), (right, top))
     with pytest.raises(AmbiguousBoundary):
-        boundary_data(chart, Point((1.0, 1.0)))
+        boundary_frame(chart, np.array([1.0, 1.0]))
 
 
 def test_normal_has_unit_metric_length(annulus_chart):
     metric = MetricField.scaled(2, 4.0)
     pt = normalize_point(annulus_chart, [2.0 / math.sqrt(2)] * 2)
-    _, normal = boundary_data(annulus_chart, pt, metric)
-    g = metric.matrix(pt.array)
+    normal, _ = boundary_frame(annulus_chart, pt, metric)
+    g = metric.matrix(pt)
     assert float(normal @ g @ normal) == pytest.approx(1.0, abs=1e-9)
 
 
