@@ -20,19 +20,11 @@ Array = np.ndarray
 
 
 @dataclass(frozen=True)
-class ExpectedCritical:
-    kind: str                 # "interior" | "boundary_n" | "boundary_d"
-    grading: int
-    location: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     chart: Chart
     metric: MetricField
     field: MorseField
-    expected: tuple[ExpectedCritical, ...]
     chi: int
 
     @property
@@ -84,13 +76,7 @@ def _interval() -> CatalogEntry:
         hessian=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
     )
     return CatalogEntry(
-        name="interval", chart=chart, metric=MetricField.euclidean(1), field=f,
-        expected=(
-            ExpectedCritical("boundary_n", 0, (0.0,)),
-            ExpectedCritical("boundary_d", 1, (1.0,)),
-        ),
-        chi=1,
-    )
+        name="interval", chart=chart, metric=MetricField.euclidean(1), field=f, chi=1)
 
 
 def _height_field() -> MorseField:
@@ -113,12 +99,7 @@ def _disk() -> CatalogEntry:
                   constraints=(BoundaryConstraint.circle("rim", 1.0),))
     return CatalogEntry(
         name="disk", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
-        expected=(
-            ExpectedCritical("boundary_n", 0, (0.0, -1.0)),
-            ExpectedCritical("boundary_d", 2, (0.0, 1.0)),
-        ),
-        chi=1,
-    )
+        chi=1)
 
 
 def _annulus() -> CatalogEntry:
@@ -132,14 +113,7 @@ def _annulus() -> CatalogEntry:
     )
     return CatalogEntry(
         name="annulus", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
-        expected=(
-            ExpectedCritical("boundary_n", 0, (0.0, -2.0)),
-            ExpectedCritical("boundary_n", 1, (0.0, 1.0)),
-            ExpectedCritical("boundary_d", 1, (0.0, -1.0)),
-            ExpectedCritical("boundary_d", 2, (0.0, 2.0)),
-        ),
-        chi=0,
-    )
+        chi=0)
 
 
 def _moebius() -> CatalogEntry:
@@ -169,14 +143,7 @@ def _moebius() -> CatalogEntry:
 
     f = MorseField(value=value, gradient=gradient, hessian=hessian)
     return CatalogEntry(
-        name="moebius", chart=chart, metric=MetricField.euclidean(2), field=f,
-        expected=(
-            ExpectedCritical("interior", 1, (0.0, 0.0)),
-            ExpectedCritical("boundary_n", 0, (math.pi, -1.0)),
-            ExpectedCritical("boundary_d", 2, (math.pi, 1.0)),
-        ),
-        chi=0,
-    )
+        name="moebius", chart=chart, metric=MetricField.euclidean(2), field=f, chi=0)
 
 
 def _tilted_dome() -> CatalogEntry:
@@ -204,14 +171,7 @@ def _tilted_dome() -> CatalogEntry:
 
     f = MorseField(value=value, gradient=gradient, hessian=hessian)
     return CatalogEntry(
-        name="tilted_dome", chart=chart, metric=MetricField.euclidean(2), field=f,
-        expected=(
-            ExpectedCritical("interior", 2, (0.0, 0.25)),
-            ExpectedCritical("boundary_n", 1, (0.0, 1.0)),
-            ExpectedCritical("boundary_n", 0, (0.0, -1.0)),
-        ),
-        chi=1,
-    )
+        name="tilted_dome", chart=chart, metric=MetricField.euclidean(2), field=f, chi=1)
 
 
 _BUILDERS = {

@@ -15,7 +15,7 @@ from .errors import DegenerateCritical, PointOutsideManifold, TypeUndetermined
 from .fields import MorseField, boundary_restriction_derivatives
 from .geometry import (Chart, MetricField, active_constraint, boundary_distance,
                        boundary_frame, boundary_frames, chart_distance,
-                       chart_distance_many, normalize_point, row_dot)
+                       chart_distance_many, normalize_point, row_dot, turn_clockwise)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -256,10 +256,7 @@ def _coarse_walk(chart: Chart, con, tol: Tolerances) -> Array | None:
     walk = [start]
     x = start
     for _ in range(20000):
-        grad = np.asarray(con.gradient(x), dtype=float)
-        normal = grad / np.linalg.norm(grad)
-        tangent = np.array([normal[1], -normal[0]])
-        nxt = _project_to_zero(con, x + step * tangent)
+        nxt = _wall_step(con, x, step)
         if nxt is None:
             return None
         if len(walk) > 5 and float(np.linalg.norm(nxt - start)) < 0.6 * step:
@@ -372,16 +369,18 @@ def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
     return pt if abs(g_t) < tol.tol_crit else None
 
 
+def _wall_step(con, x: Array, delta: float) -> Array | None:
+    """x on con's zero set, moved by delta along the clockwise turn of con's
+    euclidean unit normal and projected back; None when that fails."""
+    grad = np.asarray(con.gradient(x), dtype=float)
+    return _project_to_zero(con, x + delta * turn_clockwise(grad / np.linalg.norm(grad)))
+
+
 def _boundary_step(chart: Chart, x: Array, delta: float,
                    tol: Tolerances = DEFAULT) -> Array | None:
-    """Move arclength delta along the wall through x (t = (n_y, -n_x))."""
+    """`_wall_step` on the wall through x; None in the interior."""
     con = active_constraint(chart, x, tol)
-    if con is None:
-        return None
-    grad = np.asarray(con.gradient(x), dtype=float)
-    normal = grad / np.linalg.norm(grad)
-    tangent = np.array([normal[1], -normal[0]])
-    return _project_to_zero(con, x + delta * tangent)
+    return None if con is None else _wall_step(con, x, delta)
 
 
 def _walk_slopes(field: MorseField, chart: Chart, loop: Array,
@@ -394,7 +393,7 @@ def _walk_slopes(field: MorseField, chart: Chart, loop: Array,
     where the frame's g_t would change sign without a critical point.
     """
     points, normals, _ = boundary_frames(chart, loop, metric, tol)
-    tangents = np.stack([normals[:, 1], -normals[:, 0]], axis=1)
+    tangents = turn_clockwise(normals)
     g_t = row_dot(np.asarray(field.gradient(points), dtype=float), tangents)
     if chart.deck is not None:
         return np.where(tangents[:, 0] < 0.0, -g_t, g_t)

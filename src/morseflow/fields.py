@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotMorse, NotOnBoundary
-from .geometry import Chart, MetricField, active_constraint, boundary_frame, deck_apply
+from .geometry import (Chart, MetricField, active_constraint, deck_apply, metric_normal,
+                       turn_clockwise)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -116,10 +117,13 @@ def boundary_restriction_derivatives(field: MorseField, chart: Chart,
     """
     if chart.dim != 2:
         raise NotOnBoundary("boundary of a 1-manifold is zero-dimensional")
-    normal, tangent = boundary_frame(chart, x, metric, tol)
     con = active_constraint(chart, x, tol)
+    if con is None:
+        raise NotOnBoundary(f"{tuple(x.tolist())} is interior")
     grad_b = np.asarray(con.gradient(x), dtype=float)
     hess_b = np.asarray(con.hessian(x), dtype=float)
+    normal = metric_normal(metric or MetricField.euclidean(2), x, grad_b)
+    tangent = turn_clockwise(normal)
     if metric is None or metric.identity:
         gl = math.sqrt(float(grad_b @ grad_b))
     else:

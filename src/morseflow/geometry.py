@@ -195,7 +195,9 @@ def deck_apply(chart: Chart, k: int, xy: Array) -> Array:
 def deck_reduce(chart: Chart, x: Array) -> Array:
     """Each row of x moved into [0, period) by a deck power: floor(u / period),
     plus one where the move rounds onto the period, less one where it rounds
-    below 0."""
+    below 0.  Without a deck map the rows are x itself."""
+    if chart.deck is None:
+        return x
     period, flip = chart.deck.period, float(chart.deck.flip)
     k = np.floor(x[:, 0] / period)
     canon = np.stack([x[:, 0] + -k * period,
@@ -229,16 +231,9 @@ def normalize_point(chart: Chart, raw: Sequence[float],
     x = np.array(raw, dtype=float)
     if x.shape != (chart.dim,):
         raise ValueError("wrong coordinate length")
-    if chart.deck is not None:
-        # `deck_reduce` for one point; a one-row batch costs several times as much
-        period = chart.deck.period
-        x = deck_apply(chart, -int(math.floor(x[0] / period)), x)
-        if x[0] >= period:
-            x = deck_apply(chart, -1, x)
-        if x[0] < 0.0:
-            x = deck_apply(chart, 1, x)
+    x = deck_reduce(chart, x[None])[0]
     for axis, (lo, hi) in enumerate(chart.box):
-        if x[axis] < lo - tol.tol_geom or x[axis] > hi + tol.tol_geom:
+        if not lo - tol.tol_geom <= x[axis] <= hi + tol.tol_geom:  # NaN is outside
             raise PointOutsideManifold(f"axis {axis} outside box")
     for con in chart.constraints:
         if float(con.value(x)) > tol.tol_geom:
@@ -378,6 +373,12 @@ def metric_normals(metric: MetricField, covectors: Array, g_mats: Array | None) 
         return vec / length[:, None]
 
 
+def turn_clockwise(normal: Array) -> Array:
+    """A plane vector, or each row of vectors, turned a quarter clockwise:
+    (n_y, -n_x).  The boundary tangent is the outward normal turned so."""
+    return np.stack([normal[..., 1], -normal[..., 0]], axis=-1)
+
+
 def boundary_frame(chart: Chart, x: Array, metric: MetricField | None = None,
                    tol: Tolerances = DEFAULT) -> tuple[Array, Array]:
     """Outward metric-unit normal and tangent at a boundary point x.  In
@@ -391,7 +392,7 @@ def boundary_frame(chart: Chart, x: Array, metric: MetricField | None = None,
         raise NotOnBoundary(f"{tuple(x.tolist())} is interior")
     metric = metric or MetricField.euclidean(len(x))
     normal = metric_normal(metric, x, np.asarray(con.gradient(x), dtype=float))
-    return normal, (np.zeros(1) if len(x) == 1 else np.array([normal[1], -normal[0]]))
+    return normal, (np.zeros(1) if len(x) == 1 else turn_clockwise(normal))
 
 
 def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
@@ -406,7 +407,7 @@ def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
     x = np.array(raw, dtype=float).reshape(-1, chart.dim)
     metric = metric or MetricField.euclidean(chart.dim)
     geom = tol.tol_geom
-    canon = x if chart.deck is None else deck_reduce(chart, x)
+    canon = deck_reduce(chart, x)
     values = np.empty((len(x), len(chart.constraints)))
     for j, con in enumerate(chart.constraints):
         values[:, j] = con.value(canon)

@@ -12,12 +12,10 @@ same bits: the flow integrator evaluates point by point
 (`PseudoGradientField.evaluate`), where a one-row batch would cost several
 times as much, and certification and the capture check evaluate in batches
 (`_eval_canonical_many`) on canonical points and the gradients stored with
-them.  `evaluate_many` is the public batch form, which reduces raw points and
-evaluates their gradients first.  The point evaluator is one straight-line
-float kernel per field (`_point_evaluator`) around one call of the
-objective's gradient and of the metric and one `BoundaryConstraint.read` per
-wall; the batch reads each wall once per row through its callables
-(`_pieces_many`).
+them.  The point evaluator is one straight-line float kernel per field
+(`_point_evaluator`) around one call of the objective's gradient and of the
+metric and one `BoundaryConstraint.read` per wall; the batch reads each wall
+once per row through its callables (`_pieces_many`).
 
 Both measure a chart distance to a patch's or a critical point's center only
 where the coordinate gaps, lower bounds of the distance to every deck image,
@@ -49,8 +47,8 @@ from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalPoint, Critical
 from .errors import BlendGapFailure, SampleMismatch
 from .fields import MorseField
 from .geometry import (Chart, MetricField, active_constraint, boundary_frames,
-                       chart_distance, chart_distance_many, coords_distance, gap_bound,
-                       metric_matrices, near_rows, plain_dot, row_dot)
+                       chart_distance, chart_distance_many, coords_distance, deck_reduce,
+                       gap_bound, metric_matrices, near_rows, plain_dot, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -223,29 +221,6 @@ class PseudoGradientField:
     def evaluate(self, raw) -> Array:
         """Field vector at raw coordinates (deck-equivariant under a deck map)."""
         return self._point(raw)
-
-    def evaluate_many(self, points) -> Array:
-        """`evaluate` at each row of points in one vectorised pass, with the same bits."""
-        x, flip = self._canonical_many(points)
-        vec = self._eval_canonical_many(
-            x, np.asarray(self.objective.gradient(x), dtype=float))
-        if flip is not None:
-            vec[flip, 1] = -vec[flip, 1]
-        return vec
-
-    def _canonical_many(self, points) -> tuple[Array, Array | None]:
-        """Each row of points moved into the deck period as `evaluate` moves
-        one point, and the rows whose v the move negated (None without a deck
-        map)."""
-        x = np.array(points, dtype=float).reshape(-1, self.chart.dim)
-        deck = self.chart.deck
-        if deck is None:
-            return x, None
-        k = np.floor(x[:, 0] / deck.period)
-        flip = (k % 2 != 0) & (deck.flip == -1)
-        x[:, 0] += -k * deck.period
-        x[flip, 1] *= -1.0
-        return x, flip
 
     def _eval_canonical_many(self, x: Array, grad: Array) -> Array:
         """The arithmetic of `_point_evaluator` at each row of x, canonical
@@ -595,8 +570,7 @@ class CertificationSample:
     field: MorseField    # the function whose gradients the sample holds
     interior: Array
     interior_grad: Array  # its gradient at each interior point
-    loop_points: Array   # raw points of the traced boundary loops
-    wall: Array          # their canonical coordinates
+    wall: Array          # the traced boundary loops, which are canonical
     wall_grad: Array     # its gradient at each canonical wall point
     normals: Array       # outward metric-unit normals
     g_mats: Array        # metric matrices
@@ -626,14 +600,13 @@ def certification_sample(field: MorseField, chart: Chart,
     `critical.boundary_walks(chart, tol)`, taken here when not given."""
     per_loop = max(1, tol.cert_boundary_samples // boundary_loop_count(chart))
     loops = boundary_components(chart, per_loop, tol, walks)
-    loop_points = np.concatenate(loops) if loops else np.empty((0, chart.dim))
     interior = _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl, tol)
-    wall, normals, g_mats = boundary_frames(chart, loop_points, metric, tol)
+    wall, normals, g_mats = boundary_frames(
+        chart, np.concatenate(loops) if loops else np.empty((0, chart.dim)), metric, tol)
     return CertificationSample(
         field=field,
         interior=interior,
         interior_grad=np.asarray(field.gradient(interior), dtype=float),
-        loop_points=loop_points,
         wall=wall,
         wall_grad=np.asarray(field.gradient(wall), dtype=float),
         normals=normals,
@@ -647,7 +620,7 @@ def _wall_sample(field: PseudoGradientField, sample: CertificationSample) -> Arr
     Only this patch filter, which depends on the field's type-N points and
     r_n, is per build.
     """
-    points = sample.loop_points
+    points = sample.wall
     keep = np.ones(len(points), dtype=bool)
     for cp in field.crit.points:
         if cp.kind == BOUNDARY_N:
@@ -779,7 +752,7 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
         return None
     # df(X) is the same at a point and at its deck image, so it is read at the
     # canonical point, where one gradient serves the slope and the field
-    x, _ = field._canonical_many(pts)
+    x = deck_reduce(chart, pts)
     grad = np.asarray(obj.gradient(x), dtype=float)
     slope = row_dot(grad, field._eval_canonical_many(x, grad))
     if not np.all(slope < 0.0):

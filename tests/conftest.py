@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morseflow import catalog
-from morseflow.catalog import CatalogEntry, ExpectedCritical
+from morseflow.catalog import CatalogEntry
 from morseflow.fields import MorseField, validate_field
 from morseflow.geometry import Chart, MetricField
 from morseflow.verify import VerificationContext
@@ -24,21 +24,91 @@ with warnings.catch_warnings():
         pass
 
 
+@dataclasses.dataclass(frozen=True)
+class ExpectedCritical:
+    kind: str                 # "interior" | "boundary_n" | "boundary_d"
+    grading: int
+    location: tuple[float, ...]
+
+
+# the critical search's oracle: every critical point of each entry, by name
+EXPECTED: dict[str, tuple[ExpectedCritical, ...]] = {
+    "interval": (
+        ExpectedCritical("boundary_n", 0, (0.0,)),
+        ExpectedCritical("boundary_d", 1, (1.0,)),
+    ),
+    "disk": (
+        ExpectedCritical("boundary_n", 0, (0.0, -1.0)),
+        ExpectedCritical("boundary_d", 2, (0.0, 1.0)),
+    ),
+    "annulus": (
+        ExpectedCritical("boundary_n", 0, (0.0, -2.0)),
+        ExpectedCritical("boundary_n", 1, (0.0, 1.0)),
+        ExpectedCritical("boundary_d", 1, (0.0, -1.0)),
+        ExpectedCritical("boundary_d", 2, (0.0, 2.0)),
+    ),
+    "moebius": (
+        ExpectedCritical("interior", 1, (0.0, 0.0)),
+        ExpectedCritical("boundary_n", 0, (math.pi, -1.0)),
+        ExpectedCritical("boundary_d", 2, (math.pi, 1.0)),
+    ),
+    "tilted_dome": (
+        ExpectedCritical("interior", 2, (0.0, 0.25)),
+        ExpectedCritical("boundary_n", 1, (0.0, 1.0)),
+        ExpectedCritical("boundary_n", 0, (0.0, -1.0)),
+    ),
+    "cylinder": (
+        ExpectedCritical("boundary_n", 0, (math.pi, -1.0)),
+        ExpectedCritical("boundary_n", 1, (0.0, -1.0)),
+        ExpectedCritical("boundary_d", 1, (math.pi, 1.0)),
+        ExpectedCritical("boundary_d", 2, (0.0, 1.0)),
+    ),
+}
+
+
 def cyclic_cover(entry: CatalogEntry, m: int) -> CatalogEntry:
     """The m-fold cyclic cover of a strip entry: the strip of period m * P
     glued by T^m, (u, v) -> (u + m * P, flip^m * v), carrying the same
-    function, with χ times m and each expected point lifted to the m sheets."""
+    function, with χ times m.  Its expected points, each base point lifted to
+    the m sheets, go into `EXPECTED` under the cover's name."""
     deck = entry.chart.deck
     _, (v_min, v_max) = entry.chart.box
     chart = Chart.strip(period=m * deck.period, v_min=v_min, v_max=v_max,
                         flip=deck.flip ** m)
     validate_field(entry.field, chart)
-    expected = tuple(
+    name = f"{entry.name}_x{m}"
+    EXPECTED[name] = tuple(
         ExpectedCritical(e.kind, e.grading, (e.location[0] + j * deck.period,
                                              deck.flip ** j * e.location[1]))
-        for j in range(m) for e in entry.expected)
-    return dataclasses.replace(entry, name=f"{entry.name}_x{m}", chart=chart,
-                               expected=expected, chi=m * entry.chi)
+        for j in range(m) for e in EXPECTED[entry.name])
+    return dataclasses.replace(entry, name=name, chart=chart, chi=m * entry.chi)
+
+
+def canonical_many(chart: Chart, points) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each row of points moved into the deck period as
+    `PseudoGradientField.evaluate` moves one point, and the rows whose v the
+    move negated (None without a deck map)."""
+    x = np.array(points, dtype=float).reshape(-1, chart.dim)
+    deck = chart.deck
+    if deck is None:
+        return x, None
+    k = np.floor(x[:, 0] / deck.period)
+    flip = (k % 2 != 0) & (deck.flip == -1)
+    x[:, 0] += -k * deck.period
+    x[flip, 1] *= -1.0
+    return x, flip
+
+
+def evaluate_many(field, points) -> np.ndarray:
+    """`field.evaluate` at each row of raw points, in one batch: the oracle
+    the tests hold the point kernel against.  The rows are reduced here, the
+    objective's gradient is evaluated at them, and the field's batch
+    evaluator does the rest."""
+    x, flip = canonical_many(field.chart, points)
+    vec = field._eval_canonical_many(x, np.asarray(field.objective.gradient(x), dtype=float))
+    if flip is not None:
+        vec[flip, 1] = -vec[flip, 1]
+    return vec
 
 
 @pytest.fixture(scope="session")
@@ -74,16 +144,8 @@ def cylinder():
     field = MorseField(value=lambda x: x[..., 1] + 0.5 * np.cos(x[..., 0]),
                        gradient=gradient, hessian=hessian)
     validate_field(field, chart)
-    return CatalogEntry(
-        name="cylinder", chart=chart, metric=MetricField.euclidean(2), field=field,
-        expected=(
-            ExpectedCritical("boundary_n", 0, (math.pi, -1.0)),
-            ExpectedCritical("boundary_n", 1, (0.0, -1.0)),
-            ExpectedCritical("boundary_d", 1, (math.pi, 1.0)),
-            ExpectedCritical("boundary_d", 2, (0.0, 1.0)),
-        ),
-        chi=0,
-    )
+    return CatalogEntry(name="cylinder", chart=chart, metric=MetricField.euclidean(2),
+                        field=field, chi=0)
 
 
 @pytest.fixture(scope="session")

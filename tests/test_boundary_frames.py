@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, critical, fields, geometry, pipeline, pseudogradient
-from morseflow.critical import _walk_slopes, boundary_components
+from morseflow.critical import (CriticalSet, _walk_slopes, boundary_components,
+                                boundary_loop_count)
 from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
 from morseflow.fields import MorseField, boundary_restriction_derivatives
 from morseflow.geometry import (BoundaryConstraint, Chart, MetricField,
@@ -76,6 +77,36 @@ def test_walk_slopes_match_per_point(label, make):
             for x in loop]
         # oriented along the walk: only a sign may differ
         assert same_bits(np.abs(got), np.abs(want))
+
+
+def test_restriction_derivatives_look_the_wall_up_once(monkeypatch):
+    lookups = []
+    lookup = geometry.active_constraint
+
+    def counted(*args, **kwargs):
+        lookups.append(args[1])
+        return lookup(*args, **kwargs)
+
+    for mod in (geometry, fields):
+        if getattr(mod, "active_constraint", None) is lookup:
+            monkeypatch.setattr(mod, "active_constraint", counted)
+    entry = catalog.get("annulus")
+    points = [normalize_point(entry.chart, x) for x in ([0.0, 2.0], [1.0, 0.0])]
+    for pt in points:
+        boundary_restriction_derivatives(entry.field, entry.chart, pt, entry.metric)
+    assert len(lookups) == len(points)
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), "cylinder"])
+def test_the_sample_wall_is_the_traced_loops(cylinder, name):
+    # strip loops are drawn inside [0, period) and region charts have no deck
+    # map, so the canonical wall keeps the bits of the loops as traced
+    entry = cylinder if name == "cylinder" else catalog.get(name)
+    chart = entry.chart
+    sample = certification_sample(entry.field, chart, entry.metric,
+                                  CriticalSet(chart.dim, ()))
+    per_loop = max(1, DEFAULT.cert_boundary_samples // boundary_loop_count(chart))
+    assert same_bits(sample.wall, np.concatenate(boundary_components(chart, per_loop)))
 
 
 def test_walk_slopes_follow_the_moebius_boundary_circle():

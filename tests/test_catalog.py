@@ -6,6 +6,7 @@ from morseflow.chains import HomologyResult
 from morseflow.errors import UnknownEntry
 from morseflow.fields import validate_field
 
+from conftest import EXPECTED
 from test_interior_saddles import FIXTURES
 
 def _group(betti, torsion=None):
@@ -82,13 +83,13 @@ def test_moebius_entry_shape():
     entry = catalog.get("moebius")
     assert entry.chart.deck is not None
     assert entry.chart.deck.flip == -1
-    assert len(entry.expected) == 3
+    assert len(EXPECTED[entry.name]) == 3
     assert not entry.orientable
 
 
 def test_disk_expected_partition():
     entry = catalog.get("disk")
-    kinds = sorted(e.kind for e in entry.expected)
+    kinds = sorted(e.kind for e in EXPECTED[entry.name])
     assert kinds == ["boundary_d", "boundary_n"]
 
 

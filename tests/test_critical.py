@@ -13,13 +13,15 @@ from morseflow.geometry import MetricField, chart_distance, normalize_point
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 
+from conftest import EXPECTED
+
 
 def test_expected_partition_reproduced(packages):
     for name, pkg in packages.items():
         entry = catalog.get(name)
         found = list(pkg.crit.points)
-        assert len(found) == len(entry.expected)
-        for exp in entry.expected:
+        assert len(found) == len(EXPECTED[name])
+        for exp in EXPECTED[name]:
             matches = [cp for cp in found
                        if cp.kind == exp.kind and cp.grading == exp.grading
                        and chart_distance(entry.chart, cp.coords,

@@ -11,6 +11,8 @@ from morseflow.geometry import chart_distance
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 
+from conftest import EXPECTED
+
 SEEDS = (0, 1, 2, 3)
 
 
@@ -22,8 +24,8 @@ def built(cylinder):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_four_boundary_critical_points(cylinder, built, seed):
     points = built[seed].crit.points
-    assert len(points) == len(cylinder.expected) == 4
-    for cp, want in zip(points, cylinder.expected):
+    assert len(points) == len(EXPECTED[cylinder.name]) == 4
+    for cp, want in zip(points, EXPECTED[cylinder.name]):
         assert (cp.kind, cp.grading) == (want.kind, want.grading)
         assert chart_distance(cylinder.chart, cp.coords, want.location) < 1e-9
 

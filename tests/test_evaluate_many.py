@@ -1,12 +1,14 @@
-"""`PseudoGradientField.evaluate_many` against the per-point `evaluate`.
+"""The batch evaluator against the per-point `PseudoGradientField.evaluate`.
 
 Certification evaluates in batches and the flow integrator point by point, so
 the two must return the same bits: every comparison here is exact.  The
 per-point evaluator is one straight-line float kernel compiled per field; the
-batch repeats its operations elementwise, in the same order and with no BLAS
-dot, which may fuse a multiply and an add.  The points are the certification
-samples, which reach the collars and the patches only sparsely, and every
-sample of every branch an analysis integrated, which run into both.
+batch (`_eval_canonical_many`, reached through `conftest.evaluate_many`,
+which reduces raw points itself) repeats its operations elementwise, in the
+same order and with no BLAS dot, which may fuse a multiply and an add.  The
+points are the certification samples, which reach the collars and the patches
+only sparsely, and every sample of every branch an analysis integrated, which
+run into both.
 """
 import dataclasses
 
@@ -22,10 +24,12 @@ from morseflow.pseudogradient import (PseudoGradientField, _pieces_many, _wall_s
                                       build_adapted, certification_sample,
                                       certify_adapted)
 
+from conftest import canonical_many, evaluate_many
+
 
 def assert_same_bits(field, points):
     points = np.asarray(points, dtype=float)
-    batch = field.evaluate_many(points)
+    batch = evaluate_many(field, points)
     one_by_one = np.array([field.evaluate(x) for x in points])
     # the integrator passes each point as a list of floats
     from_lists = np.array([field.evaluate(x) for x in points.tolist()])
@@ -80,7 +84,7 @@ def test_flow_samples_match(cylinder, name, seed):
             period = field.chart.deck.period
             for shift in (-period, period):
                 assert_same_bits(field, points + [shift, 0.0])
-        x, _ = field._canonical_many(points)
+        x, _ = canonical_many(field.chart, points)
         with np.errstate(divide="ignore"):
             depth = np.min([-b / norm for b, _, norm in _pieces_many(field.chart, x)],
                            axis=0, initial=np.inf)
@@ -117,7 +121,7 @@ def test_non_identity_metric_matches():
 
 def test_empty_batch(packages):
     field = packages["moebius"].field_pos
-    assert field.evaluate_many([]).shape == (0, 2)
+    assert evaluate_many(field, []).shape == (0, 2)
 
 
 def test_certification_makes_no_per_point_calls(packages, monkeypatch):

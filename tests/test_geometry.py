@@ -70,6 +70,13 @@ def test_normalize_wraps_into_the_period_as_deck_reduce(moebius_chart, u):
     assert pt.tobytes() == deck_reduce(moebius_chart, np.array([[u, 0.5]]))[0].tobytes()
 
 
+@pytest.mark.parametrize("raw", [[math.nan, 0.5], [0.5, math.nan]])
+def test_normalize_puts_nan_outside_the_manifold(moebius_chart, disk_chart, raw):
+    for chart in (moebius_chart, disk_chart):
+        with pytest.raises(PointOutsideManifold):
+            normalize_point(chart, raw)
+
+
 def test_normalize_idempotent(moebius_chart):
     pt = normalize_point(moebius_chart, [5.0, -0.3])
     again = normalize_point(moebius_chart, pt)

@@ -75,8 +75,7 @@ def _bumped_moebius_field() -> MorseField:
 
 
 def _fixture(base: str, name: str, field: MorseField):
-    entry = dataclasses.replace(catalog.get(base), name=name, field=field,
-                                expected=())
+    entry = dataclasses.replace(catalog.get(base), name=name, field=field)
     validate_field(entry.field, entry.chart)
     return entry
 

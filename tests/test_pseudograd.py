@@ -10,6 +10,8 @@ from morseflow.geometry import boundary_distance, chart_distance
 from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch,
                                       build_adapted, certify_adapted, halton_sequence)
 
+from conftest import evaluate_many
+
 
 def test_certificates_pass_with_stated_margins(packages):
     for name, pkg in packages.items():
@@ -165,8 +167,8 @@ def test_an_unperturbed_copy_evaluates_as_a_fresh_field(packages):
         assert not np.array_equal(field.evaluate(point), fresh.evaluate(point))
         assert np.array_equal(copy.evaluate(point).view(np.int64),
                               fresh.evaluate(point).view(np.int64))
-        assert np.array_equal(copy.evaluate_many([point]).view(np.int64),
-                              fresh.evaluate_many([point]).view(np.int64))
+        assert np.array_equal(evaluate_many(copy, [point]).view(np.int64),
+                              evaluate_many(fresh, [point]).view(np.int64))
 
 
 def test_a_copy_takes_its_patches_from_its_critical_set(cylinder):

@@ -5,7 +5,7 @@ draws the sample, and certifies every field it builds there on those values:
 as they are for a descent field, negated for an ascent one.  Here the entry's
 `MorseField` is wrapped with a counter of the points its gradient is asked
 for, and the field built on the sample's gradients is compared, bit for bit,
-with `evaluate_many`, which evaluates the gradient itself.
+with `conftest.evaluate_many`, which evaluates the gradient itself.
 """
 import dataclasses
 from collections import Counter
@@ -18,6 +18,8 @@ from morseflow.errors import MorseflowError, SampleMismatch
 from morseflow.fields import MorseField
 from morseflow.params import DEFAULT
 from morseflow.pseudogradient import build_adapted, certify_adapted
+
+from conftest import evaluate_many
 
 
 def same_bits(a, b):
@@ -109,7 +111,7 @@ def test_sample_gradients_give_the_bits_of_evaluate_many(packages, name, seed):
         for x, grad in ((sample.interior, interior_grad), (sample.wall, wall_grad)):
             # negating the stored gradient gives the bits of -f's gradient
             assert same_bits(grad, field.objective.gradient(x))
-            assert same_bits(field._eval_canonical_many(x, grad), field.evaluate_many(x))
+            assert same_bits(field._eval_canonical_many(x, grad), evaluate_many(field, x))
 
 
 def test_a_sample_certifies_only_its_own_function(packages):
