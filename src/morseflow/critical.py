@@ -1,17 +1,20 @@
 """Locating and classifying critical points of f and of its boundary restriction.
 
 Interior points come from a batched damped Newton iteration on grad f = 0 over
-a seed grid; boundary points from a walk along each boundary component with
-sign-change bracketing on the tangential derivative followed by an on-curve
-Newton refinement.
+a seed grid; boundary points from one trace of every boundary component
+(`boundary_sample`, which the certification sample reuses) with sign-change
+bracketing on the tangential derivative followed by an on-curve Newton
+refinement.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegenerateCritical, PointOutsideManifold, TypeUndetermined
+from .errors import (DegenerateCritical, PointOutsideManifold, SampleMismatch,
+                     TypeUndetermined)
 from .fields import MorseField, boundary_restriction_derivatives
 from .geometry import (Chart, MetricField, active_constraint, boundary_distance,
                        boundary_frame, boundary_frames, chart_distance,
@@ -278,20 +281,6 @@ def _trace_region_loop(con, polygon: Array, samples: int) -> Array:
     return polygon if loop is None else loop
 
 
-def boundary_walks(chart: Chart, tol: Tolerances = DEFAULT) -> tuple[Array | None, ...]:
-    """The coarse walk of each constraint of a surface chart without a deck
-    map, in the constraints' order (None where the walk fails); other charts
-    take their loops without a walk and have none.
-
-    A walk depends only on the chart, the constraint and the tolerances, so
-    one analysis walks each wall once and spaces every loop it needs, at any
-    sample count, along the same walk.
-    """
-    if chart.dim == 1 or chart.deck is not None:
-        return ()
-    return tuple(_coarse_walk(chart, con, tol) for con in chart.constraints)
-
-
 def boundary_loop_count(chart: Chart) -> int:
     """The number of loops `boundary_components` returns: one per wall, but
     the deck map with flip = -1 joins the strip's two walls into one."""
@@ -299,13 +288,10 @@ def boundary_loop_count(chart: Chart) -> int:
     return max(1, len(chart.constraints) - joined)
 
 
-def boundary_components(chart: Chart, samples: int | None = None,
-                        tol: Tolerances = DEFAULT,
-                        walks: tuple[Array | None, ...] | None = None) -> list[Array]:
+def boundary_components(chart: Chart, samples: int,
+                        tol: Tolerances = DEFAULT) -> list[Array]:
     """Ordered sample loops covering every boundary component, `samples`
-    points each.  `walks` is `boundary_walks(chart, tol)`, taken here when
-    not given."""
-    samples = samples or tol.boundary_samples
+    points each."""
     if chart.deck is not None:
         # the strip's walls are the lines v = lo and v = hi over one period
         joined = chart.deck.flip == -1
@@ -326,10 +312,48 @@ def boundary_components(chart: Chart, samples: int | None = None,
             if cand is not None:
                 out.append(cand.reshape(1, 1))
         return out
-    if walks is None:
-        walks = boundary_walks(chart, tol)
+    walks = [(con, _coarse_walk(chart, con, tol)) for con in chart.constraints]
     return [_trace_region_loop(con, polygon, samples)
-            for con, polygon in zip(chart.constraints, walks) if polygon is not None]
+            for con, polygon in walks if polygon is not None]
+
+
+@dataclass(frozen=True, eq=False)
+class BoundarySample:
+    """One trace of every boundary loop, which the critical search scans and
+    the certificate tests; the points depend only on the chart, the metric
+    and the tolerances."""
+
+    field: MorseField    # the function whose gradients the sample holds
+    wall: Array          # the traced loops, one after another, canonical
+    wall_grad: Array     # its gradient at each wall point
+    normals: Array       # outward metric-unit normals
+    g_mats: Array        # metric matrices
+    ends: tuple[int, ...]  # the row where each loop ends
+
+    def signed(self, objective: MorseField, *grads: Array) -> tuple[Array, ...]:
+        """The sample's gradients as the objective's: as they are for the
+        sample's function, negated (bit for bit) for its negation; any other
+        function raises `SampleMismatch`."""
+        if objective is self.field:
+            return grads
+        if objective.negation_of is self.field:
+            return tuple(-g for g in grads)
+        raise SampleMismatch("the sample holds the gradients of another function "
+                             "than the one asked for")
+
+
+def boundary_sample(field: MorseField, chart: Chart, metric: MetricField | None = None,
+                    tol: Tolerances = DEFAULT) -> BoundarySample:
+    """Trace every boundary loop once, `cert_boundary_samples` points in
+    all, and evaluate f's (`field`'s) gradient at each point."""
+    per_loop = max(1, tol.cert_boundary_samples // boundary_loop_count(chart))
+    loops = boundary_components(chart, per_loop, tol)
+    wall, normals, g_mats = boundary_frames(
+        chart, np.concatenate(loops) if loops else np.empty((0, chart.dim)), metric, tol)
+    return BoundarySample(
+        field=field, wall=wall, wall_grad=np.asarray(field.gradient(wall), dtype=float),
+        normals=normals, g_mats=g_mats,
+        ends=tuple(accumulate(len(loop) for loop in loops)))
 
 
 def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
@@ -383,18 +407,17 @@ def _boundary_step(chart: Chart, x: Array, delta: float,
     return None if con is None else _wall_step(con, x, delta)
 
 
-def _walk_slopes(field: MorseField, chart: Chart, loop: Array,
-                 metric: MetricField | None, tol: Tolerances) -> Array:
-    """g_t of `boundary_restriction_derivatives` at every point of a boundary
-    loop in one batch, signed along the direction the loop is walked.
+def _walk_slopes(chart: Chart, grad: Array, normals: Array) -> Array:
+    """g_t of `boundary_restriction_derivatives` at every row of a boundary
+    sample in one batch, from f's gradient and the outward normals there,
+    signed along the direction the loop is walked.
 
     The strip's walls are walked towards +u, against the frame tangent of
     the lower wall; on the flip = -1 circle that reversal falls at the seams,
     where the frame's g_t would change sign without a critical point.
     """
-    points, normals, _ = boundary_frames(chart, loop, metric, tol)
     tangents = turn_clockwise(normals)
-    g_t = row_dot(np.asarray(field.gradient(points), dtype=float), tangents)
+    g_t = row_dot(grad, tangents)
     if chart.deck is not None:
         return np.where(tangents[:, 0] < 0.0, -g_t, g_t)
     return g_t
@@ -403,26 +426,24 @@ def _walk_slopes(field: MorseField, chart: Chart, loop: Array,
 def find_boundary_critical(field: MorseField, chart: Chart,
                            metric: MetricField | None = None,
                            tol: Tolerances = DEFAULT,
-                           walks: tuple[Array | None, ...] | None = None,
+                           wall: BoundarySample | None = None,
                            ) -> list[CriticalPoint]:
     """Critical points of the boundary restriction, classified by type and
-    index.  `walks` is `boundary_walks(chart, tol)`, taken here when not
-    given."""
+    index.  `wall` is `boundary_sample(field, chart, metric, tol)`, drawn
+    here when not given.  A loop's point is a candidate where g_t changes
+    sign to the next point or nearly vanishes; on a line every one is."""
+    if wall is None:
+        wall = boundary_sample(field, chart, metric, tol)
+    (grad,) = wall.signed(field, wall.wall_grad)  # another function raises
     if chart.dim == 1:
-        return _boundary_critical_1d(field, chart, metric, tol)
+        return [_classify_boundary(field, chart, x, metric, tol) for x in wall.wall]
+    slopes = _walk_slopes(chart, grad, wall.normals)
     found: list[Array] = []
-    for loop in boundary_components(chart, tol.boundary_samples, tol, walks):
-        n_pts = len(loop)
-        g_vals = _walk_slopes(field, chart, loop, metric, tol)
-        typical_step = float(np.linalg.norm(loop[1] - loop[0])) if n_pts > 1 else 0.1
-        candidates = []
-        for i in range(n_pts):
-            j = (i + 1) % n_pts
-            if g_vals[i] == 0.0 or g_vals[i] * g_vals[j] < 0.0:
-                candidates.append(loop[i])
-            elif abs(g_vals[i]) < 1e-12:
-                candidates.append(loop[i])
-        for cand in candidates:
+    for start, end in zip((0, *wall.ends), wall.ends):
+        loop, g_vals = wall.wall[start:end], slopes[start:end]
+        typical_step = float(np.linalg.norm(loop[1] - loop[0])) if len(loop) > 1 else 0.1
+        hits = (g_vals * np.roll(g_vals, -1) < 0.0) | (np.abs(g_vals) < 1e-12)
+        for cand in loop[hits]:
             refined = _refine_on_boundary(field, chart, cand, metric, tol,
                                           max_move=4 * typical_step)
             if refined is None:
@@ -431,14 +452,6 @@ def find_boundary_critical(field: MorseField, chart: Chart,
                 continue
             found.append(refined)
     return [_classify_boundary(field, chart, x, metric, tol) for x in found]
-
-
-def _boundary_critical_1d(field, chart, metric, tol) -> list[CriticalPoint]:
-    out = []
-    for pts in boundary_components(chart, None, tol):
-        x = pts[0]
-        out.append(_classify_boundary(field, chart, x, metric, tol))
-    return out
 
 
 def _classify_boundary(field: MorseField, chart: Chart, x: Array,
@@ -487,13 +500,14 @@ def _orientation_frame(field: MorseField, cp: CriticalPoint, dim: int) -> list[A
 def find_critical_set(field: MorseField, chart: Chart,
                       metric: MetricField | None = None,
                       tol: Tolerances = DEFAULT,
-                      walks: tuple[Array | None, ...] | None = None) -> CriticalSet:
+                      wall: BoundarySample | None = None) -> CriticalSet:
     """Every critical point of f and of its boundary restriction, with ids in
     order of value.  The sort is stable, so points of equal value (the lifts
     of one point to a cyclic cover) keep the searches' order, interior points
-    first.  `walks` is `boundary_walks(chart, tol)`, taken here when not given."""
+    first.  `wall` is `boundary_sample(field, chart, metric, tol)`, drawn
+    here when not given."""
     interior = find_interior_critical(field, chart, tol=tol)
-    boundary = find_boundary_critical(field, chart, metric=metric, tol=tol, walks=walks)
+    boundary = find_boundary_critical(field, chart, metric=metric, tol=tol, wall=wall)
     out = [replace(cp, id=ident, frame=_orientation_frame(field, cp, chart.dim))
            for ident, cp in enumerate(sorted(interior + boundary, key=lambda p: p.value))]
     return CriticalSet(chart.dim, tuple(out))

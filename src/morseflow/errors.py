@@ -34,8 +34,8 @@ class BlendGapFailure(MorseflowError):
 
 
 class SampleMismatch(MorseflowError):
-    """A certification sample holds the gradients of another function than
-    the field descends."""
+    """A boundary or certification sample holds the gradients of another
+    function than the one searched or descended."""
 
 
 class CertificateViolation(MorseflowError):

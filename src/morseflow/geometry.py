@@ -200,8 +200,10 @@ def deck_reduce(chart: Chart, x: Array) -> Array:
         return x
     period, flip = chart.deck.period, float(chart.deck.flip)
     k = np.floor(x[:, 0] / period)
-    canon = np.stack([x[:, 0] + -k * period,
-                      x[:, 1] * np.where(k % 2 == 0, 1.0, flip)], axis=1)
+    # an infinite u gives a NaN row, which the box check then puts outside
+    with np.errstate(invalid="ignore"):
+        canon = np.stack([x[:, 0] + -k * period,
+                          x[:, 1] * np.where(k % 2 == 0, 1.0, flip)], axis=1)
     for step in (1.0, -1.0):
         wrapped = canon[:, 0] >= period if step > 0.0 else canon[:, 0] < 0.0
         canon[wrapped, 0] -= step * period

@@ -15,7 +15,6 @@ class Tolerances:
     tol_nondeg: float = 1e-8      # hessian determinant / eigenvalue floor
     # searches
     seed_grid_density: int = 40   # interior Newton seeds per axis
-    boundary_samples: int = 400   # walk samples per boundary component
     newton_max_iter: int = 50
     dedup_dist: float = 1e-6
     # vector-field construction
@@ -25,7 +24,7 @@ class Tolerances:
     r_excl: float = 0.05          # exclusion radius around critical points
     g_min: float = 1e-3           # collar activation floor on the tangential gradient
     cert_interior_samples: int = 10000
-    cert_boundary_samples: int = 2000
+    cert_boundary_samples: int = 2000  # boundary points traced, all loops together
     build_retries: int = 3
     # flow
     r_launch: float = 1e-4

@@ -1,11 +1,11 @@
 """Full construction: complexes in every flavor, homology against references,
 duality pairing matrices, and the empirical seed-invariance check.
 
-Each analysis walks each wall once, for the critical search and the
-certification sample alike.  It draws one certification sample (interior
-points and the traced wall, with the function's gradient at each) and
-certifies every field it builds (both sides, every retry seed, the pairing's
-retry) on it.
+Each analysis traces the boundary once (`critical.boundary_sample`): the
+critical search scans that trace, and the certification sample extends it
+with interior points, with the function's gradient at each.  Every field the
+analysis builds (both sides, every retry seed, the pairing's retry) is
+certified on that one sample.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .catalog import CatalogEntry
 from .chains import HomologyResult, IntegerChainComplex, int_det
-from .critical import (BOUNDARY_N, INTERIOR, CriticalSet, boundary_walks,
+from .critical import (BOUNDARY_N, INTERIOR, CriticalSet, boundary_sample,
                        find_critical_set)
 from .errors import InvarianceFailure, NonTransverse
 from .flow import IncidenceCount, count_connecting_orbits, intersection_pairing
@@ -210,10 +210,10 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
 def build_package(entry: CatalogEntry, seed: int = 0,
                   tol: Tolerances = DEFAULT) -> MorsePackage:
     """Run the whole construction for one catalog entry."""
-    walks = boundary_walks(entry.chart, tol)
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, walks)
+    wall = boundary_sample(entry.field, entry.chart, entry.metric, tol)
+    crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, wall=wall)
     sample = certification_sample(entry.field, entry.chart, entry.metric, crit, tol,
-                                  walks)
+                                  wall=wall)
     field_pos, inc_pos = _build_side(entry, crit, False, seed, tol, sample)
     field_neg, inc_neg = _build_side(entry, crit, True, seed, tol, sample)
 
@@ -272,12 +272,13 @@ def homologies_for_seed(entry: CatalogEntry, seed: int,
     """Every complex's homology at one perturbation seed.  `sample`, when
     given, is `certification_sample` for `entry.field` and `crit`, as a
     package holds both."""
-    walks = None if sample is not None else boundary_walks(entry.chart, tol)
+    wall = (sample if sample is not None
+            else boundary_sample(entry.field, entry.chart, entry.metric, tol))
     if crit is None:
-        crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, walks)
+        crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, wall=wall)
     if sample is None:
         sample = certification_sample(entry.field, entry.chart, entry.metric, crit, tol,
-                                      walks)
+                                      wall=wall)
     tables = {side: _build_side(entry, crit, side == "D", seed, tol, sample)[1]
               for side in SIDES}
     return {key: cx.homology() for key, cx in _complexes(crit, tables).items()}

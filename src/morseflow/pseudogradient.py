@@ -27,12 +27,12 @@ a strip, a patch, without measuring its deck images.  What the bound skips
 lies at least that far away, so no bit changes.
 
 One analysis draws its certification sample once (`certification_sample`):
-interior points and the traced wall, which depend only on the chart, the
-metric, the critical coordinates and the tolerances, and the analysed
-function's gradient at each of them.  Every field the analysis builds is
-certified on it; the field's value and the descent test both read the
-sample's gradient, negated for an ascent field, so no certification point's
-gradient is evaluated twice.
+the boundary sample the critical search scanned (`critical.boundary_sample`)
+and interior points, which depend only on the chart, the metric, the critical
+coordinates and the tolerances, and the analysed function's gradient at each
+of them.  Every field the analysis builds is certified on it; the field's
+value and the descent test both read the sample's gradient, negated for an
+ascent field, so no certification point's gradient is evaluated twice.
 """
 from __future__ import annotations
 
@@ -42,13 +42,13 @@ from typing import Callable
 
 import numpy as np
 
-from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalPoint, CriticalSet,
-                       boundary_components, boundary_loop_count, reclassify_negated)
-from .errors import BlendGapFailure, SampleMismatch
+from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, BoundarySample, CriticalPoint,
+                       CriticalSet, boundary_sample, reclassify_negated)
+from .errors import BlendGapFailure
 from .fields import MorseField
-from .geometry import (Chart, MetricField, active_constraint, boundary_frames,
-                       chart_distance, chart_distance_many, coords_distance, deck_reduce,
-                       gap_bound, metric_matrices, near_rows, plain_dot, row_dot)
+from .geometry import (Chart, MetricField, active_constraint, chart_distance,
+                       chart_distance_many, coords_distance, deck_reduce, gap_bound,
+                       metric_matrices, near_rows, plain_dot, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -557,61 +557,38 @@ def _manifold_sample(chart: Chart, crit: CriticalSet, count: int,
 
 
 @dataclass(frozen=True, eq=False)
-class CertificationSample:
-    """The points every field of one analysis is certified on, interior
-    Halton points away from the critical points and the boundary loops, with
-    the gradient of the analysed function at each.
+class CertificationSample(BoundarySample):
+    """The points every field of one analysis is certified on: the boundary
+    sample the critical search scanned and interior Halton points away from
+    the critical points, with the analysed function's gradient at each.  They
+    do not depend on the perturbation seed or the radii, so both sides, every
+    shrink retry and every retry seed share the sample."""
 
-    The points depend only on the chart, the metric, the critical coordinates
-    and the tolerances, and the gradients only on the function as well, so
-    both sides, every shrink retry and every retry seed share the sample.
-    """
-
-    field: MorseField    # the function whose gradients the sample holds
     interior: Array
     interior_grad: Array  # its gradient at each interior point
-    wall: Array          # the traced boundary loops, which are canonical
-    wall_grad: Array     # its gradient at each canonical wall point
-    normals: Array       # outward metric-unit normals
-    g_mats: Array        # metric matrices
 
     def gradients(self, objective: MorseField) -> tuple[Array, Array]:
-        """The objective's gradient at the interior and at the wall points.
-
-        The objective is the sample's function or its negation, whose
-        gradient is the negated array bit for bit; any other function raises
-        `SampleMismatch`.
-        """
-        if objective is self.field:
-            return self.interior_grad, self.wall_grad
-        if objective.negation_of is self.field:
-            return -self.interior_grad, -self.wall_grad
-        raise SampleMismatch("the certification sample holds the gradients of "
-                             "another function than the field descends")
+        """The objective's gradient at the interior and at the wall points
+        (see `signed`)."""
+        return self.signed(objective, self.interior_grad, self.wall_grad)
 
 
 def certification_sample(field: MorseField, chart: Chart,
                          metric: MetricField | None, crit: CriticalSet,
                          tol: Tolerances = DEFAULT,
-                         walks: tuple[Array | None, ...] | None = None,
-                         ) -> CertificationSample:
-    """Draw the interior points, trace the boundary loops and evaluate the
-    gradient of f (`field`) at both, once.  `walks` is
-    `critical.boundary_walks(chart, tol)`, taken here when not given."""
-    per_loop = max(1, tol.cert_boundary_samples // boundary_loop_count(chart))
-    loops = boundary_components(chart, per_loop, tol, walks)
+                         wall: BoundarySample | None = None) -> CertificationSample:
+    """Draw the interior points and evaluate the gradient of f (`field`)
+    there, once.  `wall` is `critical.boundary_sample(field, chart, metric,
+    tol)`, drawn here when not given; a sample of another function raises
+    `SampleMismatch`."""
+    if wall is None:
+        wall = boundary_sample(field, chart, metric, tol)
+    (wall_grad,) = wall.signed(field, wall.wall_grad)
     interior = _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl, tol)
-    wall, normals, g_mats = boundary_frames(
-        chart, np.concatenate(loops) if loops else np.empty((0, chart.dim)), metric, tol)
     return CertificationSample(
-        field=field,
-        interior=interior,
-        interior_grad=np.asarray(field.gradient(interior), dtype=float),
-        wall=wall,
-        wall_grad=np.asarray(field.gradient(wall), dtype=float),
-        normals=normals,
-        g_mats=g_mats,
-    )
+        field=field, wall=wall.wall, wall_grad=wall_grad, normals=wall.normals,
+        g_mats=wall.g_mats, ends=wall.ends, interior=interior,
+        interior_grad=np.asarray(field.gradient(interior), dtype=float))
 
 
 def _wall_sample(field: PseudoGradientField, sample: CertificationSample) -> Array:

@@ -1,8 +1,9 @@
 """The batched boundary layer against the per-point one.
 
-`geometry.boundary_frames` gives the wall trace and the critical search their
-boundary points, normals and metric matrices in one batch, and
-`critical._walk_slopes` the tangential derivatives scanned for sign changes.
+`geometry.boundary_frames` gives the one wall trace, which the critical search
+scans and the certificate tests, its boundary points, normals and metric
+matrices in one batch, and `critical._walk_slopes` the tangential derivatives
+scanned for sign changes.
 Both must return the bits, and raise the errors, of `normalize_point`,
 `boundary_frame`, `metric.matrix` and `boundary_restriction_derivatives` point
 by point, so every comparison here is exact.  Each analysis draws its
@@ -15,7 +16,7 @@ import pytest
 
 from morseflow import catalog, critical, fields, geometry, pipeline, pseudogradient
 from morseflow.critical import (CriticalSet, _walk_slopes, boundary_components,
-                                boundary_loop_count)
+                                boundary_loop_count, boundary_sample)
 from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
 from morseflow.fields import MorseField, boundary_restriction_derivatives
 from morseflow.geometry import (BoundaryConstraint, Chart, MetricField,
@@ -51,8 +52,8 @@ ENTRIES = [(name, lambda name=name: catalog.get(name)) for name in catalog.names
 
 
 def search_and_wall_loops(chart):
-    """The critical search's loops and the wall trace's loops."""
-    return (boundary_components(chart, DEFAULT.boundary_samples)
+    """Loops of 400 points and the wall trace's loops."""
+    return (boundary_components(chart, 400)
             + boundary_components(chart, DEFAULT.cert_boundary_samples // 2))
 
 
@@ -70,13 +71,13 @@ def test_walk_slopes_match_per_point(label, make):
     entry = make()
     if entry.chart.dim != 2:
         return
-    for loop in search_and_wall_loops(entry.chart):
-        got = _walk_slopes(entry.field, entry.chart, loop, entry.metric, DEFAULT)
-        want = [boundary_restriction_derivatives(
-            entry.field, entry.chart, normalize_point(entry.chart, x), entry.metric)[0]
-            for x in loop]
-        # oriented along the walk: only a sign may differ
-        assert same_bits(np.abs(got), np.abs(want))
+    sample = boundary_sample(entry.field, entry.chart, entry.metric)
+    got = _walk_slopes(entry.chart, sample.wall_grad, sample.normals)
+    want = [boundary_restriction_derivatives(
+        entry.field, entry.chart, normalize_point(entry.chart, x), entry.metric)[0]
+        for x in sample.wall]
+    # oriented along the walk: only a sign may differ
+    assert same_bits(np.abs(got), np.abs(want))
 
 
 def test_restriction_derivatives_look_the_wall_up_once(monkeypatch):
@@ -106,7 +107,9 @@ def test_the_sample_wall_is_the_traced_loops(cylinder, name):
     sample = certification_sample(entry.field, chart, entry.metric,
                                   CriticalSet(chart.dim, ()))
     per_loop = max(1, DEFAULT.cert_boundary_samples // boundary_loop_count(chart))
-    assert same_bits(sample.wall, np.concatenate(boundary_components(chart, per_loop)))
+    loops = boundary_components(chart, per_loop)
+    assert same_bits(sample.wall, np.concatenate(loops))
+    assert sample.ends == tuple(np.cumsum([len(loop) for loop in loops]))
 
 
 def test_walk_slopes_follow_the_moebius_boundary_circle():
@@ -115,10 +118,11 @@ def test_walk_slopes_follow_the_moebius_boundary_circle():
     # slope changes sign at the two critical points and nowhere else, not at
     # the seams where the frame tangent reverses
     entry = catalog.get("moebius")
-    (loop,) = boundary_components(entry.chart, DEFAULT.boundary_samples)
-    g = _walk_slopes(entry.field, entry.chart, loop, entry.metric, DEFAULT)
+    sample = boundary_sample(entry.field, entry.chart, entry.metric)
+    assert sample.ends == (len(sample.wall),)
+    g = _walk_slopes(entry.chart, sample.wall_grad, sample.normals)
     changes = np.flatnonzero(np.sign(g) != np.sign(np.roll(g, -1)))
-    u = loop[changes, 0]
+    u = sample.wall[changes, 0]
     assert len(changes) == 2
     assert np.all(np.abs(u - np.pi) < 0.05)
 
@@ -165,8 +169,9 @@ INSIDE = [0.0, 0.0]
     (catalog.get("moebius").chart, [[1.0, 1.0], [9.0, 1.5]]),
     (catalog.get("moebius").chart, [[1.0, -1.0], [1.0, 0.25]]),
     (Chart.strip(1.0, -1e-12, 1e-12, -1), [[0.5, 0.0]]),
+    (catalog.get("moebius").chart, [[1.0, 1.0], [np.inf, 1.0]]),
 ], ids=["outside", "corner", "interior", "box", "disk-interior", "strip-outside",
-        "strip-interior", "strip-degenerate"])
+        "strip-interior", "strip-degenerate", "strip-infinite"])
 def test_frames_raise_the_per_point_error(chart, rows):
     want = per_point_error(chart, rows)
     assert want is not None
@@ -205,6 +210,7 @@ def test_invariance_reuses_the_package_sample(packages, monkeypatch):
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "certification_sample", counted)
+    monkeypatch.setattr(pipeline, "boundary_sample", counted)
     pkg = packages["interval"]
     pipeline.homologies_for_seed(pkg.entry, 1, DEFAULT, pkg.crit, pkg.sample)
     assert draws == []
@@ -223,11 +229,11 @@ def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
                 monkeypatch.setattr(mod, fn.__name__, counted)
     entry = catalog.get(name)
     crit = packages[name].crit
-    sample = certification_sample(entry.field, entry.chart, entry.metric, crit)
+    wall = boundary_sample(entry.field, entry.chart, entry.metric)
+    sample = certification_sample(entry.field, entry.chart, entry.metric, crit, wall=wall)
     assert len(sample.wall) > 0
     if entry.chart.dim == 2:
-        for loop in boundary_components(entry.chart, DEFAULT.boundary_samples):
-            _walk_slopes(entry.field, entry.chart, loop, entry.metric, DEFAULT)
+        _walk_slopes(entry.chart, wall.wall_grad, wall.normals)
     assert calls == []
 
 

@@ -277,18 +277,17 @@ def test_nonpositive_sample_count_rejected(capsys):
     assert "bad arguments" in err
 
 
-def test_removed_sweep_tolerance_is_unknown(capsys):
-    code, _, err = run(capsys, "analyze", "tilted_dome", "--tol",
-                       "sweep_samples=24")
-    assert code == 1
-    assert "unknown tolerance names" in err
-
-
-def test_removed_value_gap_tolerance_is_unknown(capsys):
+@pytest.mark.parametrize("name, value, entry", [
+    ("sweep_samples", "24", "tilted_dome"),
     # critical values may tie, so nothing reads a minimal gap between them
-    code, _, err = run(capsys, "analyze", "interval", "--tol", "tol_val=1e-6")
+    ("tol_val", "1e-6", "interval"),
+    # the critical search scans the certification sample's wall
+    ("boundary_samples", "400", "disk"),
+], ids=["sweep_samples", "tol_val", "boundary_samples"])
+def test_retired_tolerance_is_unknown(capsys, name, value, entry):
+    code, _, err = run(capsys, "analyze", entry, "--tol", f"{name}={value}")
     assert code == 1
-    assert "unknown tolerance names: ['tol_val']" in err
+    assert f"unknown tolerance names: ['{name}']" in err
 
 
 def test_empty_wall_sample_fails_certification(capsys):

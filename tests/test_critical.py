@@ -222,7 +222,7 @@ def test_moebius_found_at_any_walk_density(packages, samples):
     # u = pi, where both boundary critical points sit, is a walk point only
     # at some densities; elsewhere the refinement must walk onto it
     base = packages["moebius"]
-    tol = DEFAULT.override(boundary_samples=samples)
+    tol = DEFAULT.override(cert_boundary_samples=samples)
     pkg = build_package(base.entry, 0, tol)
     assert [(p.kind, p.grading) for p in pkg.crit.points] \
         == [(p.kind, p.grading) for p in base.crit.points]
@@ -298,7 +298,7 @@ def trace_counted(monkeypatch, chart, con, samples):
 def test_loops_are_evenly_spaced_on_the_wall(name, monkeypatch):
     chart = catalog.get(name).chart
     pieces = len(chart.constraints)
-    for samples in (DEFAULT.boundary_samples, DEFAULT.cert_boundary_samples // pieces):
+    for samples in (400, DEFAULT.cert_boundary_samples // pieces):
         loops = boundary_components(chart, samples)
         assert len(loops) == pieces
         for loop, con in zip(loops, chart.constraints):

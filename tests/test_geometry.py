@@ -70,7 +70,8 @@ def test_normalize_wraps_into_the_period_as_deck_reduce(moebius_chart, u):
     assert pt.tobytes() == deck_reduce(moebius_chart, np.array([[u, 0.5]]))[0].tobytes()
 
 
-@pytest.mark.parametrize("raw", [[math.nan, 0.5], [0.5, math.nan]])
+@pytest.mark.parametrize("raw", [[math.nan, 0.5], [0.5, math.nan],
+                                 [math.inf, 0.5], [-math.inf, 0.5]])
 def test_normalize_puts_nan_outside_the_manifold(moebius_chart, disk_chart, raw):
     for chart in (moebius_chart, disk_chart):
         with pytest.raises(PointOutsideManifold):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morseflow import catalog, flow, pipeline, pseudogradient
+from morseflow import catalog, critical, flow, pipeline, pseudogradient
 from morseflow.chains import HomologyResult, IntegerChainComplex
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 from morseflow.cli import _report
@@ -189,8 +189,8 @@ def test_package_builds_each_field_once(monkeypatch):
 @pytest.fixture(scope="module")
 def instrumented():
     """`build_package(name)` recording every field build, every integration
-    (field, start, reverse, RK samples) and every trace of the boundary loops
-    for certification."""
+    (field, start, reverse, RK samples) and every trace of the boundary
+    loops."""
     built = {}
 
     def build(name):
@@ -198,7 +198,7 @@ def instrumented():
             return built[name]
         fields, launches, traces = [], [], []
         integrate = flow.integrate
-        boundary_components = pseudogradient.boundary_components
+        boundary_components = critical.boundary_components
 
         def counted_build(*args, **kwargs):
             fields.append(build_adapted(*args, **kwargs))
@@ -218,7 +218,7 @@ def instrumented():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "build_adapted", counted_build)
             mp.setattr(flow, "integrate", counted_integrate)
-            mp.setattr(pseudogradient, "boundary_components", counted_trace)
+            mp.setattr(critical, "boundary_components", counted_trace)
             pkg = pipeline.build_package(catalog.get(name))
         built[name] = pkg, fields, launches, traces
         return built[name]
@@ -244,11 +244,26 @@ def test_package_integrates_each_branch_once(instrumented, name, integrations):
 
 def test_package_traces_the_wall_once(instrumented):
     pkg, fields, _, traces = instrumented("annulus")
-    # descent, ascent and the pairing retry's ascent field share one trace
+    # the critical search, the descent and ascent fields and the pairing
+    # retry's ascent field share one trace
     ascends = [f.objective.negation_of is pkg.entry.field for f in fields]
     assert list(zip(ascends, [f.perturb_seed for f in fields])) == [
         (False, None), (True, None), (True, pkg.pairing_seed)]
     assert len(traces) == 1
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_each_analysis_traces_and_frames_the_wall_once(name, monkeypatch):
+    calls = []
+    for fn in (critical.boundary_components, critical.boundary_frames):
+        def counted(*args, fn=fn, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        for mod in (critical, pseudogradient, pipeline):
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    pipeline.build_package(catalog.get(name))
+    assert sorted(calls) == ["boundary_components", "boundary_frames"]
 
 
 def test_shared_wall_trace_keeps_certificates(instrumented):

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, critical, pipeline
+from morseflow.critical import find_critical_set
 from morseflow.errors import MorseflowError, SampleMismatch
 from morseflow.fields import MorseField
 from morseflow.params import DEFAULT
-from morseflow.pseudogradient import build_adapted, certify_adapted
+from morseflow.pseudogradient import (build_adapted, certification_sample,
+                                      certify_adapted)
 
 from conftest import evaluate_many
 
@@ -130,6 +132,11 @@ def test_a_sample_certifies_only_its_own_function(packages):
         with pytest.raises(MorseflowError):
             build_adapted(doubled, entry.chart, pkg.crit, entry.metric,
                           for_negative=negative, sample=pkg.sample)
+    # the critical search and a certification sample read the wall of f only
+    with pytest.raises(SampleMismatch):
+        find_critical_set(doubled, entry.chart, entry.metric, wall=pkg.sample)
+    with pytest.raises(SampleMismatch):
+        certification_sample(doubled, entry.chart, entry.metric, pkg.crit, wall=pkg.sample)
     # a function equal to -f, but not made by negating f, is another function
     with pytest.raises(SampleMismatch):
         certify_adapted(dataclasses.replace(pkg.field_neg, objective=MorseField(
