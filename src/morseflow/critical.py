@@ -8,6 +8,7 @@ refinement.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -181,27 +182,29 @@ def find_interior_critical(field: MorseField, chart: Chart,
 # boundary walk
 
 
-def _project_to_zero(con, x: Array, max_iter: int = 60) -> Array | None:
-    """Newton projection onto the zero set of con, of one point or of each row
-    of an array of points; None when a projection fails.
+def _project_to_zero(con, x, max_iter: int = 60) -> Array | None:
+    """Newton projection onto the zero set of con, of one point (a sequence
+    of coordinates) or of each row of an array of points; None when a
+    projection fails.
 
     Every row runs the one-point iteration on its own: it stops once
     |value| < 1e-13, within max_iter steps, and fails at a vanishing gradient.
-    The walks project one point at a time, which a one-row batch would make
-    about four times as slow.
+    The walks project one point at a time, in float arithmetic through
+    `BoundaryConstraint.read`; |grad|^2 is the BLAS dot of the covector, as
+    the batch takes it, so both give the same bits.
     """
-    x = np.array(x, dtype=float)
-    if x.ndim == 2:
-        return _project_rows(con, x, max_iter)
+    if np.ndim(x) == 2:
+        return _project_rows(con, np.array(x, dtype=float), max_iter)
+    xs = np.asarray(x, dtype=float).tolist()
     for _ in range(max_iter):
-        val = float(con.value(x))
+        val, cov, _ = con.read(xs)
         if abs(val) < 1e-13:
-            return x
-        grad = np.asarray(con.gradient(x), dtype=float)
-        gg = float(grad @ grad)
+            return np.array(xs)
+        grad = np.array(cov)
+        gg = float(grad.dot(grad))
         if gg < 1e-30:
             return None
-        x = x - val * grad / gg
+        xs = [c - val * g / gg for c, g in zip(xs, cov)]
     return None
 
 
@@ -262,7 +265,8 @@ def _coarse_walk(chart: Chart, con, tol: Tolerances) -> Array | None:
         nxt = _wall_step(con, x, step)
         if nxt is None:
             return None
-        if len(walk) > 5 and float(np.linalg.norm(nxt - start)) < 0.6 * step:
+        gap = nxt - start
+        if len(walk) > 5 and math.sqrt(float(gap.dot(gap))) < 0.6 * step:
             break
         walk.append(nxt)
         x = nxt
@@ -393,11 +397,16 @@ def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
     return pt if abs(g_t) < tol.tol_crit else None
 
 
-def _wall_step(con, x: Array, delta: float) -> Array | None:
+def _wall_step(con, x, delta: float) -> Array | None:
     """x on con's zero set, moved by delta along the clockwise turn of con's
-    euclidean unit normal and projected back; None when that fails."""
-    grad = np.asarray(con.gradient(x), dtype=float)
-    return _project_to_zero(con, x + delta * turn_clockwise(grad / np.linalg.norm(grad)))
+    euclidean unit normal and projected back; None when that fails.  The
+    norm is the square root of the covector's BLAS dot, as `np.linalg.norm`
+    takes it."""
+    u, v = np.asarray(x, dtype=float).tolist()
+    _, (c0, c1), _ = con.read([u, v])
+    grad = np.array([c0, c1])
+    norm = math.sqrt(float(grad.dot(grad)))
+    return _project_to_zero(con, [u + delta * (c1 / norm), v + delta * -(c0 / norm)])
 
 
 def _boundary_step(chart: Chart, x: Array, delta: float,

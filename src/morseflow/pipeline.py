@@ -5,7 +5,8 @@ Each analysis traces the boundary once (`critical.boundary_sample`): the
 critical search scans that trace, and the certification sample extends it
 with interior points, with the function's gradient at each.  Every field the
 analysis builds (both sides, every retry seed, the pairing's retry) is
-certified on that one sample.
+certified on that one sample, measured once (`CertificationSample.measured`)
+for the analysis; the package keeps the sample without its geometry.
 """
 from __future__ import annotations
 
@@ -214,8 +215,9 @@ def build_package(entry: CatalogEntry, seed: int = 0,
     crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, wall=wall)
     sample = certification_sample(entry.field, entry.chart, entry.metric, crit, tol,
                                   wall=wall)
-    field_pos, inc_pos = _build_side(entry, crit, False, seed, tol, sample)
-    field_neg, inc_neg = _build_side(entry, crit, True, seed, tol, sample)
+    measured = sample.measured(entry.chart, entry.metric)
+    field_pos, inc_pos = _build_side(entry, crit, False, seed, tol, measured)
+    field_neg, inc_neg = _build_side(entry, crit, True, seed, tol, measured)
 
     complexes = _complexes(crit, {"N": inc_pos, "D": inc_neg})
     # reported but not judged: transposing keeps every rank and invariant
@@ -224,7 +226,7 @@ def build_package(entry: CatalogEntry, seed: int = 0,
     homology = {key: cx.homology() for key, cx in complexes.items()}
 
     pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, field_neg,
-                                              seed, sample)
+                                              seed, measured)
 
     checks = _collect_checks(entry, homology, pairing)
     return MorsePackage(
@@ -279,6 +281,7 @@ def homologies_for_seed(entry: CatalogEntry, seed: int,
     if sample is None:
         sample = certification_sample(entry.field, entry.chart, entry.metric, crit, tol,
                                       wall=wall)
+    sample = sample.measured(entry.chart, entry.metric)
     tables = {side: _build_side(entry, crit, side == "D", seed, tol, sample)[1]
               for side in SIDES}
     return {key: cx.homology() for key, cx in _complexes(crit, tables).items()}

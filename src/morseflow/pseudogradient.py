@@ -15,7 +15,9 @@ times as much, and certification and the capture check evaluate in batches
 them.  The point evaluator is one straight-line float kernel per field
 (`_point_evaluator`) around one call of the objective's gradient and of the
 metric and one `BoundaryConstraint.read` per wall; the batch reads each wall
-once per row through its callables (`_pieces_many`).
+once per row through its callables (`_pieces_many`) into a `RowGeometry`,
+which it is given for the certification sample and computes itself for the
+capture rings.
 
 Both measure a chart distance to a patch's or a critical point's center only
 where the coordinate gaps, lower bounds of the distance to every deck image,
@@ -32,12 +34,18 @@ and interior points, which depend only on the chart, the metric, the critical
 coordinates and the tolerances, and the analysed function's gradient at each
 of them.  Every field the analysis builds is certified on it; the field's
 value and the descent test both read the sample's gradient, negated for an
-ascent field, so no certification point's gradient is evaluated twice.
+ascent field, so no certification point's gradient is evaluated twice.  The
+analysis also measures the sample's rows once (`CertificationSample.measured`):
+their `RowGeometry` serves every certificate it makes, and dies with the
+analysis, since the package keeps the sample without it.  The perturbation is
+not shared: each side's critical points, the envelope's factors, come in that
+side's order of value, and the product rounds by that order.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable
 
 import numpy as np
@@ -59,15 +67,39 @@ def _smoothstep_many(s: Array) -> Array:
     return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, s * s * (3.0 - 2.0 * s)))
 
 
+# the low digits each base's table covers: tables of 4,096, 2,187 and 3,125 sums
+_TABLE_DIGITS = {2: 12, 3: 7, 5: 5}
+
+
+@functools.cache
+def _radical_table(base: int) -> tuple[Array, float]:
+    """The radical inverse's running sum over the low `_TABLE_DIGITS[base]`
+    digits of every index below base**digits, and the last digit's weight."""
+    i = np.arange(base ** _TABLE_DIGITS[base], dtype=np.int64)
+    f = 1.0
+    r = np.zeros(len(i))
+    for _ in range(_TABLE_DIGITS[base]):
+        f /= base
+        r += f * (i % base)
+        i //= base
+    r.flags.writeable = False
+    return r, f
+
+
 def halton_sequence(count: int, dim: int, skip: int = 20) -> Array:
-    """Low-discrepancy points in the unit cube (radical inverse, bases 2/3/5)."""
-    bases = (2, 3, 5)[:dim]
+    """Low-discrepancy points in the unit cube (radical inverse, bases 2/3/5).
+
+    Digit k of an index adds its value times base**-(k+1) to the running
+    sum, lowest digit first; the sum over the low digits is read from a
+    table, and the higher digits are added in the same order, so the bits
+    are those of the digit-by-digit sum.
+    """
     idx = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
     out = np.zeros((count, dim))
-    for d, b in enumerate(bases):
-        i = idx.copy()
-        f = 1.0
-        r = np.zeros(count)
+    for d, b in enumerate((2, 3, 5)[:dim]):
+        table, f = _radical_table(b)
+        r = table[idx % len(table)]
+        i = idx // len(table)
         while i.max() > 0:
             f /= b
             r += f * (i % b)
@@ -115,6 +147,41 @@ def _pieces_many(chart: Chart, x: Array):
     for con in chart.constraints:
         cov = np.asarray(con.gradient(x), dtype=float)
         yield np.asarray(con.value(x), dtype=float), cov, np.sqrt(plain_dot(cov.T, cov.T))
+
+
+@dataclass(frozen=True, eq=False)
+class RowGeometry:
+    """What the batch evaluator reads of the chart and the metric at rows of
+    canonical points, the same for every field on them (`row_geometry`)."""
+
+    pieces: tuple[tuple[Array, Array, Array], ...]  # `_pieces_many`, one per wall
+    depth: Array      # least -value / norm over the walls (inf at a zero covector)
+    cov: Array        # the covector of the wall giving it; on a tie the first wall's
+    wall: Array       # least |-value / norm|, the distance to the nearest wall
+    g: Array | None   # metric matrices stacked on the last axis; None for the identity
+
+    def take(self, rows: Array) -> RowGeometry:
+        """The geometry of the rows a mask or an index array picks."""
+        return RowGeometry(tuple(tuple(a[rows] for a in piece) for piece in self.pieces),
+                           self.depth[rows], self.cov[rows], self.wall[rows],
+                           None if self.g is None else self.g[..., rows])
+
+
+def row_geometry(chart: Chart, metric: MetricField, x: Array) -> RowGeometry:
+    """The `RowGeometry` of rows of canonical points x."""
+    g = None if metric.identity else metric_matrices(metric, x).transpose(1, 2, 0)
+    depth = np.full(len(x), math.inf)
+    wall = np.full(len(x), math.inf)
+    cov = np.zeros_like(x)
+    pieces = tuple(_pieces_many(chart, x))
+    for b, piece_cov, gnorm in pieces:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            piece_depth = np.where(gnorm < 1e-30, math.inf, -b / gnorm)
+        closer = piece_depth < depth
+        np.copyto(depth, piece_depth, where=closer)
+        np.copyto(cov, piece_cov, where=closer[:, None])
+        np.minimum(wall, np.abs(piece_depth, out=piece_depth), out=wall)
+    return RowGeometry(pieces, depth, cov, wall, g)
 
 
 def _solve(g, c) -> list:
@@ -222,29 +289,22 @@ class PseudoGradientField:
         """Field vector at raw coordinates (deck-equivariant under a deck map)."""
         return self._point(raw)
 
-    def _eval_canonical_many(self, x: Array, grad: Array) -> Array:
+    def _eval_canonical_many(self, x: Array, grad: Array,
+                             geometry: RowGeometry | None = None) -> Array:
         """The arithmetic of `_point_evaluator` at each row of x, canonical
-        coordinates, where the objective's gradient is the row of grad."""
-        g = (None if self.metric.identity
-             else metric_matrices(self.metric, x).transpose(1, 2, 0))
+        coordinates, where the objective's gradient is the row of grad.
+        `geometry` is `row_geometry(self.chart, self.metric, x)`, computed
+        here when not given."""
+        if geometry is None:
+            geometry = row_geometry(self.chart, self.metric, x)
+        g, depth = geometry.g, geometry.depth
         vec = -grad if g is None else -np.stack(_solve(g, grad.T), axis=1)
 
-        # collar at the nearest wall, kept in place; on a tie the first piece wins
-        depth = np.full(len(x), math.inf)
-        wall = np.full(len(x), math.inf)
-        cov = np.zeros_like(x)
-        walls = list(_pieces_many(self.chart, x))
-        for b, piece_cov, gnorm in walls:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                piece_depth = np.where(gnorm < 1e-30, math.inf, -b / gnorm)
-            closer = piece_depth < depth
-            np.copyto(depth, piece_depth, where=closer)
-            cov[closer] = piece_cov[closer]
-            np.minimum(wall, np.abs(piece_depth, out=piece_depth), out=wall)
+        # collar at the nearest wall, kept in place
         if self.delta_c > 0.0:
             i = np.flatnonzero(depth < self.delta_c)
             g_i = None if g is None else g[..., i]
-            normal = _unit_dual(cov[i].T, g_i, np.sqrt)
+            normal = _unit_dual(geometry.cov[i].T, g_i, np.sqrt)
             nu = plain_dot(grad[i].T, normal)
             tangential = _axpy(vec[i].T, nu, normal)
             g_t = np.sqrt(plain_dot(tangential, tangential) if g_i is None
@@ -269,7 +329,7 @@ class PseudoGradientField:
             free[i] = False
             chi = 1.0 - _smoothstep_many((d - 0.5 * self.r_n) / (0.5 * self.r_n))
             i, chi = i[chi > 0.0], chi[chi > 0.0]
-            b, piece_cov, _ = walls[patch.piece]
+            b, piece_cov, _ = geometry.pieces[patch.piece]
             z = -b[i] / patch.grad_norm_at_center
             dz = list(-piece_cov[i].T / patch.grad_norm_at_center)
             if len(dz) == 1:
@@ -286,7 +346,7 @@ class PseudoGradientField:
             vec[i] = (1.0 - chi)[:, None] * vec[i] + chi[:, None] * np.stack(model, axis=1)
 
         if self._perturb is not None:
-            vec = vec + self._perturb.many(x, wall, self.tol)
+            vec = vec + self._perturb.many(x, geometry.wall, self.tol)
         return vec
 
     def linearization(self, at: Array) -> Array:
@@ -562,15 +622,28 @@ class CertificationSample(BoundarySample):
     sample the critical search scanned and interior Halton points away from
     the critical points, with the analysed function's gradient at each.  They
     do not depend on the perturbation seed or the radii, so both sides, every
-    shrink retry and every retry seed share the sample."""
+    shrink retry and every retry seed share the sample, and the
+    `RowGeometry` of its interior and wall rows (`measured`)."""
 
     interior: Array
     interior_grad: Array  # its gradient at each interior point
+    # (interior, wall) `RowGeometry`, on a copy that one analysis certifies on
+    geometry: tuple[RowGeometry, RowGeometry] | None = None
 
     def gradients(self, objective: MorseField) -> tuple[Array, Array]:
         """The objective's gradient at the interior and at the wall points
         (see `signed`)."""
         return self.signed(objective, self.interior_grad, self.wall_grad)
+
+    def measured(self, chart: Chart, metric: MetricField) -> CertificationSample:
+        """A copy carrying the geometry of its rows on the chart under the
+        metric, which must be the certified fields' (itself when it carries
+        one).  An analysis measures its sample once, and keeps the copy only
+        while it builds fields: a package holds the sample without it."""
+        if self.geometry is not None:
+            return self
+        return replace(self, geometry=(row_geometry(chart, metric, self.interior),
+                                       row_geometry(chart, metric, self.wall)))
 
 
 def certification_sample(field: MorseField, chart: Chart,
@@ -613,7 +686,7 @@ def certify_adapted(field: PseudoGradientField, *, attempts: int = 0,
     `sample` is `certification_sample(f, field.chart, field.metric,
     field.crit, field.tol)` for the function f the field descends, or for -f
     when it ascends; it is drawn here, for the field's objective, when not
-    given.
+    given, and measured here when it carries no geometry (see `measured`).
     A sample of any other function raises `SampleMismatch`.  A NaN at any
     sample fails the certificate.
     """
@@ -623,17 +696,20 @@ def certify_adapted(field: PseudoGradientField, *, attempts: int = 0,
         sample = certification_sample(obj, chart, field.metric, crit, field.tol)
     interior = sample.interior
     interior_grad, wall_grad = sample.gradients(obj)
+    sample = sample.measured(chart, field.metric)
+    interior_geometry, wall_geometry = sample.geometry
     # the sample's points are canonical, so the field reads their gradients;
     # an empty sample, interior or wall, tests nothing, and its NaN margin
     # fails the certificate
-    descent = (float(np.max(row_dot(
-        interior_grad, field._eval_canonical_many(interior, interior_grad))))
+    descent = (float(np.max(row_dot(interior_grad, field._eval_canonical_many(
+        interior, interior_grad, interior_geometry))))
         if len(interior) else math.nan)
 
     keep = _wall_sample(field, sample)
     on_wall = sample.wall[keep]
-    pushed = np.matmul(field._eval_canonical_many(on_wall, wall_grad[keep])[:, None, :],
-                       sample.g_mats[keep])[:, 0, :]
+    pushed = np.matmul(field._eval_canonical_many(
+        on_wall, wall_grad[keep], wall_geometry.take(keep))[:, None, :],
+        sample.g_mats[keep])[:, 0, :]
     inward = (float(np.min(-row_dot(pushed, sample.normals[keep])))
               if len(on_wall) else math.nan)
 
@@ -754,12 +830,14 @@ def build_adapted(field: MorseField, chart: Chart, crit: CriticalSet,
     Retries with halved patch and collar radii when certification fails;
     raises BlendGapFailure when no retry passes.  `sample` is
     `certification_sample(field, chart, metric, crit, tol)`, which an
-    analysis draws once for all its builds, both sides included; without it
-    the build draws its own.
+    analysis draws and measures once for all its builds, both sides
+    included; without it the build draws its own.  Every retry reads one
+    measured copy.
     """
     metric = metric or MetricField.euclidean(chart.dim)
     if sample is None:
         sample = certification_sample(field, chart, metric, crit, tol)
+    sample = sample.measured(chart, metric)
     if for_negative:
         objective = field.negated()
         crit_obj = reclassify_negated(crit, field, chart)

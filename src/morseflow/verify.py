@@ -51,12 +51,22 @@ class VerificationContext:
     def __init__(self, seed: int = 0, tol: Tolerances = DEFAULT):
         self.seed = seed
         self.tol = tol
-        self._packages: dict[str, MorsePackage] = {}
+        self._packages: dict[str, MorsePackage | MorseflowError] = {}
 
     def package(self, name: str) -> MorsePackage:
+        """The entry's package, built on first use.  A build that raised a
+        MorseflowError is not run again: every use raises that error."""
         if name not in self._packages:
-            self._packages[name] = build_package(catalog.get(name), self.seed, self.tol)
-        return self._packages[name]
+            try:
+                self._packages[name] = build_package(catalog.get(name), self.seed, self.tol)
+            except MorseflowError as exc:
+                # kept without its traceback, whose frames would hold the
+                # failed analysis for as long as the context lives
+                self._packages[name] = exc.with_traceback(None)
+        found = self._packages[name]
+        if isinstance(found, MorseflowError):
+            raise found.with_traceback(None)
+        return found
 
 
 def _row(pkg: MorsePackage, prefix: str) -> CheckRecord:

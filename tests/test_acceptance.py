@@ -3,8 +3,9 @@ import dataclasses
 
 import pytest
 
-from morseflow import catalog, flow, pipeline
+from morseflow import catalog, cli, flow, pipeline
 from morseflow.critical import INTERIOR, CriticalSet
+from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 from morseflow import verify as V
 
@@ -229,3 +230,31 @@ def test_invariance_builds_no_seed_twice(monkeypatch):
     assert result.passed, result.detail
     assert calls == [2, 3]
     assert "seeds (1, 2, 3) agree" in result.detail
+
+
+def test_a_failed_build_runs_once(monkeypatch, capsys):
+    """At max_steps=1 the annulus's build times out.  Every criterion that
+    asks for it fails with that error, which one build raised, and the lines
+    are those of a context that builds the package again at every use."""
+    tol = DEFAULT.override(max_steps=1)
+    builds = []
+    build = V.build_package
+
+    def counted(entry, *args):
+        builds.append(entry.name)
+        return build(entry, *args)
+
+    monkeypatch.setattr(V, "build_package", counted)
+    lines = [rec.line() for rec in V.run_acceptance(0, tol)]
+    assert "annulus" in builds and len(builds) == len(set(builds))
+    assert all("FlowTimeout" in line for line in lines)
+
+    class Rebuilding(V.VerificationContext):
+        def package(self, name):
+            return build(catalog.get(name), self.seed, self.tol)
+
+    assert [fn(Rebuilding(0, tol)).line() for fn in V.ALL_CHECKS] == lines
+    builds.clear()
+    assert cli.main(["verify", "--tol", "max_steps=1"]) == 2
+    assert capsys.readouterr().out.splitlines() == [*lines, "0/10 criteria passed"]
+    assert len(builds) == len(set(builds))

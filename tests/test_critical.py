@@ -9,11 +9,13 @@ from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, _boundary_step
                                 find_critical_set, find_interior_critical,
                                 reclassify_negated)
 from morseflow.fields import boundary_restriction_derivatives
-from morseflow.geometry import MetricField, chart_distance, normalize_point
+from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, chart_distance,
+                                normalize_point, turn_clockwise)
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 
 from conftest import EXPECTED
+from test_interior_saddles import FIXTURES
 
 
 def test_expected_partition_reproduced(packages):
@@ -312,10 +314,10 @@ def test_loops_are_evenly_spaced_on_the_wall(name, monkeypatch):
             traced, polygon, calls = trace_counted(monkeypatch, chart, con, samples)
             assert np.array_equal(traced, loop)
             assert np.array_equal(loop[0], polygon[0])
-            # one projection per step of the coarse walk, one for its start
-            # (when the first candidate is good), and one batch for the loop
+            # one projection per step of the coarse walk (the closing step
+            # included), one for its start, and one batch for the loop
             assert len(polygon) < samples / 2
-            assert calls.count(1) <= len(polygon) + 1
+            assert calls.count(1) == len(polygon) + 1
             assert calls.count(2) == 1
 
 
@@ -344,3 +346,122 @@ def test_batched_projection_matches_one_point_at_a_time():
     want = np.array([critical._project_to_zero(con, x) for x in rows])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert critical._project_to_zero(con, rows, max_iter=1) is None
+
+
+# --- the float walk against the numpy walk it replaced ------------------------
+#
+# `reference_project` and `reference_wall_step` are the one-point
+# `critical._project_to_zero` and `critical._wall_step` as written with numpy
+# 2-vectors, through the constraint callables and `np.linalg.norm`, and
+# `reference_coarse_walk` is the coarse walk over them.  The float walk must
+# give the same bits.
+
+
+def reference_project(con, x, max_iter=60):
+    x = np.array(x, dtype=float)
+    for _ in range(max_iter):
+        val = float(con.value(x))
+        if abs(val) < 1e-13:
+            return x
+        grad = np.asarray(con.gradient(x), dtype=float)
+        gg = float(grad @ grad)
+        if gg < 1e-30:
+            return None
+        x = x - val * grad / gg
+    return None
+
+
+def reference_wall_step(con, x, delta):
+    grad = np.asarray(con.gradient(x), dtype=float)
+    return reference_project(con, x + delta * turn_clockwise(grad / np.linalg.norm(grad)))
+
+
+def reference_coarse_walk(chart, con, tol):
+    grid = critical._seed_grid(chart, 40)
+    vals = np.abs(np.asarray(con.value(grid), dtype=float))
+    start = None
+    for i in np.argsort(vals)[:200]:
+        cand = reference_project(con, grid[i])
+        if cand is None:
+            continue
+        inside_box = all(lo - 1e-9 <= cand[a] <= hi + 1e-9
+                         for a, (lo, hi) in enumerate(chart.box))
+        if inside_box and all(float(c.value(cand)) <= tol.tol_geom
+                              for c in chart.constraints if c is not con):
+            start = cand
+            break
+    step = 0.02 * max(hi - lo for lo, hi in chart.box)
+    walk, x = [start], start
+    while True:
+        nxt = reference_wall_step(con, x, step)
+        if len(walk) > 5 and float(np.linalg.norm(nxt - start)) < 0.6 * step:
+            return np.array(walk)
+        walk.append(nxt)
+        x = nxt
+
+
+def _ellipse_by_callables():
+    """b = (u / 1.3)^2 + (v / 0.8)^2 - 1, given by its callables alone, so
+    the walk reads it through `geometry._callable_reader`."""
+    scale = np.array([1.0 / 1.69, 1.0 / 0.64])
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.sum(x * x * scale, axis=-1) - 1.0
+
+    return BoundaryConstraint("ellipse", value,
+                              lambda x: 2.0 * np.asarray(x, dtype=float) * scale,
+                              lambda x: np.broadcast_to(2.0 * np.diag(scale),
+                                                        np.shape(x)[:-1] + (2, 2)))
+
+
+WALLS = {f"{name}-{con.name}": (catalog.get(name).chart, con)
+         for name in REGION_ENTRIES for con in catalog.get(name).chart.constraints}
+WALLS["callables-ellipse"] = (Chart(2, ((-1.5, 1.5), (-1.0, 1.0)),
+                                    (_ellipse_by_callables(),)), None)
+
+
+@pytest.mark.parametrize("wall", list(WALLS))
+def test_float_walk_matches_the_numpy_walk(wall):
+    chart, con = WALLS[wall]
+    con = con or chart.constraints[0]
+    polygon = critical._coarse_walk(chart, con, DEFAULT)
+    assert polygon.tobytes() == reference_coarse_walk(chart, con, DEFAULT).tobytes()
+    # every step either way, and projections from off the wall
+    step = 0.02 * max(hi - lo for lo, hi in chart.box)
+    for x in polygon:
+        for delta in (step, -step, 1e-4):
+            assert (critical._wall_step(con, x, delta).tobytes()
+                    == reference_wall_step(con, x, delta).tobytes())
+        off = 1.05 * x
+        assert (critical._project_to_zero(con, off).tobytes()
+                == reference_project(con, off).tobytes())
+        assert (critical._project_to_zero(con, off.tolist()).tobytes()
+                == reference_project(con, off).tobytes())
+
+
+def test_a_failed_projection_fails_either_way():
+    (con,) = catalog.get("disk").chart.constraints
+    for x in ([0.0, 0.0], [3.0, 4.0]):
+        for max_iter in (1, 60):
+            got = critical._project_to_zero(con, x, max_iter)
+            want = reference_project(con, x, max_iter)
+            assert (got is None) == (want is None)
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), *FIXTURES])
+def test_critical_search_matches_the_numpy_walk(name, monkeypatch):
+    # the walks and the refinement's wall steps project one point at a time
+    entry = FIXTURES[name]() if name in FIXTURES else catalog.get(name)
+    found = find_critical_set(entry.field, entry.chart, entry.metric)
+    batch = critical._project_to_zero
+    monkeypatch.setattr(critical, "_project_to_zero", lambda con, x, max_iter=60: (
+        batch(con, x, max_iter) if np.ndim(x) == 2 else reference_project(con, x, max_iter)))
+    monkeypatch.setattr(critical, "_wall_step", reference_wall_step)
+    want = find_critical_set(entry.field, entry.chart, entry.metric)
+    def bits(cp):
+        arrays = (cp.coords, cp.normal, cp.tangent, *cp.frame)
+        return ([None if a is None else a.tobytes() for a in arrays],
+                repr((cp.value, cp.kind, cp.grading, cp.tangential_hessian)))
+
+    assert [bits(cp) for cp in found.points] == [bits(cp) for cp in want.points]

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from morseflow import catalog
+from morseflow import catalog, pseudogradient
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalSet
 from morseflow.geometry import boundary_distance, chart_distance
+from morseflow.params import DEFAULT
 from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch,
                                       build_adapted, certify_adapted, halton_sequence)
 
@@ -128,6 +129,65 @@ def test_halton_points_fill_unit_square():
     quad = (pts[:, 0] > 0.5).astype(int) * 2 + (pts[:, 1] > 0.5).astype(int)
     counts = np.bincount(quad, minlength=4)
     assert counts.min() > 100
+
+
+def reference_halton(count, dim, skip=20):
+    """The radical inverse digit by digit: digit k of each index, lowest
+    first, adds its value times base**-(k+1), the weight divided down by the
+    base once per digit."""
+    idx = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
+    out = np.zeros((count, dim))
+    for d, b in enumerate((2, 3, 5)[:dim]):
+        i = idx.copy()
+        f = 1.0
+        r = np.zeros(count)
+        while i.max() > 0:
+            f /= b
+            r += f * (i % b)
+            i //= b
+        out[:, d] = r
+    return out
+
+
+def _powers_of_the_bases():
+    """(count, skip) whose top index skip + count is an exact power of a
+    base, at and around the low digits `halton_sequence` tables."""
+    for b, top_digits in ((2, 15), (3, 10), (5, 7)):
+        for k in range(1, top_digits + 1):
+            top = b ** k
+            for count in sorted({1, min(7, top), top}):
+                yield count, top - count
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_halton_is_the_digit_by_digit_radical_inverse(dim):
+    cases = [(1, 0), (1, 20), (10_000, 20), (3, 4093), (5, 2185), (2, 3123),
+             *_powers_of_the_bases()]
+    for count, skip in cases:
+        got, want = halton_sequence(count, dim, skip), reference_halton(count, dim, skip)
+        assert got.tobytes() == want.tobytes(), (count, skip)
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus"])
+def test_halton_chunks_of_the_manifold_sample(packages, name, monkeypatch):
+    # the chunks `_manifold_sample` draws, at the skips it draws them from
+    drawn = []
+    halton = pseudogradient.halton_sequence
+
+    def recorded(count, dim, skip=20):
+        out = halton(count, dim, skip)
+        drawn.append((count, dim, skip, out))
+        return out
+
+    monkeypatch.setattr(pseudogradient, "halton_sequence", recorded)
+    pkg = packages[name]
+    tol = DEFAULT
+    interior = pseudogradient._manifold_sample(pkg.entry.chart, pkg.crit,
+                                               tol.cert_interior_samples, tol.r_excl, tol)
+    assert interior.tobytes() == pkg.sample.interior.tobytes()
+    assert len(drawn) >= 2  # the first chunk falls short of the count
+    for count, dim, skip, out in drawn:
+        assert out.tobytes() == reference_halton(count, dim, skip).tobytes()
 
 
 def test_perturbed_field_still_certifies(packages):
