@@ -434,15 +434,12 @@ def _walk_slopes(chart: Chart, grad: Array, normals: Array) -> Array:
 
 def find_boundary_critical(field: MorseField, chart: Chart,
                            metric: MetricField | None = None,
-                           tol: Tolerances = DEFAULT,
-                           wall: BoundarySample | None = None,
-                           ) -> list[CriticalPoint]:
+                           tol: Tolerances = DEFAULT, *,
+                           wall: BoundarySample) -> list[CriticalPoint]:
     """Critical points of the boundary restriction, classified by type and
-    index.  `wall` is `boundary_sample(field, chart, metric, tol)`, drawn
-    here when not given.  A loop's point is a candidate where g_t changes
-    sign to the next point or nearly vanishes; on a line every one is."""
-    if wall is None:
-        wall = boundary_sample(field, chart, metric, tol)
+    index.  `wall` is `boundary_sample(field, chart, metric, tol)`.  A loop's
+    point is a candidate where g_t changes sign to the next point or nearly
+    vanishes; on a line every one is."""
     (grad,) = wall.signed(field, wall.wall_grad)  # another function raises
     if chart.dim == 1:
         return [_classify_boundary(field, chart, x, metric, tol) for x in wall.wall]
@@ -515,6 +512,8 @@ def find_critical_set(field: MorseField, chart: Chart,
     of one point to a cyclic cover) keep the searches' order, interior points
     first.  `wall` is `boundary_sample(field, chart, metric, tol)`, drawn
     here when not given."""
+    if wall is None:
+        wall = boundary_sample(field, chart, metric, tol)
     interior = find_interior_critical(field, chart, tol=tol)
     boundary = find_boundary_critical(field, chart, metric=metric, tol=tol, wall=wall)
     out = [replace(cp, id=ident, frame=_orientation_frame(field, cp, chart.dim))

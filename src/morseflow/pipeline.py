@@ -1,12 +1,15 @@
 """Full construction: complexes in every flavor, homology against references,
 duality pairing matrices, and the empirical seed-invariance check.
 
-Each analysis traces the boundary once (`critical.boundary_sample`): the
+Each analysis sets up once (`_setup`), and nothing below draws what it is not
+handed.  The set-up traces the boundary (`critical.boundary_sample`); the
 critical search scans that trace, and the certification sample extends it
-with interior points, with the function's gradient at each.  Every field the
-analysis builds (both sides, every retry seed, the pairing's retry) is
-certified on that one sample, measured once (`CertificationSample.measured`)
-for the analysis; the package keeps the sample without its geometry.
+with interior points, with the function's gradient at each.  It measures the
+sample once (`CertificationSample.measured`) and derives the two sides: N
+descends f on its critical set, D descends -f on the set reclassified for
+-f.  Every field the analysis builds (both sides, every retry seed, the
+pairing's retry) is certified on that one measured sample; the package keeps
+the sample without its geometry.
 """
 from __future__ import annotations
 
@@ -15,8 +18,9 @@ from dataclasses import dataclass
 from .catalog import CatalogEntry
 from .chains import HomologyResult, IntegerChainComplex, int_det
 from .critical import (BOUNDARY_N, INTERIOR, CriticalSet, boundary_sample,
-                       find_critical_set)
+                       find_critical_set, reclassify_negated)
 from .errors import InvarianceFailure, NonTransverse
+from .fields import MorseField
 from .flow import IncidenceCount, count_connecting_orbits, intersection_pairing
 from .params import DEFAULT, Tolerances
 from .pseudogradient import (CertificationSample, PseudoGradientField, build_adapted,
@@ -93,6 +97,41 @@ class MorsePackage:
         return all(c.passed for c in self.checks)
 
 
+@dataclass(frozen=True, eq=False)
+class _Setup:
+    """What every field of one analysis shares: the critical set, the
+    certification sample as drawn and measured, and each side's objective
+    and critical set, keyed by side."""
+
+    entry: CatalogEntry
+    tol: Tolerances
+    crit: CriticalSet
+    sample: CertificationSample
+    measured: CertificationSample
+    sides: dict[str, tuple[MorseField, CriticalSet]]
+
+    def build(self, side: str, seed: int | None) -> PseudoGradientField:
+        """The certified field of one side at one perturbation seed."""
+        objective, crit = self.sides[side]
+        return build_adapted(objective, self.entry.chart, crit, self.entry.metric,
+                             sample=self.measured, perturb_seed=seed, tol=self.tol)
+
+
+def _setup(entry: CatalogEntry, tol: Tolerances, crit: CriticalSet | None = None,
+           sample: CertificationSample | None = None) -> _Setup:
+    """The set-up of one analysis of the entry.  `crit` and `sample`, when
+    given, are `entry.field`'s critical set and certification sample, as a
+    package holds them; what is not given is drawn here."""
+    f, chart, metric = entry.field, entry.chart, entry.metric
+    wall = sample if sample is not None else boundary_sample(f, chart, metric, tol)
+    if crit is None:
+        crit = find_critical_set(f, chart, metric, tol, wall=wall)
+    if sample is None:
+        sample = certification_sample(f, chart, metric, crit, tol, wall)
+    return _Setup(entry, tol, crit, sample, sample.measured(chart, metric),
+                  {"N": (f, crit), "D": (f.negated(), reclassify_negated(crit, f, chart))})
+
+
 def _retry_seeds(base_seed: int, tol: Tolerances) -> list[int | None]:
     first = None if base_seed == 0 else base_seed
     return [first] + [7919 * (base_seed + 1) + i for i in range(1, tol.perturb_retries + 1)]
@@ -123,16 +162,12 @@ def _first_transverse(attempt, base_seed: int, tol: Tolerances):
     raise last  # type: ignore[misc]
 
 
-def _build_side(entry: CatalogEntry, crit: CriticalSet, for_negative: bool,
-                base_seed: int, tol: Tolerances,
-                sample: CertificationSample | None = None):
+def _build_side(setup: _Setup, side: str, base_seed: int):
     """Field plus incidence table, retrying with perturbation seeds as needed."""
     def attempt(seed):
-        field = build_adapted(entry.field, entry.chart, crit, entry.metric,
-                              for_negative=for_negative, perturb_seed=seed, tol=tol,
-                              sample=sample)
+        field = setup.build(side, seed)
         return field, build_incidences(field)
-    return _first_transverse(attempt, base_seed, tol)[0]
+    return _first_transverse(attempt, base_seed, setup.tol)[0]
 
 
 def assemble_complex(crit: CriticalSet, side: str, flavor: str,
@@ -171,15 +206,13 @@ def _complexes(crit: CriticalSet, tables: dict[str, dict[tuple[int, int], Incide
             for side in SIDES for flavor in FLAVORS}
 
 
-def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
-                      field_pos: PseudoGradientField,
+def _pairing_matrices(setup: _Setup, field_pos: PseudoGradientField,
                       field_neg: PseudoGradientField, base_seed: int,
-                      sample: CertificationSample,
                       ) -> tuple[dict[int, PairingReport], int | None]:
     """Pairing matrices, reusing the certified ascent field for its own seed;
-    a retry builds with the ascent field's tolerances."""
-    tol = field_neg.tol
-    n = entry.chart.dim
+    a retry builds the D side at its seed."""
+    crit = setup.crit
+    n = crit.dim
     gens_d = crit.generators("D")
     gens_n = crit.generators("N")
     out: dict[int, PairingReport] = {}
@@ -196,14 +229,13 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
             continue
 
         def attempt(seed):
-            ascent = field_neg if seed == field_neg.perturb_seed else build_adapted(
-                entry.field, entry.chart, crit, entry.metric,
-                for_negative=True, perturb_seed=seed, tol=tol, sample=sample)
+            ascent = (field_neg if seed == field_neg.perturb_seed
+                      else setup.build("D", seed))
             return tuple(tuple(intersection_pairing(ascent, field_pos,
                                                     crit.by_id(pid), crit.by_id(qid))
                                for qid in cols)
                          for pid in rows)
-        matrix, used_seed = _first_transverse(attempt, base_seed, tol)
+        matrix, used_seed = _first_transverse(attempt, base_seed, setup.tol)
         out[k] = PairingReport(k, rows, cols, matrix)
     return out, used_seed
 
@@ -211,29 +243,24 @@ def _pairing_matrices(entry: CatalogEntry, crit: CriticalSet,
 def build_package(entry: CatalogEntry, seed: int = 0,
                   tol: Tolerances = DEFAULT) -> MorsePackage:
     """Run the whole construction for one catalog entry."""
-    wall = boundary_sample(entry.field, entry.chart, entry.metric, tol)
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, wall=wall)
-    sample = certification_sample(entry.field, entry.chart, entry.metric, crit, tol,
-                                  wall=wall)
-    measured = sample.measured(entry.chart, entry.metric)
-    field_pos, inc_pos = _build_side(entry, crit, False, seed, tol, measured)
-    field_neg, inc_neg = _build_side(entry, crit, True, seed, tol, measured)
+    setup = _setup(entry, tol)
+    field_pos, inc_pos = _build_side(setup, "N", seed)
+    field_neg, inc_neg = _build_side(setup, "D", seed)
 
-    complexes = _complexes(crit, {"N": inc_pos, "D": inc_neg})
+    complexes = _complexes(setup.crit, {"N": inc_pos, "D": inc_neg})
     # reported but not judged: transposing keeps every rank and invariant
     # factor, so its groups stand or fall with the D_untwisted row
     complexes["D_dual"] = complexes[complex_key("D", "untwisted")].transpose_dual()
     homology = {key: cx.homology() for key, cx in complexes.items()}
 
-    pairing, pairing_seed = _pairing_matrices(entry, crit, field_pos, field_neg,
-                                              seed, measured)
+    pairing, pairing_seed = _pairing_matrices(setup, field_pos, field_neg, seed)
 
     checks = _collect_checks(entry, homology, pairing)
     return MorsePackage(
-        entry=entry, seed=seed, crit=crit, field_pos=field_pos,
+        entry=entry, seed=seed, crit=setup.crit, field_pos=field_pos,
         field_neg=field_neg, incidences={"N": inc_pos, "D": inc_neg},
         complexes=complexes, homology=homology, pairing=pairing,
-        pairing_seed=pairing_seed, checks=checks, sample=sample,
+        pairing_seed=pairing_seed, checks=checks, sample=setup.sample,
     )
 
 
@@ -271,20 +298,11 @@ def homologies_for_seed(entry: CatalogEntry, seed: int,
                         crit: CriticalSet | None = None,
                         sample: CertificationSample | None = None,
                         ) -> dict[str, HomologyResult]:
-    """Every complex's homology at one perturbation seed.  `sample`, when
-    given, is `certification_sample` for `entry.field` and `crit`, as a
-    package holds both."""
-    wall = (sample if sample is not None
-            else boundary_sample(entry.field, entry.chart, entry.metric, tol))
-    if crit is None:
-        crit = find_critical_set(entry.field, entry.chart, entry.metric, tol, wall=wall)
-    if sample is None:
-        sample = certification_sample(entry.field, entry.chart, entry.metric, crit, tol,
-                                      wall=wall)
-    sample = sample.measured(entry.chart, entry.metric)
-    tables = {side: _build_side(entry, crit, side == "D", seed, tol, sample)[1]
-              for side in SIDES}
-    return {key: cx.homology() for key, cx in _complexes(crit, tables).items()}
+    """Every complex's homology at one perturbation seed.  `crit` and
+    `sample`, when given, are the package's (see `_setup`)."""
+    setup = _setup(entry, tol, crit, sample)
+    tables = {side: _build_side(setup, side, seed)[1] for side in SIDES}
+    return {key: cx.homology() for key, cx in _complexes(setup.crit, tables).items()}
 
 
 def assert_identical_homology(per_seed: dict[int, dict[str, HomologyResult]]) -> None:

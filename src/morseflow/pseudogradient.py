@@ -14,10 +14,10 @@ times as much, and certification and the capture check evaluate in batches
 (`_eval_canonical_many`) on canonical points and the gradients stored with
 them.  The point evaluator is one straight-line float kernel per field
 (`_point_evaluator`) around one call of the objective's gradient and of the
-metric and one `BoundaryConstraint.read` per wall; the batch reads each wall
-once per row through its callables (`_pieces_many`) into a `RowGeometry`,
-which it is given for the certification sample and computes itself for the
-capture rings.
+metric and one `BoundaryConstraint.read` per wall; the batch is handed a
+`RowGeometry` of its rows, each wall read once per row through its callables
+(`_pieces_many`): the certificate's from its measured sample, the capture
+check's measured for its rings.
 
 Both measure a chart distance to a patch's or a critical point's center only
 where the coordinate gaps, lower bounds of the distance to every deck image,
@@ -28,18 +28,20 @@ exclusion (r_excl); the point kernel skips a center beyond the bound and, on
 a strip, a patch, without measuring its deck images.  What the bound skips
 lies at least that far away, so no bit changes.
 
-One analysis draws its certification sample once (`certification_sample`):
-the boundary sample the critical search scanned (`critical.boundary_sample`)
-and interior points, which depend only on the chart, the metric, the critical
-coordinates and the tolerances, and the analysed function's gradient at each
-of them.  Every field the analysis builds is certified on it; the field's
-value and the descent test both read the sample's gradient, negated for an
-ascent field, so no certification point's gradient is evaluated twice.  The
-analysis also measures the sample's rows once (`CertificationSample.measured`):
-their `RowGeometry` serves every certificate it makes, and dies with the
-analysis, since the package keeps the sample without it.  The perturbation is
-not shared: each side's critical points, the envelope's factors, come in that
-side's order of value, and the product rounds by that order.
+Nothing here draws what it is not handed.  An analysis (`pipeline`) draws its
+certification sample once (`certification_sample`): the boundary sample the
+critical search scanned (`critical.boundary_sample`) and interior points,
+which depend only on the chart, the metric, the critical coordinates and the
+tolerances, and the analysed function's gradient at each of them.  Every
+field the analysis builds (`build_adapted`, handed the side's objective and
+critical set) is certified on it; the field's value and the descent test both
+read the sample's gradient, negated for an ascent field, so no certification
+point's gradient is evaluated twice.  The analysis also measures the sample's
+rows once (`CertificationSample.measured`): their `RowGeometry` serves every
+certificate it makes, and dies with the analysis, since the package keeps the
+sample without it.  The perturbation is not shared: each side's critical
+points, the envelope's factors, come in that side's order of value, and the
+product rounds by that order.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, BoundarySample, CriticalPoint,
-                       CriticalSet, boundary_sample, reclassify_negated)
+                       CriticalSet)
 from .errors import BlendGapFailure
 from .fields import MorseField
 from .geometry import (Chart, MetricField, active_constraint, chart_distance,
@@ -154,7 +156,7 @@ class RowGeometry:
     """What the batch evaluator reads of the chart and the metric at rows of
     canonical points, the same for every field on them (`row_geometry`)."""
 
-    pieces: tuple[tuple[Array, Array, Array], ...]  # `_pieces_many`, one per wall
+    pieces: tuple[tuple[Array, Array], ...]  # each wall's (value, covector)
     depth: Array      # least -value / norm over the walls (inf at a zero covector)
     cov: Array        # the covector of the wall giving it; on a tie the first wall's
     wall: Array       # least |-value / norm|, the distance to the nearest wall
@@ -181,7 +183,7 @@ def row_geometry(chart: Chart, metric: MetricField, x: Array) -> RowGeometry:
         np.copyto(depth, piece_depth, where=closer)
         np.copyto(cov, piece_cov, where=closer[:, None])
         np.minimum(wall, np.abs(piece_depth, out=piece_depth), out=wall)
-    return RowGeometry(pieces, depth, cov, wall, g)
+    return RowGeometry(tuple(piece[:2] for piece in pieces), depth, cov, wall, g)
 
 
 def _solve(g, c) -> list:
@@ -289,14 +291,10 @@ class PseudoGradientField:
         """Field vector at raw coordinates (deck-equivariant under a deck map)."""
         return self._point(raw)
 
-    def _eval_canonical_many(self, x: Array, grad: Array,
-                             geometry: RowGeometry | None = None) -> Array:
+    def _eval_canonical_many(self, x: Array, grad: Array, geometry: RowGeometry) -> Array:
         """The arithmetic of `_point_evaluator` at each row of x, canonical
-        coordinates, where the objective's gradient is the row of grad.
-        `geometry` is `row_geometry(self.chart, self.metric, x)`, computed
-        here when not given."""
-        if geometry is None:
-            geometry = row_geometry(self.chart, self.metric, x)
+        coordinates, where the objective's gradient is the row of grad and
+        `geometry` is `row_geometry(self.chart, self.metric, x)`."""
         g, depth = geometry.g, geometry.depth
         vec = -grad if g is None else -np.stack(_solve(g, grad.T), axis=1)
 
@@ -329,7 +327,7 @@ class PseudoGradientField:
             free[i] = False
             chi = 1.0 - _smoothstep_many((d - 0.5 * self.r_n) / (0.5 * self.r_n))
             i, chi = i[chi > 0.0], chi[chi > 0.0]
-            b, piece_cov, _ = geometry.pieces[patch.piece]
+            b, piece_cov = geometry.pieces[patch.piece]
             z = -b[i] / patch.grad_norm_at_center
             dz = list(-piece_cov[i].T / patch.grad_norm_at_center)
             if len(dz) == 1:
@@ -630,11 +628,6 @@ class CertificationSample(BoundarySample):
     # (interior, wall) `RowGeometry`, on a copy that one analysis certifies on
     geometry: tuple[RowGeometry, RowGeometry] | None = None
 
-    def gradients(self, objective: MorseField) -> tuple[Array, Array]:
-        """The objective's gradient at the interior and at the wall points
-        (see `signed`)."""
-        return self.signed(objective, self.interior_grad, self.wall_grad)
-
     def measured(self, chart: Chart, metric: MetricField) -> CertificationSample:
         """A copy carrying the geometry of its rows on the chart under the
         metric, which must be the certified fields' (itself when it carries
@@ -648,14 +641,10 @@ class CertificationSample(BoundarySample):
 
 def certification_sample(field: MorseField, chart: Chart,
                          metric: MetricField | None, crit: CriticalSet,
-                         tol: Tolerances = DEFAULT,
-                         wall: BoundarySample | None = None) -> CertificationSample:
+                         tol: Tolerances, wall: BoundarySample) -> CertificationSample:
     """Draw the interior points and evaluate the gradient of f (`field`)
     there, once.  `wall` is `critical.boundary_sample(field, chart, metric,
-    tol)`, drawn here when not given; a sample of another function raises
-    `SampleMismatch`."""
-    if wall is None:
-        wall = boundary_sample(field, chart, metric, tol)
+    tol)`; a sample of another function raises `SampleMismatch`."""
     (wall_grad,) = wall.signed(field, wall.wall_grad)
     interior = _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl, tol)
     return CertificationSample(
@@ -679,23 +668,20 @@ def _wall_sample(field: PseudoGradientField, sample: CertificationSample) -> Arr
     return keep
 
 
-def certify_adapted(field: PseudoGradientField, *, attempts: int = 0,
-                    sample: CertificationSample | None = None) -> AdaptednessCertificate:
+def certify_adapted(field: PseudoGradientField, *, sample: CertificationSample,
+                    attempts: int = 0) -> AdaptednessCertificate:
     """Sample-based check of the four adaptedness conditions.
 
-    `sample` is `certification_sample(f, field.chart, field.metric,
-    field.crit, field.tol)` for the function f the field descends, or for -f
-    when it ascends; it is drawn here, for the field's objective, when not
-    given, and measured here when it carries no geometry (see `measured`).
-    A sample of any other function raises `SampleMismatch`.  A NaN at any
-    sample fails the certificate.
+    `sample` is `certification_sample(f, field.chart, field.metric, ...,
+    field.tol, ...)` for the function f the field descends, or for -f when
+    it ascends; it is measured here when it carries no geometry (see
+    `measured`).  A sample of any other function raises `SampleMismatch`.  A
+    NaN at any sample fails the certificate.
     """
     chart, crit = field.chart, field.crit
     obj = field.objective
-    if sample is None:
-        sample = certification_sample(obj, chart, field.metric, crit, field.tol)
     interior = sample.interior
-    interior_grad, wall_grad = sample.gradients(obj)
+    interior_grad, wall_grad = sample.signed(obj, sample.interior_grad, sample.wall_grad)
     sample = sample.measured(chart, field.metric)
     interior_geometry, wall_geometry = sample.geometry
     # the sample's points are canonical, so the field reads their gradients;
@@ -807,7 +793,8 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
     # canonical point, where one gradient serves the slope and the field
     x = deck_reduce(chart, pts)
     grad = np.asarray(obj.gradient(x), dtype=float)
-    slope = row_dot(grad, field._eval_canonical_many(x, grad))
+    slope = row_dot(grad, field._eval_canonical_many(
+        x, grad, row_geometry(chart, field.metric, x)))
     if not np.all(slope < 0.0):
         return None
     sign = -1.0 if reverse else 1.0
@@ -819,37 +806,26 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
     return CaptureRegion(cp, radius, level, depth, sign)
 
 
-def build_adapted(field: MorseField, chart: Chart, crit: CriticalSet,
-                  metric: MetricField | None = None,
-                  for_negative: bool = False,
+def build_adapted(objective: MorseField, chart: Chart, crit: CriticalSet,
+                  metric: MetricField, *, sample: CertificationSample,
                   perturb_seed: int | None = None,
-                  tol: Tolerances = DEFAULT,
-                  sample: CertificationSample | None = None) -> PseudoGradientField:
-    """Assemble and certify a descent field for f (or for -f when requested).
+                  tol: Tolerances = DEFAULT) -> PseudoGradientField:
+    """Assemble and certify a descent field for the objective, whose critical
+    set is crit: f with its critical set, or `f.negated()` with
+    `critical.reclassify_negated(crit, f, chart)` for an ascent field of f.
 
     Retries with halved patch and collar radii when certification fails;
-    raises BlendGapFailure when no retry passes.  `sample` is
-    `certification_sample(field, chart, metric, crit, tol)`, which an
-    analysis draws and measures once for all its builds, both sides
-    included; without it the build draws its own.  Every retry reads one
-    measured copy.
+    raises BlendGapFailure when no retry passes.  `sample` is the
+    `certification_sample` of f under tol, which an analysis draws and
+    measures once for all its builds, both sides included; every retry reads
+    one measured copy.
     """
-    metric = metric or MetricField.euclidean(chart.dim)
-    if sample is None:
-        sample = certification_sample(field, chart, metric, crit, tol)
     sample = sample.measured(chart, metric)
-    if for_negative:
-        objective = field.negated()
-        crit_obj = reclassify_negated(crit, field, chart)
-    else:
-        objective = field
-        crit_obj = crit
-
     last = None
     for attempt in range(tol.build_retries + 1):
         shrink = 0.5 ** attempt
         pg = PseudoGradientField(
-            chart=chart, metric=metric, objective=objective, crit=crit_obj,
+            chart=chart, metric=metric, objective=objective, crit=crit,
             r_n=tol.r_n * shrink, delta_c=tol.delta_c * shrink,
             perturb_seed=perturb_seed, tol=tol,
         )

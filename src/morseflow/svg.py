@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .critical import BOUNDARY_D, BOUNDARY_N, boundary_components
+from .critical import BOUNDARY_D, BOUNDARY_N
 from .geometry import deck_reduce
 
 VIEW = 800.0
@@ -67,9 +67,10 @@ def render(entry, package, path: str) -> None:
         f'<rect width="{int(VIEW)}" height="{int(VIEW)}" fill="white"/>',
     ]
 
-    for loop in boundary_components(chart, 600):
-        pieces = _split_segments(chart, np.array(loop))
-        for piece in pieces:
+    # the analysis's wall trace, loop by loop, each closed; on a strip the
+    # closing segment crosses the seam, where `_split_segments` drops it
+    for loop in np.split(package.sample.wall, package.sample.ends[:-1]):
+        for piece in _split_segments(chart, np.concatenate([loop, loop[:1]])):
             coords = " ".join(f"{x},{y}" for x, y in (mapper.pt(p) for p in piece))
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="black" stroke-width="2"/>')

@@ -7,8 +7,11 @@ import pytest
 
 from morseflow import catalog
 from morseflow.catalog import CatalogEntry
+from morseflow.critical import boundary_sample
 from morseflow.fields import MorseField, validate_field
 from morseflow.geometry import Chart, MetricField
+from morseflow.params import DEFAULT
+from morseflow.pseudogradient import certification_sample, row_geometry
 from morseflow.verify import VerificationContext
 
 # hypothesis imports this module to print a falsifying example, and its import
@@ -102,13 +105,23 @@ def canonical_many(chart: Chart, points) -> tuple[np.ndarray, np.ndarray | None]
 def evaluate_many(field, points) -> np.ndarray:
     """`field.evaluate` at each row of raw points, in one batch: the oracle
     the tests hold the point kernel against.  The rows are reduced here, the
-    objective's gradient is evaluated at them, and the field's batch
-    evaluator does the rest."""
+    objective's gradient and the rows' geometry are evaluated at them, and
+    the field's batch evaluator does the rest."""
     x, flip = canonical_many(field.chart, points)
-    vec = field._eval_canonical_many(x, np.asarray(field.objective.gradient(x), dtype=float))
+    vec = field._eval_canonical_many(x, np.asarray(field.objective.gradient(x), dtype=float),
+                                     row_geometry(field.chart, field.metric, x))
     if flip is not None:
         vec[flip, 1] = -vec[flip, 1]
     return vec
+
+
+def drawn_sample(objective, chart, metric, crit, tol=DEFAULT):
+    """The certification sample an analysis of objective with critical set
+    crit under tol draws: its boundary trace and interior points, with the
+    objective's gradient at each.  A field built or certified by hand takes
+    it, f's or -f's, as an analysis hands its fields the one it draws."""
+    wall = boundary_sample(objective, chart, metric, tol)
+    return certification_sample(objective, chart, metric, crit, tol, wall)
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,8 @@ from morseflow.params import DEFAULT
 from morseflow.pseudogradient import (certification_sample, certify_adapted,
                                      halton_sequence)
 
+from conftest import drawn_sample
+
 
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -104,8 +106,7 @@ def test_the_sample_wall_is_the_traced_loops(cylinder, name):
     # map, so the canonical wall keeps the bits of the loops as traced
     entry = cylinder if name == "cylinder" else catalog.get(name)
     chart = entry.chart
-    sample = certification_sample(entry.field, chart, entry.metric,
-                                  CriticalSet(chart.dim, ()))
+    sample = drawn_sample(entry.field, chart, entry.metric, CriticalSet(chart.dim, ()))
     per_loop = max(1, DEFAULT.cert_boundary_samples // boundary_loop_count(chart))
     loops = boundary_components(chart, per_loop)
     assert same_bits(sample.wall, np.concatenate(loops))
@@ -230,7 +231,8 @@ def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
     entry = catalog.get(name)
     crit = packages[name].crit
     wall = boundary_sample(entry.field, entry.chart, entry.metric)
-    sample = certification_sample(entry.field, entry.chart, entry.metric, crit, wall=wall)
+    sample = certification_sample(entry.field, entry.chart, entry.metric, crit, DEFAULT,
+                                  wall)
     assert len(sample.wall) > 0
     if entry.chart.dim == 2:
         _walk_slopes(entry.chart, wall.wall_grad, wall.normals)
@@ -239,7 +241,7 @@ def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
 
 def test_nan_gradient_at_one_sample_fails_the_certificate(packages):
     field = packages["disk"].field_pos
-    sample = certification_sample(field.objective, field.chart, field.metric, field.crit)
+    sample = drawn_sample(field.objective, field.chart, field.metric, field.crit)
     bad = sample.interior[17]
     gradient = field.objective.gradient
 
@@ -250,7 +252,7 @@ def test_nan_gradient_at_one_sample_fails_the_certificate(packages):
 
     # the sample holds the gradients of the function it was drawn for
     objective = MorseField(field.objective.value, spoiled, field.objective.hessian)
-    spoiled_sample = certification_sample(objective, field.chart, field.metric, field.crit)
+    spoiled_sample = drawn_sample(objective, field.chart, field.metric, field.crit)
     assert np.isnan(spoiled_sample.interior_grad[17]).all()
     cert = certify_adapted(dataclasses.replace(field, objective=objective),
                            sample=spoiled_sample)

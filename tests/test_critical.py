@@ -5,7 +5,8 @@ import pytest
 
 from morseflow import catalog, critical
 from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, _boundary_step,
-                                boundary_components, find_boundary_critical,
+                                boundary_components, boundary_sample,
+                                find_boundary_critical,
                                 find_critical_set, find_interior_critical,
                                 reclassify_negated)
 from morseflow.fields import boundary_restriction_derivatives
@@ -56,9 +57,15 @@ def test_dome_interior_maximum():
     assert pts[0].value == pytest.approx(17.0 / 16.0)
 
 
+def boundary_points(e):
+    """The entry's boundary critical points, in order of value."""
+    wall = boundary_sample(e.field, e.chart)
+    return sorted(find_boundary_critical(e.field, e.chart, wall=wall), key=lambda p: p.value)
+
+
 def test_interval_boundary_classification():
     e = catalog.get("interval")
-    pts = find_boundary_critical(e.field, e.chart)
+    pts = boundary_points(e)
     kinds = {round(cp.coords[0]): (cp.kind, cp.grading) for cp in pts}
     assert kinds[0] == (BOUNDARY_N, 0)
     assert kinds[1] == (BOUNDARY_D, 1)
@@ -66,13 +73,13 @@ def test_interval_boundary_classification():
 
 def test_disk_boundary_classification():
     e = catalog.get("disk")
-    pts = sorted(find_boundary_critical(e.field, e.chart), key=lambda p: p.value)
+    pts = boundary_points(e)
     assert [(p.kind, p.grading) for p in pts] == [(BOUNDARY_N, 0), (BOUNDARY_D, 2)]
 
 
 def test_moebius_boundary_types_and_values():
     e = catalog.get("moebius")
-    pts = sorted(find_boundary_critical(e.field, e.chart), key=lambda p: p.value)
+    pts = boundary_points(e)
     assert [(p.kind, p.grading) for p in pts] == [(BOUNDARY_N, 0), (BOUNDARY_D, 2)]
     assert [p.value for p in pts] == pytest.approx([-1.0, 1.0])
     for p in pts:

@@ -19,12 +19,11 @@ from morseflow import catalog
 from morseflow.critical import CriticalSet, find_critical_set
 from morseflow.geometry import MetricField, chart_distance_many
 from morseflow.params import DEFAULT
-from morseflow.pipeline import build_package
+from morseflow.pipeline import _setup, build_package
 from morseflow.pseudogradient import (PseudoGradientField, _pieces_many, _wall_sample,
-                                      build_adapted, certification_sample,
                                       certify_adapted)
 
-from conftest import canonical_many, evaluate_many
+from conftest import canonical_many, drawn_sample, evaluate_many
 
 
 def assert_same_bits(field, points):
@@ -38,15 +37,20 @@ def assert_same_bits(field, points):
     assert np.array_equal(batch.view(np.int64), from_lists.view(np.int64))
 
 
+def field_sample(field):
+    return drawn_sample(field.objective, field.chart, field.metric, field.crit, field.tol)
+
+
 def certification_samples(field):
-    sample = certification_sample(field.objective, field.chart, field.metric,
-                                  field.crit, DEFAULT)
+    sample = field_sample(field)
     return sample.interior, sample.wall[_wall_sample(field, sample)]
 
 
 def side_fields(entry, crit, seed):
-    return [build_adapted(entry.field, entry.chart, crit, entry.metric,
-                          for_negative=neg, perturb_seed=seed) for neg in (False, True)]
+    """Both sides' fields at a seed, on the sample an analysis draws."""
+    setup = _setup(entry, DEFAULT, crit, drawn_sample(entry.field, entry.chart,
+                                                      entry.metric, crit))
+    return [setup.build(side, seed) for side in ("N", "D")]
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -134,7 +138,7 @@ def test_certification_makes_no_per_point_calls(packages, monkeypatch):
         return original(self, raw)
 
     monkeypatch.setattr(PseudoGradientField, "evaluate", counted)
-    cert = certify_adapted(field)
+    cert = certify_adapted(field, sample=field_sample(field))
     # only the central-difference linearisations at the critical points remain
     assert len(calls) <= 2 * field.chart.dim * len(field.crit.points)
     assert cert.interior_samples == DEFAULT.cert_interior_samples

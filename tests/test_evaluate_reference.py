@@ -18,8 +18,10 @@ from morseflow.critical import find_critical_set
 from morseflow.geometry import (MetricField, boundary_distance, deck_apply, deck_sign,
                                 metric_normal)
 from morseflow.params import DEFAULT
-from morseflow.pipeline import _build_side
-from morseflow.pseudogradient import _wall_sample, certification_sample
+from morseflow.pipeline import _build_side, _setup
+from morseflow.pseudogradient import _wall_sample
+
+from conftest import drawn_sample
 
 _E_DOWN = np.array([0.0, -1.0])
 _E_UP = np.array([0.0, 1.0])
@@ -201,19 +203,21 @@ def check_field(field, sample):
 @pytest.mark.parametrize("name", catalog.names())
 def test_matches_the_numpy_evaluator(packages, name, seed):
     pkg = packages[name]
+    setup = _setup(pkg.entry, DEFAULT, pkg.crit, pkg.sample)
     for negative in (False, True):
         if seed is None:
             field = pkg.field_neg if negative else pkg.field_pos
         else:
-            field, _ = _build_side(pkg.entry, pkg.crit, negative, seed, DEFAULT, pkg.sample)
+            field, _ = _build_side(setup, "D" if negative else "N", seed)
         check_field(field, pkg.sample)
 
 
 def test_matches_the_numpy_evaluator_under_a_scaled_metric():
     entry = dataclasses.replace(catalog.get("disk"), metric=MetricField.scaled(2, 2.0))
     crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
-    sample = certification_sample(entry.field, entry.chart, entry.metric, crit, DEFAULT)
+    sample = drawn_sample(entry.field, entry.chart, entry.metric, crit)
+    setup = _setup(entry, DEFAULT, crit, sample)
     for negative in (False, True):
-        field, _ = _build_side(entry, crit, negative, 0, DEFAULT, sample)
+        field, _ = _build_side(setup, "D" if negative else "N", 0)
         assert not field.metric.identity
         check_field(field, sample)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, verify
-from morseflow.critical import find_boundary_critical
+from morseflow.critical import boundary_sample, find_boundary_critical
 from morseflow.errors import NotMorse
 from morseflow.fields import (MorseField, boundary_restriction_derivatives,
                               check_deck_invariance,
@@ -104,9 +104,10 @@ def test_round_bump_on_disk_not_admissible():
         hessian=lambda x: np.broadcast_to(2.0 * np.eye(2),
                                           np.shape(x)[:-1] + (2, 2)).copy(),
     )
+    wall = boundary_sample(radial, e.chart)
     # the restriction to the rim is constant, hence degenerate
     with pytest.raises(NotMorse):
-        find_boundary_critical(radial, e.chart)
+        find_boundary_critical(radial, e.chart, wall=wall)
 
 
 def test_annulus_validates_with_expected_values(packages):

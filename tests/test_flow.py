@@ -13,10 +13,11 @@ from morseflow.fields import MorseField
 from morseflow.flow import (CONVERGED, LEFT_DOMAIN, count_connecting_orbits,
                             integrate, intersection_pairing, stable_launches,
                             unstable_launches)
-from morseflow.geometry import chart_distance, deck_apply, deck_sign
+from morseflow.geometry import MetricField, chart_distance, deck_apply, deck_sign
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 from morseflow.pseudogradient import PseudoGradientField, build_adapted, certify_adapted
+from conftest import drawn_sample
 from test_geometry import path_orientation_sign
 
 # the step tolerances used before branches ended at capture regions
@@ -421,9 +422,9 @@ def _swirled(field, center, tol):
         d = np.asarray(raw, dtype=float) - center
         return point(raw) + 10.0 * np.array([-d[1], d[0]])
 
-    def swirled_many(x, grad):
+    def swirled_many(x, grad, geometry):
         d = x - center
-        return many(x, grad) + 10.0 * np.stack([-d[:, 1], d[:, 0]], axis=1)
+        return many(x, grad, geometry) + 10.0 * np.stack([-d[:, 1], d[:, 0]], axis=1)
 
     out._point, out._eval_canonical_many = swirled_point, swirled_many
     return out
@@ -439,7 +440,9 @@ def test_sink_failing_its_capture_check_converges_by_r_conv():
         hessian=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)) * np.diag([1.0, 4.0]))
     crit = find_critical_set(bowl, chart)
     bottom = next(cp for cp in crit.points if cp.kind == INTERIOR)
-    plain = build_adapted(bowl, chart, crit)
+    metric = MetricField.euclidean(2)
+    plain = build_adapted(bowl, chart, crit, metric,
+                          sample=drawn_sample(bowl, chart, metric, crit))
     assert [r.sink.id for r in plain.capture_regions()] == [bottom.id]
     swirled = _swirled(plain, bottom.coords, TIGHT)
     assert swirled.capture_regions() == ()

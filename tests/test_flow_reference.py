@@ -18,13 +18,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morseflow import catalog
-from morseflow.critical import INTERIOR, find_critical_set
+from morseflow.critical import INTERIOR
 from morseflow.errors import CertificateViolation
 from morseflow.flow import (CONVERGED, LEFT_DOMAIN, TIMEOUT, Trajectory, _A, _B4, _B5,
                             _deck_index, _pull_inside, _rk_step, integrate)
 from morseflow.geometry import chart_distance, deck_apply, nearest_wall
 from morseflow.params import DEFAULT
-from morseflow.pipeline import _build_side, build_package
+from morseflow.pipeline import _build_side, _setup, build_package
 
 from test_interior_saddles import FIXTURES
 
@@ -216,8 +216,7 @@ def test_catalog_branches_match_the_numpy_integrator(packages, name, seed):
 @pytest.mark.parametrize("name", list(FIXTURES))
 def test_fixture_branches_match_the_numpy_integrator(name):
     entry = FIXTURES[name]()
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
-    field, _ = _build_side(entry, crit, False, 0, DEFAULT)
+    field, _ = _build_side(_setup(entry, DEFAULT), "N", 0)
     assert check_branches(field) > 0
 
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, flow
-from morseflow.critical import INTERIOR, find_critical_set
+from morseflow.critical import INTERIOR
 from morseflow.fields import MorseField, validate_field
 from morseflow.params import DEFAULT
-from morseflow.pipeline import _build_side, assemble_complex
+from morseflow.pipeline import _build_side, _setup, assemble_complex
 
 BUMPS = (np.array([-0.4, -0.1]), np.array([0.35, 0.05]))
 
@@ -91,7 +91,7 @@ FIXTURES = {
 @pytest.fixture(scope="module", params=list(FIXTURES))
 def n_side(request):
     entry = FIXTURES[request.param]()
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
+    setup = _setup(entry, DEFAULT)
     launches = []
     integrate = flow.integrate
 
@@ -101,8 +101,8 @@ def n_side(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "integrate", counted)
-        _, table = _build_side(entry, crit, False, 0, DEFAULT)
-    return entry, crit, table, launches
+        _, table = _build_side(setup, "N", 0)
+    return entry, setup.crit, table, launches
 
 
 def test_interior_saddles_present(n_side):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from morseflow.chains import HomologyResult, IntegerChainComplex
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
 from morseflow.cli import _report
 from morseflow.errors import InvarianceFailure, NonTransverse
+from morseflow.params import DEFAULT
 from morseflow.pipeline import (PairingReport, assert_identical_homology,
                                 complex_key, homologies_for_seed)
 from morseflow.pseudogradient import build_adapted
+
+from conftest import drawn_sample
 
 
 def test_generator_partitions(packages):
@@ -176,7 +181,8 @@ def test_package_builds_each_field_once(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append((kwargs["for_negative"], kwargs["perturb_seed"]))
+        # an ascent field descends the negation of f
+        calls.append((args[0].negation_of is not None, kwargs["perturb_seed"]))
         return build_adapted(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_adapted", counted)
@@ -252,18 +258,59 @@ def test_package_traces_the_wall_once(instrumented):
     assert len(traces) == 1
 
 
+def patch_everywhere(monkeypatch, fn, wrapper):
+    """Bind wrapper in place of fn in every morseflow module that holds fn,
+    however it was imported."""
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("morseflow")
+                and getattr(mod, fn.__name__, None) is fn):
+            monkeypatch.setattr(mod, fn.__name__, wrapper)
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_each_analysis_traces_and_frames_the_wall_once(name, monkeypatch):
-    calls = []
-    for fn in (critical.boundary_components, critical.boundary_frames):
+    # (function, whether a field build or a certificate was running)
+    calls, building = [], []
+    for fn in (critical.boundary_components, critical.boundary_frames,
+               critical.boundary_sample, pseudogradient.certification_sample):
         def counted(*args, fn=fn, **kwargs):
-            calls.append(fn.__name__)
+            calls.append((fn.__name__, bool(building)))
             return fn(*args, **kwargs)
-        for mod in (critical, pseudogradient, pipeline):
-            if getattr(mod, fn.__name__, None) is fn:
-                monkeypatch.setattr(mod, fn.__name__, counted)
-    pipeline.build_package(catalog.get(name))
-    assert sorted(calls) == ["boundary_components", "boundary_frames"]
+        patch_everywhere(monkeypatch, fn, counted)
+    for fn in (pseudogradient.build_adapted, pseudogradient.certify_adapted):
+        def inside(*args, fn=fn, **kwargs):
+            building.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                building.pop()
+        patch_everywhere(monkeypatch, fn, inside)
+    pkg = pipeline.build_package(catalog.get(name))
+    assert sorted(calls) == [("boundary_components", False), ("boundary_frames", False),
+                             ("boundary_sample", False), ("certification_sample", False)]
+    # an analysis handed the package's critical set and sample draws neither
+    calls.clear()
+    pipeline.homologies_for_seed(pkg.entry, 1, DEFAULT, pkg.crit, pkg.sample)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_each_analysis_derives_the_d_side_once(name, monkeypatch):
+    # -f's critical set is derived once, although annulus builds its D side
+    # twice, at seed 0 and at the pairing's retry seed
+    calls = []
+    reclassify = critical.reclassify_negated
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reclassify(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, reclassify, counted)
+    pkg = pipeline.build_package(catalog.get(name))
+    assert len(calls) == 1
+    calls.clear()
+    pipeline.homologies_for_seed(pkg.entry, 1, DEFAULT, pkg.crit, pkg.sample)
+    assert len(calls) == 1
 
 
 def test_shared_wall_trace_keeps_certificates(instrumented):
@@ -273,5 +320,6 @@ def test_shared_wall_trace_keeps_certificates(instrumented):
     assert len(fields) == 3
     for fld in fields:
         assert fld.certificate.attempts == 1
-        own = pseudogradient.certify_adapted(fld, attempts=1, sample=None)
+        own = pseudogradient.certify_adapted(fld, attempts=1, sample=drawn_sample(
+            fld.objective, fld.chart, fld.metric, fld.crit, fld.tol))
         assert fld.certificate.as_dict() == own.as_dict()

@@ -11,7 +11,7 @@ from morseflow.params import DEFAULT
 from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch,
                                       build_adapted, certify_adapted, halton_sequence)
 
-from conftest import evaluate_many
+from conftest import drawn_sample, evaluate_many
 
 
 def test_certificates_pass_with_stated_margins(packages):
@@ -31,7 +31,8 @@ def test_raw_gradient_fails_inwardness_on_annulus(packages):
     raw = PseudoGradientField(
         chart=base.chart, metric=base.metric, objective=base.objective,
         crit=base.crit, r_n=base.r_n, delta_c=0.0)
-    cert = certify_adapted(raw)
+    cert = certify_adapted(raw, sample=drawn_sample(raw.objective, raw.chart, raw.metric,
+                                                    raw.crit))
     assert cert.inward_margin < 0  # -grad f points outward near the tangency points
 
 
@@ -193,8 +194,8 @@ def test_halton_chunks_of_the_manifold_sample(packages, name, monkeypatch):
 def test_perturbed_field_still_certifies(packages):
     entry = catalog.get("annulus")
     crit = packages["annulus"].crit
-    fld = build_adapted(entry.field, entry.chart, crit, entry.metric,
-                        perturb_seed=5)
+    fld = build_adapted(entry.field, entry.chart, crit, entry.metric, perturb_seed=5,
+                        sample=drawn_sample(entry.field, entry.chart, entry.metric, crit))
     assert fld.certificate.passed
     # the perturbation vanishes on the boundary and near critical points
     plain = dataclasses.replace(fld, perturb_seed=None)
@@ -213,8 +214,9 @@ def test_a_field_is_a_value_of_its_eight_inputs():
 
 def _seed_one_disk(packages):
     entry = catalog.get("disk")
-    return build_adapted(entry.field, entry.chart, packages["disk"].crit, entry.metric,
-                         perturb_seed=1)
+    crit = packages["disk"].crit
+    return build_adapted(entry.field, entry.chart, crit, entry.metric, perturb_seed=1,
+                         sample=drawn_sample(entry.field, entry.chart, entry.metric, crit))
 
 
 def test_an_unperturbed_copy_evaluates_as_a_fresh_field(packages):
@@ -235,7 +237,9 @@ def test_a_copy_takes_its_patches_from_its_critical_set(cylinder):
     from morseflow.critical import find_critical_set
     from morseflow.params import DEFAULT
     crit = find_critical_set(cylinder.field, cylinder.chart, cylinder.metric, DEFAULT)
-    field = build_adapted(cylinder.field, cylinder.chart, crit, cylinder.metric)
+    field = build_adapted(cylinder.field, cylinder.chart, crit, cylinder.metric,
+                          sample=drawn_sample(cylinder.field, cylinder.chart,
+                                              cylinder.metric, crit))
     n_points = [cp for cp in crit.points if cp.kind == BOUNDARY_N]
     assert len(field.patches) == len(n_points) == 2
     assert dataclasses.replace(field, crit=CriticalSet(2, ())).patches == ()

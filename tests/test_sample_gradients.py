@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, critical, pipeline
-from morseflow.critical import find_critical_set
+from morseflow.critical import find_critical_set, reclassify_negated
 from morseflow.errors import MorseflowError, SampleMismatch
 from morseflow.fields import MorseField
 from morseflow.params import DEFAULT
 from morseflow.pseudogradient import (build_adapted, certification_sample,
-                                      certify_adapted)
+                                      certify_adapted, row_geometry)
 
-from conftest import evaluate_many
+from conftest import drawn_sample, evaluate_many
 
 
 def same_bits(a, b):
@@ -106,14 +106,15 @@ def test_seed_invariance_evaluates_no_sample_gradient(counted_packages, name):
 def test_sample_gradients_give_the_bits_of_evaluate_many(packages, name, seed):
     pkg = packages[name]
     entry, sample = pkg.entry, pkg.sample
-    for negative in (False, True):
-        field = build_adapted(entry.field, entry.chart, pkg.crit, entry.metric,
-                              for_negative=negative, perturb_seed=seed, sample=sample)
-        interior_grad, wall_grad = sample.gradients(field.objective)
-        for x, grad in ((sample.interior, interior_grad), (sample.wall, wall_grad)):
+    setup = pipeline._setup(entry, DEFAULT, pkg.crit, sample)
+    for side in ("N", "D"):
+        field = setup.build(side, seed)
+        grads = sample.signed(field.objective, sample.interior_grad, sample.wall_grad)
+        for x, grad in zip((sample.interior, sample.wall), grads):
             # negating the stored gradient gives the bits of -f's gradient
             assert same_bits(grad, field.objective.gradient(x))
-            assert same_bits(field._eval_canonical_many(x, grad), evaluate_many(field, x))
+            assert same_bits(field._eval_canonical_many(
+                x, grad, row_geometry(field.chart, field.metric, x)), evaluate_many(field, x))
 
 
 def test_a_sample_certifies_only_its_own_function(packages):
@@ -121,22 +122,24 @@ def test_a_sample_certifies_only_its_own_function(packages):
     entry, f = pkg.entry, pkg.entry.field
     doubled = MorseField(lambda x: 2.0 * f.value(x), lambda x: 2.0 * f.gradient(x),
                          lambda x: 2.0 * f.hessian(x))
+    own = drawn_sample(doubled, entry.chart, entry.metric, pkg.crit)
+    sides = ((doubled, pkg.crit),
+             (doubled.negated(), reclassify_negated(pkg.crit, doubled, entry.chart)))
     # the doubled function's fields certify on a sample of their own ...
-    for negative in (False, True):
-        field = build_adapted(doubled, entry.chart, pkg.crit, entry.metric,
-                              for_negative=negative)
+    for objective, crit in sides:
+        field = build_adapted(objective, entry.chart, crit, entry.metric, sample=own)
         assert field.certificate.passed
         # ... and raise, not certify, on the sample drawn for f
         with pytest.raises(SampleMismatch):
             certify_adapted(field, sample=pkg.sample)
         with pytest.raises(MorseflowError):
-            build_adapted(doubled, entry.chart, pkg.crit, entry.metric,
-                          for_negative=negative, sample=pkg.sample)
+            build_adapted(objective, entry.chart, crit, entry.metric, sample=pkg.sample)
     # the critical search and a certification sample read the wall of f only
     with pytest.raises(SampleMismatch):
         find_critical_set(doubled, entry.chart, entry.metric, wall=pkg.sample)
     with pytest.raises(SampleMismatch):
-        certification_sample(doubled, entry.chart, entry.metric, pkg.crit, wall=pkg.sample)
+        certification_sample(doubled, entry.chart, entry.metric, pkg.crit, DEFAULT,
+                             pkg.sample)
     # a function equal to -f, but not made by negating f, is another function
     with pytest.raises(SampleMismatch):
         certify_adapted(dataclasses.replace(pkg.field_neg, objective=MorseField(

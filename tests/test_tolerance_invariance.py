@@ -13,9 +13,8 @@ retry `tests/seed_sweep_snapshot.json` records.
 import pytest
 
 from morseflow import catalog
-from morseflow.critical import find_critical_set
 from morseflow.params import DEFAULT
-from morseflow.pipeline import _build_side, build_package
+from morseflow.pipeline import _build_side, _setup, build_package
 
 from test_interior_saddles import FIXTURES
 
@@ -36,8 +35,7 @@ def package_results(entry, tol):
 
 
 def fixture_results(entry, tol):
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, tol)
-    return incidence_table(_build_side(entry, crit, False, 0, tol)[1])
+    return incidence_table(_build_side(_setup(entry, tol), "N", 0)[1])
 
 
 @pytest.mark.parametrize("name", catalog.names() + list(FIXTURES))
