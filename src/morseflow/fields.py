@@ -1,8 +1,9 @@
 """Smooth scalar functions on a chart, with exact first and second derivatives.
 
 Derivative closures are supplied analytically per catalog entry; finite
-differences appear only as consistency oracles.  Every evaluator accepts a
-single coordinate vector or a batch with the coordinates on the last axis.
+differences appear only as consistency oracles, which evaluate all their
+sample points in one batch per call.  Every evaluator accepts a single
+coordinate vector or a batch with the coordinates on the last axis.
 The Morse clauses are judged where each critical point is classified; two
 points may share a critical value, as the lifts to a cyclic cover do, since
 no orbit runs between equal values.
@@ -54,22 +55,24 @@ def _sample_points(chart: Chart, count: int, rng: np.random.Generator) -> Array:
 def check_deck_invariance(field: MorseField, chart: Chart,
                           samples: int = 100, tol: float = 1e-9,
                           seed: int = 7) -> float:
-    """Worst deviation of value/gradient/hessian from deck equivariance."""
+    """Worst deviation of value/gradient/hessian from deck equivariance,
+    over `samples` points of the box and their images, each evaluated in
+    one batch."""
     if chart.deck is None:
         return 0.0
     rng = np.random.default_rng(seed)
     pts = _sample_points(chart, samples, rng)
-    worst = 0.0
-    flip = np.diag([1.0, float(chart.deck.flip)])
-    for x in pts:
-        tx = deck_apply(chart, 1, x)
-        worst = max(worst, abs(float(field.value(tx)) - float(field.value(x))))
-        gx = np.asarray(field.gradient(x), dtype=float)
-        gt = np.asarray(field.gradient(tx), dtype=float)
-        worst = max(worst, float(np.max(np.abs(gt - flip @ gx))))
-        hx = np.asarray(field.hessian(x), dtype=float)
-        ht = np.asarray(field.hessian(tx), dtype=float)
-        worst = max(worst, float(np.max(np.abs(ht - flip @ hx @ flip))))
+    tx = deck_apply(chart, 1, pts)
+
+    def deviation(fn, differential) -> float:
+        image = np.asarray(fn(tx), dtype=float)
+        moved = differential * np.asarray(fn(pts), dtype=float)
+        return float(np.max(np.abs(image - moved), initial=0.0))
+
+    # the deck map's differential diag(1, flip), entry by entry
+    flip = np.array([1.0, float(chart.deck.flip)])
+    worst = max(deviation(field.value, 1.0), deviation(field.gradient, flip),
+                deviation(field.hessian, np.outer(flip, flip)))
     if worst > tol:
         raise NotMorse(f"field is not deck invariant (deviation {worst:.2e})")
     return worst
@@ -77,22 +80,24 @@ def check_deck_invariance(field: MorseField, chart: Chart,
 
 def check_derivative_consistency(field: MorseField, chart: Chart,
                                  samples: int = 100, seed: int = 11) -> float:
-    """Hessian versus central differences of the gradient; returns worst rel error."""
+    """Hessian versus central differences of the gradient; returns worst rel
+    error, relative to each point's largest hessian entry (at least 1).  The
+    hessian is evaluated in one batch, the gradient in one per side of each
+    axis."""
     rng = np.random.default_rng(seed)
     pts = _sample_points(chart, samples, rng)
     dim = pts.shape[1]
     step = 1e-5
-    worst = 0.0
-    for x in pts:
-        h_exact = np.asarray(field.hessian(x), dtype=float)
-        h_fd = np.zeros((dim, dim))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = step
-            h_fd[:, j] = (np.asarray(field.gradient(x + e), dtype=float)
-                          - np.asarray(field.gradient(x - e), dtype=float)) / (2 * step)
-        scale = max(1.0, float(np.max(np.abs(h_exact))))
-        worst = max(worst, float(np.max(np.abs(h_fd - h_exact))) / scale)
+    h_exact = np.asarray(field.hessian(pts), dtype=float)
+    h_fd = np.zeros_like(h_exact)
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = step
+        h_fd[:, :, j] = (np.asarray(field.gradient(pts + e), dtype=float)
+                         - np.asarray(field.gradient(pts - e), dtype=float)) / (2 * step)
+    scale = np.maximum(1.0, np.max(np.abs(h_exact), axis=(1, 2)))
+    worst = float(np.max(np.max(np.abs(h_fd - h_exact), axis=(1, 2)) / scale,
+                         initial=0.0))
     if worst > 1e-4:
         raise NotMorse(f"hessian disagrees with finite differences ({worst:.2e})")
     return worst

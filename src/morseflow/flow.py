@@ -212,10 +212,11 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
     that meets it, or at the next one after a landing on the wall.
     """
     chart = field.chart
+    # every point handed to the field is a list of floats, so it returns one
     if reverse:
-        deriv = lambda x: [-c for c in field.evaluate(x).tolist()]
+        deriv = lambda x: [-c for c in field.evaluate(x)]
     else:
-        deriv = lambda x: field.evaluate(x).tolist()
+        deriv = field.evaluate
     value = lambda x: float(field.objective.value(np.array(x)))
     walls = tuple(con.read for con in chart.constraints)
     tol = field.tol
@@ -314,17 +315,18 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
             x_land = _pull_inside(chart, x_hi)
             t_land = t + h * hi
             _, outward = nearest_wall(chart, x_land)
-            speed_vec = deriv(x_land)
+            land = x_land.tolist()
+            speed_vec = deriv(land)
             push = (float(np.array(speed_vec) @ outward) if outward is not None
                     else 0.0)
             if push > 1e-8 * (1.0 + _norm(speed_vec)):
                 times.append(t_land)
-                points.append(x_land.tolist())
+                points.append(land)
                 if allow_exit:
                     return result(LEFT_DOMAIN)
                 raise CertificateViolation(
                     f"trajectory pushed out of the manifold at {x_land}")
-            x, t, k1 = x_land.tolist(), t_land, speed_vec
+            x, t, k1 = land, t_land, speed_vec
             times.append(t)
             points.append(x)
             h = max(h * 0.5, 1e-10)

@@ -287,8 +287,9 @@ class PseudoGradientField:
                          if self.perturb_seed else None)
         self._point = _point_evaluator(self)
 
-    def evaluate(self, raw) -> Array:
-        """Field vector at raw coordinates (deck-equivariant under a deck map)."""
+    def evaluate(self, raw) -> Array | list:
+        """Field vector at raw coordinates (deck-equivariant under a deck map):
+        a list of floats for a list of floats, an array otherwise."""
         return self._point(raw)
 
     def _eval_canonical_many(self, x: Array, grad: Array, geometry: RowGeometry) -> Array:
@@ -375,7 +376,7 @@ class PseudoGradientField:
         return found
 
 
-def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
+def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | list]:
     """`evaluate` for one field: straight-line float arithmetic, compiled when
     the field is built.  What does not depend on the point (the tolerances,
     each wall's reader, each patch's center and tangent as Python floats, the
@@ -387,9 +388,10 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
     center's second coordinate are 0.0, which moves no bit of a coordinate
     gap, and the second components of vectors are dropped; a metric other
     than the identity takes the list helpers the batch takes.  A list of
-    Python floats, what the integrator passes, is read as it is; a list of
-    other numbers is read as their floats, anything else through
-    `np.asarray`.  Non-finite coordinates give NaN.
+    Python floats, what the integrator passes, is read as it is and the
+    vector returned as a list of floats; a list of other numbers is read as
+    their floats, anything else through `np.asarray`, and both return an
+    array.  Non-finite coordinates give NaN.
     """
     chart, tol, dim, deck = field.chart, field.tol, field.chart.dim, field.chart.deck
     two_d = dim == 2
@@ -429,14 +431,16 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
             du = min(du, period - du)
         return du > bound or (abs(abs(v) - abs(c1)) if folds else abs(v - c1)) > bound
 
-    def evaluate(raw) -> Array:
-        xs = raw if type(raw) is list else np.asarray(raw, dtype=float).tolist()
+    def evaluate(raw) -> Array | list:
+        as_list = type(raw) is list
+        xs = raw if as_list else np.asarray(raw, dtype=float).tolist()
         u, v = xs if two_d else (xs[0], 0.0)
         if type(u) is not float or type(v) is not float:
             u, v = float(u), float(v)
             xs = [u, v] if two_d else [u]
+            as_list = False
         if not (math.isfinite(u) and math.isfinite(v)):
-            return np.full(dim, math.nan)
+            return [math.nan] * dim if as_list else np.full(dim, math.nan)
         flip = False
         if deck is not None:
             k = math.floor(u / period)
@@ -529,9 +533,8 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array]:
                 a1 = a1 + amp * (sg1 * math.sin(u * w10 + v * w11 + ph1))
             else:
                 a0 = a0 + amp_max * env * (sg0 * math.sin(u * w00 + ph0))
-        if not two_d:
-            return np.array([a0])
-        return np.array([a0, -a1 if flip else a1])
+        vec = [a0, -a1 if flip else a1] if two_d else [a0]
+        return vec if as_list else np.array(vec)
 
     return evaluate
 

@@ -54,6 +54,16 @@ def _split_segments(chart, points: np.ndarray) -> list[np.ndarray]:
     return [p for p in pieces if len(p) >= 2]
 
 
+def _polyline(mapper: _Mapper, piece: np.ndarray, style: str) -> str:
+    """A polyline through every step-th point of piece, step = len // 300 (at
+    least 1), and its last point, so that a loop closes and an orbit ends at
+    its sink."""
+    step = max(1, len(piece) // 300)
+    rows = np.unique(np.r_[0:len(piece):step, len(piece) - 1])
+    coords = " ".join(f"{x},{y}" for x, y in (mapper.pt(p) for p in piece[rows]))
+    return f'<polyline points="{coords}" fill="none" {style}/>'
+
+
 def render(entry, package, path: str) -> None:
     """Write the flow portrait of a two-dimensional analysis to an SVG file."""
     chart = entry.chart
@@ -71,9 +81,7 @@ def render(entry, package, path: str) -> None:
     # closing segment crosses the seam, where `_split_segments` drops it
     for loop in np.split(package.sample.wall, package.sample.ends[:-1]):
         for piece in _split_segments(chart, np.concatenate([loop, loop[:1]])):
-            coords = " ".join(f"{x},{y}" for x, y in (mapper.pt(p) for p in piece))
-            parts.append(f'<polyline points="{coords}" fill="none" '
-                         f'stroke="black" stroke-width="2"/>')
+            parts.append(_polyline(mapper, piece, 'stroke="black" stroke-width="2"'))
     if chart.deck is not None:
         # the seams u = 0 and u = period
         (u0, u1), (v0, v1) = chart.box
@@ -90,13 +98,10 @@ def render(entry, package, path: str) -> None:
                 # f, not the side's objective: the D side descends -f
                 color = _color(float(entry.field.value(orbit.trajectory.points[0])),
                                lo, hi)
+                dash = "" if style == "none" else f' stroke-dasharray="{style}"'
                 for piece in _split_segments(chart, orbit.trajectory.points):
-                    step = max(1, len(piece) // 300)
-                    pts = piece[::step]
-                    coords = " ".join(f"{x},{y}" for x, y in (mapper.pt(p) for p in pts))
-                    dash = "" if style == "none" else f' stroke-dasharray="{style}"'
-                    parts.append(f'<polyline points="{coords}" fill="none" '
-                                 f'stroke="{color}" stroke-width="1.5"{dash}/>')
+                    parts.append(_polyline(mapper, piece,
+                                           f'stroke="{color}" stroke-width="1.5"{dash}'))
                 mid = orbit.trajectory.points[len(orbit.trajectory.points) // 2]
                 mx, my = mapper.pt(_split_segments(chart, np.array([mid, mid]))[0][0])
                 label = "+" if orbit.sign > 0 else "−"

@@ -5,7 +5,11 @@ with one shared set of per-entry builds.  Most judge the packages' ledgers,
 which compare every flavour with the reference groups the catalog derives from
 each entry's dimension, χ and orientability.  Criteria 5 and 8 hold the
 critical counts against those groups directly: the staircase (strong Morse)
-inequalities on each side and on the doubled manifold.
+inequalities on each side and on the doubled manifold.  Criterion 10's
+oracles work in batches: the gradient check draws, filters and differentiates
+its points a chunk at a time, with the points, the generator state and the
+bits a draw at a time gives, and the Smith-form oracle takes minors up to
+3 x 3 by closed forms.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .chains import int_det, smith_normal_form, staircase_quotient
 from .critical import BOUNDARY_N, INTERIOR, _boundary_step
 from .errors import MorseflowError
 from .fields import boundary_restriction_derivatives
-from .geometry import boundary_distance, boundary_frame, normalize_point
+from .geometry import boundary_frame, deck_reduce, normalize_point, row_dot
 from .params import DEFAULT, Tolerances
 from .pipeline import (COMPLEX_TARGETS, CheckRecord, MorsePackage,
                        assert_identical_homology, build_package, complex_key,
@@ -232,6 +236,27 @@ def check_invariance(ctx: VerificationContext, seeds=(1, 2, 3)):
 # --- numerical hygiene -------------------------------------------------------
 
 
+def _minors(mat: list[list[int]], k: int):
+    """The k x k minors of mat, row selections outer and column selections
+    inner, each in lexicographic order: closed forms up to 3 x 3 (for k = 1
+    the entries), `int_det` beyond."""
+    rows, cols = range(len(mat)), range(len(mat[0]))
+    if k == 1:
+        return (v for row in mat for v in row)
+    if k == 2:
+        return (a[j0] * b[j1] - a[j1] * b[j0]
+                for a, b in combinations(mat, 2)
+                for j0, j1 in combinations(cols, 2))
+    if k == 3:
+        return (a[j0] * (b[j1] * c[j2] - b[j2] * c[j1])
+                - a[j1] * (b[j0] * c[j2] - b[j2] * c[j0])
+                + a[j2] * (b[j0] * c[j1] - b[j1] * c[j0])
+                for a, b, c in combinations(mat, 3)
+                for j0, j1, j2 in combinations(cols, 3))
+    return (int_det([[mat[i][j] for j in csel] for i in rsel])
+            for rsel, csel in product(combinations(rows, k), combinations(cols, k)))
+
+
 def snf_oracle(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors from determinant-divisor gcds (brute force).
 
@@ -243,9 +268,8 @@ def snf_oracle(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
     prev = 1
     for k in range(1, min(rows, cols) + 1):
         g = 0
-        for rsel, csel in product(combinations(range(rows), k),
-                                  combinations(range(cols), k)):
-            g = math.gcd(g, abs(int_det([[mat[i][j] for j in csel] for i in rsel])))
+        for minor in _minors(mat, k):
+            g = math.gcd(g, minor)
             if g == prev:
                 break
         if g == 0:
@@ -324,31 +348,68 @@ def check_numerics(ctx: VerificationContext):
                      "certificates, derivative checks, and snf fuzz all pass")
 
 
+def _fd_points(chart, rng, samples: int, clearance: float) -> np.ndarray:
+    """The points the gradient check differentiates at, in canonical
+    coordinates: uniform draws from the chart's box, one row of
+    `rng.random(chart.dim)` each, kept when `normalize_point` accepts the row
+    and `boundary_distance` puts it at least `clearance` from the walls,
+    until `samples` rows are kept or 100 * samples are drawn.
+
+    The rows are drawn and judged in chunks, each threshold decided with the
+    bits the per-point functions give one row, and rng is left after the last
+    row a draw at a time would have taken."""
+    lo, hi = np.array(chart.box, dtype=float).T
+    kept, left = [np.empty((0, chart.dim))], 100 * samples
+    while samples > 0 and left > 0:
+        state = rng.bit_generator.state
+        count = min(left, 2 * samples + 16)
+        x = deck_reduce(chart, lo + (hi - lo) * rng.random((count, chart.dim)))
+        rows = np.flatnonzero(_clear_of_walls(chart, x, clearance))
+        if len(rows) >= samples:
+            rows = rows[:samples]
+            rng.bit_generator.state = state
+            rng.random((rows[-1] + 1, chart.dim))
+        kept.append(x[rows])
+        samples -= len(rows)
+        left -= count
+    return np.concatenate(kept)
+
+
+def _clear_of_walls(chart, x: np.ndarray, clearance: float) -> np.ndarray:
+    """Which canonical rows of x `normalize_point` accepts at the default
+    tolerances and lie at least `clearance` from every wall by
+    `boundary_distance`, whose norm is the BLAS dot's (`row_dot`) and which
+    passes over a wall with a zero covector."""
+    tol = DEFAULT.tol_geom
+    keep = np.ones(len(x), dtype=bool)
+    for axis, (lo, hi) in enumerate(chart.box):
+        keep &= (lo - tol <= x[:, axis]) & (x[:, axis] <= hi + tol)
+    gap = np.full(len(x), math.inf)
+    for con in chart.constraints:
+        b, cov = con.value(x), con.gradient(x)
+        keep &= ~(b > tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.fmin(gap, np.abs(b) / np.sqrt(row_dot(cov, cov)))
+    return keep & ~(gap < clearance)
+
+
 def _gradient_fd_error(entry, rng, samples: int = 200) -> float:
+    """Worst error of the gradient against central differences of the value,
+    relative to max(1, |component|), at `_fd_points` 10 steps clear of the
+    walls: one gradient call for all the points and one value call for each
+    side of each axis."""
     chart, field = entry.chart, entry.field
-    lo = np.array([b[0] for b in chart.box])
-    hi = np.array([b[1] for b in chart.box])
-    worst = 0.0
-    count = 0
-    attempts = 0
     step = 1e-6
-    while count < samples and attempts < 100 * samples:
-        attempts += 1
-        x = lo + (hi - lo) * rng.random(chart.dim)
-        try:
-            pt = normalize_point(chart, x)
-        except MorseflowError:
-            continue
-        if boundary_distance(chart, pt) < 10 * step:
-            continue
-        count += 1
-        grad = np.asarray(field.gradient(pt), dtype=float)
-        for j in range(chart.dim):
-            e = np.zeros(chart.dim)
-            e[j] = step
-            fd = (float(field.value(pt + e)) - float(field.value(pt - e))) / (2 * step)
-            scale = max(1.0, abs(grad[j]))
-            worst = max(worst, abs(fd - grad[j]) / scale)
+    pts = _fd_points(chart, rng, samples, 10 * step)
+    grad = np.asarray(field.gradient(pts), dtype=float)
+    worst = 0.0
+    for j in range(chart.dim):
+        e = np.zeros(chart.dim)
+        e[j] = step
+        fd = (np.asarray(field.value(pts + e), dtype=float)
+              - np.asarray(field.value(pts - e), dtype=float)) / (2 * step)
+        err = np.abs(fd - grad[:, j]) / np.maximum(1.0, np.abs(grad[:, j]))
+        worst = float(np.max(err, initial=worst))
     return worst
 
 

@@ -1,7 +1,8 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,8 @@ from morseflow import chains
 from morseflow.chains import (IntegerChainComplex, smith_normal_form,
                               staircase_quotient, zeros)
 from morseflow.errors import BoundarySquareNonzero
-from morseflow.verify import fuzz_matrices, int_det, rational_rank, snf_fuzz, snf_oracle
+from morseflow.verify import (_minors, fuzz_matrices, int_det, rational_rank, snf_fuzz,
+                              snf_oracle)
 
 
 def test_snf_single_entry():
@@ -62,8 +64,16 @@ def test_snf_oracle_equals_the_full_scan_on_the_fuzz_matrices():
         assert snf_oracle(mat) == full_scan_oracle(mat)
 
 
-def _matrices(cols):
-    row = st.lists(st.integers(-12, 12), min_size=cols, max_size=cols)
+def test_the_fuzz_checks_the_same_matrices():
+    # criterion 10 compares the Smith form with the oracle on this stream
+    mats = list(fuzz_matrices())
+    assert mats[0] == [[1, 0, 3], [-4, 1, 4], [4, 3, -2], [4, 0, 3]]
+    assert hashlib.sha256(repr(mats).encode()).hexdigest() == (
+        "3793d88bcae6d9d91aeb89b919b99250d449d9ba78b285c28e855b9431e2976b")
+
+
+def _matrices(cols, bound=12):
+    row = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
     return st.lists(row, min_size=1, max_size=4)
 
 
@@ -73,6 +83,18 @@ def test_snf_oracle_equals_the_full_scan(mat, scale):
     # a common factor makes D_1 > 1, so a scan can stop above 1
     mat = [[scale * a for a in row] for row in mat]
     assert snf_oracle(mat) == full_scan_oracle(mat)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda cols: _matrices(cols, 9)))
+def test_minors_are_the_cofactor_determinants(mat):
+    # the oracle's closed forms (k <= 3) against cofactor expansion, minor by
+    # minor in the scan's order
+    rows, cols = range(len(mat)), range(len(mat[0]))
+    for k in range(1, min(len(rows), len(cols)) + 1):
+        want = [int_det([[mat[i][j] for j in csel] for i in rsel])
+                for rsel, csel in product(combinations(rows, k), combinations(cols, k))]
+        assert list(_minors(mat, k)) == want
 
 
 def fraction_rank(mat):

@@ -134,6 +134,24 @@ def test_svg_colours_every_orbit_by_f(packages, tmp_path):
     assert "rgb(189,60,90)" not in want  # the colour of f = +1
 
 
+def test_svg_thins_every_polyline_and_keeps_its_end(packages, tmp_path):
+    """Wall loops and orbits are thinned alike, to every step-th point with
+    step = len // 300, and each keeps its last point: a loop closes, and an
+    orbit ends where its trajectory ends."""
+    mapper = svg._Mapper(catalog.get("disk").chart)
+    piece = np.stack([np.linspace(-1.0, 1.0, 1001), np.zeros(1001)], axis=1)
+    drawn = re.search(r'points="([^"]*)"', svg._polyline(mapper, piece, "")).group(1)
+    assert len(drawn.split()) == 335  # rows 0, 3, ..., 999 and row 1000
+    assert drawn.split()[-1] == "{},{}".format(*mapper.pt(piece[-1]))
+    pkg = packages["disk"]
+    target = tmp_path / "disk.svg"
+    svg.render(pkg.entry, pkg, str(target))
+    loops = re.findall(r'points="([^"]*)" fill="none" stroke="black"', target.read_text())
+    assert len(loops) == 1
+    loop = loops[0].split()
+    assert len(loop) == 335 and loop[0] == loop[-1]  # 2,000 traced rows, closed
+
+
 @pytest.mark.parametrize("name", ["moebius", "tilted_dome"])
 def test_svg_draws_glyphs_seams_and_split_curves(packages, tmp_path, name):
     """One glyph per critical point of its kind; on the Möbius band the two

@@ -84,16 +84,21 @@ def test_deck_invariance_of_moebius_height():
     assert check_deck_invariance(e.field, e.chart) < 1e-9
 
 
-def test_deck_invariance_rejects_broken_field():
-    chart = catalog.get("moebius").chart
-    bad = MorseField(
+def broken_moebius_field() -> MorseField:
+    """v sin(u/4) on the Möbius chart, with a zero hessian: not deck invariant,
+    and its hessian is not the derivative of its gradient."""
+    return MorseField(
         value=lambda x: x[..., 1] * np.sin(x[..., 0] / 4.0),
         gradient=lambda x: np.stack([x[..., 1] * np.cos(x[..., 0] / 4.0) / 4.0,
                                      np.sin(x[..., 0] / 4.0)], axis=-1),
         hessian=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2)),
     )
+
+
+def test_deck_invariance_rejects_broken_field():
+    chart = catalog.get("moebius").chart
     with pytest.raises(NotMorse):
-        check_deck_invariance(bad, chart)
+        check_deck_invariance(broken_moebius_field(), chart)
 
 
 def test_round_bump_on_disk_not_admissible():

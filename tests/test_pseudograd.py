@@ -200,7 +200,7 @@ def test_perturbed_field_still_certifies(packages):
     # the perturbation vanishes on the boundary and near critical points
     plain = dataclasses.replace(fld, perturb_seed=None)
     assert np.array_equal(fld.evaluate([0.0, -2.0]), plain.evaluate([0.0, -2.0]))
-    probe = fld.evaluate([1.5, 0.2]) - plain.evaluate([1.5, 0.2])
+    probe = np.subtract(fld.evaluate([1.5, 0.2]), plain.evaluate([1.5, 0.2]))
     assert 0.0 < np.linalg.norm(probe) < 2e-3
 
 
@@ -227,8 +227,8 @@ def test_an_unperturbed_copy_evaluates_as_a_fresh_field(packages):
                                 r_n=field.r_n, delta_c=field.delta_c, tol=field.tol)
     for point in ([0.1, 0.2], [-0.4, 0.3], [0.3, -0.5]):
         assert not np.array_equal(field.evaluate(point), fresh.evaluate(point))
-        assert np.array_equal(copy.evaluate(point).view(np.int64),
-                              fresh.evaluate(point).view(np.int64))
+        assert np.array_equal(np.array(copy.evaluate(point)).view(np.int64),
+                              np.array(fresh.evaluate(point)).view(np.int64))
         assert np.array_equal(evaluate_many(copy, [point]).view(np.int64),
                               evaluate_many(fresh, [point]).view(np.int64))
 
@@ -266,15 +266,18 @@ def test_empty_wall_sample_has_a_nan_inward_margin(packages):
 @pytest.mark.parametrize("name", ["interval", "moebius", "tilted_dome"])
 def test_point_kernel_reads_any_numbers_as_their_floats(packages, name):
     # the integrator passes lists of Python floats, which the kernel reads as
-    # they are; a list of ints, a list of numpy float64 scalars and a tuple
-    # give the same bits, and a coordinate that is not finite gives NaN
+    # they are and answers with a list of floats; a list of ints, a list of
+    # numpy float64 scalars and a tuple give the same bits in an array, and a
+    # coordinate that is not finite gives NaN
     field = packages[name].field_pos
     dim = field.chart.dim
     whole = [[0], [1]] if dim == 1 else [[0, 0], [1, 0], [3, -1], [-4, 1], [7, 0]]
     points = whole + packages[name].sample.interior[:6].tolist()
     for x in points:
-        want = field.evaluate([float(c) for c in x]).tobytes()
-        assert field.evaluate(list(x)).tobytes() == want
+        floats = field.evaluate([float(c) for c in x])
+        assert type(floats) is list and all(type(c) is float for c in floats)
+        want = np.array(floats).tobytes()
+        assert np.asarray(field.evaluate(list(x))).tobytes() == want
         assert field.evaluate([np.float64(c) for c in x]).tobytes() == want
         assert field.evaluate(tuple(x)).tobytes() == want
     for bad in (math.nan, math.inf, -math.inf):
