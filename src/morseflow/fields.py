@@ -73,7 +73,7 @@ def check_deck_invariance(field: MorseField, chart: Chart,
     flip = np.array([1.0, float(chart.deck.flip)])
     worst = max(deviation(field.value, 1.0), deviation(field.gradient, flip),
                 deviation(field.hessian, np.outer(flip, flip)))
-    if worst > tol:
+    if not worst <= tol:  # NaN fails too
         raise NotMorse(f"field is not deck invariant (deviation {worst:.2e})")
     return worst
 
@@ -98,7 +98,7 @@ def check_derivative_consistency(field: MorseField, chart: Chart,
     scale = np.maximum(1.0, np.max(np.abs(h_exact), axis=(1, 2)))
     worst = float(np.max(np.max(np.abs(h_fd - h_exact), axis=(1, 2)) / scale,
                          initial=0.0))
-    if worst > 1e-4:
+    if not worst <= 1e-4:  # NaN fails too
         raise NotMorse(f"hessian disagrees with finite differences ({worst:.2e})")
     return worst
 

@@ -21,10 +21,10 @@ so the steps are loose: `rtol` 1e-5 and `atol` 1e-7 by default, and a step
 of at most 1.0, a cap that binds while a branch escapes its saddle.  Every
 integer output of the five catalog entries at seeds 0-15 is the same at rtol
 1e-5, 1e-4, 1e-3 and 1e-2 (atol a hundredth of it).  That of the flip = +1
-cylinder the tests build is not: at seed 15 its relative curve leaves the
-wall 7.7e-5 from a critical point, within `degeneracy_tol`, so the pairing
-retries at another perturbation seed, but at rtol 1e-4 the step error moves
-the exit to 1.4e-4 and the retry goes.  So the default keeps a factor of ten.
+cylinder the tests build is not: at seed 5 its relative curve leaves the
+wall 1.8e-4 from a critical point, outside `degeneracy_tol`, but at rtol 1e-4
+the step error moves the exit to 2.8e-5, and the pairing retries at another
+perturbation seed.  So the default keeps a factor of ten.
 A trajectory keeps only its times and
 points: the integrator reads the field's objective at a sample only when the
 sample lies within a capture region's radius, once, for the regions' level

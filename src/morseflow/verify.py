@@ -336,7 +336,7 @@ def check_numerics(ctx: VerificationContext):
                 bad.append(f"{name}/{label}: {cert.as_dict()}")
         entry = catalog.get(name)
         worst = _gradient_fd_error(entry, rng, samples=200)
-        if worst > 1e-5:
+        if not worst <= 1e-5:  # NaN fails too
             bad.append(f"{name}: gradient fd error {worst:.2e}")
         worst_b = _boundary_fd_error(entry, pkg)
         if worst_b > 1e-4:

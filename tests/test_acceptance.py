@@ -1,5 +1,6 @@
 """One test per acceptance criterion; each prints its own pass/fail line."""
 import dataclasses
+import math
 
 import pytest
 
@@ -73,6 +74,13 @@ def test_criterion_09_invariance(ctx):
 
 def test_criterion_10_numerics(ctx):
     _run(V.check_numerics, ctx)
+
+
+def test_criterion_10_fails_on_a_nan_gradient_error(ctx, monkeypatch):
+    monkeypatch.setattr(V, "_gradient_fd_error", lambda entry, rng, samples: math.nan)
+    result = V.check_numerics(ctx)
+    assert not result.passed
+    assert "interval: gradient fd error nan" in result.detail
 
 
 def test_seed_independence_spot_check():

@@ -154,7 +154,7 @@ def _eval_canonical(field, x):
         else:
             g_t = math.sqrt(max(float(tangential @ g_mat @ tangential), 0.0))
         cap = _collar_cap(nu, g_t, field.tol)
-        w = min(1.0, max(0.0, 1.0 - depth / field.delta_c))
+        w = 1.0 - min(1.0, max(0.0, depth / field.delta_c)) ** 2
         vec = vec + w * (nu - cap) * normal
 
     for patch in field.patches:

@@ -8,7 +8,7 @@ from morseflow.critical import boundary_sample, find_boundary_critical
 from morseflow.errors import NotMorse
 from morseflow.fields import (MorseField, boundary_restriction_derivatives,
                               check_deck_invariance,
-                              check_derivative_consistency)
+                              check_derivative_consistency, validate_field)
 from morseflow.geometry import MetricField, normalize_point
 from morseflow.verify import _boundary_fd_error, _gradient_fd_error
 
@@ -99,6 +99,23 @@ def test_deck_invariance_rejects_broken_field():
     chart = catalog.get("moebius").chart
     with pytest.raises(NotMorse):
         check_deck_invariance(broken_moebius_field(), chart)
+
+
+def nan_field() -> MorseField:
+    """A field whose value, gradient and hessian are NaN everywhere."""
+    return MorseField(
+        value=lambda x: np.full(np.shape(x)[:-1], np.nan),
+        gradient=lambda x: np.full(np.shape(x), np.nan),
+        hessian=lambda x: np.full(np.shape(x) + (np.shape(x)[-1],), np.nan),
+    )
+
+
+@pytest.mark.parametrize("name", ["disk", "moebius"])
+def test_validation_rejects_a_nan_field(name):
+    # NaN compares False with every tolerance; a check passes only on a
+    # worst error at or below it
+    with pytest.raises(NotMorse):
+        validate_field(nan_field(), catalog.get(name).chart)
 
 
 def test_round_bump_on_disk_not_admissible():

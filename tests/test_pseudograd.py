@@ -122,6 +122,38 @@ def test_bulk_region_is_plain_descent(packages):
     assert fld.evaluate([1.5, 0.0]) == pytest.approx([0.0, -1.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["disk", "annulus", "moebius"])
+@pytest.mark.parametrize("side", ["field_pos", "field_neg"])
+def test_collar_push_is_flat_at_the_wall(packages, name, side):
+    # at a wall point outside the patches where -grad f points outward
+    # (nu < 0) and the cap is eps_n, the outward component of the field is
+    # -(1 - s) nu - s eps_n for the push factor s at depth d: flat at the
+    # wall, (1 - s) = (d / delta_c)^2, where a linear ramp moves it by
+    # (|nu| + eps_n) d / delta_c
+    pkg = packages[name]
+    field = getattr(pkg, side)
+    keep = pseudogradient._wall_sample(field, pkg.sample)
+    wall, normals = pkg.sample.wall[keep], pkg.sample.normals[keep]
+    grad = np.asarray(field.objective.gradient(wall), dtype=float)
+    nu = np.sum(grad * normals, axis=1)
+    g_t = np.linalg.norm(nu[:, None] * normals - grad, axis=1)
+    rows = np.flatnonzero((nu < -0.05) & (g_t * g_t >= 2.0 * field.tol.eps_n * -nu))
+    j = rows[len(rows) // 2]
+    x, n = wall[j], normals[j]
+    eps = 1e-2 * field.delta_c
+    outward = [float(np.dot(field.evaluate(x - k * eps * n), n)) for k in (0, 1, 2)]
+    moved = outward[1] - outward[0]
+    linear = (-nu[j] + field.tol.eps_n) * eps / field.delta_c
+    assert moved == pytest.approx(linear * eps / field.delta_c, rel=0.01)
+    assert (outward[2] - outward[0]) / moved == pytest.approx(4.0, rel=0.01)
+    # the batch evaluator gives the same bits across the collar, beyond it
+    # and just outside the wall
+    depths = np.array([-1.0, 0.0, 1.0, 2.0, 50.0, 100.0, 150.0]) * eps
+    points = x - depths[:, None] * n
+    assert (evaluate_many(field, points).tobytes()
+            == np.array([field.evaluate(p) for p in points]).tobytes())
+
+
 def test_halton_points_fill_unit_square():
     pts = halton_sequence(512, 2)
     assert pts.shape == (512, 2)

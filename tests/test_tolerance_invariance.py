@@ -6,9 +6,9 @@ the same pairing matrices at the default `rtol`/`atol` (1e-5/1e-7) and at
 three tighter pairs: the defaults before this one (1e-6/1e-8), a pair between,
 and the defaults used before trajectories ended at capture regions.  A looser
 default, 1e-4/1e-6, leaves the five entries' integer output at seeds 0-15 as
-it is, but moves the flip = +1 cylinder's relative curve at seed 15 past
-`degeneracy_tol` from a critical point, so the pairing no longer takes the
-retry `tests/seed_sweep_snapshot.json` records.
+it is, but moves the flip = +1 cylinder's relative curve at seed 5 within
+`degeneracy_tol` of a critical point, so the pairing takes a retry that
+`tests/seed_sweep_snapshot.json` does not record.
 """
 import pytest
 
