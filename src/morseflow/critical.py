@@ -4,7 +4,9 @@ Interior points come from a batched damped Newton iteration on grad f = 0 over
 a seed grid; boundary points from one trace of every boundary component
 (`boundary_sample`, which the certification sample reuses) with sign-change
 bracketing on the tangential derivative followed by an on-curve Newton
-refinement.
+refinement.  A trace walks each wall coarsely, an Euler predictor and one
+Newton corrector per step, and projects a loop spaced evenly along the
+walk's polygon onto the wall in one batch.
 """
 from __future__ import annotations
 
@@ -14,12 +16,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (DegenerateCritical, PointOutsideManifold, SampleMismatch,
-                     TypeUndetermined)
+from .errors import (DegenerateCritical, NotOnBoundary, PointOutsideManifold,
+                     SampleMismatch, TypeUndetermined)
 from .fields import MorseField, boundary_restriction_derivatives
 from .geometry import (Chart, MetricField, active_constraint, boundary_distance,
                        boundary_frame, boundary_frames, chart_distance,
-                       chart_distance_many, normalize_point, row_dot, turn_clockwise)
+                       chart_distance_many, normalize_point, plain_dot, row_dot,
+                       turn_clockwise)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -189,9 +192,9 @@ def _project_to_zero(con, x, max_iter: int = 60) -> Array | None:
 
     Every row runs the one-point iteration on its own: it stops once
     |value| < 1e-13, within max_iter steps, and fails at a vanishing gradient.
-    The walks project one point at a time, in float arithmetic through
-    `BoundaryConstraint.read`; |grad|^2 is the BLAS dot of the covector, as
-    the batch takes it, so both give the same bits.
+    A walk's start, a wall step and a launch project one point at a time, in
+    float arithmetic through `BoundaryConstraint.read`; |grad|^2 is the BLAS
+    dot of the covector, as the batch takes it, so both give the same bits.
     """
     if np.ndim(x) == 2:
         return _project_rows(con, np.array(x, dtype=float), max_iter)
@@ -238,8 +241,17 @@ def _uniform_arclength(polygon: Array, samples: int) -> Array:
 
 def _coarse_walk(chart: Chart, con, tol: Tolerances) -> Array | None:
     """The closed polygon of a coarse walk once round one constraint's zero
-    set (steps of 2% of the chart's span, each projected onto the curve), or
-    None when no start is found or the walk fails."""
+    set, or None when no start is found or the walk fails.
+
+    A predictor-corrector continuation (Allgower & Georg, Numerical
+    Continuation Methods, 1990) in float arithmetic, one wall read per
+    vertex: the next point is predicted a step of 2% of the chart's span on
+    along the clockwise unit tangent of the last read (Euler), and the read
+    there gives one Newton correction onto the curve, the next vertex, and
+    the next tangent.  So the vertices after the projected start lie near
+    the curve, not on it.  The walk closes when a prediction after the sixth
+    vertex falls within 0.6 steps of the start.
+    """
     grid = _seed_grid(chart, 40)
     vals = np.abs(np.asarray(con.value(grid), dtype=float))
     order = np.argsort(vals)
@@ -253,36 +265,39 @@ def _coarse_walk(chart: Chart, con, tol: Tolerances) -> Array | None:
         others_ok = all(float(c.value(cand)) <= tol.tol_geom
                         for c in chart.constraints if c is not con)
         if inside_box and others_ok:
-            start = cand
+            start = cand.tolist()
             break
     if start is None:
         return None
 
     step = 0.02 * max(hi - lo for lo, hi in chart.box)
     walk = [start]
-    x = start
+    u, v = start
+    _, (c0, c1), norm = con.read(start)
     for _ in range(20000):
-        nxt = _wall_step(con, x, step)
-        if nxt is None:
+        u, v = u + step * (c1 / norm), v + step * -(c0 / norm)
+        gap = [u - start[0], v - start[1]]
+        if len(walk) > 5 and math.sqrt(plain_dot(gap, gap)) < 0.6 * step:
+            return np.array(walk)
+        val, (c0, c1), norm = con.read([u, v])
+        gg = c0 * c0 + c1 * c1
+        if gg < 1e-30:
             return None
-        gap = nxt - start
-        if len(walk) > 5 and math.sqrt(float(gap.dot(gap))) < 0.6 * step:
-            break
-        walk.append(nxt)
-        x = nxt
-    else:
-        return None
-    return np.array(walk)
+        u, v = u - val * c0 / gg, v - val * c1 / gg
+        walk.append([u, v])
+    return None
 
 
 def _trace_region_loop(con, polygon: Array, samples: int) -> Array:
     """Ordered closed loop of `samples` points on one constraint's zero set,
     spaced evenly in arclength along its coarse walk's polygon and projected
-    onto the curve in one batch.  Should the batch fail to converge, the
-    walk's own points are the loop.
-    """
+    onto the curve in one batch; `NotOnBoundary` when the batch fails to
+    converge, since the walk's own vertices are only near the curve."""
     loop = _project_to_zero(con, _uniform_arclength(polygon, samples))
-    return polygon if loop is None else loop
+    if loop is None:
+        raise NotOnBoundary(f"the loop traced on {con.name} does not project "
+                            "onto the wall")
+    return loop
 
 
 def boundary_loop_count(chart: Chart) -> int:

@@ -10,6 +10,8 @@ from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 from morseflow import verify as V
 
+from test_fields import nan_field
+
 
 def _run(check, ctx, *args):
     result = check(ctx, *args) if args else check(ctx)
@@ -81,6 +83,20 @@ def test_criterion_10_fails_on_a_nan_gradient_error(ctx, monkeypatch):
     result = V.check_numerics(ctx)
     assert not result.passed
     assert "interval: gradient fd error nan" in result.detail
+
+
+def test_criterion_10_fails_on_a_nan_boundary_restriction(packages, ctx, monkeypatch):
+    # an all-NaN disk function, given to the checks after the packages are
+    # built: the boundary check alone must fail it, so the gradient check is
+    # passed over
+    disk = dataclasses.replace(catalog.get("disk"), field=nan_field())
+    get = catalog.get
+    monkeypatch.setattr(V.catalog, "get", lambda name: disk if name == "disk" else get(name))
+    monkeypatch.setattr(V, "_gradient_fd_error", lambda entry, rng, samples: 0.0)
+    assert math.isnan(V._boundary_fd_error(disk, packages["disk"]))
+    result = V.check_numerics(ctx)
+    assert not result.passed
+    assert result.detail == "disk: boundary fd error nan"
 
 
 def test_seed_independence_spot_check():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, _boundary_step
                                 find_boundary_critical,
                                 find_critical_set, find_interior_critical,
                                 reclassify_negated)
+from morseflow.errors import NotOnBoundary
 from morseflow.fields import boundary_restriction_derivatives
 from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, chart_distance,
                                 normalize_point, turn_clockwise)
@@ -282,13 +284,21 @@ REGION_ENTRIES = [n for n in catalog.names()
 
 
 def trace_counted(monkeypatch, chart, con, samples):
-    """One loop, the coarse walk's polygon and the projections made."""
-    calls, polygons = [], []
+    """One loop, the coarse walk's polygon, the projections made and the
+    wall reads made outside them."""
+    calls, polygons, reads = [], [], [0]
     project, spaced = critical._project_to_zero, critical._uniform_arclength
+
+    def read(x, read=con.read):
+        reads[0] += 1
+        return read(x)
 
     def counted(con, x, *args):
         calls.append(np.ndim(x))
-        return project(con, x, *args)
+        before = reads[0]
+        out = project(con, x, *args)
+        reads[0] = before
+        return out
 
     def recorded(polygon, samples):
         polygons.append(polygon)
@@ -296,11 +306,12 @@ def trace_counted(monkeypatch, chart, con, samples):
 
     monkeypatch.setattr(critical, "_project_to_zero", counted)
     monkeypatch.setattr(critical, "_uniform_arclength", recorded)
+    con = dataclasses.replace(con, read=read)
     loop = critical._trace_region_loop(
         con, critical._coarse_walk(chart, con, DEFAULT), samples)
     monkeypatch.undo()
     (polygon,) = polygons
-    return loop, polygon, calls
+    return loop, polygon, calls, reads[0]
 
 
 @pytest.mark.parametrize("name", REGION_ENTRIES)
@@ -318,30 +329,27 @@ def test_loops_are_evenly_spaced_on_the_wall(name, monkeypatch):
             gaps = np.linalg.norm(np.roll(loop, -1, axis=0) - loop, axis=1)
             mean = gaps.sum() / samples
             assert np.all((0.5 * mean <= gaps) & (gaps <= 1.5 * mean))
-            traced, polygon, calls = trace_counted(monkeypatch, chart, con, samples)
+            traced, polygon, calls, reads = trace_counted(monkeypatch, chart, con, samples)
             assert np.array_equal(traced, loop)
             assert np.array_equal(loop[0], polygon[0])
-            # one projection per step of the coarse walk (the closing step
-            # included), one for its start, and one batch for the loop
+            # one wall read per vertex of the coarse walk, one projection for
+            # its start, and one batch for the loop
             assert len(polygon) < samples / 2
-            assert calls.count(1) == len(polygon) + 1
+            assert reads == len(polygon)
+            assert calls.count(1) == 1
             assert calls.count(2) == 1
 
 
-def test_loop_falls_back_to_the_walk(monkeypatch):
-    # a batch that fails to converge leaves the coarse walk's points
+def test_a_loop_that_does_not_project_raises(monkeypatch):
+    # the walk's vertices lie only near the wall, so a batch that fails to
+    # converge leaves no loop to fall back to
     chart = catalog.get("disk").chart
     (con,) = chart.constraints
-    polygons = []
-    spaced = critical._uniform_arclength
     monkeypatch.setattr(critical, "_project_rows", lambda con, x, max_iter: None)
-    monkeypatch.setattr(critical, "_uniform_arclength",
-                        lambda polygon, samples: polygons.append(polygon)
-                        or spaced(polygon, samples))
-    loop = critical._trace_region_loop(
-        con, critical._coarse_walk(chart, con, DEFAULT), 400)
-    assert np.array_equal(loop, polygons[0])
-    assert len(loop) < 400
+    polygon = critical._coarse_walk(chart, con, DEFAULT)
+    assert np.abs(con.value(polygon)).max() > DEFAULT.tol_geom
+    with pytest.raises(NotOnBoundary):
+        critical._trace_region_loop(con, polygon, 400)
 
 
 def test_batched_projection_matches_one_point_at_a_time():
@@ -355,13 +363,14 @@ def test_batched_projection_matches_one_point_at_a_time():
     assert critical._project_to_zero(con, rows, max_iter=1) is None
 
 
-# --- the float walk against the numpy walk it replaced ------------------------
+# --- the float walk against a numpy walk ------------------------------------
 #
 # `reference_project` and `reference_wall_step` are the one-point
 # `critical._project_to_zero` and `critical._wall_step` as written with numpy
 # 2-vectors, through the constraint callables and `np.linalg.norm`, and
-# `reference_coarse_walk` is the coarse walk over them.  The float walk must
-# give the same bits.
+# `reference_coarse_walk` is the coarse walk so written: an Euler predictor
+# along the clockwise unit tangent and one Newton corrector, |grad|^2 summed
+# as the float walk sums it.  The float walk must give the same bits.
 
 
 def reference_project(con, x, max_iter=60):
@@ -399,12 +408,15 @@ def reference_coarse_walk(chart, con, tol):
             break
     step = 0.02 * max(hi - lo for lo, hi in chart.box)
     walk, x = [start], start
+    grad = np.asarray(con.gradient(x), dtype=float)
     while True:
-        nxt = reference_wall_step(con, x, step)
-        if len(walk) > 5 and float(np.linalg.norm(nxt - start)) < 0.6 * step:
+        x = x + step * turn_clockwise(grad / np.sqrt(np.sum(grad * grad)))
+        if len(walk) > 5 and float(np.sqrt(np.sum((x - start) ** 2))) < 0.6 * step:
             return np.array(walk)
-        walk.append(nxt)
-        x = nxt
+        val = float(con.value(x))
+        grad = np.asarray(con.gradient(x), dtype=float)
+        x = x - val * grad / np.sum(grad * grad)
+        walk.append(x)
 
 
 def _ellipse_by_callables():
@@ -426,6 +438,18 @@ WALLS = {f"{name}-{con.name}": (catalog.get(name).chart, con)
          for name in REGION_ENTRIES for con in catalog.get(name).chart.constraints}
 WALLS["callables-ellipse"] = (Chart(2, ((-1.5, 1.5), (-1.0, 1.0)),
                                     (_ellipse_by_callables(),)), None)
+
+
+@pytest.mark.parametrize("wall", list(WALLS))
+def test_walk_vertices_lie_near_the_wall(wall):
+    # one Newton correction per step leaves each vertex within 1e-5 of the
+    # wall (|b| / |grad b| to first order); the start is projected
+    chart, con = WALLS[wall]
+    con = con or chart.constraints[0]
+    polygon = critical._coarse_walk(chart, con, DEFAULT)
+    gap = np.abs(con.value(polygon)) / np.linalg.norm(con.gradient(polygon), axis=1)
+    assert gap.max() < 1e-5
+    assert abs(float(con.value(polygon[0]))) < 1e-13
 
 
 @pytest.mark.parametrize("wall", list(WALLS))
@@ -458,7 +482,8 @@ def test_a_failed_projection_fails_either_way():
 
 @pytest.mark.parametrize("name", [*catalog.names(), *FIXTURES])
 def test_critical_search_matches_the_numpy_walk(name, monkeypatch):
-    # the walks and the refinement's wall steps project one point at a time
+    # the walks' starts and the refinement's wall steps project one point at
+    # a time
     entry = FIXTURES[name]() if name in FIXTURES else catalog.get(name)
     found = find_critical_set(entry.field, entry.chart, entry.metric)
     batch = critical._project_to_zero

@@ -4,7 +4,8 @@
 2-vectors: Dormand-Prince stages as array arithmetic, the error norm through
 `np.mean`, the wall test through the constraint callables and the speed
 through `np.linalg.norm`, and f at every sample, with a capture region's
-level tested before its distance.  Its step cap and its wall landing (regula
+level tested before its distance.  Its step control (the starting step of
+Hairer's DOPRI5 and its PI controller), step cap and wall landing (regula
 falsi on the wall's value along the step fraction) are the float
 integrator's.  The float integrator must give the same bits:
 every branch integrated for a catalog entry at seeds 0 and 1 and for the
@@ -46,6 +47,20 @@ def reference_rk_step(deriv, x, h, k1):
         if diff != 0.0:
             err = err + (h * diff) * k[j]
     return x5, err, k[6]
+
+
+def reference_initial_step(deriv, x, k1, atol, rtol, h_max):
+    """HINIT of Hairer's DOPRI5 (order 5) with numpy 2-vectors."""
+    sk = atol + rtol * np.abs(x)
+    dnf = float(np.sum((k1 / sk) ** 2))
+    dny = float(np.sum((x / sk) ** 2))
+    h = 1e-6 if dnf <= 1e-10 or dny <= 1e-10 else math.sqrt(dny / dnf) * 0.01
+    h = min(h, h_max)
+    k_probe = deriv(x + h * k1)
+    der2 = math.sqrt(float(np.sum(((k_probe - k1) / sk) ** 2))) / h
+    der12 = max(der2, math.sqrt(dnf))
+    h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.2
+    return min(100.0 * h, h1, h_max)
 
 
 def _violation(chart, x):
@@ -90,8 +105,9 @@ def reference_integrate(field, start, *, reverse=False, allow_exit=False):
     if hit is not None:
         return result(CONVERGED, target=hit)
 
-    h = 1e-4
     h_max = 1.0
+    h = reference_initial_step(deriv, x, k1, tol.atol, tol.rtol, h_max)
+    err_prev, rejected = 1e-4, False
     steps = 0
     while True:
         if t >= tol.t_max or steps >= tol.max_steps:
@@ -105,7 +121,8 @@ def reference_integrate(field, start, *, reverse=False, allow_exit=False):
             raise CertificateViolation(
                 f"field is not finite near {x.tolist()} at step {steps}")
         if err > 1.0 and h > 1e-13:
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h /= min(5.0, err ** 0.17 / 0.9)
+            rejected = True
             continue
 
         excess = _violation(chart, x_new)
@@ -163,10 +180,9 @@ def reference_integrate(field, start, *, reverse=False, allow_exit=False):
         hit = settled(float(np.linalg.norm(k_last)))
         if hit is not None:
             return result(CONVERGED, target=hit)
-        if err == 0.0:
-            h = h * 5.0
-        else:
-            h = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
+        h_new = h / max(0.1, min(5.0, err ** 0.17 / err_prev ** 0.04 / 0.9))
+        h = min(h_new, h) if rejected else h_new
+        err_prev, rejected = max(err, 1e-4), False
 
 
 def _bits(traj):
