@@ -45,10 +45,15 @@ The integrator steps in float arithmetic: stages, error norm, wall test and
 stop tests work on lists of floats and round as the numpy 2-vector arithmetic
 they replaced.  One step is straight-line code for the plane (`_rk_step`):
 each stage point adds its terms one at a time, left to right, as the array
-arithmetic did, and a line runs it with second components of 0.0.  Each
-stage passes its list to `PseudoGradientField.evaluate`, the field's compiled
-float kernel, and reads its ndarray back as a list; the flow evaluates the
-field through nothing else.  The wall test reads every wall through
+arithmetic did, and a line runs it with second components of 0.0.  The
+loop writes the error norm and the stop tests' speed and distances out on the
+two components, a line's second ones 0.0; on a strip a distance takes the
+deck images through `coords_distance`.  Each stage passes its list to `PseudoGradientField.evaluate`, the
+field's float kernel, which returns a list; the flow evaluates the field
+through nothing else.  The time reversal takes the field's values as they
+are and steps by -h: (-h * c) * k rounds as (h * c) * -k, so every point
+and error has the bits of stepping the negated field, and only the outward
+push of a landing changes sign.  The wall test reads every wall through
 `BoundaryConstraint.read`.  Numpy is left to the output arrays, the
 objective's callables (the catalog's compute one point in float arithmetic),
 a wall given by callables alone, the landing on a wall and the entry into a
@@ -140,7 +145,9 @@ def _rk_step(deriv, x: list, h: float, k1: list):
     Each stage point adds its terms `(h * c) * k[j]` to x left to right, as
     `acc = acc + (h * c) * k[j]` rounds; x5 is the last stage's point (first
     same as last), and the error sums its terms onto 0.0.  A line runs the
-    plane's arithmetic with second components of 0.0, which move no bit.
+    plane's arithmetic with second components of 0.0, which move no bit.  A
+    negative h steps the time reversal of deriv with the bits of stepping by
+    |h| along -deriv; k_last is deriv's own value.
     """
     line = len(x) == 1
     if line:
@@ -177,9 +184,15 @@ def _rk_step(deriv, x: list, h: float, k1: list):
 
 
 def _violation(readers: tuple, x: list) -> float:
-    """Positive when x lies outside the manifold (worst constraint excess);
+    """Positive when x lies outside the manifold: the largest wall value, the
+    first on a tie or after a NaN, as `max` picks it (-inf without a wall);
     readers are the walls' `BoundaryConstraint.read`."""
-    return max([read(x)[0] for read in readers], default=-math.inf)
+    excess = None
+    for read in readers:
+        b = read(x)[0]
+        if excess is None or b > excess:
+            excess = b
+    return -math.inf if excess is None else excess
 
 
 def _pull_inside(chart, x) -> Array:
@@ -205,18 +218,20 @@ def _norm(v: list) -> float:
 
 
 def _initial_step(deriv, x: list, k1: list, atol: float, rtol: float,
-                  h_max: float) -> float:
+                  h_max: float, direction: float) -> float:
     """The starting step of Hairer's DOPRI5 (its HINIT, order 5), from
-    x, where k1 = deriv(x), and one more evaluation at an Euler step: a
-    step whose fifth power times the larger of the scaled |k1| and second
-    derivative is 0.01, at most 100 times the probe's step and h_max."""
+    x, where k1 = deriv(x), and one more evaluation at an Euler step in the
+    time direction (1.0, or -1.0 for the reversal): a step whose fifth
+    power times the larger of the scaled |k1| and second derivative is
+    0.01, at most 100 times the probe's step and h_max."""
     sk = [atol + rtol * abs(c) for c in x]
     f0 = [f / s for f, s in zip(k1, sk)]
     y0 = [c / s for c, s in zip(x, sk)]
     dnf, dny = plain_dot(f0, f0), plain_dot(y0, y0)
     h = 1e-6 if dnf <= 1e-10 or dny <= 1e-10 else math.sqrt(dny / dnf) * 0.01
     h = min(h, h_max)
-    k_probe = deriv([c + h * f for c, f in zip(x, k1)])
+    step = direction * h
+    k_probe = deriv([c + step * f for c, f in zip(x, k1)])
     d2 = [(b - a) / s for a, b, s in zip(k1, k_probe, sk)]
     der12 = max(math.sqrt(plain_dot(d2, d2)) / h, math.sqrt(dnf))
     h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.2
@@ -242,17 +257,25 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
     that meets it, or at the next one after a landing on the wall.
     """
     chart = field.chart
-    # every point handed to the field is a list of floats, so it returns one
-    if reverse:
-        deriv = lambda x: [-c for c in field.evaluate(x)]
-    else:
-        deriv = field.evaluate
+    # every point handed to the field is a list of floats, so it returns one;
+    # the reversal steps the field's own values with negated steps
+    deriv = field.evaluate
+    direction = -1.0 if reverse else 1.0
     value = lambda x: float(field.objective.value(np.array(x)))
     walls = tuple(con.read for con in chart.constraints)
     tol = field.tol
     stop, r_conv, atol, rtol = tol.field_stop, tol.r_conv, tol.atol, tol.rtol
-    crit = [(cp.id, cp.coords.tolist()) for cp in field.crit.points]
-    captures = [(region, region.sink.coords.tolist())
+    t_max, max_steps, dim = tol.t_max, tol.max_steps, chart.dim
+    sqrt = math.sqrt
+    deck = chart.deck
+
+    def target(coords: Array) -> tuple:
+        """A target's coordinates as a list and as (c0, c1), a line's c1 0.0."""
+        c = coords.tolist()
+        return (c, *c) if dim == 2 else (c, c[0], 0.0)
+
+    crit = [(cp.id, *target(cp.coords)) for cp in field.crit.points]
+    captures = [(region, *target(region.sink.coords))
                 for region in field.capture_regions(reverse)]
 
     x = np.asarray(start, dtype=float).tolist()
@@ -266,16 +289,32 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
         """Target id once the last sample, where the field is k, has
         converged or been captured."""
         y = points[-1]
-        speed = math.sqrt(plain_dot(k, k))
+        # plain_dot and, off a strip, coords_distance written out; a line's
+        # second components are 0.0, which move no bit
+        if dim == 2:
+            (y0, y1), (v0, v1) = y, k
+        else:
+            y0, y1, v0, v1 = y[0], 0.0, k[0], 0.0
+        speed = sqrt(v0 * v0 + v1 * v1)
         if abs(speed - stop) <= 1e-9 * stop:
             speed = _norm(k)  # the two norms may fall on either side of the stop
         if speed < stop:
-            for cp_id, coords in crit:
-                if coords_distance(chart, y, coords) <= r_conv:
+            for cp_id, coords, c0, c1 in crit:
+                if deck is None:
+                    d0, d1 = y0 - c0, y1 - c1
+                    d = sqrt(d0 * d0 + d1 * d1)
+                else:
+                    d = coords_distance(chart, y, coords)
+                if d <= r_conv:
                     return cp_id
         f_y = None  # the objective at y, read once y lies within a region's radius
-        for region, coords in captures:
-            if coords_distance(chart, y, coords) >= region.radius:
+        for region, coords, c0, c1 in captures:
+            if deck is None:
+                d0, d1 = y0 - c0, y1 - c1
+                d = sqrt(d0 * d0 + d1 * d1)
+            else:
+                d = coords_distance(chart, y, coords)
+            if d >= region.radius:
                 continue
             if f_y is None:
                 f_y = value(y)
@@ -294,19 +333,29 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
         return result(CONVERGED, target=hit)
 
     h_max = 1.0
-    h = _initial_step(deriv, x, k1, atol, rtol, h_max)
+    h = _initial_step(deriv, x, k1, atol, rtol, h_max, direction)
     err_prev, rejected = 1e-4, False
     steps = 0
     while True:
-        if t >= tol.t_max or steps >= tol.max_steps:
+        if t >= t_max or steps >= max_steps:
             return result(TIMEOUT)
         steps += 1
-        h = min(h, h_max, tol.t_max - t + 1e-9)
-        x_new, err_vec, k_last = _rk_step(deriv, x, h, k1)
-        # the root mean square of the scaled error, rounded as `np.mean` rounds
-        q = [e / (atol + rtol * max(abs(a), abs(b)))
-             for e, a, b in zip(err_vec, x, x_new)]
-        err = math.sqrt(plain_dot(q, q) / len(q))
+        h = min(h, h_max, t_max - t + 1e-9)
+        x_new, err_vec, k_last = _rk_step(deriv, x, direction * h, k1)
+        # the root mean square of the scaled error, rounded as `np.mean`
+        # rounds: each component over atol + rtol * max(|x|, |x_new|), max
+        # taking the first on a tie; a line's second term is 0.0, which adds
+        # nothing
+        if dim == 2:
+            (e0, e1), (a0, a1), (b0, b1) = err_vec, x, x_new
+            a1, b1 = abs(a1), abs(b1)
+            q1 = e1 / (atol + rtol * (b1 if b1 > a1 else a1))
+        else:
+            (e0,), (a0,), (b0,) = err_vec, x, x_new
+            q1 = 0.0
+        a0, b0 = abs(a0), abs(b0)
+        q0 = e0 / (atol + rtol * (b0 if b0 > a0 else a0))
+        err = sqrt((q0 * q0 + q1 * q1) / dim)
         if not math.isfinite(err):  # a stage met a field value that is not finite
             raise CertificateViolation(
                 f"field is not finite near {x} at step {steps}")
@@ -329,7 +378,7 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
                     s = 0.5 * (lo + hi)
                     if not h * lo < h * s < h * hi:
                         break  # every further step would repeat one taken
-                x_s, _, _ = _rk_step(deriv, x, h * s, k1)
+                x_s, _, _ = _rk_step(deriv, x, direction * (h * s), k1)
                 f_s = _violation(walls, x_s)
                 if abs(f_s) <= 1e-12:
                     hi, x_hi = s, x_s
@@ -349,8 +398,8 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
             _, outward = nearest_wall(chart, x_land)
             land = x_land.tolist()
             speed_vec = deriv(land)
-            push = (float(np.array(speed_vec) @ outward) if outward is not None
-                    else 0.0)
+            push = (direction * float(np.array(speed_vec) @ outward)
+                    if outward is not None else 0.0)
             if push > 1e-8 * (1.0 + _norm(speed_vec)):
                 times.append(t_land)
                 points.append(land)

@@ -66,8 +66,16 @@ class BoundaryConstraint:
             # a batch shares one read-only row
             return np.array(cov) if np.ndim(x) == 1 else np.broadcast_to(cov, np.shape(x))
 
-        def read(x):
-            return plain_dot(cov, x) + offset, cov, norm
+        if dim == 2:
+            c0, c1 = cov
+
+            def read(x):
+                return c0 * x[0] + c1 * x[1] + offset, cov, norm   # as plain_dot(cov, x) rounds
+        else:
+            (c0,) = cov
+
+            def read(x):
+                return c0 * x[0] + offset, cov, norm
 
         return cls(name, value, gradient,
                    lambda x: np.zeros(np.shape(x)[:-1] + (dim, dim)), read)
@@ -83,11 +91,12 @@ class BoundaryConstraint:
         r2 = float(radius) * float(radius)
         s = -1.0 if inner else 1.0
         s2 = s * 2.0
+        sqrt = math.sqrt
 
         def read(x):
-            u, v = x[0], x[1]
+            u, v = x
             g0, g1 = s2 * u, s2 * v
-            return s * (u * u + v * v - r2), [g0, g1], math.sqrt(g0 * g0 + g1 * g1)
+            return s * (u * u + v * v - r2), [g0, g1], sqrt(g0 * g0 + g1 * g1)
 
         def value(x):
             x = np.asarray(x, dtype=float)
@@ -256,12 +265,15 @@ def coords_distance(chart: Chart, a: list[float], b: list[float]) -> float:
         d0, d1 = a[0] - b[0], (a[1] - b[1] if len(a) == 2 else 0.0)
         return math.sqrt(d0 * d0 + d1 * d1)   # d0 * d0 + 0.0 rounds as d0 * d0
     period, flip = chart.deck.period, chart.deck.flip
+    (a0, a1), (b0, b1) = a, b
     best = math.inf
-    shift = round((b[0] - a[0]) / period)
+    shift = round((b0 - a0) / period)
     for k in (shift - 1, shift, shift + 1):
-        d0 = a[0] + k * period - b[0]
-        d1 = a[1] * (1.0 if k % 2 == 0 else flip) - b[1]
-        best = min(best, d0 * d0 + d1 * d1)
+        d0 = a0 + k * period - b0
+        d1 = (a1 if k % 2 == 0 else a1 * flip) - b1   # a1 * 1.0 is a1
+        square = d0 * d0 + d1 * d1
+        if square < best:
+            best = square
     return math.sqrt(best)   # sqrt is monotone: the root of the least square
 
 

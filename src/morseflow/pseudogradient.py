@@ -38,9 +38,9 @@ where the coordinate gaps, lower bounds of the distance to every deck image,
 allow it inside the radius in play (`geometry.gap_bound`).  The batch picks
 those rows (`geometry.near_rows`) for the patch claim and the wall filter
 (r_n), the perturbation's envelope (2 r_excl) and the interior sample's
-exclusion (r_excl); the point kernel skips a center beyond the bound and, on
-a strip, a patch, without measuring its deck images.  What the bound skips
-lies at least that far away, so no bit changes.
+exclusion (r_excl); the point kernel tests the gaps inline and skips a center
+beyond the bound and, on a strip, a patch, without measuring its deck images.
+What the bound skips lies at least that far away, so no bit changes.
 
 Nothing here draws what it is not handed.  An analysis (`pipeline`) draws its
 certification sample once (`certification_sample`): the boundary sample the
@@ -391,107 +391,126 @@ class PseudoGradientField:
 
 
 def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | list]:
-    """`evaluate` for one field: straight-line float arithmetic, compiled when
-    the field is built.  What does not depend on the point (the tolerances,
-    each wall's reader, each patch's center and tangent as Python floats, the
-    perturbation's waves) is resolved here.  Per point, the objective and the
-    metric are called as given and each wall is read through
-    `BoundaryConstraint.read`; the rest is the arithmetic of
-    `_eval_canonical_many`, component by component with the same operations
-    in the same order, so both give the same bits.  On a line, v and each
-    center's second coordinate are 0.0, which moves no bit of a coordinate
-    gap, and the second components of vectors are dropped; a metric other
-    than the identity takes the list helpers the batch takes.  A list of
-    Python floats, what the integrator passes, is read as it is and the
-    vector returned as a list of floats; a list of other numbers is read as
-    their floats, anything else through `np.asarray`, and both return an
-    array.  Non-finite coordinates give NaN.
+    """`evaluate` for one field: straight-line float arithmetic in a closure
+    made when the field is built.  What does not depend on the point is
+    resolved here: the tolerances, the number of walls and each wall's
+    reader, each patch's center and tangent and each perturbation center as
+    Python floats, the perturbation's waves, and the library functions.  Per
+    point, the objective's gradient (for a negated function, the gradient of
+    the function it negates) and the metric are called once and each wall is
+    read once through `BoundaryConstraint.read`; the rest is the arithmetic
+    of `_eval_canonical_many`, component by component with the same
+    operations in the same order, so both give the same bits.  On a line, v
+    and each center's second coordinate are 0.0, which moves no bit, and the
+    second components of vectors are dropped; a metric other than the
+    identity takes the list helpers the batch takes.  A list of Python
+    floats, what the integrator passes, is read as it is and the vector
+    returned as a list of floats; a list of other numbers is read as their
+    floats, anything else through `np.asarray`, and both return an array.
+    Non-finite coordinates give NaN.
     """
-    chart, tol, dim, deck = field.chart, field.tol, field.chart.dim, field.chart.deck
+    chart, tol, deck = field.chart, field.tol, field.chart.deck
+    dim = chart.dim
     two_d = dim == 2
-    gradient = field.objective.gradient
+    # an ascent field descends f.negated(): the kernel calls f's gradient and
+    # negates its floats, as certification negates f's stored gradients
+    # (`BoundarySample.signed`), with the bits of the negation's float64 array
+    source = field.objective.negation_of
+    negated = source is not None
+    gradient = (source if negated else field.objective).gradient
     matrix = None if field.metric.identity else field.metric.matrix
+    array, asarray, ndarray, float64 = np.array, np.asarray, np.ndarray, _FLOAT
+    sqrt, isfinite, floor, sin = math.sqrt, math.isfinite, math.floor, math.sin
+    inf, nan = math.inf, math.nan
     readers = tuple(con.read for con in chart.constraints)
+    walls = len(readers)
+    read0, read1 = (*readers, None, None)[:2]
     period = None if deck is None else deck.period
     folds = deck is not None and deck.flip == -1
 
     def padded(c) -> list:
         return [*c, 0.0] if len(c) == 1 else list(c)
 
+    def keyed(c) -> tuple:
+        """A center as (c0, c1, what the gap in v compares with)."""
+        c0, c1 = padded(c)
+        return c0, c1, abs(c1) if folds else c1
+
     # a patch takes its depth z from its wall's value, read for the collar
-    patches = tuple((*padded(p.center.tolist()), *padded(p.tangent.tolist()), p.h,
-                     p.grad_norm_at_center, p.piece) for p in field.patches)
-    r_n, half, delta_c = field.r_n, 0.5 * field.r_n, field.delta_c
+    patches = tuple((*keyed(p.center.tolist()), (*padded(p.tangent.tolist()), p.h,
+                                                  p.grad_norm_at_center, p.piece))
+                    for p in field.patches)
+    r_n, half = field.r_n, 0.5 * field.r_n
     r_n_apart = gap_bound(chart, r_n)
+    # no wall lies in the collar of a field built without one
+    delta_c = field.delta_c if field.delta_c > 0.0 else -inf
     eps_n, g_min = tol.eps_n, tol.g_min
     perturb = field._perturb
     if perturb is not None:
-        centers = [padded(c) for c in perturb.centers]
+        centers = tuple(keyed(c) for c in perturb.centers)
         if two_d:
             (sg0, (w00, w01), ph0), (sg1, (w10, w11), ph1) = perturb._terms
         else:
             (sg0, (w00,), ph0), = perturb._terms
         # a center's factor in the envelope is exactly 1.0 beyond 2 r_excl,
         # where smoothstep saturates
-        bump, amp_max = 2.0 * tol.r_excl, tol.perturb_amp
+        bump, amp_max, env_width = 2.0 * tol.r_excl, tol.perturb_amp, tol.delta_c
         apart = gap_bound(chart, bump)
         seam = None if deck is None else 0.1 * period
 
-    def beyond(u, v, c0, c1, bound) -> bool:
-        """Whether a coordinate gap from canonical (u, v) to (c0, c1) exceeds bound."""
-        du = abs(u - c0)
-        if deck is not None:
-            du %= period
-            du = min(du, period - du)
-        return du > bound or (abs(abs(v) - abs(c1)) if folds else abs(v - c1)) > bound
-
     def evaluate(raw) -> Array | list:
         as_list = type(raw) is list
-        xs = raw if as_list else np.asarray(raw, dtype=float).tolist()
+        xs = raw if as_list else asarray(raw, dtype=float).tolist()
         u, v = xs if two_d else (xs[0], 0.0)
         if type(u) is not float or type(v) is not float:
             u, v = float(u), float(v)
             xs = [u, v] if two_d else [u]
             as_list = False
-        if not (math.isfinite(u) and math.isfinite(v)):
-            return [math.nan] * dim if as_list else np.full(dim, math.nan)
+        if not (isfinite(u) and isfinite(v)):
+            return [nan] * dim if as_list else np.full(dim, nan)
         flip = False
         if deck is not None:
-            k = math.floor(u / period)
+            k = floor(u / period)
             flip = k % 2 != 0 and folds
             u, v = u + -k * period, -v if flip else v
             xs = [u, v]
-        x = np.array(xs)
+            vk = abs(v) if folds else v
+        x = array(xs)
         grad = gradient(x)  # a float64 array is read as it is
-        grad = (grad if type(grad) is np.ndarray and grad.dtype is _FLOAT
-                else np.asarray(grad, dtype=float)).tolist()
-        g = None if matrix is None else np.asarray(matrix(x), dtype=float).tolist()
+        grad = (grad if type(grad) is ndarray and grad.dtype is float64
+                else asarray(grad, dtype=float)).tolist()
+        g = None if matrix is None else asarray(matrix(x), dtype=float).tolist()
         g0, g1 = grad if two_d else (grad[0], 0.0)
-        a0, a1 = (-g0, -g1) if g is None else padded([-c for c in _solve(g, grad)])
+        if negated:
+            g0, g1 = -g0, -g1
+        a0, a1 = ((-g0, -g1) if g is None
+                  else padded([-c for c in _solve(g, [g0, g1][:dim])]))
 
         # collar at the nearest wall; on a tie the first wall wins
-        depth = wall = math.inf
-        values = [read(xs) for read in readers]
+        depth = wall = inf
+        values = ((read0(xs),) if walls == 1 else (read0(xs), read1(xs)) if walls == 2
+                  else [read(xs) for read in readers])
         for b, piece_cov, gnorm in values:
-            piece_depth = -b / gnorm if gnorm >= 1e-30 else math.inf
-            if abs(piece_depth) < wall:
-                wall = abs(piece_depth)
+            piece_depth = -b / gnorm if gnorm >= 1e-30 else inf
+            gap = abs(piece_depth)
+            if gap < wall:
+                wall = gap
             if piece_depth < depth:
                 depth, cov = piece_depth, piece_cov
-        if delta_c > 0.0 and depth < delta_c:
+        if depth < delta_c:
             if g is None:
                 c0, c1 = cov if two_d else (cov[0], 0.0)
-                length = math.sqrt(c0 * c0 + c1 * c1 if two_d else c0 * c0)
+                length = sqrt(c0 * c0 + c1 * c1)   # c0 * c0 + 0.0 rounds as c0 * c0
                 n0, n1 = c0 / length, c1 / length
             else:
-                n0, n1 = padded(_unit_dual(cov, g, math.sqrt))
-            nu = g0 * n0 + g1 * n1 if two_d else g0 * n0
+                n0, n1 = padded(_unit_dual(cov, g, sqrt))
+            nu = g0 * n0 + g1 * n1   # a line's + 0.0 may clear a zero's sign: no bit moves
             if nu >= 0.0:
                 cap = eps_n
             else:
                 t0, t1 = a0 + nu * n0, a1 + nu * n1
-                g_t = math.sqrt((t0 * t0 + t1 * t1 if two_d else t0 * t0) if g is None
-                                else max(_quadratic([t0, t1][:dim], g), 0.0))
+                g_t = sqrt(t0 * t0 + t1 * t1 if g is None
+                           else max(_quadratic([t0, t1][:dim], g), 0.0))
                 cap = 0.0 if g_t < g_min else min(eps_n, g_t * g_t / (2.0 * abs(nu)))
             t = depth / delta_c if depth > 0.0 else 0.0
             s = 1.0 - t * t
@@ -499,17 +518,23 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | l
             a0, a1 = a0 + push * n0, a1 + push * n1
 
         # the first patch within r_n claims the point, even where its blend is zero
-        for c0, c1, t0, t1, h, grad_norm, piece in patches:
+        for c0, c1, k1, model in patches:
             d0, d1 = u - c0, v - c1
-            if deck is not None and beyond(u, v, c0, c1, r_n_apart):
-                continue  # at least r_n away: no deck image is measured
-            d = (math.sqrt(d0 * d0 + d1 * d1) if deck is None
-                 else coords_distance(chart, xs, (c0, c1)))
+            if deck is None:
+                d = sqrt(d0 * d0 + d1 * d1)
+            else:
+                du = abs(d0) % period
+                if period - du < du:
+                    du = period - du
+                if du > r_n_apart or abs(vk - k1) > r_n_apart:
+                    continue  # at least r_n away: no deck image is measured
+                d = coords_distance(chart, xs, (c0, c1))
             if d >= r_n:
                 continue
             s = (d - half) / half
             chi = 1.0 - (0.0 if s <= 0.0 else 1.0 if s >= 1.0 else s * s * (3.0 - 2.0 * s))
             if chi > 0.0:
+                t0, t1, h, grad_norm, piece = model
                 b, piece_cov, _ = values[piece]
                 z = -b / grad_norm
                 if two_d:
@@ -527,14 +552,24 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | l
         # the seeded bump field of `_Perturbation`, vanishing near the walls,
         # the critical points and the seam
         if perturb is not None:
-            s = wall / tol.delta_c
+            s = wall / env_width
             env = 0.0 if s <= 0.0 else 1.0 if s >= 1.0 else s * s * (3.0 - 2.0 * s)
-            for c0, c1 in centers:
+            for c0, c1, k1 in centers:
                 if env == 0.0:
                     break
-                if beyond(u, v, c0, c1, apart):
-                    continue  # the factor is exactly 1.0
-                s = coords_distance(chart, xs, (c0, c1)) / bump
+                d0 = u - c0
+                if deck is None:
+                    d1 = v - c1
+                    if abs(d0) > apart or abs(d1) > apart:
+                        continue  # the factor is exactly 1.0
+                    s = sqrt(d0 * d0 + d1 * d1) / bump
+                else:
+                    du = abs(d0) % period
+                    if period - du < du:
+                        du = period - du
+                    if du > apart or abs(vk - k1) > apart:
+                        continue
+                    s = coords_distance(chart, xs, (c0, c1)) / bump
                 env *= 0.0 if s <= 0.0 else 1.0 if s >= 1.0 else s * s * (3.0 - 2.0 * s)
             if env != 0.0 and deck is not None:
                 s = u % period
@@ -544,12 +579,12 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | l
                 a0, a1 = a0 + 0.0, a1 + 0.0
             elif two_d:
                 amp = amp_max * env
-                a0 = a0 + amp * (sg0 * math.sin(u * w00 + v * w01 + ph0))
-                a1 = a1 + amp * (sg1 * math.sin(u * w10 + v * w11 + ph1))
+                a0 = a0 + amp * (sg0 * sin(u * w00 + v * w01 + ph0))
+                a1 = a1 + amp * (sg1 * sin(u * w10 + v * w11 + ph1))
             else:
-                a0 = a0 + amp_max * env * (sg0 * math.sin(u * w00 + ph0))
+                a0 = a0 + amp_max * env * (sg0 * sin(u * w00 + ph0))
         vec = [a0, -a1 if flip else a1] if two_d else [a0]
-        return vec if as_list else np.array(vec)
+        return vec if as_list else array(vec)
 
     return evaluate
 

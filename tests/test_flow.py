@@ -36,7 +36,7 @@ def _zero(pkg, kind, grading):
 
 def test_flow_evaluates_the_field_only_through_evaluate(packages, monkeypatch):
     # the benchmark's tracer counts field evaluations, and times them, by
-    # wrapping `PseudoGradientField.evaluate`; a call of the compiled kernel
+    # wrapping `PseudoGradientField.evaluate`; a call of the field's kernel
     # past it would go uncounted
     calls = {"evaluate": 0, "kernel": 0}
     evaluate = PseudoGradientField.evaluate

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -6,8 +7,9 @@ import pytest
 
 from morseflow import catalog, pseudogradient
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalSet
-from morseflow.geometry import boundary_distance, chart_distance
+from morseflow.geometry import MetricField, boundary_distance, chart_distance
 from morseflow.params import DEFAULT
+from morseflow.pipeline import _setup
 from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch,
                                       build_adapted, certify_adapted, halton_sequence)
 
@@ -295,16 +297,35 @@ def test_empty_wall_sample_has_a_nan_inward_margin(packages):
     assert math.isnan(cert.inward_margin) and not cert.passed
 
 
-@pytest.mark.parametrize("name", ["interval", "moebius", "tilted_dome"])
-def test_point_kernel_reads_any_numbers_as_their_floats(packages, name):
+def _analysis_setup(packages, request, name):
+    """The set-up of an analysis of a catalog entry, of the flip = +1
+    `cylinder`, or of the disk under a scaled metric ("disk-scaled")."""
+    if name in packages:
+        pkg = packages[name]
+        return _setup(pkg.entry, DEFAULT, pkg.crit, pkg.sample)
+    entry = (request.getfixturevalue("cylinder") if name == "cylinder" else
+             dataclasses.replace(catalog.get("disk"), metric=MetricField.scaled(2, 2.0)))
+    return _setup(entry, DEFAULT)
+
+
+# a line, a strip with and without a fold, two walls, and perturbed fields on
+# a strip and off one
+@pytest.mark.parametrize("name, seed", [
+    *(pytest.param(name, 0, id=name)
+      for name in ("interval", "moebius", "tilted_dome", "annulus", "cylinder")),
+    *(pytest.param(name, 1, id=f"{name}-seed1") for name in ("moebius", "tilted_dome"))])
+def test_point_kernel_reads_any_numbers_as_their_floats(packages, request, name, seed):
     # the integrator passes lists of Python floats, which the kernel reads as
     # they are and answers with a list of floats; a list of ints, a list of
     # numpy float64 scalars and a tuple give the same bits in an array, and a
     # coordinate that is not finite gives NaN
-    field = packages[name].field_pos
+    setup = _analysis_setup(packages, request, name)
+    field = setup.build("N", seed or None)
     dim = field.chart.dim
     whole = [[0], [1]] if dim == 1 else [[0, 0], [1, 0], [3, -1], [-4, 1], [7, 0]]
-    points = whole + packages[name].sample.interior[:6].tolist()
+    # next to each critical point: in its patch or its perturbation bump
+    near = [(cp.coords + 0.07).tolist() for cp in setup.crit.points]
+    points = whole + setup.sample.interior[:6].tolist() + near
     for x in points:
         floats = field.evaluate([float(c) for c in x])
         assert type(floats) is list and all(type(c) is float for c in floats)
@@ -317,3 +338,55 @@ def test_point_kernel_reads_any_numbers_as_their_floats(packages, name):
             x = [0.5] * dim
             x[i] = bad
             assert np.isnan(field.evaluate(x)).all()
+
+
+def _counted_copy(field, counts):
+    """A copy of the field whose analysed function's callables (f's, of which
+    an ascent field descends the negation), metric and wall readers count
+    their calls into counts; the copy builds its own kernel."""
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    chart, source = field.chart, field.objective.negation_of or field.objective
+    f = dataclasses.replace(source, value=counted("value", source.value),
+                            gradient=counted("gradient", source.gradient),
+                            hessian=counted("hessian", source.hessian))
+    objective = f if field.objective.negation_of is None else f.negated()
+    walls = tuple(dataclasses.replace(con, read=counted(("read", i), con.read))
+                  for i, con in enumerate(chart.constraints))
+    return dataclasses.replace(
+        field, objective=objective, chart=dataclasses.replace(chart, constraints=walls),
+        metric=dataclasses.replace(field.metric,
+                                   matrix=counted("matrix", field.metric.matrix)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", catalog.names() + ["cylinder", "disk-scaled"])
+def test_one_kernel_call_reads_each_input_once(packages, request, name, seed):
+    # `objective_evals` counts the calls of the analysed function's own
+    # callables from outside, and the flow's cost rests on one gradient, one
+    # metric matrix (none for the identity) and one read of each wall per
+    # evaluation, wherever the point lies: in the collar, a patch, near a
+    # perturbation center, or off the strip's period
+    setup = _analysis_setup(packages, request, name)
+    chart = setup.entry.chart
+    dim = chart.dim
+    offsets = np.array([[0.0] * dim, [1e-3] * dim, [-0.04] * dim, [0.12] * dim])
+    points = np.concatenate([setup.sample.interior[:6], setup.sample.wall[::250]]
+                            + [cp.coords + offsets for cp in setup.crit.points])
+    if chart.deck is not None:
+        points = np.concatenate([points + [k * chart.deck.period, 0.0] for k in (-1, 0, 3)])
+    for side in ("N", "D"):
+        counts = collections.Counter()
+        field = _counted_copy(setup.build(side, seed or None), counts)
+        assert (field._perturb is None) == (seed == 0)
+        want = {"gradient": 1, **{("read", i): 1 for i in range(len(chart.constraints))}}
+        if not field.metric.identity:
+            want["matrix"] = 1
+        for x in points.tolist():
+            counts.clear()
+            assert type(field.evaluate(x)) is list
+            assert counts == want
