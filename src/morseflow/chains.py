@@ -176,12 +176,6 @@ class IntegerChainComplex:
     def rank(self, k: int) -> int:
         return len(self.generators[k]) if 0 <= k <= self.top_dim else 0
 
-    def matrix(self, k: int) -> IntMatrix:
-        """Incidence matrix out of degree k (zero-shaped if absent)."""
-        if k in self.matrices:
-            return self.matrices[k]
-        return zeros(self.rank(k), self.rank(k + self.step))
-
     def homology(self) -> HomologyResult:
         """One Smith form per stored matrix, none for one without entries: a
         matrix from degree k to k + step lowers both Betti numbers by its

@@ -111,16 +111,16 @@ def cmd_list(_args) -> int:
 def cmd_analyze(args) -> int:
     try:
         tol = _parse_tolerances(args.tol)
-        entry = catalog.get(args.name)
-    except UnknownEntry:
-        print(f"unknown entry: {args.name}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError) as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return 1
     try:
+        entry = catalog.get(args.name)
         pkg = build_package(entry, args.seed, tol)
-    except MorseflowError as exc:
+    except UnknownEntry:
+        print(f"unknown entry: {args.name}", file=sys.stderr)
+        return 1
+    except MorseflowError as exc:  # NotMorse too, from an entry failing validation
         print(f"analysis failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     keys = _selected_keys(args.complex, args.coefficients)

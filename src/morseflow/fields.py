@@ -1,15 +1,18 @@
 """Smooth scalar functions on a chart, with exact first and second derivatives.
 
-Derivative closures are supplied analytically per catalog entry; finite
-differences appear only as consistency oracles, which evaluate all their
-sample points in one batch per call.  Every evaluator accepts a single
-coordinate vector or a batch with the coordinates on the last axis.
-The Morse clauses are judged where each critical point is classified; two
-points may share a critical value, as the lifts to a cyclic cover do, since
-no orbit runs between equal values.
+Derivative closures are supplied analytically per catalog entry and checked
+once, when the entry is constructed (`validate_field`): the gradient against
+central differences of the value, the hessian against central differences of
+the gradient, and deck equivariance, all on one deterministic sample of the
+chart's box (`halton_sequence`), evaluated in one batch per call.  Every
+evaluator accepts a single coordinate vector or a batch with the coordinates
+on the last axis.  The Morse clauses are judged where each critical point is
+classified; two points may share a critical value, as the lifts to a cyclic
+cover do, since no orbit runs between equal values.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
@@ -47,21 +50,70 @@ class MorseField:
         )
 
 
-def _sample_points(chart: Chart, count: int, rng: np.random.Generator) -> Array:
+# the low digits each base's table covers: tables of 4,096, 2,187 and 3,125 sums
+_TABLE_DIGITS = {2: 12, 3: 7, 5: 5}
+
+
+@functools.cache
+def _radical_table(base: int) -> tuple[Array, float]:
+    """The radical inverse's running sum over the low `_TABLE_DIGITS[base]`
+    digits of every index below base**digits, and the last digit's weight."""
+    i = np.arange(base ** _TABLE_DIGITS[base], dtype=np.int64)
+    f = 1.0
+    r = np.zeros(len(i))
+    for _ in range(_TABLE_DIGITS[base]):
+        f /= base
+        r += f * (i % base)
+        i //= base
+    r.flags.writeable = False
+    return r, f
+
+
+def halton_sequence(count: int, dim: int, skip: int = 20) -> Array:
+    """Low-discrepancy points in the unit cube (radical inverse, bases 2/3/5).
+
+    Digit k of an index adds its value times base**-(k+1) to the running
+    sum, lowest digit first; the sum over the low digits is read from a
+    table, and the higher digits are added in the same order, so the bits
+    are those of the digit-by-digit sum.
+    """
+    idx = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
+    out = np.zeros((count, dim))
+    for d, b in enumerate((2, 3, 5)[:dim]):
+        table, f = _radical_table(b)
+        r = table[idx % len(table)]
+        i = idx // len(table)
+        while i.max() > 0:
+            f /= b
+            r += f * (i % b)
+            i //= b
+        out[:, d] = r
+    return out
+
+
+def _sample_points(chart: Chart) -> Array:
+    """The construction checks' sample: the first 200 Halton points of the
+    chart's box."""
     lo, hi = np.array(chart.box, dtype=float).T
-    return lo + (hi - lo) * rng.random((count, len(lo)))
+    return lo + (hi - lo) * halton_sequence(200, len(lo))
 
 
-def check_deck_invariance(field: MorseField, chart: Chart,
-                          samples: int = 100, tol: float = 1e-9,
-                          seed: int = 7) -> float:
+def _central_differences(fn: Callable[[Array], Array], pts: Array, step: float) -> Array:
+    """Central differences of fn along each axis, stacked on a new last axis:
+    one call per side of each axis."""
+    cols = []
+    for e in step * np.eye(pts.shape[1]):
+        cols.append((np.asarray(fn(pts + e), dtype=float)
+                     - np.asarray(fn(pts - e), dtype=float)) / (2 * step))
+    return np.stack(cols, axis=-1)
+
+
+def check_deck_invariance(field: MorseField, chart: Chart) -> float:
     """Worst deviation of value/gradient/hessian from deck equivariance,
-    over `samples` points of the box and their images, each evaluated in
-    one batch."""
+    over the sample points and their images, each evaluated in one batch."""
     if chart.deck is None:
         return 0.0
-    rng = np.random.default_rng(seed)
-    pts = _sample_points(chart, samples, rng)
+    pts = _sample_points(chart)
     tx = deck_apply(chart, 1, pts)
 
     def deviation(fn, differential) -> float:
@@ -73,34 +125,31 @@ def check_deck_invariance(field: MorseField, chart: Chart,
     flip = np.array([1.0, float(chart.deck.flip)])
     worst = max(deviation(field.value, 1.0), deviation(field.gradient, flip),
                 deviation(field.hessian, np.outer(flip, flip)))
-    if not worst <= tol:  # NaN fails too
+    if not worst <= 1e-9:  # NaN fails too
         raise NotMorse(f"field is not deck invariant (deviation {worst:.2e})")
     return worst
 
 
-def check_derivative_consistency(field: MorseField, chart: Chart,
-                                 samples: int = 100, seed: int = 11) -> float:
-    """Hessian versus central differences of the gradient; returns worst rel
-    error, relative to each point's largest hessian entry (at least 1).  The
-    hessian is evaluated in one batch, the gradient in one per side of each
-    axis."""
-    rng = np.random.default_rng(seed)
-    pts = _sample_points(chart, samples, rng)
-    dim = pts.shape[1]
-    step = 1e-5
+def check_derivative_consistency(field: MorseField, chart: Chart) -> tuple[float, float]:
+    """Worst relative errors of the gradient against central differences of
+    the value, relative to max(1, |component|), and of the hessian against
+    central differences of the gradient, relative to each point's largest
+    hessian entry (at least 1), over the sample points."""
+    pts = _sample_points(chart)
+    grad = np.asarray(field.gradient(pts), dtype=float)
+    g_fd = _central_differences(field.value, pts, 1e-6)
+    g_worst = float(np.max(np.abs(g_fd - grad) / np.maximum(1.0, np.abs(grad)),
+                           initial=0.0))
+    if not g_worst <= 1e-5:  # NaN fails too
+        raise NotMorse(f"gradient disagrees with finite differences ({g_worst:.2e})")
     h_exact = np.asarray(field.hessian(pts), dtype=float)
-    h_fd = np.zeros_like(h_exact)
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = step
-        h_fd[:, :, j] = (np.asarray(field.gradient(pts + e), dtype=float)
-                         - np.asarray(field.gradient(pts - e), dtype=float)) / (2 * step)
+    h_fd = _central_differences(field.gradient, pts, 1e-5)
     scale = np.maximum(1.0, np.max(np.abs(h_exact), axis=(1, 2)))
-    worst = float(np.max(np.max(np.abs(h_fd - h_exact), axis=(1, 2)) / scale,
-                         initial=0.0))
-    if not worst <= 1e-4:  # NaN fails too
-        raise NotMorse(f"hessian disagrees with finite differences ({worst:.2e})")
-    return worst
+    h_worst = float(np.max(np.max(np.abs(h_fd - h_exact), axis=(1, 2)) / scale,
+                           initial=0.0))
+    if not h_worst <= 1e-4:  # NaN fails too
+        raise NotMorse(f"hessian disagrees with finite differences ({h_worst:.2e})")
+    return g_worst, h_worst
 
 
 def validate_field(field: MorseField, chart: Chart) -> None:

@@ -59,7 +59,6 @@ product rounds by that order.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable
@@ -69,7 +68,7 @@ import numpy as np
 from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, BoundarySample, CriticalPoint,
                        CriticalSet)
 from .errors import BlendGapFailure
-from .fields import MorseField
+from .fields import MorseField, halton_sequence
 from .geometry import (Chart, MetricField, active_constraint, chart_distance,
                        chart_distance_many, coords_distance, deck_reduce, gap_bound,
                        metric_matrices, near_rows, plain_dot, row_dot)
@@ -81,47 +80,6 @@ _FLOAT = np.dtype(float)
 
 def _smoothstep_many(s: Array) -> Array:
     return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, s * s * (3.0 - 2.0 * s)))
-
-
-# the low digits each base's table covers: tables of 4,096, 2,187 and 3,125 sums
-_TABLE_DIGITS = {2: 12, 3: 7, 5: 5}
-
-
-@functools.cache
-def _radical_table(base: int) -> tuple[Array, float]:
-    """The radical inverse's running sum over the low `_TABLE_DIGITS[base]`
-    digits of every index below base**digits, and the last digit's weight."""
-    i = np.arange(base ** _TABLE_DIGITS[base], dtype=np.int64)
-    f = 1.0
-    r = np.zeros(len(i))
-    for _ in range(_TABLE_DIGITS[base]):
-        f /= base
-        r += f * (i % base)
-        i //= base
-    r.flags.writeable = False
-    return r, f
-
-
-def halton_sequence(count: int, dim: int, skip: int = 20) -> Array:
-    """Low-discrepancy points in the unit cube (radical inverse, bases 2/3/5).
-
-    Digit k of an index adds its value times base**-(k+1) to the running
-    sum, lowest digit first; the sum over the low digits is read from a
-    table, and the higher digits are added in the same order, so the bits
-    are those of the digit-by-digit sum.
-    """
-    idx = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
-    out = np.zeros((count, dim))
-    for d, b in enumerate((2, 3, 5)[:dim]):
-        table, f = _radical_table(b)
-        r = table[idx % len(table)]
-        i = idx // len(table)
-        while i.max() > 0:
-            f /= b
-            r += f * (i % b)
-            i //= b
-        out[:, d] = r
-    return out
 
 
 # ---------------------------------------------------------------------------

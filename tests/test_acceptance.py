@@ -2,6 +2,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from morseflow import catalog, cli, flow, pipeline
@@ -78,21 +79,30 @@ def test_criterion_10_numerics(ctx):
     _run(V.check_numerics, ctx)
 
 
-def test_criterion_10_fails_on_a_nan_gradient_error(ctx, monkeypatch):
-    monkeypatch.setattr(V, "_gradient_fd_error", lambda entry, rng, samples: math.nan)
-    result = V.check_numerics(ctx)
+def test_criterion_10_fails_on_a_nan_gradient_error(monkeypatch):
+    """A NaN gradient fails the gradient's check when the entry is
+    constructed, so criterion 10 fails with the construction's NotMorse."""
+    make = catalog._BUILDERS["interval"]
+
+    def broken():
+        entry = make()
+        return dataclasses.replace(entry, field=dataclasses.replace(
+            entry.field, gradient=lambda x: np.full(np.shape(x), np.nan)))
+
+    monkeypatch.setitem(catalog._BUILDERS, "interval", broken)
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    monkeypatch.setattr(catalog, "names", lambda: ["interval"])
+    result = V.check_numerics(V.VerificationContext(seed=0))
     assert not result.passed
-    assert "interval: gradient fd error nan" in result.detail
+    assert result.detail == "NotMorse: gradient disagrees with finite differences (nan)"
 
 
 def test_criterion_10_fails_on_a_nan_boundary_restriction(packages, ctx, monkeypatch):
     # an all-NaN disk function, given to the checks after the packages are
-    # built: the boundary check alone must fail it, so the gradient check is
-    # passed over
+    # built: the boundary check alone must fail it
     disk = dataclasses.replace(catalog.get("disk"), field=nan_field())
     get = catalog.get
     monkeypatch.setattr(V.catalog, "get", lambda name: disk if name == "disk" else get(name))
-    monkeypatch.setattr(V, "_gradient_fd_error", lambda entry, rng, samples: 0.0)
     assert math.isnan(V._boundary_fd_error(disk, packages["disk"]))
     result = V.check_numerics(ctx)
     assert not result.passed

@@ -18,13 +18,12 @@ from morseflow import catalog, critical, fields, geometry, pipeline, pseudogradi
 from morseflow.critical import (CriticalSet, _walk_slopes, boundary_components,
                                 boundary_loop_count, boundary_sample)
 from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
-from morseflow.fields import MorseField, boundary_restriction_derivatives
+from morseflow.fields import MorseField, boundary_restriction_derivatives, halton_sequence
 from morseflow.geometry import (BoundaryConstraint, Chart, MetricField,
                                 boundary_frame, boundary_frames, chart_distance_many,
                                 normalize_point)
 from morseflow.params import DEFAULT
-from morseflow.pseudogradient import (certification_sample, certify_adapted,
-                                     halton_sequence)
+from morseflow.pseudogradient import certification_sample, certify_adapted
 
 from conftest import drawn_sample
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from morseflow.errors import UnknownEntry
 from morseflow.fields import validate_field
 
 from conftest import EXPECTED
+from test_cli import _source_env
 from test_interior_saddles import FIXTURES
 
 def _group(betti, torsion=None):
@@ -157,3 +161,17 @@ def test_one_point_value_is_the_batch_row(cylinder):
         batch = np.asarray(entry.field.value(pts), dtype=float)
         one = np.array([float(entry.field.value(p)) for p in pts])
         assert one.tobytes() == batch.tobytes(), entry.name
+
+
+def test_construction_leaves_numpy_random_unimported(tmp_path):
+    # numpy imports numpy.random on first use only, and that import is most
+    # of a fresh process's first catalog.get
+    code = ("import sys\n"
+            "from morseflow import catalog\n"
+            "for name in catalog.names():\n"
+            "    catalog.get(name)\n"
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_source_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -214,6 +214,24 @@ def test_empty_interior_sample_fails_certification(capsys):
     assert "'descent_margin': nan" in err and "'interior_samples': 0" in err
 
 
+def test_entry_failing_validation_is_reported(capsys, monkeypatch):
+    # a disk whose hessian is off by the identity fails at construction
+    make = catalog._BUILDERS["disk"]
+
+    def broken():
+        entry = make()
+        hessian = entry.field.hessian
+        return dataclasses.replace(entry, field=dataclasses.replace(
+            entry.field, hessian=lambda x: hessian(x) + np.eye(2)))
+
+    monkeypatch.setitem(catalog._BUILDERS, "disk", broken)
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    code, out, err = run(capsys, "analyze", "disk", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("analysis failed: NotMorse: hessian disagrees")
+    assert "Traceback" not in err
+
+
 def test_python_m_matches_main(tmp_path, capsys):
     argv = ["analyze", "interval", "--format", "json"]
     _, expected, _ = run(capsys, *argv)

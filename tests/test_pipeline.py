@@ -42,22 +42,22 @@ def test_complex_ranks(packages):
 
 def test_incidence_matrices(packages):
     ann = packages["annulus"].complexes["N_untwisted"]
-    assert ann.matrix(1) == [[0]]
+    assert ann.matrices[1] == [[0]]
     moe_tw = packages["moebius"].complexes["N_orientation"]
-    assert moe_tw.matrix(1) in ([[2]], [[-2]])
+    assert moe_tw.matrices[1] in ([[2]], [[-2]])
     moe = packages["moebius"].complexes["N_untwisted"]
-    assert moe.matrix(1) == [[0]]
+    assert moe.matrices[1] == [[0]]
     dome = packages["tilted_dome"].complexes["N_untwisted"]
-    assert abs(dome.matrix(2)[0][0]) == 1
-    assert dome.matrix(1) == [[0]]
+    assert abs(dome.matrices[2][0][0]) == 1
+    assert dome.matrices[1] == [[0]]
 
 
 def test_relative_side_matrices(packages):
     ann_d = packages["annulus"].complexes["D_untwisted"]
     assert ann_d.step == 1
-    assert ann_d.matrix(1) == [[0]]
+    assert ann_d.matrices[1] == [[0]]
     moe_d = packages["moebius"].complexes["D_orientation"]
-    assert moe_d.matrix(1) in ([[2]], [[-2]])
+    assert moe_d.matrices[1] in ([[2]], [[-2]])
 
 
 def test_homology_matches_catalog_references(packages):

@@ -10,8 +10,9 @@ from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalSet
 from morseflow.geometry import MetricField, boundary_distance, chart_distance
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _setup
+from morseflow.fields import halton_sequence
 from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch,
-                                      build_adapted, certify_adapted, halton_sequence)
+                                      build_adapted, certify_adapted)
 
 from conftest import drawn_sample, evaluate_many
 
