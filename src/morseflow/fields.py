@@ -1,14 +1,17 @@
 """Smooth scalar functions on a chart, with exact first and second derivatives.
 
-Derivative closures are supplied analytically per catalog entry and checked
-once, when the entry is constructed (`validate_field`): the gradient against
-central differences of the value, the hessian against central differences of
-the gradient, and deck equivariance, all on one deterministic sample of the
-chart's box (`halton_sequence`), evaluated in one batch per call.  Every
-evaluator accepts a single coordinate vector or a batch with the coordinates
-on the last axis.  The Morse clauses are judged where each critical point is
-classified; two points may share a critical value, as the lifts to a cyclic
-cover do, since no orbit runs between equal values.
+Derivative closures are supplied analytically per catalog entry, for the
+function and for each wall, and checked once, when the entry is constructed
+(`validate_field`): the gradient against central differences of the value,
+the hessian against central differences of the gradient, and the function's
+deck equivariance, all on one deterministic sample of the chart's box
+(`halton_sequence`), evaluated in one batch per call.  A wall's hessian is an
+input too: it carries the wall's second fundamental form into the boundary
+restriction's second derivative.  Every evaluator accepts a single coordinate
+vector or a batch with the coordinates on the last axis.  The Morse clauses
+are judged where each critical point is classified; two points may share a
+critical value, as the lifts to a cyclic cover do, since no orbit runs between
+equal values.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotMorse, NotOnBoundary
-from .geometry import (Chart, MetricField, active_constraint, deck_apply, metric_normal,
-                       turn_clockwise)
+from .geometry import (BoundaryConstraint, Chart, MetricField, active_constraint,
+                       deck_apply, metric_normal, turn_clockwise)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -130,11 +133,13 @@ def check_deck_invariance(field: MorseField, chart: Chart) -> float:
     return worst
 
 
-def check_derivative_consistency(field: MorseField, chart: Chart) -> tuple[float, float]:
+def check_derivative_consistency(field: MorseField | BoundaryConstraint,
+                                 chart: Chart) -> tuple[float, float]:
     """Worst relative errors of the gradient against central differences of
     the value, relative to max(1, |component|), and of the hessian against
     central differences of the gradient, relative to each point's largest
-    hessian entry (at least 1), over the sample points."""
+    hessian entry (at least 1), over the sample points.  It reads only
+    `value`, `gradient` and `hessian`, so it takes a wall as it is."""
     pts = _sample_points(chart)
     grad = np.asarray(field.gradient(pts), dtype=float)
     g_fd = _central_differences(field.value, pts, 1e-6)
@@ -153,9 +158,16 @@ def check_derivative_consistency(field: MorseField, chart: Chart) -> tuple[float
 
 
 def validate_field(field: MorseField, chart: Chart) -> None:
-    """Construction-time checks: deck equivariance and derivative consistency."""
+    """Construction-time checks: the field's deck equivariance, and the
+    derivative consistency of the field and of every wall of the chart; a
+    wall's failure names the wall."""
     check_deck_invariance(field, chart)
     check_derivative_consistency(field, chart)
+    for wall in chart.constraints:
+        try:
+            check_derivative_consistency(wall, chart)
+        except NotMorse as exc:
+            raise NotMorse(f"wall {wall.name!r}: {exc}") from None
 
 
 def boundary_restriction_derivatives(field: MorseField, chart: Chart,

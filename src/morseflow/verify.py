@@ -6,27 +6,20 @@ which compare every flavour with the reference groups the catalog derives from
 each entry's dimension, χ and orientability.  Criteria 5 and 8 hold the
 critical counts against those groups directly: the staircase (strong Morse)
 inequalities on each side and on the doubled manifold.  Criterion 10 checks
-the certificate margins, the boundary restriction's derivatives against
-arclength differences, and Smith forms against an oracle that takes minors up
-to 3 x 3 by closed forms.  The catalog functions' own derivatives are checked
-when each entry is constructed (`fields.validate_field`), before any package
-is built, so a wrong one fails every criterion.
+the certificate margins.  Each criterion judges what a run can get wrong: the
+catalog functions' and walls' derivatives are checked when each entry is
+constructed (`fields.validate_field`), before any package is built, so a wrong
+one fails every criterion, and the Smith form, which reads no input, is held
+to an oracle by the tests.
 """
 from __future__ import annotations
 
 import functools
-import math
-import random
-from itertools import combinations, product
-
-import numpy as np
 
 from . import catalog
-from .chains import int_det, smith_normal_form, staircase_quotient
-from .critical import BOUNDARY_N, INTERIOR, _boundary_step
+from .chains import staircase_quotient
+from .critical import BOUNDARY_N, INTERIOR
 from .errors import MorseflowError
-from .fields import boundary_restriction_derivatives
-from .geometry import boundary_frame, normalize_point
 from .params import DEFAULT, Tolerances
 from .pipeline import (COMPLEX_TARGETS, CheckRecord, MorsePackage,
                        assert_identical_homology, build_package, complex_key,
@@ -158,36 +151,38 @@ def check_morse_inequalities(ctx: VerificationContext):
     return not bad, "; ".join(bad) or "quotients exact, dome q_n = T"
 
 
-def _find_id(pkg: MorsePackage, kind: str, grading: int) -> int:
-    for cp in pkg.crit.points:
-        if cp.kind == kind and cp.grading == grading:
-            return cp.id
-    raise KeyError((kind, grading))
+# each entry's forced N-side incidence, from its first critical point of
+# (kind, grading) source to its first of target, and the judge returning
+# (passed, detail) for it
+_FORCED = (
+    ("annulus", (BOUNDARY_N, 1), (BOUNDARY_N, 0),
+     lambda inc: (inc.count == 0 and len(inc.orbits) == 2
+                  and sorted(o.sign for o in inc.orbits) == [-1, 1],
+                  f"annulus m={inc.count} from {len(inc.orbits)} orbits")),
+    ("moebius", (INTERIOR, 1), (BOUNDARY_N, 0),
+     lambda inc: (inc.count == 0 and abs(inc.count_twisted) == 2 and len(inc.orbits) == 2,
+                  f"moebius m={inc.count}, twisted={inc.count_twisted}")),
+    ("tilted_dome", (INTERIOR, 2), (BOUNDARY_N, 1),
+     lambda inc: (abs(inc.count) == 1, f"dome |m|={abs(inc.count)}")),
+)
 
 
 @_criterion(6, "forced orbit multiplicities and signs")
 def check_forced_orbit_counts(ctx: VerificationContext):
+    """A critical set without a forced incidence's source or target fails
+    the criterion, which names the incidence."""
     msgs, ok = [], True
-    pkg = ctx.package("annulus")
-    inc = pkg.incidences["N"][(_find_id(pkg, BOUNDARY_N, 1),
-                               _find_id(pkg, BOUNDARY_N, 0))]
-    good = (inc.count == 0 and len(inc.orbits) == 2
-            and sorted(o.sign for o in inc.orbits) == [-1, 1])
-    ok &= good
-    msgs.append(f"annulus m={inc.count} from {len(inc.orbits)} orbits")
-    pkg = ctx.package("moebius")
-    inc = pkg.incidences["N"][(_find_id(pkg, INTERIOR, 1),
-                               _find_id(pkg, BOUNDARY_N, 0))]
-    good = (inc.count == 0 and abs(inc.count_twisted) == 2
-            and len(inc.orbits) == 2)
-    ok &= good
-    msgs.append(f"moebius m={inc.count}, twisted={inc.count_twisted}")
-    pkg = ctx.package("tilted_dome")
-    inc = pkg.incidences["N"][(_find_id(pkg, INTERIOR, 2),
-                               _find_id(pkg, BOUNDARY_N, 1))]
-    ok &= abs(inc.count) == 1
-    msgs.append(f"dome |m|={abs(inc.count)}")
-    return bool(ok), "; ".join(msgs)
+    for name, source, target, judge in _FORCED:
+        pkg = ctx.package(name)
+        ids = tuple(next((cp.id for cp in pkg.crit.points if (cp.kind, cp.grading) == want),
+                         None) for want in (source, target))
+        inc = pkg.incidences["N"].get(ids)
+        good, msg = judge(inc) if inc is not None else (False, (
+            f"{name}: no N incidence from {source[0]} grading {source[1]} "
+            f"to {target[0]} grading {target[1]}"))
+        ok &= good
+        msgs.append(msg)
+    return ok, "; ".join(msgs)
 
 
 @_criterion(7, "duality pairing is unimodular")
@@ -237,144 +232,17 @@ def check_invariance(ctx: VerificationContext, seeds=(1, 2, 3)):
 # --- numerical hygiene -------------------------------------------------------
 
 
-def _minors(mat: list[list[int]], k: int):
-    """The k x k minors of mat, row selections outer and column selections
-    inner, each in lexicographic order: closed forms up to 3 x 3 (for k = 1
-    the entries), `int_det` beyond."""
-    rows, cols = range(len(mat)), range(len(mat[0]))
-    if k == 1:
-        return (v for row in mat for v in row)
-    if k == 2:
-        return (a[j0] * b[j1] - a[j1] * b[j0]
-                for a, b in combinations(mat, 2)
-                for j0, j1 in combinations(cols, 2))
-    if k == 3:
-        return (a[j0] * (b[j1] * c[j2] - b[j2] * c[j1])
-                - a[j1] * (b[j0] * c[j2] - b[j2] * c[j0])
-                + a[j2] * (b[j0] * c[j1] - b[j1] * c[j0])
-                for a, b, c in combinations(mat, 3)
-                for j0, j1, j2 in combinations(cols, 3))
-    return (int_det([[mat[i][j] for j in csel] for i in rsel])
-            for rsel, csel in product(combinations(rows, k), combinations(cols, k)))
-
-
-def snf_oracle(mat: list[list[int]]) -> tuple[tuple[int, ...], int]:
-    """Invariant factors from determinant-divisor gcds (brute force).
-
-    D_{k-1} divides every k x k minor, so the scan of degree k's minors stops
-    once their gcd has come down to D_{k-1}: D_k can fall no further.
-    """
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    diag = []
-    prev = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for minor in _minors(mat, k):
-            g = math.gcd(g, minor)
-            if g == prev:
-                break
-        if g == 0:
-            break
-        diag.append(g // prev)
-        prev = g
-    return tuple(diag), len(diag)
-
-
-def rational_rank(mat: list[list[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
-
-    Every entry stays an integer: after pivot k an entry below the pivots is
-    a (k+1) x (k+1) minor of the matrix, so each division by the previous
-    pivot is exact, and a column with no pivot left stays zero below.
-    """
-    work = [list(row) for row in mat]
-    rows, cols = len(work), len(work[0]) if mat else 0
-    rank, prev = 0, 1
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, rows):
-            factor = work[r][col]
-            work[r] = [(lead * a - factor * b) // prev for a, b in zip(work[r], work[rank])]
-        prev = lead
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def fuzz_matrices(cases: int = 1000, seed: int = 20240501):
-    """The SNF fuzz's matrices: 1 to 4 rows and columns, entries in [-5, 5]."""
-    rng = random.Random(seed)
-    for _ in range(cases):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        yield [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-
-
-def snf_fuzz(cases: int = 1000, seed: int = 20240501) -> tuple[int, str]:
-    for i, mat in enumerate(fuzz_matrices(cases, seed)):
-        got_diag, got_rank = smith_normal_form(mat)
-        want_diag, want_rank = snf_oracle(mat)
-        want_diag = tuple(d for d in want_diag if d != 0)
-        if got_rank != rational_rank(mat) or got_diag != want_diag:
-            return i, f"case {i}: {mat} -> {got_diag} vs oracle {want_diag}"
-    return cases, "all cases agree"
-
-
 @_criterion(10, "numerical hygiene")
 def check_numerics(ctx: VerificationContext):
+    """The margins of every package's two certificates, with NaN failing."""
     bad = []
     for name in catalog.names():
         pkg = ctx.package(name)
         for label, fld in (("descent", pkg.field_pos), ("ascent", pkg.field_neg)):
             cert = fld.certificate
-            if cert.descent_margin >= -1e-6 or cert.inward_margin <= 1e-6:
+            if not (cert.descent_margin < -1e-6 and cert.inward_margin > 1e-6):
                 bad.append(f"{name}/{label}: {cert.as_dict()}")
-        worst = _boundary_fd_error(catalog.get(name), pkg)
-        if not worst <= 1e-4:  # NaN fails too
-            bad.append(f"{name}: boundary fd error {worst:.2e}")
-    count, msg = snf_fuzz()
-    if count != 1000:
-        bad.append(f"snf oracle: {msg}")
-    return not bad, ("; ".join(bad) or
-                     "certificates, derivative checks, and snf fuzz all pass")
-
-
-def _boundary_fd_error(entry, pkg) -> float:
-    """Arclength finite differences of the restriction at the boundary
-    criticals and a fixed arclength either side of each, where the first
-    difference also checks the sign of the step along the boundary.
-
-    The steps are taken in chart arclength and g_t, h_t are per metric-unit
-    arclength, so the differences are converted with the euclidean length of
-    the metric-unit tangent, as the critical search's refinement does."""
-    chart, field = entry.chart, entry.field
-    if chart.dim != 2:
-        return 0.0
-    errors = [0.0]
-    h = 1e-4
-    for cp in pkg.crit.points:
-        if cp.kind == INTERIOR:
-            continue
-        for x0 in (cp.coords, _boundary_step(chart, cp.coords, 0.1),
-                   _boundary_step(chart, cp.coords, -0.1)):
-            plus = _boundary_step(chart, x0, h) if x0 is not None else None
-            minus = _boundary_step(chart, x0, -h) if x0 is not None else None
-            if plus is None or minus is None:
-                continue
-            f0, fp, fm = (float(field.value(x)) for x in (x0, plus, minus))
-            pt = normalize_point(chart, x0)
-            t_len = float(np.linalg.norm(boundary_frame(chart, pt, entry.metric)[1]))
-            g_t, h_t = boundary_restriction_derivatives(field, chart, pt, entry.metric)
-            first = (fp - fm) / (2 * h) * t_len
-            second = (fp - 2 * f0 + fm) / h ** 2 * t_len ** 2
-            errors += [abs(first - g_t) / max(1.0, abs(g_t)),
-                       abs(second - h_t) / max(1.0, abs(h_t))]
-    return float(np.max(errors))  # NaN-propagating, unlike the builtin max
+    return not bad, "; ".join(bad) or "certificate margins all pass"
 
 
 ALL_CHECKS = (

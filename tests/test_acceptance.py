@@ -1,4 +1,5 @@
 """One test per acceptance criterion; each prints its own pass/fail line."""
+import copy
 import dataclasses
 import math
 
@@ -6,12 +7,10 @@ import numpy as np
 import pytest
 
 from morseflow import catalog, cli, flow, pipeline
-from morseflow.critical import INTERIOR, CriticalSet
+from morseflow.critical import BOUNDARY_N, INTERIOR, CriticalSet
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 from morseflow import verify as V
-
-from test_fields import nan_field
 
 
 def _run(check, ctx, *args):
@@ -97,16 +96,60 @@ def test_criterion_10_fails_on_a_nan_gradient_error(monkeypatch):
     assert result.detail == "NotMorse: gradient disagrees with finite differences (nan)"
 
 
-def test_criterion_10_fails_on_a_nan_boundary_restriction(packages, ctx, monkeypatch):
-    # an all-NaN disk function, given to the checks after the packages are
-    # built: the boundary check alone must fail it
-    disk = dataclasses.replace(catalog.get("disk"), field=nan_field())
-    get = catalog.get
-    monkeypatch.setattr(V.catalog, "get", lambda name: disk if name == "disk" else get(name))
-    assert math.isnan(V._boundary_fd_error(disk, packages["disk"]))
+@pytest.mark.parametrize("margin", [-1e-7, math.nan])
+def test_criterion_10_fails_on_a_thin_descent_margin(packages, margin):
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = dict(packages)
+    assert V.check_numerics(ctx).passed
+    # a copy of the disk's descent field, so the shared package keeps its own
+    field = copy.copy(packages["disk"].field_pos)
+    field.certificate = dataclasses.replace(field.certificate, descent_margin=margin)
+    ctx._packages["disk"] = dataclasses.replace(packages["disk"], field_pos=field)
     result = V.check_numerics(ctx)
     assert not result.passed
-    assert result.detail == "disk: boundary fd error nan"
+    assert result.detail.startswith(f"disk/descent: {{'descent_margin': {margin}, ")
+
+
+def test_criterion_10_reads_no_catalog_function(packages, monkeypatch):
+    """Criterion 10 judges the built packages only: with every package
+    built, it passes with no catalog entry to read."""
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = dict(packages)
+
+    def unreadable(name):
+        raise AssertionError(f"catalog.get({name!r})")
+
+    monkeypatch.setattr(catalog, "get", unreadable)
+    result = V.check_numerics(ctx)
+    assert result.passed, result.detail
+    assert result.detail == "certificate margins all pass"
+
+
+def test_criterion_06_fails_on_a_missing_forced_generator(packages):
+    """An annulus without its N point of grading 1, as a run at a huge
+    `dedup_dist` finds it, fails criterion 6 and names the incidence; the
+    other two entries are judged as before."""
+    ctx = V.VerificationContext(seed=0)
+    ctx._packages = dict(packages)
+    pkg = packages["annulus"]
+    points = tuple(cp for cp in pkg.crit.points if (cp.kind, cp.grading) != (BOUNDARY_N, 1))
+    assert len(points) == len(pkg.crit.points) - 1
+    ctx._packages["annulus"] = dataclasses.replace(pkg, crit=CriticalSet(pkg.crit.dim, points))
+    result = V.check_forced_orbit_counts(ctx)
+    assert not result.passed
+    assert result.detail == (
+        "annulus: no N incidence from boundary_n grading 1 to boundary_n grading 0; "
+        "moebius m=0, twisted=2; dome |m|=1")
+
+
+def test_verify_reports_a_missing_forced_generator(capsys):
+    """At 3 boundary samples the annulus's critical set has no N point of
+    grading 1: `verify` fails criterion 6 with exit 2, with no traceback."""
+    assert cli.main(["verify", "--tol", "cert_boundary_samples=3"]) == 2
+    out, err = capsys.readouterr()
+    line = next(s for s in out.splitlines() if s.startswith("[FAIL]  6 "))
+    assert "annulus: no N incidence from boundary_n grading 1" in line
+    assert "Traceback" not in out + err
 
 
 def test_seed_independence_spot_check():

@@ -14,6 +14,7 @@ import morseflow
 from morseflow import catalog, cli, pipeline, svg
 from morseflow.cli import main
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR
+from test_fields import with_wrong_wall
 
 
 def run(capsys, *argv):
@@ -214,8 +215,7 @@ def test_empty_interior_sample_fails_certification(capsys):
     assert "'descent_margin': nan" in err and "'interior_samples': 0" in err
 
 
-def test_entry_failing_validation_is_reported(capsys, monkeypatch):
-    # a disk whose hessian is off by the identity fails at construction
+def _hessian_off_by_identity():
     make = catalog._BUILDERS["disk"]
 
     def broken():
@@ -223,12 +223,22 @@ def test_entry_failing_validation_is_reported(capsys, monkeypatch):
         hessian = entry.field.hessian
         return dataclasses.replace(entry, field=dataclasses.replace(
             entry.field, hessian=lambda x: hessian(x) + np.eye(2)))
+    return broken
 
-    monkeypatch.setitem(catalog._BUILDERS, "disk", broken)
+
+@pytest.mark.parametrize("broken, message", [
+    # a disk whose hessian is off by the identity fails at construction
+    (_hessian_off_by_identity, "NotMorse: hessian disagrees"),
+    # as does a disk whose rim has twice its curvature
+    (lambda: with_wrong_wall("disk", "rim", hessian=lambda h: 2.0 * h),
+     "NotMorse: wall 'rim': hessian disagrees"),
+], ids=["field", "wall"])
+def test_entry_failing_validation_is_reported(capsys, monkeypatch, broken, message):
+    monkeypatch.setitem(catalog._BUILDERS, "disk", broken())
     monkeypatch.setattr(catalog, "_CACHE", {})
     code, out, err = run(capsys, "analyze", "disk", "--format", "json")
     assert code == 2 and out == ""
-    assert err.startswith("analysis failed: NotMorse: hessian disagrees")
+    assert err.startswith(f"analysis failed: {message}")
     assert "Traceback" not in err
 
 

@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from morseflow import catalog, verify
-from morseflow.critical import boundary_sample, find_boundary_critical
+from morseflow import catalog
+from morseflow.critical import (INTERIOR, _boundary_step, boundary_sample,
+                                find_boundary_critical)
 from morseflow.errors import NotMorse
 from morseflow.fields import (MorseField, boundary_restriction_derivatives,
                               check_deck_invariance,
                               check_derivative_consistency, validate_field)
-from morseflow.geometry import MetricField, normalize_point
-from morseflow.verify import _boundary_fd_error
+from morseflow.geometry import MetricField, boundary_frame, normalize_point
 
 
 def _pt(chart, xy):
@@ -40,31 +40,69 @@ def test_disk_restriction_side_not_critical():
     assert g_t == pytest.approx(-1.0)
 
 
+def arclength_fd_error(entry, pkg, step=_boundary_step) -> float:
+    """Worst relative error of `boundary_restriction_derivatives` against
+    arclength finite differences of the restriction, taken with `step`, at
+    the package's boundary criticals and a fixed arclength either side of
+    each, where the first difference also checks the sign of the step along
+    the boundary.
+
+    The steps are taken in chart arclength and g_t, h_t are per metric-unit
+    arclength, so the differences are converted with the euclidean length of
+    the metric-unit tangent, as the critical search's refinement does."""
+    chart, field = entry.chart, entry.field
+    if chart.dim != 2:
+        return 0.0
+    errors = [0.0]
+    h = 1e-4
+    for cp in pkg.crit.points:
+        if cp.kind == INTERIOR:
+            continue
+        for x0 in (cp.coords, step(chart, cp.coords, 0.1), step(chart, cp.coords, -0.1)):
+            plus = step(chart, x0, h) if x0 is not None else None
+            minus = step(chart, x0, -h) if x0 is not None else None
+            if plus is None or minus is None:
+                continue
+            f0, fp, fm = (float(field.value(x)) for x in (x0, plus, minus))
+            pt = normalize_point(chart, x0)
+            t_len = float(np.linalg.norm(boundary_frame(chart, pt, entry.metric)[1]))
+            g_t, h_t = boundary_restriction_derivatives(field, chart, pt, entry.metric)
+            first = (fp - fm) / (2 * h) * t_len
+            second = (fp - 2 * f0 + fm) / h ** 2 * t_len ** 2
+            errors += [abs(first - g_t) / max(1.0, abs(g_t)),
+                       abs(second - h_t) / max(1.0, abs(h_t))]
+    return float(np.max(errors))  # NaN-propagating, unlike the builtin max
+
+
+def reversed_step(chart, x, delta):
+    return _boundary_step(chart, x, -delta)
+
+
 def test_restriction_matches_arclength_differences(packages):
     for name, pkg in packages.items():
-        assert _boundary_fd_error(catalog.get(name), pkg) < 1e-4
+        assert arclength_fd_error(catalog.get(name), pkg) < 1e-4
 
 
 @pytest.mark.parametrize("name", ["disk", "annulus", "moebius", "tilted_dome"])
-def test_arclength_differences_see_a_reversed_step(packages, name, monkeypatch):
+def test_arclength_differences_see_a_reversed_step(packages, name):
     # the second difference is symmetric in the step; the first is not
-    step = verify._boundary_step
-    monkeypatch.setattr(verify, "_boundary_step",
-                        lambda chart, x, delta: step(chart, x, -delta))
-    assert _boundary_fd_error(catalog.get(name), packages[name]) > 1e-4
+    assert arclength_fd_error(catalog.get(name), packages[name], reversed_step) > 1e-4
 
 
 @pytest.mark.parametrize("name", ["disk", "annulus"])
-def test_arclength_differences_under_a_scaled_metric(packages, name, monkeypatch):
+def test_arclength_differences_under_a_scaled_metric(packages, name):
     # g_t and h_t are per metric-unit arclength, the steps per chart
     # arclength; under 4 * identity the unconverted first difference is off
     # by a factor of two, and the row read 0.75
     entry = dataclasses.replace(catalog.get(name), metric=MetricField.scaled(2, 4.0))
-    assert _boundary_fd_error(entry, packages[name]) < 1e-4
-    step = verify._boundary_step
-    monkeypatch.setattr(verify, "_boundary_step",
-                        lambda chart, x, delta: step(chart, x, -delta))
-    assert _boundary_fd_error(entry, packages[name]) > 1e-4
+    assert arclength_fd_error(entry, packages[name]) < 1e-4
+    assert arclength_fd_error(entry, packages[name], reversed_step) > 1e-4
+
+
+def test_arclength_differences_see_a_nan_restriction(packages):
+    # an all-NaN disk function: the reference reads NaN, not 0.0
+    disk = dataclasses.replace(catalog.get("disk"), field=nan_field())
+    assert np.isnan(arclength_fd_error(disk, packages["disk"]))
 
 
 def test_gradient_matches_value_differences():
@@ -94,6 +132,41 @@ def test_validation_rejects_a_wrong_gradient(name, wrong):
     bad = dataclasses.replace(e.field, gradient=lambda x: wrong(e.field.gradient(x)))
     with pytest.raises(NotMorse, match="gradient disagrees"):
         validate_field(bad, e.chart)
+
+
+def _bent(fn, bend):
+    return lambda x: bend(fn(x))
+
+
+def with_wrong_wall(name, wall, **wrong):
+    """The catalog builder of entry `name` with each callable of its wall
+    `wall` that `wrong` names passed through the function given for it."""
+    make = catalog._BUILDERS[name]
+
+    def build():
+        entry = make()
+        walls = tuple(
+            dataclasses.replace(con, **{attr: _bent(getattr(con, attr), bend)
+                                        for attr, bend in wrong.items()})
+            if con.name == wall else con
+            for con in entry.chart.constraints)
+        return dataclasses.replace(entry, chart=dataclasses.replace(entry.chart,
+                                                                    constraints=walls))
+    return build
+
+
+@pytest.mark.parametrize("name, wall, wrong, message", [
+    # twice the rim's curvature: its second fundamental form enters the
+    # boundary restriction's second derivative, and nothing else reads it
+    ("disk", "rim", {"hessian": lambda h: 2.0 * h}, "hessian disagrees"),
+    ("annulus", "inner", {"gradient": lambda g: np.full_like(g, np.nan)},
+     "gradient disagrees"),
+])
+def test_construction_rejects_a_wrong_wall(monkeypatch, name, wall, wrong, message):
+    monkeypatch.setitem(catalog._BUILDERS, name, with_wrong_wall(name, wall, **wrong))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    with pytest.raises(NotMorse, match=f"^wall '{wall}': {message} with finite differences"):
+        catalog.get(name)
 
 
 def test_deck_invariance_of_moebius_height():
