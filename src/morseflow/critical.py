@@ -539,8 +539,7 @@ def find_critical_set(field: MorseField, chart: Chart,
 _NEGATED_KIND = {INTERIOR: INTERIOR, BOUNDARY_N: BOUNDARY_D, BOUNDARY_D: BOUNDARY_N}
 
 
-def reclassify_negated(crit: CriticalSet, field: MorseField,
-                       chart: Chart) -> CriticalSet:
+def reclassify_negated(crit: CriticalSet, field: MorseField) -> CriticalSet:
     """Critical data of -f: same points and ids, value -value, grading
     n - grading, N and D swapped, tangential hessian negated.
 

@@ -25,21 +25,21 @@ a saddle, (0, 1.5), overshoots the saddle and ends at the sink.
 A trajectory ends as soon as it enters the certified capture region of a sink
 of its time direction (a grading-0 zero forward, a top-grading zero backward),
 with the sink appended as its last sample.  Otherwise it ends at a zero only
-once its speed falls below `field_stop` within `r_conv` of it: a sink whose
-region failed its check, or a saddle, where a branch ending shows a
+once its speed falls below `field_stop` within `r_launch / 10` of it: a sink
+whose region failed its check, or a saddle, where a branch ending shows a
 non-transverse connection.  Orbit counts only need the basin a branch reaches,
 so the steps are loose: `rtol` 1e-5 and `atol` 1e-7 by default.  Every
 integer output of the five catalog entries at seeds 0-15 is the same at rtol
 1e-5, 1e-4 and 1e-3 (atol a hundredth of it); at 1e-2 the annulus's pairing
 at seed 9 retries another perturbation seed.  That of the flip = +1
 cylinder the tests build is not: at seed 5 its relative curve leaves the
-wall 1.8e-4 from a critical point, outside `degeneracy_tol`, but at rtol 1e-4
+wall 1.8e-4 from a critical point, farther than `r_launch`, but at rtol 1e-4
 the step error moves the exit to 2.5e-5, and the pairing retries at another
 perturbation seed.  So the default keeps a factor of ten.
-A trajectory keeps only its times and
-points: the integrator reads the field's objective at a sample only when the
-sample lies within a capture region's radius, once, for the regions' level
-tests.
+A trajectory keeps only its points, no clock: a count reads the basin a
+branch reaches and the pairing where a curve runs.  The integrator reads the
+field's objective at a sample only when the sample lies within a capture
+region's radius, once, for the regions' level tests.
 
 The integrator steps in float arithmetic: stages, error norm, wall test and
 stop tests work on lists of floats and round as the numpy 2-vector arithmetic
@@ -59,8 +59,7 @@ objective's callables (the catalog's compute one point in float arithmetic),
 a wall given by callables alone, the landing on a wall and the entry into a
 capture region.  `np.linalg.norm`, whose BLAS dot may
 round differently from `sqrt(a*a + b*b)`, gives the speed where its last bit
-decides: within a relative 1e-9 of `field_stop`, and for the landing time at
-a capture region.
+decides: within a relative 1e-9 of `field_stop`.
 
 Every connecting orbit between generators of adjacent grading on a surface is
 a branch of a one-dimensional invariant manifold, so each count follows one:
@@ -122,7 +121,6 @@ TIMEOUT = "timeout"
 
 @dataclass(eq=False)
 class Trajectory:
-    times: Array
     points: Array                  # raw (cover) coordinates, one row per sample
     termination: str
     target: int | None = None      # critical id for CONVERGED
@@ -238,19 +236,19 @@ def _initial_step(deriv, x: list, k1: list, atol: float, rtol: float,
     return min(100.0 * h, h1, h_max)
 
 
-def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
-              allow_exit: bool = False) -> Trajectory:
+def integrate(field: PseudoGradientField, start, *,
+              reverse: bool = False) -> Trajectory:
     """Flow a trajectory of the field (or of its time reversal).
 
     Terminates
     - CONVERGED at a critical point of the build once the speed is below
-      `field_stop` within `r_conv` of it;
+      `field_stop` within `r_launch / 10` of it;
     - CONVERGED on entering a capture region of a sink of this time direction
       (`PseudoGradientField.capture_regions`): the sink's deck image nearest
-      the trajectory is appended as the last sample, at the time the last
-      segment takes at the speed where the region was entered;
-    - LEFT_DOMAIN on leaving the manifold when allow_exit (CertificateViolation
-      otherwise);
+      the trajectory is appended as the last sample;
+    - LEFT_DOMAIN on leaving the manifold backward: a stable manifold may
+      leave it, but a forward trajectory of a certified field may not, so
+      leaving it forward raises CertificateViolation;
     - TIMEOUT after `t_max` or `max_steps`.
 
     A field value that is not finite raises CertificateViolation at the step
@@ -264,7 +262,8 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
     value = lambda x: float(field.objective.value(np.array(x)))
     walls = tuple(con.read for con in chart.constraints)
     tol = field.tol
-    stop, r_conv, atol, rtol = tol.field_stop, tol.r_conv, tol.atol, tol.rtol
+    stop, atol, rtol = tol.field_stop, tol.atol, tol.rtol
+    r_stop = tol.r_launch / 10
     t_max, max_steps, dim = tol.t_max, tol.max_steps, chart.dim
     sqrt = math.sqrt
     deck = chart.deck
@@ -280,10 +279,10 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
 
     x = np.asarray(start, dtype=float).tolist()
     t = 0.0
-    times, points = [t], [x]
+    points = [x]
 
     def result(termination: str, target: int | None = None) -> Trajectory:
-        return Trajectory(np.array(times), np.array(points), termination, target)
+        return Trajectory(np.array(points), termination, target)
 
     def settled(k: list) -> int | None:
         """Target id once the last sample, where the field is k, has
@@ -305,7 +304,7 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
                     d = sqrt(d0 * d0 + d1 * d1)
                 else:
                     d = coords_distance(chart, y, coords)
-                if d <= r_conv:
+                if d <= r_stop:
                     return cp_id
         f_y = None  # the objective at y, read once y lies within a region's radius
         for region, coords, c0, c1 in captures:
@@ -321,8 +320,6 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
             if region.sign * (f_y - region.level) < region.depth:
                 sink = deck_apply(chart, _deck_index(chart, y, region.sink),
                                   region.sink.coords)
-                gap = float(np.linalg.norm(sink - np.array(y)))
-                times.append(times[-1] + gap / max(_norm(k), stop))
                 points.append(sink.tolist())
                 return region.sink.id
         return None
@@ -394,21 +391,18 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
                         f_hi *= 0.5
                     moved = -1
             x_land = _pull_inside(chart, x_hi)
-            t_land = t + h * hi
             _, outward = nearest_wall(chart, x_land)
             land = x_land.tolist()
             speed_vec = deriv(land)
             push = (direction * float(np.array(speed_vec) @ outward)
                     if outward is not None else 0.0)
             if push > 1e-8 * (1.0 + _norm(speed_vec)):
-                times.append(t_land)
+                if not reverse:
+                    raise CertificateViolation(
+                        f"trajectory pushed out of the manifold at {x_land}")
                 points.append(land)
-                if allow_exit:
-                    return result(LEFT_DOMAIN)
-                raise CertificateViolation(
-                    f"trajectory pushed out of the manifold at {x_land}")
-            x, t, k1 = land, t_land, speed_vec
-            times.append(t)
+                return result(LEFT_DOMAIN)
+            x, t, k1 = land, t + h * hi, speed_vec
             points.append(x)
             h = max(h * 0.5, 1e-10)
             continue
@@ -416,7 +410,6 @@ def integrate(field: PseudoGradientField, start, *, reverse: bool = False,
         t += h
         x = x_new
         k1 = k_last
-        times.append(t)
         points.append(x)
 
         hit = settled(k_last)
@@ -485,7 +478,7 @@ def _branches(field: PseudoGradientField, anchor: CriticalPoint,
         launches = stable_launches if reverse else unstable_launches
         out = []
         for label, x0 in launches(field, anchor):
-            traj = integrate(field, x0, reverse=reverse, allow_exit=reverse)
+            traj = integrate(field, x0, reverse=reverse)
             if traj.termination == TIMEOUT:
                 raise FlowTimeout(f"branch {label} from generator {anchor.id} "
                                   f"timed out (perturb_seed {field.perturb_seed})")
@@ -548,16 +541,15 @@ def _reversed_orbit(field: PseudoGradientField, p: CriticalPoint,
 
     The branch starts at q's canonical position and reaches a deck image T^k
     of p; it is stored reversed and moved by T^-k so that it runs from p's
-    canonical position to T^-k q with increasing times.
+    canonical position to T^-k q.
     """
     chart = field.chart
     k = _deck_index(chart, traj.end, p)
-    forward = Trajectory(traj.times[-1] - traj.times[::-1],
-                         deck_apply(chart, -k, traj.points[::-1]),
+    forward = Trajectory(deck_apply(chart, -k, traj.points[::-1]),
                          CONVERGED, target=q.id)
     # orientation of (flow direction, q's unstable frame vector, which
     # co-orients q's stable manifold) against p's unstable frame carried to T^k p
-    vel = field.evaluate(launch)
+    vel = field.evaluate(launch.tolist())
     det = float(np.linalg.det(np.stack([vel, q.frame[0]], axis=1)))
     or_source = 1 if np.linalg.det(np.stack(p.frame, axis=1)) > 0 else -1
     sign = or_source * deck_sign(chart, k) * (1 if det > 0 else -1)
@@ -670,8 +662,9 @@ def relative_cycle_curves(field_neg: PseudoGradientField,
 
     Interior generators use the one-dimensional unstable manifold of the
     reversed-function field; boundary generators use its local stable manifold,
-    flowed backwards until it exits through the boundary.  A curve that times
-    out raises FlowTimeout.
+    flowed backwards until it exits through the boundary.  An exit within
+    `r_launch` of a critical point raises NonTransverse, and a curve that
+    times out FlowTimeout.
     """
     cp = field_neg.crit.by_id(p.id)
     out = []
@@ -679,7 +672,7 @@ def relative_cycle_curves(field_neg: PseudoGradientField,
         if traj.termination == LEFT_DOMAIN:
             for other in field_neg.crit.points:
                 if chart_distance(field_neg.chart, traj.end,
-                                  other.coords) < field_neg.tol.degeneracy_tol:
+                                  other.coords) < field_neg.tol.r_launch:
                     raise NonTransverse(
                         f"branch {label} of the relative curve of generator "
                         f"{p.id} exits at a critical point ({other.id}); general "

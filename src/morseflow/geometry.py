@@ -138,6 +138,8 @@ class Deck:
     def __post_init__(self):
         if self.flip not in (-1, 1):
             raise ValueError("flip must be +1 or -1")
+        if not (math.isfinite(self.period) and self.period > 0.0):
+            raise ValueError(f"deck period {self.period} is not finite and positive")
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,12 @@ class Chart:
             raise ValueError("only dimensions 1 and 2 are supported")
         if len(self.box) != self.dim:
             raise ValueError("box must have one (lo, hi) pair per axis")
+        if self.deck is not None:
+            if self.dim != 2:
+                raise ValueError("a deck map needs dimension 2")
+            if tuple(self.box[0]) != (0.0, self.deck.period):
+                raise ValueError(f"a deck map of period {self.deck.period} needs "
+                                 f"the first box axis (0.0, {self.deck.period})")
 
     @classmethod
     def strip(cls, period: float, v_min: float, v_max: float, flip: int) -> "Chart":

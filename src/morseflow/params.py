@@ -26,9 +26,10 @@ class Tolerances:
     cert_interior_samples: int = 10000
     cert_boundary_samples: int = 2000  # boundary points traced, all loops together
     build_retries: int = 3
-    # flow
+    # flow; r_launch also sets both stop radii: a trajectory converges within
+    # r_launch / 10 of a zero, and a relative curve leaving the wall within
+    # r_launch of a critical point is not transverse
     r_launch: float = 1e-4
-    r_conv: float = 1e-5
     t_max: float = 1e3
     rtol: float = 1e-5
     atol: float = 1e-7
@@ -37,7 +38,6 @@ class Tolerances:
     # genericity perturbations
     perturb_amp: float = 1e-3
     perturb_retries: int = 3
-    degeneracy_tol: float = 1e-4
 
     def __post_init__(self):
         for f in fields(self):
@@ -50,9 +50,6 @@ class Tolerances:
                     raise ValueError(f"{f.name} = {val} is below one")
             elif not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{f.name} = {val} is not finite and positive")
-        if self.r_conv >= self.r_launch:
-            raise ValueError(f"r_conv = {self.r_conv} must be below "
-                             f"r_launch = {self.r_launch}")
 
     def override(self, **kw) -> "Tolerances":
         return replace(self, **kw)

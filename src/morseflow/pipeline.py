@@ -127,9 +127,9 @@ def _setup(entry: CatalogEntry, tol: Tolerances, crit: CriticalSet | None = None
     if crit is None:
         crit = find_critical_set(f, chart, metric, tol, wall=wall)
     if sample is None:
-        sample = certification_sample(f, chart, metric, crit, tol, wall)
+        sample = certification_sample(f, chart, crit, tol, wall)
     return _Setup(entry, tol, crit, sample, sample.measured(chart, metric),
-                  {"N": (f, crit), "D": (f.negated(), reclassify_negated(crit, f, chart))})
+                  {"N": (f, crit), "D": (f.negated(), reclassify_negated(crit, f))})
 
 
 def _retry_seeds(base_seed: int, tol: Tolerances) -> list[int | None]:

@@ -259,9 +259,9 @@ class PseudoGradientField:
                          if self.perturb_seed else None)
         self._point = _point_evaluator(self)
 
-    def evaluate(self, raw) -> Array | list:
-        """Field vector at raw coordinates (deck-equivariant under a deck map):
-        a list of floats for a list of floats, an array otherwise."""
+    def evaluate(self, raw: list) -> list:
+        """Field vector, a list of floats, at raw coordinates, a list of
+        floats (deck-equivariant under a deck map)."""
         return self._point(raw)
 
     def _eval_canonical_many(self, x: Array, grad: Array, geometry: RowGeometry) -> Array:
@@ -328,7 +328,8 @@ class PseudoGradientField:
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = step
-            out[:, j] = (self.evaluate(x + e) - self.evaluate(x - e)) / (2 * step)
+            out[:, j] = (np.array(self.evaluate((x + e).tolist()))
+                         - self.evaluate((x - e).tolist())) / (2 * step)
         return out
 
     def capture_regions(self, reverse: bool = False) -> tuple[CaptureRegion, ...]:
@@ -348,7 +349,7 @@ class PseudoGradientField:
         return found
 
 
-def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | list]:
+def _point_evaluator(field: PseudoGradientField) -> Callable[[list], list]:
     """`evaluate` for one field: straight-line float arithmetic in a closure
     made when the field is built.  What does not depend on the point is
     resolved here: the tolerances, the number of walls and each wall's
@@ -361,11 +362,8 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | l
     operations in the same order, so both give the same bits.  On a line, v
     and each center's second coordinate are 0.0, which moves no bit, and the
     second components of vectors are dropped; a metric other than the
-    identity takes the list helpers the batch takes.  A list of Python
-    floats, what the integrator passes, is read as it is and the vector
-    returned as a list of floats; a list of other numbers is read as their
-    floats, anything else through `np.asarray`, and both return an array.
-    Non-finite coordinates give NaN.
+    identity takes the list helpers the batch takes.  It reads a list of
+    Python floats and returns one; non-finite coordinates give NaN.
     """
     chart, tol, deck = field.chart, field.tol, field.chart.deck
     dim = chart.dim
@@ -416,16 +414,10 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | l
         apart = gap_bound(chart, bump)
         seam = None if deck is None else 0.1 * period
 
-    def evaluate(raw) -> Array | list:
-        as_list = type(raw) is list
-        xs = raw if as_list else asarray(raw, dtype=float).tolist()
+    def evaluate(xs: list) -> list:
         u, v = xs if two_d else (xs[0], 0.0)
-        if type(u) is not float or type(v) is not float:
-            u, v = float(u), float(v)
-            xs = [u, v] if two_d else [u]
-            as_list = False
         if not (isfinite(u) and isfinite(v)):
-            return [nan] * dim if as_list else np.full(dim, nan)
+            return [nan] * dim
         flip = False
         if deck is not None:
             k = floor(u / period)
@@ -541,8 +533,7 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[object], Array | l
                 a1 = a1 + amp * (sg1 * sin(u * w10 + v * w11 + ph1))
             else:
                 a0 = a0 + amp_max * env * (sg0 * sin(u * w00 + ph0))
-        vec = [a0, -a1 if flip else a1] if two_d else [a0]
-        return vec if as_list else array(vec)
+        return [a0, -a1 if flip else a1] if two_d else [a0]
 
     return evaluate
 
@@ -595,7 +586,7 @@ class _Perturbation:
 
 
 def _manifold_sample(chart: Chart, crit: CriticalSet, count: int,
-                     r_excl: float, tol: Tolerances) -> Array:
+                     r_excl: float) -> Array:
     """The first `count` of the first 60 * count Halton points of the chart's
     box that lie on the manifold farther than r_excl from every critical point.
 
@@ -650,14 +641,14 @@ class CertificationSample(BoundarySample):
                                        row_geometry(chart, metric, self.wall)))
 
 
-def certification_sample(field: MorseField, chart: Chart,
-                         metric: MetricField | None, crit: CriticalSet,
+def certification_sample(field: MorseField, chart: Chart, crit: CriticalSet,
                          tol: Tolerances, wall: BoundarySample) -> CertificationSample:
     """Draw the interior points and evaluate the gradient of f (`field`)
     there, once.  `wall` is `critical.boundary_sample(field, chart, metric,
-    tol)`; a sample of another function raises `SampleMismatch`."""
+    tol)`, whose normals and metric matrices the sample keeps; a sample of
+    another function raises `SampleMismatch`."""
     (wall_grad,) = wall.signed(field, wall.wall_grad)
-    interior = _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl, tol)
+    interior = _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl)
     return CertificationSample(
         field=field, wall=wall.wall, wall_grad=wall_grad, normals=wall.normals,
         g_mats=wall.g_mats, ends=wall.ends, interior=interior,
@@ -683,10 +674,10 @@ def certify_adapted(field: PseudoGradientField, *, sample: CertificationSample,
                     attempts: int = 0) -> AdaptednessCertificate:
     """Sample-based check of the four adaptedness conditions.
 
-    `sample` is `certification_sample(f, field.chart, field.metric, ...,
-    field.tol, ...)` for the function f the field descends, or for -f when
-    it ascends; it is measured here when it carries no geometry (see
-    `measured`).  A sample of any other function raises `SampleMismatch`.  A
+    `sample` is `certification_sample(f, field.chart, ..., field.tol, ...)`,
+    its wall sample drawn under `field.metric`, for the function f the field
+    descends, or for -f when it ascends; it is measured here when it carries
+    no geometry (see `measured`).  A sample of any other function raises `SampleMismatch`.  A
     NaN at any sample fails the certificate.
     """
     chart, crit = field.chart, field.crit
@@ -823,7 +814,7 @@ def build_adapted(objective: MorseField, chart: Chart, crit: CriticalSet,
                   tol: Tolerances = DEFAULT) -> PseudoGradientField:
     """Assemble and certify a descent field for the objective, whose critical
     set is crit: f with its critical set, or `f.negated()` with
-    `critical.reclassify_negated(crit, f, chart)` for an ascent field of f.
+    `critical.reclassify_negated(crit, f)` for an ascent field of f.
 
     Retries with halved patch and collar radii when certification fails;
     raises BlendGapFailure when no retry passes.  `sample` is the

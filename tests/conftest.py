@@ -121,7 +121,7 @@ def drawn_sample(objective, chart, metric, crit, tol=DEFAULT):
     objective's gradient at each.  A field built or certified by hand takes
     it, f's or -f's, as an analysis hands its fields the one it draws."""
     wall = boundary_sample(objective, chart, metric, tol)
-    return certification_sample(objective, chart, metric, crit, tol, wall)
+    return certification_sample(objective, chart, crit, tol, wall)
 
 
 @pytest.fixture(scope="session")

@@ -230,8 +230,7 @@ def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
     entry = catalog.get(name)
     crit = packages[name].crit
     wall = boundary_sample(entry.field, entry.chart, entry.metric)
-    sample = certification_sample(entry.field, entry.chart, entry.metric, crit, DEFAULT,
-                                  wall)
+    sample = certification_sample(entry.field, entry.chart, crit, DEFAULT, wall)
     assert len(sample.wall) > 0
     if entry.chart.dim == 2:
         _walk_slopes(entry.chart, wall.wall_grad, wall.normals)
@@ -285,6 +284,6 @@ def test_interior_sample_does_not_depend_on_the_chunks(packages, name):
     # chunks sized to what is missing draw the same candidate stream
     entry, crit = catalog.get(name), packages[name].crit
     for count in (DEFAULT.cert_interior_samples, 1000, 7):
-        got = pseudogradient._manifold_sample(entry.chart, crit, count, DEFAULT.r_excl, DEFAULT)
+        got = pseudogradient._manifold_sample(entry.chart, crit, count, DEFAULT.r_excl)
         assert len(got) == count
         assert same_bits(got, chunked_sample(entry.chart, crit, count, DEFAULT.r_excl))

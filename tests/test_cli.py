@@ -329,7 +329,11 @@ def test_nonpositive_sample_count_rejected(capsys):
     ("tol_val", "1e-6", "interval"),
     # the critical search scans the certification sample's wall
     ("boundary_samples", "400", "disk"),
-], ids=["sweep_samples", "tol_val", "boundary_samples"])
+    # both stop radii follow r_launch: convergence within r_launch / 10, and
+    # a non-transverse exit within r_launch of a critical point
+    ("r_conv", "1e-6", "tilted_dome"),
+    ("degeneracy_tol", "1e-3", "annulus"),
+], ids=["sweep_samples", "tol_val", "boundary_samples", "r_conv", "degeneracy_tol"])
 def test_retired_tolerance_is_unknown(capsys, name, value, entry):
     code, _, err = run(capsys, "analyze", entry, "--tol", f"{name}={value}")
     assert code == 1
@@ -350,13 +354,14 @@ def test_empty_wall_sample_fails_certification(capsys):
 
 def test_branch_that_never_leaves_its_generator(capsys, monkeypatch):
     # a launch 1e-300 from the dome's N saddle rounds onto it, so the branch
-    # ends at sample 0 where it started; no perturbation seed mends that
+    # ends at sample 0 where it started; no perturbation seed mends that.  The
+    # convergence radius, r_launch / 10, follows the launch, so r_launch alone
+    # is a valid override
     builds = []
     build_adapted = pipeline.build_adapted
     monkeypatch.setattr(pipeline, "build_adapted",
                         lambda *a, **k: builds.append(1) or build_adapted(*a, **k))
-    code, out, err = run(capsys, "analyze", "tilted_dome", "--tol", "r_launch=1e-300",
-                         "--tol", "r_conv=1e-301")
+    code, out, err = run(capsys, "analyze", "tilted_dome", "--tol", "r_launch=1e-300")
     assert code == 2 and out == ""
     assert err.startswith("analysis failed: StalledBranch: ")
     assert "generator 1 " in err and "r_launch = 1e-300" in err

@@ -214,7 +214,7 @@ def test_negation_complements_gradings_and_swaps_types(packages, cylinder, name)
     crit = (find_critical_set(entry.field, entry.chart, entry.metric)
             if name == "cylinder" else packages[name].crit)
     n = crit.dim
-    neg = reclassify_negated(crit, entry.field, entry.chart)
+    neg = reclassify_negated(crit, entry.field)
     assert sorted(cp.id for cp in neg.points) == [cp.id for cp in crit.points]
     fresh = find_critical_set(entry.field.negated(), entry.chart, entry.metric).points
     for cp in neg.points:
@@ -224,7 +224,7 @@ def test_negation_complements_gradings_and_swaps_types(packages, cylinder, name)
         (match,) = [q for q in fresh if chart_distance(entry.chart, q.coords, cp.coords) < 1e-6]
         assert (match.kind, match.grading) == (cp.kind, cp.grading)
     # negating twice gives back every point
-    twice = reclassify_negated(neg, entry.field.negated(), entry.chart)
+    twice = reclassify_negated(neg, entry.field.negated())
     assert _kinds(twice) == _kinds(crit)
 
 

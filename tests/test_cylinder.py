@@ -53,7 +53,7 @@ def test_degree_one_pairing_is_unimodular(built, seed):
     "the general-position test reads an integrated exit point whose step error "
     "is of its threshold's size: at seed 5 the relative curve leaves the wall "
     "1.76e-4 from critical point 0 at rtol 1e-5 but 2.54e-5 at rtol 1e-4, on either "
-    "side of degeneracy_tol (1e-4), so only the second retries another seed"))
+    "side of r_launch (1e-4), so only the second retries another seed"))
 def test_pairing_seed_does_not_depend_on_the_step_tolerance(cylinder):
     seeds = [build_package(cylinder, 5, DEFAULT.override(rtol=r, atol=r / 100)).pairing_seed
              for r in (1e-5, 1e-4)]

@@ -183,7 +183,7 @@ def reference_evaluate(field, raw):
 
 
 def assert_matches_reference(field, points):
-    new = np.array([field.evaluate(x) for x in points])
+    new = np.array([field.evaluate(x) for x in points.tolist()])
     ref = np.array([reference_evaluate(field, x) for x in points])
     assert np.allclose(new, ref, rtol=1e-12, atol=1e-14)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from morseflow import catalog
 from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
-from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, boundary_frame,
+from morseflow.geometry import (BoundaryConstraint, Chart, Deck, MetricField, boundary_frame,
                                 chart_distance, chart_distance_many, deck_apply,
                                 deck_reduce, deck_sign, near_rows, normalize_point)
 
@@ -172,6 +172,33 @@ def test_flipped_strip_must_be_symmetric():
         Chart.strip(period=1.0, v_min=0.0, v_max=1.0, flip=-1)
     with pytest.raises(ValueError):
         Chart.strip(period=1.0, v_min=-1.0, v_max=1.0, flip=2)
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+def test_deck_period_must_be_finite_and_positive(period):
+    # a zero period divided by zero in the reduction, and a negative one
+    # gave a chart whose box runs backwards
+    with pytest.raises(ValueError, match="not finite and positive"):
+        Deck(period, 1)
+
+
+def test_strip_of_zero_period_is_rejected():
+    with pytest.raises(ValueError, match="not finite and positive"):
+        Chart.strip(0.0, -1.0, 1.0, -1)
+
+
+def test_deck_map_needs_a_surface():
+    # on a line the reduction reads a second coordinate there is not
+    with pytest.raises(ValueError, match="dimension 2"):
+        Chart(1, ((0.0, 1.0),), (), Deck(1.0, 1))
+
+
+@pytest.mark.parametrize("first_axis", [(0.0, 1.0), (-1.0, 1.0), (1.0, 3.0)])
+def test_deck_map_needs_one_period_as_the_first_axis(first_axis):
+    # the canonical form of a point is its image in [0, period)
+    with pytest.raises(ValueError, match="first box axis"):
+        Chart(2, (first_axis, (-1.0, 1.0)), (), Deck(2.0, 1))
+    assert Chart(2, ((0.0, 2.0), (-1.0, 1.0)), (), Deck(2.0, 1)).deck.period == 2.0
 
 
 _PRE_CHARTS = {

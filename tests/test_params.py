@@ -12,11 +12,19 @@ from morseflow.params import DEFAULT, Tolerances
     {"r_n": 0.0},
     {"rtol": math.nan},
     {"t_max": math.inf},
-    {"r_conv": 2 * DEFAULT.r_launch},
 ])
 def test_invalid_tolerances_rejected(override):
     with pytest.raises(ValueError):
         DEFAULT.override(**override)
+
+
+def test_stop_radii_follow_r_launch():
+    # the convergence and exit radii are derived from r_launch, so no
+    # tolerance tracks it and any positive r_launch is a valid set
+    assert not {"r_conv", "degeneracy_tol"} & set(Tolerances.names())
+    assert DEFAULT.override(r_launch=1e-300).r_launch == 1e-300
+    with pytest.raises(TypeError):
+        DEFAULT.override(r_conv=1e-6)
 
 
 def test_zero_retries_allowed():

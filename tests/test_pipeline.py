@@ -210,8 +210,8 @@ def instrumented():
             fields.append(build_adapted(*args, **kwargs))
             return fields[-1]
 
-        def counted_integrate(field, start, *, reverse=False, allow_exit=False):
-            traj = integrate(field, start, reverse=reverse, allow_exit=allow_exit)
+        def counted_integrate(field, start, *, reverse=False):
+            traj = integrate(field, start, reverse=reverse)
             # the field itself is kept, so no id is reused by a later field
             launches.append((field, tuple(np.asarray(start, dtype=float)), reverse,
                              len(traj.points)))

@@ -44,9 +44,9 @@ def test_field_vanishes_exactly_at_build_zeros(packages):
         for fld in (pkg.field_pos, pkg.field_neg):
             for cp in fld.crit.points:
                 if cp.kind in (INTERIOR, BOUNDARY_N):
-                    assert np.linalg.norm(fld.evaluate(cp.coords)) < 1e-10
+                    assert np.linalg.norm(fld.evaluate(cp.coords.tolist())) < 1e-10
                 else:
-                    assert np.linalg.norm(fld.evaluate(cp.coords)) > 1e-3
+                    assert np.linalg.norm(fld.evaluate(cp.coords.tolist())) > 1e-3
 
 
 def test_hyperbolic_with_unstable_dimension_equal_grading(packages):
@@ -115,7 +115,7 @@ def test_flow_enters_interior_from_boundary(packages):
                 if any(chart_distance(entry.chart, x, cp.coords) < fld.r_n
                        for cp in n_pts):
                     continue
-                step = 1e-4 * fld.evaluate(x)
+                step = 1e-4 * np.array(fld.evaluate(x.tolist()))
                 assert boundary_distance(entry.chart, x + step) \
                     > boundary_distance(entry.chart, x)
 
@@ -144,7 +144,8 @@ def test_collar_push_is_flat_at_the_wall(packages, name, side):
     j = rows[len(rows) // 2]
     x, n = wall[j], normals[j]
     eps = 1e-2 * field.delta_c
-    outward = [float(np.dot(field.evaluate(x - k * eps * n), n)) for k in (0, 1, 2)]
+    outward = [float(np.dot(field.evaluate((x - k * eps * n).tolist()), n))
+               for k in (0, 1, 2)]
     moved = outward[1] - outward[0]
     linear = (-nu[j] + field.tol.eps_n) * eps / field.delta_c
     assert moved == pytest.approx(linear * eps / field.delta_c, rel=0.01)
@@ -154,7 +155,7 @@ def test_collar_push_is_flat_at_the_wall(packages, name, side):
     depths = np.array([-1.0, 0.0, 1.0, 2.0, 50.0, 100.0, 150.0]) * eps
     points = x - depths[:, None] * n
     assert (evaluate_many(field, points).tobytes()
-            == np.array([field.evaluate(p) for p in points]).tobytes())
+            == np.array([field.evaluate(p) for p in points.tolist()]).tobytes())
 
 
 def test_halton_points_fill_unit_square():
@@ -219,7 +220,7 @@ def test_halton_chunks_of_the_manifold_sample(packages, name, monkeypatch):
     pkg = packages[name]
     tol = DEFAULT
     interior = pseudogradient._manifold_sample(pkg.entry.chart, pkg.crit,
-                                               tol.cert_interior_samples, tol.r_excl, tol)
+                                               tol.cert_interior_samples, tol.r_excl)
     assert interior.tobytes() == pkg.sample.interior.tobytes()
     assert len(drawn) >= 2  # the first chunk falls short of the count
     for count, dim, skip, out in drawn:
@@ -315,11 +316,9 @@ def _analysis_setup(packages, request, name):
     *(pytest.param(name, 0, id=name)
       for name in ("interval", "moebius", "tilted_dome", "annulus", "cylinder")),
     *(pytest.param(name, 1, id=f"{name}-seed1") for name in ("moebius", "tilted_dome"))])
-def test_point_kernel_reads_any_numbers_as_their_floats(packages, request, name, seed):
-    # the integrator passes lists of Python floats, which the kernel reads as
-    # they are and answers with a list of floats; a list of ints, a list of
-    # numpy float64 scalars and a tuple give the same bits in an array, and a
-    # coordinate that is not finite gives NaN
+def test_point_kernel_answers_a_list_of_floats(packages, request, name, seed):
+    # the kernel takes one point format, a list of Python floats, and answers
+    # with a list of floats; a coordinate that is not finite gives NaN
     setup = _analysis_setup(packages, request, name)
     field = setup.build("N", seed or None)
     dim = field.chart.dim
@@ -329,11 +328,8 @@ def test_point_kernel_reads_any_numbers_as_their_floats(packages, request, name,
     points = whole + setup.sample.interior[:6].tolist() + near
     for x in points:
         floats = field.evaluate([float(c) for c in x])
-        assert type(floats) is list and all(type(c) is float for c in floats)
-        want = np.array(floats).tobytes()
-        assert np.asarray(field.evaluate(list(x))).tobytes() == want
-        assert field.evaluate([np.float64(c) for c in x]).tobytes() == want
-        assert field.evaluate(tuple(x)).tobytes() == want
+        assert type(floats) is list and len(floats) == dim
+        assert all(type(c) is float and math.isfinite(c) for c in floats)
     for bad in (math.nan, math.inf, -math.inf):
         for i in range(dim):
             x = [0.5] * dim

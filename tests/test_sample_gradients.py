@@ -124,7 +124,7 @@ def test_a_sample_certifies_only_its_own_function(packages):
                          lambda x: 2.0 * f.hessian(x))
     own = drawn_sample(doubled, entry.chart, entry.metric, pkg.crit)
     sides = ((doubled, pkg.crit),
-             (doubled.negated(), reclassify_negated(pkg.crit, doubled, entry.chart)))
+             (doubled.negated(), reclassify_negated(pkg.crit, doubled)))
     # the doubled function's fields certify on a sample of their own ...
     for objective, crit in sides:
         field = build_adapted(objective, entry.chart, crit, entry.metric, sample=own)
@@ -138,8 +138,7 @@ def test_a_sample_certifies_only_its_own_function(packages):
     with pytest.raises(SampleMismatch):
         find_critical_set(doubled, entry.chart, entry.metric, wall=pkg.sample)
     with pytest.raises(SampleMismatch):
-        certification_sample(doubled, entry.chart, entry.metric, pkg.crit, DEFAULT,
-                             pkg.sample)
+        certification_sample(doubled, entry.chart, pkg.crit, DEFAULT, pkg.sample)
     # a function equal to -f, but not made by negating f, is another function
     with pytest.raises(SampleMismatch):
         certify_adapted(dataclasses.replace(pkg.field_neg, objective=MorseField(

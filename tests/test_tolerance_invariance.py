@@ -7,12 +7,13 @@ three tighter pairs: the defaults before this one (1e-6/1e-8), a pair between,
 and the defaults used before trajectories ended at capture regions.  A looser
 default, 1e-4/1e-6, leaves the five entries' integer output at seeds 0-15 as
 it is, but moves the flip = +1 cylinder's relative curve at seed 5 within
-`degeneracy_tol` of a critical point, so the pairing takes a retry that
+`r_launch` of a critical point, so the pairing takes a retry that
 `tests/seed_sweep_snapshot.json` does not record.
 
 Nor does any integer the five entries report at seed 0 depend on any one
 tolerance within a factor of two: each `Tolerances` field at half and at
 twice its default (an integer one rounded down) leaves them as they are.
+Scaling `r_launch` scales the two stop radii derived from it with it.
 """
 import pytest
 
