@@ -14,7 +14,7 @@ import numpy as np
 from .chains import HomologyResult
 from .errors import UnknownEntry
 from .fields import MorseField, validate_field
-from .geometry import BoundaryConstraint, Chart, MetricField
+from .geometry import BoundaryConstraint, Chart
 
 Array = np.ndarray
 
@@ -23,7 +23,6 @@ Array = np.ndarray
 class CatalogEntry:
     name: str
     chart: Chart
-    metric: MetricField
     field: MorseField
     chi: int
 
@@ -75,8 +74,7 @@ def _interval() -> CatalogEntry:
         gradient=gradient,
         hessian=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
     )
-    return CatalogEntry(
-        name="interval", chart=chart, metric=MetricField.euclidean(1), field=f, chi=1)
+    return CatalogEntry(name="interval", chart=chart, field=f, chi=1)
 
 
 def _height_field() -> MorseField:
@@ -97,9 +95,7 @@ def _height_field() -> MorseField:
 def _disk() -> CatalogEntry:
     chart = Chart(dim=2, box=((-1.1, 1.1), (-1.1, 1.1)),
                   constraints=(BoundaryConstraint.circle("rim", 1.0),))
-    return CatalogEntry(
-        name="disk", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
-        chi=1)
+    return CatalogEntry(name="disk", chart=chart, field=_height_field(), chi=1)
 
 
 def _annulus() -> CatalogEntry:
@@ -111,9 +107,7 @@ def _annulus() -> CatalogEntry:
         constraints=(BoundaryConstraint.circle("outer", 2.0),
                      BoundaryConstraint.circle("inner", 1.0, inner=True)),
     )
-    return CatalogEntry(
-        name="annulus", chart=chart, metric=MetricField.euclidean(2), field=_height_field(),
-        chi=0)
+    return CatalogEntry(name="annulus", chart=chart, field=_height_field(), chi=0)
 
 
 def _moebius() -> CatalogEntry:
@@ -142,8 +136,7 @@ def _moebius() -> CatalogEntry:
         return out
 
     f = MorseField(value=value, gradient=gradient, hessian=hessian)
-    return CatalogEntry(
-        name="moebius", chart=chart, metric=MetricField.euclidean(2), field=f, chi=0)
+    return CatalogEntry(name="moebius", chart=chart, field=f, chi=0)
 
 
 def _tilted_dome() -> CatalogEntry:
@@ -170,8 +163,7 @@ def _tilted_dome() -> CatalogEntry:
         return np.broadcast_to(eye, np.shape(x)[:-1] + (2, 2)).copy()
 
     f = MorseField(value=value, gradient=gradient, hessian=hessian)
-    return CatalogEntry(
-        name="tilted_dome", chart=chart, metric=MetricField.euclidean(2), field=f, chi=1)
+    return CatalogEntry(name="tilted_dome", chart=chart, field=f, chi=1)
 
 
 _BUILDERS = {

@@ -3,10 +3,11 @@
 Interior points come from a batched damped Newton iteration on grad f = 0 over
 a seed grid; boundary points from one trace of every boundary component
 (`boundary_sample`, which the certification sample reuses) with sign-change
-bracketing on the tangential derivative followed by an on-curve Newton
-refinement.  A trace walks each wall coarsely, an Euler predictor and one
-Newton corrector per step, and projects a loop spaced evenly along the
-walk's polygon onto the wall in one batch.
+bracketing on the tangential derivative, read along the trace's metric-unit
+tangents, followed by an on-curve Newton refinement.  The metric is the
+chart's, so no search takes one beside it.  A trace walks each wall
+coarsely, an Euler predictor and one Newton corrector per step, and projects
+a loop spaced evenly along the walk's polygon onto the wall in one batch.
 """
 from __future__ import annotations
 
@@ -19,10 +20,9 @@ import numpy as np
 from .errors import (DegenerateCritical, NotOnBoundary, PointOutsideManifold,
                      SampleMismatch, TypeUndetermined)
 from .fields import MorseField, boundary_restriction_derivatives
-from .geometry import (Chart, MetricField, active_constraint, boundary_distance,
-                       boundary_frame, boundary_frames, chart_distance,
-                       chart_distance_many, normalize_point, plain_dot, row_dot,
-                       turn_clockwise)
+from .geometry import (Chart, active_constraint, boundary_distance, boundary_frame,
+                       boundary_frames, chart_distance, chart_distance_many,
+                       normalize_point, plain_dot, row_dot)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -339,14 +339,14 @@ def boundary_components(chart: Chart, samples: int,
 @dataclass(frozen=True, eq=False)
 class BoundarySample:
     """One trace of every boundary loop, which the critical search scans and
-    the certificate tests; the points depend only on the chart, the metric
-    and the tolerances."""
+    the certificate tests; the points depend only on the chart (its metric
+    included) and the tolerances."""
 
     field: MorseField    # the function whose gradients the sample holds
     wall: Array          # the traced loops, one after another, canonical
     wall_grad: Array     # its gradient at each wall point
     normals: Array       # outward metric-unit normals
-    g_mats: Array        # metric matrices
+    tangents: Array      # metric-unit tangents, the covector turned clockwise
     ends: tuple[int, ...]  # the row where each loop ends
 
     def signed(self, objective: MorseField, *grads: Array) -> tuple[Array, ...]:
@@ -361,31 +361,30 @@ class BoundarySample:
                              "than the one asked for")
 
 
-def boundary_sample(field: MorseField, chart: Chart, metric: MetricField | None = None,
+def boundary_sample(field: MorseField, chart: Chart,
                     tol: Tolerances = DEFAULT) -> BoundarySample:
     """Trace every boundary loop once, `cert_boundary_samples` points in
     all, and evaluate f's (`field`'s) gradient at each point."""
     per_loop = max(1, tol.cert_boundary_samples // boundary_loop_count(chart))
     loops = boundary_components(chart, per_loop, tol)
-    wall, normals, g_mats = boundary_frames(
-        chart, np.concatenate(loops) if loops else np.empty((0, chart.dim)), metric, tol)
+    wall, normals, tangents = boundary_frames(
+        chart, np.concatenate(loops) if loops else np.empty((0, chart.dim)), tol)
     return BoundarySample(
         field=field, wall=wall, wall_grad=np.asarray(field.gradient(wall), dtype=float),
-        normals=normals, g_mats=g_mats,
+        normals=normals, tangents=tangents,
         ends=tuple(accumulate(len(loop) for loop in loops)))
 
 
 def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
-                        metric: MetricField | None, tol: Tolerances,
-                        max_move: float) -> Array | None:
+                        tol: Tolerances, max_move: float) -> Array | None:
     """Newton on the tangential derivative, staying on the boundary curve."""
     x = np.array(x0, dtype=float)
     pt = normalize_point(chart, x, tol)
-    # the walk moves in chart arclength, so convert the metric-frame Newton
-    # step by the euclidean length of the metric-unit tangent
-    _, tangent = boundary_frame(chart, pt, metric, tol)
+    # the walk moves in chart arclength, along the metric-unit tangent's
+    # direction, so convert the metric-frame Newton step by its euclidean length
+    _, tangent = boundary_frame(chart, pt, tol)
     t_len = float(np.linalg.norm(tangent))
-    g_t, h_t = boundary_restriction_derivatives(field, chart, pt, metric, tol)
+    g_t, h_t = boundary_restriction_derivatives(field, chart, pt, tol)
     for _ in range(tol.newton_max_iter):
         if abs(g_t) < tol.tol_crit:
             return pt
@@ -401,8 +400,7 @@ def _refine_on_boundary(field: MorseField, chart: Chart, x0: Array,
             except PointOutsideManifold:
                 cand_pt = None
             if cand_pt is not None:
-                g_new, h_new = boundary_restriction_derivatives(
-                    field, chart, cand_pt, metric, tol)
+                g_new, h_new = boundary_restriction_derivatives(field, chart, cand_pt, tol)
                 if abs(g_new) < 0.7 * abs(g_t):
                     pt, g_t, h_t = cand_pt, g_new, h_new
                     break
@@ -431,16 +429,15 @@ def _boundary_step(chart: Chart, x: Array, delta: float,
     return None if con is None else _wall_step(con, x, delta)
 
 
-def _walk_slopes(chart: Chart, grad: Array, normals: Array) -> Array:
+def _walk_slopes(chart: Chart, grad: Array, tangents: Array) -> Array:
     """g_t of `boundary_restriction_derivatives` at every row of a boundary
-    sample in one batch, from f's gradient and the outward normals there,
-    signed along the direction the loop is walked.
+    sample in one batch, from f's gradient and the tangents there, signed
+    along the direction the loop is walked.
 
     The strip's walls are walked towards +u, against the frame tangent of
     the lower wall; on the flip = -1 circle that reversal falls at the seams,
     where the frame's g_t would change sign without a critical point.
     """
-    tangents = turn_clockwise(normals)
     g_t = row_dot(grad, tangents)
     if chart.deck is not None:
         return np.where(tangents[:, 0] < 0.0, -g_t, g_t)
@@ -448,43 +445,42 @@ def _walk_slopes(chart: Chart, grad: Array, normals: Array) -> Array:
 
 
 def find_boundary_critical(field: MorseField, chart: Chart,
-                           metric: MetricField | None = None,
                            tol: Tolerances = DEFAULT, *,
                            wall: BoundarySample) -> list[CriticalPoint]:
     """Critical points of the boundary restriction, classified by type and
-    index.  `wall` is `boundary_sample(field, chart, metric, tol)`.  A loop's
+    index.  `wall` is `boundary_sample(field, chart, tol)`.  A loop's
     point is a candidate where g_t changes sign to the next point or nearly
     vanishes; on a line every one is."""
     (grad,) = wall.signed(field, wall.wall_grad)  # another function raises
     if chart.dim == 1:
-        return [_classify_boundary(field, chart, x, metric, tol) for x in wall.wall]
-    slopes = _walk_slopes(chart, grad, wall.normals)
+        return [_classify_boundary(field, chart, x, tol) for x in wall.wall]
+    slopes = _walk_slopes(chart, grad, wall.tangents)
     found: list[Array] = []
     for start, end in zip((0, *wall.ends), wall.ends):
         loop, g_vals = wall.wall[start:end], slopes[start:end]
         typical_step = float(np.linalg.norm(loop[1] - loop[0])) if len(loop) > 1 else 0.1
         hits = (g_vals * np.roll(g_vals, -1) < 0.0) | (np.abs(g_vals) < 1e-12)
         for cand in loop[hits]:
-            refined = _refine_on_boundary(field, chart, cand, metric, tol,
+            refined = _refine_on_boundary(field, chart, cand, tol,
                                           max_move=4 * typical_step)
             if refined is None:
                 continue
             if any(chart_distance(chart, refined, q) < tol.dedup_dist for q in found):
                 continue
             found.append(refined)
-    return [_classify_boundary(field, chart, x, metric, tol) for x in found]
+    return [_classify_boundary(field, chart, x, tol) for x in found]
 
 
 def _classify_boundary(field: MorseField, chart: Chart, x: Array,
-                       metric: MetricField | None, tol: Tolerances) -> CriticalPoint:
+                       tol: Tolerances) -> CriticalPoint:
     pt = normalize_point(chart, x, tol)
-    normal, tangent = boundary_frame(chart, pt, metric, tol)
+    normal, tangent = boundary_frame(chart, pt, tol)
     grad = np.asarray(field.gradient(pt), dtype=float)
     nu = float(grad @ normal)
     if abs(nu) <= tol.tol_type:
         raise TypeUndetermined(f"<df, n> = {nu:.2e} at {tuple(pt.tolist())}")
     if chart.dim == 2:
-        _, h_t = boundary_restriction_derivatives(field, chart, pt, metric, tol)
+        _, h_t = boundary_restriction_derivatives(field, chart, pt, tol)
         if abs(h_t) < tol.tol_nondeg:
             raise DegenerateCritical(
                 f"boundary restriction degenerate at {tuple(pt.tolist())}")
@@ -519,18 +515,17 @@ def _orientation_frame(field: MorseField, cp: CriticalPoint, dim: int) -> list[A
 
 
 def find_critical_set(field: MorseField, chart: Chart,
-                      metric: MetricField | None = None,
                       tol: Tolerances = DEFAULT,
                       wall: BoundarySample | None = None) -> CriticalSet:
     """Every critical point of f and of its boundary restriction, with ids in
     order of value.  The sort is stable, so points of equal value (the lifts
     of one point to a cyclic cover) keep the searches' order, interior points
-    first.  `wall` is `boundary_sample(field, chart, metric, tol)`, drawn
-    here when not given."""
+    first.  `wall` is `boundary_sample(field, chart, tol)`, drawn here when
+    not given."""
     if wall is None:
-        wall = boundary_sample(field, chart, metric, tol)
+        wall = boundary_sample(field, chart, tol)
     interior = find_interior_critical(field, chart, tol=tol)
-    boundary = find_boundary_critical(field, chart, metric=metric, tol=tol, wall=wall)
+    boundary = find_boundary_critical(field, chart, tol=tol, wall=wall)
     out = [replace(cp, id=ident, frame=_orientation_frame(field, cp, chart.dim))
            for ident, cp in enumerate(sorted(interior + boundary, key=lambda p: p.value))]
     return CriticalSet(chart.dim, tuple(out))

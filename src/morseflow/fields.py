@@ -3,8 +3,9 @@
 Derivative closures are supplied analytically per catalog entry, for the
 function and for each wall, and checked once, when the entry is constructed
 (`validate_field`): the gradient against central differences of the value,
-the hessian against central differences of the gradient, and the function's
-deck equivariance, all on one deterministic sample of the chart's box
+the hessian against central differences of the gradient, the function's
+deck equivariance, and the chart's metric (symmetric, positive-definite and
+deck invariant), all on one deterministic sample of the chart's box
 (`halton_sequence`), evaluated in one batch per call.  A wall's hessian is an
 input too: it carries the wall's second fundamental form into the boundary
 restriction's second derivative.  Every evaluator accepts a single coordinate
@@ -23,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotMorse, NotOnBoundary
-from .geometry import (BoundaryConstraint, Chart, MetricField, active_constraint,
-                       deck_apply, metric_normal, turn_clockwise)
+from .geometry import (BoundaryConstraint, Chart, active_constraint, deck_apply,
+                       metric_matrices, wall_frame)
 from .params import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -111,26 +112,50 @@ def _central_differences(fn: Callable[[Array], Array], pts: Array, step: float) 
     return np.stack(cols, axis=-1)
 
 
+def _deck_deviation(chart: Chart, pts: Array, fn: Callable[[Array], Array],
+                    differential) -> float:
+    """Worst deviation of fn at the deck images of pts from fn at pts times
+    the differential, entry by entry, each side evaluated in one batch."""
+    image = np.asarray(fn(deck_apply(chart, 1, pts)), dtype=float)
+    moved = differential * np.asarray(fn(pts), dtype=float)
+    return float(np.max(np.abs(image - moved), initial=0.0))
+
+
 def check_deck_invariance(field: MorseField, chart: Chart) -> float:
     """Worst deviation of value/gradient/hessian from deck equivariance,
-    over the sample points and their images, each evaluated in one batch."""
+    over the sample points and their images."""
     if chart.deck is None:
         return 0.0
     pts = _sample_points(chart)
-    tx = deck_apply(chart, 1, pts)
-
-    def deviation(fn, differential) -> float:
-        image = np.asarray(fn(tx), dtype=float)
-        moved = differential * np.asarray(fn(pts), dtype=float)
-        return float(np.max(np.abs(image - moved), initial=0.0))
-
     # the deck map's differential diag(1, flip), entry by entry
     flip = np.array([1.0, float(chart.deck.flip)])
-    worst = max(deviation(field.value, 1.0), deviation(field.gradient, flip),
-                deviation(field.hessian, np.outer(flip, flip)))
+    worst = max(_deck_deviation(chart, pts, field.value, 1.0),
+                _deck_deviation(chart, pts, field.gradient, flip),
+                _deck_deviation(chart, pts, field.hessian, np.outer(flip, flip)))
     if not worst <= 1e-9:  # NaN fails too
         raise NotMorse(f"field is not deck invariant (deviation {worst:.2e})")
     return worst
+
+
+def check_metric(chart: Chart) -> None:
+    """The chart's metric, when it has one, at the sample points: symmetric,
+    positive-definite, and invariant under a deck map T with differential
+    D = diag(1, flip), g(Tx) = D g(x) D."""
+    if chart.metric is None:
+        return
+    pts = _sample_points(chart)
+    g = metric_matrices(chart, pts)
+    asymmetry = float(np.max(np.abs(g - g.transpose(0, 2, 1)), initial=0.0))
+    least = float(np.min(np.linalg.eigvalsh(g)))
+    if not (asymmetry <= 1e-9 and least > 0.0):  # NaN fails too
+        raise NotMorse(f"metric is not symmetric positive-definite (asymmetry "
+                       f"{asymmetry:.2e}, least eigenvalue {least:.2e})")
+    if chart.deck is not None:
+        flip = np.array([1.0, float(chart.deck.flip)])
+        worst = _deck_deviation(chart, pts, lambda x: metric_matrices(chart, x),
+                                np.outer(flip, flip))
+        if not worst <= 1e-9:
+            raise NotMorse(f"metric is not deck invariant (deviation {worst:.2e})")
 
 
 def check_derivative_consistency(field: MorseField | BoundaryConstraint,
@@ -158,9 +183,9 @@ def check_derivative_consistency(field: MorseField | BoundaryConstraint,
 
 
 def validate_field(field: MorseField, chart: Chart) -> None:
-    """Construction-time checks: the field's deck equivariance, and the
-    derivative consistency of the field and of every wall of the chart; a
-    wall's failure names the wall."""
+    """Construction-time checks: the field's deck equivariance, the
+    derivative consistency of the field and of every wall of the chart, a
+    wall's failure naming the wall, and the chart's metric (`check_metric`)."""
     check_deck_invariance(field, chart)
     check_derivative_consistency(field, chart)
     for wall in chart.constraints:
@@ -168,12 +193,13 @@ def validate_field(field: MorseField, chart: Chart) -> None:
             check_derivative_consistency(wall, chart)
         except NotMorse as exc:
             raise NotMorse(f"wall {wall.name!r}: {exc}") from None
+    check_metric(chart)
 
 
-def boundary_restriction_derivatives(field: MorseField, chart: Chart,
-                                     x: Array, metric: MetricField | None = None,
+def boundary_restriction_derivatives(field: MorseField, chart: Chart, x: Array,
                                      tol: Tolerances = DEFAULT) -> tuple[float, float]:
-    """Arclength first and second derivatives of the boundary restriction at x.
+    """Arclength first and second derivatives of the boundary restriction at
+    x, along the metric-unit tangent of `geometry.wall_frame`.
 
     The second derivative carries the curvature correction
     t.(d2f).t - <df, n> II(t, t) coming from the bending of the wall, where
@@ -188,12 +214,11 @@ def boundary_restriction_derivatives(field: MorseField, chart: Chart,
         raise NotOnBoundary(f"{tuple(x.tolist())} is interior")
     grad_b = np.asarray(con.gradient(x), dtype=float)
     hess_b = np.asarray(con.hessian(x), dtype=float)
-    normal = metric_normal(metric or MetricField.euclidean(2), x, grad_b)
-    tangent = turn_clockwise(normal)
-    if metric is None or metric.identity:
+    normal, tangent = wall_frame(chart, x, grad_b)
+    if chart.metric is None:
         gl = math.sqrt(float(grad_b @ grad_b))
     else:
-        gl = math.sqrt(float(grad_b @ np.linalg.solve(np.asarray(metric.matrix(x)), grad_b)))
+        gl = float(grad_b @ normal)   # <db, n> is |db| in the dual metric norm
     grad = np.asarray(field.gradient(x), dtype=float)
     hess = np.asarray(field.hessian(x), dtype=float)
     g_t = float(grad @ tangent)

@@ -5,8 +5,12 @@ inequality constraints, each of which bounds the manifold by one wall, and
 optionally glued by a deck map (u, v) -> (u + period, flip * v).  The strip
 (`Chart.strip`) is a box one period wide whose two walls are linear
 constraints.  Every wall operation treats all constraints alike; only code
-about the deck images asks whether a chart has a deck map.  All evaluators
-are pure; chart values are immutable after construction.
+about the deck images asks whether a chart has a deck map.  The metric is
+the chart's too (`Chart.metric`, None for the Euclidean one), and every
+frame reads it there (`wall_frames`): a wall's normal is its covector's
+metric dual, and its tangent the covector turned clockwise, scaled to metric
+length one, which lies along the wall under any metric.  All evaluators are
+pure; chart values are immutable after construction.
 """
 from __future__ import annotations
 
@@ -144,22 +148,29 @@ class Deck:
 
 @dataclass(frozen=True)
 class Chart:
-    """A box cut out by boundary constraints, optionally glued by a deck map.
+    """A box cut out by boundary constraints, optionally glued by a deck map,
+    with a Riemannian metric.
 
     With a deck map the box's first axis is one period, [0, period), and the
-    canonical form of a point is its deck image there.
+    canonical form of a point is its deck image there.  `metric` gives the
+    metric's matrix at a point; None is the Euclidean metric.
     """
 
     dim: int
     box: tuple[tuple[float, float], ...]
     constraints: tuple[BoundaryConstraint, ...]
     deck: Deck | None = None
+    metric: Callable[[Array], Array] | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
         if len(self.box) != self.dim:
             raise ValueError("box must have one (lo, hi) pair per axis")
+        for axis, (lo, hi) in enumerate(self.box):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"box axis {axis} ({lo}, {hi}) is not a finite "
+                                 "interval with lo < hi")
         if self.deck is not None:
             if self.dim != 2:
                 raise ValueError("a deck map needs dimension 2")
@@ -175,24 +186,6 @@ class Chart:
         walls = (BoundaryConstraint.linear("v_min", (0.0, -1.0), v_min),
                  BoundaryConstraint.linear("v_max", (0.0, 1.0), -v_max))
         return cls(2, ((0.0, period), (v_min, v_max)), walls, Deck(period, flip))
-
-
-@dataclass(frozen=True)
-class MetricField:
-    """Symmetric positive-definite bilinear form on chart coordinates."""
-
-    matrix: Callable[[Array], Array]
-    identity: bool = False
-
-    @classmethod
-    def euclidean(cls, dim: int) -> "MetricField":
-        eye = np.eye(dim)
-        return cls(matrix=lambda x: eye, identity=True)
-
-    @classmethod
-    def scaled(cls, dim: int, factor: float) -> "MetricField":
-        mat = factor * np.eye(dim)
-        return cls(matrix=lambda x: mat)
 
 
 def deck_sign(chart: Chart, k: int) -> int:
@@ -355,19 +348,13 @@ def near_rows(chart: Chart, points: Array, b: Sequence[float], radius: float) ->
     return np.flatnonzero(~(gap > bound))
 
 
-def metric_normal(metric: MetricField, x: Array, covector: Array) -> Array:
-    """Unit vector metric-dual to a covector (direction of steepest increase)."""
-    if metric.identity:
-        length = math.sqrt(float(covector @ covector))
-        if length == 0.0:
-            raise ValueError("vanishing covector has no normal direction")
-        return covector / length
-    g = np.asarray(metric.matrix(x), dtype=float)
-    vec = np.linalg.solve(g, covector)
-    length = math.sqrt(float(vec @ g @ vec))
-    if length == 0.0:
-        raise ValueError("vanishing covector has no normal direction")
-    return vec / length
+def metric_matrices(chart: Chart, x: Array) -> Array | None:
+    """The chart's metric matrix at each row of x, stacked; None for the
+    Euclidean metric."""
+    if chart.metric is None:
+        return None
+    rows, dim = x.shape
+    return np.array([chart.metric(row) for row in x], dtype=float).reshape(rows, dim, dim)
 
 
 def quadratic_forms(v: Array, g_mats: Array) -> Array:
@@ -375,59 +362,70 @@ def quadratic_forms(v: Array, g_mats: Array) -> Array:
     return row_dot(np.matmul(v[:, None, :], g_mats)[:, 0, :], v)
 
 
-def metric_matrices(metric: MetricField, x: Array) -> Array:
-    """`metric.matrix` at each row of x, stacked."""
-    rows, dim = x.shape
-    if metric.identity:
-        return np.broadcast_to(np.eye(dim), (rows, dim, dim))
-    return np.array([metric.matrix(row) for row in x], dtype=float).reshape(rows, dim, dim)
-
-
-def metric_normals(metric: MetricField, covectors: Array, g_mats: Array | None) -> Array:
-    """`metric_normal` of each row of covectors (a zero row gives nan)."""
-    if metric.identity:
-        vec = covectors
-        length = np.sqrt(row_dot(vec, vec))
-    else:
-        vec = np.linalg.solve(g_mats, covectors[:, :, None])[:, :, 0]
-        length = np.sqrt(quadratic_forms(vec, g_mats))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return vec / length[:, None]
-
-
-def turn_clockwise(normal: Array) -> Array:
+def turn_clockwise(vec: Array) -> Array:
     """A plane vector, or each row of vectors, turned a quarter clockwise:
-    (n_y, -n_x).  The boundary tangent is the outward normal turned so."""
-    return np.stack([normal[..., 1], -normal[..., 0]], axis=-1)
+    (v_y, -v_x)."""
+    return np.stack([vec[..., 1], -vec[..., 0]], axis=-1)
 
 
-def boundary_frame(chart: Chart, x: Array, metric: MetricField | None = None,
+def wall_frames(covectors: Array, g_mats: Array | None) -> tuple[Array, Array]:
+    """The outward metric-unit normal and the metric-unit tangent of a wall
+    whose covector is each row of covectors, under the metric matrices g_mats
+    (None for the Euclidean metric); a zero row gives nan.
+
+    The normal is the covector's metric dual.  The tangent is the covector
+    turned clockwise, which lies in its kernel under any metric, scaled to
+    metric length one; under the Euclidean metric it is the normal turned
+    clockwise.  On a line the tangent is zero.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if g_mats is None:
+            normals = covectors / np.sqrt(row_dot(covectors, covectors))[:, None]
+        else:
+            vec = np.linalg.solve(g_mats, covectors[:, :, None])[:, :, 0]
+            normals = vec / np.sqrt(quadratic_forms(vec, g_mats))[:, None]
+        if covectors.shape[1] == 1:
+            return normals, np.zeros_like(normals)
+        if g_mats is None:
+            return normals, turn_clockwise(normals)
+        turned = turn_clockwise(covectors)
+        return normals, turned / np.sqrt(quadratic_forms(turned, g_mats))[:, None]
+
+
+def wall_frame(chart: Chart, x: Array, covector: Array) -> tuple[Array, Array]:
+    """`wall_frames` of one covector at the point x, under the chart's metric.
+
+    Raises ValueError for a vanishing covector.
+    """
+    if not covector.any():
+        raise ValueError("vanishing covector has no normal direction")
+    normals, tangents = wall_frames(covector[None], metric_matrices(chart, x[None]))
+    return normals[0], tangents[0]
+
+
+def boundary_frame(chart: Chart, x: Array,
                    tol: Tolerances = DEFAULT) -> tuple[Array, Array]:
-    """Outward metric-unit normal and tangent at a boundary point x.  In
-    dimension 2 the tangent is the normal turned clockwise; in dimension 1
-    it is zero.
+    """Outward metric-unit normal and tangent (`wall_frame`) at a boundary
+    point x.
 
     Raises NotOnBoundary in the interior and AmbiguousBoundary at a corner.
     """
     con = active_constraint(chart, x, tol)
     if con is None:
         raise NotOnBoundary(f"{tuple(x.tolist())} is interior")
-    metric = metric or MetricField.euclidean(len(x))
-    normal = metric_normal(metric, x, np.asarray(con.gradient(x), dtype=float))
-    return normal, (np.zeros(1) if len(x) == 1 else turn_clockwise(normal))
+    return wall_frame(chart, x, np.asarray(con.gradient(x), dtype=float))
 
 
-def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
+def boundary_frames(chart: Chart, raw: Array,
                     tol: Tolerances = DEFAULT) -> tuple[Array, Array, Array]:
-    """Canonical points, outward metric-unit normals and metric matrices of
-    boundary points, one row per row of raw.
+    """Canonical points, outward metric-unit normals and metric-unit tangents
+    of boundary points, one row per row of raw.
 
-    The bits are those of `normalize_point`, `boundary_frame` and
-    `metric.matrix` point by point.  A row off the manifold, at a corner or in
-    the interior raises what those raise at the first such row.
+    The bits are those of `normalize_point` and `boundary_frame` point by
+    point.  A row off the manifold, at a corner or in the interior raises what
+    those raise at the first such row.
     """
     x = np.array(raw, dtype=float).reshape(-1, chart.dim)
-    metric = metric or MetricField.euclidean(chart.dim)
     geom = tol.tol_geom
     canon = deck_reduce(chart, x)
     values = np.empty((len(x), len(chart.constraints)))
@@ -441,14 +439,14 @@ def boundary_frames(chart: Chart, raw: Array, metric: MetricField | None = None,
     for j, con in enumerate(chart.constraints):
         rows = np.flatnonzero(active[:, j] & ~bad)
         covectors[rows] = con.gradient(canon[rows])
-    g_mats = metric_matrices(metric, canon)
-    normals = metric_normals(metric, covectors, g_mats)
-    # `metric_normal` raises on a zero normal, where the batch divides by zero
+    normals, tangents = wall_frames(covectors, metric_matrices(chart, canon))
+    # `wall_frame` raises on a zero covector, where the batch divides by zero
     bad |= ~np.isfinite(normals).all(axis=1) & np.isfinite(covectors).all(axis=1)
     # rows the batch cannot vouch for take the per-point path, which raises
     for i in np.flatnonzero(bad):
-        normals[i], _ = boundary_frame(chart, normalize_point(chart, x[i], tol), metric, tol)
-    return canon, normals, g_mats
+        pt = normalize_point(chart, x[i], tol)
+        normals[i], tangents[i] = boundary_frame(chart, pt, tol)
+    return canon, normals, tangents
 
 
 def nearest_wall(chart: Chart, raw: Array) -> tuple[float, Array | None]:

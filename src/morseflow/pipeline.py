@@ -113,8 +113,8 @@ class _Setup:
     def build(self, side: str, seed: int | None) -> PseudoGradientField:
         """The certified field of one side at one perturbation seed."""
         objective, crit = self.sides[side]
-        return build_adapted(objective, self.entry.chart, crit, self.entry.metric,
-                             sample=self.measured, perturb_seed=seed, tol=self.tol)
+        return build_adapted(objective, self.entry.chart, crit, sample=self.measured,
+                             perturb_seed=seed, tol=self.tol)
 
 
 def _setup(entry: CatalogEntry, tol: Tolerances, crit: CriticalSet | None = None,
@@ -122,13 +122,13 @@ def _setup(entry: CatalogEntry, tol: Tolerances, crit: CriticalSet | None = None
     """The set-up of one analysis of the entry.  `crit` and `sample`, when
     given, are `entry.field`'s critical set and certification sample, as a
     package holds them; what is not given is drawn here."""
-    f, chart, metric = entry.field, entry.chart, entry.metric
-    wall = sample if sample is not None else boundary_sample(f, chart, metric, tol)
+    f, chart = entry.field, entry.chart
+    wall = sample if sample is not None else boundary_sample(f, chart, tol)
     if crit is None:
-        crit = find_critical_set(f, chart, metric, tol, wall=wall)
+        crit = find_critical_set(f, chart, tol, wall=wall)
     if sample is None:
         sample = certification_sample(f, chart, crit, tol, wall)
-    return _Setup(entry, tol, crit, sample, sample.measured(chart, metric),
+    return _Setup(entry, tol, crit, sample, sample.measured(chart),
                   {"N": (f, crit), "D": (f.negated(), reclassify_negated(crit, f))})
 
 

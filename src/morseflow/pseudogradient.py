@@ -20,7 +20,7 @@ the descent, relaxes in the normal direction at the ramp's slope times
 the catalog, and the integrator's stability, not its accuracy, then sets
 its step.
 
-A field derives its patches and perturbation from its eight init fields, and
+A field derives its patches and perturbation from its seven init fields, and
 only `build_adapted` certifies it.  It has two evaluators that return the
 same bits: the flow integrator evaluates point by point
 (`PseudoGradientField.evaluate`), where a one-row batch would cost several
@@ -28,10 +28,10 @@ times as much, and certification and the capture check evaluate in batches
 (`_eval_canonical_many`) on canonical points and the gradients stored with
 them.  The point evaluator is one straight-line float kernel per field
 (`_point_evaluator`) around one call of the objective's gradient and of the
-metric and one `BoundaryConstraint.read` per wall; the batch is handed a
-`RowGeometry` of its rows, each wall read once per row through its callables
-(`_pieces_many`): the certificate's from its measured sample, the capture
-check's measured for its rings.
+chart's metric (none for the Euclidean one) and one `BoundaryConstraint.read`
+per wall; the batch is handed a `RowGeometry` of its rows, each wall read
+once per row through its callables (`_pieces_many`): the certificate's from
+its measured sample, the capture check's measured for its rings.
 
 Both measure a chart distance to a patch's or a critical point's center only
 where the coordinate gaps, lower bounds of the distance to every deck image,
@@ -45,17 +45,17 @@ What the bound skips lies at least that far away, so no bit changes.
 Nothing here draws what it is not handed.  An analysis (`pipeline`) draws its
 certification sample once (`certification_sample`): the boundary sample the
 critical search scanned (`critical.boundary_sample`) and interior points,
-which depend only on the chart, the metric, the critical coordinates and the
-tolerances, and the analysed function's gradient at each of them.  Every
-field the analysis builds (`build_adapted`, handed the side's objective and
-critical set) is certified on it; the field's value and the descent test both
-read the sample's gradient, negated for an ascent field, so no certification
-point's gradient is evaluated twice.  The analysis also measures the sample's
-rows once (`CertificationSample.measured`): their `RowGeometry` serves every
-certificate it makes, and dies with the analysis, since the package keeps the
-sample without it.  The perturbation is not shared: each side's critical
-points, the envelope's factors, come in that side's order of value, and the
-product rounds by that order.
+which depend only on the chart (its metric included), the critical
+coordinates and the tolerances, and the analysed function's gradient at each
+of them.  Every field the analysis builds (`build_adapted`, handed the side's
+objective and critical set) is certified on it; the field's value and the
+descent test both read the sample's gradient, negated for an ascent field, so
+no certification point's gradient is evaluated twice.  The analysis also
+measures the sample's rows once (`CertificationSample.measured`): their
+`RowGeometry` serves every certificate it makes, and dies with the analysis,
+since the package keeps the sample without it.  The perturbation is not
+shared: each side's critical points, the envelope's factors, come in that
+side's order of value, and the product rounds by that order.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ from .critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, BoundarySample, Critica
                        CriticalSet)
 from .errors import BlendGapFailure
 from .fields import MorseField, halton_sequence
-from .geometry import (Chart, MetricField, active_constraint, chart_distance,
+from .geometry import (Chart, active_constraint, chart_distance,
                        chart_distance_many, coords_distance, deck_reduce, gap_bound,
                        metric_matrices, near_rows, plain_dot, row_dot)
 from .params import DEFAULT, Tolerances
@@ -141,9 +141,9 @@ class RowGeometry:
                            None if self.g is None else self.g[..., rows])
 
 
-def row_geometry(chart: Chart, metric: MetricField, x: Array) -> RowGeometry:
+def row_geometry(chart: Chart, x: Array) -> RowGeometry:
     """The `RowGeometry` of rows of canonical points x."""
-    g = None if metric.identity else metric_matrices(metric, x).transpose(1, 2, 0)
+    g = None if chart.metric is None else metric_matrices(chart, x).transpose(1, 2, 0)
     depth = np.full(len(x), math.inf)
     wall = np.full(len(x), math.inf)
     cov = np.zeros_like(x)
@@ -229,12 +229,11 @@ class AdaptednessCertificate:
 
 @dataclass(eq=False)
 class PseudoGradientField:
-    """A value of its eight init fields.  The patches and the perturbation
+    """A value of its seven init fields.  The patches and the perturbation
     (none for a seed of None or 0) are derived from them, so a copy made with
     `dataclasses.replace` derives its own; only `build_adapted` certifies."""
 
-    chart: Chart
-    metric: MetricField
+    chart: Chart                     # its metric is the field's
     objective: MorseField            # the function this field descends
     crit: CriticalSet                # classified for the objective
     r_n: float
@@ -267,7 +266,7 @@ class PseudoGradientField:
     def _eval_canonical_many(self, x: Array, grad: Array, geometry: RowGeometry) -> Array:
         """The arithmetic of `_point_evaluator` at each row of x, canonical
         coordinates, where the objective's gradient is the row of grad and
-        `geometry` is `row_geometry(self.chart, self.metric, x)`."""
+        `geometry` is `row_geometry(self.chart, x)`."""
         g, depth = geometry.g, geometry.depth
         vec = -grad if g is None else -np.stack(_solve(g, grad.T), axis=1)
 
@@ -374,7 +373,7 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[list], list]:
     source = field.objective.negation_of
     negated = source is not None
     gradient = (source if negated else field.objective).gradient
-    matrix = None if field.metric.identity else field.metric.matrix
+    matrix = chart.metric
     array, asarray, ndarray, float64 = np.array, np.asarray, np.ndarray, _FLOAT
     sqrt, isfinite, floor, sin = math.sqrt, math.isfinite, math.floor, math.sin
     inf, nan = math.inf, math.nan
@@ -630,28 +629,28 @@ class CertificationSample(BoundarySample):
     # (interior, wall) `RowGeometry`, on a copy that one analysis certifies on
     geometry: tuple[RowGeometry, RowGeometry] | None = None
 
-    def measured(self, chart: Chart, metric: MetricField) -> CertificationSample:
-        """A copy carrying the geometry of its rows on the chart under the
-        metric, which must be the certified fields' (itself when it carries
-        one).  An analysis measures its sample once, and keeps the copy only
-        while it builds fields: a package holds the sample without it."""
+    def measured(self, chart: Chart) -> CertificationSample:
+        """A copy carrying the geometry of its rows on the chart, which must
+        be the certified fields' (itself when it carries one).  An analysis
+        measures its sample once, and keeps the copy only while it builds
+        fields: a package holds the sample without it."""
         if self.geometry is not None:
             return self
-        return replace(self, geometry=(row_geometry(chart, metric, self.interior),
-                                       row_geometry(chart, metric, self.wall)))
+        return replace(self, geometry=(row_geometry(chart, self.interior),
+                                       row_geometry(chart, self.wall)))
 
 
 def certification_sample(field: MorseField, chart: Chart, crit: CriticalSet,
                          tol: Tolerances, wall: BoundarySample) -> CertificationSample:
     """Draw the interior points and evaluate the gradient of f (`field`)
-    there, once.  `wall` is `critical.boundary_sample(field, chart, metric,
-    tol)`, whose normals and metric matrices the sample keeps; a sample of
-    another function raises `SampleMismatch`."""
+    there, once.  `wall` is `critical.boundary_sample(field, chart, tol)`,
+    whose normals and tangents the sample keeps; a sample of another
+    function raises `SampleMismatch`."""
     (wall_grad,) = wall.signed(field, wall.wall_grad)
     interior = _manifold_sample(chart, crit, tol.cert_interior_samples, tol.r_excl)
     return CertificationSample(
         field=field, wall=wall.wall, wall_grad=wall_grad, normals=wall.normals,
-        g_mats=wall.g_mats, ends=wall.ends, interior=interior,
+        tangents=wall.tangents, ends=wall.ends, interior=interior,
         interior_grad=np.asarray(field.gradient(interior), dtype=float))
 
 
@@ -675,16 +674,17 @@ def certify_adapted(field: PseudoGradientField, *, sample: CertificationSample,
     """Sample-based check of the four adaptedness conditions.
 
     `sample` is `certification_sample(f, field.chart, ..., field.tol, ...)`,
-    its wall sample drawn under `field.metric`, for the function f the field
-    descends, or for -f when it ascends; it is measured here when it carries
-    no geometry (see `measured`).  A sample of any other function raises `SampleMismatch`.  A
-    NaN at any sample fails the certificate.
+    for the function f the field descends, or for -f when it ascends; it is
+    measured here when it carries no geometry (see `measured`).  A sample of
+    any other function raises `SampleMismatch`.  A NaN at any sample fails
+    the certificate.  The inward test reads the wall's metric matrices from
+    the measured geometry; without a metric it multiplies by none.
     """
     chart, crit = field.chart, field.crit
     obj = field.objective
     interior = sample.interior
     interior_grad, wall_grad = sample.signed(obj, sample.interior_grad, sample.wall_grad)
-    sample = sample.measured(chart, field.metric)
+    sample = sample.measured(chart)
     interior_geometry, wall_geometry = sample.geometry
     # the sample's points are canonical, so the field reads their gradients;
     # an empty sample, interior or wall, tests nothing, and its NaN margin
@@ -695,9 +695,11 @@ def certify_adapted(field: PseudoGradientField, *, sample: CertificationSample,
 
     keep = _wall_sample(field, sample)
     on_wall = sample.wall[keep]
-    pushed = np.matmul(field._eval_canonical_many(
-        on_wall, wall_grad[keep], wall_geometry.take(keep))[:, None, :],
-        sample.g_mats[keep])[:, 0, :]
+    on_wall_geometry = wall_geometry.take(keep)
+    pushed = field._eval_canonical_many(on_wall, wall_grad[keep], on_wall_geometry)
+    if on_wall_geometry.g is not None:
+        g_mats = on_wall_geometry.g.transpose(2, 0, 1)
+        pushed = np.matmul(pushed[:, None, :], g_mats)[:, 0, :]
     inward = (float(np.min(-row_dot(pushed, sample.normals[keep])))
               if len(on_wall) else math.nan)
 
@@ -796,7 +798,7 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
     x = deck_reduce(chart, pts)
     grad = np.asarray(obj.gradient(x), dtype=float)
     slope = row_dot(grad, field._eval_canonical_many(
-        x, grad, row_geometry(chart, field.metric, x)))
+        x, grad, row_geometry(chart, x)))
     if not np.all(slope < 0.0):
         return None
     sign = -1.0 if reverse else 1.0
@@ -809,7 +811,7 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
 
 
 def build_adapted(objective: MorseField, chart: Chart, crit: CriticalSet,
-                  metric: MetricField, *, sample: CertificationSample,
+                  *, sample: CertificationSample,
                   perturb_seed: int | None = None,
                   tol: Tolerances = DEFAULT) -> PseudoGradientField:
     """Assemble and certify a descent field for the objective, whose critical
@@ -822,12 +824,12 @@ def build_adapted(objective: MorseField, chart: Chart, crit: CriticalSet,
     measures once for all its builds, both sides included; every retry reads
     one measured copy.
     """
-    sample = sample.measured(chart, metric)
+    sample = sample.measured(chart)
     last = None
     for attempt in range(tol.build_retries + 1):
         shrink = 0.5 ** attempt
         pg = PseudoGradientField(
-            chart=chart, metric=metric, objective=objective, crit=crit,
+            chart=chart, objective=objective, crit=crit,
             r_n=tol.r_n * shrink, delta_c=tol.delta_c * shrink,
             perturb_seed=perturb_seed, tol=tol,
         )

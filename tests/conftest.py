@@ -9,7 +9,7 @@ from morseflow import catalog
 from morseflow.catalog import CatalogEntry
 from morseflow.critical import boundary_sample
 from morseflow.fields import MorseField, validate_field
-from morseflow.geometry import Chart, MetricField
+from morseflow.geometry import Chart
 from morseflow.params import DEFAULT
 from morseflow.pseudogradient import certification_sample, row_geometry
 from morseflow.verify import VerificationContext
@@ -109,18 +109,24 @@ def evaluate_many(field, points) -> np.ndarray:
     the field's batch evaluator does the rest."""
     x, flip = canonical_many(field.chart, points)
     vec = field._eval_canonical_many(x, np.asarray(field.objective.gradient(x), dtype=float),
-                                     row_geometry(field.chart, field.metric, x))
+                                     row_geometry(field.chart, x))
     if flip is not None:
         vec[flip, 1] = -vec[flip, 1]
     return vec
 
 
-def drawn_sample(objective, chart, metric, crit, tol=DEFAULT):
+def with_metric(entry, matrix):
+    """The entry on its chart with the metric whose matrix at a point is
+    matrix(x), a callable."""
+    return dataclasses.replace(entry, chart=dataclasses.replace(entry.chart, metric=matrix))
+
+
+def drawn_sample(objective, chart, crit, tol=DEFAULT):
     """The certification sample an analysis of objective with critical set
     crit under tol draws: its boundary trace and interior points, with the
     objective's gradient at each.  A field built or certified by hand takes
     it, f's or -f's, as an analysis hands its fields the one it draws."""
-    wall = boundary_sample(objective, chart, metric, tol)
+    wall = boundary_sample(objective, chart, tol)
     return certification_sample(objective, chart, crit, tol, wall)
 
 
@@ -157,8 +163,7 @@ def cylinder():
     field = MorseField(value=lambda x: x[..., 1] + 0.5 * np.cos(x[..., 0]),
                        gradient=gradient, hessian=hessian)
     validate_field(field, chart)
-    return CatalogEntry(name="cylinder", chart=chart, metric=MetricField.euclidean(2),
-                        field=field, chi=0)
+    return CatalogEntry(name="cylinder", chart=chart, field=field, chi=0)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
 """The batched boundary layer against the per-point one.
 
 `geometry.boundary_frames` gives the one wall trace, which the critical search
-scans and the certificate tests, its boundary points, normals and metric
-matrices in one batch, and `critical._walk_slopes` the tangential derivatives
-scanned for sign changes.
+scans and the certificate tests, its boundary points, normals and tangents in
+one batch, and `critical._walk_slopes` the tangential derivatives scanned for
+sign changes.
 Both must return the bits, and raise the errors, of `normalize_point`,
-`boundary_frame`, `metric.matrix` and `boundary_restriction_derivatives` point
-by point, so every comparison here is exact.  Each analysis draws its
+`boundary_frame` and `boundary_restriction_derivatives` point by point, so
+every comparison here is exact.  Each analysis draws its
 certification sample once.
 """
 import dataclasses
@@ -19,13 +19,12 @@ from morseflow.critical import (CriticalSet, _walk_slopes, boundary_components,
                                 boundary_loop_count, boundary_sample)
 from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
 from morseflow.fields import MorseField, boundary_restriction_derivatives, halton_sequence
-from morseflow.geometry import (BoundaryConstraint, Chart, MetricField,
-                                boundary_frame, boundary_frames, chart_distance_many,
-                                normalize_point)
+from morseflow.geometry import (BoundaryConstraint, Chart, boundary_frame,
+                                boundary_frames, chart_distance_many, normalize_point)
 from morseflow.params import DEFAULT
 from morseflow.pseudogradient import certification_sample, certify_adapted
 
-from conftest import drawn_sample
+from conftest import drawn_sample, with_metric
 
 
 def same_bits(a, b):
@@ -33,23 +32,30 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def per_point_frames(chart, loop, metric):
-    points, normals, g_mats = [], [], []
+def per_point_frames(chart, loop):
+    points, normals, tangents = [], [], []
     for x in loop:
         pt = normalize_point(chart, x)
         points.append(pt)
-        normals.append(boundary_frame(chart, pt, metric)[0])
-        g_mats.append(np.asarray(metric.matrix(pt), dtype=float))
-    return np.array(points), np.array(normals), np.array(g_mats)
+        normal, tangent = boundary_frame(chart, pt)
+        normals.append(normal)
+        tangents.append(tangent)
+    return np.array(points), np.array(normals), np.array(tangents)
 
 
 def scaled(name):
     entry = catalog.get(name)
-    return dataclasses.replace(entry, metric=MetricField.scaled(entry.chart.dim, 2.0))
+    return with_metric(entry, lambda x: 2.0 * np.eye(entry.chart.dim))
+
+
+def skewed(name):
+    return with_metric(catalog.get(name), lambda x: np.array([[2.0, 0.3], [0.3, 1.0]]))
 
 
 ENTRIES = [(name, lambda name=name: catalog.get(name)) for name in catalog.names()] + [
-    (f"{name}-scaled", lambda name=name: scaled(name)) for name in ("disk", "annulus")]
+    (f"{name}-scaled", lambda name=name: scaled(name)) for name in ("disk", "annulus")] + [
+    (f"{name}-skewed", lambda name=name: skewed(name))
+    for name in ("annulus", "tilted_dome")]
 
 
 def search_and_wall_loops(chart):
@@ -62,8 +68,8 @@ def search_and_wall_loops(chart):
 def test_frames_match_per_point(label, make):
     entry = make()
     for loop in search_and_wall_loops(entry.chart):
-        got = boundary_frames(entry.chart, loop, entry.metric)
-        want = per_point_frames(entry.chart, loop, entry.metric)
+        got = boundary_frames(entry.chart, loop)
+        want = per_point_frames(entry.chart, loop)
         assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
@@ -72,10 +78,10 @@ def test_walk_slopes_match_per_point(label, make):
     entry = make()
     if entry.chart.dim != 2:
         return
-    sample = boundary_sample(entry.field, entry.chart, entry.metric)
-    got = _walk_slopes(entry.chart, sample.wall_grad, sample.normals)
+    sample = boundary_sample(entry.field, entry.chart)
+    got = _walk_slopes(entry.chart, sample.wall_grad, sample.tangents)
     want = [boundary_restriction_derivatives(
-        entry.field, entry.chart, normalize_point(entry.chart, x), entry.metric)[0]
+        entry.field, entry.chart, normalize_point(entry.chart, x))[0]
         for x in sample.wall]
     # oriented along the walk: only a sign may differ
     assert same_bits(np.abs(got), np.abs(want))
@@ -95,7 +101,7 @@ def test_restriction_derivatives_look_the_wall_up_once(monkeypatch):
     entry = catalog.get("annulus")
     points = [normalize_point(entry.chart, x) for x in ([0.0, 2.0], [1.0, 0.0])]
     for pt in points:
-        boundary_restriction_derivatives(entry.field, entry.chart, pt, entry.metric)
+        boundary_restriction_derivatives(entry.field, entry.chart, pt)
     assert len(lookups) == len(points)
 
 
@@ -105,7 +111,7 @@ def test_the_sample_wall_is_the_traced_loops(cylinder, name):
     # map, so the canonical wall keeps the bits of the loops as traced
     entry = cylinder if name == "cylinder" else catalog.get(name)
     chart = entry.chart
-    sample = drawn_sample(entry.field, chart, entry.metric, CriticalSet(chart.dim, ()))
+    sample = drawn_sample(entry.field, chart, CriticalSet(chart.dim, ()))
     per_loop = max(1, DEFAULT.cert_boundary_samples // boundary_loop_count(chart))
     loops = boundary_components(chart, per_loop)
     assert same_bits(sample.wall, np.concatenate(loops))
@@ -118,9 +124,9 @@ def test_walk_slopes_follow_the_moebius_boundary_circle():
     # slope changes sign at the two critical points and nowhere else, not at
     # the seams where the frame tangent reverses
     entry = catalog.get("moebius")
-    sample = boundary_sample(entry.field, entry.chart, entry.metric)
+    sample = boundary_sample(entry.field, entry.chart)
     assert sample.ends == (len(sample.wall),)
-    g = _walk_slopes(entry.chart, sample.wall_grad, sample.normals)
+    g = _walk_slopes(entry.chart, sample.wall_grad, sample.tangents)
     changes = np.flatnonzero(np.sign(g) != np.sign(np.roll(g, -1)))
     u = sample.wall[changes, 0]
     assert len(changes) == 2
@@ -229,17 +235,17 @@ def test_wall_and_scan_make_no_per_point_calls(packages, name, monkeypatch):
                 monkeypatch.setattr(mod, fn.__name__, counted)
     entry = catalog.get(name)
     crit = packages[name].crit
-    wall = boundary_sample(entry.field, entry.chart, entry.metric)
+    wall = boundary_sample(entry.field, entry.chart)
     sample = certification_sample(entry.field, entry.chart, crit, DEFAULT, wall)
     assert len(sample.wall) > 0
     if entry.chart.dim == 2:
-        _walk_slopes(entry.chart, wall.wall_grad, wall.normals)
+        _walk_slopes(entry.chart, wall.wall_grad, wall.tangents)
     assert calls == []
 
 
 def test_nan_gradient_at_one_sample_fails_the_certificate(packages):
     field = packages["disk"].field_pos
-    sample = drawn_sample(field.objective, field.chart, field.metric, field.crit)
+    sample = drawn_sample(field.objective, field.chart, field.crit)
     bad = sample.interior[17]
     gradient = field.objective.gradient
 
@@ -250,7 +256,7 @@ def test_nan_gradient_at_one_sample_fails_the_certificate(packages):
 
     # the sample holds the gradients of the function it was drawn for
     objective = MorseField(field.objective.value, spoiled, field.objective.hessian)
-    spoiled_sample = drawn_sample(objective, field.chart, field.metric, field.crit)
+    spoiled_sample = drawn_sample(objective, field.chart, field.crit)
     assert np.isnan(spoiled_sample.interior_grad[17]).all()
     cert = certify_adapted(dataclasses.replace(field, objective=objective),
                            sample=spoiled_sample)

@@ -24,9 +24,9 @@ def counted_geometry(monkeypatch) -> list:
     rows = []
     measure = pseudogradient.row_geometry
 
-    def counted(chart, metric, x):
+    def counted(chart, x):
         rows.append(x)
-        return measure(chart, metric, x)
+        return measure(chart, x)
 
     monkeypatch.setattr(pseudogradient, "row_geometry", counted)
     return rows
@@ -98,7 +98,7 @@ def test_shrink_retries_share_one_geometry(packages, monkeypatch):
     entry = pkg.entry
     rows = counted_geometry(monkeypatch)
     made = recorded_certificates(monkeypatch)
-    field = build_adapted(entry.field, entry.chart, pkg.crit, entry.metric,
+    field = build_adapted(entry.field, entry.chart, pkg.crit,
                           tol=DEFAULT.override(r_n=2.0), sample=pkg.sample)
     monkeypatch.undo()
     assert [cert.attempts for _, cert in made] == [1, 2, 3]

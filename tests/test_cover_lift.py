@@ -167,7 +167,7 @@ def test_cover_critical_points_are_the_lifts(covers, cover_packages, name):
 
     def ids(points):
         return [(cp.id, cp.kind, cp.coords.tolist()) for cp in points]
-    fresh = find_critical_set(entry.field, entry.chart, entry.metric)
+    fresh = find_critical_set(entry.field, entry.chart)
     assert ids(fresh.points) == ids(crit.points)
     negated = ids(cover_packages[name, 0].field_neg.crit.points)
     for seed in SEEDS[1:]:

@@ -12,7 +12,7 @@ from morseflow.critical import (BOUNDARY_D, BOUNDARY_N, INTERIOR, _boundary_step
                                 reclassify_negated)
 from morseflow.errors import NotOnBoundary
 from morseflow.fields import boundary_restriction_derivatives
-from morseflow.geometry import (BoundaryConstraint, Chart, MetricField, chart_distance,
+from morseflow.geometry import (BoundaryConstraint, Chart, chart_distance,
                                 normalize_point, turn_clockwise)
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
@@ -163,8 +163,8 @@ def test_euler_characteristic(packages):
 def test_classification_stable_under_metric_scaling(packages):
     for name in catalog.names():
         entry = catalog.get(name)
-        scaled = MetricField.scaled(entry.chart.dim, 4.0)
-        crit = find_critical_set(entry.field, entry.chart, scaled)
+        chart = dataclasses.replace(entry.chart, metric=lambda x: 4.0 * np.eye(entry.dim))
+        crit = find_critical_set(entry.field, chart)
         base = packages[name].crit
         assert [(p.kind, p.grading) for p in crit.points] \
             == [(p.kind, p.grading) for p in base.points]
@@ -211,12 +211,12 @@ def test_negation_complements_gradings_and_swaps_types(packages, cylinder, name)
     # grading g becomes n - g on every kind of point, and N and D swap; the
     # critical search run on -f itself, by location, is the judge
     entry = cylinder if name == "cylinder" else catalog.get(name)
-    crit = (find_critical_set(entry.field, entry.chart, entry.metric)
+    crit = (find_critical_set(entry.field, entry.chart)
             if name == "cylinder" else packages[name].crit)
     n = crit.dim
     neg = reclassify_negated(crit, entry.field)
     assert sorted(cp.id for cp in neg.points) == [cp.id for cp in crit.points]
-    fresh = find_critical_set(entry.field.negated(), entry.chart, entry.metric).points
+    fresh = find_critical_set(entry.field.negated(), entry.chart).points
     for cp in neg.points:
         old = crit.by_id(cp.id)
         assert (cp.kind, cp.grading, cp.value) == (SWAP[old.kind], n - old.grading, -old.value)
@@ -274,7 +274,7 @@ def test_refinement_ends_when_its_line_search_fails(monkeypatch):
     monkeypatch.setattr(critical, "boundary_restriction_derivatives", counted)
     tol = DEFAULT.override(tol_crit=1e-300)
     assert critical._refine_on_boundary(entry.field, entry.chart, np.array([3.0, 1.0]),
-                                        entry.metric, tol, max_move=0.1) is None
+                                        tol, max_move=0.1) is None
     assert len(calls) <= 10
 
 
@@ -485,12 +485,12 @@ def test_critical_search_matches_the_numpy_walk(name, monkeypatch):
     # the walks' starts and the refinement's wall steps project one point at
     # a time
     entry = FIXTURES[name]() if name in FIXTURES else catalog.get(name)
-    found = find_critical_set(entry.field, entry.chart, entry.metric)
+    found = find_critical_set(entry.field, entry.chart)
     batch = critical._project_to_zero
     monkeypatch.setattr(critical, "_project_to_zero", lambda con, x, max_iter=60: (
         batch(con, x, max_iter) if np.ndim(x) == 2 else reference_project(con, x, max_iter)))
     monkeypatch.setattr(critical, "_wall_step", reference_wall_step)
-    want = find_critical_set(entry.field, entry.chart, entry.metric)
+    want = find_critical_set(entry.field, entry.chart)
     def bits(cp):
         arrays = (cp.coords, cp.normal, cp.tangent, *cp.frame)
         return ([None if a is None else a.tobytes() for a in arrays],

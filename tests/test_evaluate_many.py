@@ -17,13 +17,13 @@ import pytest
 
 from morseflow import catalog
 from morseflow.critical import CriticalSet, find_critical_set
-from morseflow.geometry import MetricField, chart_distance_many
+from morseflow.geometry import chart_distance_many
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _setup, build_package
 from morseflow.pseudogradient import (PseudoGradientField, _pieces_many, _wall_sample,
                                       certify_adapted)
 
-from conftest import canonical_many, drawn_sample, evaluate_many
+from conftest import canonical_many, drawn_sample, evaluate_many, with_metric
 
 
 def assert_same_bits(field, points):
@@ -36,7 +36,7 @@ def assert_same_bits(field, points):
 
 
 def field_sample(field):
-    return drawn_sample(field.objective, field.chart, field.metric, field.crit, field.tol)
+    return drawn_sample(field.objective, field.chart, field.crit, field.tol)
 
 
 def certification_samples(field):
@@ -46,8 +46,7 @@ def certification_samples(field):
 
 def side_fields(entry, crit, seed):
     """Both sides' fields at a seed, on the sample an analysis draws."""
-    setup = _setup(entry, DEFAULT, crit, drawn_sample(entry.field, entry.chart,
-                                                      entry.metric, crit))
+    setup = _setup(entry, DEFAULT, crit, drawn_sample(entry.field, entry.chart, crit))
     return [setup.build(side, seed) for side in ("N", "D")]
 
 
@@ -112,13 +111,26 @@ def test_moebius_deck_images_match(packages, seed):
         assert_same_bits(field, points)
 
 
-def test_non_identity_metric_matches():
-    entry = dataclasses.replace(catalog.get("disk"), metric=MetricField.scaled(2, 2.0))
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
+def metric_fields_match(entry):
+    crit = find_critical_set(entry.field, entry.chart, DEFAULT)
     for field in side_fields(entry, crit, None):
         assert field.certificate.passed
         for points in certification_samples(field):
             assert_same_bits(field, points)
+
+
+def test_non_identity_metric_matches():
+    metric_fields_match(with_metric(catalog.get("disk"), lambda x: 2.0 * np.eye(2)))
+
+
+@pytest.mark.parametrize("name, matrix", [
+    ("tilted_dome", lambda x: np.array([[2.0 + 0.1 * x[0] ** 2, 0.3], [0.3, 1.0]])),
+    # deck invariant: the off-diagonal entry changes sign with v
+    ("moebius", lambda x: np.array([[2.0, 0.1 * x[1] * np.cos(x[0])],
+                                    [0.1 * x[1] * np.cos(x[0]), 1.0]])),
+], ids=["tilted_dome", "moebius"])
+def test_skewed_varying_metric_matches(name, matrix):
+    metric_fields_match(with_metric(catalog.get(name), matrix))
 
 
 def test_empty_batch(packages):
@@ -146,7 +158,7 @@ def test_certification_makes_no_per_point_calls(packages, monkeypatch):
 @pytest.mark.parametrize("seed", [None, 1])
 def test_cylinder_deck_images_match(cylinder, seed):
     entry = cylinder
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
+    crit = find_critical_set(entry.field, entry.chart, DEFAULT)
     period = entry.chart.deck.period
     # a tangency patch sits on the seam, at (0, -1)
     assert any(cp.coords[0] == 0.0 for cp in crit.points)
@@ -188,7 +200,7 @@ def test_centers_next_to_the_seam_match(packages, seed):
     crit = CriticalSet(2, tuple(
         dataclasses.replace(cp, coords=moved[float(cp.coords[1])])
         for cp in base.crit.points))
-    field = PseudoGradientField(chart=base.chart, metric=base.metric,
+    field = PseudoGradientField(chart=base.chart,
                                 objective=base.objective, crit=crit, r_n=base.r_n,
                                 delta_c=base.delta_c, perturb_seed=seed)
     rng = np.random.default_rng(9)

@@ -7,7 +7,6 @@ may fuse a multiply and an add, so it agrees with the float evaluator to
 rounding, not bit for bit.  On a chart with a deck map it takes the strip's
 walls from the box's v-bounds, not from the chart's constraints.
 """
-import dataclasses
 import math
 
 import numpy as np
@@ -15,13 +14,12 @@ import pytest
 
 from morseflow import catalog
 from morseflow.critical import find_critical_set
-from morseflow.geometry import (MetricField, boundary_distance, deck_apply, deck_sign,
-                                metric_normal)
+from morseflow.geometry import boundary_distance, deck_apply, deck_sign, wall_frame
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _build_side, _setup
 from morseflow.pseudogradient import _wall_sample
 
-from conftest import drawn_sample
+from conftest import drawn_sample, with_metric
 
 _E_DOWN = np.array([0.0, -1.0])
 _E_UP = np.array([0.0, 1.0])
@@ -55,19 +53,19 @@ def _strip_pieces(chart):
     return (("lower", v_lo), ("upper", v_hi))
 
 
-def _piece_depth_normal(chart, metric, piece, x):
+def _piece_depth_normal(chart, piece, x):
     if chart.deck is not None:
         side, v_wall = piece
         if side == "lower":
-            return float(x[1] - v_wall), metric_normal(metric, x, _E_DOWN)
-        return float(v_wall - x[1]), metric_normal(metric, x, _E_UP)
+            return float(x[1] - v_wall), wall_frame(chart, x, _E_DOWN)[0]
+        return float(v_wall - x[1]), wall_frame(chart, x, _E_UP)[0]
     grad = np.asarray(piece.gradient(x), dtype=float)
     gnorm = math.sqrt(float(grad @ grad))
     if gnorm < 1e-30:
         return math.inf, None
-    if metric.identity:
+    if chart.metric is None:
         return -float(piece.value(x)) / gnorm, grad / gnorm
-    return -float(piece.value(x)) / gnorm, metric_normal(metric, x, grad)
+    return -float(piece.value(x)) / gnorm, wall_frame(chart, x, grad)[0]
 
 
 def _collar_cap(nu, g_t, tol):
@@ -130,19 +128,19 @@ def _perturbation(pert, tol, x):
 
 def _eval_canonical(field, x):
     grad = np.asarray(field.objective.gradient(x), dtype=float)
-    identity = field.metric.identity
+    identity = field.chart.metric is None
     if identity:
         g_mat = None
         vec = -grad
     else:
-        g_mat = np.asarray(field.metric.matrix(x), dtype=float)
+        g_mat = np.asarray(field.chart.metric(x), dtype=float)
         vec = -np.linalg.solve(g_mat, grad)
 
     best = (math.inf, None)
     pieces = (_strip_pieces(field.chart) if field.chart.deck is not None
               else field.chart.constraints)
     for piece in pieces:
-        depth, normal = _piece_depth_normal(field.chart, field.metric, piece, x)
+        depth, normal = _piece_depth_normal(field.chart, piece, x)
         if normal is not None and depth < best[0]:
             best = (depth, normal)
     depth, normal = best
@@ -212,12 +210,20 @@ def test_matches_the_numpy_evaluator(packages, name, seed):
         check_field(field, pkg.sample)
 
 
-def test_matches_the_numpy_evaluator_under_a_scaled_metric():
-    entry = dataclasses.replace(catalog.get("disk"), metric=MetricField.scaled(2, 2.0))
-    crit = find_critical_set(entry.field, entry.chart, entry.metric, DEFAULT)
-    sample = drawn_sample(entry.field, entry.chart, entry.metric, crit)
+def check_entry(entry):
+    crit = find_critical_set(entry.field, entry.chart, DEFAULT)
+    sample = drawn_sample(entry.field, entry.chart, crit)
     setup = _setup(entry, DEFAULT, crit, sample)
     for negative in (False, True):
         field, _ = _build_side(setup, "D" if negative else "N", 0)
-        assert not field.metric.identity
+        assert field.chart.metric is not None
         check_field(field, sample)
+
+
+def test_matches_the_numpy_evaluator_under_a_scaled_metric():
+    check_entry(with_metric(catalog.get("disk"), lambda x: 2.0 * np.eye(2)))
+
+
+def test_matches_the_numpy_evaluator_under_a_skewed_varying_metric():
+    check_entry(with_metric(catalog.get("tilted_dome"), lambda x: np.array(
+        [[2.0 + 0.1 * x[0] ** 2, 0.3], [0.3, 1.0]])))

@@ -10,7 +10,9 @@ from morseflow.errors import NotMorse
 from morseflow.fields import (MorseField, boundary_restriction_derivatives,
                               check_deck_invariance,
                               check_derivative_consistency, validate_field)
-from morseflow.geometry import MetricField, boundary_frame, normalize_point
+from morseflow.geometry import boundary_frame, normalize_point
+
+from conftest import with_metric
 
 
 def _pt(chart, xy):
@@ -40,12 +42,12 @@ def test_disk_restriction_side_not_critical():
     assert g_t == pytest.approx(-1.0)
 
 
-def arclength_fd_error(entry, pkg, step=_boundary_step) -> float:
+def arclength_fd_error(entry, pkg, step=_boundary_step, away=True) -> float:
     """Worst relative error of `boundary_restriction_derivatives` against
     arclength finite differences of the restriction, taken with `step`, at
-    the package's boundary criticals and a fixed arclength either side of
-    each, where the first difference also checks the sign of the step along
-    the boundary.
+    the package's boundary criticals and (`away`) a fixed arclength either
+    side of each, where the first difference also checks the sign of the
+    step along the boundary.
 
     The steps are taken in chart arclength and g_t, h_t are per metric-unit
     arclength, so the differences are converted with the euclidean length of
@@ -58,15 +60,16 @@ def arclength_fd_error(entry, pkg, step=_boundary_step) -> float:
     for cp in pkg.crit.points:
         if cp.kind == INTERIOR:
             continue
-        for x0 in (cp.coords, step(chart, cp.coords, 0.1), step(chart, cp.coords, -0.1)):
+        for x0 in ((cp.coords, step(chart, cp.coords, 0.1), step(chart, cp.coords, -0.1))
+                   if away else (cp.coords,)):
             plus = step(chart, x0, h) if x0 is not None else None
             minus = step(chart, x0, -h) if x0 is not None else None
             if plus is None or minus is None:
                 continue
             f0, fp, fm = (float(field.value(x)) for x in (x0, plus, minus))
             pt = normalize_point(chart, x0)
-            t_len = float(np.linalg.norm(boundary_frame(chart, pt, entry.metric)[1]))
-            g_t, h_t = boundary_restriction_derivatives(field, chart, pt, entry.metric)
+            t_len = float(np.linalg.norm(boundary_frame(chart, pt)[1]))
+            g_t, h_t = boundary_restriction_derivatives(field, chart, pt)
             first = (fp - fm) / (2 * h) * t_len
             second = (fp - 2 * f0 + fm) / h ** 2 * t_len ** 2
             errors += [abs(first - g_t) / max(1.0, abs(g_t)),
@@ -94,9 +97,22 @@ def test_arclength_differences_under_a_scaled_metric(packages, name):
     # g_t and h_t are per metric-unit arclength, the steps per chart
     # arclength; under 4 * identity the unconverted first difference is off
     # by a factor of two, and the row read 0.75
-    entry = dataclasses.replace(catalog.get(name), metric=MetricField.scaled(2, 4.0))
+    entry = with_metric(catalog.get(name), lambda x: 4.0 * np.eye(2))
     assert arclength_fd_error(entry, packages[name]) < 1e-4
     assert arclength_fd_error(entry, packages[name], reversed_step) > 1e-4
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus", "moebius", "tilted_dome"])
+def test_arclength_differences_under_a_skewed_metric(packages, name):
+    # the restriction's critical points do not depend on the metric, so the
+    # euclidean package's serve.  At them g_t must vanish, which needs a
+    # tangent along the wall: the metric normal turned clockwise is not one
+    # under this metric.  Away from them the euclidean length of the
+    # metric-unit tangent varies along the wall, so chart-arclength
+    # differences do not convert by one factor there.
+    g = np.diag([2.0, 1.0]) if name == "moebius" else np.array([[2.0, 0.3], [0.3, 1.0]])
+    entry = with_metric(catalog.get(name), lambda x: g)
+    assert arclength_fd_error(entry, packages[name], away=False) < 1e-4
 
 
 def test_arclength_differences_see_a_nan_restriction(packages):

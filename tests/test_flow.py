@@ -13,7 +13,7 @@ from morseflow.fields import MorseField
 from morseflow.flow import (CONVERGED, LEFT_DOMAIN, count_connecting_orbits,
                             integrate, intersection_pairing, stable_launches,
                             unstable_launches)
-from morseflow.geometry import MetricField, chart_distance, deck_apply, deck_sign
+from morseflow.geometry import chart_distance, deck_apply, deck_sign
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
 from morseflow.pseudogradient import PseudoGradientField, build_adapted, certify_adapted
@@ -454,9 +454,7 @@ def test_sink_failing_its_capture_check_converges_by_the_speed_rule():
         hessian=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)) * np.diag([1.0, 4.0]))
     crit = find_critical_set(bowl, chart)
     bottom = next(cp for cp in crit.points if cp.kind == INTERIOR)
-    metric = MetricField.euclidean(2)
-    plain = build_adapted(bowl, chart, crit, metric,
-                          sample=drawn_sample(bowl, chart, metric, crit))
+    plain = build_adapted(bowl, chart, crit, sample=drawn_sample(bowl, chart, crit))
     assert [r.sink.id for r in plain.capture_regions()] == [bottom.id]
     swirled = _swirled(plain, bottom.coords, TIGHT)
     assert swirled.capture_regions() == ()

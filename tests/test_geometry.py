@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from morseflow import catalog
 from morseflow.errors import AmbiguousBoundary, NotOnBoundary, PointOutsideManifold
-from morseflow.geometry import (BoundaryConstraint, Chart, Deck, MetricField, boundary_frame,
+from morseflow.fields import check_metric
+from morseflow.geometry import (BoundaryConstraint, Chart, Deck, boundary_frame,
                                 chart_distance, chart_distance_many, deck_apply,
                                 deck_reduce, deck_sign, near_rows, normalize_point)
 
@@ -117,10 +119,10 @@ def test_boundary_data_corner_rejected():
 
 
 def test_normal_has_unit_metric_length(annulus_chart):
-    metric = MetricField.scaled(2, 4.0)
-    pt = normalize_point(annulus_chart, [2.0 / math.sqrt(2)] * 2)
-    normal, _ = boundary_frame(annulus_chart, pt, metric)
-    g = metric.matrix(pt)
+    chart = dataclasses.replace(annulus_chart, metric=lambda x: 4.0 * np.eye(2))
+    pt = normalize_point(chart, [2.0 / math.sqrt(2)] * 2)
+    normal, _ = boundary_frame(chart, pt)
+    g = chart.metric(pt)
     assert float(normal @ g @ normal) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -151,13 +153,16 @@ def test_path_sign_multiplicative(moebius_chart):
 
 
 def test_flat_metric_deck_invariant(moebius_chart):
-    metric = catalog.get("moebius").metric
+    # a constant diagonal metric commutes with the flip, and the chart's
+    # construction check agrees
+    chart = dataclasses.replace(moebius_chart, metric=lambda x: np.diag([2.0, 1.0]))
+    check_metric(chart)
     rng = np.random.default_rng(11)
     flip = np.diag([1.0, -1.0])
     for _ in range(100):
         x = np.array([rng.uniform(0, 2 * math.pi), rng.uniform(-1, 1)])
-        g_here = np.asarray(metric.matrix(x))
-        g_there = np.asarray(metric.matrix(deck_apply(moebius_chart, 1, x)))
+        g_here = np.asarray(chart.metric(x))
+        g_there = np.asarray(chart.metric(deck_apply(chart, 1, x)))
         assert np.max(np.abs(flip @ g_there @ flip - g_here)) < 1e-9
 
 
@@ -185,6 +190,23 @@ def test_deck_period_must_be_finite_and_positive(period):
 def test_strip_of_zero_period_is_rejected():
     with pytest.raises(ValueError, match="not finite and positive"):
         Chart.strip(0.0, -1.0, 1.0, -1)
+
+
+@pytest.mark.parametrize("box", [
+    ((-1.0, 1.0), (1.0, -1.0)),
+    ((-1.0, 1.0), (0.5, 0.5)),
+    ((-math.inf, 1.0), (-1.0, 1.0)),
+    ((-1.0, 1.0), (-1.0, math.nan)),
+], ids=["swapped", "empty", "infinite", "nan"])
+def test_box_axis_must_be_a_finite_interval(box):
+    # a swapped strip was reported later, as a point outside its box
+    with pytest.raises(ValueError, match="box axis 1|box axis 0"):
+        Chart(2, box, catalog.get("disk").chart.constraints)
+
+
+def test_swapped_strip_is_rejected():
+    with pytest.raises(ValueError, match=r"box axis 1 \(1.0, -1.0\)"):
+        Chart.strip(1.0, 1.0, -1.0, 1)
 
 
 def test_deck_map_needs_a_surface():

@@ -321,5 +321,5 @@ def test_shared_wall_trace_keeps_certificates(instrumented):
     for fld in fields:
         assert fld.certificate.attempts == 1
         own = pseudogradient.certify_adapted(fld, attempts=1, sample=drawn_sample(
-            fld.objective, fld.chart, fld.metric, fld.crit, fld.tol))
+            fld.objective, fld.chart, fld.crit, fld.tol))
         assert fld.certificate.as_dict() == own.as_dict()

@@ -114,8 +114,8 @@ def test_field_and_flow_read_a_callables_wall_with_the_circle_bits(packages):
     entry = pkg.entry
     wall = CountedCallables(catalog_circle("rim", 1.0))
     chart = Chart(entry.chart.dim, entry.chart.box, (wall.constraint,))
-    field = build_adapted(entry.field, chart, pkg.crit, entry.metric,
-                          sample=drawn_sample(entry.field, chart, entry.metric, pkg.crit))
+    field = build_adapted(entry.field, chart, pkg.crit,
+                          sample=drawn_sample(entry.field, chart, pkg.crit))
     assert field.certificate.as_dict() == pkg.field_pos.certificate.as_dict()
     wall.calls.clear()
     points = np.concatenate([pkg.sample.interior[:300], pkg.sample.wall[:300]])

@@ -7,14 +7,14 @@ import pytest
 
 from morseflow import catalog, pseudogradient
 from morseflow.critical import BOUNDARY_D, BOUNDARY_N, INTERIOR, CriticalSet
-from morseflow.geometry import MetricField, boundary_distance, chart_distance
+from morseflow.geometry import boundary_distance, chart_distance
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _setup
 from morseflow.fields import halton_sequence
 from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch,
                                       build_adapted, certify_adapted)
 
-from conftest import drawn_sample, evaluate_many
+from conftest import drawn_sample, evaluate_many, with_metric
 
 
 def test_certificates_pass_with_stated_margins(packages):
@@ -32,10 +32,9 @@ def test_raw_gradient_fails_inwardness_on_annulus(packages):
     pkg = packages["annulus"]
     base = pkg.field_pos
     raw = PseudoGradientField(
-        chart=base.chart, metric=base.metric, objective=base.objective,
+        chart=base.chart, objective=base.objective,
         crit=base.crit, r_n=base.r_n, delta_c=0.0)
-    cert = certify_adapted(raw, sample=drawn_sample(raw.objective, raw.chart, raw.metric,
-                                                    raw.crit))
+    cert = certify_adapted(raw, sample=drawn_sample(raw.objective, raw.chart, raw.crit))
     assert cert.inward_margin < 0  # -grad f points outward near the tangency points
 
 
@@ -230,8 +229,8 @@ def test_halton_chunks_of_the_manifold_sample(packages, name, monkeypatch):
 def test_perturbed_field_still_certifies(packages):
     entry = catalog.get("annulus")
     crit = packages["annulus"].crit
-    fld = build_adapted(entry.field, entry.chart, crit, entry.metric, perturb_seed=5,
-                        sample=drawn_sample(entry.field, entry.chart, entry.metric, crit))
+    fld = build_adapted(entry.field, entry.chart, crit, perturb_seed=5,
+                        sample=drawn_sample(entry.field, entry.chart, crit))
     assert fld.certificate.passed
     # the perturbation vanishes on the boundary and near critical points
     plain = dataclasses.replace(fld, perturb_seed=None)
@@ -240,9 +239,10 @@ def test_perturbed_field_still_certifies(packages):
     assert 0.0 < np.linalg.norm(probe) < 2e-3
 
 
-def test_a_field_is_a_value_of_its_eight_inputs():
+def test_a_field_is_a_value_of_its_seven_inputs():
+    # the metric is the chart's
     assert [f.name for f in dataclasses.fields(PseudoGradientField) if f.init] == [
-        "chart", "metric", "objective", "crit", "r_n", "delta_c", "perturb_seed", "tol"]
+        "chart", "objective", "crit", "r_n", "delta_c", "perturb_seed", "tol"]
     # a patch is data: its wall is an index into the chart's constraints
     assert [f.name for f in dataclasses.fields(TangencyPatch)] == [
         "center", "tangent", "h", "piece", "grad_norm_at_center"]
@@ -251,14 +251,14 @@ def test_a_field_is_a_value_of_its_eight_inputs():
 def _seed_one_disk(packages):
     entry = catalog.get("disk")
     crit = packages["disk"].crit
-    return build_adapted(entry.field, entry.chart, crit, entry.metric, perturb_seed=1,
-                         sample=drawn_sample(entry.field, entry.chart, entry.metric, crit))
+    return build_adapted(entry.field, entry.chart, crit, perturb_seed=1,
+                         sample=drawn_sample(entry.field, entry.chart, crit))
 
 
 def test_an_unperturbed_copy_evaluates_as_a_fresh_field(packages):
     field = _seed_one_disk(packages)
     copy = dataclasses.replace(field, perturb_seed=None)
-    fresh = PseudoGradientField(chart=field.chart, metric=field.metric,
+    fresh = PseudoGradientField(chart=field.chart,
                                 objective=field.objective, crit=field.crit,
                                 r_n=field.r_n, delta_c=field.delta_c, tol=field.tol)
     for point in ([0.1, 0.2], [-0.4, 0.3], [0.3, -0.5]):
@@ -272,10 +272,9 @@ def test_an_unperturbed_copy_evaluates_as_a_fresh_field(packages):
 def test_a_copy_takes_its_patches_from_its_critical_set(cylinder):
     from morseflow.critical import find_critical_set
     from morseflow.params import DEFAULT
-    crit = find_critical_set(cylinder.field, cylinder.chart, cylinder.metric, DEFAULT)
-    field = build_adapted(cylinder.field, cylinder.chart, crit, cylinder.metric,
-                          sample=drawn_sample(cylinder.field, cylinder.chart,
-                                              cylinder.metric, crit))
+    crit = find_critical_set(cylinder.field, cylinder.chart, DEFAULT)
+    field = build_adapted(cylinder.field, cylinder.chart, crit,
+                          sample=drawn_sample(cylinder.field, cylinder.chart, crit))
     n_points = [cp for cp in crit.points if cp.kind == BOUNDARY_N]
     assert len(field.patches) == len(n_points) == 2
     assert dataclasses.replace(field, crit=CriticalSet(2, ())).patches == ()
@@ -301,13 +300,17 @@ def test_empty_wall_sample_has_a_nan_inward_margin(packages):
 
 def _analysis_setup(packages, request, name):
     """The set-up of an analysis of a catalog entry, of the flip = +1
-    `cylinder`, or of the disk under a scaled metric ("disk-scaled")."""
+    `cylinder`, of the disk under a scaled metric ("disk-scaled"), or of the
+    dome under a skewed one that varies ("dome-skewed")."""
     if name in packages:
         pkg = packages[name]
         return _setup(pkg.entry, DEFAULT, pkg.crit, pkg.sample)
-    entry = (request.getfixturevalue("cylinder") if name == "cylinder" else
-             dataclasses.replace(catalog.get("disk"), metric=MetricField.scaled(2, 2.0)))
-    return _setup(entry, DEFAULT)
+    if name == "cylinder":
+        return _setup(request.getfixturevalue("cylinder"), DEFAULT)
+    if name == "disk-scaled":
+        return _setup(with_metric(catalog.get("disk"), lambda x: 2.0 * np.eye(2)), DEFAULT)
+    return _setup(with_metric(catalog.get("tilted_dome"), lambda x: np.array(
+        [[2.0 + 0.1 * x[0] ** 2, 0.3], [0.3, 1.0]])), DEFAULT)
 
 
 # a line, a strip with and without a fold, two walls, and perturbed fields on
@@ -354,14 +357,14 @@ def _counted_copy(field, counts):
     objective = f if field.objective.negation_of is None else f.negated()
     walls = tuple(dataclasses.replace(con, read=counted(("read", i), con.read))
                   for i, con in enumerate(chart.constraints))
-    return dataclasses.replace(
-        field, objective=objective, chart=dataclasses.replace(chart, constraints=walls),
-        metric=dataclasses.replace(field.metric,
-                                   matrix=counted("matrix", field.metric.matrix)))
+    metric = None if chart.metric is None else counted("matrix", chart.metric)
+    return dataclasses.replace(field, objective=objective, chart=dataclasses.replace(
+        chart, constraints=walls, metric=metric))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name", catalog.names() + ["cylinder", "disk-scaled"])
+@pytest.mark.parametrize("name", catalog.names() + ["cylinder", "disk-scaled",
+                                                     "dome-skewed"])
 def test_one_kernel_call_reads_each_input_once(packages, request, name, seed):
     # `objective_evals` counts the calls of the analysed function's own
     # callables from outside, and the flow's cost rests on one gradient, one
@@ -381,7 +384,7 @@ def test_one_kernel_call_reads_each_input_once(packages, request, name, seed):
         field = _counted_copy(setup.build(side, seed or None), counts)
         assert (field._perturb is None) == (seed == 0)
         want = {"gradient": 1, **{("read", i): 1 for i in range(len(chart.constraints))}}
-        if not field.metric.identity:
+        if chart.metric is not None:
             want["matrix"] = 1
         for x in points.tolist():
             counts.clear()

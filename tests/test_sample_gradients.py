@@ -114,7 +114,7 @@ def test_sample_gradients_give_the_bits_of_evaluate_many(packages, name, seed):
             # negating the stored gradient gives the bits of -f's gradient
             assert same_bits(grad, field.objective.gradient(x))
             assert same_bits(field._eval_canonical_many(
-                x, grad, row_geometry(field.chart, field.metric, x)), evaluate_many(field, x))
+                x, grad, row_geometry(field.chart, x)), evaluate_many(field, x))
 
 
 def test_a_sample_certifies_only_its_own_function(packages):
@@ -122,21 +122,21 @@ def test_a_sample_certifies_only_its_own_function(packages):
     entry, f = pkg.entry, pkg.entry.field
     doubled = MorseField(lambda x: 2.0 * f.value(x), lambda x: 2.0 * f.gradient(x),
                          lambda x: 2.0 * f.hessian(x))
-    own = drawn_sample(doubled, entry.chart, entry.metric, pkg.crit)
+    own = drawn_sample(doubled, entry.chart, pkg.crit)
     sides = ((doubled, pkg.crit),
              (doubled.negated(), reclassify_negated(pkg.crit, doubled)))
     # the doubled function's fields certify on a sample of their own ...
     for objective, crit in sides:
-        field = build_adapted(objective, entry.chart, crit, entry.metric, sample=own)
+        field = build_adapted(objective, entry.chart, crit, sample=own)
         assert field.certificate.passed
         # ... and raise, not certify, on the sample drawn for f
         with pytest.raises(SampleMismatch):
             certify_adapted(field, sample=pkg.sample)
         with pytest.raises(MorseflowError):
-            build_adapted(objective, entry.chart, crit, entry.metric, sample=pkg.sample)
+            build_adapted(objective, entry.chart, crit, sample=pkg.sample)
     # the critical search and a certification sample read the wall of f only
     with pytest.raises(SampleMismatch):
-        find_critical_set(doubled, entry.chart, entry.metric, wall=pkg.sample)
+        find_critical_set(doubled, entry.chart, wall=pkg.sample)
     with pytest.raises(SampleMismatch):
         certification_sample(doubled, entry.chart, pkg.crit, DEFAULT, pkg.sample)
     # a function equal to -f, but not made by negating f, is another function
