@@ -9,11 +9,12 @@ sample once (`CertificationSample.measured`) and derives the two sides: N
 descends f on its critical set, D descends -f on the set reclassified for
 -f.  Every field the analysis builds (both sides, every retry seed, the
 pairing's retry) is certified on that one measured sample; the package keeps
-the sample without its geometry.
+the sample without its geometry.  The set-up draws one perturbation per seed,
+on first use, and every field at that seed, of either side, takes it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .catalog import CatalogEntry
 from .chains import HomologyResult, IntegerChainComplex, int_det
@@ -23,8 +24,8 @@ from .errors import InvarianceFailure, NonTransverse
 from .fields import MorseField
 from .flow import IncidenceCount, count_connecting_orbits, intersection_pairing
 from .params import DEFAULT, Tolerances
-from .pseudogradient import (CertificationSample, PseudoGradientField, build_adapted,
-                             certification_sample)
+from .pseudogradient import (CertificationSample, PseudoGradientField, _Perturbation,
+                             build_adapted, certification_sample)
 
 SIDES = ("N", "D")
 FLAVORS = ("untwisted", "orientation")
@@ -100,8 +101,9 @@ class MorsePackage:
 @dataclass(frozen=True, eq=False)
 class _Setup:
     """What every field of one analysis shares: the critical set, the
-    certification sample as drawn and measured, and each side's objective
-    and critical set, keyed by side."""
+    certification sample as drawn and measured, each side's objective and
+    critical set, keyed by side, and the perturbation of each seed, drawn
+    when a field at that seed is first built."""
 
     entry: CatalogEntry
     tol: Tolerances
@@ -109,12 +111,16 @@ class _Setup:
     sample: CertificationSample
     measured: CertificationSample
     sides: dict[str, tuple[MorseField, CriticalSet]]
+    perturbations: dict[int, _Perturbation] = dataclass_field(default_factory=dict)
 
     def build(self, side: str, seed: int | None) -> PseudoGradientField:
-        """The certified field of one side at one perturbation seed."""
+        """The certified field of one side at one perturbation seed (None or 0
+        for none)."""
         objective, crit = self.sides[side]
+        if seed and seed not in self.perturbations:
+            self.perturbations[seed] = _Perturbation(self.entry.chart, self.crit, seed)
         return build_adapted(objective, self.entry.chart, crit, sample=self.measured,
-                             perturb_seed=seed, tol=self.tol)
+                             perturbation=self.perturbations.get(seed), tol=self.tol)
 
 
 def _setup(entry: CatalogEntry, tol: Tolerances, crit: CriticalSet | None = None,
@@ -130,6 +136,12 @@ def _setup(entry: CatalogEntry, tol: Tolerances, crit: CriticalSet | None = None
         sample = certification_sample(f, chart, crit, tol, wall)
     return _Setup(entry, tol, crit, sample, sample.measured(chart),
                   {"N": (f, crit), "D": (f.negated(), reclassify_negated(crit, f))})
+
+
+def _check_seed(seed) -> None:
+    """Reject a perturbation seed other than an int >= 0 (a bool included)."""
+    if type(seed) is bool or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed = {seed!r} is not an integer >= 0")
 
 
 def _retry_seeds(base_seed: int, tol: Tolerances) -> list[int | None]:
@@ -243,6 +255,7 @@ def _pairing_matrices(setup: _Setup, field_pos: PseudoGradientField,
 def build_package(entry: CatalogEntry, seed: int = 0,
                   tol: Tolerances = DEFAULT) -> MorsePackage:
     """Run the whole construction for one catalog entry."""
+    _check_seed(seed)
     setup = _setup(entry, tol)
     field_pos, inc_pos = _build_side(setup, "N", seed)
     field_neg, inc_neg = _build_side(setup, "D", seed)
@@ -300,6 +313,7 @@ def homologies_for_seed(entry: CatalogEntry, seed: int,
                         ) -> dict[str, HomologyResult]:
     """Every complex's homology at one perturbation seed.  `crit` and
     `sample`, when given, are the package's (see `_setup`)."""
+    _check_seed(seed)
     setup = _setup(entry, tol, crit, sample)
     tables = {side: _build_side(setup, side, seed)[1] for side in SIDES}
     return {key: cx.homology() for key, cx in _complexes(setup.crit, tables).items()}

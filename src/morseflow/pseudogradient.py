@@ -20,7 +20,7 @@ the descent, relaxes in the normal direction at the ramp's slope times
 the catalog, and the integrator's stability, not its accuracy, then sets
 its step.
 
-A field derives its patches and perturbation from its seven init fields, and
+A field is a value of its seven init fields, its perturbation among them, and
 only `build_adapted` certifies it.  It has two evaluators that return the
 same bits: the flow integrator evaluates point by point
 (`PseudoGradientField.evaluate`), where a one-row batch would cost several
@@ -35,12 +35,13 @@ its measured sample, the capture check's measured for its rings.
 
 Both measure a chart distance to a patch's or a critical point's center only
 where the coordinate gaps, lower bounds of the distance to every deck image,
-allow it inside the radius in play (`geometry.gap_bound`).  The batch picks
-those rows (`geometry.near_rows`) for the patch claim and the wall filter
-(r_n), the perturbation's envelope (2 r_excl) and the interior sample's
-exclusion (r_excl); the point kernel tests the gaps inline and skips a center
-beyond the bound and, on a strip, a patch, without measuring its deck images.
-What the bound skips lies at least that far away, so no bit changes.
+allow it inside the radius in play (`geometry.gap_bound`).  The batch reads a
+center's rows at the larger of r_n and 2 r_excl (`RowGeometry.near`), whose
+superfluous rows change nothing: the patch claim and the wall filter keep the
+rows within r_n, and the envelope's factor is exactly 1.0 beyond 2 r_excl.
+The point kernel tests the gaps inline and skips a center beyond the bound
+and, on a strip, a patch, without measuring its deck images.  What the bound
+skips lies at least that far away, so no bit changes.
 
 Nothing here draws what it is not handed.  An analysis (`pipeline`) draws its
 certification sample once (`certification_sample`): the boundary sample the
@@ -53,9 +54,10 @@ descent test both read the sample's gradient, negated for an ascent field, so
 no certification point's gradient is evaluated twice.  The analysis also
 measures the sample's rows once (`CertificationSample.measured`): their
 `RowGeometry` serves every certificate it makes, and dies with the analysis,
-since the package keeps the sample without it.  The perturbation is not
-shared: each side's critical points, the envelope's factors, come in that
-side's order of value, and the product rounds by that order.
+since the package keeps the sample without it.  It also draws one
+perturbation per seed, whose centers are the critical coordinates in id order
+on both sides, and the geometry keeps each critical point's neighbourhood and
+each perturbation's rows, so both sides and every retry read them.
 """
 from __future__ import annotations
 
@@ -126,19 +128,37 @@ def _pieces_many(chart: Chart, x: Array):
 @dataclass(frozen=True, eq=False)
 class RowGeometry:
     """What the batch evaluator reads of the chart and the metric at rows of
-    canonical points, the same for every field on them (`row_geometry`)."""
+    canonical points, the same for every field on them (`row_geometry`), and,
+    measured on first use, each center's neighbourhood and perturbation's rows."""
 
+    chart: Chart
+    x: Array          # the rows
     pieces: tuple[tuple[Array, Array], ...]  # each wall's (value, covector)
     depth: Array      # least -value / norm over the walls (inf at a zero covector)
     cov: Array        # the covector of the wall giving it; on a tie the first wall's
     wall: Array       # least |-value / norm|, the distance to the nearest wall
     g: Array | None   # metric matrices stacked on the last axis; None for the identity
+    # center -> (reach, rows, distances); (perturbation, tolerances) -> rows
+    _memo: dict = dataclass_field(default_factory=dict, init=False, repr=False)
 
-    def take(self, rows: Array) -> RowGeometry:
-        """The geometry of the rows a mask or an index array picks."""
-        return RowGeometry(tuple(tuple(a[rows] for a in piece) for piece in self.pieces),
-                           self.depth[rows], self.cov[rows], self.wall[rows],
-                           None if self.g is None else self.g[..., rows])
+    def near(self, center, reach: float) -> tuple[Array, Array]:
+        """The rows `geometry.near_rows` keeps within reach of a center, NaN
+        rows included, and their chart distances to it; measured again only
+        for a larger reach than before."""
+        key = tuple(map(float, center))
+        found = self._memo.get(key)
+        if found is None or found[0] < reach:
+            i = near_rows(self.chart, self.x, key, reach)
+            d = chart_distance_many(self.chart, self.x[i], key)
+            found = self._memo[key] = (reach, i, d)
+        return found[1:]
+
+    def perturbed(self, perturbation: _Perturbation, tol: Tolerances,
+                  reach: float) -> Array:
+        """`perturbation.many` at these rows under tol, computed once."""
+        if (perturbation, tol) not in self._memo:
+            self._memo[perturbation, tol] = perturbation.many(self, tol, reach)
+        return self._memo[perturbation, tol]
 
 
 def row_geometry(chart: Chart, x: Array) -> RowGeometry:
@@ -155,7 +175,7 @@ def row_geometry(chart: Chart, x: Array) -> RowGeometry:
         np.copyto(depth, piece_depth, where=closer)
         np.copyto(cov, piece_cov, where=closer[:, None])
         np.minimum(wall, np.abs(piece_depth, out=piece_depth), out=wall)
-    return RowGeometry(tuple(piece[:2] for piece in pieces), depth, cov, wall, g)
+    return RowGeometry(chart, x, tuple(piece[:2] for piece in pieces), depth, cov, wall, g)
 
 
 def _solve(g, c) -> list:
@@ -229,19 +249,18 @@ class AdaptednessCertificate:
 
 @dataclass(eq=False)
 class PseudoGradientField:
-    """A value of its seven init fields.  The patches and the perturbation
-    (none for a seed of None or 0) are derived from them, so a copy made with
-    `dataclasses.replace` derives its own; only `build_adapted` certifies."""
+    """A value of its seven init fields.  The patches are derived from them,
+    so a copy made with `dataclasses.replace` derives its own; only
+    `build_adapted` certifies."""
 
     chart: Chart                     # its metric is the field's
     objective: MorseField            # the function this field descends
     crit: CriticalSet                # classified for the objective
     r_n: float
     delta_c: float
-    perturb_seed: int | None = None
+    perturbation: _Perturbation | None = None  # None for the unperturbed field
     tol: Tolerances = DEFAULT        # the one set its flow and certificate read
     patches: tuple[TangencyPatch, ...] = dataclass_field(init=False)
-    _perturb: _Perturbation | None = dataclass_field(init=False, repr=False)
     certificate: AdaptednessCertificate | None = dataclass_field(default=None, init=False)
     # invariant-manifold branches integrated by `flow._branches`, keyed by
     # (anchor id, reverse), and the capture regions of each time direction,
@@ -254,9 +273,14 @@ class PseudoGradientField:
     def __post_init__(self):
         self.patches = tuple(_make_patch(self.chart, cp, self.tol)
                              for cp in self.crit.points if cp.kind == BOUNDARY_N)
-        self._perturb = (_Perturbation(self.chart, self.crit, self.perturb_seed)
-                         if self.perturb_seed else None)
+        # the one radius this field reads neighbourhoods at (`RowGeometry.near`)
+        self._reach = max(self.r_n, 2.0 * self.tol.r_excl)
         self._point = _point_evaluator(self)
+
+    @property
+    def perturb_seed(self) -> int | None:
+        """The perturbation's seed, None without one."""
+        return None if self.perturbation is None else self.perturbation.seed
 
     def evaluate(self, raw: list) -> list:
         """Field vector, a list of floats, at raw coordinates, a list of
@@ -292,10 +316,9 @@ class PseudoGradientField:
         # local coordinates, takes its depth z from the wall's value
         free = np.ones(len(x), dtype=bool)
         for patch in self.patches:
-            i = near_rows(self.chart, x, patch.center, self.r_n)
-            i = i[free[i]]
-            d = chart_distance_many(self.chart, x[i], patch.center)
-            i, d = i[d < self.r_n], d[d < self.r_n]
+            i, d = geometry.near(patch.center, self._reach)
+            claimed = free[i] & (d < self.r_n)
+            i, d = i[claimed], d[claimed]
             free[i] = False
             chi = 1.0 - _smoothstep_many((d - 0.5 * self.r_n) / (0.5 * self.r_n))
             i, chi = i[chi > 0.0], chi[chi > 0.0]
@@ -315,8 +338,8 @@ class PseudoGradientField:
                 model = [(e1 * my - t1 * mz) / det, (t0 * mz - e0 * my) / det]
             vec[i] = (1.0 - chi)[:, None] * vec[i] + chi[:, None] * np.stack(model, axis=1)
 
-        if self._perturb is not None:
-            vec = vec + self._perturb.many(x, geometry.wall, self.tol)
+        if self.perturbation is not None:
+            vec = vec + geometry.perturbed(self.perturbation, self.tol, self._reach)
         return vec
 
     def linearization(self, at: Array) -> Array:
@@ -400,7 +423,7 @@ def _point_evaluator(field: PseudoGradientField) -> Callable[[list], list]:
     # no wall lies in the collar of a field built without one
     delta_c = field.delta_c if field.delta_c > 0.0 else -inf
     eps_n, g_min = tol.eps_n, tol.g_min
-    perturb = field._perturb
+    perturb = field.perturbation
     if perturb is not None:
         centers = tuple(keyed(c) for c in perturb.centers)
         if two_d:
@@ -541,36 +564,40 @@ class _Perturbation:
     """Seeded smooth bump field vanishing near the boundary, the critical points,
     and (under a deck map) the gluing seam, so adaptedness margins survive.
 
-    The waves, phases and signs are drawn once; the field's tolerances set
-    the amplitude and the radii.  The point evaluator computes the bump in
-    float arithmetic with the bits of `many`.  Both skip a center that a
-    bound from the coordinates alone puts beyond 2 r_excl, where its factor
-    in the envelope is exactly 1.0.
+    A value of one analysis and one seed, shared by both sides: the waves,
+    phases and signs are drawn once from the seed, and the centers are the
+    critical coordinates in id order.  The field's tolerances set the
+    amplitude and the radii.  The point evaluator computes the bump in float
+    arithmetic with the bits of `many`.  Both skip a center that a bound from
+    the coordinates alone puts beyond 2 r_excl, where its factor in the
+    envelope is exactly 1.0.
     """
 
     def __init__(self, chart: Chart, crit: CriticalSet, seed: int):
         rng = np.random.default_rng(seed)
         dim = chart.dim
+        self.seed = seed
         self.chart = chart
         self.waves = rng.uniform(0.5, 2.5, size=(dim, dim))
         self.phases = rng.uniform(0.0, 2.0 * math.pi, size=dim)
         self.signs = rng.choice([-1.0, 1.0], size=dim)
-        self.centers = [cp.coords.tolist() for cp in crit.points]
+        self.centers = [cp.coords.tolist()
+                        for cp in sorted(crit.points, key=lambda cp: cp.id)]
         self._terms = tuple(zip(self.signs.tolist(), self.waves.tolist(),
                                 self.phases.tolist()))
 
-    def many(self, x: Array, wall: Array, tol: Tolerances) -> Array:
-        """The perturbation at each row of x, canonical coordinates `wall`
-        from the nearest wall, under the tolerances tol."""
-        chart = self.chart
-        env = _smoothstep_many(wall / tol.delta_c)
+    def many(self, geometry: RowGeometry, tol: Tolerances, reach: float) -> Array:
+        """The perturbation at each row of the geometry under the tolerances
+        tol, reading each center's neighbourhood at reach >= 2 r_excl."""
+        x = geometry.x
+        env = _smoothstep_many(geometry.wall / tol.delta_c)
         bump = 2.0 * tol.r_excl
         for c in self.centers:
             # beyond 2 r_excl a center's factor is exactly 1.0
-            i = near_rows(chart, x, c, bump)
-            env[i] *= _smoothstep_many(chart_distance_many(chart, x[i], c) / bump)
-        if chart.deck is not None:
-            period = chart.deck.period
+            i, d = geometry.near(c, reach)
+            env[i] *= _smoothstep_many(d / bump)
+        if self.chart.deck is not None:
+            period = self.chart.deck.period
             u = x[:, 0] % period
             seam = np.minimum(u, period - u)
             env = env * _smoothstep_many(seam / (0.1 * period))
@@ -655,17 +682,16 @@ def certification_sample(field: MorseField, chart: Chart, crit: CriticalSet,
 
 
 def _wall_sample(field: PseudoGradientField, sample: CertificationSample) -> Array:
-    """The rows of the sample's wall outside the field's tangency patches.
+    """The mask of the sample's wall rows outside the field's tangency patches.
 
     Only this patch filter, which depends on the field's type-N points and
     r_n, is per build.
     """
-    points = sample.wall
-    keep = np.ones(len(points), dtype=bool)
-    for cp in field.crit.points:
-        if cp.kind == BOUNDARY_N:
-            i = near_rows(field.chart, points, cp.coords, field.r_n)
-            keep[i] &= chart_distance_many(field.chart, points[i], cp.coords) >= field.r_n
+    geometry = sample.measured(field.chart).geometry[1]
+    keep = np.ones(len(sample.wall), dtype=bool)
+    for patch in field.patches:
+        i, d = geometry.near(patch.center, field._reach)
+        keep[i] &= d >= field.r_n
     return keep
 
 
@@ -693,15 +719,15 @@ def certify_adapted(field: PseudoGradientField, *, sample: CertificationSample,
         interior, interior_grad, interior_geometry))))
         if len(interior) else math.nan)
 
+    # every field reads the whole wall's perturbation rows; the batch works
+    # row by row, so the rows tested, those outside the patches, keep their bits
     keep = _wall_sample(field, sample)
-    on_wall = sample.wall[keep]
-    on_wall_geometry = wall_geometry.take(keep)
-    pushed = field._eval_canonical_many(on_wall, wall_grad[keep], on_wall_geometry)
-    if on_wall_geometry.g is not None:
-        g_mats = on_wall_geometry.g.transpose(2, 0, 1)
+    pushed = field._eval_canonical_many(sample.wall, wall_grad, wall_geometry)[keep]
+    if wall_geometry.g is not None:
+        g_mats = wall_geometry.g[..., keep].transpose(2, 0, 1)
         pushed = np.matmul(pushed[:, None, :], g_mats)[:, 0, :]
     inward = (float(np.min(-row_dot(pushed, sample.normals[keep])))
-              if len(on_wall) else math.nan)
+              if len(pushed) else math.nan)
 
     interior_def = tangency_def = -math.inf
     has_interior = False
@@ -733,7 +759,7 @@ def certify_adapted(field: PseudoGradientField, *, sample: CertificationSample,
         interior_definiteness=interior_def,
         tangency_definiteness=tangency_def,
         interior_samples=len(interior),
-        boundary_samples=len(on_wall),
+        boundary_samples=len(pushed),
         r_n=field.r_n,
         delta_c=field.delta_c,
         attempts=attempts,
@@ -812,7 +838,7 @@ def _capture_region(field: PseudoGradientField, cp: CriticalPoint,
 
 def build_adapted(objective: MorseField, chart: Chart, crit: CriticalSet,
                   *, sample: CertificationSample,
-                  perturb_seed: int | None = None,
+                  perturbation: _Perturbation | None = None,
                   tol: Tolerances = DEFAULT) -> PseudoGradientField:
     """Assemble and certify a descent field for the objective, whose critical
     set is crit: f with its critical set, or `f.negated()` with
@@ -822,7 +848,7 @@ def build_adapted(objective: MorseField, chart: Chart, crit: CriticalSet,
     raises BlendGapFailure when no retry passes.  `sample` is the
     `certification_sample` of f under tol, which an analysis draws and
     measures once for all its builds, both sides included; every retry reads
-    one measured copy.
+    one measured copy and the one `perturbation` (None for none).
     """
     sample = sample.measured(chart)
     last = None
@@ -831,7 +857,7 @@ def build_adapted(objective: MorseField, chart: Chart, crit: CriticalSet,
         pg = PseudoGradientField(
             chart=chart, objective=objective, crit=crit,
             r_n=tol.r_n * shrink, delta_c=tol.delta_c * shrink,
-            perturb_seed=perturb_seed, tol=tol,
+            perturbation=perturbation, tol=tol,
         )
         cert = certify_adapted(pg, attempts=attempt + 1, sample=sample)
         pg.certificate = cert

@@ -167,6 +167,44 @@ def cylinder():
 
 
 @pytest.fixture(scope="session")
+def close_pair():
+    """0.3 y + 1.1 a* exp(-|x|^2 / 0.03) on the disk, a* = 0.3 sqrt(0.015) e^(1/2).
+
+    A test entry, not a catalog one.  At a* the bump's slope along the y-axis
+    peaks at 0.3, so at 1.1 a* the tilt leaves an interior saddle and maximum
+    0.075 apart on the axis, closer than 4 r_excl: sample rows lie within
+    2 r_excl of both, where the perturbation's envelope takes a factor below 1
+    from each.
+    """
+    amp, width = 1.1 * 0.3 * math.sqrt(0.015) * math.exp(0.5), 0.03
+
+    def bump(x):
+        return amp * np.exp(-(x[..., 0] ** 2 + x[..., 1] ** 2) / width)
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        b = bump(x)
+        return np.stack([-2.0 * x[..., 0] / width * b, 0.3 - 2.0 * x[..., 1] / width * b],
+                        axis=-1)
+
+    def hessian(x):
+        x = np.asarray(x, dtype=float)
+        b = bump(x)
+        out = np.empty(np.shape(x)[:-1] + (2, 2))
+        for i in range(2):
+            out[..., i, i] = (4.0 * x[..., i] ** 2 / width - 2.0) / width * b
+        out[..., 0, 1] = out[..., 1, 0] = 4.0 * x[..., 0] * x[..., 1] / width ** 2 * b
+        return out
+
+    field = MorseField(value=lambda x: 0.3 * np.asarray(x, dtype=float)[..., 1]
+                       + bump(np.asarray(x, dtype=float)),
+                       gradient=gradient, hessian=hessian)
+    disk = catalog.get("disk")
+    validate_field(field, disk.chart)
+    return dataclasses.replace(disk, name="close_pair", field=field)
+
+
+@pytest.fixture(scope="session")
 def moebius_x2():
     """The Möbius band's double cover: a cylinder of period 4π."""
     return cyclic_cover(catalog.get("moebius"), 2)

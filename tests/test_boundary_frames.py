@@ -194,7 +194,7 @@ def test_package_draws_one_certification_sample(monkeypatch):
         return draw(*args, **kwargs)
 
     def counted_build(*args, **kwargs):
-        builds.append(kwargs["perturb_seed"])
+        builds.append(kwargs["perturbation"])
         return build(*args, **kwargs)
 
     monkeypatch.setattr(pseudogradient, "_manifold_sample", counted_draw)

@@ -68,7 +68,7 @@ def test_an_analysis_measures_its_sample_once(name, seed, monkeypatch):
     build = pipeline.build_adapted
 
     def counted_build(*args, **kwargs):
-        builds.append(kwargs["perturb_seed"])
+        builds.append(kwargs["perturbation"])
         return build(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_adapted", counted_build)

@@ -278,8 +278,8 @@ def test_negative_seed_is_a_usage_error(tmp_path, argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage: morseflow")
-    assert f"morseflow {argv[0]}: error: argument --seed: seed must be >= 0" \
-        in proc.stderr
+    assert proc.stderr.endswith(f"morseflow {argv[0]}: error: argument --seed: "
+                                f"seed must be >= 0, got {argv[-1]}\n")
 
 
 def test_usage_error_states_its_reason(capsys):

@@ -20,8 +20,8 @@ from morseflow.critical import CriticalSet, find_critical_set
 from morseflow.geometry import chart_distance_many
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _setup, build_package
-from morseflow.pseudogradient import (PseudoGradientField, _pieces_many, _wall_sample,
-                                      certify_adapted)
+from morseflow.pseudogradient import (PseudoGradientField, _Perturbation, _pieces_many,
+                                      _wall_sample, certify_adapted)
 
 from conftest import canonical_many, drawn_sample, evaluate_many, with_metric
 
@@ -202,7 +202,9 @@ def test_centers_next_to_the_seam_match(packages, seed):
         for cp in base.crit.points))
     field = PseudoGradientField(chart=base.chart,
                                 objective=base.objective, crit=crit, r_n=base.r_n,
-                                delta_c=base.delta_c, perturb_seed=seed)
+                                delta_c=base.delta_c,
+                                perturbation=None if seed is None
+                                else _Perturbation(base.chart, crit, seed))
     rng = np.random.default_rng(9)
     u = np.concatenate([rng.uniform(-0.2, 0.2, 3000), rng.uniform(period - 0.2,
                                                                    period + 0.2, 3000)])

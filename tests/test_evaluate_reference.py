@@ -164,8 +164,8 @@ def _eval_canonical(field, x):
             vec = (1.0 - chi) * vec + chi * _model_vector(patch, field.chart, x)
         break
 
-    if field._perturb is not None:
-        vec = vec + _perturbation(field._perturb, field.tol, x)
+    if field.perturbation is not None:
+        vec = vec + _perturbation(field.perturbation, field.tol, x)
     return vec
 
 

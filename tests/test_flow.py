@@ -16,7 +16,8 @@ from morseflow.flow import (CONVERGED, LEFT_DOMAIN, count_connecting_orbits,
 from morseflow.geometry import chart_distance, deck_apply, deck_sign
 from morseflow.params import DEFAULT
 from morseflow.pipeline import build_package
-from morseflow.pseudogradient import PseudoGradientField, build_adapted, certify_adapted
+from morseflow.pseudogradient import (PseudoGradientField, _Perturbation, build_adapted,
+                                     certify_adapted)
 from conftest import drawn_sample
 from test_geometry import path_orientation_sign
 
@@ -494,8 +495,10 @@ def test_non_finite_field_raises_at_the_step(packages, name, height):
 def _seeded(pkg, tol=DEFAULT):
     """Copies of the package's descent and ascent fields at perturbation
     seeds 7 and 8."""
-    return (dataclasses.replace(pkg.field_pos, tol=tol, perturb_seed=7),
-            dataclasses.replace(pkg.field_neg, tol=tol, perturb_seed=8))
+    return (dataclasses.replace(pkg.field_pos, tol=tol,
+                                perturbation=_Perturbation(pkg.entry.chart, pkg.crit, 7)),
+            dataclasses.replace(pkg.field_neg, tol=tol,
+                                perturbation=_Perturbation(pkg.entry.chart, pkg.crit, 8)))
 
 
 def _ending_at(target):

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -164,6 +165,17 @@ def test_invariance_two_entries(packages):
         assert_identical_homology(per_seed)
 
 
+@pytest.mark.parametrize("seed", [-3, 2.5, "1", True], ids=repr)
+def test_an_analysis_takes_an_integer_seed_of_at_least_zero(seed):
+    # checked before any work, with the seed named; numpy's generators would
+    # reject some of these deep inside the first perturbed build, and a bool
+    # would run as 0 or 1
+    entry = catalog.get("interval")
+    for analyse in (pipeline.build_package, homologies_for_seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed = {seed!r} is not")):
+            analyse(entry, seed)
+
+
 def test_invariance_failure_detected():
     good = {"N_untwisted": HomologyResult((1, 1, 0), ((), (), ()))}
     bad = {"N_untwisted": HomologyResult((1, 0, 0), ((), (), ()))}
@@ -182,7 +194,8 @@ def test_package_builds_each_field_once(monkeypatch):
 
     def counted(*args, **kwargs):
         # an ascent field descends the negation of f
-        calls.append((args[0].negation_of is not None, kwargs["perturb_seed"]))
+        calls.append((args[0].negation_of is not None,
+                      getattr(kwargs["perturbation"], "seed", None)))
         return build_adapted(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_adapted", counted)

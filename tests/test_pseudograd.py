@@ -11,7 +11,7 @@ from morseflow.geometry import boundary_distance, chart_distance
 from morseflow.params import DEFAULT
 from morseflow.pipeline import _setup
 from morseflow.fields import halton_sequence
-from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch,
+from morseflow.pseudogradient import (PseudoGradientField, TangencyPatch, _Perturbation,
                                       build_adapted, certify_adapted)
 
 from conftest import drawn_sample, evaluate_many, with_metric
@@ -229,11 +229,12 @@ def test_halton_chunks_of_the_manifold_sample(packages, name, monkeypatch):
 def test_perturbed_field_still_certifies(packages):
     entry = catalog.get("annulus")
     crit = packages["annulus"].crit
-    fld = build_adapted(entry.field, entry.chart, crit, perturb_seed=5,
+    fld = build_adapted(entry.field, entry.chart, crit,
+                        perturbation=_Perturbation(entry.chart, crit, 5),
                         sample=drawn_sample(entry.field, entry.chart, crit))
-    assert fld.certificate.passed
+    assert fld.certificate.passed and fld.perturb_seed == 5
     # the perturbation vanishes on the boundary and near critical points
-    plain = dataclasses.replace(fld, perturb_seed=None)
+    plain = dataclasses.replace(fld, perturbation=None)
     assert np.array_equal(fld.evaluate([0.0, -2.0]), plain.evaluate([0.0, -2.0]))
     probe = np.subtract(fld.evaluate([1.5, 0.2]), plain.evaluate([1.5, 0.2]))
     assert 0.0 < np.linalg.norm(probe) < 2e-3
@@ -242,7 +243,7 @@ def test_perturbed_field_still_certifies(packages):
 def test_a_field_is_a_value_of_its_seven_inputs():
     # the metric is the chart's
     assert [f.name for f in dataclasses.fields(PseudoGradientField) if f.init] == [
-        "chart", "objective", "crit", "r_n", "delta_c", "perturb_seed", "tol"]
+        "chart", "objective", "crit", "r_n", "delta_c", "perturbation", "tol"]
     # a patch is data: its wall is an index into the chart's constraints
     assert [f.name for f in dataclasses.fields(TangencyPatch)] == [
         "center", "tangent", "h", "piece", "grad_norm_at_center"]
@@ -251,13 +252,14 @@ def test_a_field_is_a_value_of_its_seven_inputs():
 def _seed_one_disk(packages):
     entry = catalog.get("disk")
     crit = packages["disk"].crit
-    return build_adapted(entry.field, entry.chart, crit, perturb_seed=1,
+    return build_adapted(entry.field, entry.chart, crit,
+                         perturbation=_Perturbation(entry.chart, crit, 1),
                          sample=drawn_sample(entry.field, entry.chart, crit))
 
 
 def test_an_unperturbed_copy_evaluates_as_a_fresh_field(packages):
     field = _seed_one_disk(packages)
-    copy = dataclasses.replace(field, perturb_seed=None)
+    copy = dataclasses.replace(field, perturbation=None)
     fresh = PseudoGradientField(chart=field.chart,
                                 objective=field.objective, crit=field.crit,
                                 r_n=field.r_n, delta_c=field.delta_c, tol=field.tol)
@@ -382,7 +384,7 @@ def test_one_kernel_call_reads_each_input_once(packages, request, name, seed):
     for side in ("N", "D"):
         counts = collections.Counter()
         field = _counted_copy(setup.build(side, seed or None), counts)
-        assert (field._perturb is None) == (seed == 0)
+        assert (field.perturbation is None) == (seed == 0)
         want = {"gradient": 1, **{("read", i): 1 for i in range(len(chart.constraints))}}
         if chart.metric is not None:
             want["matrix"] = 1
